@@ -27,6 +27,7 @@ benchmarks that claim).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.core.codegen import codegen_enabled
 from repro.core.consequence import apply_tp, tp_step
@@ -36,7 +37,7 @@ from repro.core.objectbase import ObjectBase
 from repro.core.rules import UpdateProgram
 from repro.core.safety import check_program_safety
 from repro.core.stratification import Stratification, stratify
-from repro.core.terms import VersionVar, depth, variables_of
+from repro.core.terms import Oid, Term, VersionVar, depth, variables_of
 from repro.core.trace import EvaluationTrace, IterationRecord
 from repro.obs import metrics as _obs
 
@@ -98,13 +99,37 @@ class EvaluationOptions:
 
 @dataclass
 class EvaluationOutcome:
-    """``result(P)`` plus everything the run learned along the way."""
+    """``result(P)`` plus everything the run learned along the way.
+
+    ``tracked`` is what the incremental linearity check recorded: the most
+    recent version per object (empty when the check was off).  When the
+    input base was :meth:`plain <repro.core.objectbase.ObjectBase.is_plain>`
+    — ``plain`` is set — the tracker was never seeded, so ``tracked`` holds
+    exactly the objects some rule head created a version of, and every
+    other object is its own final version.
+    """
 
     result_base: ObjectBase
     stratification: Stratification
     trace: EvaluationTrace
-    final_versions: dict
+    tracked: dict[Oid, Term]
     iterations: int
+    plain: bool = False
+
+    @cached_property
+    def final_versions(self) -> dict[Oid, Term]:
+        """The final version of every object (Section 5), untouched ones
+        included — materialised on first read, since after a plain input
+        that is the one base-sized thing left to compute."""
+        if not self.plain:
+            return self.tracked
+        finals: dict[Oid, Term] = {
+            version: version
+            for version in self.result_base.iter_existing_versions()
+            if version.__class__ is Oid
+        }
+        finals.update(self.tracked)
+        return finals
 
     @property
     def strata_count(self) -> int:
@@ -169,9 +194,12 @@ def evaluate(
     *,
     compiled: CompiledProgram | None = None,
 ) -> EvaluationOutcome:
-    """Compute ``result(P)`` for ``program`` on (a copy of) ``base``.
+    """Compute ``result(P)`` for ``program`` on a fork of ``base``.
 
-    The input base is never mutated.  Raises
+    The input base is never mutated; when it is frozen — a store's head —
+    the fork shares every index bucket no rule head writes to
+    (:meth:`~repro.core.objectbase.ObjectBase.fork`), so evaluation costs
+    what the program touches, not the base.  Raises
     :class:`~repro.core.errors.StratificationError`,
     :class:`~repro.core.errors.SafetyError`,
     :class:`~repro.core.errors.VersionLinearityError` or
@@ -187,12 +215,16 @@ def evaluate(
         compiled = compile_program(program, options)
     stratification = compiled.stratification
 
-    working = base.copy()
-    working.ensure_exists()
-
+    # On a plain input there is no ``exists`` fact to add and no version to
+    # seed the tracker with: an object's first new version always contains
+    # the object itself, so seeding ``o -> o`` could not change a verdict.
+    plain = options.check_linearity and base.is_plain()
+    working = base.fork()
     tracker = LinearityTracker()
-    if options.check_linearity:
-        tracker.seed_from(working)
+    if not plain:
+        working.ensure_exists()
+        if options.check_linearity:
+            tracker.seed_from(working)
 
     trace = EvaluationTrace(snapshots=options.collect_snapshots)
     total_iterations = 0
@@ -263,8 +295,10 @@ def evaluate(
             if not changed:
                 break
 
-    finals = tracker.latest if options.check_linearity else {}
-    return EvaluationOutcome(working, stratification, trace, finals, total_iterations)
+    tracked = tracker.latest if options.check_linearity else {}
+    return EvaluationOutcome(
+        working, stratification, trace, tracked, total_iterations, plain
+    )
 
 
 def _reject_version_vars_in_heads(program: UpdateProgram) -> None:

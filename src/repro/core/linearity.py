@@ -50,8 +50,15 @@ class LinearityTracker:
         raise VersionLinearityError(owner, previous, version)
 
     def seed_from(self, base: ObjectBase) -> None:
-        """Prime the tracker with the versions already present in ``base``
-        (the OIDs of the to-be-updated base)."""
+        """Prime the tracker with the versions already present in ``base``.
+
+        Needed only when ``base`` may hold proper versions, or when
+        :attr:`latest` must name every object.  On a plain base
+        (``ObjectBase.is_plain``) every entry would read ``o -> o``, and
+        ``o`` is a subterm of any version :meth:`observe` can later see for
+        it — the unseeded tracker reaches the same verdicts and records
+        exactly the objects that got a new version, which is what the
+        evaluator relies on to stay proportional to the update."""
         for version in base.existing_versions():
             self.observe_initial(version)
 

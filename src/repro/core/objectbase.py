@@ -126,11 +126,15 @@ class ObjectBase:
     """A mutable set of facts with the indexes the engine needs.
 
     The public surface treats the base as a set of :class:`Fact`; mutation
-    keeps all indexes synchronous.  ``copy()`` is cheap-ish (dict/set
-    copies); ``copy(lazy_indexes=True)`` copies only the fact set and
-    rebuilds the four indexes on first use — the evaluator's per-iteration
-    snapshot path uses it so that tracing with ``collect_snapshots`` costs
-    one set copy per iteration instead of five.
+    keeps all indexes synchronous.  :meth:`fork` (and ``copy()``, which is
+    the same thing) of a *frozen* base shares every index bucket with it
+    and copies a bucket the first time the fork writes to it, so deriving
+    a base from a frozen one costs the dict spines plus the buckets
+    actually written, never the base; of an unfrozen base it is an eager
+    dict/set copy.  ``copy(lazy_indexes=True)`` copies only the fact set
+    and rebuilds the four indexes on first use — the evaluator's
+    per-iteration snapshot path uses it so that tracing with
+    ``collect_snapshots`` costs one set copy per iteration instead of five.
     """
 
     __slots__ = (
@@ -141,7 +145,8 @@ class ObjectBase:
         "_by_arg",
         "_exists",
         "_frozen",
-        "_cow",
+        "_owned",
+        "_plain",
     )
 
     def __init__(self, facts: Iterable[Fact] = ()):
@@ -152,7 +157,13 @@ class ObjectBase:
         self._by_arg: dict[MethodKey, dict[int, dict[Oid, set[Fact]]]] = {}
         self._exists: dict[Term, Oid] | None = {}
         self._frozen = False
-        self._cow = False
+        #: ``None``: every index bucket is this base's own.  A set: this
+        #: base is a fork sharing buckets with a frozen parent, and the
+        #: set names the buckets it has made private so far (see ``_own``).
+        self._owned: set | None = None
+        #: Cached answer of :meth:`is_plain` (``None``: not known).  Only
+        #: ever held by a frozen base or a fork, whose writes reset it.
+        self._plain: bool | None = None
         for fact in facts:
             self.add(fact)
 
@@ -180,23 +191,6 @@ class ObjectBase:
         self._by_host_method = by_host_method
         self._by_arg = {}
         self._exists = exists
-        self._cow = False
-
-    def _demote_shared_indexes(self) -> None:
-        """Give up indexes whose buckets are shared with another base.
-
-        A base produced by :meth:`apply_delta` adopts its parent's indexes
-        with shared buckets (see there); the store freezes such bases
-        immediately, so direct mutation of one is the rare path — it simply
-        falls back to a lazy full rebuild instead of tracking per-bucket
-        ownership forever.
-        """
-        self._by_method = None
-        self._by_host = None
-        self._by_host_method = None
-        self._by_arg = {}
-        self._exists = None
-        self._cow = False
 
     # ------------------------------------------------------------------
     # constructors
@@ -246,37 +240,21 @@ class ObjectBase:
         base._by_arg = {}
         base._exists = None
         base._frozen = False
-        base._cow = False
+        base._owned = None
+        base._plain = None
         return base
 
     def copy(self, *, lazy_indexes: bool = False) -> "ObjectBase":
-        """An independent copy sharing no mutable state.
-
-        With ``lazy_indexes=True`` (or when this base itself is still
-        lazy) only the fact set is copied; the indexes are rebuilt from it
-        the first time an indexed access path is used.
+        """An independent mutable copy: :meth:`fork`, or — with
+        ``lazy_indexes=True`` — a copy of the fact set alone, whose indexes
+        are rebuilt the first time an indexed access path is used.
         """
-        clone = ObjectBase.__new__(ObjectBase)
-        clone._facts = set(self._facts)
-        clone._frozen = False
-        clone._cow = False
-        clone._by_arg = {}
-        if lazy_indexes or self._by_method is None:
-            clone._by_method = None
-            clone._by_host = None
-            clone._by_host_method = None
-            clone._exists = None
-        else:
-            clone._by_method = {k: set(v) for k, v in self._by_method.items()}
-            clone._by_host = {k: set(v) for k, v in self._by_host.items()}
-            clone._by_host_method = {
-                k: set(v) for k, v in self._by_host_method.items()
-            }
-            clone._exists = dict(self._exists)
-        return clone
+        if lazy_indexes:
+            return ObjectBase.from_fact_set(self._facts.copy())
+        return self.fork()
 
     # ------------------------------------------------------------------
-    # structural sharing (the versioned store's currency)
+    # structural sharing (the evaluator's and the versioned store's currency)
     # ------------------------------------------------------------------
     @property
     def frozen(self) -> bool:
@@ -288,13 +266,96 @@ class ObjectBase:
 
         A frozen base rejects :meth:`add` / :meth:`discard` (and everything
         built on them) with :class:`~repro.core.errors.FrozenBaseError`, so
-        it can be handed to any number of readers without defensive copying.
-        Index (re)building stays allowed — it only caches derived state.
-        Freezing is irreversible; use :meth:`copy` for a mutable private
+        it can be handed to any number of readers without defensive copying
+        and to any number of forks without copying at all.  Index
+        (re)building stays allowed — it only caches derived state.
+        Freezing is irreversible; use :meth:`fork` for a mutable private
         base.
         """
         self._frozen = True
+        self._owned = None  # no write will ever ask again
         return self
+
+    def fork(self) -> "ObjectBase":
+        """A mutable base equal to this one that never writes through to it.
+
+        Forking a **frozen** base is copy-on-write at bucket level: the
+        fact set and the dict spines of the indexes are copied (C-level
+        ``set.copy()`` / ``dict.copy()``), every bucket is shared, and a
+        bucket is copied the first time the fork writes to it.  The buckets
+        of hosts the fork creates (``mod(e)``, ``del(mod(e))`` …) are new,
+        so an update that touches a few objects copies the handful of
+        per-method buckets its facts land in and nothing else.  Sharing is
+        safe because the parent's buckets can never change again.
+
+        An unfrozen parent may still write to its buckets, so nothing is
+        shared with it: its fork is an eager copy of every bucket (or of
+        the fact set alone while its indexes are not built).
+        """
+        child = ObjectBase.from_fact_set(self._facts.copy())
+        if not self._frozen:
+            if self._by_method is not None:
+                child._by_method = {k: set(v) for k, v in self._by_method.items()}
+                child._by_host = {k: set(v) for k, v in self._by_host.items()}
+                child._by_host_method = {
+                    k: set(v) for k, v in self._by_host_method.items()
+                }
+                child._exists = dict(self._exists)
+            return child
+        self._ensure_indexes()
+        child._by_method = self._by_method.copy()
+        child._by_host = self._by_host.copy()
+        child._by_host_method = self._by_host_method.copy()
+        child._exists = self._exists.copy()
+        # Per-method column spines are copied up front: the (frozen) parent
+        # may still *build* new column indexes lazily — from a reader
+        # thread, even — and those must not leak into the fork.  The outer
+        # copy is atomic; the loop then walks the fork's own dict.
+        by_arg = child._by_arg = self._by_arg.copy()
+        for mkey, per_column in by_arg.items():
+            by_arg[mkey] = per_column.copy()
+        child._owned = set()
+        return child
+
+    def _own(self, fact: Fact) -> None:
+        """The copy-on-write step of a fork (see :meth:`fork`): make private
+        every bucket a write of ``fact`` lands in, once per bucket.
+
+        ``_owned`` holds one mark per private bucket.  The marks of the
+        three primary indexes are their own keys — ``(method, arity)``,
+        the host term, ``(host, method, arity)`` — which cannot collide;
+        column-index marks are tagged.
+        """
+        owned = self._owned
+        self._plain = None
+        host = fact.host
+        method = fact.method
+        arity = len(fact.args)
+        mkey = (method, arity)
+        for index, key in (
+            (self._by_method, mkey),
+            (self._by_host, host),
+            (self._by_host_method, (host, method, arity)),
+        ):
+            if key not in owned:
+                owned.add(key)
+                shared = index.get(key)
+                if shared is not None:
+                    index[key] = shared.copy()
+        per_column = self._by_arg.get(mkey)
+        if per_column:
+            for column, index in per_column.items():
+                mark = ("arg", mkey, column)
+                if mark not in owned:
+                    owned.add(mark)
+                    index = per_column[column] = index.copy()
+                key = fact.result if column < 0 else fact.args[column]
+                mark = ("arg", mkey, column, key)
+                if mark not in owned:
+                    owned.add(mark)
+                    shared = index.get(key)
+                    if shared is not None:
+                        index[key] = shared.copy()
 
     def apply_delta(
         self, added: Iterable[Fact], removed: Iterable[Fact]
@@ -302,100 +363,92 @@ class ObjectBase:
         """A new base equal to this one with ``removed`` taken out and
         ``added`` put in.
 
-        This is the structural-sharing step of the delta-chain store: the
-        :class:`Fact` objects themselves are shared between the two bases
-        (facts are immutable), and so are the index buckets.  When this
-        base is frozen with built indexes, the derived base *adopts* them
-        incrementally — dict spines are copied, the buckets touched by the
-        delta are copied and updated, every untouched bucket is shared —
-        so advancing a revision costs the delta, never an index rebuild.
-        Sharing is safe because the parent is frozen (its buckets can never
-        change again); the child carries ``_cow`` and falls back to a lazy
-        rebuild if it is mutated directly instead of being frozen.
+        This is how a revision advances, in the engine (``ob'`` = input ⊕
+        delta) and in the store (snapshot ⊕ composed deltas): applied to a
+        frozen base it is a :meth:`fork` plus the delta's writes, so the
+        :class:`Fact` objects and every untouched index bucket are shared
+        between the two bases, the derived base is born indexed, and the
+        cost is the delta plus the spine copies — never an index rebuild.
+        A :meth:`plain <is_plain>` parent hands its plainness on when the
+        hosts the delta touched still qualify.  Applied to an unfrozen base
+        (nothing to share) only the fact set is derived; its indexes are
+        rebuilt on first use.
         """
         added = added if isinstance(added, (set, frozenset, list, tuple)) else list(added)
         removed = (
             removed if isinstance(removed, (set, frozenset, list, tuple)) else list(removed)
         )
-        facts = set(self._facts)
-        facts.difference_update(removed)
-        facts.update(added)
-        child = ObjectBase.from_fact_set(facts)
-        if self._frozen and self._by_method is not None:
-            self._share_indexes_into(child, added, removed)
+        if not self._frozen:
+            facts = self._facts.copy()
+            facts.difference_update(removed)
+            facts.update(added)
+            return ObjectBase.from_fact_set(facts)
+        child = self.fork()
+        for fact in removed:
+            child.discard(fact)
+        for fact in added:
+            child.add(fact)
+        if self.is_plain():
+            child._plain = all(
+                child._host_is_plain(host)
+                for host in {fact.host for facts in (added, removed) for fact in facts}
+            )
         return child
 
-    def _share_indexes_into(
-        self, child: "ObjectBase", added: Iterable[Fact], removed: Iterable[Fact]
-    ) -> None:
-        """Copy-on-write index adoption for :meth:`apply_delta` (see there).
+    # ------------------------------------------------------------------
+    # plain bases
+    # ------------------------------------------------------------------
+    def is_plain(self) -> bool:
+        """True when every host is an OID carrying its own ``exists`` fact
+        and at least one method-application — the shape of a to-be-updated
+        object base, exactly what :func:`~repro.core.newbase.build_new_base`
+        emits, and closed under the deltas the engine derives.
 
-        Ownership is tracked bucket-by-bucket only for the duration of the
-        delta application; afterwards the child's dict spines are its own
-        and every bucket is either its own (touched) or shared with the
-        immutable parent (untouched).
+        On a plain base :meth:`ensure_exists` has nothing to add, every
+        object is its own final version until a rule touches it, and a
+        no-op update drops nothing — which is what lets the engine skip
+        three base-sized passes.  Establishing it is one pass; the answer
+        is cached only where it cannot go stale: on a frozen base, and on a
+        fork until its next write.
         """
-        by_method = {k: v for k, v in self._by_method.items()}
-        by_host = {k: v for k, v in self._by_host.items()}
-        by_host_method = {k: v for k, v in self._by_host_method.items()}
-        # Per-method column spines must be copied up front: the (frozen)
-        # parent may still *build* new column indexes lazily, and those must
-        # not leak into the child's differently-populated view.
-        by_arg = {mkey: dict(per) for mkey, per in self._by_arg.items()}
-        exists = dict(self._exists)
+        plain = self._plain
+        if plain is None:
+            self._ensure_indexes()
+            exists = self._exists
+            hosts = 0
+            plain = True
+            for host, state in self._by_host.items():
+                if not state:
+                    continue
+                hosts += 1
+                if len(state) < 2 or host.__class__ is not Oid:
+                    plain = False
+                    break
+                owner = exists.get(host)
+                if owner is not host and owner != host:
+                    plain = False
+                    break
+            # one ``exists`` fact per host, the 0-ary one checked above
+            plain = plain and hosts == sum(
+                len(bucket)
+                for (method, _arity), bucket in self._by_method.items()
+                if method == EXISTS
+            )
+            if self._frozen:
+                self._plain = plain
+        return plain
 
-        owned: set[tuple] = set()
-
-        def bucket(index: dict, key, tag: str) -> set[Fact]:
-            mark = (tag, key)
-            current = index.get(key)
-            if current is None:
-                current = index[key] = set()
-                owned.add(mark)
-            elif mark not in owned:
-                current = index[key] = set(current)
-                owned.add(mark)
-            return current
-
-        def arg_bucket(per: dict, column: int, key, mkey) -> set[Fact]:
-            spine_mark = ("arg-spine", mkey, column)
-            index = per[column]
-            if spine_mark not in owned:
-                index = per[column] = dict(index)
-                owned.add(spine_mark)
-            return bucket(index, key, ("arg", mkey, column))
-
-        for fact in removed:
-            mkey = (fact.method, len(fact.args))
-            bucket(by_method, mkey, "m").discard(fact)
-            bucket(by_host, fact.host, "h").discard(fact)
-            bucket(by_host_method, (fact.host, *mkey), "hm").discard(fact)
-            per = by_arg.get(mkey)
-            if per:
-                for column in per:
-                    key = fact.result if column < 0 else fact.args[column]
-                    arg_bucket(per, column, key, mkey).discard(fact)
-            if fact.method == EXISTS and not fact.args:
-                exists.pop(fact.host, None)
-        for fact in added:
-            mkey = (fact.method, len(fact.args))
-            bucket(by_method, mkey, "m").add(fact)
-            bucket(by_host, fact.host, "h").add(fact)
-            bucket(by_host_method, (fact.host, *mkey), "hm").add(fact)
-            per = by_arg.get(mkey)
-            if per:
-                for column in per:
-                    key = fact.result if column < 0 else fact.args[column]
-                    arg_bucket(per, column, key, mkey).add(fact)
-            if fact.method == EXISTS and not fact.args:
-                exists[fact.host] = fact.result
-
-        child._by_method = by_method
-        child._by_host = by_host
-        child._by_host_method = by_host_method
-        child._by_arg = by_arg
-        child._exists = exists
-        child._cow = True
+    def _host_is_plain(self, host: Term) -> bool:
+        """:meth:`is_plain`, for one host (absent hosts qualify)."""
+        state = self._by_host.get(host)
+        if not state:
+            return True
+        return (
+            host.__class__ is Oid
+            and len(state) > 1
+            and self._exists.get(host) == host
+            and sum(1 for fact in state if fact.method == EXISTS) == 1
+        )
 
     # ------------------------------------------------------------------
     # set protocol
@@ -413,6 +466,11 @@ class ObjectBase:
         if isinstance(other, ObjectBase):
             return self._facts == other._facts
         return NotImplemented
+
+    def difference(self, other: "ObjectBase | set[Fact] | frozenset[Fact]") -> set[Fact]:
+        """The facts of this base that ``other`` — a base or a set of
+        facts — does not hold."""
+        return self._facts - (other._facts if isinstance(other, ObjectBase) else other)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         versions = "?" if self._exists is None else len(self._exists)
@@ -432,8 +490,8 @@ class ObjectBase:
         host = fact.host
         if not is_ground(host):
             raise TermError(f"object bases hold ground facts only, got {fact}")
-        if self._cow:
-            self._demote_shared_indexes()
+        if self._owned is not None:
+            self._own(fact)
         self._ensure_indexes()
         self._facts.add(fact)
         method = fact.method
@@ -471,8 +529,8 @@ class ObjectBase:
             raise FrozenBaseError(
                 f"cannot discard {fact} from a frozen base; copy() it first"
             )
-        if self._cow:
-            self._demote_shared_indexes()
+        if self._owned is not None:
+            self._own(fact)
         self._ensure_indexes()
         self._facts.discard(fact)
         mkey = (fact.method, len(fact.args))
@@ -706,8 +764,23 @@ class ObjectBase:
         return frozenset(oids)
 
     def sorted_facts(self) -> list[Fact]:
-        """Facts in a stable display order (for traces, dumps and tests)."""
-        return sorted(self._facts, key=_fact_sort_key)
+        """Facts in a stable display order (for traces, dumps and tests):
+        by object, then version, then method, arguments and result.
+
+        Sorted host by host, so that the key tuples alive at any moment are
+        one per host plus one state's worth.  One sort over every fact
+        holds a key per fact: at 42 k facts three times the time, and
+        young containers enough to bring a full collection forward into
+        the snapshot write that asked for the order."""
+        by_host = self._by_host
+        if by_host is None:
+            by_host = {}
+            for fact in self._facts:
+                by_host.setdefault(fact.host, []).append(fact)
+        ordered: list[Fact] = []
+        for host in sorted(by_host, key=_host_sort_key):
+            ordered.extend(sorted(by_host[host], key=_state_sort_key))
+        return ordered
 
 
 def _as_oid(value) -> Oid:
@@ -722,11 +795,9 @@ def _as_term(value) -> Term:
     return Oid(value)
 
 
-def _fact_sort_key(fact: Fact):
-    return (
-        str(object_of(fact.host)),
-        str(fact.host),
-        fact.method,
-        tuple(str(a) for a in fact.args),
-        str(fact.result),
-    )
+def _host_sort_key(host: Term):
+    return (str(object_of(host)), str(host))
+
+
+def _state_sort_key(fact: Fact):
+    return (fact.method, tuple(str(a) for a in fact.args), str(fact.result))

@@ -43,7 +43,7 @@ import networkx as nx
 
 from repro.core.atoms import BuiltinAtom, Literal, UpdateAtom, VersionAtom
 from repro.core.consequence import apply_tp, tp_step
-from repro.core.engine import UpdateResult
+from repro.core.engine import UpdateResult, update_result
 from repro.core.errors import (
     EvaluationLimitError,
     ProgramError,
@@ -53,7 +53,6 @@ from repro.core.evaluation import EvaluationOptions
 from repro.core.facts import EXISTS
 from repro.core.grounding import match_body
 from repro.core.linearity import LinearityTracker
-from repro.core.newbase import build_new_base
 from repro.core.objectbase import ObjectBase
 from repro.core.rules import UpdateProgram
 from repro.core.safety import check_program_safety
@@ -334,16 +333,7 @@ class DerivedUpdateEngine:
     def apply(self, program: UpdateProgram, base: ObjectBase) -> UpdateResult:
         """Full pipeline; ``result.new_base`` is the pure ``ob'`` — call
         :meth:`view` on it to see the derived methods of the new state."""
-        outcome = self.evaluate(program, base)
-        new_base = build_new_base(outcome.result_base, outcome.final_versions or None)
-        return UpdateResult(
-            new_base=new_base,
-            result_base=outcome.result_base,
-            final_versions=outcome.final_versions,
-            stratification=outcome.stratification,
-            trace=outcome.trace,
-            iterations=outcome.iterations,
-        )
+        return update_result(base, self.evaluate(program, base))
 
     def view(self, base: ObjectBase) -> ObjectBase:
         """Materialise the views over any base (e.g. an ``ob'``)."""

@@ -57,6 +57,7 @@ from repro.storage.history import StoreRevision, VersionedStore
 from repro.storage.serialize import (
     DurabilityOptions,
     append_revision,
+    bind_snapshots,
     load_store,
     save_store,
 )
@@ -377,6 +378,7 @@ class StoreService:
         """Initialize a fresh journal directory from ``base`` and serve it."""
         store = VersionedStore(base, tag=tag, **store_kwargs)
         save_store(store, directory, durability=durability)
+        bind_snapshots(store, directory)
         return cls(
             store,
             journal_dir=directory,
@@ -599,21 +601,29 @@ class StoreService:
         engine = store.engine
         base = store.current
         commit_start = time.perf_counter()
-        staged_bases: list[ObjectBase] = []
+        # (new_base, added, removed) per program — not the whole result,
+        # whose result(P) would pin one more set of index spines each
+        staged: list[tuple] = []
         for program in programs:
             result = engine.apply(program, base)
             base = result.new_base.freeze()
-            staged_bases.append(base)
+            staged.append((base, result.added, result.removed))
         _obs.observe(
             "commit_phase_seconds",
             time.perf_counter() - commit_start,
             phase="evaluate",
         )
         revisions: list[StoreRevision] = []
-        for position, (program, new_base) in enumerate(zip(programs, staged_bases)):
+        for position, (program, (new_base, added, removed)) in enumerate(
+            zip(programs, staged)
+        ):
             revision_tag = tag if len(programs) == 1 else (tag and f"{tag}.{position}")
             revision = store.commit_update(
-                new_base, tag=revision_tag, program_name=program.name
+                new_base,
+                tag=revision_tag,
+                program_name=program.name,
+                added=added,
+                removed=removed,
             )
             if self.journal_dir is not None:
                 append_start = time.perf_counter()

@@ -16,6 +16,12 @@ deltas, not a pile of copies:
   (:meth:`~repro.core.objectbase.ObjectBase.freeze`), so ``current`` and
   ``as_of`` hand out the shared view instead of copying, and the engine's
   ``new_base`` is committed without a defensive copy;
+* a commit costs its delta: the engine evaluates on a copy-on-write fork
+  of the frozen head, emits ``ob'`` as head ⊕ delta — sharing every
+  untouched index bucket, so each head is born indexed — and hands the
+  store that exact ``(added, removed)`` pair, which is committed as given
+  (:meth:`VersionedStore.commit_update`) instead of being rediscovered by
+  comparing two bases;
 * the engine's :class:`~repro.core.engine.CompiledProgram` cache makes a
   chain of ``apply`` calls of the same program pay the static analysis once;
 * registered :class:`~repro.core.query.PreparedQuery` objects are served
@@ -31,9 +37,9 @@ expose identical facts at every revision (covered by an equivalence test).
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.core.atoms import Literal
 from repro.core.engine import UpdateEngine, UpdateResult
@@ -128,7 +134,9 @@ class StoreOptions:
         reconstruction of cold revisions.
     materialize_cache:
         How many reconstructed non-head revisions to keep around for
-        repeated ``as_of`` reads.
+        repeated ``as_of`` reads — and, separately, how many snapshot bases
+        that can be reloaded from a journal file stay resident
+        (:meth:`VersionedStore.snapshot_persisted`).
     prepared_cache_size:
         How many prepared queries (with their per-revision answer memos)
         the store keeps registered, LRU by use.  Bounds the serving-layer
@@ -218,6 +226,8 @@ class VersionedStore:
         self._head_cache: "tuple[int, ObjectBase] | None" = (0, snapshot)
         self._materialized: dict[int, ObjectBase] = {}
         self._snapshot_sources: dict[int, "SnapshotSource"] = {}
+        self._resident: deque[int] = deque()
+        self._resident_lock = threading.Lock()
         self._prepared: OrderedDict[PreparedQuery, _PreparedEntry] = OrderedDict()
         self._prepared_texts: dict[str, PreparedQuery] = {}
         self._prepared_lock = threading.RLock()
@@ -244,7 +254,8 @@ class VersionedStore:
         callables producing the snapshot base on demand — the journal
         loader registers one per snapshot *file* so that metadata-level
         work (``log``, appending) never parses cold snapshots; a loaded
-        snapshot is cached on its revision.
+        snapshot is cached on its revision, within the bound of
+        :meth:`snapshot_persisted`.
         """
         if not revisions:
             raise ReproError("a store needs at least one revision")
@@ -256,6 +267,8 @@ class VersionedStore:
         store.options = options or StoreOptions()
         store._materialized = {}
         store._snapshot_sources = snapshot_sources
+        store._resident = deque()
+        store._resident_lock = threading.Lock()
         store._prepared = OrderedDict()
         store._prepared_texts = {}
         store._prepared_lock = threading.RLock()
@@ -345,17 +358,45 @@ class VersionedStore:
         )
 
     def snapshot_at(self, index: int) -> ObjectBase | None:
-        """The snapshot base of revision ``index`` (loading and caching a
-        deferred one), or ``None`` when the revision is delta-only."""
+        """The snapshot base of revision ``index`` (loading a deferred one
+        through its source), or ``None`` when the revision is delta-only."""
         revision = self._revisions[index]
-        if revision.snapshot is not None:
-            return revision.snapshot
-        source = self._snapshot_sources.pop(index, None)
+        base = revision.snapshot
+        if base is not None:
+            return base
+        source = self._snapshot_sources.get(index)
         if source is None:
             return None
         base = source().freeze()
-        object.__setattr__(revision, "snapshot", base)
+        self._keep_resident(revision, base)
         return base
+
+    def snapshot_persisted(self, index: int, source: "SnapshotSource") -> None:
+        """Declare that revision ``index``'s snapshot can be reloaded from
+        durable storage by calling ``source``.
+
+        From then on the resident base is a cache entry, not the only copy:
+        at most ``StoreOptions.materialize_cache`` reloadable snapshots stay
+        in memory (the head is held by its own cache regardless), older
+        ones revert to their source and :meth:`snapshot_at` loads them back
+        on demand.  Each pins a full set of index spines for as long as it
+        is resident, so without the bound a long-lived journal-backed
+        process grows by one base-sized structure per snapshot interval.
+        A store that never hears of a source keeps every snapshot.
+        """
+        revision = self._revisions[index]
+        self._snapshot_sources[index] = source
+        if revision.snapshot is not None:
+            self._keep_resident(revision, revision.snapshot)
+
+    def _keep_resident(self, revision: StoreRevision, base: ObjectBase) -> None:
+        """Cache a reloadable snapshot on its revision, first in first out."""
+        with self._resident_lock:
+            object.__setattr__(revision, "snapshot", base)
+            self._resident.append(revision.index)
+            while len(self._resident) > self.options.materialize_cache:
+                oldest = self._revisions[self._resident.popleft()]
+                object.__setattr__(oldest, "snapshot", None)
 
     def _reconstruct(self, index: int) -> ObjectBase:
         anchor = index
@@ -539,13 +580,20 @@ class VersionedStore:
         """Run an update-program transactionally against the head revision.
 
         On success a new revision is appended; on any evaluation error the
-        store is untouched (atomicity comes free: evaluation copies).  The
+        store is untouched (atomicity comes free: evaluation forks).  The
         engine's compiled-program cache makes repeated applies of the same
         program skip the static analysis; the produced ``new_base`` is
-        frozen and committed directly — no defensive copy.
+        frozen and committed directly, with the engine's own delta — no
+        defensive copy, no comparison of bases.
         """
         result = self._engine.apply(program, self.current)
-        self.commit_update(result.new_base, tag=tag, program_name=program.name)
+        self.commit_update(
+            result.new_base,
+            tag=tag,
+            program_name=program.name,
+            added=result.added,
+            removed=result.removed,
+        )
         return result
 
     def commit_update(
@@ -554,6 +602,8 @@ class VersionedStore:
         *,
         tag: str = "",
         program_name: str | None = None,
+        added: "Iterable[Fact] | None" = None,
+        removed: "Iterable[Fact] | None" = None,
     ) -> StoreRevision:
         """Append an engine-produced ``new_base`` as a new revision, without
         the defensive copy of :meth:`commit_base`.
@@ -564,14 +614,27 @@ class VersionedStore:
         commits the results, so an evaluation error rolls the whole batch
         back by committing nothing.  ``new_base`` must already contain its
         ``exists`` map (every engine result does).
+
+        ``added`` / ``removed`` are the revision's delta when the caller
+        already holds it — the engine's :class:`UpdateResult`, a replayed
+        journal record — and must be the exact, disjoint set difference
+        between the head and ``new_base``; the commit then costs the delta.
+        Left out, the pair is computed by comparing the two bases.
         """
-        return self._commit(new_base.freeze(), tag, program_name)
+        new_base.freeze()
+        if added is None or removed is None:
+            added, removed = _diff_bases(self.current, new_base)
+        return self._commit(
+            new_base, frozenset(added), frozenset(removed), tag, program_name
+        )
 
     def commit_base(self, base: ObjectBase, *, tag: str = "") -> StoreRevision:
         """Append an externally produced base as a new revision."""
         snapshot = base.copy()
         snapshot.ensure_exists()
-        return self._commit(snapshot.freeze(), tag, None)
+        snapshot.freeze()
+        added, removed = _diff_bases(self.current, snapshot)
+        return self._commit(snapshot, added, removed, tag, None)
 
     def rollback_to(self, tag_or_index: str | int, *, tag: str = "") -> StoreRevision:
         """Append a new revision whose base equals an older revision's.
@@ -579,19 +642,29 @@ class VersionedStore:
         The store stays append-only (the rolled-back states remain in the
         history); this is the transactional undo on top of the paper's
         ``ob -> ob'`` mapping.  Under the delta representation the new
-        revision records exactly the facts that flow back.
+        revision records exactly the facts that flow back — the stored
+        deltas since the source, composed and inverted.
         """
         source = self._find(tag_or_index)
+        added, removed = self.diff(
+            len(self._revisions) - 1, source.index, include_exists=True
+        )
         return self._commit(
-            self.base_at(source.index), tag or f"rollback-to-{source.tag}", None
+            self.base_at(source.index),
+            added,
+            removed,
+            tag or f"rollback-to-{source.tag}",
+            None,
         )
 
     def _commit(
-        self, new_base: ObjectBase, tag: str, program_name: str | None
+        self,
+        new_base: ObjectBase,
+        added: frozenset[Fact],
+        removed: frozenset[Fact],
+        tag: str,
+        program_name: str | None,
     ) -> StoreRevision:
-        old = self.current
-        added = frozenset(f for f in new_base if f not in old)
-        removed = frozenset(f for f in old if f not in new_base)
         index = len(self._revisions)
         snapshot = None
         if not self.options.delta_chain or index % self.options.snapshot_interval == 0:
@@ -666,6 +739,14 @@ def _check_tag(tag: str) -> str:
             f"index addressing; pick a tag with a letter in it"
         )
     return tag
+
+
+def _diff_bases(
+    old: ObjectBase, new: ObjectBase
+) -> tuple[frozenset[Fact], frozenset[Fact]]:
+    """``(added, removed)`` between two bases by comparing them — for the
+    commits whose caller does not already hold the delta."""
+    return frozenset(new.difference(old)), frozenset(old.difference(new))
 
 
 def _compose_delta(

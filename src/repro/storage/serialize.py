@@ -40,6 +40,8 @@ import os
 import time
 import zlib
 from dataclasses import dataclass
+from functools import partial
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from repro.core.errors import ReproError, TermError
@@ -62,6 +64,7 @@ __all__ = [
     "save_store",
     "load_store",
     "append_revision",
+    "bind_snapshots",
     "compact_journal",
     "verify_journal",
     "format_revision_line",
@@ -228,22 +231,57 @@ def _term_from_json(data) -> Term:
     return VersionId(UpdateKind.from_name(data["kind"]), _term_from_json(data["base"]))
 
 
+def _scalar_json(value, memo: dict[str, str]) -> str:
+    """``json.dumps(value)`` of an OID payload or a method name; strings
+    recur (hosts, method names, class OIDs) and are encoded once."""
+    if type(value) is str:
+        text = memo.get(value)
+        if text is None:
+            text = memo[value] = encode_basestring_ascii(value)
+        return text
+    if type(value) is int:
+        return repr(value)
+    return json.dumps(value)
+
+
+def _term_json(term: Term, memo: dict[str, str]) -> str:
+    if isinstance(term, Oid):
+        return '{"oid":' + _scalar_json(term.value, memo) + "}"
+    if isinstance(term, VersionId):
+        return (
+            '{"base":' + _term_json(term.base, memo)
+            + ',"kind":' + _scalar_json(term.kind.value, memo) + "}"
+        )
+    raise TermError(f"cannot serialize non-ground term {term}")
+
+
 def dump_base_json(base: ObjectBase, path: str | Path | None = None) -> str:
-    """Serialize every fact (including ``exists`` and VID hosts) to JSON."""
-    payload = {
-        "format": "repro-object-base",
-        "version": 1,
-        "facts": [
-            {
-                "host": _term_to_json(fact.host),
-                "method": fact.method,
-                "args": [a.value for a in fact.args],
-                "result": fact.result.value,
-            }
-            for fact in base.sorted_facts()
-        ],
-    }
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    """Serialize every fact (including ``exists`` and VID hosts) to JSON.
+
+    The text is what ``json.dumps(payload, sort_keys=True, separators=(",",
+    ":"))`` gives for ``{"format", "version", "facts": [_fact_to_json(f),
+    ...]}``, written fact by fact: the payload of a 42 k-fact base is 170 k
+    dicts and lists, which cost more to build and to walk than to encode
+    and, being young and many, set off a full collection of the writer's
+    heap in the middle of every snapshot.
+    """
+    memo: dict[str, str] = {}
+    entries = []
+    last_host = host = None
+    for fact in base.sorted_facts():  # host by host
+        if fact.host is not last_host:
+            last_host = fact.host
+            host = _term_json(last_host, memo)
+        args = ",".join([_scalar_json(a.value, memo) for a in fact.args])
+        entries.append(
+            f'{{"args":[{args}],"host":{host},'
+            f'"method":{_scalar_json(fact.method, memo)},'
+            f'"result":{_scalar_json(fact.result.value, memo)}}}'
+        )
+    text = (
+        '{"facts":[' + ",".join(entries)
+        + '],"format":"repro-object-base","version":1}'
+    )
     if path is not None:
         Path(path).write_text(text, encoding="utf-8")
     return text
@@ -420,11 +458,8 @@ def append_revision(
         )
     has_snapshot = store.has_snapshot(revision.index)
     if has_snapshot:
-        _write_snapshot(
-            store.snapshot_at(revision.index),
-            directory / _snapshot_name(revision.index),
-            durability,
-        )
+        snapshot_path = directory / _snapshot_name(revision.index)
+        _write_snapshot(store.snapshot_at(revision.index), snapshot_path, durability)
     line = _revision_line(revision, has_snapshot) + "\n"
     _obs.inc("journal_bytes", len(line.encode("utf-8")))
     _fs.append_text(
@@ -433,7 +468,26 @@ def append_revision(
         flush=durability.flush_appends,
         fsync=durability.fsync_appends,
     )
+    if has_snapshot:
+        # The file is as durable as the journal now: the resident base
+        # becomes one of a bounded number of cache entries.
+        store.snapshot_persisted(revision.index, partial(_load_snapshot, snapshot_path))
     return journal
+
+
+def bind_snapshots(store: VersionedStore, directory: str | Path) -> None:
+    """Make the snapshot files ``save_store`` wrote to ``directory`` the
+    reload sources of ``store``'s resident snapshots, as ``load_store`` and
+    ``append_revision`` do for theirs — for the process that keeps serving
+    ``store`` with ``directory`` as its journal.  (``save_store`` itself
+    does not: it also exports stores to directories that may not last.)"""
+    directory = Path(directory)
+    for revision in store.revisions():
+        if revision.snapshot is not None:
+            store.snapshot_persisted(
+                revision.index,
+                partial(_load_snapshot, directory / _snapshot_name(revision.index)),
+            )
 
 
 def parse_journal_record(line: str) -> dict:
@@ -497,18 +551,22 @@ def apply_journal_record(store: VersionedStore, record: dict) -> StoreRevision:
     """Replay one parsed journal record onto ``store``'s head.
 
     The follower's apply path: fold the record's ``(added, removed)`` into
-    the current base with ``apply_delta`` and commit with the record's own
-    tag/program/epoch.  Because commits are deterministic over the totally
-    ordered journal, the revision this produces is exactly the one the
-    primary committed — commit listeners (subscriptions) fire as if the
-    commit were local.
+    the current base with ``apply_delta`` and commit that same pair with the
+    record's own tag/program/epoch — O(delta), like the commit it replays.
+    Because commits are deterministic over the totally ordered journal,
+    the revision this produces is exactly the one the primary committed —
+    commit listeners (subscriptions) fire as if the commit were local.
     """
     added = frozenset(_fact_from_json(e) for e in record["added"])
     removed = frozenset(_fact_from_json(e) for e in record["removed"])
-    new_base = store.current.apply_delta(added, removed).freeze()
+    new_base = store.current.apply_delta(added, removed)
     store.epoch = max(store.epoch, record.get("epoch", 0))
     return store.commit_update(
-        new_base, tag=record["tag"], program_name=record.get("program")
+        new_base,
+        tag=record["tag"],
+        program_name=record.get("program"),
+        added=added,
+        removed=removed,
     )
 
 
@@ -694,8 +752,9 @@ def load_store(
         if record.get("snapshot"):
             # deferred: parsed only when base_at/save actually needs it,
             # so log/append-style work never reads cold snapshots
-            path = directory / record["snapshot"]
-            snapshot_sources[index] = lambda path=path: _load_snapshot(path)
+            snapshot_sources[index] = partial(
+                _load_snapshot, directory / record["snapshot"]
+            )
         revisions.append(
             StoreRevision(
                 index,

@@ -88,9 +88,9 @@ def test_delta_chain_indexes_equal_scratch_rebuild(initial, deltas, probe_midway
 @settings(max_examples=25, deadline=None)
 @given(st.lists(fact_strategy, min_size=1, max_size=8), delta_strategy)
 def test_mutating_an_adopted_base_stays_correct(initial, delta):
-    """Direct add/discard on a base that adopted shared indexes must
-    demote cleanly — results equal a scratch rebuild, and the frozen
-    parent is untouched."""
+    """Direct add/discard on a base that shares index buckets with its
+    frozen parent must copy the buckets it writes to — results equal a
+    scratch rebuild, and the parent is untouched."""
     added, removed = delta
     parent = ObjectBase(initial)
     _probe_everything(parent)  # build all indexes
