@@ -7,9 +7,6 @@ Usage (installed as ``repro-updates``, also ``python -m repro``)::
     repro-updates check --program update.upd
     repro-updates query --base world.ob "E.isa -> empl, E.sal -> S"
     repro-updates query --base world.ob --prepared --repeat 100 "E.sal -> S"
-    repro-updates bench [--out BENCH_PR1.json] [--sizes 25 100 400]
-    repro-updates bench --store [--out BENCH_PR2.json]
-    repro-updates bench --queries [--out BENCH_PR3.json]
     repro-updates store init --dir STORE --base world.ob
     repro-updates store apply --dir STORE --program update.upd [--tag t]
     repro-updates store log --dir STORE
@@ -22,22 +19,17 @@ Usage (installed as ``repro-updates``, also ``python -m repro``)::
     repro-updates client --socket /tmp/repro.sock query "E.sal -> S"
     repro-updates client --socket /tmp/repro.sock subscribe "E.sal -> S" --pushes 1
     repro-updates client --socket /tmp/repro.sock tx --program update.upd
-    repro-updates bench --serve [--out BENCH_PR4.json] [--clients 8]
-    repro-updates bench --joins [--out BENCH_PR7.json]
     repro-updates replica serve --dir R --primary unix:P.sock --socket R.sock
     repro-updates replica promote --socket R.sock [--takeover P.sock]
     repro-updates replicaset --primary unix:P.sock --follower unix:R.sock
-    repro-updates bench --replication [--out BENCH_PR8.json]
     repro-updates serve --dir STORE --socket S --metrics
     repro-updates client --socket S metrics [--json]
     repro-updates client --socket S slowlog [--clear]
     repro-updates top --socket S [--interval 2] [--iterations N]
-    repro-updates bench --obs [--out BENCH_PR9.json]
     repro-updates cluster init --dir C --base world.ob --shards 4
     repro-updates cluster launch --dir C [--supervise]
     repro-updates cluster status cluster:unix:C/shard-0.sock,unix:C/shard-1.sock
     repro-updates top --target cluster:unix:A,unix:B
-    repro-updates bench --cluster [--out BENCH_PR10.json] [--shards 1 2 4 8]
 
 ``apply`` prints the new object base (``ob'``) to stdout, or writes it with
 ``--out``; ``--result-base`` dumps ``result(P)`` with all versions instead.
@@ -147,98 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
         "stderr (answers are printed once)",
     )
 
-    from repro.bench.sweep import (
-        DEFAULT_READS_PER_UPDATE,
-        DEFAULT_REPEATS,
-        DEFAULT_SERVE_CLIENTS,
-        DEFAULT_SIZES,
-        DEFAULT_STORE_REVISIONS,
-    )
-
-    bench_cmd = commands.add_parser(
-        "bench",
-        help="run the P1 scaling sweep (semi-naive vs naive), the P2 "
-        "versioned-store sweep (--store), the P3 read-heavy "
-        "prepared-query sweep (--queries), the P4 concurrent "
-        "serving sweep (--serve), or the P7 compiled-join sweep "
-        "(--joins), and write JSON",
-    )
-    bench_cmd.add_argument("--out", type=Path, default=None)
-    bench_cmd.add_argument("--repeats", type=int, default=DEFAULT_REPEATS)
-    bench_cmd.add_argument("--sizes", type=int, nargs="+", default=list(DEFAULT_SIZES))
-    bench_cmd.add_argument("--store", action="store_true")
-    bench_cmd.add_argument(
-        "--revisions", type=int, default=DEFAULT_STORE_REVISIONS
-    )
-    bench_cmd.add_argument("--queries", action="store_true")
-    bench_cmd.add_argument(
-        "--updates", type=int, default=None,
-        help="update transactions for the --queries / --serve sweeps "
-        "(each has its own default)",
-    )
-    bench_cmd.add_argument(
-        "--reads", type=int, default=DEFAULT_READS_PER_UPDATE
-    )
-    bench_cmd.add_argument(
-        "--serve", action="store_true",
-        help="run the concurrent served-subscription sweep (multi-client "
-        "throughput vs naive per-request re-evaluation)",
-    )
-    bench_cmd.add_argument(
-        "--clients", type=int, default=DEFAULT_SERVE_CLIENTS
-    )
-    bench_cmd.add_argument(
-        "--soak", action="store_true",
-        help="run the fault-tolerance soak (mixed churn with reconnecting "
-        "subscribers through a kill, offline compaction and restart)",
-    )
-    bench_cmd.add_argument(
-        "--duration", type=float, default=None,
-        help="soak: churn for this many seconds (default: 60)",
-    )
-    bench_cmd.add_argument(
-        "--subscribers", type=int, default=None,
-        help="soak: reconnecting subscriber connections (default: 4)",
-    )
-    bench_cmd.add_argument(
-        "--joins", action="store_true",
-        help="run the compiled-vs-interpreted-vs-naive join-execution "
-        "sweep (P1 sizes plus a wide-join synthetic)",
-    )
-    bench_cmd.add_argument(
-        "--wide-nodes", type=int, default=None,
-        help="joins sweep: x-nodes in the wide-join synthetic base",
-    )
-    bench_cmd.add_argument(
-        "--replication", action="store_true",
-        help="run the replicated-serving sweep (follower catch-up, read "
-        "fanout across replicas, failover time, zero-loss check)",
-    )
-    bench_cmd.add_argument(
-        "--followers", type=int, default=None,
-        help="replication sweep: read replicas to attach (default: 3)",
-    )
-    bench_cmd.add_argument(
-        "--cluster", action="store_true",
-        help="run the sharded-cluster sweep (single-shard commit overhead "
-        "vs a standalone server, scatter-read scaling across shard "
-        "counts)",
-    )
-    bench_cmd.add_argument(
-        "--shards", type=int, nargs="+", default=None,
-        help="cluster sweep: shard counts to sweep (default: 1 2 4 8)",
-    )
-    bench_cmd.add_argument(
-        "--obs", action="store_true",
-        help="run the observability-overhead sweep (P1[400] apply and a "
-        "scaled serve run, metrics registry on vs off)",
-    )
-    bench_cmd.add_argument(
-        "--trajectory", action="store_true",
-        help="only rebuild BENCH_TRAJECTORY.json from the committed "
-        "BENCH_PR*.json documents (no sweep)",
-    )
-
     store_cmd = commands.add_parser(
         "store", help="manage a durable versioned-store journal directory"
     )
@@ -259,10 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     init_cmd.add_argument(
         "--snapshot-interval", type=int, default=None,
         help="materialize a full snapshot every N revisions",
-    )
-    init_cmd.add_argument(
-        "--full-copy", action="store_true",
-        help="store a full snapshot at every revision (no delta chain)",
     )
 
     store_apply_cmd = store_sub.add_parser(
@@ -748,50 +644,6 @@ def _cmd_query(arguments) -> int:
         else:
             print("yes")
     return 0
-
-
-def _cmd_bench(arguments) -> int:
-    from repro.bench.sweep import main as bench_main
-
-    argv = ["--repeats", str(arguments.repeats)]
-    if arguments.out is not None:
-        argv += ["--out", str(arguments.out)]
-    argv += ["--sizes", *(str(s) for s in arguments.sizes)]
-    if arguments.store:
-        argv += ["--store", "--revisions", str(arguments.revisions)]
-    if arguments.queries:
-        argv += ["--queries", "--reads", str(arguments.reads)]
-    if arguments.serve:
-        argv += ["--serve", "--clients", str(arguments.clients)]
-    if arguments.joins:
-        argv += ["--joins"]
-        if arguments.wide_nodes is not None:
-            argv += ["--wide-nodes", str(arguments.wide_nodes)]
-    if arguments.soak:
-        argv += ["--soak"]
-        if arguments.duration is not None:
-            argv += ["--duration", str(arguments.duration)]
-        if arguments.subscribers is not None:
-            argv += ["--subscribers", str(arguments.subscribers)]
-    if arguments.replication:
-        argv += ["--replication"]
-        if arguments.followers is not None:
-            argv += ["--followers", str(arguments.followers)]
-        if arguments.duration is not None:
-            argv += ["--duration", str(arguments.duration)]
-    if arguments.cluster:
-        argv += ["--cluster"]
-        if arguments.shards is not None:
-            argv += ["--shards", *(str(s) for s in arguments.shards)]
-        if arguments.duration is not None:
-            argv += ["--duration", str(arguments.duration)]
-    if arguments.obs:
-        argv += ["--obs"]
-    if arguments.updates is not None:
-        argv += ["--updates", str(arguments.updates)]
-    if arguments.trajectory:
-        argv += ["--trajectory"]
-    return bench_main(argv)
 
 
 def _cmd_serve(arguments) -> int:
@@ -1422,16 +1274,13 @@ def _cmd_store_init(arguments) -> int:
     from repro.storage.serialize import JOURNAL_FILE
 
     base = parse_object_base(arguments.base.read_text(encoding="utf-8"))
-    overrides = {"delta_chain": not arguments.full_copy}
+    options = StoreOptions()
     if arguments.snapshot_interval is not None:
-        overrides["snapshot_interval"] = arguments.snapshot_interval
+        options = StoreOptions(snapshot_interval=arguments.snapshot_interval)
     # connect() refuses to initialize over an existing journal, so history
     # cannot be overwritten from here.
     with connect(
-        arguments.directory,
-        base=base,
-        tag=arguments.tag,
-        options=StoreOptions(**overrides),
+        arguments.directory, base=base, tag=arguments.tag, options=options
     ) as conn:
         facts = len(conn.as_of(0))
     journal = arguments.directory / JOURNAL_FILE
@@ -1559,7 +1408,6 @@ _HANDLERS = {
     "stratify": _cmd_stratify,
     "check": _cmd_check,
     "query": _cmd_query,
-    "bench": _cmd_bench,
     "store": _cmd_store,
     "serve": _cmd_serve,
     "cluster": _cmd_cluster,

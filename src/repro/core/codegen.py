@@ -1,11 +1,11 @@
 """Plan compilation: specialized, set-at-a-time join closures per body.
 
-The planned matcher of :mod:`repro.core.grounding` already fixed the literal
-order and the access paths statically, but still *interprets* the plan tuple
-at a time: every candidate fact costs a ``dict(binding)`` copy in
-``_match_position``, an atom-kind dispatch, and a re-derivation of the access
-path the plan chose long ago.  This module removes that interpretive layer by
-generating one specialized Python function per :class:`~repro.core.plans.JoinPlan`:
+This is the engine's one rule-body executor.  A
+:class:`~repro.core.plans.JoinPlan` fixes the literal order and the access
+paths statically; walking it tuple at a time would cost a ``dict(binding)``
+copy per candidate fact, an atom-kind dispatch, and a re-derivation of the
+access path the plan chose long ago.  This module generates one specialized
+Python function per plan instead:
 
 * **slot-based bindings** — a partial match is a plain tuple whose layout
   (variable → slot index) is fixed at compile time; extending a match is
@@ -20,13 +20,15 @@ generating one specialized Python function per :class:`~repro.core.plans.JoinPla
   checks do not depend on the current row materializes its extension tuples
   **once** from the index bucket and extends every row with them
   (filter → extend), instead of re-scanning the bucket per row;
-* **dedup keys only when needed** — like the interpreter, duplicate
-  elimination over ``plan.key_vars`` is emitted only when
-  ``generator_count > 1``, and the key is an :func:`operator.itemgetter`
-  over precomputed slot indexes.
+* **dedup keys only when needed** — duplicate elimination over
+  ``plan.key_vars`` is emitted only when ``generator_count > 1`` (two
+  distinct facts from a single generator can never produce the same
+  binding), and the key is an :func:`operator.itemgetter` over precomputed
+  slot indexes.
 
-Semantics are pinned to the interpreted walker, which stays in place as the
-differential oracle (with the naive dynamic matcher below it):
+Semantics are pinned by the independent reference evaluator
+(:mod:`repro.testing.reference`), which the differential suites compare
+every result against:
 
 * version-term generators are *exact* (``PlanStep.verify`` is False) and are
   compiled to direct index loops;
@@ -41,25 +43,23 @@ differential oracle (with the naive dynamic matcher below it):
 
 Compilation failures are deliberately *not* swallowed: the emitter covers
 every shape :func:`repro.core.plans.compile_plan` can produce, and the test
-suite proves it.  Bodies the planner itself cannot order (``plan is None``)
-simply have no compiled form and callers fall back to the dynamic matcher.
+suite proves it.  A body the planner itself cannot order is unsafe and
+fails where its plan is built, with a typed
+:class:`~repro.core.errors.EvaluationError`.
 
-``REPRO_NO_CODEGEN=1`` disables the whole backend at run time (the
-interpreted planned matcher takes over, same results), and the compile
-caches are registered with :mod:`repro.core.caches` as ``codegen.rule`` /
-``codegen.body`` / ``codegen.backend``.
+The compile caches are registered with :mod:`repro.core.caches` as
+``codegen.rule`` / ``codegen.body`` / ``codegen.backend``.
 """
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.core.atoms import BuiltinAtom, Literal, UpdateAtom, VersionAtom
+from repro.core.atoms import BuiltinAtom, Literal, VersionAtom
 from repro.core.caches import register_cache, register_lru_cache
-from repro.core.errors import BuiltinError, TermError
+from repro.core.errors import BuiltinError, EvaluationError, TermError
 from repro.core.exprs import BinOp, Neg, _numeric, expr_variables
 from repro.core.facts import Fact
 from repro.core.grounding import _body_plan, _check_ground, _generate
@@ -68,19 +68,18 @@ from repro.core.plans import (
     FILTER,
     JoinPlan,
     PlanStep,
+    compile_plan,
     rule_plan,
     seed_facts,
     var_sort_key,
 )
-from repro.core.terms import Oid, Var, VersionId, VersionVar, is_ground
-from repro.unify.substitution import apply_term
+from repro.core.terms import Oid, Var, VersionId, is_ground
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.objectbase import Delta, ObjectBase
     from repro.core.rules import UpdateRule
 
 __all__ = [
-    "codegen_enabled",
     "CompiledBody",
     "CompiledRule",
     "compiled_body",
@@ -99,15 +98,6 @@ _STATS = {
     "batch_steps": 0,
     "loop_steps": 0,
 }
-
-
-def codegen_enabled() -> bool:
-    """True unless the ``REPRO_NO_CODEGEN`` escape hatch is set.
-
-    Read per call (cheap) so tests and operators can flip the flag in a
-    running process; ``""`` and ``"0"`` count as *not* set.
-    """
-    return os.environ.get("REPRO_NO_CODEGEN", "0") in ("", "0")
 
 
 # ----------------------------------------------------------------------
@@ -696,8 +686,7 @@ class CompiledBody:
         return self.fn(base, seed_rows)
 
     def bindings(self, base: "ObjectBase") -> list[Binding]:
-        """Complete matches as fresh dicts — the compiled equivalent of
-        ``grounding._match_planned`` (dedup only with > 1 generator)."""
+        """Complete matches as fresh dicts (dedup only with > 1 generator)."""
         rows = self.fn(base, [()])
         slots = self.slots
         if self.generator_count <= 1:
@@ -753,10 +742,8 @@ def _compile_seed_matcher(
 ):
     """Compile the bulk seed matcher: delta facts in, slot rows out.
 
-    The interpreted path matches each delta fact against the seed literal
-    one ``match_term`` + ``_match_application`` at a time; this generates
-    one loop that destructures, checks and projects every fact into a row
-    laid out in ``seed_vars`` order (the seed plan's leading slots).
+    One generated loop destructures, checks and projects every fact into a
+    row laid out in ``seed_vars`` order (the seed plan's leading slots).
     """
     em = _Emitter(name)
     em.namespace["Oid"] = Oid
@@ -786,35 +773,21 @@ class CompiledRule:
     def __init__(self, rule: "UpdateRule") -> None:
         self.rule = rule
         self.plans = rule_plan(rule)
-        full_plan = self.plans.full_plan
-        self.full = (
-            _compile_body_plan(full_plan, (), rule.name)
-            if full_plan is not None
-            else None
-        )
-        self._seeded: dict[int, tuple | None] = {}
+        self.full = _compile_body_plan(self.plans.full_plan, (), rule.name)
+        self._seeded: dict[int, tuple] = {}
 
-    def seeded(self, position: int):
+    def seeded(self, position: int) -> tuple:
         """``(seed_matcher, compiled_body)`` for the seed literal at
-        ``position``, or ``None`` when the seeded plan could not be
-        compiled (caller falls back to the interpreted seeded matcher)."""
+        ``position``."""
         try:
             return self._seeded[position]
         except KeyError:
             plan = self.plans.seed_plan(position)
-            if plan is None:
-                entry = None
-            else:
-                literal = self.rule.body[position]
-                seed_vars = tuple(
-                    sorted(literal.variables, key=var_sort_key)
-                )
-                name = f"{self.rule.name}/seed{position}"
-                matcher = _compile_seed_matcher(
-                    literal.atom, seed_vars, name
-                )
-                body = _compile_body_plan(plan, seed_vars, name)
-                entry = (matcher, body)
+            literal = self.rule.body[position]
+            seed_vars = tuple(sorted(literal.variables, key=var_sort_key))
+            name = f"{self.rule.name}/seed{position}"
+            matcher = _compile_seed_matcher(literal.atom, seed_vars, name)
+            entry = (matcher, _compile_body_plan(plan, seed_vars, name))
             self._seeded[position] = entry
             return entry
 
@@ -830,29 +803,31 @@ def compiled_rule(rule: "UpdateRule") -> CompiledRule:
 
 
 @lru_cache(maxsize=4096)
-def compiled_body(body: tuple[Literal, ...]) -> CompiledBody | None:
-    """The compiled executor for a bare body (prepared queries), sharing
-    the plan cache with ``match_body``; ``None`` for unplannable bodies."""
-    plan = _body_plan(body)
-    if plan is None:
-        return None
-    return _compile_body_plan(plan, (), "<body>")
+def _compiled_body(body: tuple[Literal, ...]) -> CompiledBody:
+    return _compile_body_plan(_body_plan(body), (), "<body>")
+
+
+def compiled_body(
+    body: tuple[Literal, ...], name: str = "<body>"
+) -> CompiledBody:
+    """The compiled executor for a bare body (queries, view rules), cached
+    per body.  An unsafe body raises
+    :class:`~repro.core.errors.EvaluationError` naming ``name``."""
+    try:
+        return _compiled_body(body)
+    except EvaluationError:
+        compile_plan(body, name=name)  # the same failure, under the caller's name
+        raise
 
 
 register_lru_cache("codegen.rule", compiled_rule)
-register_lru_cache("codegen.body", compiled_body)
+register_lru_cache("codegen.body", _compiled_body)
 register_cache("codegen.backend", lambda: dict(_STATS))
 
 
-def match_rule_compiled(
-    rule: "UpdateRule", base: "ObjectBase"
-) -> list[Binding] | None:
-    """Compiled equivalent of :func:`repro.core.grounding.match_rule`;
-    ``None`` when the rule's body has no plan (dynamic fallback)."""
-    compiled = compiled_rule(rule)
-    if compiled.full is None:
-        return None
-    return compiled.full.bindings(base)
+def match_rule_compiled(rule: "UpdateRule", base: "ObjectBase") -> list[Binding]:
+    """Every substitution making the body of ``rule`` true in ``base``."""
+    return compiled_rule(rule).full.bindings(base)
 
 
 def match_rule_seeded_compiled(
@@ -860,25 +835,22 @@ def match_rule_seeded_compiled(
     base: "ObjectBase",
     delta: "Delta",
     positions: tuple[int, ...],
-) -> list[Binding] | None:
-    """Compiled equivalent of ``match_rule_seeded``: delta facts stream
-    through the bulk seed matcher and the compiled seeded body in one batch
-    per position, with the same shared dedup across positions.
+) -> list[Binding]:
+    """Semi-naive matching: every returned binding has at least one seed
+    literal matching a fact *added* by the previous ``T_P`` application.
+    Delta facts stream through the bulk seed matcher and the compiled
+    seeded body in one batch per position, deduplicated across positions.
 
-    Returns ``None`` (caller falls back to the interpreted seeded matcher)
-    when any needed seed plan is unavailable.
+    Only sound when :func:`repro.core.plans.classify` returned these seed
+    positions — i.e. when every other way the rule could newly fire has
+    been ruled out by its dependency signature.
     """
     compiled = compiled_rule(rule)
-    entries = []
-    for position in positions:
-        entry = compiled.seeded(position)
-        if entry is None:
-            return None
-        entries.append((position, entry))
     signature = compiled.plans.signature
     seen: set[tuple] = set()
     results: list[Binding] = []
-    for position, (matcher, body) in entries:
+    for position in positions:
+        matcher, body = compiled.seeded(position)
         facts = seed_facts(delta, signature, position)
         if not facts:
             continue

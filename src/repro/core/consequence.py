@@ -29,14 +29,9 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.core.atoms import UpdateAtom
-from repro.core.codegen import (
-    codegen_enabled,
-    match_rule_compiled,
-    match_rule_seeded_compiled,
-)
+from repro.core.codegen import match_rule_compiled, match_rule_seeded_compiled
 from repro.core.errors import EvaluationError
 from repro.core.facts import EXISTS, Fact, exists_fact
-from repro.core.grounding import match_rule, match_rule_dynamic, match_rule_seeded
 from repro.core.objectbase import Delta, ObjectBase
 from repro.obs import metrics as _obs
 from repro.core.plans import SEED, SKIP, classify, rule_plan
@@ -138,8 +133,6 @@ def tp_step(
     create_missing_objects: bool = False,
     collect_fired: bool = False,
     delta: Delta | None = None,
-    use_plans: bool = True,
-    compiled: bool | None = None,
 ) -> TPResult:
     """One application of ``T_P`` for the given rules against ``base``.
 
@@ -164,26 +157,14 @@ def tp_step(
     applied to an active version persists under re-substitution, so
     re-deriving an old instance is idempotent and only *new* instances
     matter.
-
-    ``use_plans=False`` selects the original dynamic-ordering matcher for
-    every rule — the naive reference path.
-
-    ``compiled`` — run plan-compiled (set-at-a-time) rule bodies where
-    available (:mod:`repro.core.codegen`); ``None`` defers to the
-    ``REPRO_NO_CODEGEN`` escape hatch.  Rules whose bodies have no compiled
-    form fall back to the interpreted planned matcher per rule, so this
-    only ever affects speed.
     """
     pending = PendingUpdates()
     fired: list[FiredInstance] = []
     reading = base if match_base is None else match_base
-    restricted = delta is not None and match_base is None and use_plans
-    if compiled is None:
-        compiled = codegen_enabled()
-    compiled = compiled and use_plans
-    # Per-rule profiling (matched/fired counts, cumulative seconds,
-    # compiled-fallback hits) — resolved once per step so the disabled
-    # path pays one env lookup for the whole rule loop.
+    restricted = delta is not None and match_base is None
+    # Per-rule profiling (matched/fired counts, cumulative seconds) —
+    # resolved once per step so the disabled path pays one env lookup for
+    # the whole rule loop.
     record = _obs.metrics_enabled()
     registry = _obs.registry() if record else None
 
@@ -199,31 +180,13 @@ def tp_step(
                     registry.inc("engine_rule_skipped", 1, rule=rule.name)
                 continue
             if mode == SEED:
-                bindings = (
-                    match_rule_seeded_compiled(rule, reading, delta, positions)
-                    if compiled
-                    else None
+                bindings = match_rule_seeded_compiled(
+                    rule, reading, delta, positions
                 )
-                if bindings is None:
-                    if record and compiled:
-                        registry.inc("engine_fallback_hits", 1, path="seed")
-                    bindings = match_rule_seeded(
-                        rule, reading, delta, positions
-                    )
             else:
-                bindings = match_rule_compiled(rule, reading) if compiled else None
-                if bindings is None:
-                    if record and compiled:
-                        registry.inc("engine_fallback_hits", 1, path="full")
-                    bindings = match_rule(rule, reading)
-        elif use_plans:
-            bindings = match_rule_compiled(rule, reading) if compiled else None
-            if bindings is None:
-                if record and compiled:
-                    registry.inc("engine_fallback_hits", 1, path="full")
-                bindings = match_rule(rule, reading)
+                bindings = match_rule_compiled(rule, reading)
         else:
-            bindings = match_rule_dynamic(rule, reading)
+            bindings = match_rule_compiled(rule, reading)
         for binding in bindings:
             matched += 1
             head = rule.head.substitute(binding)
@@ -264,7 +227,19 @@ def tp_step(
                 rule=rule.name,
             )
 
-    # ---- steps 2 + 3: copy states, apply updates --------------------------
+    return _copy_and_apply(base, pending, fired, create_missing_objects)
+
+
+def _copy_and_apply(
+    base: ObjectBase,
+    pending: PendingUpdates,
+    fired: list[FiredInstance],
+    create_missing_objects: bool,
+) -> TPResult:
+    """Steps 2 + 3 for a given ``T¹``: copy the state of every relevant
+    version from ``base`` and apply the pending updates to the copies.
+    Shared by :func:`tp_step` and the reference evaluator
+    (:mod:`repro.testing.reference`), which derives ``T¹`` on its own."""
     new_states: dict[VersionId, set[Fact]] = {}
     copies = 0
     for version in pending.relevant_versions():

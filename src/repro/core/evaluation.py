@@ -7,17 +7,17 @@ of the next.  For programs satisfying conditions (a)-(d) the per-stratum
 head set grows monotonically, so this terminates in a fixpoint —
 ``result(P)``.
 
-By default the fixpoint is **semi-naive**: ``apply_tp`` reports a structured
+The fixpoint is **semi-naive**: ``apply_tp`` reports a structured
 :class:`~repro.core.objectbase.Delta` of added/removed facts, and from the
 second iteration of a stratum onward each rule is classified against that
 delta by its precompiled dependency signature (:mod:`repro.core.plans`) —
 rules that cannot read anything that changed are skipped, rules whose only
 exposure is a positive version-term are re-matched starting from the new
 facts, and everything else is re-matched in full.  The per-iteration cost is
-thus proportional to the size of the change, not of the base.
-``EvaluationOptions(semi_naive=False)`` restores the original behaviour
-(recompute ``T¹`` from scratch with the dynamic-ordering matcher each
-iteration); the two paths are differentially tested against each other.
+thus proportional to the size of the change, not of the base.  Rule bodies
+run as plan-compiled closures (:mod:`repro.core.codegen`).  This is the one
+execution path; the naive fixpoint that recomputes ``T¹`` from scratch each
+iteration is the differential oracle in :mod:`repro.testing.reference`.
 
 The version-linearity check of Section 5 runs incrementally during
 evaluation (the paper: "its realization seems to be not expensive"; E7
@@ -26,10 +26,10 @@ benchmarks that claim).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
-from repro.core.codegen import codegen_enabled
+from repro.core.codegen import compiled_rule
 from repro.core.consequence import apply_tp, tp_step
 from repro.core.errors import EvaluationLimitError, ProgramError, VersionDepthError
 from repro.core.linearity import LinearityTracker
@@ -70,20 +70,6 @@ class EvaluationOptions:
         Belt-and-braces termination guard on the functor depth of created
         versions (safe programs bound it by construction; the Section 6
         VID-variable extension and ``create_missing_objects`` loops do not).
-    semi_naive:
-        Delta-driven fixpoint with precompiled join plans (the default).
-        ``False`` selects the naive reference path: every iteration
-        re-matches every rule of the stratum against the whole base with
-        the dynamic-ordering matcher.  Both paths compute the same
-        ``result(P)``, fire the same rule-instance sets and reach the same
-        linearity verdicts — only the work per iteration differs.
-    compiled:
-        Run plan-compiled, set-at-a-time rule bodies
-        (:mod:`repro.core.codegen`) where available; bodies without a
-        compiled form fall back to the interpreted planned matcher per
-        rule.  Defaults to on unless the ``REPRO_NO_CODEGEN`` environment
-        escape hatch is set.  Ignored on the naive path
-        (``semi_naive=False`` keeps the dynamic reference matcher).
     """
 
     max_iterations_per_stratum: int = 10_000
@@ -93,8 +79,6 @@ class EvaluationOptions:
     collect_trace: bool = False
     collect_snapshots: bool = False
     max_version_depth: int | None = None
-    semi_naive: bool = True
-    compiled: bool = field(default_factory=codegen_enabled)
 
 
 @dataclass
@@ -142,11 +126,12 @@ class CompiledProgram:
 
     Everything :func:`evaluate` derives from the program alone — the
     head-variable rejection, the safety check, the stratification, and the
-    per-rule join plans / dependency signatures of :mod:`repro.core.plans` —
-    is computed once here and reused across every subsequent evaluation of
-    the same program, whatever the base.  This is what lets the versioned
-    store run long chains of ``store.apply`` at per-update cost proportional
-    to the update, not to the program analysis.
+    per-rule join plans / dependency signatures of :mod:`repro.core.plans`
+    with their compiled executors — is computed once here and reused across
+    every subsequent evaluation of the same program, whatever the base.
+    This is what lets the versioned store run long chains of ``store.apply``
+    at per-update cost proportional to the update, not to the program
+    analysis.
     """
 
     program: UpdateProgram
@@ -154,7 +139,7 @@ class CompiledProgram:
     safety_checked: bool
     #: The plan-compiled rule executors (``repro.core.codegen``), pinned
     #: here so a long-lived compiled program never loses its closures to
-    #: LRU eviction.  Empty when compiled execution was off at compile time.
+    #: LRU eviction.
     compiled_rules: tuple = ()
 
 
@@ -165,23 +150,16 @@ def compile_program(
 
     Raises the same :class:`~repro.core.errors.ProgramError` family a direct
     ``evaluate`` call would, so an invalid program fails at compile time —
-    before any base is touched.
+    before any base is touched.  With ``check_safety`` off, a rule whose
+    body cannot be ordered raises :class:`~repro.core.errors.EvaluationError`
+    here, where its plan is built.
     """
     options = options or EvaluationOptions()
     _reject_version_vars_in_heads(program)
     if options.check_safety:
         check_program_safety(program)
     stratification = stratify(program)
-    compiled_rules: tuple = ()
-    if options.semi_naive:
-        from repro.core.plans import rule_plan
-
-        for rule in program:
-            rule_plan(rule)
-        if options.compiled and codegen_enabled():
-            from repro.core.codegen import compiled_rule
-
-            compiled_rules = tuple(compiled_rule(rule) for rule in program)
+    compiled_rules = tuple(compiled_rule(rule) for rule in program)
     return CompiledProgram(
         program, stratification, options.check_safety, compiled_rules
     )
@@ -250,8 +228,6 @@ def evaluate(
                 create_missing_objects=options.create_missing_objects,
                 collect_fired=options.collect_trace,
                 delta=delta,
-                use_plans=options.semi_naive,
-                compiled=options.compiled and codegen_enabled(),
             )
             if options.max_version_depth is not None:
                 for version in step.new_versions:
@@ -265,17 +241,14 @@ def evaluate(
                 if not working.version_exists(version)
                 and not working.state_of(version)
             ]
-            new_delta = apply_tp(working, step)
-            changed = bool(new_delta)
+            delta = apply_tp(working, step)
+            changed = bool(delta)
             if _obs.metrics_enabled():
                 registry = _obs.registry()
                 registry.inc("engine_tp_rounds", 1)
                 registry.observe(
-                    "engine_delta_size",
-                    len(new_delta.added) + len(new_delta.removed),
+                    "engine_delta_size", len(delta.added) + len(delta.removed)
                 )
-            if options.semi_naive:
-                delta = new_delta
             if options.check_linearity:
                 for version in sorted(fresh, key=str):
                     tracker.observe(version)
@@ -287,7 +260,7 @@ def evaluate(
                         tuple(sorted(fresh, key=str)),
                         changed,
                         step.copies,
-                        working.copy(lazy_indexes=True)
+                        ObjectBase.from_fact_set(set(working))
                         if options.collect_snapshots
                         else None,
                     )

@@ -1,42 +1,29 @@
-"""The rule matcher: enumerate the satisfying ground instances of a rule.
+"""The Section 3 matching primitives behind step 1 of the ``T_P`` operator.
 
-This is the join engine behind step 1 of the ``T_P`` operator.  Given a rule
-and an object base it enumerates every substitution (variables to OIDs) that
-makes all body literals true.
+A rule body is matched by a join over its literals: ground literals act as
+*filters*, a positive built-in ``X = e`` whose right-hand side is computable
+acts as a *binder*, a positive version-term or update-term acts as a
+*generator* drawing candidate facts from the object base indexes, and
+negated literals and comparisons wait until they are ground.  The order is
+fixed once per body as a :class:`~repro.core.plans.JoinPlan` and compiled to
+a set-at-a-time closure by :mod:`repro.core.codegen`; :func:`match_rule` and
+:func:`match_body` run that executor.
 
-Strategy — a backtracking search over a literal ordering:
-
-1. literals that are already ground act as *filters* and are checked first
-   (cheapest pruning);
-2. a positive built-in ``X = e`` whose right-hand side is computable acts as
-   a *binder*;
-3. otherwise a positive version-term or update-term with the most bound
-   positions acts as a *generator*, drawing candidate facts from the object
-   base indexes;
-4. negated literals and comparisons wait until they are ground.
-
-The ordering decisions depend only on which variables are bound, so they are
-precompiled once per body into a :class:`~repro.core.plans.JoinPlan` and the
-default matcher just walks the plan (:func:`match_rule` / :func:`match_body`).
-The original per-node dynamic chooser is kept, byte for byte, as
-:func:`match_rule_dynamic` — the fallback for bodies the planner cannot
-order statically, and the reference implementation the semi-naive engine is
-differentially tested against.  :func:`match_rule_seeded` is the
-delta-restricted variant: it grows bindings outward from the facts added by
-the previous ``T_P`` application instead of re-joining the whole base.
-
-Every complete assignment is re-verified against the authoritative truth
-functions of :mod:`repro.core.truth`, so the index-driven generators and the
-precompiled plans can only affect speed, never semantics.  A brute-force
-reference matcher that enumerates the active domain is provided for
-differential testing.
+What lives here is what the paper defines exactly once and every executor
+shares: the truth of a ground literal (:func:`_check_ground`), the equality
+binder (:func:`_bind_equality`) and the index-driven candidate generators
+for version- and update-terms (:func:`_generate`).  Update-term candidates
+are re-verified against the authoritative truth functions of
+:mod:`repro.core.truth`, so the access paths can only affect speed, never
+semantics.  The independent reference matchers (dynamic chooser, brute
+force) that the differential suites compare against live in
+:mod:`repro.testing.reference`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from repro.core.atoms import BuiltinAtom, Literal, UpdateAtom, VersionAtom
 from repro.core.caches import register_lru_cache
@@ -44,38 +31,20 @@ from repro.core.errors import BuiltinError, EvaluationError
 from repro.core.exprs import evaluate_expr, expr_variables
 from repro.core.facts import Fact
 from repro.core.objectbase import ObjectBase
-from repro.core.plans import (
-    BINDER,
-    FILTER,
-    JoinPlan,
-    compile_plan,
-    rule_plan,
-    seed_facts,
-    var_sort_key,
-)
+from repro.core.plans import JoinPlan, compile_plan
 from repro.core.rules import UpdateRule
 from repro.core.terms import (
     Oid,
     Term,
     UpdateKind,
     Var,
-    VersionId,
     is_ground,
 )
 from repro.core.truth import literal_true
 from repro.unify.substitution import apply_term
 from repro.unify.unification import match_term
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.objectbase import Delta
-
-__all__ = [
-    "match_rule",
-    "match_body",
-    "match_rule_dynamic",
-    "match_rule_seeded",
-    "match_rule_bruteforce",
-]
+__all__ = ["match_rule", "match_body"]
 
 Binding = dict[Var, Oid]
 
@@ -85,20 +54,16 @@ def match_rule(rule: UpdateRule, base: ObjectBase) -> Iterator[Binding]:
 
     Substitutions are restricted to the rule's variables and yielded at most
     once each.  Built-in type errors (e.g. arithmetic on a symbolic OID)
-    fail the candidate instead of raising (DESIGN.md D6).
-
-    Uses the precompiled join plan of the rule; yielded dicts are fresh per
-    answer and safe to keep, but callers must not mutate the base while the
-    iterator is live.
+    fail the candidate instead of raising (DESIGN.md D6).  Yielded dicts are
+    fresh per answer and safe to keep.
     """
-    plan = rule_plan(rule).full_plan
-    if plan is None:
-        return match_rule_dynamic(rule, base)
-    return _match_planned(plan, base)
+    from repro.core.codegen import match_rule_compiled  # codegen sits above
+
+    return iter(match_rule_compiled(rule, base))
 
 
 @lru_cache(maxsize=4096)
-def _body_plan(body: tuple[Literal, ...]) -> JoinPlan | None:
+def _body_plan(body: tuple[Literal, ...]) -> JoinPlan:
     return compile_plan(body)
 
 
@@ -111,268 +76,12 @@ def match_body(
     *,
     rule_name: str = "<body>",
 ) -> Iterator[Binding]:
-    """Like :func:`match_rule` for a bare body (used by the query API)."""
-    body = tuple(body)
-    plan = _body_plan(body)
-    if plan is None:
-        return match_body_dynamic(body, base, rule_name=rule_name)
-    # Prefer the codegen'd executor (lazy import: codegen sits above this
-    # module).  Same results; _match_planned stays as the oracle.
-    from repro.core.codegen import codegen_enabled, compiled_body
+    """Like :func:`match_rule` for a bare body (used by the query API).
+    An unsafe body raises :class:`~repro.core.errors.EvaluationError`
+    naming ``rule_name``."""
+    from repro.core.codegen import compiled_body  # codegen sits above
 
-    if codegen_enabled():
-        compiled = compiled_body(body)
-        if compiled is not None:
-            return iter(compiled.bindings(base))
-    return _match_planned(plan, base)
-
-
-# ----------------------------------------------------------------------
-# planned search (the default engine)
-# ----------------------------------------------------------------------
-
-
-def _match_planned(plan: JoinPlan, base: ObjectBase) -> Iterator[Binding]:
-    results = _search_planned(plan.steps, 0, {}, base)
-    if plan.generator_count <= 1:
-        # At most one generator: two distinct generated facts always bind
-        # some variable differently (every differing fact position is either
-        # a variable or a constant of the atom), so duplicates are
-        # impossible and the dedup bookkeeping is pure overhead.
-        yield from results
-        return
-    seen: set[tuple] = set()
-    key_vars = plan.key_vars
-    for binding in results:
-        key = tuple(binding[v] for v in key_vars)
-        if key not in seen:
-            seen.add(key)
-            yield binding
-
-
-def _search_planned(
-    steps: tuple, index: int, binding: Binding, base: ObjectBase
-) -> Iterator[Binding]:
-    """Walk the plan: filters and binders advance in place, generators are
-    the only branch points."""
-    n = len(steps)
-    while index < n:
-        step = steps[index]
-        action = step.action
-        if action == FILTER:
-            if not _check_ground(step.literal, binding, base):
-                return
-            index += 1
-        elif action == BINDER:
-            extension = _bind_equality(step.literal.atom, binding)
-            if extension is None:
-                return
-            binding = extension
-            index += 1
-        else:  # GENERATE
-            literal = step.literal
-            index += 1
-            if step.verify:
-                for extension in _generate(literal, binding, base, step.index_cols):
-                    # Re-verify with the authoritative semantics.
-                    if _check_ground(literal, extension, base):
-                        yield from _search_planned(steps, index, extension, base)
-            else:
-                # Exact generator (see plans.PlanStep.verify).
-                for extension in _generate(literal, binding, base, step.index_cols):
-                    yield from _search_planned(steps, index, extension, base)
-            return
-    yield binding
-
-
-# ----------------------------------------------------------------------
-# delta-restricted (seeded) matching
-# ----------------------------------------------------------------------
-
-
-def match_rule_seeded(
-    rule: UpdateRule,
-    base: ObjectBase,
-    delta: "Delta",
-    positions: tuple[int, ...],
-) -> Iterator[Binding]:
-    """Semi-naive matching: every yielded binding has at least one seed
-    literal matching a fact *added* by the previous ``T_P`` application.
-
-    Only sound when :func:`repro.core.plans.classify` returned these seed
-    positions — i.e. when every other way the rule could newly fire has
-    been ruled out by its dependency signature.
-    """
-    plans = rule_plan(rule)
-    signature = plans.signature
-    seen: set[tuple] = set()
-    dynamic_rest: list | None = None
-    dynamic_key_vars: tuple[Var, ...] | None = None
-    for position in positions:
-        atom = rule.body[position].atom  # a positive VersionAtom
-        facts = seed_facts(delta, signature, position)
-        if not facts:
-            continue
-        plan = plans.seed_plan(position)
-        for fact in facts:
-            seeded = match_term(atom.host, fact.host)
-            if seeded is None:
-                continue
-            seeded = _match_application(atom.args, atom.result, fact, seeded)
-            if seeded is None:
-                continue
-            if plan is not None:
-                results = _search_planned(plan.steps, 0, seeded, base)
-                key_vars = plan.key_vars
-            else:
-                if dynamic_rest is None:
-                    dynamic_rest = [
-                        (literal, literal.variables)
-                        for i, literal in enumerate(rule.body)
-                        if i != position
-                    ]
-                    names: set[Var] = set()
-                    for literal in rule.body:
-                        names |= literal.variables
-                    dynamic_key_vars = tuple(sorted(names, key=var_sort_key))
-                results = _search(dynamic_rest, seeded, base, rule.name)
-                key_vars = dynamic_key_vars
-            for binding in results:
-                key = tuple(binding[v] for v in key_vars)
-                if key not in seen:
-                    seen.add(key)
-                    yield binding
-
-
-# ----------------------------------------------------------------------
-# dynamic reference matcher (fallback + differential baseline)
-# ----------------------------------------------------------------------
-
-
-#: A body literal paired with its (precomputed) variable set — computing
-#: ``atom.variables`` per search step dominated the matcher's profile.
-_AnnotatedLiteral = tuple[Literal, frozenset[Var]]
-
-
-def match_rule_dynamic(rule: UpdateRule, base: ObjectBase) -> Iterator[Binding]:
-    """The original per-node dynamic-ordering matcher (the naive reference
-    path, ``EvaluationOptions(semi_naive=False)``)."""
-    return match_body_dynamic(rule.body, base, rule_name=rule.name)
-
-
-def match_body_dynamic(
-    body: tuple[Literal, ...],
-    base: ObjectBase,
-    *,
-    rule_name: str = "<body>",
-) -> Iterator[Binding]:
-    seen: set[frozenset] = set()
-    annotated = [(literal, literal.variables) for literal in body]
-    for binding in _search(annotated, {}, base, rule_name):
-        key = frozenset(binding.items())
-        if key not in seen:
-            seen.add(key)
-            yield dict(binding)
-
-
-def _search(
-    remaining: list[_AnnotatedLiteral],
-    binding: Binding,
-    base: ObjectBase,
-    rule_name: str,
-) -> Iterator[Binding]:
-    if not remaining:
-        yield binding
-        return
-
-    index = _choose_literal(remaining, binding, base)
-    if index is None:
-        raise EvaluationError(
-            f"rule {rule_name!r}: no literal is evaluable under the current "
-            f"binding — the rule is unsafe (this should have been caught by "
-            f"the safety check)"
-        )
-    literal, variables = remaining[index]
-    rest = remaining[:index] + remaining[index + 1 :]
-
-    if _is_ground_under(variables, binding):
-        if _check_ground(literal, binding, base):
-            yield from _search(rest, binding, base, rule_name)
-        return
-
-    atom = literal.atom
-    if isinstance(atom, BuiltinAtom):
-        extension = _bind_equality(atom, binding)
-        if extension is not None:
-            yield from _search(rest, extension, base, rule_name)
-        return
-
-    for extension in _generate(literal, binding, base):
-        # Re-verify the now-ground literal with the authoritative semantics.
-        if _check_ground(literal, extension, base):
-            yield from _search(rest, extension, base, rule_name)
-
-
-# ----------------------------------------------------------------------
-# literal selection
-# ----------------------------------------------------------------------
-
-
-def _is_ground_under(variables: frozenset[Var], binding: Binding) -> bool:
-    return all(v in binding for v in variables)
-
-
-def _choose_literal(
-    remaining: list[_AnnotatedLiteral], binding: Binding, base: ObjectBase
-) -> int | None:
-    """Pick the next literal: filters, then binders, then the most
-    constrained generator.  Returns ``None`` when stuck (unsafe rule)."""
-    best_generator: int | None = None
-    best_score = float("-inf")
-    for i, (literal, variables) in enumerate(remaining):
-        if _is_ground_under(variables, binding):
-            return i  # a filter: evaluate immediately
-        atom = literal.atom
-        if isinstance(atom, BuiltinAtom):
-            if literal.positive and atom.op == "=" and _equality_ready(atom, binding):
-                return i  # a binder
-            continue  # comparisons wait until ground
-        if not literal.positive:
-            continue  # negations wait until ground
-        score = _generator_score(atom, variables, binding)
-        if score > best_score:
-            best_score = score
-            best_generator = i
-    return best_generator
-
-
-def _equality_ready(atom: BuiltinAtom, binding: Binding) -> bool:
-    for target, source in ((atom.left, atom.right), (atom.right, atom.left)):
-        if (
-            isinstance(target, Var)
-            and target not in binding
-            and all(v in binding for v in expr_variables(source))
-        ):
-            return True
-    return False
-
-
-def _generator_score(atom, variables: frozenset[Var], binding: Binding) -> int:
-    """Heuristic: prefer generators with more already-bound variables and
-    with a ground host (host-indexed lookup beats a method scan)."""
-    bound = sum(1 for v in variables if v in binding)
-    host = atom.host if isinstance(atom, VersionAtom) else atom.target
-    host_ground = all(v in binding for v in _term_vars(host))
-    kind_penalty = 0
-    if isinstance(atom, UpdateAtom):
-        kind_penalty = 1  # update-term generators scan the version map
-    return bound * 4 + (2 if host_ground else 0) - kind_penalty
-
-
-def _term_vars(term: Term):
-    while isinstance(term, VersionId):
-        term = term.base
-    return (term,) if isinstance(term, Var) else ()
+    return iter(compiled_body(tuple(body), rule_name).bindings(base))
 
 
 # ----------------------------------------------------------------------
@@ -613,112 +322,3 @@ def _generate_update_atom(
                 extension = _match_position(atom.result2, new_fact.result, old_binding)
                 if extension is not None:
                     yield extension
-
-
-# ----------------------------------------------------------------------
-# brute-force reference (differential testing)
-# ----------------------------------------------------------------------
-
-
-def match_rule_bruteforce(rule: UpdateRule, base: ObjectBase) -> list[Binding]:
-    """Enumerate the active domain — the paper's "∀-quantified over O" read
-    literally.  Exponential; only for differential tests on small bases.
-
-    The active domain is the OIDs of the base plus the OIDs mentioned by the
-    rule itself.  For rules whose built-ins *compute* new values (``S' = S *
-    1.1``), equation binding is applied on top of domain enumeration for the
-    remaining variables.
-    """
-    domain = set(base.oid_universe())
-    domain |= _rule_constants(rule)
-
-    # Variables bindable only through '=' must not be domain-enumerated.
-    computed = _computed_variables(rule)
-    enumerated = sorted(rule.variables - computed, key=lambda v: v.name)
-    results: list[Binding] = []
-    for values in product(sorted(domain, key=str), repeat=len(enumerated)):
-        binding: Binding = dict(zip(enumerated, values))
-        full = _solve_computed(rule, binding)
-        if full is None:
-            continue
-        if all(_check_ground(lit, full, base) for lit in rule.body):
-            results.append(full)
-    return results
-
-
-def _rule_constants(rule: UpdateRule) -> set[Oid]:
-    constants: set[Oid] = set()
-
-    def walk_term(term: Term) -> None:
-        while isinstance(term, VersionId):
-            term = term.base
-        if isinstance(term, Oid):
-            constants.add(term)
-
-    def walk_expr(expr) -> None:
-        from repro.core.exprs import BinOp, Neg
-
-        if isinstance(expr, Oid):
-            constants.add(expr)
-        elif isinstance(expr, BinOp):
-            walk_expr(expr.left)
-            walk_expr(expr.right)
-        elif isinstance(expr, Neg):
-            walk_expr(expr.operand)
-
-    atoms = [lit.atom for lit in rule.body] + [rule.head]
-    for atom in atoms:
-        if isinstance(atom, VersionAtom):
-            walk_term(atom.host)
-            for arg in atom.args:
-                walk_term(arg)
-            walk_term(atom.result)
-        elif isinstance(atom, UpdateAtom):
-            walk_term(atom.target)
-            for arg in atom.args:
-                walk_term(arg)
-            if atom.result is not None:
-                walk_term(atom.result)
-            if atom.result2 is not None:
-                walk_term(atom.result2)
-        elif isinstance(atom, BuiltinAtom):
-            walk_expr(atom.left)
-            walk_expr(atom.right)
-    return constants
-
-
-def _computed_variables(rule: UpdateRule) -> frozenset[Var]:
-    """Variables that only '=' built-ins can bind (not in any positive
-    version-/update-term)."""
-    from_facts: set[Var] = set()
-    for literal in rule.body:
-        if literal.positive and isinstance(literal.atom, (VersionAtom, UpdateAtom)):
-            from_facts |= literal.atom.variables
-    return frozenset(rule.variables - from_facts)
-
-
-def _solve_computed(rule: UpdateRule, binding: Binding) -> Binding | None:
-    """Bind computed variables through '=' chains; None if impossible."""
-    work = dict(binding)
-    pending = [
-        lit.atom
-        for lit in rule.body
-        if lit.positive
-        and isinstance(lit.atom, BuiltinAtom)
-        and lit.atom.op == "="
-    ]
-    progress = True
-    while pending and progress:
-        progress = False
-        for eq in list(pending):
-            extension = _bind_equality(eq, work)
-            if extension is not None and extension != work:
-                work = extension
-                pending.remove(eq)
-                progress = True
-            elif all(v in work for v in eq.variables):
-                pending.remove(eq)
-                progress = True
-    if any(v not in work for v in rule.variables):
-        return None
-    return work

@@ -131,10 +131,8 @@ class ObjectBase:
     and copies a bucket the first time the fork writes to it, so deriving
     a base from a frozen one costs the dict spines plus the buckets
     actually written, never the base; of an unfrozen base it is an eager
-    dict/set copy.  ``copy(lazy_indexes=True)`` copies only the fact set
-    and rebuilds the four indexes on first use — the evaluator's
-    per-iteration snapshot path uses it so that tracing with
-    ``collect_snapshots`` costs one set copy per iteration instead of five.
+    dict/set copy.  :meth:`from_fact_set` adopts a fact set alone and
+    builds the four indexes on first use.
     """
 
     __slots__ = (
@@ -244,13 +242,8 @@ class ObjectBase:
         base._plain = None
         return base
 
-    def copy(self, *, lazy_indexes: bool = False) -> "ObjectBase":
-        """An independent mutable copy: :meth:`fork`, or — with
-        ``lazy_indexes=True`` — a copy of the fact set alone, whose indexes
-        are rebuilt the first time an indexed access path is used.
-        """
-        if lazy_indexes:
-            return ObjectBase.from_fact_set(self._facts.copy())
+    def copy(self) -> "ObjectBase":
+        """An independent mutable copy (:meth:`fork`)."""
         return self.fork()
 
     # ------------------------------------------------------------------

@@ -3,19 +3,20 @@
 Two pieces of static analysis turn the naive ``T_P`` loop of
 :mod:`repro.core.evaluation` into a semi-naive, delta-driven one:
 
-**Join plans.**  The dynamic literal chooser of :mod:`repro.core.grounding`
-re-ranks the remaining body literals at *every* search node.  Its decisions,
-however, depend only on *which variables are bound* — never on what they are
-bound to: a literal is a filter iff its variables are a subset of the bound
-set, an equality is a binder iff its unbound side is a single fresh variable
-whose other side is fully bound, and the generator score counts bound
-variables and checks host groundness.  The bound set after any prefix of
-choices is itself statically determined, so the entire choice sequence can
-be replayed once per ``(body, seed)`` pair and cached as a :class:`JoinPlan`
-— the runtime search just walks the steps.  When the simulation gets stuck
-(an unsafe body that only the safety checker should ever produce) the plan
-is ``None`` and callers fall back to the dynamic chooser, so plans can only
-affect speed, never semantics.
+**Join plans.**  The dynamic literal chooser of the reference evaluator
+(:mod:`repro.testing.reference`) re-ranks the remaining body literals at
+*every* search node.  Its decisions, however, depend only on *which
+variables are bound* — never on what they are bound to: a literal is a
+filter iff its variables are a subset of the bound set, an equality is a
+binder iff its unbound side is a single fresh variable whose other side is
+fully bound, and the generator score counts bound variables and checks host
+groundness.  The bound set after any prefix of choices is itself statically
+determined, so the entire choice sequence can be replayed once per
+``(body, seed)`` pair and cached as a :class:`JoinPlan`, which
+:mod:`repro.core.codegen` compiles into the executor.  When the simulation
+gets stuck — an unsafe body, which the safety checker rejects unless it was
+switched off — there is no plan and :func:`compile_plan` raises a typed
+:class:`~repro.core.errors.EvaluationError` naming the rule.
 
 **Rule dependency signatures.**  After the first ``T_P`` application of a
 stratum, a rule can only derive a *new* head-true ground instance if some
@@ -48,6 +49,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from repro.core.atoms import BuiltinAtom, Literal, UpdateAtom, VersionAtom
 from repro.core.caches import register_lru_cache
+from repro.core.errors import EvaluationError
 from repro.core.exprs import expr_variables
 from repro.core.facts import EXISTS, Fact
 from repro.core.terms import (
@@ -147,13 +149,14 @@ def var_sort_key(var: Var) -> tuple[str, str]:
     """Deterministic variable order for dedup keys.  The class name breaks
     ties between a ``Var`` and a ``VersionVar`` of the same name (distinct
     variables with equal names and hashes), so every plan of the same body
-    — and the dynamic fallback — agrees on the key order."""
+    agrees on the key order."""
     return (var.name, var.__class__.__name__)
 
 
 def _binder_target(atom: BuiltinAtom, bound: set[Var]) -> Var | None:
     """The variable an ``X = e`` built-in would bind under ``bound`` —
-    mirrors ``grounding._equality_ready`` direction order exactly."""
+    mirrors the reference chooser's ``_equality_ready`` direction order
+    exactly."""
     for target, source in ((atom.left, atom.right), (atom.right, atom.left)):
         if (
             isinstance(target, Var)
@@ -165,8 +168,9 @@ def _binder_target(atom: BuiltinAtom, bound: set[Var]) -> Var | None:
 
 
 def _static_generator_score(atom, variables: frozenset[Var], bound: set[Var]) -> int:
-    """``grounding._generator_score`` with the binding replaced by the
-    statically known bound-variable set (they agree by construction)."""
+    """The reference chooser's ``_generator_score`` with the binding
+    replaced by the statically known bound-variable set (they agree by
+    construction)."""
     bound_count = sum(1 for v in variables if v in bound)
     host = atom.host if isinstance(atom, VersionAtom) else atom.target
     host_var = _term_var(host)
@@ -176,11 +180,14 @@ def _static_generator_score(atom, variables: frozenset[Var], bound: set[Var]) ->
 
 
 def compile_plan(
-    body: tuple[Literal, ...], seed_vars: Iterable[Var] = ()
-) -> JoinPlan | None:
+    body: tuple[Literal, ...],
+    seed_vars: Iterable[Var] = (),
+    *,
+    name: str = "<body>",
+) -> JoinPlan:
     """Replay the dynamic chooser over ``body`` starting from ``seed_vars``
-    bound; ``None`` when the simulation gets stuck (unsafe body — callers
-    fall back to the dynamic search, which reports the error)."""
+    bound.  Raises :class:`~repro.core.errors.EvaluationError` naming the
+    rule or query ``name`` when the simulation gets stuck (unsafe body)."""
     remaining: list[tuple[Literal, frozenset[Var]]] = [
         (literal, literal.variables) for literal in body
     ]
@@ -193,7 +200,11 @@ def compile_plan(
     while remaining:
         choice = _choose_static(remaining, bound)
         if choice is None:
-            return None
+            raise EvaluationError(
+                f"rule {name!r}: no literal is evaluable under the current "
+                f"binding — the rule is unsafe (this should have been caught by "
+                f"the safety check)"
+            )
         index, action, binds = choice
         literal, variables = remaining.pop(index)
         verify = action != GENERATE or not isinstance(literal.atom, VersionAtom)
@@ -469,10 +480,10 @@ class RulePlan:
     def __init__(self, rule: "UpdateRule"):
         self.rule = rule
         self.signature = rule_signature(rule)
-        self.full_plan = compile_plan(rule.body)
-        self._seed_plans: dict[int, JoinPlan | None] = {}
+        self.full_plan = compile_plan(rule.body, name=rule.name)
+        self._seed_plans: dict[int, JoinPlan] = {}
 
-    def seed_plan(self, position: int) -> JoinPlan | None:
+    def seed_plan(self, position: int) -> JoinPlan:
         """The plan for the body minus the seed literal at ``position``,
         compiled with the seed literal's variables already bound."""
         try:
@@ -483,7 +494,9 @@ class RulePlan:
                 for index, literal in enumerate(self.rule.body)
                 if index != position
             )
-            plan = compile_plan(body, self.rule.body[position].variables)
+            plan = compile_plan(
+                body, self.rule.body[position].variables, name=self.rule.name
+            )
             self._seed_plans[position] = plan
             return plan
 

@@ -13,7 +13,7 @@ With the concrete syntax of :mod:`repro.lang` this becomes::
 
 For read-heavy serving, :class:`PreparedQuery` is the compile-once form: the
 join plan (literal ordering *and* secondary-index column selection) is built
-a single time, every execution walks the planned matcher, and the query
+and compiled a single time, every execution runs that closure, and the query
 carries the :class:`~repro.core.plans.QuerySignature` the versioned store
 uses to decide — from the exact ``(added, removed)`` delta of each commit —
 whether a memoized answer set is still valid at the new revision
@@ -25,13 +25,8 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from repro.core.atoms import Literal
-from repro.core.codegen import codegen_enabled, compiled_body
-from repro.core.grounding import (
-    _body_plan,
-    _match_planned,
-    match_body,
-    match_body_dynamic,
-)
+from repro.core.codegen import compiled_body
+from repro.core.grounding import match_body
 from repro.core.objectbase import ObjectBase
 from repro.core.plans import body_signature
 from repro.core.terms import Oid, Var
@@ -195,7 +190,9 @@ class PreparedQuery:
     """A conjunctive query compiled once and executable many times.
 
     Construction compiles the body's :class:`~repro.core.plans.JoinPlan`
-    (literal order + index-column selection) and its
+    (literal order + index-column selection) into its executor — raising
+    :class:`~repro.core.errors.EvaluationError` naming the query when the
+    body is unsafe — and derives its
     :class:`~repro.core.plans.QuerySignature` (which method keys and host
     shapes can change the answers).  ``run`` executes against any base; the
     versioned store adds per-revision memoization on top (see
@@ -205,23 +202,16 @@ class PreparedQuery:
     all memoization state lives with the store, keyed by the query.
     """
 
-    __slots__ = ("body", "plan", "compiled", "signature", "name", "_hash")
+    __slots__ = ("body", "compiled", "signature", "name", "_hash")
 
     def __init__(
         self, literals: Sequence[Literal], *, name: str = "<prepared>"
     ) -> None:
         self.body = tuple(literals)
         # The shared cached compile (the same entry match_body uses at run
-        # time), so constructing a prepared query never compiles twice.
-        self.plan = _body_plan(self.body)
-        # The codegen'd executor for the same plan (None for unplannable
-        # bodies or under REPRO_NO_CODEGEN); kept on the query so a
-        # long-lived prepared query never recompiles on cache eviction.
-        self.compiled = (
-            compiled_body(self.body)
-            if self.plan is not None and codegen_enabled()
-            else None
-        )
+        # time), kept on the query so a long-lived prepared query never
+        # recompiles on cache eviction.
+        self.compiled = compiled_body(self.body, name)
         self.signature = body_signature(self.body)
         self.name = name
         self._hash = hash(self.body)
@@ -237,19 +227,9 @@ class PreparedQuery:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PreparedQuery({self.name!r}, {len(self.body)} literals)"
 
-    def _execute(self, base: ObjectBase):
-        # The stored plan is executed directly — never refetched from the
-        # bounded global plan cache, whose eviction would otherwise make a
-        # long-lived prepared query recompile per run.
-        if self.compiled is not None and codegen_enabled():
-            return self.compiled.bindings(base)
-        if self.plan is not None:
-            return _match_planned(self.plan, base)
-        return match_body_dynamic(self.body, base, rule_name=self.name)
-
     def bindings(self, base: ObjectBase) -> list[dict[Var, object]]:
         """Raw variable bindings (fresh dicts, unordered)."""
-        return list(self._execute(base))
+        return self.compiled.bindings(base)
 
     def run(self, base: ObjectBase) -> list[Answer]:
         """Formatted, deterministically sorted answers against ``base``.
@@ -257,14 +237,7 @@ class PreparedQuery:
         No memoization here — a bare base has no revision identity to key
         a memo on.  Use the store's ``query`` for the cached path.
         """
-        return sorted_answers(self._execute(base))
-
-    def run_unplanned(self, base: ObjectBase) -> list[Answer]:
-        """The dynamic-ordering reference matcher, same output contract as
-        :meth:`run` — the differential baseline for tests and benchmarks."""
-        return sorted_answers(
-            match_body_dynamic(self.body, base, rule_name=self.name)
-        )
+        return sorted_answers(self.compiled.bindings(base))
 
 
 def prepare_query(query, *, name: str | None = None) -> PreparedQuery:

@@ -134,18 +134,6 @@ def match_datalog_rule(
         literals = list(enumerate(rule.body))
         yield from _search(literals, {}, database, delta, delta_literal)
         return
-    if delta_literal is None:
-        # Full (unrestricted) matching takes the codegen'd executor when
-        # available; the delta-bound recursive rounds keep this interpreted
-        # walker (they swap the row source per position, and the delta is
-        # small by construction).
-        from repro.datalog.codegen import codegen_enabled, compiled_datalog_body
-
-        if codegen_enabled():
-            compiled = compiled_datalog_body(rule.body)
-            if compiled is not None:
-                yield from compiled.bindings(database)
-                return
     yield from _search_planned(plan, 0, {}, database, delta, delta_literal)
 
 
@@ -232,13 +220,6 @@ class PreparedDatalogQuery:
         if plan is None:
             yield from _search(list(enumerate(self.body)), {}, database, None, None)
             return
-        from repro.datalog.codegen import codegen_enabled, compiled_datalog_body
-
-        if codegen_enabled():
-            compiled = compiled_datalog_body(self.body)
-            if compiled is not None:
-                yield from compiled.bindings(database)
-                return
         yield from _search_planned(plan, 0, {}, database, None, None)
 
     def run(self, database: Database) -> list[dict[str, object]]:

@@ -273,11 +273,7 @@ class ReproServer:
         if deadline is None:
             deadline = self.limits.shutdown_deadline
         self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        await self._adopt_stragglers()
+        await self._stop_listening()
         # In-flight commits: the loop is single-threaded, so every handler
         # that had started has already produced its response into an
         # outbox; threaded embedders serialize on the service's FIFO
@@ -303,23 +299,36 @@ class ReproServer:
         """Abrupt stop (tests, embedders): closes the listener and cuts
         every live connection without the shutdown pleasantries."""
         self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        await self._adopt_stragglers()
+        await self._stop_listening()
         for connection in list(self._live):
             connection.outbox.close()
             _close_writer(connection.writer)
         await self._reap_handlers()
 
-    async def _adopt_stragglers(self) -> None:
-        """Yield a few loop iterations so connections that were accepted
-        but whose handler task has not run yet get to register themselves.
-        Without this, a connection racing the stop would keep its socket
-        open past ``close()`` — and its client would never see EOF."""
+    async def _stop_listening(self) -> None:
+        """Stop accepting, let every connection already accepted reach its
+        handler (so the caller can cut it), then close the listener.
+
+        The order matters.  asyncio wraps an accepted socket into a
+        transport over the next loop iterations and attaches it to the
+        *open* server; closing the server first makes that attach fail, and
+        the socket is dropped unclosed — its client never sees EOF and,
+        without a call timeout, waits forever.  So the listener is only
+        unregistered first (connections still queued in the kernel are
+        reset when it closes), the in-flight accepts get the three
+        iterations they need — transport, ``connection_made``, first
+        handler step — to register in ``_live``, and then the server
+        closes."""
+        if self._server is None:
+            return
+        loop = asyncio.get_running_loop()
+        for sock in self._server.sockets:
+            loop.remove_reader(sock.fileno())
         for _ in range(3):
             await asyncio.sleep(0)
+        self._server.close()
+        await self._server.wait_closed()
+        self._server = None
 
     async def _reap_handlers(self) -> None:
         """Wait for every handler to finish its teardown (which closes the

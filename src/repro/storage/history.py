@@ -29,9 +29,9 @@ deltas, not a pile of copies:
   its exact delta against each query's dependency signature, carrying the
   memos it provably cannot affect and invalidating only the rest.
 
-``StoreOptions(delta_chain=False)`` restores the original representation —
-one full materialized base per revision — as an escape hatch; both modes
-expose identical facts at every revision (covered by an equivalence test).
+``StoreOptions(snapshot_interval=1)`` materializes a full base at every
+revision — the chain with no reconstruction step, which the equivalence
+tests use as the reference for every other interval.
 """
 
 from __future__ import annotations
@@ -123,11 +123,6 @@ class _PreparedEntry:
 class StoreOptions:
     """Tunable shape of a :class:`VersionedStore`.
 
-    delta_chain:
-        Store ``(added, removed)`` deltas per revision with periodic
-        snapshots (the default).  ``False`` materializes a full frozen base
-        at *every* revision — the pre-delta behaviour, kept as an escape
-        hatch for workloads whose deltas approach the base size.
     snapshot_interval:
         Materialize a full snapshot every this-many revisions (revision 0
         always has one).  Smaller values trade memory for faster ``as_of``
@@ -145,7 +140,6 @@ class StoreOptions:
         re-registers (and re-memoizes) on its next use.
     """
 
-    delta_chain: bool = True
     snapshot_interval: int = 32
     materialize_cache: int = 4
     prepared_cache_size: int = 256
@@ -667,7 +661,7 @@ class VersionedStore:
     ) -> StoreRevision:
         index = len(self._revisions)
         snapshot = None
-        if not self.options.delta_chain or index % self.options.snapshot_interval == 0:
+        if index % self.options.snapshot_interval == 0:
             snapshot = new_base
         revision = StoreRevision(
             index,

@@ -397,7 +397,6 @@ def save_store(
                 "format": _JOURNAL_FORMAT,
                 "version": 1,
                 "options": {
-                    "delta_chain": store.options.delta_chain,
                     "snapshot_interval": store.options.snapshot_interval,
                 },
             },
@@ -654,9 +653,11 @@ def load_store(
 ) -> VersionedStore:
     """Reconstruct a :class:`VersionedStore` from a journal directory.
 
-    ``options`` overrides the journalled store options (e.g. to continue a
-    full-copy journal as a delta chain); by default the journalled ones are
-    used.
+    ``options`` overrides the journalled store options; by default the
+    journalled ``snapshot_interval`` is used.  Journals written before the
+    full-copy representation was removed carry a ``delta_chain`` key:
+    ``true`` is ignored, ``false`` (a snapshot at every revision) loads as
+    ``snapshot_interval=1``.
 
     Two kinds of *tail* crash residue are always recovered **in memory**,
     loading the store at the last durable revision:
@@ -690,7 +691,13 @@ def load_store(
     if header.get("format") != _JOURNAL_FORMAT:
         raise ReproError(f"{journal} is not a repro store journal")
     if options is None:
-        options = StoreOptions(**header.get("options", {}))
+        journalled = header.get("options", {})
+        interval = journalled.get(
+            "snapshot_interval", StoreOptions.snapshot_interval
+        )
+        if not journalled.get("delta_chain", True):
+            interval = 1
+        options = StoreOptions(snapshot_interval=interval)
 
     body = [
         (number, offset, line)
@@ -900,8 +907,8 @@ def compact_journal(
     """Rewrite a journal under a (possibly new) snapshot interval.
 
     Re-materializes snapshots at the new policy positions and drops the
-    rest, so a journal grown with a dense interval (or a full-copy one)
-    shrinks to the delta-chain layout.  Returns the compacted store (its
+    rest, so a journal grown with a dense interval shrinks to a sparser
+    one.  Returns the compacted store (its
     journal is already on disk), so callers need not reload it.
 
     The rewrite inherits ``save_store``'s crash-safe ordering: new
@@ -913,7 +920,6 @@ def compact_journal(
     store = load_store(directory, repair=True)  # compaction rewrites anyway
     interval = snapshot_interval or store.options.snapshot_interval
     new_options = StoreOptions(
-        delta_chain=True,
         snapshot_interval=interval,
         materialize_cache=store.options.materialize_cache,
     )

@@ -236,3 +236,28 @@ def test_replay_equivalence_after_restart(journal_dirs, tmp_path):
         assert format_object_base(reopened.as_of(head.index)) == (
             live_trace["as_of"]["bump-2"]
         )
+
+
+def test_unsafe_query_is_a_typed_error_naming_it_on_every_backend(
+    journal_dirs, tmp_path
+):
+    """A body the planner cannot order fails where its plan is built —
+    ``EvaluationError`` in process, the same message over the wire — and
+    the connection keeps answering afterwards."""
+    from repro.core.errors import EvaluationError
+
+    unsafe = "not X.isa -> empl"
+    _journal_dir, served_dir = journal_dirs
+    with repro.connect("memory:", base=BASE, tag="initial") as conn:
+        with pytest.raises(EvaluationError, match="unsafe") as memory_error:
+            conn.query(unsafe)
+        assert unsafe in str(memory_error.value)
+        assert len(conn.query(SALARY_QUERY)) == 3
+
+    socket_path = str(tmp_path / "parity5.sock")
+    with BackgroundServer(served_dir, path=socket_path):
+        with repro.connect(f"serve:{socket_path}") as conn:
+            with pytest.raises(ReproError) as served_error:
+                conn.query(unsafe)
+            assert str(memory_error.value) in str(served_error.value)
+            assert len(conn.query(SALARY_QUERY)) == 3

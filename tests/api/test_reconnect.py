@@ -228,6 +228,28 @@ class TestServerRestart:
             server.close()
 
 
+def test_a_connection_racing_the_stop_still_sees_eof(journal_dir, socket_path):
+    """Regression for the tier-1 hang: a client whose ``connect()`` the
+    kernel completed in the same loop iteration as ``close()`` used to be
+    accepted and then dropped with its socket left open — no EOF, so a
+    call without a timeout waited forever.  Every such connection must be
+    cut (EOF or reset) by the time ``close()`` returns."""
+    import socket
+
+    for _ in range(30):
+        server = BackgroundServer(journal_dir, path=socket_path)
+        racer = socket.socket(socket.AF_UNIX)
+        racer.connect(socket_path)  # in the backlog; maybe accepted, maybe not
+        server.close()
+        racer.settimeout(5.0)  # a hang fails here instead of stalling tier-1
+        try:
+            assert racer.recv(1) == b""
+        except ConnectionResetError:
+            pass
+        finally:
+            racer.close()
+
+
 class _ProxyHarness:
     """Drives a :class:`ChaosProxy` from synchronous test code."""
 

@@ -1,30 +1,25 @@
 """Unit tests for the codegen'd, set-at-a-time join executor.
 
 The differential property suite (``tests/property/test_codegen_equiv.py``)
-establishes compiled == interpreted == naive on randomized programs; these
-tests pin the deterministic contracts — slot layout and dedup keys against
-``var_sort_key``, the paper workloads end to end, the ``REPRO_NO_CODEGEN``
-escape hatch, the prepared-query fast path, and the cache-registry
-surface.
+establishes compiled == reference on randomized programs; these tests pin
+the deterministic contracts — slot layout and dedup keys against
+``var_sort_key``, the paper workloads end to end, the prepared-query path,
+and the cache-registry surface.
 """
 
-import os
-
-import pytest
-
 from repro.core.caches import cache_stats
-from repro.core.codegen import (
-    codegen_enabled,
-    compiled_body,
-    compiled_rule,
-    match_rule_compiled,
-)
-from repro.core.engine import UpdateEngine
+from repro.core.codegen import compiled_body, compiled_rule, match_rule_compiled
 from repro.core.evaluation import EvaluationOptions, evaluate
-from repro.core.grounding import _body_plan, match_body_dynamic, match_rule
-from repro.core.plans import rule_plan, var_sort_key
+from repro.core.grounding import _body_plan
+from repro.core.plans import var_sort_key
 from repro.core.query import PreparedQuery
 from repro.lang.parser import parse_body
+from repro.testing.reference import (
+    evaluate_reference,
+    match_body_dynamic,
+    match_rule_dynamic,
+    query_reference,
+)
 from repro.workloads.enterprise import (
     enterprise_base,
     enterprise_update_program,
@@ -33,19 +28,6 @@ from repro.workloads.enterprise import (
     paper_example_base,
     paper_example_program,
 )
-
-
-@pytest.fixture
-def no_codegen(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_CODEGEN", "1")
-
-
-@pytest.fixture
-def with_codegen(monkeypatch):
-    """Force codegen on — these tests assert the compiled executor is
-    *active*, which the CI leg running everything under
-    ``REPRO_NO_CODEGEN=1`` would otherwise falsify."""
-    monkeypatch.setenv("REPRO_NO_CODEGEN", "0")
 
 
 def _fired_sets(trace):
@@ -74,13 +56,13 @@ def _workloads():
 
 def test_compiled_execution_matches_interpreted_on_paper_workloads():
     """Full evaluations (multi-stratum, update atoms in bodies, negation,
-    seeded delta iterations) agree between the compiled and interpreted
-    paths: result base, fired-instance sets, linearity verdicts."""
-    options_compiled = EvaluationOptions(collect_trace=True, compiled=True)
-    options_interpreted = EvaluationOptions(collect_trace=True, compiled=False)
+    seeded delta iterations) agree between the compiled engine and the
+    interpreted reference: result base, fired-instance sets, linearity
+    verdicts."""
+    traced = EvaluationOptions(collect_trace=True)
     for program, base in _workloads():
-        fast = evaluate(program, base, options_compiled)
-        slow = evaluate(program, base, options_interpreted)
+        fast = evaluate(program, base, traced)
+        slow = evaluate_reference(program, base, traced)
         assert fast.result_base == slow.result_base
         assert fast.final_versions == slow.final_versions
         assert fast.iterations == slow.iterations
@@ -91,10 +73,7 @@ def test_compiled_matcher_matches_interpreted_per_rule():
     for program, base in _workloads():
         for rule in program:
             compiled = match_rule_compiled(rule, base)
-            if compiled is None:
-                assert rule_plan(rule).full_plan is None
-                continue
-            interpreted = list(match_rule(rule, base))
+            interpreted = list(match_rule_dynamic(rule, base))
             assert len(compiled) == len(interpreted)
             assert {frozenset(b.items()) for b in compiled} == {
                 frozenset(b.items()) for b in interpreted
@@ -113,8 +92,6 @@ def test_slot_layout_and_dedup_keys_agree_with_var_sort_key():
     for program, _base in _workloads():
         for rule in program:
             body = compiled_body(tuple(rule.body))
-            if body is None:
-                continue
             plan = _body_plan(tuple(rule.body))
             assert tuple(body.slots[i] for i in body.key_slots) == plan.key_vars
             assert tuple(sorted(body.slots, key=var_sort_key)) == plan.key_vars
@@ -127,13 +104,11 @@ def test_key_getter_small_arities():
     base = paper_example_base()
 
     ground = compiled_body(parse_body("phil.isa -> empl"))
-    assert ground is not None
     assert ground.key_slots == ()
     assert ground.key_getter(()) == ()
     assert ground.bindings(base) == [{}]
 
     single = compiled_body(parse_body("E.isa -> empl"))
-    assert single is not None
     assert len(single.key_slots) == 1
     row = next(iter(single.fn(base, [()])))
     assert single.key_getter(row) == (row[single.key_slots[0]],)
@@ -146,46 +121,15 @@ def test_compiled_body_is_cached():
 
 
 # ----------------------------------------------------------------------
-# the REPRO_NO_CODEGEN escape hatch
+# the prepared-query path
 # ----------------------------------------------------------------------
 
 
-def test_escape_hatch_disables_codegen(no_codegen):
-    assert not codegen_enabled()
-    # The options default tracks the environment at construction time.
-    assert EvaluationOptions().compiled is False
-    # Prepared queries skip the compiled executor but still answer.
+def test_prepared_query_uses_compiled_executor():
     query = PreparedQuery(parse_body("E.isa -> empl, E.sal -> S"))
-    assert query.compiled is None
-    base = paper_example_base()
-    assert query.run(base) == query.run_unplanned(base)
-
-
-def test_escape_hatch_results_identical(no_codegen):
-    program, base = _workloads()[0]
-    hatch = UpdateEngine().apply(program, base)
-    assert hatch.new_base == UpdateEngine(compiled=True).apply(program, base).new_base
-
-
-def test_codegen_enabled_reads_environment(monkeypatch):
-    monkeypatch.delenv("REPRO_NO_CODEGEN", raising=False)
-    assert codegen_enabled()
-    monkeypatch.setenv("REPRO_NO_CODEGEN", "1")
-    assert not codegen_enabled()
-    monkeypatch.setenv("REPRO_NO_CODEGEN", "0")
-    assert codegen_enabled()
-
-
-# ----------------------------------------------------------------------
-# the prepared-query fast path
-# ----------------------------------------------------------------------
-
-
-def test_prepared_query_uses_compiled_executor(with_codegen):
-    query = PreparedQuery(parse_body("E.isa -> empl, E.sal -> S"))
-    assert query.compiled is not None
+    assert query.compiled is compiled_body(query.body)
     base = enterprise_base(n_employees=30, overpaid_ratio=0.1, seed=3)
-    assert query.run(base) == query.run_unplanned(base)
+    assert query.run(base) == query_reference(query.body, base)
 
 
 def test_match_body_prefers_compiled_and_agrees():
@@ -214,16 +158,6 @@ def test_codegen_caches_registered():
     assert {"seed_matchers_compiled", "batch_steps", "loop_steps"} <= set(backend)
 
 
-def test_datalog_codegen_cache_registered():
-    from repro.datalog.codegen import compiled_datalog_body
-    from repro.workloads.synthetic import random_datalog_chain_program
-
-    rule = random_datalog_chain_program(n_idb=1).rules[0]
-    assert compiled_datalog_body(rule.body) is not None
-    assert "datalog.codegen" in cache_stats()
-
-
 def test_generated_source_is_inspectable():
     body = compiled_body(parse_body("E.isa -> empl, E.sal -> S"))
-    assert body is not None
     assert "def _run(base, rows):" in body.source

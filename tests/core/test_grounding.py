@@ -8,7 +8,8 @@ property is equivalence with the brute-force active-domain enumeration
 from hypothesis import given, settings, strategies as st
 
 from repro import parse_object_base, parse_rule
-from repro.core.grounding import match_rule, match_rule_bruteforce
+from repro.core.grounding import match_rule
+from repro.testing.reference import match_rule_bruteforce
 from repro.core.objectbase import ObjectBase
 from repro.core.terms import Oid, Var
 

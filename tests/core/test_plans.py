@@ -3,13 +3,11 @@ signatures and the delta machinery behind semi-naive evaluation."""
 
 import pytest
 
+from repro.core.codegen import match_rule_seeded_compiled
 from repro.core.consequence import apply_tp, tp_step
-from repro.core.grounding import (
-    match_body_dynamic,
-    match_rule,
-    match_rule_dynamic,
-    match_rule_seeded,
-)
+from repro.core.errors import EvaluationError
+from repro.core.evaluation import EvaluationOptions, compile_program
+from repro.core.grounding import match_body, match_rule
 from repro.core.objectbase import Delta, ObjectBase
 from repro.core.plans import (
     FULL,
@@ -21,8 +19,11 @@ from repro.core.plans import (
     rule_plan,
 )
 from repro.core.facts import Fact
+from repro.core.query import prepare_query
+from repro.core.rules import UpdateProgram
 from repro.core.terms import Oid
-from repro.lang.parser import parse_object_base, parse_program
+from repro.lang.parser import parse_body, parse_object_base, parse_program
+from repro.testing.reference import match_rule_dynamic
 
 
 BASE = parse_object_base(
@@ -57,7 +58,6 @@ class TestJoinPlans:
 
     def test_plan_compiles_and_counts_generators(self):
         plan = rule_plan(RULES[1]).full_plan  # r2: three generators
-        assert plan is not None
         generators = [s for s in plan.steps if s.action == GENERATE]
         assert len(generators) >= 2
 
@@ -73,10 +73,25 @@ class TestJoinPlans:
         keys = bindings_set(results)
         assert len(results) == len(keys)
 
-    def test_unsafe_body_falls_back(self):
-        # A body the planner cannot order: only a negated literal.
-        program = parse_program("u1: ins[X].t -> 1 <= not X.isa -> empl.")
-        assert compile_plan(program[0].body) is None
+    def test_unsafe_body_raises_a_typed_error_naming_the_rule(self):
+        # A body the planner cannot order: only a negated literal.  The
+        # error surfaces where the plan is built, not from inside a search.
+        rules = parse_program("u1: ins[X].t -> 1 <= not X.isa -> empl.")
+        with pytest.raises(EvaluationError, match="'u1'.*unsafe"):
+            compile_plan(rules[0].body, name="u1")
+        with pytest.raises(EvaluationError, match="'u1'.*unsafe"):
+            compile_program(
+                UpdateProgram(rules), EvaluationOptions(check_safety=False)
+            )
+
+    def test_unsafe_query_body_raises_a_typed_error_naming_the_query(self):
+        text = "not X.isa -> empl"
+        with pytest.raises(EvaluationError, match="'not X.isa -> empl'.*unsafe"):
+            prepare_query(text)
+        with pytest.raises(EvaluationError, match="'q7'.*unsafe"):
+            prepare_query(text, name="q7")
+        with pytest.raises(EvaluationError, match="'v1'.*unsafe"):
+            match_body(parse_body(text), BASE, rule_name="v1")
 
 
 class TestDelta:
@@ -160,7 +175,9 @@ class TestClassification:
         delta.record([new_fact], [])
         mode, positions = classify(rule_plan(rule).signature, delta)
         assert mode == SEED
-        seeded = bindings_set(match_rule_seeded(rule, base, delta, positions))
+        seeded = bindings_set(
+            match_rule_seeded_compiled(rule, base, delta, positions)
+        )
         assert len(seeded) == 1
         full = bindings_set(match_rule(rule, base))
         assert seeded < full and len(full) == 4
@@ -168,13 +185,13 @@ class TestClassification:
 
 class TestLazyCopies:
     def test_lazy_copy_equals_eager_copy(self):
-        lazy = BASE.copy(lazy_indexes=True)
+        lazy = ObjectBase.from_fact_set(set(BASE))
         assert lazy == BASE
         assert lazy.facts_by_method("sal", 0) == BASE.facts_by_method("sal", 0)
         assert lazy.existing_versions() == BASE.existing_versions()
 
     def test_lazy_copy_is_independent(self):
-        lazy = BASE.copy(lazy_indexes=True)
+        lazy = ObjectBase.from_fact_set(set(BASE))
         lazy.add(Fact(Oid("new"), "isa", (), Oid("empl")))
         assert len(lazy) == len(BASE) + 1
         assert Fact(Oid("new"), "isa", (), Oid("empl")) not in BASE

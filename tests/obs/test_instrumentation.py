@@ -200,8 +200,10 @@ def test_follower_reports_lag_seconds(enabled, tmp_path):
         try:
             with repro.connect(f"serve:{socket_path}") as conn:
                 conn.apply(RAISE, tag="r1")
+            # wait for r1 itself: ``lag`` reads 0 until the follower has
+            # *heard* of the commit, which is not yet "caught up"
             deadline = 50
-            while follower._info()["lag"] > 0 and deadline:
+            while len(follower.service.store) < 2 and deadline:
                 import time
 
                 time.sleep(0.1)

@@ -1,18 +1,14 @@
-"""Differential property test: compiled execution == interpreted == naive.
+"""Differential property test: compiled execution == the interpreted reference.
 
-The codegen'd, set-at-a-time executor (:mod:`repro.core.codegen`, the
-default) must be observationally identical to the interpreted planned
-walker (``EvaluationOptions(compiled=False)``) and to the naive
-dynamic-ordering reference (``semi_naive=False``): same ``result(P)``, same
-*sets* of fired rule instances per stratum, same linearity verdicts, same
-error behaviour.  Randomized programs cover all three update kinds,
-negation, built-ins, ``del[v].*``, recursion and deep version chains — the
-same generator the semi-naive equivalence suite uses — so the compiled
-closures face every body shape the planner can produce, including the
-unplannable ones (where they must fall back, not diverge).
-
-The Datalog substrate's compiled bodies get the same treatment against its
-interpreted matcher on random layered-chain programs.
+The codegen'd, set-at-a-time executor (:mod:`repro.core.codegen` — the
+engine's one execution path) must be observationally identical to the
+interpreted, naive, dynamic-ordering reference evaluator
+(:mod:`repro.testing.reference`): same ``result(P)``, same final versions,
+same iteration count, same *sets* of fired rule instances per stratum, same
+linearity verdicts, same error behaviour.  Randomized programs cover all
+three update kinds, negation, built-ins, ``del[v].*``, recursion and deep
+version chains — the same generator the semi-naive equivalence suite uses —
+so the compiled closures face every body shape the planner can produce.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -20,21 +16,13 @@ from hypothesis import given, settings, strategies as st
 from repro.core.codegen import compiled_body, match_rule_compiled
 from repro.core.errors import ReproError
 from repro.core.evaluation import EvaluationOptions, evaluate
-from repro.core.grounding import _body_plan, match_rule
-from repro.core.plans import rule_plan
-from repro.datalog.evaluation import evaluate_stratified
-from repro.workloads.synthetic import (
-    random_datalog_chain_program,
-    random_edge_database,
-    random_object_base,
-    random_update_program,
-)
+from repro.core.grounding import _body_plan
+from repro.testing.reference import evaluate_reference, match_rule_dynamic
+from repro.workloads.synthetic import random_object_base, random_update_program
 
 seeds = st.integers(0, 1_000_000_000)
 
-COMPILED = EvaluationOptions(collect_trace=True, compiled=True)
-INTERPRETED = EvaluationOptions(collect_trace=True, compiled=False)
-NAIVE = EvaluationOptions(collect_trace=True, semi_naive=False)
+TRACED = EvaluationOptions(collect_trace=True)
 
 
 def _base_for(seed: int):
@@ -46,9 +34,9 @@ def _base_for(seed: int):
     )
 
 
-def _run(program, base, options):
+def _run(evaluator, program, base):
     try:
-        return evaluate(program, base, options), None
+        return evaluator(program, base, TRACED), None
     except ReproError as error:
         return None, type(error)
 
@@ -63,77 +51,83 @@ def _fired_sets(trace):
 @settings(max_examples=200, deadline=None)
 @given(seeds)
 def test_compiled_equals_interpreted_and_naive(seed):
-    """Acceptance property: identical result bases, fired-instance sets and
-    linearity verdicts across all three execution paths (200 examples)."""
+    """Acceptance property: identical result bases, final versions,
+    iteration counts, fired-instance sets and linearity verdicts between
+    the engine and the reference (200 examples)."""
     program = random_update_program(seed=seed, allow_nonlinear=True)
     base = _base_for(seed)
 
-    compiled, compiled_error = _run(program, base, COMPILED)
-    interpreted, interpreted_error = _run(program, base, INTERPRETED)
-    naive, naive_error = _run(program, base, NAIVE)
+    compiled, compiled_error = _run(evaluate, program, base)
+    reference, reference_error = _run(evaluate_reference, program, base)
 
-    assert compiled_error == interpreted_error == naive_error
+    assert compiled_error == reference_error
     if compiled is None:
         return
-    assert compiled.result_base == interpreted.result_base == naive.result_base
-    assert (
-        compiled.final_versions
-        == interpreted.final_versions
-        == naive.final_versions
-    )
-    assert compiled.iterations == interpreted.iterations == naive.iterations
-    assert (
-        _fired_sets(compiled.trace)
-        == _fired_sets(interpreted.trace)
-        == _fired_sets(naive.trace)
-    )
+    assert compiled.result_base == reference.result_base
+    assert compiled.final_versions == reference.final_versions
+    assert compiled.iterations == reference.iterations
+    assert _fired_sets(compiled.trace) == _fired_sets(reference.trace)
 
 
 @settings(max_examples=50, deadline=None)
 @given(seeds)
 def test_fired_count_metrics_agree_across_execution_paths(seed):
-    """Observability must not depend on the executor: with metrics on, the
-    per-rule ``engine_rule_fired`` counters recorded by the compiled path
-    equal the interpreted path's, rule by rule, on random programs.  (Runs
-    identically under ``REPRO_NO_CODEGEN=1`` — the options force each
-    path explicitly.)"""
+    """Observability reports what happened: with metrics on, the per-rule
+    ``engine_rule_fired`` counters equal the fired instances in the engine's
+    own trace, and sit between the distinct and the total fired instances
+    of the reference's trace (the semi-naive engine re-fires an instance
+    only when it re-matches the rule in full; the naive reference re-fires
+    every instance on every iteration)."""
+    from collections import Counter
+
     from repro.obs import metrics
 
     program = random_update_program(seed=seed, allow_nonlinear=True)
     base = _base_for(seed)
 
-    def fired_counts(options):
-        metrics.registry().reset()
-        _, error = _run(program, base, options)
-        entry = metrics.registry().snapshot().get("engine_rule_fired")
-        return error, dict(entry["series"]) if entry else {}
+    def fired_by_rule(trace):
+        return [
+            (fired.rule_name, str(fired.head), fired.binding)
+            for stratum in trace.strata
+            for iteration in stratum.iterations
+            for fired in iteration.fired
+        ]
 
     metrics.enable_metrics(True)
     try:
-        compiled_error, compiled_counts = fired_counts(COMPILED)
-        interpreted_error, interpreted_counts = fired_counts(INTERPRETED)
+        metrics.registry().reset()
+        engine, engine_error = _run(evaluate, program, base)
+        entry = metrics.registry().snapshot().get("engine_rule_fired")
+        counters = dict(entry["series"]) if entry else {}
     finally:
         metrics.registry().reset()
         metrics.enable_metrics(None)
-    assert compiled_error == interpreted_error
-    assert compiled_counts == interpreted_counts
+    reference, reference_error = _run(evaluate_reference, program, base)
+    assert engine_error == reference_error
+    if engine is None:
+        return  # a run that raised stops each side mid-count
+    own = Counter(f"rule={name}" for name, _, _ in fired_by_rule(engine.trace))
+    assert counters == dict(own)
+    fired = fired_by_rule(reference.trace)
+    total = Counter(f"rule={name}" for name, _, _ in fired)
+    distinct = Counter(f"rule={name}" for name, _, _ in set(fired))
+    assert set(counters) == set(total)
+    for rule, count in counters.items():
+        assert distinct[rule] <= count <= total[rule]
 
 
 @settings(max_examples=100, deadline=None)
 @given(seeds)
 def test_compiled_matcher_agrees_with_interpreted_per_rule(seed):
     """Rule-matcher level: the compiled closure's bindings equal the
-    interpreted planned matcher's for every plannable random rule — as a
-    set *and* in count, so the dedup contract (keys only when more than one
-    generator) matches exactly."""
+    interpreted dynamic matcher's for every random rule — as a set *and* in
+    count, so the dedup contract (keys only when more than one generator)
+    yields each binding exactly once."""
     program = random_update_program(seed=seed, allow_nonlinear=True)
     base = _base_for(seed)
     for rule in program:
         compiled = match_rule_compiled(rule, base)
-        if compiled is None:
-            assert rule_plan(rule).full_plan is None
-            continue
-        interpreted = list(match_rule(rule, base))
+        interpreted = list(match_rule_dynamic(rule, base))
         assert len(compiled) == len(interpreted)
         fast = {frozenset(b.items()) for b in compiled}
         slow = {frozenset(b.items()) for b in interpreted}
@@ -152,39 +146,7 @@ def test_compiled_body_slots_cover_plan_key_vars(seed):
     program = random_update_program(seed=seed, allow_nonlinear=True)
     for rule in program:
         body = compiled_body(tuple(rule.body))
-        if body is None:
-            continue
         plan = _body_plan(tuple(rule.body))
         assert tuple(body.slots[i] for i in body.key_slots) == plan.key_vars
         assert tuple(sorted(body.slots, key=var_sort_key)) == plan.key_vars
         assert body.generator_count == plan.generator_count
-
-
-@settings(max_examples=80, deadline=None)
-@given(seeds, st.booleans())
-def test_datalog_compiled_equals_interpreted(seed, negated_tail):
-    """The Datalog substrate: evaluation with compiled bodies equals the
-    interpreted matcher (both fixpoint flavours) on random layered-chain
-    programs over random graphs.  The interpreted runs go through the
-    ``REPRO_NO_CODEGEN`` escape hatch — exercising it is the point."""
-    import os
-
-    program = random_datalog_chain_program(
-        n_idb=2 + seed % 3, negated_tail=negated_tail, seed=seed
-    )
-    edb = random_edge_database(
-        n_nodes=8 + seed % 8, n_edges=16 + seed % 16, seed=seed
-    )
-    original = os.environ.get("REPRO_NO_CODEGEN")
-    os.environ.pop("REPRO_NO_CODEGEN", None)
-    try:
-        with_codegen = evaluate_stratified(program, edb)
-        os.environ["REPRO_NO_CODEGEN"] = "1"
-        interpreted = evaluate_stratified(program, edb)
-        naive = evaluate_stratified(program, edb, seminaive=False)
-    finally:
-        if original is None:
-            os.environ.pop("REPRO_NO_CODEGEN", None)
-        else:
-            os.environ["REPRO_NO_CODEGEN"] = original
-    assert with_codegen == interpreted == naive

@@ -1,12 +1,13 @@
 """Differential property test: the semi-naive update engine == the naive one.
 
-The semi-naive engine (delta-driven rule skipping, seeded matching and
-precompiled join plans — the default) must be observationally identical to
-the naive reference path (``EvaluationOptions(semi_naive=False)``: full
-re-match with the dynamic chooser every iteration): same ``result(P)``, same
-*sets* of fired rule instances per stratum, same linearity verdicts.  The
-module-docstring guarantee of :mod:`repro.core.grounding` ("index-driven
-generators can only affect speed, never semantics") extends to deltas.
+The engine (delta-driven rule skipping, seeded matching and compiled join
+plans) must be observationally identical to the reference evaluator
+(:func:`repro.testing.reference.evaluate_reference`: full re-match with the
+dynamic chooser every iteration): same ``result(P)``, same final versions,
+same iteration count, same *sets* of fired rule instances per stratum, same
+linearity verdicts and error classes.  The module-docstring guarantee of
+:mod:`repro.core.grounding` ("access paths can only affect speed, never
+semantics") extends to deltas.
 
 Randomized programs cover all three update kinds, negation, built-ins,
 ``del[v].*``, single-stratum recursion and deep version chains
@@ -20,13 +21,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.errors import ReproError
 from repro.core.evaluation import EvaluationOptions, evaluate
-from repro.core.grounding import match_rule, match_rule_bruteforce
+from repro.core.grounding import match_rule
+from repro.testing.reference import evaluate_reference, match_rule_bruteforce
 from repro.workloads.synthetic import random_object_base, random_update_program
 
 seeds = st.integers(0, 1_000_000_000)
 
-FAST = EvaluationOptions(collect_trace=True)
-NAIVE = EvaluationOptions(collect_trace=True, semi_naive=False)
+TRACED = EvaluationOptions(collect_trace=True)
 
 
 def _base_for(seed: int):
@@ -38,9 +39,9 @@ def _base_for(seed: int):
     )
 
 
-def _run(program, base, options):
+def _run(evaluator, program, base, options):
     try:
-        return evaluate(program, base, options), None
+        return evaluator(program, base, options), None
     except ReproError as error:
         return None, type(error)
 
@@ -60,8 +61,8 @@ def test_semi_naive_equals_naive_on_random_programs(seed):
     program = random_update_program(seed=seed, allow_nonlinear=True)
     base = _base_for(seed)
 
-    fast, fast_error = _run(program, base, FAST)
-    naive, naive_error = _run(program, base, NAIVE)
+    fast, fast_error = _run(evaluate, program, base, TRACED)
+    naive, naive_error = _run(evaluate_reference, program, base, TRACED)
 
     assert fast_error == naive_error
     if fast is None:
@@ -79,11 +80,10 @@ def test_semi_naive_equals_naive_without_linearity_check(seed):
     programs run to completion and their full result bases must agree."""
     program = random_update_program(seed=seed, allow_nonlinear=True)
     base = _base_for(seed)
-    options_fast = EvaluationOptions(check_linearity=False)
-    options_naive = EvaluationOptions(check_linearity=False, semi_naive=False)
+    unchecked = EvaluationOptions(check_linearity=False)
 
-    fast, fast_error = _run(program, base, options_fast)
-    naive, naive_error = _run(program, base, options_naive)
+    fast, fast_error = _run(evaluate, program, base, unchecked)
+    naive, naive_error = _run(evaluate_reference, program, base, unchecked)
 
     assert fast_error == naive_error
     if fast is not None:

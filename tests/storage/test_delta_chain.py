@@ -2,8 +2,9 @@
 
 Covers the snapshot policy, O(deltas-since-snapshot) reconstruction, the
 delta-composed ``diff``, structural sharing of frozen views, and the
-equivalence of the delta chain with the ``StoreOptions(delta_chain=False)``
-full-copy escape hatch over mixed apply/commit/rollback chains.
+equivalence of every snapshot interval with the every-revision-materialised
+reference (``StoreOptions(snapshot_interval=1)``) over mixed
+apply/commit/rollback chains.
 """
 
 import pytest
@@ -43,7 +44,7 @@ class TestSnapshotPolicy:
         assert snapshots == [0, 3, 6]
 
     def test_full_copy_snapshots_everywhere(self):
-        store = build_mixed_chain(StoreOptions(delta_chain=False))
+        store = build_mixed_chain(StoreOptions(snapshot_interval=1))
         assert all(r.snapshot is not None for r in store.revisions())
 
     def test_interval_must_be_positive(self):
@@ -56,7 +57,7 @@ class TestSnapshotPolicy:
 class TestReconstruction:
     @pytest.mark.parametrize("interval", [1, 2, 3, 100])
     def test_every_revision_reconstructs_identically(self, interval):
-        reference = build_mixed_chain(StoreOptions(delta_chain=False))
+        reference = build_mixed_chain(StoreOptions(snapshot_interval=1))
         store = build_mixed_chain(StoreOptions(snapshot_interval=interval))
         for index in range(len(store)):
             assert set(store.base_at(index)) == set(reference.base_at(index)), index
@@ -112,7 +113,7 @@ class TestStructuralSharing:
 
         base = enterprise_base(n_employees=40, seed=21)
         delta = VersionedStore(base, options=StoreOptions(snapshot_interval=64))
-        full = VersionedStore(base, options=StoreOptions(delta_chain=False))
+        full = VersionedStore(base, options=StoreOptions(snapshot_interval=1))
         program = targeted_raise_program("emp0", percent=1)
         for index in range(30):
             delta.apply(program, tag=f"r{index}")

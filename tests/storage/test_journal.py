@@ -7,11 +7,14 @@ and after a disk round-trip.
 """
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.errors import ReproError
+from repro.core.query import result_value
 from repro.storage import (
     StoreOptions,
     VersionedStore,
@@ -19,6 +22,7 @@ from repro.storage import (
     compact_journal,
     load_store,
     save_store,
+    verify_journal,
 )
 from repro.storage.serialize import JOURNAL_FILE
 from repro.workloads import (
@@ -70,11 +74,10 @@ class TestJournalRoundTrip:
     def test_options_round_trip(self, tmp_path):
         store = VersionedStore(
             paper_example_base(),
-            options=StoreOptions(delta_chain=False, snapshot_interval=7),
+            options=StoreOptions(snapshot_interval=7),
         )
         save_store(store, tmp_path)
         loaded = load_store(tmp_path)
-        assert loaded.options.delta_chain is False
         assert loaded.options.snapshot_interval == 7
 
     def test_journal_guards(self, tmp_path):
@@ -134,7 +137,7 @@ class TestJournalSafety:
 class TestCompaction:
     def test_compact_reduces_snapshots_and_preserves_facts(self, tmp_path):
         store = VersionedStore(
-            paper_example_base(), options=StoreOptions(delta_chain=False)
+            paper_example_base(), options=StoreOptions(snapshot_interval=1)
         )
         program = targeted_raise_program("bob", percent=1)
         for index in range(6):
@@ -145,12 +148,54 @@ class TestCompaction:
         compact_journal(tmp_path, snapshot_interval=4)
         compacted = load_store(tmp_path)
         assert len(list(tmp_path.glob("snap-*.json"))) == 2  # revisions 0 and 4
-        assert compacted.options.delta_chain is True
+        assert compacted.options.snapshot_interval == 4
         for index in range(len(store)):
             assert set(compacted.base_at(index)) == set(store.base_at(index))
         assert [r.tag for r in compacted.revisions()] == [
             r.tag for r in store.revisions()
         ]
+
+
+class TestJournalsWrittenBeforeTheFullCopyStoreWasRemoved:
+    """Journals are outside input: the header's retired ``delta_chain`` key
+    stays readable.  The fixtures were written by the last commit that had
+    the option (``store init --snapshot-interval 2`` / ``--full-copy``, then
+    the Figure 2 program and two raises of phil)."""
+
+    FIXTURES = Path(__file__).parent / "fixtures"
+
+    @pytest.mark.parametrize(
+        "fixture, interval",
+        [("journal_delta_chain_true", 2), ("journal_delta_chain_false", 1)],
+    )
+    def test_loads_answers_every_revision_and_resaves_without_the_key(
+        self, tmp_path, fixture, interval
+    ):
+        directory = tmp_path / "journal"
+        shutil.copytree(self.FIXTURES / fixture, directory)
+        before = (directory / JOURNAL_FILE).read_text(encoding="utf-8")
+        assert '"delta_chain"' in before.splitlines()[0]
+        snapshots = {p.name: p.read_bytes() for p in directory.glob("snap-*")}
+
+        store = load_store(directory)
+        assert store.options == StoreOptions(snapshot_interval=interval)
+        assert verify_journal(directory)["ok"]
+        salaries = [4000, 4600.0, 4601.0, 4602.0]
+        for index, salary in enumerate(salaries):
+            base = store.as_of(index)
+            assert result_value(base, "phil", "sal") == salary
+            assert (result_value(base, "bob", "sal") is None) == (index > 0)
+
+        save_store(store, directory)
+        after = (directory / JOURNAL_FILE).read_text(encoding="utf-8")
+        assert json.loads(after.splitlines()[0])["options"] == {
+            "snapshot_interval": interval
+        }
+        assert after.splitlines()[1:] == before.splitlines()[1:]
+        assert snapshots == {
+            p.name: p.read_bytes() for p in directory.glob("snap-*")
+        }
+        assert_same_chain(store, load_store(directory))
 
 
 # -- property tests ------------------------------------------------------
@@ -200,21 +245,11 @@ def test_journal_round_trips_any_chain(tmp_path_factory, steps_taken, interval):
 @settings(max_examples=25, deadline=None)
 @given(steps, intervals)
 def test_rollback_then_apply_chains_match_full_copy(steps_taken, interval):
-    """The delta representation agrees with the full-copy escape hatch on
+    """Every snapshot interval agrees with the every-revision-materialised
+    reference (interval 1: nothing is ever reconstructed from deltas) on
     arbitrary rollback-then-apply histories, at every revision."""
     delta = run_history(steps_taken, interval)
-    full = run_history(steps_taken, 1)  # interval 1: snapshot everywhere
-    reference = VersionedStore(
-        paper_example_base(),
-        tag="initial",
-        options=StoreOptions(delta_chain=False),
-    )
-    for number, (kind, argument) in enumerate(steps_taken):
-        if kind == "apply":
-            reference.apply(PROGRAMS[argument], tag=f"step{number}")
-        else:
-            reference.rollback_to(argument % len(reference), tag=f"step{number}")
+    reference = run_history(steps_taken, 1)
+    assert all(r.snapshot is not None for r in reference.revisions())
     for index in range(len(delta)):
-        expected = set(reference.base_at(index))
-        assert set(delta.base_at(index)) == expected
-        assert set(full.base_at(index)) == expected
+        assert set(delta.base_at(index)) == set(reference.base_at(index))
