@@ -662,8 +662,9 @@ def run_obs_sweep(
     (per-rule fired counters, commit-phase histograms) is embedded so the
     document doubles as a fixture of what operators see.
     """
+    import repro
     from repro.obs import metrics as obs
-    from repro.server import StoreService, connect_local
+    from repro.server import StoreService
     from repro.storage import VersionedStore
 
     program = enterprise_update_program(hpe_threshold=4000)
@@ -675,7 +676,7 @@ def run_obs_sweep(
     def served_seconds() -> float:
         service = StoreService(VersionedStore(base))
         service.apply(program, tag="warm")
-        clients = [connect_local(service) for _ in range(n_clients)]
+        clients = [repro.connect(service) for _ in range(n_clients)]
         for client in clients:
             for name, text in READ_QUERIES:
                 client.subscribe(text, name=name)

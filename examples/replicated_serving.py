@@ -7,7 +7,8 @@ committed journal lines (appended **byte-identically**, CRC-checked),
 and serve reads locally.  A ``replset:`` client connection rides the
 whole lifecycle:
 
-* reads go to whichever member answers first, no promotion needed;
+* reads go to the primary, and to whichever member answers while there
+  is none — no promotion needed;
 * a write token (``min_revision``) gives read-your-writes against a
   lagging replica;
 * when the primary dies, the freshest follower is promoted at a bumped

@@ -25,9 +25,10 @@ a directory path
     socket also connects.
 ``"replset:<endpoint>,<endpoint>,..."``
     A replicated deployment (``repro serve`` + ``repro replica`` members):
-    reads fail over across members immediately, mutations follow the
-    primary across promotions, epoch-fenced against zombie writes (see
-    :mod:`repro.replication`).
+    the same served connection over several endpoints.  It talks to the
+    primary, fails over to any member that answers when the link dies,
+    and follows the primary across promotions, epoch-fenced against
+    zombie writes (see :mod:`repro.api.wire` and :mod:`repro.replication`).
 ``"cluster:<shard>,<shard>,..."``
     A hash-partitioned deployment: each comma-separated spec is one shard
     (a ``|``-separated spec is a replica-set shard).  Facts live on the
@@ -56,7 +57,7 @@ from repro.api.connection import Connection, SubscriptionStream, Transaction
 from repro.api.hosting import BackgroundServer
 from repro.api.local import ServiceConnection
 from repro.api.model import AnswerDelta, CommitResult, Diff, RetryPolicy, Revision
-from repro.api.targets import ParsedTarget, parse_target, wire_endpoint
+from repro.api.targets import ParsedTarget, parse_target
 from repro.api.wire import WireConnection
 from repro.core.errors import ReproError
 from repro.core.objectbase import ObjectBase
@@ -72,10 +73,6 @@ from repro.server.errors import (
 from repro.server.service import StoreService
 from repro.storage.history import StoreOptions, VersionedStore
 from repro.storage.serialize import JOURNAL_FILE, DurabilityOptions, load_store
-
-# Backward-compatible alias: the replication layer (and older callers)
-# import the endpoint parser under its historical private name.
-_wire_endpoint = wire_endpoint
 
 __all__ = [
     "connect",
@@ -124,7 +121,8 @@ def connect(
     request round-trips on served targets, and ``retry`` (a
     :class:`RetryPolicy`) makes a served connection survive server
     restarts — reconnect with backoff, re-established subscriptions,
-    safe requests re-issued.  ``durability`` (a
+    safe requests re-issued (``replset:`` and ``cluster:`` targets exist to
+    be failed over and default to ``RetryPolicy()``).  ``durability`` (a
     :class:`~repro.storage.serialize.DurabilityOptions`) picks the
     crash-safety level of a journal-directory target's writes.
     """
@@ -151,19 +149,19 @@ def connect(
             StoreService(store), target="memory:", readonly=readonly
         )
     if parsed.scheme == "replset":
-        from repro.replication.replset import ReplicaSetConnection
-
         _reject_seed_kwargs("a replica-set target", base, options)
         _reject_durability(
             "a replica-set target (each member owns its journal)", durability
         )
         if readonly:
             raise ReproError(
-                "readonly= is not supported on replset: targets; reads "
-                "already spread across every member"
+                "readonly= is not supported on replset: targets; open a "
+                "member's journal directory read-only instead"
             )
-        return ReplicaSetConnection(
-            list(parsed.members), call_timeout=call_timeout, retry=retry
+        # a member list exists to be failed over: never without a policy
+        return WireConnection(
+            parsed.members, call_timeout=call_timeout,
+            retry=retry or RetryPolicy(),
         )
     if parsed.scheme == "cluster":
         from repro.cluster.router import ClusterConnection
@@ -193,7 +191,7 @@ def connect(
                 "journal directory read-only instead"
             )
         return WireConnection(
-            call_timeout=call_timeout, retry=retry, **parsed.endpoint
+            [parsed.text], call_timeout=call_timeout, retry=retry
         )
     _reject_wire_kwargs("a journal-directory target", retry)
     return _connect_journal(

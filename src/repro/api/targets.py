@@ -17,8 +17,8 @@ Schemes
     One running server (a bare path naming a *live* unix socket also
     resolves here).
 ``replset:<endpoint>,<endpoint>,...``
-    A replicated deployment; reads fail over across members, mutations
-    follow the primary.
+    A replicated deployment: one served connection over every member —
+    it fails over when the link dies and follows the primary.
 ``cluster:<shard>,<shard>,...``
     A hash-partitioned deployment (one shard per comma-separated spec, in
     shard-index order).  A spec may itself be a ``|``-separated member
@@ -37,7 +37,7 @@ from pathlib import Path
 
 from repro.core.errors import ReproError
 
-__all__ = ["ParsedTarget", "parse_target", "wire_endpoint"]
+__all__ = ["ParsedTarget", "parse_target", "wire_endpoint", "dial_endpoint"]
 
 #: Scheme prefixes that may never appear nested inside a member spec.
 _NESTED_SCHEMES = ("memory:", "replset:", "cluster:")
@@ -178,6 +178,16 @@ def wire_endpoint(text: str) -> dict | None:
     except OSError:
         pass
     return None
+
+
+def dial_endpoint(text: str) -> dict:
+    """Dial kwargs (``path`` or ``host``/``port``) for one member endpoint.
+
+    Unlike :func:`wire_endpoint`, a bare path that names no live socket is
+    still a unix endpoint here: a replica-set member, a follower's primary
+    or a supervised node may simply be down right now."""
+    endpoint = wire_endpoint(text)
+    return {"path": text} if endpoint is None else endpoint
 
 
 def _host_port(text: str) -> dict | None:

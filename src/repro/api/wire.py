@@ -22,6 +22,19 @@ server restart).  Only **safe** commands — reads, subscribes, pings — are
 re-issued transparently; a mutation that was in flight when the link died
 surfaces :class:`~repro.server.errors.ConnectionClosed` (retryable) for
 the caller, because the server may already have committed it.
+
+**Replica sets.**  A connection over more than one endpoint
+(``replset:a,b,c``, or a ``cluster:`` shard spelled ``a|b``) is the same
+machinery with a choice of whom to dial: every (re)dial pings the members
+and keeps the link to the ``role: primary`` with the highest fencing
+epoch — or, with no primary in sight, to the first member that answers,
+so reads keep flowing until a promotion lands.  ``apply`` and
+``tx-commit`` are stamped with the highest epoch observed, so a zombie
+primary refuses the write instead of forking history.  A member that
+answers ``not_primary`` / ``stale_epoch`` *refused* — nothing was
+applied — so the connection rediscovers the primary through the same
+reconnect funnel and re-sends the ``apply``; that is the only mutation
+ever re-sent.
 """
 
 from __future__ import annotations
@@ -31,9 +44,11 @@ import concurrent.futures
 import queue
 import threading
 import time
+from typing import Sequence
 
 from repro.api.connection import Connection, SubscriptionStream, Transaction
 from repro.api.model import CommitResult, Diff, RetryPolicy, Revision
+from repro.api.targets import dial_endpoint
 from repro.core.errors import ReproError
 from repro.core.objectbase import ObjectBase
 from repro.core.query import Answer, decode_answers
@@ -109,29 +124,45 @@ class _EventLoopThread:
 
 
 class WireConnection(Connection):
-    """A connection to a running ``repro serve`` endpoint.
+    """A connection to running ``repro serve`` endpoints.
 
-    ``call_timeout`` bounds every request round-trip (``None`` waits
-    forever — pushes are unaffected either way).  ``retry`` (a
+    ``endpoints`` are served-endpoint texts (``serve:`` / ``unix:`` /
+    ``tcp:`` / a socket path) in preference order: one is a plain served
+    connection, several are the members of a replica set (see the module
+    doc).  ``call_timeout`` bounds every request round-trip (``None``
+    waits forever — pushes are unaffected either way).  ``retry`` (a
     :class:`~repro.api.model.RetryPolicy`) enables transparent reconnect
     after a dropped link — see the module doc for what is and is not
-    re-issued.
+    re-issued, and, over a member list, re-sent after a refusal.
     """
 
     def __init__(
         self,
+        endpoints: Sequence[str],
         *,
-        path: str | None = None,
-        host: str = "127.0.0.1",
-        port: int | None = None,
         call_timeout: float | None = None,
         retry: RetryPolicy | None = None,
     ) -> None:
         super().__init__()
-        self.target = f"unix:{path}" if path is not None else f"tcp:{host}:{port}"
+        self.targets = [str(endpoint) for endpoint in endpoints]
+        if not self.targets:
+            raise ReproError("a served connection needs at least one endpoint")
+        self._endpoints = [dial_endpoint(target) for target in self.targets]
+        if len(self._endpoints) == 1:
+            endpoint = self._endpoints[0]
+            self.target = (
+                f"unix:{endpoint['path']}" if "path" in endpoint
+                else f"tcp:{endpoint['host']}:{endpoint['port']}"
+            )
+        else:
+            self.target = "replset:" + ",".join(self.targets)
         self.call_timeout = call_timeout
         self.retry = retry
-        self._endpoint = {"path": path, "host": host, "port": port}
+        #: Highest fencing epoch observed anywhere; stamped on mutations.
+        self.epoch = 0
+        self._epoch_lock = threading.Lock()
+        #: Index of the member last seen as ``role: primary`` (dialed first).
+        self._primary: int | None = None
         self._push_queues: dict[str, "queue.Queue[dict]"] = {}
         self._unclaimed: "queue.Queue[dict]" = queue.Queue()
         self._subs: dict[str, _LiveSub] = {}
@@ -159,11 +190,68 @@ class WireConnection(Connection):
         if self._client is not None:
             await self._client.close()
             self._client = None
-        client = await asyncio.wait_for(
-            AsyncClient.connect(**self._endpoint), _DIAL_TIMEOUT
-        )
+        if len(self._endpoints) == 1:
+            client = await asyncio.wait_for(
+                AsyncClient.connect(**self._endpoints[0]), _DIAL_TIMEOUT
+            )
+        else:
+            client = await self._dial_member()
         self._client = client
         self._router = asyncio.ensure_future(self._route_pushes(client))
+
+    async def _dial_member(self) -> AsyncClient:
+        """Ping every member — last known primary first — and keep the
+        link to the primary with the highest epoch (a fenced zombie still
+        says "primary" but loses the compare) or, failing that, to the
+        first member that answered.  Loop thread."""
+        order = list(range(len(self._endpoints)))
+        if self._primary is not None:
+            order.remove(self._primary)
+            order.insert(0, self._primary)
+        probes = await asyncio.gather(*(self._probe(member) for member in order))
+        answered = []
+        for member, probe in zip(order, probes):
+            if probe is None:
+                continue
+            client, pong = probe
+            epoch = pong.get("epoch", 0)
+            self._observe_epoch(epoch)
+            rank = (1, epoch) if pong.get("role") == "primary" else (0, 0)
+            answered.append((rank, member, client))
+        if not answered:
+            raise ConnectionError("no member answered a ping")
+        # max() keeps the first of equals: dial order breaks ties
+        chosen = max(answered, key=lambda entry: entry[0])
+        for entry in answered:
+            if entry is not chosen:
+                await entry[2].close()
+        rank, member, client = chosen
+        self._primary = member if rank[0] else None
+        return client
+
+    def _observe_epoch(self, epoch: int) -> None:
+        """Raise the bar, never lower it: caller threads (commit
+        responses) and the loop thread (dials, refusals) both report."""
+        if epoch > self.epoch:
+            with self._epoch_lock:
+                if epoch > self.epoch:
+                    self.epoch = epoch
+
+    async def _probe(self, member: int) -> tuple[AsyncClient, dict] | None:
+        """Dial one member and ask who it is; ``None`` when it is down."""
+        client = None
+        try:
+            client = await asyncio.wait_for(
+                AsyncClient.connect(**self._endpoints[member]), _DIAL_TIMEOUT
+            )
+            pong = await asyncio.wait_for(
+                client.call("ping"), self.call_timeout or _DIAL_TIMEOUT
+            )
+        except (ConnectionError, OSError, asyncio.TimeoutError, ReproError):
+            if client is not None:
+                await client.close()
+            return None
+        return client, pong
 
     async def _route_pushes(self, client: AsyncClient) -> None:
         """Dispatch push messages to their stream's queue by ``sid``;
@@ -282,9 +370,13 @@ class WireConnection(Connection):
         a dead one triggers (or joins) the reconnect first.  A request that
         dies *after* it may have reached the server is re-issued only for
         safe commands — everything else surfaces the retryable
-        :class:`ConnectionClosed` to the caller."""
+        :class:`ConnectionClosed` to the caller.  A mutation a replica-set
+        member *refused* (see :meth:`_refused`) was not applied: the
+        primary is rediscovered through the same funnel and an ``apply``
+        is re-sent; a ``tx-commit`` surfaces the refusal, because its
+        session does not survive the redial."""
         attempts = 1 + (self.retry.attempts if self.retry is not None else 0)
-        for _ in range(attempts):
+        for attempt in range(attempts):
             client = self._client
             if client is None or not client.alive:
                 # nothing sent yet: any command may wait out a reconnect
@@ -305,10 +397,30 @@ class WireConnection(Connection):
                 # safe commands may be blindly re-issued
                 await self._await_reconnect(cmd, sent=True)
                 continue
-            return response if raw else _raise_for(response)
+            if raw or response.get("ok"):
+                return response
+            if not self._refused(response) or attempt == attempts - 1:
+                _raise_for(response)
+            # refused, not lost: find the primary before anything else
+            if cmd == "apply":
+                # promotion pending? back off like any other redial
+                await asyncio.sleep(self.retry.delay(attempt))
+            await asyncio.shield(self._start_reconnect())
+            if cmd != "apply":
+                _raise_for(response)  # the session died with the old link
+            payload = dict(payload, epoch=self.epoch or None)
         raise ConnectionClosed(
             f"request {cmd!r} kept losing its connection to {self.target}"
         )
+
+    def _refused(self, response: dict) -> bool:
+        """Whether an error response is a member declining a mutation
+        (``not_primary`` / ``stale_epoch``: nothing was applied) that
+        another member might accept.  Raises the epoch bar either way."""
+        if not (response.get("not_primary") or response.get("stale_epoch")):
+            return False
+        self._observe_epoch(response.get("required_epoch", 0))
+        return len(self._endpoints) > 1
 
     async def _await_reconnect(self, cmd: str, *, sent: bool) -> None:
         """Block until the shared reconnect lands; refuse when the command
@@ -442,7 +554,9 @@ class WireConnection(Connection):
             program=_program_text(program),
             tag=tag,
             name=_program_name(program),
+            epoch=self.epoch or None,
         )
+        self._observe_epoch(response.get("epoch", 0))
         return Revision.from_record(response["revisions"][-1])
 
     def transaction(self, *, tag: str = "", attempts: int = 1) -> "_WireTransaction":
@@ -509,7 +623,16 @@ class WireConnection(Connection):
 
     # -- accounting --------------------------------------------------------
     def stats(self) -> dict:
-        return self.call("stats")["stats"]
+        stats = self.call("stats")["stats"]
+        if len(self._endpoints) > 1:
+            primary = self._primary
+            stats["replset"] = {
+                "targets": list(self.targets),
+                "primary": None if primary is None else self.targets[primary],
+                "epoch": self.epoch,
+                "failovers": self.reconnects,
+            }
+        return stats
 
     # -- lifecycle ---------------------------------------------------------
     def _teardown(self) -> None:
@@ -563,7 +686,12 @@ class _WireTransaction(Transaction):
         )
 
     def _do_commit(self, tag: str) -> CommitResult:
-        response = self._conn.call("tx-commit", session=self._session, tag=tag)
+        conn = self._conn
+        response = conn.call(
+            "tx-commit", session=self._session, tag=tag,
+            epoch=conn.epoch or None,
+        )
+        conn._observe_epoch(response.get("epoch", 0))
         return CommitResult(
             tuple(Revision.from_record(r) for r in response["revisions"])
         )

@@ -807,17 +807,12 @@ def _cmd_replica_serve(arguments) -> int:
 def _cmd_replica_promote(arguments) -> int:
     from repro.api import connect
 
-    kwargs = _client_connect_kwargs(arguments)
-    if "path" in kwargs:
-        target = f"serve:{kwargs['path']}"
-    else:
-        target = f"tcp:{kwargs['host']}:{kwargs['port']}"
     payload = {}
     if arguments.epoch is not None:
         payload["epoch"] = arguments.epoch
     if arguments.takeover is not None:
         payload["takeover"] = str(arguments.takeover)
-    with connect(target) as conn:
+    with connect(_client_target(arguments)) as conn:
         response = conn.call("repl-promote", **payload)
     print(
         f"promoted at epoch {response['epoch']}"
@@ -860,12 +855,16 @@ def _cmd_replicaset(arguments) -> int:
     return 0
 
 
-def _client_connect_kwargs(arguments) -> dict:
-    if arguments.socket is None and arguments.port is None:
-        raise ReproError("client needs --socket PATH or --port N")
+def _client_target(arguments) -> str:
+    """The connect target a client command names: ``--target`` verbatim,
+    else ``--socket`` / ``--host --port`` spelled in the target grammar."""
+    if getattr(arguments, "target", None):
+        return arguments.target
     if arguments.socket is not None:
-        return {"path": str(arguments.socket)}
-    return {"host": arguments.host, "port": arguments.port}
+        return f"unix:{arguments.socket}"
+    if arguments.port is not None:
+        return f"tcp:{arguments.host}:{arguments.port}"
+    raise ReproError("client needs --socket PATH or --port N")
 
 
 def _print_answers(answers) -> None:
@@ -887,21 +886,13 @@ def _cmd_client(arguments) -> int:
 
     from repro.api import ConflictError, RetryPolicy, connect
 
-    if getattr(arguments, "target", None):
-        target = arguments.target
-    else:
-        kwargs = _client_connect_kwargs(arguments)
-        if "path" in kwargs:
-            target = f"serve:{kwargs['path']}"
-        else:
-            target = f"tcp:{kwargs['host']}:{kwargs['port']}"
     retry = (
         RetryPolicy(attempts=arguments.retry)
         if getattr(arguments, "retry", None)
         else None
     )
     command = arguments.client_command
-    with connect(target, retry=retry) as conn:
+    with connect(_client_target(arguments), retry=retry) as conn:
         if command == "ping":
             print(f"pong (protocol {conn.ping()['protocol']})")
         elif command == "query":

@@ -10,8 +10,8 @@ that:
 * :mod:`repro.cluster.router` — :class:`ClusterConnection`, the
   ``cluster:`` :class:`~repro.api.connection.Connection` backend:
   single-shard fast path, scatter-gather reads, revision-vector
-  consistency tokens, merged subscriptions, per-shard failover via the
-  ``replset:`` machinery;
+  consistency tokens, merged subscriptions, per-shard failover (a
+  ``a|b`` shard is a wire connection over both members);
 * :mod:`repro.cluster.local` — :class:`LocalCluster`, an in-process
   N-shard deployment for tests, examples and benchmarks.
 

@@ -1,11 +1,10 @@
 """``repro.connect("cluster:a,b,...")`` — the shard-routing client.
 
-A :class:`ClusterConnection` holds one connection per shard — a
-:class:`~repro.api.wire.WireConnection` for a single-member spec, a
-:class:`~repro.replication.replset.ReplicaSetConnection` for a
-``|``-separated member group (so each shard inherits the full failover
-behaviour of PR 8) — and routes by the partitioning rule of
-:mod:`repro.cluster.partition`:
+A :class:`ClusterConnection` holds one
+:class:`~repro.api.wire.WireConnection` per shard — over the shard's one
+endpoint, or over every member of a ``|``-separated group, so a
+replicated shard fails over exactly as a ``replset:`` target does — and
+routes by the partitioning rule of :mod:`repro.cluster.partition`:
 
 * **commits** (apply/transactions) whose hosts are ground and hash to one
   shard go to that shard alone, through the existing single-server fast
@@ -58,7 +57,6 @@ from repro.core.query import (
     decode_answers,
     prepare_query,
 )
-from repro.replication.replset import ReplicaSetConnection, _member_endpoint
 from repro.server.errors import ServerBusyError
 from repro.server.service import StoreService
 from repro.storage.history import resolve_revision_ref
@@ -144,7 +142,7 @@ class ClusterConnection(Connection):
         )
         self.call_timeout = call_timeout
         self.retry = retry or RetryPolicy()
-        self._conns: dict[int, Connection] = {}
+        self._conns: dict[int, WireConnection] = {}
         self._lock = threading.RLock()
         self._executor: ThreadPoolExecutor | None = None
         self._ready = False
@@ -163,28 +161,20 @@ class ClusterConnection(Connection):
         self.commits = 0
 
     # -- shard plumbing ----------------------------------------------------
-    def _conn(self, shard: int) -> Connection:
+    def _conn(self, shard: int) -> WireConnection:
         with self._lock:
             conn = self._conns.get(shard)
             if conn is not None and not conn.closed:
                 return conn
-            group = self.shards[shard]
-            if len(group) == 1:
-                conn = WireConnection(
-                    call_timeout=self.call_timeout,
-                    retry=self.retry,
-                    **_member_endpoint(group[0]),
-                )
-            else:
-                conn = ReplicaSetConnection(
-                    list(group),
-                    call_timeout=self.call_timeout,
-                    retry=self.retry,
-                )
+            conn = WireConnection(
+                self.shards[shard],
+                call_timeout=self.call_timeout,
+                retry=self.retry,
+            )
             self._conns[shard] = conn
             return conn
 
-    def _scatter(self, op: Callable[[int, Connection], object]) -> list:
+    def _scatter(self, op: Callable[[int, WireConnection], object]) -> list:
         """Run ``op(shard, conn)`` against every shard; results in shard
         order.  One shard's failure fails the whole operation (per-member
         failover already happened below, inside the shard's connection)."""
@@ -205,36 +195,30 @@ class ClusterConnection(Connection):
         return [future.result() for future in futures]
 
     @staticmethod
-    def _shard_head(conn: Connection) -> int:
-        """The shard's current head index, cheaply where possible."""
-        call = getattr(conn, "call", None)
-        if call is not None:
-            return call("ping").get("revision", 0)
-        return conn.head.index
+    def _shard_head(conn: WireConnection) -> int:
+        """The shard's current head index (a ping carries it)."""
+        return conn.call("ping").get("revision", 0)
 
     def _bootstrap(self) -> None:
         """First contact: learn each shard's head (the watermark floor)
         and verify declared shard identity where the servers report one."""
         if self._ready:
             return
-        def probe(shard: int, conn: Connection) -> int:
-            call = getattr(conn, "call", None)
-            if call is None:
-                return conn.head.index
-            pong = call("ping")
+        def probe(shard: int, conn: WireConnection) -> int:
+            pong = conn.call("ping")
             identity = pong.get("shard") or {}
             declared_id = identity.get("id")
             declared_count = identity.get("count")
             if declared_count is not None and declared_count != self.count:
                 raise ReproError(
-                    f"shard {shard} ({self.shards[shard][0]}) was "
+                    f"shard {shard} ({conn.target}) was "
                     f"initialized for a {declared_count}-shard cluster, "
                     f"but this target names {self.count} shards — "
                     f"repartitioning requires repro cluster init"
                 )
             if declared_id is not None and declared_id != shard:
                 raise ReproError(
-                    f"shard {shard} ({self.shards[shard][0]}) declares "
+                    f"shard {shard} ({conn.target}) declares "
                     f"shard id {declared_id} — the cluster: member order "
                     f"must match the ids assigned at init"
                 )
@@ -601,9 +585,7 @@ class ClusterConnection(Connection):
                 "subscriptions": (doc.get("subscriptions") or {}).get(
                     "active", 0
                 ),
-                "failovers": getattr(
-                    self._conns.get(shard), "failovers", 0
-                ),
+                "failovers": self._conn(shard).reconnects,
             })
         with self._lock:
             watermark = list(self._watermark)

@@ -14,7 +14,6 @@ and built-ins reuse :class:`~repro.core.atoms.BuiltinAtom`.
 from repro.datalog.ast import DatalogProgram, DatalogRule, PredicateAtom, body_literal
 from repro.datalog.database import Database
 from repro.datalog.engine import DatalogEngine
-from repro.datalog.evaluation import PreparedDatalogQuery
 from repro.datalog.parser import (
     parse_datalog,
     parse_datalog_database,
@@ -29,7 +28,6 @@ __all__ = [
     "body_literal",
     "Database",
     "DatalogEngine",
-    "PreparedDatalogQuery",
     "DatalogStratification",
     "stratify_datalog",
     "parse_datalog",

@@ -20,15 +20,12 @@ Key = tuple[str, int]
 class Database:
     """A mutable set of ground Datalog facts."""
 
-    __slots__ = ("_relations", "_indexes", "_versions", "__weakref__")
+    __slots__ = ("_relations", "_indexes")
 
     def __init__(self, facts: Iterable[tuple[str, Row]] = ()):
         self._relations: dict[Key, set[Row]] = {}
         # (pred, arity, position) -> value -> set of rows
         self._indexes: dict[tuple[str, int, int], dict[Oid, set[Row]]] = {}
-        # (pred, arity) -> monotone change counter; the prepared-query
-        # layer stamps its memos with these to detect staleness in O(#deps)
-        self._versions: dict[Key, int] = {}
         for name, row in facts:
             self.add(name, row)
 
@@ -51,7 +48,6 @@ class Database:
         if row in relation:
             return False
         relation.add(row)
-        self._versions[key] = self._versions.get(key, 0) + 1
         for position in range(len(row)):
             index = self._indexes.get((name, len(row), position))
             if index is not None:
@@ -64,7 +60,6 @@ class Database:
         if relation is None or row not in relation:
             return False
         relation.discard(row)
-        self._versions[key] = self._versions.get(key, 0) + 1
         for position in range(len(row)):
             index = self._indexes.get((name, len(row), position))
             if index is not None:
@@ -102,21 +97,10 @@ class Database:
     def predicates(self) -> frozenset[Key]:
         return frozenset(k for k, rows in self._relations.items() if rows)
 
-    def predicate_version(self, key: Key) -> int:
-        """A counter that changes (strictly grows) whenever the relation
-        under ``key`` changes — the staleness stamp of prepared queries."""
-        return self._versions.get(key, 0)
-
-    def version_stamp(self, keys: Iterable[Key]) -> tuple[int, ...]:
-        """The version counters of ``keys``, in iteration order."""
-        versions = self._versions
-        return tuple(versions.get(key, 0) for key in keys)
-
     def copy(self) -> "Database":
         clone = Database.__new__(Database)
         clone._relations = {k: set(v) for k, v in self._relations.items()}
         clone._indexes = {}
-        clone._versions = dict(self._versions)
         return clone
 
     def __eq__(self, other: object) -> bool:

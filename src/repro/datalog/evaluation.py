@@ -13,21 +13,21 @@ Three modes:
 Both stratified modes evaluate stratum by stratum, so negation only ever
 reads fully computed predicates.
 
-Like the update engine's matcher (:mod:`repro.core.grounding`), the join
-search orders literals dynamically — and those ordering decisions depend
-only on which variables are bound, so they are precompiled once per rule
-body into a static plan and replayed (``_compile_plan``); the dynamic
-chooser remains as the fallback for unsafe bodies.  The semi-naive loop
-additionally consults a delta dependency check: a ``(rule, recursive
-position)`` pair only re-fires when the delta actually holds rows for that
-position's predicate.
+Like the update engine's matcher (:mod:`repro.core.plans`), the join
+order depends only on which variables are bound, so it is compiled once
+per rule body into a static plan and replayed (``_compile_plan``).  There
+is no other matcher: every entry point runs the safety check first, and a
+body that still has no plan is a typed
+:class:`~repro.core.errors.EvaluationError` naming the rule.  The
+semi-naive loop additionally consults a delta dependency check: a
+``(rule, recursive position)`` pair only re-fires when the delta actually
+holds rows for that position's predicate.
 """
 
 from __future__ import annotations
 
-import weakref
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from repro.core.atoms import BuiltinAtom
 from repro.core.caches import register_lru_cache
@@ -41,7 +41,6 @@ from repro.datalog.stratify import stratify_datalog
 
 __all__ = [
     "match_datalog_rule",
-    "PreparedDatalogQuery",
     "evaluate_stratified",
     "evaluate_inflationary",
 ]
@@ -62,8 +61,10 @@ _PlanStep = tuple[int, DatalogLiteral, int]
 
 @lru_cache(maxsize=4096)
 def _compile_plan(body: tuple[DatalogLiteral, ...]) -> tuple[_PlanStep, ...] | None:
-    """Statically replay ``_choose`` (its decisions depend only on the set
-    of bound variables); ``None`` for unsafe bodies (dynamic fallback)."""
+    """The join order of ``body``: filters as soon as their variables are
+    bound, then ``=`` binders, then the positive atom sharing the most
+    bound variables.  ``None`` when some literal can never be evaluated
+    (an unsafe body)."""
     remaining = list(enumerate(body))
     bound: set[Var] = set()
     steps: list[_PlanStep] = []
@@ -131,9 +132,11 @@ def match_datalog_rule(
     """
     plan = _compile_plan(rule.body)
     if plan is None:
-        literals = list(enumerate(rule.body))
-        yield from _search(literals, {}, database, delta, delta_literal)
-        return
+        raise EvaluationError(
+            f"rule {rule.name or str(rule)!r}: no literal is evaluable under "
+            f"the current binding — the rule is unsafe (this should have "
+            f"been caught by the safety check)"
+        )
     yield from _search_planned(plan, 0, {}, database, delta, delta_literal)
 
 
@@ -171,155 +174,6 @@ def _search_planned(
                 )
             return
     yield binding
-
-
-class PreparedDatalogQuery:
-    """A conjunctive Datalog query compiled once, memoized per database.
-
-    The body's join plan comes from the shared ``_compile_plan`` cache; the
-    dependency set is the ``(predicate, arity)`` keys the body reads (either
-    polarity).  ``run`` stamps each memo with the database's per-predicate
-    version counters (:meth:`~repro.datalog.database.Database.version_stamp`)
-    — an unchanged stamp serves the cached answers, any change to a
-    dependency re-executes.  Memos are held per database via weak
-    references, so a prepared query can serve many databases without
-    keeping any of them alive.
-    """
-
-    __slots__ = ("body", "name", "dependencies", "hits", "misses", "_memos")
-
-    def __init__(
-        self, body: Sequence[DatalogLiteral], *, name: str = "<prepared>"
-    ) -> None:
-        self.body = tuple(body)
-        self.name = name
-        self.dependencies = tuple(
-            sorted(
-                {
-                    literal.atom.key
-                    for literal in self.body
-                    if isinstance(literal.atom, PredicateAtom)
-                }
-            )
-        )
-        _compile_plan(self.body)  # compile once, up front
-        self.hits = 0
-        self.misses = 0
-        # id(db) -> (weakref to db, stamp, answers).  Databases are
-        # value-equal and therefore unhashable, so the memo keys them by
-        # identity; the weakref both guards against id reuse and evicts the
-        # entry when the database is collected.
-        self._memos: dict[int, tuple] = {}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"PreparedDatalogQuery({self.name!r}, {len(self.body)} literals)"
-
-    def bindings(self, database: Database) -> Iterator[Binding]:
-        """All satisfying substitutions (unmemoized, possibly duplicated)."""
-        plan = _compile_plan(self.body)
-        if plan is None:
-            yield from _search(list(enumerate(self.body)), {}, database, None, None)
-            return
-        yield from _search_planned(plan, 0, {}, database, None, None)
-
-    def run(self, database: Database) -> list[dict[str, object]]:
-        """Deduplicated, deterministically sorted answers, memoized.
-
-        The returned list is the live memo entry — treat it as read-only
-        (mutating it would corrupt every later cache hit).
-        """
-        stamp = database.version_stamp(self.dependencies)
-        key = id(database)
-        memo = self._memos.get(key)
-        if memo is not None and memo[0]() is database and memo[1] == stamp:
-            self.hits += 1
-            return memo[2]
-        from repro.core.query import sorted_answers
-
-        answers = sorted_answers(self.bindings(database), dedupe=True)
-        reference = weakref.ref(
-            database, lambda _ref, memos=self._memos, key=key: memos.pop(key, None)
-        )
-        self._memos[key] = (reference, stamp, answers)
-        self.misses += 1
-        return answers
-
-    def stats(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "memoized_databases": len(self._memos),
-        }
-
-
-def _search(
-    remaining: list[tuple[int, DatalogLiteral]],
-    binding: Binding,
-    database: Database,
-    delta: Database | None,
-    delta_literal: int | None,
-) -> Iterator[Binding]:
-    if not remaining:
-        yield binding
-        return
-
-    choice = _choose(remaining, binding)
-    if choice is None:
-        raise EvaluationError(
-            "no literal evaluable under the current binding; unsafe rule"
-        )
-    position, (original_index, literal) = choice
-    rest = remaining[:position] + remaining[position + 1 :]
-
-    if all(v in binding for v in literal.variables):
-        if _check(literal, binding, database):
-            yield from _search(rest, binding, database, delta, delta_literal)
-        return
-
-    atom = literal.atom
-    if isinstance(atom, BuiltinAtom):
-        extension = _bind_equality(atom, binding)
-        if extension is not None:
-            yield from _search(rest, extension, database, delta, delta_literal)
-        return
-
-    source = delta if original_index == delta_literal and delta is not None else database
-    for extension in _generate(atom, binding, source):
-        yield from _search(rest, extension, database, delta, delta_literal)
-
-
-def _choose(
-    remaining: list[tuple[int, DatalogLiteral]], binding: Binding
-) -> tuple[int, tuple[int, DatalogLiteral]] | None:
-    best = None
-    best_score = -1
-    for position, entry in enumerate(remaining):
-        _, literal = entry
-        if all(v in binding for v in literal.variables):
-            return position, entry
-        atom = literal.atom
-        if isinstance(atom, BuiltinAtom):
-            if literal.positive and atom.op == "=" and _equality_ready(atom, binding):
-                return position, entry
-            continue
-        if not literal.positive:
-            continue
-        score = sum(1 for v in atom.variables if v in binding)
-        if score > best_score:
-            best_score = score
-            best = (position, entry)
-    return best
-
-
-def _equality_ready(atom: BuiltinAtom, binding: Binding) -> bool:
-    for target, source in ((atom.left, atom.right), (atom.right, atom.left)):
-        if (
-            isinstance(target, Var)
-            and target not in binding
-            and all(v in binding for v in expr_variables(source))
-        ):
-            return True
-    return False
 
 
 def _bind_equality(atom: BuiltinAtom, binding: Binding) -> Binding | None:

@@ -15,22 +15,22 @@ epoch fencing — so one ``StoreService`` survives node loss:
   heartbeats the primary, and can be promoted (``repro replica promote``);
 * :mod:`repro.replication.supervisor` — ``repro replicaset``: an external
   health checker that auto-promotes the freshest follower and fences the
-  old primary when it reappears;
-* :mod:`repro.replication.replset` — the client side of
-  ``repro.connect("replset:a,b,c")``: reads fail over across nodes
-  immediately, mutations rediscover the primary after promotion and carry
-  the highest observed fencing epoch so a zombie primary rejects them.
+  old primary when it reappears.
+
+The client side is not here: ``repro.connect("replset:a,b,c")`` is a
+:class:`~repro.api.wire.WireConnection` over several endpoints — it dials
+the primary, fails over when the link dies, rediscovers the primary when
+a member refuses a write, and stamps mutations with the highest fencing
+epoch it has observed so a zombie primary rejects them.
 """
 
 from repro.replication.follower import Follower
-from repro.replication.replset import ReplicaSetConnection
 from repro.replication.stream import ReplicationHub, hub_for
 from repro.replication.supervisor import ReplicaSet
 
 __all__ = [
     "Follower",
     "ReplicaSet",
-    "ReplicaSetConnection",
     "ReplicationHub",
     "hub_for",
 ]

@@ -36,8 +36,8 @@ import threading
 import time
 from pathlib import Path
 
-from repro.api import _wire_endpoint
 from repro.api.model import RetryPolicy
+from repro.api.targets import dial_endpoint
 from repro.core.errors import ReproError
 from repro.obs import metrics as _obs
 from repro.server.client import AsyncClient
@@ -57,16 +57,6 @@ __all__ = ["Follower"]
 
 #: Bootstrap may move a whole snapshot; give it a generous bound.
 _SYNC_TIMEOUT = 60.0
-
-
-def _endpoint_kwargs(target: str) -> dict:
-    """``AsyncClient.connect`` kwargs for a primary target (``serve:`` /
-    ``unix:`` / ``tcp:`` / bare socket path)."""
-    endpoint = _wire_endpoint(str(target))
-    if endpoint is None:
-        # a bare path whose socket does not exist *yet* (primary restarting)
-        return {"path": str(target)}
-    return endpoint
 
 
 class Follower:
@@ -107,7 +97,7 @@ class Follower:
         self.on_takeover = None
         self._engine = engine
         self._options = options
-        self._endpoint = _endpoint_kwargs(self.primary)
+        self._endpoint = dial_endpoint(self.primary)
         self.service: StoreService | None = None
         #: Where the last bootstrap started (0 = full download; > 0 means
         #: the local journal was continued — no snapshot re-download).
@@ -363,7 +353,7 @@ class Follower:
     def retarget(self, primary: str) -> None:
         """Follow a different primary (after someone else was promoted)."""
         self.primary = str(primary)
-        self._endpoint = _endpoint_kwargs(self.primary)
+        self._endpoint = dial_endpoint(self.primary)
         self.missed_heartbeats = 0
         self.primary_alive = True
         self._kick_link()  # the tail loop redials the new target

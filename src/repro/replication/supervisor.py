@@ -25,7 +25,6 @@ import time
 from repro.api.model import RetryPolicy
 from repro.api.wire import WireConnection
 from repro.core.errors import ReproError
-from repro.replication.replset import _member_endpoint
 
 __all__ = ["ReplicaSet"]
 
@@ -63,9 +62,7 @@ class ReplicaSet:
     def _call(self, target: str, cmd: str, **payload) -> dict:
         conn = self._conns.get(target)
         if conn is None or conn.closed:
-            conn = WireConnection(
-                call_timeout=self.call_timeout, **_member_endpoint(target)
-            )
+            conn = WireConnection([target], call_timeout=self.call_timeout)
             self._conns[target] = conn
         try:
             return conn.call(cmd, **payload)

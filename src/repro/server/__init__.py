@@ -19,15 +19,14 @@ memoization of the serving layer into *push* delivery.
   *answer diffs* travel, and provably unaffected queries cost nothing.
 * :mod:`~repro.server.protocol` / :mod:`~repro.server.server` /
   :mod:`~repro.server.client` — the JSON-lines wire protocol, its asyncio
-  transport (``repro serve``), and the clients (:class:`AsyncClient` plus
-  the in-process :func:`connect_local` for tests and embedding).
+  transport (``repro serve``), and the wire client (:class:`AsyncClient`).
 
 This is the architectural seam later scaling PRs (sharding, replication,
 multi-backend) plug into: everything above the :class:`StoreService` talks
 revisions, deltas and signatures — never raw bases.
 """
 
-from repro.server.client import AsyncClient, LocalClient, connect_local
+from repro.server.client import AsyncClient
 from repro.server.errors import (
     ConflictError,
     ConnectionClosed,
@@ -48,8 +47,6 @@ __all__ = [
     "ReproServer",
     "ServerLimits",
     "AsyncClient",
-    "LocalClient",
-    "connect_local",
     "ConflictError",
     "ServerError",
     "SessionError",

@@ -1,22 +1,13 @@
-"""Clients for the serving subsystem: in-process and over the wire.
-
-:func:`connect_local` returns a :class:`LocalClient` bound directly to a
-:class:`~repro.server.service.StoreService` through the *same*
-:class:`~repro.server.protocol.Dispatcher` the asyncio server uses — the
-full protocol without sockets, for tests, benchmarks and embedding.  Push
-messages accumulate in-process and are drained with :meth:`LocalClient.pushes`.
+"""The asyncio wire client of the serving subsystem.
 
 :class:`AsyncClient` speaks the JSON-lines protocol over a unix socket or
 TCP: one background reader task routes responses to their awaiting callers
 by ``id`` and queues pushes for :meth:`AsyncClient.next_push`.
 
-.. deprecated::
-    For application code, prefer the unified connection facade —
-    ``repro.connect("serve:/path/to.sock")`` (or an in-process
-    ``repro.connect("memory:")`` / journal-directory target) yields the same
-    typed surface over every backend.  These clients remain the wire
-    building blocks the facade is built on and stay supported for raw
-    protocol work (scripting, new transports).
+Application code uses the connection facade —
+``repro.connect("serve:/path/to.sock")`` — which drives this client from a
+synchronous surface; the class itself is the building block for raw
+protocol work (scripting, new transports).
 """
 
 from __future__ import annotations
@@ -24,7 +15,6 @@ from __future__ import annotations
 import asyncio
 import itertools
 
-from repro.core.query import decode_answers
 from repro.server.errors import (
     ConflictError,
     ConnectionClosed,
@@ -33,10 +23,9 @@ from repro.server.errors import (
     ServerError,
     StaleEpochError,
 )
-from repro.server.protocol import LINE_LIMIT, ClientState, Dispatcher, decode, encode
-from repro.server.service import StoreService
+from repro.server.protocol import LINE_LIMIT, decode, encode
 
-__all__ = ["LocalClient", "AsyncClient", "connect_local"]
+__all__ = ["AsyncClient"]
 
 
 def _raise_for(response: dict) -> dict:
@@ -63,139 +52,6 @@ def _raise_for(response: dict) -> dict:
         # non-conflict but typed-retryable: the server shed load
         raise ServerBusyError(message)
     raise ServerError(message)
-
-
-class _ClientConveniences:
-    """Command sugar shared by both clients; subclasses provide ``call``
-    (sync for :class:`LocalClient`; :class:`AsyncClient` wraps the async
-    ``call`` itself and reuses nothing here but the naming contract)."""
-
-    def call(self, cmd: str, **payload) -> dict:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def ping(self) -> dict:
-        return self.call("ping")
-
-    def apply(self, program: str, *, tag: str = "") -> dict:
-        return self.call("apply", program=program, tag=tag)
-
-    def query(self, body: str) -> list:
-        """Answers at the head, decoded on receipt: canonical fresh rows,
-        value-equal to ``repro.query`` on the same base — never the
-        dispatcher's live memo lists."""
-        return decode_answers(self.call("query", body=body)["answers"])
-
-    def prepare(self, body: str, *, name: str | None = None) -> dict:
-        return self.call("prepare", body=body, name=name)
-
-    def subscribe(self, body: str, *, name: str | None = None) -> dict:
-        return self.call("subscribe", body=body, name=name)
-
-    def unsubscribe(self, sid: str) -> dict:
-        return self.call("unsubscribe", sid=sid)
-
-    def begin(self) -> str:
-        return self.call("tx-begin")["session"]
-
-    def tx_query(self, session: str, body: str) -> list:
-        """Answers at the session's pinned revision, decoded on receipt
-        (same contract as :meth:`query`)."""
-        return decode_answers(
-            self.call("tx-query", session=session, body=body)["answers"]
-        )
-
-    def stage(self, session: str, program: str) -> dict:
-        return self.call("tx-stage", session=session, program=program)
-
-    def commit(self, session: str, *, tag: str = "") -> dict:
-        return self.call("tx-commit", session=session, tag=tag)
-
-    def abort(self, session: str) -> dict:
-        return self.call("tx-abort", session=session)
-
-    def log(self) -> list:
-        return self.call("log")["revisions"]
-
-    def as_of(self, revision) -> str:
-        return self.call("as-of", revision=revision)["facts"]
-
-    def stats(self) -> dict:
-        return self.call("stats")["stats"]
-
-
-class LocalClient(_ClientConveniences):
-    """An in-process protocol client over a service (no event loop).
-
-    Mirrors a wire connection: it owns per-connection sessions and
-    subscriptions, and collects push messages synchronously as commits
-    (its own or other clients') touch its subscriptions.
-    """
-
-    def __init__(self, service: StoreService) -> None:
-        self.service = service
-        self._dispatcher = Dispatcher(service)
-        self._pending_pushes: list[dict] = []
-        self._state = ClientState(self._pending_pushes.append)
-        self._ids = itertools.count(1)
-        self._closed = False
-
-    def request(self, cmd: str, **payload) -> dict:
-        """Send one command, return the raw response dict (never raises
-        for server-side errors — inspect ``ok``)."""
-        if self._closed:
-            raise ServerError("client is closed")
-        message = {"id": next(self._ids), "cmd": cmd}
-        message.update(
-            {key: value for key, value in payload.items() if value is not None}
-        )
-        return self._dispatcher.handle(message, self._state)
-
-    def call(self, cmd: str, **payload) -> dict:
-        """Like :meth:`request` but raising the typed error on failure."""
-        return _raise_for(self.request(cmd, **payload))
-
-    def pushes(self) -> list[dict]:
-        """Drain and return the pushes delivered since the last drain."""
-        drained, self._pending_pushes[:] = list(self._pending_pushes), []
-        return drained
-
-    def close(self) -> None:
-        if not self._closed:
-            self._dispatcher.close(self._state)
-            self._closed = True
-
-    def __enter__(self) -> "LocalClient":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-def connect_local(target) -> LocalClient:
-    """Connect in-process: ``target`` is a :class:`StoreService`, a
-    :class:`~repro.storage.history.VersionedStore` (wrapped in a fresh
-    service), or a journal directory path (opened with durability).
-
-    .. deprecated::
-        Prefer ``repro.connect(target)`` — the unified facade accepts the
-        same targets and returns the typed :class:`~repro.api.Connection`
-        surface instead of raw protocol dicts.  Kept as the thin shim for
-        code that wants the dict-protocol dispatcher directly.
-    """
-    from pathlib import Path
-
-    from repro.storage.history import VersionedStore
-
-    if isinstance(target, StoreService):
-        return LocalClient(target)
-    if isinstance(target, VersionedStore):
-        return LocalClient(StoreService(target))
-    if isinstance(target, (str, Path)):
-        return LocalClient(StoreService.open(target))
-    raise TypeError(
-        f"connect_local needs a StoreService, VersionedStore or journal "
-        f"directory, not {type(target).__name__}"
-    )
 
 
 #: Push-queue sentinel: the connection died; every ``next_push`` waiter

@@ -61,9 +61,9 @@ line, snapshot}`` messages carrying the primary's raw journal bytes.
 
 The :class:`Dispatcher` maps request dicts to response dicts against a
 :class:`~repro.server.service.StoreService`; the asyncio server
-(:mod:`repro.server.server`) and the in-process
-:func:`~repro.server.client.connect_local` client are two transports over
-this one implementation, so tests of either exercise the same code.
+(:mod:`repro.server.server`) builds one per service and a
+:class:`ClientState` per connection; tests drive the same pair directly,
+without a socket, so either way exercises this one implementation.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """Satellite regression: every client surface returns *decoded* answers.
 
-``_ClientConveniences.query``/``tx_query`` used to hand back whatever the
-dispatcher produced — for the in-process client that was the store's live
-memo rows (mutating one corrupted the cache), and over the wire the raw
-JSON decode.  Now every receipt path decodes into canonical fresh rows
-that match ``repro.query`` exactly.
+A client used to hand back whatever the dispatcher produced — in-process
+that was the store's live memo rows (mutating one corrupted the cache),
+and over the wire the raw JSON decode.  Every receipt path decodes
+(``decode_answers``) into canonical fresh rows that match ``repro.query``
+exactly.
 """
 
 import json
@@ -14,7 +14,6 @@ import pytest
 import repro
 from repro.api import BackgroundServer
 from repro.core.query import answer_sort_key, decode_answer, decode_answers
-from repro.server import connect_local
 from repro.server.service import StoreService
 from repro.storage import VersionedStore
 
@@ -32,26 +31,28 @@ def service():
 
 
 class TestLocalClientDecoding:
-    def test_matches_repro_query_exactly(self, service):
-        with connect_local(service) as client:
-            received = client.query(QUERY)
+    def test_matches_repro_query_exactly(self, service, protocol_client):
+        client = protocol_client(service)
+        received = decode_answers(client.call("query", body=QUERY)["answers"])
         expected = repro.query(service.store.current, QUERY)
         assert received == expected
 
-    def test_rows_are_fresh_copies_not_the_live_memo(self, service):
-        with connect_local(service) as client:
-            first = client.query(QUERY)
-            first[0]["S"] = "corrupted"
-            first.pop()
-            assert client.query(QUERY) == repro.query(
-                service.store.current, QUERY
-            )
+    def test_rows_are_fresh_copies_not_the_live_memo(
+        self, service, protocol_client
+    ):
+        client = protocol_client(service)
+        first = decode_answers(client.call("query", body=QUERY)["answers"])
+        first[0]["S"] = "corrupted"
+        first.pop()
+        second = decode_answers(client.call("query", body=QUERY)["answers"])
+        assert second == repro.query(service.store.current, QUERY)
 
-    def test_tx_query_matches_repro_query(self, service):
-        with connect_local(service) as client:
-            session = client.begin()
-            received = client.tx_query(session, QUERY)
-            client.abort(session)
+    def test_tx_query_matches_repro_query(self, service, protocol_client):
+        client = protocol_client(service)
+        session = client.call("tx-begin")["session"]
+        response = client.call("tx-query", session=session, body=QUERY)
+        received = decode_answers(response["answers"])
+        client.call("tx-abort", session=session)
         assert received == repro.query(service.store.current, QUERY)
 
 

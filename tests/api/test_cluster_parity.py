@@ -281,3 +281,15 @@ def test_min_revision_token_is_read_your_writes(cluster):
                 SALARY_QUERY, min_revision=revision.index
             )
             assert {"E": "phil", "S": 4025} in scatter
+
+
+def test_shard_identity_is_verified_for_replicated_shards(cluster):
+    """A ``|``-separated shard is dialed like any other, so a member list
+    in the wrong position fails the same typed check a plain one does."""
+    first, second = cluster.members
+    swapped = f"cluster:{second}|{second},{first}|{first}"
+    with repro.connect(swapped) as conn:
+        with pytest.raises(ReproError, match="declares shard id 1"):
+            conn.query(SALARY_QUERY)
+    with repro.connect(f"cluster:{first}|{first},{second}|{second}") as conn:
+        assert len(conn.query(SALARY_QUERY)) == 3

@@ -12,7 +12,6 @@ import repro
 from repro.api import BackgroundServer
 from repro.core.errors import ReproError
 from repro.lang.pretty import format_object_base
-from repro.server import connect_local
 from repro.server.errors import ServerError
 from repro.server.service import StoreService
 from repro.storage import VersionedStore, resolve_revision_ref
@@ -74,16 +73,13 @@ class TestUniformErrorMessages:
             service.store.as_of(resolve_revision_ref(reference))
         return str(info.value)
 
-    def _message_from_local_client(self, service, reference):
-        with connect_local(service) as client:
-            with pytest.raises(ServerError) as info:
-                client.as_of(reference)
-        return str(info.value)
-
-    def test_store_and_local_client_agree(self, service):
+    def test_store_and_local_client_agree(self, service, protocol_client):
+        client = protocol_client(service)
         for reference, expected in self.PROBES.items():
             assert self._message_from_store(service, reference) == expected
-            assert self._message_from_local_client(service, reference) == expected
+            with pytest.raises(ServerError) as info:
+                client.call("as-of", revision=reference)
+            assert str(info.value) == expected
 
     def test_wire_agrees(self, service, tmp_path):
         socket_path = str(tmp_path / "refs.sock")

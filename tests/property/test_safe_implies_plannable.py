@@ -2,15 +2,22 @@
 every rule the safety check accepts must have a full join plan and a seeded
 plan at every seed position — and compile.  (An unsafe body fails where its
 plan is built with a typed error; ``tests/core/test_plans.py`` pins that.)
+The Datalog substrate makes the same promise with its one matcher.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.atoms import VersionAtom
 from repro.core.codegen import compiled_rule
+from repro.core.errors import EvaluationError, SafetyError
 from repro.core.plans import rule_plan
 from repro.core.safety import is_safe
+from repro.datalog.ast import DatalogRule
+from repro.datalog.evaluation import _compile_plan, match_datalog_rule
+from repro.datalog.parser import parse_datalog_program
 from repro.workloads import (
     ancestors_program,
     enterprise_update_program,
@@ -20,6 +27,8 @@ from repro.workloads import (
     targeted_raise_program,
 )
 from repro.workloads.synthetic import (
+    random_datalog_chain_program,
+    random_edge_database,
     random_insert_program,
     random_update_program,
     version_chain_program,
@@ -68,3 +77,28 @@ def test_every_workload_rule_has_a_full_and_every_seed_plan(program):
     for rule in program:
         assert is_safe(rule), rule.name
         assert_plannable(rule)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 1_000_000_000))
+def test_every_safe_datalog_rule_has_a_plan_in_any_body_order(seed):
+    rng = random.Random(seed)
+    program = random_datalog_chain_program(
+        n_idb=rng.randint(1, 4), negated_tail=True, seed=seed
+    )
+    for rule in program:
+        body = list(rule.body)
+        rng.shuffle(body)  # safety ignores literal order; so must planning
+        shuffled = DatalogRule(rule.head, tuple(body), rule.name)
+        shuffled.check_safety()
+        plan = _compile_plan(shuffled.body)
+        assert plan is not None
+        assert sorted(step[0] for step in plan) == list(range(len(body)))
+
+
+def test_an_unsafe_datalog_body_is_a_typed_error_naming_the_rule():
+    [rule] = parse_datalog_program("lonely(X) <= not edge(X, Y).")
+    with pytest.raises(SafetyError):
+        rule.check_safety()
+    with pytest.raises(EvaluationError, match="rule 'r1'.*unsafe"):
+        list(match_datalog_rule(rule, random_edge_database(seed=1)))

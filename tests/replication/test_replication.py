@@ -13,13 +13,16 @@ The contract under test, layer by layer:
   everything seen and fences the old primary, whose writes then raise the
   retryable :class:`StaleEpochError`;
 * **replset** — ``repro.connect("replset:...")`` fails reads over
-  immediately and follows the primary across a promotion;
+  immediately and follows the primary across a promotion; a mutation
+  whose link died in flight is never re-sent (it may have committed),
+  and every mutation carries the highest epoch the client has observed;
 * **supervisor** — :class:`~repro.replication.ReplicaSet` detects a dead
   primary and promotes the freshest follower.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -28,14 +31,21 @@ import repro
 from repro.api import BackgroundServer
 from repro.lang.parser import parse_object_base
 from repro.replication import Follower, ReplicaSet, hub_for
-from repro.server.errors import NotPrimaryError, StaleEpochError
+from repro.server.errors import (
+    ConnectionClosed,
+    NotPrimaryError,
+    StaleEpochError,
+)
 from repro.server.service import StoreService
+from repro.storage.history import VersionedStore
 from repro.storage.serialize import (
     JOURNAL_FILE,
     compact_journal,
     load_store,
     verify_journal,
 )
+
+from .test_replication_chaos import _ProxyThread
 
 BASE = "henry.isa -> empl. henry.sal -> 250."
 RAISE = "raise: mod[henry].sal -> (S, S2) <= henry.sal -> S, S2 = S + 50."
@@ -371,7 +381,7 @@ class TestReplicaSetConnection:
         )
         server.close()  # abrupt: no shutdown pleasantries
         assert conn.query("henry.sal -> S") == [{"S": 300}]
-        assert conn.failovers >= 1
+        assert conn.reconnects >= 1
         conn.close()
 
     def test_mutations_follow_a_promotion(self, cluster):
@@ -434,6 +444,95 @@ def _fold(state, delta):
     rows = [row for row in state if row not in list(delta.removed)]
     rows.extend(delta.added)
     return rows
+
+
+class TestOneRetryRule:
+    """A replica set re-sends only what a member *refused*; a mutation
+    whose link died in flight surfaces ``ConnectionClosed`` exactly as it
+    does over a single endpoint, because the server may have applied it."""
+
+    @pytest.fixture()
+    def proxied(self, primary):
+        service, server, tmp_path = primary
+        listen = str(tmp_path / "proxy.sock")
+        proxy = _ProxyThread(str(tmp_path / "primary.sock"), listen)
+        try:
+            yield service, server, proxy, f"unix:{listen}"
+        finally:
+            proxy.close()
+
+    @staticmethod
+    def _apply_while_the_link_dies(conn, service, proxy, tag):
+        """Stall the responses, send one apply, cut the link once the
+        server has committed it, thaw; returns what the caller saw."""
+        outcome = []
+
+        def send():
+            try:
+                outcome.append(conn.apply(RAISE, tag=tag))
+            except Exception as error:
+                outcome.append(error)
+
+        head = len(service.store)
+        proxy.loop.call_soon_threadsafe(proxy.proxy.stall, True)
+        sender = threading.Thread(target=send)
+        sender.start()
+        wait_for(lambda: len(service.store) > head, message="the commit")
+        proxy.drop_connections()
+        proxy.loop.call_soon_threadsafe(proxy.proxy.stall, False)
+        sender.join(timeout=30)
+        assert not sender.is_alive()
+        return outcome[0]
+
+    def test_a_lost_apply_is_not_resent_on_another_path(self, proxied):
+        service, server, proxy, through_proxy = proxied
+        # two paths to the one primary: the proxied one is dialed first
+        conn = repro.connect(f"replset:{through_proxy},{server.address}")
+        try:
+            conn.apply(RAISE, tag="a")
+            seen = self._apply_while_the_link_dies(conn, service, proxy, "b")
+            assert isinstance(seen, ConnectionClosed)
+            assert seen.retryable
+            assert [r.tag for r in conn.log()] == ["seed", "a", "b"]
+            assert conn.query("henry.sal -> S") == [{"S": 350}]
+        finally:
+            conn.close()
+
+    def test_the_next_apply_succeeds_after_a_lost_one(self, proxied):
+        service, server, proxy, through_proxy = proxied
+        conn = repro.connect(f"replset:{through_proxy}")
+        try:
+            conn.apply(RAISE, tag="a")
+            seen = self._apply_while_the_link_dies(conn, service, proxy, "b")
+            assert isinstance(seen, ConnectionClosed)
+            assert conn.apply(RAISE, tag="c").index == 3
+            assert [r.tag for r in conn.log()] == ["seed", "a", "b", "c"]
+        finally:
+            conn.close()
+
+    def test_tx_commit_carries_the_observed_epoch(self, primary):
+        """The promoted node is gone and the old primary was never fenced:
+        a client that saw the promotion must not commit onto the zombie."""
+        service, server, tmp_path = primary
+        promoted = StoreService(VersionedStore(parse_object_base(BASE)))
+        promoted.promote(epoch=1)
+        promoted_sock = str(tmp_path / "promoted.sock")
+        new_primary = BackgroundServer(promoted, path=promoted_sock)
+        conn = repro.connect(f"replset:{server.address},unix:{promoted_sock}")
+        try:
+            conn.apply(RAISE, tag="on-the-promoted-node")
+            assert conn.epoch == 1
+            new_primary.close()
+            wait_for(lambda: conn.ping()["pong"], message="the failover")
+            transaction = conn.transaction(tag="zombie")
+            transaction.stage(RAISE)
+            with pytest.raises(StaleEpochError) as refusal:
+                transaction.commit()
+            assert refusal.value.required_epoch == 1
+            assert len(service.store) == 1  # nothing reached the zombie
+        finally:
+            conn.close()
+            new_primary.close()
 
 
 class TestSupervisor:

@@ -1,14 +1,16 @@
-"""The JSON-lines protocol through the in-process transport.
+"""The JSON-lines protocol without a socket.
 
-``connect_local`` runs the same :class:`Dispatcher` as the asyncio server,
-so these tests cover the protocol semantics for both transports; the
+The ``protocol_client`` fixture drives the :class:`Dispatcher` +
+:class:`ClientState` pair the asyncio server builds per connection, so
+these tests cover the protocol semantics of the served transport; the
 socket-level behaviour is covered by ``test_server_asyncio.py``.
 """
 
 import pytest
 
 from repro.core.errors import ReproError
-from repro.server import ConflictError, ServerError, StoreService, connect_local
+from repro.core.query import decode_answers
+from repro.server import ConflictError, ServerError, StoreService
 from repro.server.protocol import PROTOCOL_VERSION, ClientState, Dispatcher, decode, encode
 from repro.storage import VersionedStore
 from repro.workloads import paper_example_base
@@ -23,8 +25,8 @@ def service():
 
 
 @pytest.fixture()
-def client(service):
-    return connect_local(service)
+def client(service, protocol_client):
+    return protocol_client(service)
 
 
 class TestFraming:
@@ -66,8 +68,8 @@ class TestCommands:
             {"cmd": "tx-query", "session": {"weird": 1}, "body": "E.sal -> S"},
             {"cmd": "as-of", "revision": {"t": 1}},
         ):
-            response = client._dispatcher.handle(
-                dict(request, id=1), client._state
+            response = client.dispatcher.handle(
+                dict(request, id=1), client.state
             )
             assert response["ok"] is False, request
         assert client.call("ping")["pong"] is True  # connection state intact
@@ -77,22 +79,23 @@ class TestCommands:
         assert applied["revision"] == 1
         assert applied["tag"] == "raise"
         assert applied["added"] == 1 and applied["removed"] == 1
-        assert client.query("phil.sal -> S") == [{"S": 4100}]
+        answers = client.call("query", body="phil.sal -> S")["answers"]
+        assert decode_answers(answers) == [{"S": 4100}]
 
     def test_log_and_as_of(self, client):
-        client.apply(RAISE_PHIL, tag="raise")
-        log = client.log()
+        client.call("apply", program=RAISE_PHIL, tag="raise")
+        log = client.call("log")["revisions"]
         assert [entry["tag"] for entry in log] == ["initial", "raise"]
         assert log[0]["snapshot"] is True
-        assert "phil.sal -> 4000." in client.as_of("initial")
-        assert "phil.sal -> 4100." in client.as_of(1)
+        assert "phil.sal -> 4000." in client.call("as-of", revision="initial")["facts"]
+        assert "phil.sal -> 4100." in client.call("as-of", revision=1)["facts"]
         with pytest.raises(ServerError):
-            client.as_of("nope")
+            client.call("as-of", revision="nope")
 
     def test_prepare_and_stats(self, client):
-        prepared = client.prepare("E.sal -> S", name="sals")
+        prepared = client.call("prepare", body="E.sal -> S", name="sals")
         assert prepared["name"] == "sals"
-        stats = client.stats()
+        stats = client.call("stats")["stats"]
         assert stats["revisions"] == 1
         assert "sals" in stats["prepared"]
 
@@ -104,11 +107,12 @@ class TestCommands:
 
 class TestTransactions:
     def test_full_lifecycle(self, client):
-        session = client.begin()
-        assert client.tx_query(session, "phil.sal -> S") == [{"S": 4000}]
-        staged = client.stage(session, RAISE_PHIL)
+        session = client.call("tx-begin")["session"]
+        read = client.call("tx-query", session=session, body="phil.sal -> S")
+        assert decode_answers(read["answers"]) == [{"S": 4000}]
+        staged = client.call("tx-stage", session=session, program=RAISE_PHIL)
         assert staged["staged"] == 1
-        committed = client.commit(session, tag="mine")
+        committed = client.call("tx-commit", session=session, tag="mine")
         assert committed["revision"] == 1
         [revision] = committed["revisions"]
         assert revision["index"] == 1 and revision["tag"] == "mine"
@@ -118,13 +122,13 @@ class TestTransactions:
         response = client.request("tx-commit", session=session)
         assert response["ok"] is False and "unknown session" in response["error"]
 
-    def test_conflict_response_carries_metadata(self, service):
-        reader = connect_local(service)
-        writer = connect_local(service)
-        session = reader.begin()
-        reader.tx_query(session, "phil.sal -> S")
-        writer.apply(RAISE_PHIL, tag="sneaky")
-        reader.stage(session, ADD_BOSS)
+    def test_conflict_response_carries_metadata(self, service, protocol_client):
+        reader = protocol_client(service)
+        writer = protocol_client(service)
+        session = reader.call("tx-begin")["session"]
+        reader.call("tx-query", session=session, body="phil.sal -> S")
+        writer.call("apply", program=RAISE_PHIL, tag="sneaky")
+        reader.call("tx-stage", session=session, program=ADD_BOSS)
         response = reader.request("tx-commit", session=session, tag="mine")
         assert response["ok"] is False
         assert response["conflict"] is True
@@ -132,73 +136,66 @@ class TestTransactions:
         assert response["conflicting_index"] == 1
         assert response["conflicting_tag"] == "sneaky"
         # the typed exception comes back through call()
-        retry = reader.begin()
-        reader.tx_query(retry, "phil.sal -> S")
-        writer.apply(RAISE_PHIL, tag="again")
-        reader.stage(retry, ADD_BOSS)
+        retry = reader.call("tx-begin")["session"]
+        reader.call("tx-query", session=retry, body="phil.sal -> S")
+        writer.call("apply", program=RAISE_PHIL, tag="again")
+        reader.call("tx-stage", session=retry, program=ADD_BOSS)
         with pytest.raises(ConflictError) as excinfo:
-            reader.commit(retry)
+            reader.call("tx-commit", session=retry)
         assert excinfo.value.conflicting_tag == "again"
 
     def test_abort(self, client):
-        session = client.begin()
-        client.stage(session, RAISE_PHIL)
-        assert client.abort(session)["aborted"] is True
-        assert client.log()[-1]["index"] == 0  # nothing committed
+        session = client.call("tx-begin")["session"]
+        client.call("tx-stage", session=session, program=RAISE_PHIL)
+        assert client.call("tx-abort", session=session)["aborted"] is True
+        # nothing committed
+        assert client.call("log")["revisions"][-1]["index"] == 0
 
-    def test_sessions_are_per_connection(self, service):
-        one = connect_local(service)
-        two = connect_local(service)
-        session = one.begin()
+    def test_sessions_are_per_connection(self, service, protocol_client):
+        one = protocol_client(service)
+        two = protocol_client(service)
+        session = one.call("tx-begin")["session"]
         response = two.request("tx-query", session=session, body="E.sal -> S")
         assert response["ok"] is False
         assert "unknown session" in response["error"]
 
 
 class TestPushesAndTeardown:
-    def test_pushes_reach_only_the_subscribed_connection(self, service):
-        subscribed = connect_local(service)
-        other = connect_local(service)
-        subscribed.subscribe("E.sal -> S")
-        other.apply(RAISE_PHIL, tag="raise")
+    def test_pushes_reach_only_the_subscribed_connection(
+        self, service, protocol_client
+    ):
+        subscribed = protocol_client(service)
+        other = protocol_client(service)
+        subscribed.call("subscribe", body="E.sal -> S")
+        other.call("apply", program=RAISE_PHIL, tag="raise")
         pushes = subscribed.pushes()
         assert len(pushes) == 1 and pushes[0]["tag"] == "raise"
         assert other.pushes() == []
 
     def test_unsubscribe_via_protocol(self, client):
-        sid = client.subscribe("E.sal -> S")["sid"]
-        assert client.unsubscribe(sid)["removed"] is True
-        client.apply(RAISE_PHIL)
+        sid = client.call("subscribe", body="E.sal -> S")["sid"]
+        assert client.call("unsubscribe", sid=sid)["removed"] is True
+        client.call("apply", program=RAISE_PHIL)
         assert client.pushes() == []
 
-    def test_unsubscribe_cannot_touch_other_connections(self, service):
-        subscribed = connect_local(service)
-        intruder = connect_local(service)
-        sid = subscribed.subscribe("E.sal -> S")["sid"]
-        assert intruder.unsubscribe(sid)["removed"] is False
-        intruder.apply(RAISE_PHIL, tag="still-pushed")
+    def test_unsubscribe_cannot_touch_other_connections(
+        self, service, protocol_client
+    ):
+        subscribed = protocol_client(service)
+        intruder = protocol_client(service)
+        sid = subscribed.call("subscribe", body="E.sal -> S")["sid"]
+        assert intruder.call("unsubscribe", sid=sid)["removed"] is False
+        intruder.call("apply", program=RAISE_PHIL, tag="still-pushed")
         assert [p["tag"] for p in subscribed.pushes()] == ["still-pushed"]
 
-    def test_close_aborts_sessions_and_unsubscribes(self, service):
-        client = connect_local(service)
-        client.begin()
-        client.subscribe("E.sal -> S")
+    def test_close_aborts_sessions_and_unsubscribes(self, service, client):
+        client.call("tx-begin")
+        client.call("subscribe", body="E.sal -> S")
         assert len(service.subscriptions) == 1
         client.close()
         assert len(service.subscriptions) == 0
         with pytest.raises(ServerError):
             client.call("ping")
-
-    def test_connect_local_accepts_store_and_journal(self, tmp_path):
-        store_client = connect_local(VersionedStore(paper_example_base()))
-        assert store_client.query("phil.sal -> S") == [{"S": 4000}]
-        directory = tmp_path / "journal"
-        StoreService.create(paper_example_base(), directory)
-        journal_client = connect_local(directory)
-        journal_client.apply(RAISE_PHIL, tag="durable")
-        assert journal_client.service.journal_dir == directory
-        with pytest.raises(TypeError):
-            connect_local(42)
 
 
 class TestDispatcherDirect:

@@ -8,7 +8,7 @@ revision.
 import pytest
 
 from repro.core.query import diff_answers, fold_answers, prepare_query
-from repro.server import StoreService, connect_local
+from repro.server import StoreService
 from repro.storage import VersionedStore
 from repro.workloads import paper_example_base
 
@@ -114,13 +114,16 @@ class TestSubscriptions:
 
 
 class TestFoldDifferential:
-    def test_folded_streams_equal_fresh_queries_at_every_revision(self, service):
+    def test_folded_streams_equal_fresh_queries_at_every_revision(
+        self, service, protocol_client
+    ):
         """The acceptance-criteria law: initial answers + folded diffs ==
         a fresh ``VersionedStore.query`` at every revision, per query."""
         queries = (SALARIES, ORG, "bob.sal -> S")
-        client = connect_local(service)
+        client = protocol_client(service)
         state = {
-            text: client.subscribe(text)["answers"] for text in queries
+            text: client.call("subscribe", body=text)["answers"]
+            for text in queries
         }
         programs = [
             (RAISE_PHIL, "p1"),
@@ -130,7 +133,7 @@ class TestFoldDifferential:
             ("noop: ins[phil].isa -> empl <= phil.isa -> empl.", "n1"),
         ]
         for text, tag in programs:
-            client.apply(text, tag=tag)
+            client.call("apply", program=text, tag=tag)
             by_query = {}
             for push in client.pushes():
                 by_query.setdefault(push["query"], []).append(push)
@@ -144,14 +147,14 @@ class TestFoldDifferential:
                 fresh = prepare_query(query_text).run(service.store.current)
                 assert state[query_text] == fresh, (query_text, tag)
 
-    def test_fold_against_historic_revisions(self, service):
+    def test_fold_against_historic_revisions(self, service, protocol_client):
         """Replaying the stream fold step by step equals ``prepare.run``
         against ``base_at`` for each intermediate revision."""
-        client = connect_local(service)
-        initial = client.subscribe(SALARIES)["answers"]
+        client = protocol_client(service)
+        initial = client.call("subscribe", body=SALARIES)["answers"]
         tags = ["a", "b", "c"]
         for tag in tags:
-            client.apply(RAISE_PHIL, tag=tag)
+            client.call("apply", program=RAISE_PHIL, tag=tag)
         pushes = [p for p in client.pushes() if p["query"] == SALARIES]
         assert [p["revision"] for p in pushes] == [1, 2, 3]
         prepared = prepare_query(SALARIES)

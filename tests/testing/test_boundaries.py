@@ -5,6 +5,9 @@
 * The ``REPRO_NO_CODEGEN`` switch is gone, not merely unused.
 * The product does not depend on the chaos-guard sweeps that live beside
   the benchmark (``benchmarks/sweeps.py``).
+* There are three ``Connection`` implementations — in-process, wire,
+  shard router — and failover is the wire connection's job: the
+  replication package defines none.
 """
 
 import ast
@@ -46,6 +49,23 @@ def test_only_repro_testing_imports_the_reference_and_the_switch_is_gone():
             if module.startswith(("repro.testing.reference", "<relative")):
                 offenders.append(f"{relative} imports {module}")
     assert not offenders, offenders
+
+
+def test_exactly_three_connection_classes_and_none_under_replication():
+    found = {}
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(base, ast.Name) and base.id == "Connection"
+                for base in node.bases
+            ):
+                found[node.name] = path.relative_to(SRC).parts[0]
+    assert found == {
+        "ServiceConnection": "api",
+        "WireConnection": "api",
+        "ClusterConnection": "cluster",
+    }
 
 
 def test_cli_parser_builds_without_the_benchmarks_package(tmp_path):
