@@ -1,6 +1,7 @@
-"""Plan compilation: specialized, set-at-a-time join closures per body.
+"""Plan compilation: one specialized, set-at-a-time function per body —
+and, for a rule, per body *and head*.
 
-This is the engine's one rule-body executor.  A
+This is the engine's one rule executor.  A
 :class:`~repro.core.plans.JoinPlan` fixes the literal order and the access
 paths statically; walking it tuple at a time would cost a ``dict(binding)``
 copy per candidate fact, an atom-kind dispatch, and a re-derivation of the
@@ -26,9 +27,28 @@ Python function per plan instead:
   binding), and the key is an :func:`operator.itemgetter` over precomputed
   slot indexes.
 
+* **the head in the same function** — a rule's function (the full body and
+  each lazily built seeded variant) does not return its rows to an
+  interpreter: its tail deduplicates them, tests head truth per row
+  (definition 2: ``ins`` always; ``del``/``mod`` by ``v*`` of the target and
+  membership of the old fact; ``del[v].*`` against the reading base, expanded
+  against the stored one) and writes ``(method, args, result)`` into the
+  ``PendingUpdates`` table of the version the head creates.  Head terms are
+  slot reads and inlined constants; since head variables are plain ``Var``
+  instances bound by the body, every check ``UpdateAtom.__post_init__`` would
+  make is decided at compile time, and an ``UpdateAtom`` plus the sorted
+  binding is built per instance only for traces (``fired``).  Called without
+  ``pending`` the same function is the bare body executor, which
+  :func:`match_rule_compiled` / :func:`match_rule_seeded_compiled` wrap into
+  binding dicts for tests and baselines;
+* **one ``compile()`` per generated text** — constants sit in the function's
+  namespace, so rules differing only in constants share a code object.
+
 Semantics are pinned by the independent reference evaluator
-(:mod:`repro.testing.reference`), which the differential suites compare
-every result against:
+(:mod:`repro.testing.reference`) — which keeps the interpreted head
+handling: substitute, ``update_atom_true_in_head``, ``PendingUpdates.add`` —
+and which the differential suites compare every result, and ``T¹`` itself,
+against:
 
 * version-term generators are *exact* (``PlanStep.verify`` is False) and are
   compiled to direct index loops;
@@ -48,7 +68,7 @@ fails where its plan is built, with a typed
 :class:`~repro.core.errors.EvaluationError`.
 
 The compile caches are registered with :mod:`repro.core.caches` as
-``codegen.rule`` / ``codegen.body`` / ``codegen.backend``.
+``codegen.rule`` / ``codegen.body`` / ``codegen.code`` / ``codegen.backend``.
 """
 
 from __future__ import annotations
@@ -57,11 +77,11 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.core.atoms import BuiltinAtom, Literal, VersionAtom
+from repro.core.atoms import BuiltinAtom, Literal, UpdateAtom, VersionAtom
 from repro.core.caches import register_cache, register_lru_cache
 from repro.core.errors import BuiltinError, EvaluationError, TermError
 from repro.core.exprs import BinOp, Neg, _numeric, expr_variables
-from repro.core.facts import Fact
+from repro.core.facts import EXISTS, Fact
 from repro.core.grounding import _body_plan, _check_ground, _generate
 from repro.core.plans import (
     BINDER,
@@ -73,7 +93,7 @@ from repro.core.plans import (
     seed_facts,
     var_sort_key,
 )
-from repro.core.terms import Oid, Var, VersionId, is_ground
+from repro.core.terms import Oid, UpdateKind, Var, VersionId, is_ground, wrap
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.objectbase import Delta, ObjectBase
@@ -310,9 +330,17 @@ class _Emitter:
 
     def build(self, fn_name: str):
         source = "\n".join(self.lines) + "\n"
-        code = compile(source, f"<codegen:{self.name}>", "exec")
-        exec(code, self.namespace)
+        exec(_code(source, f"<codegen:{self.name}>"), self.namespace)
         return self.namespace[fn_name], source
+
+
+@lru_cache(maxsize=1024)
+def _code(source: str, filename: str):
+    """``compile()``, once per generated text.  Constants live in the
+    function's namespace, not in its source, so rules that differ only in
+    their constants — one ``raise`` per employee, say — share one code
+    object and pay for emission alone."""
+    return compile(source, filename, "exec")
 
 
 def _tuple_src(parts: Sequence[str]) -> str:
@@ -638,6 +666,165 @@ def _emit_update_generator(
 
 
 # ----------------------------------------------------------------------
+# the head side: step 1 of T_P, fired from slot rows
+# ----------------------------------------------------------------------
+
+#: Parameters of a *rule's* generated function.  Called with ``base`` and
+#: ``rows`` alone it is the bare body executor (returns the matched rows);
+#: given ``pending`` it goes on to fire the head for every row.
+_RULE_PARAMS = "base, rows, pending=None, copy_base=None, seen=None, fired=None"
+
+
+def _delete_all(reading: "ObjectBase", base: "ObjectBase", target):
+    """The applications a true ``del[target].*`` deletes, ``None`` when the
+    head is not true: truth is read off ``reading`` (``v*`` exists there
+    and has a method-application), the expansion off ``base`` — they differ
+    when step 1 matches against a view overlay."""
+    v_star = reading.v_star(target)
+    if v_star is None or all(
+        fact.method == EXISTS for fact in reading.iter_state_of(v_star)
+    ):
+        return None
+    v_star = base.v_star(target)
+    if v_star is None:
+        return ()
+    return [
+        (fact.method, fact.args, fact.result)
+        for fact in base.iter_state_of(v_star)
+        if fact.method != EXISTS
+    ]
+
+
+def _emit_head(
+    em: _Emitter,
+    rule: "UpdateRule",
+    slot_of: dict[Var, int],
+    plan: JoinPlan,
+    seeded: bool,
+) -> None:
+    """Emit the tail of a rule's function: deduplicate the matched rows,
+    test head truth per row (definition 2 of Section 3) and write each true
+    ground head as ``(method, args, result)`` into the ``pending`` table of
+    the version it creates.  Returns ``(matched, fired)``.
+
+    Head variables are plain :class:`Var` instances bound by the body: they
+    hold OIDs and every check of ``UpdateAtom.__post_init__`` is already
+    decided by the rule's own construction; an ``UpdateAtom`` is built only
+    for ``fired`` (traces).
+    """
+    head = rule.head
+    em.emit(1, "if pending is None:")
+    em.emit(2, "return rows")
+    if seeded or plan.generator_count > 1:
+        # A seeded body shares ``seen`` with the rule's other seed
+        # positions; a full body can only repeat a binding when more than
+        # one generator feeds it.
+        key_slots = [slot_of[var] for var in plan.key_vars]
+        if key_slots == list(range(len(slot_of))):
+            key = "r"  # the row is laid out in key order: it is its own key
+        else:
+            key = _tuple_src([f"r[{slot}]" for slot in key_slots])
+        em.emit(1, "if seen is not None:")
+        em.emit(2, "out = []")
+        em.emit(2, "app = out.append")
+        em.emit(2, "for r in rows:")
+        em.emit(3, f"k = {key}")
+        em.emit(3, "if k not in seen:")
+        em.emit(4, "seen.add(k)")
+        em.emit(4, "app(r)")
+        em.emit(2, "rows = out")
+    if not all(var in slot_of for var in head.variables):
+        message = (
+            f"rule {rule.name!r} produced a non-ground head {head}; "
+            f"the rule is unsafe"
+        )
+        em.namespace["EvaluationError"] = EvaluationError
+        em.emit(1, "if rows:")
+        em.emit(2, f"raise EvaluationError({em.const(message)})")
+        em.emit(1, "return 0, 0")
+        return
+
+    def term(value) -> str:
+        return _bound_term_src(em, value, slot_of)
+
+    kind = head.kind
+    kind_src = em.const(kind, "_K")
+    target = term(head.target)
+    version = (
+        em.const(wrap(kind, head.target))
+        if is_ground(head.target)
+        else f"VersionId({kind_src}, t)"
+    )
+    table = {
+        UpdateKind.INSERT: "inserts",
+        UpdateKind.DELETE: "deletes",
+        UpdateKind.MODIFY: "modifies",
+    }[kind]
+    em.emit(1, "n = 0")
+    em.emit(1, f"table = pending.{table}")
+    if kind is not UpdateKind.INSERT and not head.delete_all:
+        em.emit(1, "v_star = base.v_star")
+    em.emit(1, "for r in rows:")
+    em.emit(2, f"t = {target}")
+    if head.delete_all:
+        em.namespace["_delete_all"] = _delete_all
+        em.emit(2, "aps = _delete_all(base, copy_base, t)")
+        em.emit(2, "if aps is None:")
+        em.emit(3, "continue")
+        em.emit(2, "if aps:")
+        em.emit(3, f"nv = {version}")
+        em.emit(3, "try:")
+        em.emit(4, "table[nv].update(aps)")
+        em.emit(3, "except KeyError:")
+        em.emit(4, "table[nv] = set(aps)")
+        atom = f"UpdateAtom({kind_src}, t, None, (), None, None, True)"
+    else:
+        method = em.const(head.method, "_M")
+        args = _tuple_src([term(arg) for arg in head.args])
+        result = term(head.result)
+        if kind is not UpdateKind.INSERT:
+            em.emit(2, "vs = v_star(t)")
+            em.emit(
+                2,
+                f"if vs is None or not has(Fact(vs, {method}, {args}, {result})):",
+            )
+            em.emit(3, "continue")
+        em.emit(2, f"nv = {version}")
+        em.emit(2, f"ap = ({method}, {args}, {result})")
+        if kind is UpdateKind.MODIFY:
+            result2 = term(head.result2)
+            em.emit(2, "slot = table.get(nv)")
+            em.emit(2, "if slot is None:")
+            em.emit(3, "slot = table[nv] = {}")
+            em.emit(2, "try:")
+            em.emit(3, f"slot[ap].add({result2})")
+            em.emit(2, "except KeyError:")
+            em.emit(3, f"slot[ap] = {{{result2}}}")
+        else:
+            em.emit(2, "try:")
+            em.emit(3, "table[nv].add(ap)")
+            em.emit(2, "except KeyError:")
+            em.emit(3, "table[nv] = {ap}")
+            result2 = "None"
+        atom = (
+            f"UpdateAtom({kind_src}, t, {method}, {args}, "
+            f"{result}, {result2}, False)"
+        )
+    em.emit(2, "n += 1")
+    # Traces only: the ground head and the binding sorted by variable name.
+    em.namespace["UpdateAtom"] = UpdateAtom
+    binding = _tuple_src(
+        [
+            f"({var.name!r}, r[{slot}])"
+            for var, slot in sorted(slot_of.items(), key=lambda vs: vs[0].name)
+        ]
+    )
+    em.emit(2, "if fired is not None:")
+    em.emit(3, f"fired({em.const(rule.name, '_R')}, {atom}, {binding})")
+    em.emit(1, "return len(rows), n")
+
+
+# ----------------------------------------------------------------------
 # compiled artifacts
 # ----------------------------------------------------------------------
 
@@ -703,17 +890,24 @@ class CompiledBody:
 
 
 def _compile_body_plan(
-    plan: JoinPlan, seed_vars: tuple[Var, ...], name: str
+    plan: JoinPlan,
+    seed_vars: tuple[Var, ...],
+    name: str,
+    rule: "UpdateRule | None" = None,
+    seeded: bool = False,
 ) -> CompiledBody:
     """Generate and exec the specialized function for ``plan``.
 
     ``seed_vars`` (sorted by :func:`var_sort_key`) occupy the leading row
-    slots; the remaining slots are assigned in plan binding order.
+    slots; the remaining slots are assigned in plan binding order.  Given
+    ``rule`` — whose body ``plan`` orders, or, ``seeded``, whose body minus
+    one seed literal — the function ends in the rule's firing loop
+    (:func:`_emit_head`).
     """
     em = _Emitter(name)
     em.namespace["Oid"] = Oid
     slot_of: dict[Var, int] = {var: i for i, var in enumerate(seed_vars)}
-    em.emit(0, "def _run(base, rows):")
+    em.emit(0, f"def _run({'base, rows' if rule is None else _RULE_PARAMS}):")
     em.emit(1, "if not rows:")
     em.emit(2, "return rows")
     em.emit(1, "probe_hm = base.iter_facts_by_host_method")
@@ -729,7 +923,10 @@ def _compile_body_plan(
             _emit_version_generator(em, step, slot_of)
         else:
             _emit_update_generator(em, step, slot_of)
-    em.emit(1, "return rows")
+    if rule is None:
+        em.emit(1, "return rows")
+    else:
+        _emit_head(em, rule, slot_of, plan, seeded)
     fn, source = em.build("_run")
     slots = tuple(sorted(slot_of, key=slot_of.__getitem__))
     key_slots = tuple(slot_of[var] for var in plan.key_vars)
@@ -766,14 +963,15 @@ def _compile_seed_matcher(
 
 class CompiledRule:
     """Everything compiled for one rule: the full-body executor plus one
-    (lazily built) bulk seed matcher + seeded executor per seed literal."""
+    (lazily built) bulk seed matcher + seeded executor per seed literal,
+    each ending in the rule's firing loop."""
 
     __slots__ = ("rule", "plans", "full", "_seeded")
 
     def __init__(self, rule: "UpdateRule") -> None:
         self.rule = rule
         self.plans = rule_plan(rule)
-        self.full = _compile_body_plan(self.plans.full_plan, (), rule.name)
+        self.full = _compile_body_plan(self.plans.full_plan, (), rule.name, rule)
         self._seeded: dict[int, tuple] = {}
 
     def seeded(self, position: int) -> tuple:
@@ -787,9 +985,68 @@ class CompiledRule:
             seed_vars = tuple(sorted(literal.variables, key=var_sort_key))
             name = f"{self.rule.name}/seed{position}"
             matcher = _compile_seed_matcher(literal.atom, seed_vars, name)
-            entry = (matcher, _compile_body_plan(plan, seed_vars, name))
+            entry = (
+                matcher,
+                _compile_body_plan(plan, seed_vars, name, self.rule, seeded=True),
+            )
             self._seeded[position] = entry
             return entry
+
+    def seed_rows(self, delta: "Delta", positions: tuple[int, ...]):
+        """``(compiled_body, seed_rows)`` per seed position with at least
+        one added fact its seed literal matches: the delta's facts streamed
+        through the bulk seed matcher, one batch per position."""
+        signature = self.plans.signature
+        for position in positions:
+            facts = seed_facts(delta, signature, position)
+            if not facts:
+                continue
+            matcher, body = self.seeded(position)
+            rows = matcher(facts)
+            if rows:
+                yield body, rows
+
+    def fire(
+        self,
+        reading: "ObjectBase",
+        base: "ObjectBase",
+        pending,
+        fired=None,
+        seeds: "tuple[Delta, tuple[int, ...]] | None" = None,
+    ) -> tuple[int, int]:
+        """Step 1 of ``T_P`` for this rule: match the body against
+        ``reading`` — in full, or semi-naively from ``seeds = (delta,
+        positions)`` — and write every true ground head into ``pending``
+        (a :class:`~repro.core.consequence.PendingUpdates`).  ``base`` is
+        what ``del[v].*`` expands against.  Returns ``(matched, fired)``;
+        ``fired``, when given, is called with ``(rule_name, head,
+        binding)`` per fired instance.
+
+        Rows are deduplicated before they fire: across seed positions
+        always (``key_vars`` is the sorted set of *all* body variables, so
+        the key tuples agree across every seed position of the rule), in a
+        full match only when more than one generator can repeat a binding.
+        """
+        if seeds is None:
+            body = self.full
+            seen = set() if body.generator_count > 1 else None
+            return body.fn(reading, [()], pending, base, seen, fired) or (0, 0)
+        matched = count = 0
+        runs = list(self.seed_rows(*seeds))
+        # One seed position whose remaining body has at most one generator
+        # cannot repeat a binding either: distinct added facts seed
+        # distinct rows.
+        seen = (
+            set()
+            if len(runs) > 1 or any(b.generator_count > 1 for b, _ in runs)
+            else None
+        )
+        for body, rows in runs:
+            # an early exit of the body returns its (empty) rows
+            m, n = body.fn(reading, rows, pending, base, seen, fired) or (0, 0)
+            matched += m
+            count += n
+        return matched, count
 
 
 # ----------------------------------------------------------------------
@@ -822,6 +1079,7 @@ def compiled_body(
 
 register_lru_cache("codegen.rule", compiled_rule)
 register_lru_cache("codegen.body", _compiled_body)
+register_lru_cache("codegen.code", _code)
 register_cache("codegen.backend", lambda: dict(_STATS))
 
 
@@ -837,28 +1095,16 @@ def match_rule_seeded_compiled(
     positions: tuple[int, ...],
 ) -> list[Binding]:
     """Semi-naive matching: every returned binding has at least one seed
-    literal matching a fact *added* by the previous ``T_P`` application.
-    Delta facts stream through the bulk seed matcher and the compiled
-    seeded body in one batch per position, deduplicated across positions.
+    literal matching a fact *added* by the previous ``T_P`` application,
+    deduplicated across positions.
 
     Only sound when :func:`repro.core.plans.classify` returned these seed
     positions — i.e. when every other way the rule could newly fire has
     been ruled out by its dependency signature.
     """
-    compiled = compiled_rule(rule)
-    signature = compiled.plans.signature
     seen: set[tuple] = set()
     results: list[Binding] = []
-    for position in positions:
-        matcher, body = compiled.seeded(position)
-        facts = seed_facts(delta, signature, position)
-        if not facts:
-            continue
-        seed_rows = matcher(facts)
-        if not seed_rows:
-            continue
-        # key_vars is the sorted set of *all* body variables, so the key
-        # tuples agree across every seed position of the rule.
+    for body, seed_rows in compiled_rule(rule).seed_rows(delta, positions):
         key_getter = body.key_getter
         slots = body.slots
         for row in body.rows(base, seed_rows):

@@ -20,24 +20,47 @@ Step 3 performs the updates on the copies:
 
 ``T_P(I)`` is the family of recomputed states; iteration substitutes them
 into ``I`` (state replacement, DESIGN.md D1).
+
+How the engine carries the three steps out:
+
+* **Step 1 is compiled.**  :func:`tp_step` classifies each rule against the
+  previous delta and hands it to its
+  :class:`~repro.core.codegen.CompiledRule`, whose generated function runs
+  the body and fires the head from the slot rows straight into
+  :class:`PendingUpdates`: no ``UpdateAtom``, no binding dict and no
+  substitution per row (they are built for traces only, under
+  ``collect_fired``).
+* **Steps 2 + 3 are one write per version**, in :func:`apply_tp`.  A fresh
+  version's complete state is built once — the applications of ``v*`` with
+  the edits already applied while they are ``(method, args, result)``
+  tuples — and enters the base through
+  :meth:`~repro.core.objectbase.ObjectBase.add_state`; an active version
+  gets the exact facts to add and to discard, never a copy of its state.
+
+The literal reading — every head substituted and tested with
+:func:`~repro.core.truth.update_atom_true_in_head`, every state copied
+whole, edited fact by fact and substituted with ``replace_state_diff`` —
+lives on as the oracle, :func:`repro.testing.reference.reference_step`,
+which the differential suites compare ``T¹``, the states and the fixpoint
+against.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 from typing import Iterable
 
 from repro.core.atoms import UpdateAtom
-from repro.core.codegen import match_rule_compiled, match_rule_seeded_compiled
-from repro.core.errors import EvaluationError
-from repro.core.facts import EXISTS, Fact, exists_fact
+from repro.core.codegen import compiled_rule
+from repro.core.facts import EXISTS, Fact
 from repro.core.objectbase import Delta, ObjectBase
 from repro.obs import metrics as _obs
 from repro.core.plans import SEED, SKIP, classify, rule_plan
 from repro.core.rules import UpdateRule
-from repro.core.terms import Oid, UpdateKind, VersionId
-from repro.core.truth import update_atom_true_in_head
+from repro.core.terms import Oid, UpdateKind, VersionId, object_of
 
 __all__ = ["FiredInstance", "PendingUpdates", "TPResult", "tp_step", "apply_tp"]
 
@@ -104,25 +127,41 @@ class PendingUpdates:
 
 @dataclass
 class TPResult:
-    """The outcome of one ``T_P`` application.
+    """The outcome of one ``T_P`` application: ``T¹`` (``pending``), the
+    rule instances that derived it (``fired``, for tracing) and ``copies``,
+    the number of relevant-but-not-active versions step 2 creates (the
+    frame-problem copy cost of footnote 4).
 
-    ``new_states`` maps every relevant version to its complete recomputed
-    state (a set of facts hosted on that version); ``fired`` records the rule
-    instances for tracing; ``copies`` counts the relevant-but-not-active
-    versions created in step 2 (the frame-problem copy cost of footnote 4).
+    Steps 2 + 3 are carried out by :func:`apply_tp`, as writes; ``base``
+    and ``create_missing_objects`` are what they read.
     """
 
     pending: PendingUpdates
-    new_states: dict[VersionId, set[Fact]]
     fired: list[FiredInstance]
     copies: int
+    base: ObjectBase = field(repr=False)
+    create_missing_objects: bool = False
 
     @property
     def new_versions(self) -> set[VersionId]:
-        return set(self.new_states)
+        return self.pending.relevant_versions()
+
+    @property
+    def new_states(self) -> dict[VersionId, set[Fact]]:
+        """Every relevant version's complete recomputed state, w.r.t.
+        ``base`` as it is now.  Derived on each read, for tests and traces:
+        :func:`apply_tp` never materialises the state of an active version.
+        """
+        states, edits = _prepare(
+            self.base, self.pending, self.create_missing_objects
+        )
+        for version, (added, removed) in edits.items():
+            live = self.base.iter_state_of(version)
+            states[version] = live.difference(removed).union(added)
+        return states
 
     def is_empty(self) -> bool:
-        return not self.new_states
+        return self.pending.is_empty()
 
 
 def tp_step(
@@ -134,7 +173,8 @@ def tp_step(
     collect_fired: bool = False,
     delta: Delta | None = None,
 ) -> TPResult:
-    """One application of ``T_P`` for the given rules against ``base``.
+    """Step 1 of ``T_P`` for the given rules against ``base``; steps 2 + 3
+    happen when the result is handed to :func:`apply_tp`.
 
     ``create_missing_objects`` controls the edge the paper leaves open: an
     insert whose target has no existing subterm (``v* = None``) creates a
@@ -160,6 +200,10 @@ def tp_step(
     """
     pending = PendingUpdates()
     fired: list[FiredInstance] = []
+    on_fired = None
+    if collect_fired:
+        def on_fired(*instance) -> None:
+            fired.append(FiredInstance(*instance))
     reading = base if match_base is None else match_base
     restricted = delta is not None and match_base is None
     # Per-rule profiling (matched/fired counts, cumulative seconds) —
@@ -168,11 +212,9 @@ def tp_step(
     record = _obs.metrics_enabled()
     registry = _obs.registry() if record else None
 
-    # ---- step 1: T¹ — the set of true ground heads -----------------------
     for rule in rules:
         rule_start = time.perf_counter() if record else 0.0
-        matched = 0
-        rule_fired = 0
+        seeds = None
         if restricted:
             mode, positions = classify(rule_plan(rule).signature, delta)
             if mode == SKIP:
@@ -180,42 +222,10 @@ def tp_step(
                     registry.inc("engine_rule_skipped", 1, rule=rule.name)
                 continue
             if mode == SEED:
-                bindings = match_rule_seeded_compiled(
-                    rule, reading, delta, positions
-                )
-            else:
-                bindings = match_rule_compiled(rule, reading)
-        else:
-            bindings = match_rule_compiled(rule, reading)
-        for binding in bindings:
-            matched += 1
-            head = rule.head.substitute(binding)
-            if not head.is_ground():
-                raise EvaluationError(
-                    f"rule {rule.name!r} produced a non-ground head {head}; "
-                    f"the rule is unsafe"
-                )
-            if not update_atom_true_in_head(reading, head):
-                continue
-            rule_fired += 1
-            if collect_fired:
-                fired.append(
-                    FiredInstance(
-                        rule.name,
-                        head,
-                        tuple(
-                            (var.name, value)
-                            for var, value in sorted(
-                                binding.items(), key=lambda kv: kv[0].name
-                            )
-                        ),
-                    )
-                )
-            if head.delete_all:
-                for entry in _expand_delete_all(base, head):
-                    pending.add(entry)
-            else:
-                pending.add(head)
+                seeds = (delta, positions)
+        matched, rule_fired = compiled_rule(rule).fire(
+            reading, base, pending, on_fired, seeds
+        )
         if record:
             if matched:
                 registry.inc("engine_rule_matched", matched, rule=rule.name)
@@ -227,42 +237,40 @@ def tp_step(
                 rule=rule.name,
             )
 
-    return _copy_and_apply(base, pending, fired, create_missing_objects)
-
-
-def _copy_and_apply(
-    base: ObjectBase,
-    pending: PendingUpdates,
-    fired: list[FiredInstance],
-    create_missing_objects: bool,
-) -> TPResult:
-    """Steps 2 + 3 for a given ``T¹``: copy the state of every relevant
-    version from ``base`` and apply the pending updates to the copies.
-    Shared by :func:`tp_step` and the reference evaluator
-    (:mod:`repro.testing.reference`), which derives ``T¹`` on its own."""
-    new_states: dict[VersionId, set[Fact]] = {}
-    copies = 0
-    for version in pending.relevant_versions():
-        copied, was_copy = _copy_state(base, version, create_missing_objects)
-        copies += int(was_copy)
-        new_states[version] = _apply_updates(version, copied, pending)
-
-    return TPResult(pending, new_states, fired, copies)
+    copies = sum(
+        1 for version in pending.relevant_versions() if not base.iter_state_of(version)
+    )
+    return TPResult(pending, fired, copies, base, create_missing_objects)
 
 
 def apply_tp(base: ObjectBase, result: TPResult) -> Delta:
-    """Substitute the recomputed states into ``base`` (DESIGN.md D1).
+    """Steps 2 + 3 of ``T_P`` as one write per relevant version, substituted
+    into ``base`` (DESIGN.md D1).
+
+    Every write is computed from ``base`` as it stands — a fresh version
+    copies ``v*``, which may itself be edited by this very step — and only
+    then carried out: a fresh version's complete state goes in through
+    :meth:`~repro.core.objectbase.ObjectBase.add_state`, an active
+    version's exact difference through ``add``/``discard``.
 
     Returns the :class:`~repro.core.objectbase.Delta` of facts that entered
     and left the base — truthy exactly when the base changed, so it still
     works as the stratum's fixpoint test, and it feeds the semi-naive rule
     classification of the next ``tp_step``.
     """
+    fresh, edits = _prepare(base, result.pending, result.create_missing_objects)
     delta = Delta()
-    for version, state in result.new_states.items():
-        added, removed = base.replace_state_diff(version, state)
+    for version, state in fresh.items():
+        if state:
+            base.add_state(version, state)
+            delta.record(state, (), version)
+    for version, (added, removed) in edits.items():
         if added or removed:
-            delta.record(added, removed)
+            for fact in removed:
+                base.discard(fact)
+            for fact in added:
+                base.add(fact)
+            delta.record(added, removed, version)
     return delta
 
 
@@ -270,73 +278,85 @@ def apply_tp(base: ObjectBase, result: TPResult) -> Delta:
 # internals
 # ----------------------------------------------------------------------
 
-
-def _expand_delete_all(base: ObjectBase, head: UpdateAtom) -> list[UpdateAtom]:
-    """Expand ``del[v].*`` into one delete per method-application of ``v*``
-    (the ``exists`` bookkeeping is never deleted)."""
-    v_star = base.v_star(head.target)
-    if v_star is None:  # head truth already required applications to exist
-        return []
-    return [
-        UpdateAtom(
-            UpdateKind.DELETE,
-            head.target,
-            fact.method,
-            fact.args,
-            fact.result,
-        )
-        for fact in base.iter_state_of(v_star)
-        if fact.method != EXISTS
-    ]
+_application = attrgetter("method", "args", "result")
 
 
-def _copy_state(
-    base: ObjectBase, version: VersionId, create_missing_objects: bool
-) -> tuple[set[Fact], bool]:
-    """Step 2: the prepared (copied) state for a relevant version.
-
-    Active versions (already materialised — they have state in ``I``) are
-    copied from themselves; fresh versions take the applications of ``v*``
-    as defaults, re-hosted onto the new VID.  Returns ``(state, was_fresh_copy)``.
-    """
-    existing = base.iter_state_of(version)
-    if existing:
-        return set(existing), False
-    v_star = base.v_star(version.base)
-    if v_star is None:
-        state: set[Fact] = set()
-        if create_missing_objects:
-            state.add(exists_fact(version))
-        return state, True
-    return (
-        {
-            Fact(version, fact.method, fact.args, fact.result)
-            for fact in base.iter_state_of(v_star)
-        },
-        True,
-    )
+def _prepare(
+    base: ObjectBase, pending: PendingUpdates, create_missing_objects: bool
+) -> tuple[dict[VersionId, set[Fact]], dict[VersionId, tuple[list[Fact], list[Fact]]]]:
+    """Steps 2 + 3 for every relevant version, read off ``base`` and not
+    yet written: the complete state of each fresh version, and the
+    ``(added, removed)`` of each active one."""
+    fresh: dict[VersionId, set[Fact]] = {}
+    edits: dict[VersionId, tuple[list[Fact], list[Fact]]] = {}
+    for version in pending.relevant_versions():
+        live = base.iter_state_of(version)
+        if live:
+            edits[version] = _active_edits(version, live, pending)
+        else:
+            fresh[version] = _fresh_state(
+                base, version, pending, create_missing_objects
+            )
+    return fresh, edits
 
 
-def _apply_updates(
-    version: VersionId, state: set[Fact], pending: PendingUpdates
+def _fresh_state(
+    base: ObjectBase,
+    version: VersionId,
+    pending: PendingUpdates,
+    create_missing_objects: bool,
 ) -> set[Fact]:
-    """Step 3: edit the copied state according to ``T¹``."""
+    """Steps 2 + 3 for a relevant version that has no state yet: the
+    applications of ``v*`` as defaults, edited according to ``T¹`` while
+    they are still ``(method, args, result)`` tuples, then hosted on the new
+    VID — no fact is built only to be discarded."""
+    v_star = base.v_star(version.base)
+    if v_star is not None:
+        copied = map(_application, base.iter_state_of(v_star))
+    elif create_missing_objects:
+        copied = ((EXISTS, (), object_of(version)),)
+    else:
+        copied = ()
     kind = version.kind
     if kind is UpdateKind.INSERT:
-        additions = pending.inserts.get(version, ())
-        for method, args, result in additions:
-            state.add(Fact(version, method, args, result))
-        return state
+        edited = chain(copied, pending.inserts.get(version, ()))
+    elif kind is UpdateKind.DELETE:
+        gone = pending.deletes.get(version, ())
+        edited = (app for app in copied if app not in gone)
+    else:
+        slots = pending.modifies.get(version, {})
+        edited = chain(
+            (app for app in copied if app not in slots),
+            (
+                (method, args, new)
+                for (method, args, _old), results in slots.items()
+                for new in results
+            ),
+        )
+    return {Fact(version, *app) for app in edited}
+
+
+def _active_edits(
+    version: VersionId, live: Iterable[Fact], pending: PendingUpdates
+) -> tuple[list[Fact], list[Fact]]:
+    """Step 3 for an active version (step 2 copies it from itself): the
+    exact ``(added, removed)`` that turn its ``live`` state into the edited
+    one."""
+    kind = version.kind
+    if kind is UpdateKind.INSERT:
+        facts = (Fact(version, *app) for app in pending.inserts.get(version, ()))
+        return [fact for fact in facts if fact not in live], []
     if kind is UpdateKind.DELETE:
-        removals = pending.deletes.get(version, ())
-        for method, args, result in removals:
-            state.discard(Fact(version, method, args, result))
-        return state
-    # MODIFY
+        facts = (Fact(version, *app) for app in pending.deletes.get(version, ()))
+        return [], [fact for fact in facts if fact in live]
     slots = pending.modifies.get(version, {})
-    for (method, args, old_result) in slots:
-        state.discard(Fact(version, method, args, old_result))
-    for (method, args, _old), new_results in slots.items():
-        for new_result in new_results:
-            state.add(Fact(version, method, args, new_result))
-    return state
+    new = {
+        Fact(version, method, args, result)
+        for (method, args, _old), results in slots.items()
+        for result in results
+    }
+    old = (Fact(version, *app) for app in slots)
+    return (
+        [fact for fact in new if fact not in live],
+        [fact for fact in old if fact in live and fact not in new],
+    )

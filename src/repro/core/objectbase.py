@@ -28,7 +28,6 @@ from repro.core.terms import (
     is_ground,
     kind_chain,
     object_of,
-    subterms,
 )
 
 __all__ = ["ObjectBase", "Delta"]
@@ -57,6 +56,8 @@ class Delta:
     __slots__ = (
         "added",
         "removed",
+        "_added_runs",
+        "_removed_runs",
         "_added_index",
         "_removed_index",
         "_added_shapes",
@@ -66,6 +67,11 @@ class Delta:
     def __init__(self) -> None:
         self.added: list[Fact] = []
         self.removed: list[Fact] = []
+        #: One ``(shape, end)`` per :meth:`record`: the facts up to index
+        #: ``end`` share the host shape ``shape`` (``None``: no host given,
+        #: each fact's own).
+        self._added_runs: list[tuple[Shape | None, int]] = []
+        self._removed_runs: list[tuple[Shape | None, int]] = []
         self._added_index: dict[MethodKey, dict[Shape, list[Fact]]] | None = None
         self._removed_index: dict[MethodKey, set[Shape]] | None = None
         self._added_shapes: set[Shape] | None = None
@@ -77,10 +83,20 @@ class Delta:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Delta(+{len(self.added)}, -{len(self.removed)})"
 
-    def record(self, added: Iterable[Fact], removed: Iterable[Fact]) -> None:
-        """Accumulate one version's state diff (invalidates the indexes)."""
+    def record(
+        self,
+        added: Iterable[Fact],
+        removed: Iterable[Fact],
+        host: Term | None = None,
+    ) -> None:
+        """Accumulate one state diff (invalidates the indexes).  ``host``,
+        when every fact of the diff is hosted on one version, lets the
+        indexes take the host shape once instead of once per fact."""
+        shape = None if host is None else kind_chain(host)
         self.added.extend(added)
         self.removed.extend(removed)
+        self._added_runs.append((shape, len(self.added)))
+        self._removed_runs.append((shape, len(self.removed)))
         self._added_index = None
         self._removed_index = None
         self._added_shapes = None
@@ -91,11 +107,10 @@ class Delta:
         """Added facts grouped by ``(method, arity)`` then host shape."""
         if self._added_index is None:
             index: dict[MethodKey, dict[Shape, list[Fact]]] = {}
-            for fact in self.added:
-                key = (fact.method, len(fact.args))
-                index.setdefault(key, {}).setdefault(
-                    kind_chain(fact.host), []
-                ).append(fact)
+            for shape, facts in _shaped(self.added, self._added_runs):
+                for fact in facts:
+                    key = (fact.method, len(fact.args))
+                    index.setdefault(key, {}).setdefault(shape, []).append(fact)
             self._added_index = index
         return self._added_index
 
@@ -103,23 +118,41 @@ class Delta:
         """Host shapes of removed facts per ``(method, arity)`` key."""
         if self._removed_index is None:
             index: dict[MethodKey, set[Shape]] = {}
-            for fact in self.removed:
-                key = (fact.method, len(fact.args))
-                index.setdefault(key, set()).add(kind_chain(fact.host))
+            for shape, facts in _shaped(self.removed, self._removed_runs):
+                for fact in facts:
+                    index.setdefault((fact.method, len(fact.args)), set()).add(shape)
             self._removed_index = index
         return self._removed_index
 
     def added_shapes(self) -> set[Shape]:
         """All host shapes with at least one added fact (any method key)."""
         if self._added_shapes is None:
-            self._added_shapes = {kind_chain(fact.host) for fact in self.added}
+            self._added_shapes = {
+                shape for shape, _facts in _shaped(self.added, self._added_runs)
+            }
         return self._added_shapes
 
     def removed_shapes(self) -> set[Shape]:
         """All host shapes with at least one removed fact (any method key)."""
         if self._removed_shapes is None:
-            self._removed_shapes = {kind_chain(fact.host) for fact in self.removed}
+            self._removed_shapes = {
+                shape for shape, _facts in _shaped(self.removed, self._removed_runs)
+            }
         return self._removed_shapes
+
+
+def _shaped(
+    facts: list[Fact], runs: list[tuple[Shape | None, int]]
+) -> Iterator[tuple[Shape, list[Fact]]]:
+    """One side of a :class:`Delta` as ``(host shape, facts)`` groups."""
+    start = 0
+    for shape, end in runs:
+        if shape is None:
+            for fact in facts[start:end]:
+                yield kind_chain(fact.host), [fact]
+        elif end > start:
+            yield shape, facts[start:end]
+        start = end
 
 
 class ObjectBase:
@@ -541,6 +574,90 @@ class ObjectBase:
             self._exists.pop(fact.host, None)
         return True
 
+    def add_state(self, host: Term, state: set[Fact]) -> None:
+        """Install ``state`` as the complete state of ``host``, a version
+        that has none — step 2 + 3 of ``T_P`` for a fresh version, as one
+        write.
+
+        ``state`` is adopted as the host's index bucket (the caller must
+        not reuse it), and every other index is updated once per
+        ``(method, arity)`` group instead of once per fact.
+        """
+        if self._frozen:
+            raise FrozenBaseError(
+                f"cannot add a state for {host} to a frozen base; copy() it first"
+            )
+        if not is_ground(host):
+            raise TermError(f"object bases hold ground facts only, got host {host}")
+        self._ensure_indexes()
+        if self._by_host.get(host):
+            raise TermError(f"add_state({host}): the version already has a state")
+        groups: dict[MethodKey, set[Fact]] = {}
+        for fact in state:
+            if fact.host is not host and fact.host != host:
+                raise TermError(
+                    f"add_state({host}): fact {fact} hosts a different version"
+                )
+            mkey = (fact.method, len(fact.args))
+            try:
+                groups[mkey].add(fact)
+            except KeyError:
+                groups[mkey] = {fact}
+        if not groups:
+            return
+        owned = self._owned
+        if owned is not None:
+            # The host and (host, method, arity) buckets are new, hence
+            # private; shared per-method and column buckets are copied once.
+            self._plain = None
+            owned.add(host)
+        self._facts.update(state)
+        self._by_host[host] = state
+        by_method = self._by_method
+        for mkey, group in groups.items():
+            hkey = (host, *mkey)
+            self._by_host_method[hkey] = group
+            bucket = by_method.get(mkey)
+            if owned is not None:
+                owned.add(hkey)
+                if mkey not in owned:
+                    owned.add(mkey)
+                    if bucket is not None:
+                        bucket = by_method[mkey] = bucket.copy()
+            if bucket is None:
+                by_method[mkey] = group.copy()
+            else:
+                bucket.update(group)
+            per_column = self._by_arg.get(mkey)
+            if per_column:
+                for column in per_column:
+                    self._index_column(per_column, mkey, column, group)
+            if mkey == (EXISTS, 0):
+                for fact in group:
+                    self._exists[host] = fact.result
+
+    def _index_column(
+        self, per_column: dict, mkey: MethodKey, column: int, facts: set[Fact]
+    ) -> None:
+        """Enter ``facts`` (all of key ``mkey``) into one built column
+        index, copying what a fork still shares (see :meth:`_own`)."""
+        index = per_column[column]
+        owned = self._owned
+        if owned is not None and ("arg", mkey, column) not in owned:
+            owned.add(("arg", mkey, column))
+            index = per_column[column] = index.copy()
+        for fact in facts:
+            key = fact.result if column < 0 else fact.args[column]
+            bucket = index.get(key)
+            if owned is not None and ("arg", mkey, column, key) not in owned:
+                owned.add(("arg", mkey, column, key))
+                if bucket is not None:
+                    bucket = index[key] = bucket.copy()
+            if bucket is None:
+                index[key] = {fact}
+            else:
+                bucket.add(fact)
+
     def add_object(self, oid: Oid | str | int | float) -> Oid:
         """Register a (possibly property-less) object: adds ``o.exists -> o``."""
         oid = _as_oid(oid)
@@ -737,10 +854,12 @@ class ObjectBase:
         is checked against and copied from.
         """
         self._ensure_indexes()
-        for candidate in subterms(version):
-            if candidate in self._exists:
-                return candidate
-        return None
+        exists = self._exists
+        while version not in exists:
+            if version.__class__ is not VersionId:
+                return None
+            version = version.base
+        return version
 
     # ------------------------------------------------------------------
     # convenience

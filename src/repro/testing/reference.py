@@ -11,17 +11,20 @@ reference``:
   **dynamic chooser** (:func:`match_rule_dynamic`: the next literal is
   picked at each search node from the variables bound there — no plans, no
   generated code, no deltas); each head is substituted, tested with
-  :func:`~repro.core.truth.update_atom_true_in_head` and recorded;
+  :func:`~repro.core.truth.update_atom_true_in_head` and recorded
+  (:func:`reference_step`), then every relevant version's state is copied
+  whole, edited fact by fact and substituted with ``replace_state_diff`` —
+  steps 2 + 3 of ``T_P`` as the paper words them;
 * :func:`query_reference` answers a conjunctive body the same way;
 * :func:`match_rule_bruteforce` enumerates the active domain — the paper's
   "∀-quantified over O" — for matcher-level tests on small bases.
 
 Shared with the engine is only what the paper defines once: the truth of a
 ground literal and the candidate generators (:mod:`repro.core.grounding`,
-:mod:`repro.core.truth`), steps 2 + 3 of ``T_P`` (copy the relevant states,
-apply the updates: :func:`repro.core.consequence._copy_and_apply`,
-:func:`~repro.core.consequence.apply_tp`) and the incremental linearity
-check.  The new object base ``ob'`` of a reference run is
+:mod:`repro.core.truth`), the ``T¹`` and fired-instance containers
+(:class:`~repro.core.consequence.PendingUpdates`,
+:class:`~repro.core.consequence.FiredInstance`) and the incremental
+linearity check.  The new object base ``ob'`` of a reference run is
 :func:`repro.core.newbase.build_new_base` over the outcome.
 
 Nothing under ``repro`` outside :mod:`repro.testing` imports this module.
@@ -29,18 +32,12 @@ Nothing under ``repro`` outside :mod:`repro.testing` imports this module.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Sequence
 
 from repro.core.atoms import BuiltinAtom, Literal, UpdateAtom, VersionAtom
-from repro.core.consequence import (
-    FiredInstance,
-    PendingUpdates,
-    TPResult,
-    _copy_and_apply,
-    _expand_delete_all,
-    apply_tp,
-)
+from repro.core.consequence import FiredInstance, PendingUpdates
 from repro.core.errors import EvaluationError, EvaluationLimitError, VersionDepthError
 from repro.core.evaluation import (
     EvaluationOptions,
@@ -48,6 +45,7 @@ from repro.core.evaluation import (
     _reject_version_vars_in_heads,
 )
 from repro.core.exprs import expr_variables
+from repro.core.facts import EXISTS, Fact, exists_fact
 from repro.core.grounding import _bind_equality, _check_ground, _generate
 from repro.core.linearity import LinearityTracker
 from repro.core.objectbase import ObjectBase
@@ -55,12 +53,13 @@ from repro.core.query import Answer, sorted_answers
 from repro.core.rules import UpdateProgram, UpdateRule
 from repro.core.safety import check_program_safety
 from repro.core.stratification import stratify
-from repro.core.terms import Oid, Term, Var, VersionId, depth
+from repro.core.terms import Oid, Term, UpdateKind, Var, VersionId, depth
 from repro.core.trace import EvaluationTrace, IterationRecord
 from repro.core.truth import update_atom_true_in_head
 
 __all__ = [
     "evaluate_reference",
+    "reference_step",
     "query_reference",
     "match_rule_dynamic",
     "match_body_dynamic",
@@ -114,7 +113,11 @@ def evaluate_reference(
                 raise EvaluationLimitError(
                     stratum_index, options.max_iterations_per_stratum
                 )
-            step = _naive_step(stratum, working, options.create_missing_objects)
+            step = reference_step(
+                stratum,
+                working,
+                create_missing_objects=options.create_missing_objects,
+            )
             if options.max_version_depth is not None:
                 for version in step.new_versions:
                     if depth(version) > options.max_version_depth:
@@ -130,7 +133,7 @@ def evaluate_reference(
                 ),
                 key=str,
             )
-            changed = bool(apply_tp(working, step))
+            changed = _substitute(working, step)
             if options.check_linearity:
                 for version in fresh:
                     tracker.observe(version)
@@ -148,22 +151,45 @@ def evaluate_reference(
     )
 
 
-def _naive_step(
-    rules: Sequence[UpdateRule], base: ObjectBase, create_missing_objects: bool
-) -> TPResult:
-    """One ``T_P`` application with step 1 read literally: every rule
-    against the whole base, every head substituted and tested."""
+@dataclass
+class _ReferenceStep:
+    """One literal ``T_P`` application: ``T¹`` (``pending``), the complete
+    recomputed state of every relevant version, the fired instances, and
+    the number of states step 2 created from ``v*``."""
+
+    pending: PendingUpdates
+    new_states: dict[VersionId, set[Fact]]
+    fired: list[FiredInstance]
+    copies: int
+
+    @property
+    def new_versions(self) -> set[VersionId]:
+        return set(self.new_states)
+
+
+def reference_step(
+    rules: Sequence[UpdateRule],
+    base: ObjectBase,
+    *,
+    match_base: ObjectBase | None = None,
+    create_missing_objects: bool = False,
+) -> _ReferenceStep:
+    """One ``T_P`` application read literally.  Step 1: every rule against
+    the whole base (``match_base``, when given, for matching and head
+    truth), every head substituted and tested.  Steps 2 + 3: the state of
+    every relevant version copied from ``base`` and edited."""
+    reading = base if match_base is None else match_base
     pending = PendingUpdates()
     fired: list[FiredInstance] = []
     for rule in rules:
-        for binding in match_rule_dynamic(rule, base):
+        for binding in match_rule_dynamic(rule, reading):
             head = rule.head.substitute(binding)
             if not head.is_ground():
                 raise EvaluationError(
                     f"rule {rule.name!r} produced a non-ground head {head}; "
                     f"the rule is unsafe"
                 )
-            if not update_atom_true_in_head(base, head):
+            if not update_atom_true_in_head(reading, head):
                 continue
             fired.append(
                 FiredInstance(
@@ -180,7 +206,95 @@ def _naive_step(
             updates = _expand_delete_all(base, head) if head.delete_all else (head,)
             for update in updates:
                 pending.add(update)
-    return _copy_and_apply(base, pending, fired, create_missing_objects)
+
+    new_states: dict[VersionId, set[Fact]] = {}
+    copies = 0
+    for version in pending.relevant_versions():
+        copied, was_copy = _copy_state(base, version, create_missing_objects)
+        copies += int(was_copy)
+        new_states[version] = _apply_updates(version, copied, pending)
+    return _ReferenceStep(pending, new_states, fired, copies)
+
+
+def _substitute(base: ObjectBase, step: _ReferenceStep) -> bool:
+    """Substitute the recomputed states into ``base`` (DESIGN.md D1); True
+    when the base changed."""
+    changed = False
+    for version, state in step.new_states.items():
+        added, removed = base.replace_state_diff(version, state)
+        changed = changed or bool(added or removed)
+    return changed
+
+
+def _expand_delete_all(base: ObjectBase, head: UpdateAtom) -> list[UpdateAtom]:
+    """Expand ``del[v].*`` into one delete per method-application of ``v*``
+    (the ``exists`` bookkeeping is never deleted)."""
+    v_star = base.v_star(head.target)
+    if v_star is None:  # head truth already required applications to exist
+        return []
+    return [
+        UpdateAtom(
+            UpdateKind.DELETE,
+            head.target,
+            fact.method,
+            fact.args,
+            fact.result,
+        )
+        for fact in base.iter_state_of(v_star)
+        if fact.method != EXISTS
+    ]
+
+
+def _copy_state(
+    base: ObjectBase, version: VersionId, create_missing_objects: bool
+) -> tuple[set[Fact], bool]:
+    """Step 2: the prepared (copied) state for a relevant version.
+
+    Active versions (already materialised — they have state in ``I``) are
+    copied from themselves; fresh versions take the applications of ``v*``
+    as defaults, re-hosted onto the new VID.  Returns ``(state, was_fresh_copy)``.
+    """
+    existing = base.iter_state_of(version)
+    if existing:
+        return set(existing), False
+    v_star = base.v_star(version.base)
+    if v_star is None:
+        state: set[Fact] = set()
+        if create_missing_objects:
+            state.add(exists_fact(version))
+        return state, True
+    return (
+        {
+            Fact(version, fact.method, fact.args, fact.result)
+            for fact in base.iter_state_of(v_star)
+        },
+        True,
+    )
+
+
+def _apply_updates(
+    version: VersionId, state: set[Fact], pending: PendingUpdates
+) -> set[Fact]:
+    """Step 3: edit the copied state according to ``T¹``."""
+    kind = version.kind
+    if kind is UpdateKind.INSERT:
+        additions = pending.inserts.get(version, ())
+        for method, args, result in additions:
+            state.add(Fact(version, method, args, result))
+        return state
+    if kind is UpdateKind.DELETE:
+        removals = pending.deletes.get(version, ())
+        for method, args, result in removals:
+            state.discard(Fact(version, method, args, result))
+        return state
+    # MODIFY
+    slots = pending.modifies.get(version, {})
+    for (method, args, old_result) in slots:
+        state.discard(Fact(version, method, args, old_result))
+    for (method, args, _old), new_results in slots.items():
+        for new_result in new_results:
+            state.add(Fact(version, method, args, new_result))
+    return state
 
 
 def query_reference(body: Sequence[Literal], base: ObjectBase) -> list[Answer]:

@@ -170,6 +170,63 @@ class TestReplaceState:
             base.replace_state(wrap(MOD, Oid("o")), {make_fact(Oid("o"), "m", (), Oid(1))})
 
 
+class TestAddState:
+    VERSION = wrap(MOD, Oid("phil"))
+
+    def _state(self) -> set[Fact]:
+        return {
+            exists_fact(self.VERSION),
+            Fact(self.VERSION, "isa", (), Oid("empl")),
+            Fact(self.VERSION, "sal", (), Oid(4600)),
+        }
+
+    def test_installs_the_whole_state(self):
+        base = small_base()
+        base.add_state(self.VERSION, self._state())
+        assert base.state_of(self.VERSION) == self._state()
+        assert base.version_exists(self.VERSION)
+        assert base.facts_by_host_method(self.VERSION, "sal", 0) == {
+            Fact(self.VERSION, "sal", (), Oid(4600))
+        }
+        assert Fact(self.VERSION, "isa", (), Oid("empl")) in base.facts_by_method("isa", 0)
+        assert len(base) == len(small_base()) + 3
+
+    def test_frozen_base_rejected(self):
+        base = small_base().freeze()
+        with pytest.raises(FrozenBaseError):
+            base.add_state(self.VERSION, self._state())
+
+    def test_host_with_a_state_rejected(self):
+        base = small_base()
+        base.add_state(self.VERSION, self._state())
+        with pytest.raises(TermError, match="already has a state"):
+            base.add_state(self.VERSION, self._state())
+
+    def test_non_ground_host_rejected(self):
+        host = wrap(MOD, Var("E"))
+        with pytest.raises(TermError, match="ground"):
+            small_base().add_state(host, {Fact(host, "isa", (), Oid("empl"))})
+
+    def test_fact_of_another_host_rejected(self):
+        with pytest.raises(TermError, match="different version"):
+            small_base().add_state(self.VERSION, {Fact(Oid("bob"), "sal", (), Oid(1))})
+
+    def test_column_index_built_before_or_after_agree(self):
+        probes = [("sal", Oid(4600)), ("sal", Oid(4000)), ("isa", Oid("empl"))]
+        before, after = small_base(), small_base()
+        for method, value in probes:
+            before.facts_by_arg(method, 0, -1, value)  # built, then maintained
+        before.add_state(self.VERSION, self._state())
+        after.add_state(self.VERSION, self._state())
+        for method, value in probes:
+            assert before.facts_by_arg(method, 0, -1, value) == after.facts_by_arg(
+                method, 0, -1, value
+            )
+        assert before.facts_by_arg("sal", 0, -1, Oid(4600)) == {
+            Fact(self.VERSION, "sal", (), Oid(4600))
+        }
+
+
 class TestVStar:
     def test_existing_version_is_its_own_v_star(self):
         base = small_base()

@@ -4,6 +4,7 @@ the journal, the service/server layers, and the CLI surfaces."""
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -198,14 +199,20 @@ def test_follower_reports_lag_seconds(enabled, tmp_path):
             tmp_path / "replica", server.address, heartbeat_interval=0.1
         ).start()
         try:
+            # r1 must arrive as a streamed line: a follower whose stream is
+            # not open yet would fetch it through ``repl-sync`` instead and
+            # never count a ``repl_streamed_lines_received``
+            deadline = 50
+            while not follower._info()["streaming"] and deadline:
+                time.sleep(0.1)
+                deadline -= 1
+            assert follower._info()["streaming"]
             with repro.connect(f"serve:{socket_path}") as conn:
                 conn.apply(RAISE, tag="r1")
             # wait for r1 itself: ``lag`` reads 0 until the follower has
             # *heard* of the commit, which is not yet "caught up"
             deadline = 50
             while len(follower.service.store) < 2 and deadline:
-                import time
-
                 time.sleep(0.1)
                 deadline -= 1
             info = follower._info()

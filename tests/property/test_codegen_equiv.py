@@ -11,13 +11,23 @@ version chains — the same generator the semi-naive equivalence suite uses —
 so the compiled closures face every body shape the planner can produce.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.codegen import compiled_body, match_rule_compiled
-from repro.core.errors import ReproError
+from repro.core.consequence import apply_tp, tp_step
+from repro.core.errors import EvaluationError, ReproError
 from repro.core.evaluation import EvaluationOptions, evaluate
+from repro.core.facts import Fact
 from repro.core.grounding import _body_plan
-from repro.testing.reference import evaluate_reference, match_rule_dynamic
+from repro.core.stratification import stratify
+from repro.core.terms import Oid
+from repro.lang.parser import parse_program
+from repro.testing.reference import (
+    evaluate_reference,
+    match_rule_dynamic,
+    reference_step,
+)
 from repro.workloads.synthetic import random_object_base, random_update_program
 
 seeds = st.integers(0, 1_000_000_000)
@@ -150,3 +160,113 @@ def test_compiled_body_slots_cover_plan_key_vars(seed):
         assert tuple(body.slots[i] for i in body.key_slots) == plan.key_vars
         assert tuple(sorted(body.slots, key=var_sort_key)) == plan.key_vars
         assert body.generator_count == plan.generator_count
+
+
+# ----------------------------------------------------------------------
+# T¹ itself: the compiled head side against the literal step 1
+# ----------------------------------------------------------------------
+
+
+def _assert_same_step(rules, base, **options):
+    """``tp_step`` and the reference's literal step derive the same ``T¹``
+    (table for table, with and without ``collect_fired``), the same fired
+    instances and — steps 2 + 3 — the same recomputed states.  Returns the
+    engine's step."""
+    reference = reference_step(rules, base, **options)
+    quiet = tp_step(rules, base, **options)
+    traced = tp_step(rules, base, collect_fired=True, **options)
+    for step in (quiet, traced):
+        assert step.pending.inserts == reference.pending.inserts
+        assert step.pending.deletes == reference.pending.deletes
+        assert step.pending.modifies == reference.pending.modifies
+        assert step.copies == reference.copies
+        assert step.new_states == reference.new_states
+    assert quiet.fired == []
+    assert len(traced.fired) == len(set(traced.fired))
+    assert set(traced.fired) == set(reference.fired)
+    return quiet
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds)
+def test_tp_step_derives_the_reference_t1(seed):
+    """Over the 200 random programs, along the whole fixpoint of every
+    stratum: each full ``tp_step`` equals the reference step on the base
+    the engine's own ``apply_tp`` produced so far."""
+    program = random_update_program(seed=seed, allow_nonlinear=True)
+    working = _base_for(seed).fork()
+    for stratum in stratify(program):
+        for _iteration in range(12):
+            step = _assert_same_step(stratum, working)
+            if not apply_tp(working, step):
+                break
+
+
+HEAD_CASES = """
+    wipe:  del[X].* <= X.color -> C.
+    deep:  del[mod(X)].* <= X.size -> S, S > 500.
+    drop:  del[X].link -> Y <= X.link -> Y, Y.size -> S.
+    shift: mod[X].size -> (S, S2) <= X.size -> S, S2 = S + 1.
+    same:  mod[X].size -> (S, S) <= X.size -> S, X.color -> C.
+    tag:   ins[mod(X)].tag -> C <= X.color -> C.
+    fixed: ins[o0].seen -> X <= X.link -> o0.
+    miss:  del[X].link -> o1 <= X.color -> C.
+    guess: mod[X].size -> (S, 0) <= X.color -> C, Y.size -> S.
+    late:  del[ins(X)].size -> S <= Y.size -> S, X.color -> C.
+"""
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds)
+def test_every_head_shape_derives_the_reference_t1(seed):
+    """``del[v].*`` (on an existing and on a skipped level), ``del``/``mod``
+    heads that are true for some rows and false for others (the body does
+    not pin the old fact), a ``mod`` keeping its value, a ground target —
+    each applied twice, so the second step edits active versions."""
+    rules = parse_program(HEAD_CASES)
+    working = _base_for(seed).fork()
+    for _iteration in range(2):
+        apply_tp(working, _assert_same_step(rules, working))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds)
+def test_match_base_superset_derives_the_reference_t1(seed):
+    """As :mod:`repro.ext.derived` calls it: bodies and head truth read a
+    superset carrying view facts, ``del[v].*`` expands against — and states
+    are copied from — the stored base alone."""
+    base = _base_for(seed)
+    overlay = base.fork()
+    for host in sorted(base.objects(), key=str)[::2]:
+        overlay.add(Fact(host, "rich", (), Oid("yes")))
+        overlay.add(Fact(host, "vsize", (), Oid(7)))
+    rules = parse_program(
+        """
+        v1: del[X].* <= X.rich -> yes.
+        v2: mod[X].vsize -> (S, S2) <= X.vsize -> S, S2 = S * 2.
+        v3: del[X].rich -> yes <= X.rich -> yes, X.color -> C.
+        v4: ins[X].seen -> S <= X.vsize -> S.
+        """
+    )
+    _assert_same_step(rules, base.fork(), match_base=overlay)
+
+
+def test_create_missing_objects_derives_the_reference_t1():
+    base = _base_for(3)
+    rules = parse_program("g: ins[ghost].t -> X <= X.color -> C.")
+    for create in (False, True):
+        step = _assert_same_step(rules, base.fork(), create_missing_objects=create)
+        assert step.copies == 1
+
+
+def test_unsafe_head_raises_on_the_first_row_only():
+    """With the safety check off a head variable the body never binds is an
+    ``EvaluationError`` as soon as one row matches — and nothing at all
+    when none does, in the engine as in the reference."""
+    base = _base_for(3)
+    unsafe = parse_program("u: ins[X].t -> Y <= X.color -> C.")
+    for step in (tp_step, reference_step):
+        with pytest.raises(EvaluationError, match="'u'.*non-ground head"):
+            step(unsafe, base)
+    silent = parse_program("u: ins[X].t -> Y <= X.nothing -> C.")
+    assert _assert_same_step(silent, base).is_empty()
