@@ -475,11 +475,11 @@ def run_cluster_sweep(
 
     * **aggregate read scaling** (reported, not guarded) — reads/s at the
       largest shard count over reads/s at one shard.  This harness is
-      single-core, so what it can show is *locality*, not parallelism: the
-      post-invalidation prepared-query recompute follows the written
-      shard's size, the unwritten shards answer from their carried memos.
-      Since commits cost their delta rather than the base, the scatter
-      round trips outweigh that at this base size (≈ 0.9x at 8 shards).
+      single-core, so what it can show is *locality*, not parallelism:
+      every shard evaluates the filter over its own partition on every
+      read (no answers are kept between reads), so the work per scatter
+      read is the same at every shard count and the extra round trips
+      are what is left to measure (≈ 0.73x at 8 shards).
     * **single-shard commit overhead** (guarded) — routed commits/s through
       a 1-shard cluster over commits/s against the same store served
       standalone; the router's classification layer must stay within 10 %
@@ -626,8 +626,9 @@ def run_cluster_sweep(
             "repeats": repeats,
             "note": (
                 "single-core harness: the read scaling measured here is "
-                "partition locality (per-commit apply and memo-recompute "
-                "cost follow the written shard's size), not parallelism"
+                "partition locality (per-commit apply follows the written "
+                "shard's size; every read evaluates on every shard), not "
+                "parallelism"
             ),
         },
         "scaling": scaling,

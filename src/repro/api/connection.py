@@ -148,7 +148,7 @@ class Connection(ABC):
     # -- accounting --------------------------------------------------------
     @abstractmethod
     def stats(self) -> dict:
-        """Backend counters (commits, conflicts, subscriptions, memos)."""
+        """Backend counters (commits, conflicts, subscriptions, caches)."""
 
     # -- lifecycle ---------------------------------------------------------
     @property

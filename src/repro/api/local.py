@@ -52,7 +52,7 @@ class ServiceConnection(Connection):
     def query(self, body, *, min_revision: int | None = None) -> list[Answer]:
         self._check_open()
         self._await_min_revision(min_revision)
-        return decode_answers(self.service.query(body))
+        return self.service.query(body)
 
     def _await_min_revision(
         self, min_revision: int | None, *, deadline: float = 5.0
@@ -166,7 +166,7 @@ class _ServiceTransaction(Transaction):
         self._session = self._service.begin()
 
     def _do_query(self, body) -> list[Answer]:
-        return decode_answers(self._session.query(body))
+        return self._session.query(body)
 
     def _do_stage(self, program) -> None:
         self._session.stage(program)

@@ -66,8 +66,8 @@ __all__ = ["WireConnection"]
 #: family are deliberately absent: the server may have committed the lost
 #: request before the link died, and replaying would double-apply.
 _SAFE_COMMANDS = frozenset(
-    {"ping", "query", "prepare", "log", "as-of", "diff", "stats",
-     "metrics", "slowlog", "subscribe", "unsubscribe"}
+    {"ping", "query", "log", "as-of", "diff", "stats", "metrics",
+     "slowlog", "subscribe", "unsubscribe"}
 )
 
 #: Redial timeout per attempt (matches the initial-connect bound).

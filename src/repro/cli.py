@@ -6,7 +6,6 @@ Usage (installed as ``repro-updates``, also ``python -m repro``)::
     repro-updates stratify --program update.upd [--conditions abcd]
     repro-updates check --program update.upd
     repro-updates query --base world.ob "E.isa -> empl, E.sal -> S"
-    repro-updates query --base world.ob --prepared --repeat 100 "E.sal -> S"
     repro-updates store init --dir STORE --base world.ob
     repro-updates store apply --dir STORE --program update.upd [--tag t]
     repro-updates store log --dir STORE
@@ -124,20 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     query_cmd = commands.add_parser("query", help="answer a conjunctive query")
     query_cmd.add_argument("--base", required=True, type=Path)
     query_cmd.add_argument("body", help="query text, e.g. 'E.isa -> empl'")
-    query_cmd.add_argument(
-        "--prepared",
-        action="store_true",
-        help="compile the query once (join plan + secondary-index column "
-        "selection) and execute via the prepared path",
-    )
-    query_cmd.add_argument(
-        "--repeat",
-        type=int,
-        default=1,
-        metavar="N",
-        help="execute the query N times and report serving timings on "
-        "stderr (answers are printed once)",
-    )
 
     store_cmd = commands.add_parser(
         "store", help="manage a durable versioned-store journal directory"
@@ -608,33 +593,8 @@ def _cmd_check(arguments) -> int:
 
 
 def _cmd_query(arguments) -> int:
-    import time
-
     base = parse_object_base(arguments.base.read_text(encoding="utf-8"))
-    repeat = max(1, arguments.repeat)
-    if arguments.prepared:
-        from repro.core.query import prepare_query
-
-        prepared = prepare_query(arguments.body)
-        times = []
-        for _ in range(repeat):
-            start = time.perf_counter()
-            answers = prepared.run(base)
-            times.append(time.perf_counter() - start)
-    else:
-        literals = parse_body(arguments.body)
-        times = []
-        for _ in range(repeat):
-            start = time.perf_counter()
-            answers = query_literals(base, literals)
-            times.append(time.perf_counter() - start)
-    if repeat > 1:
-        mode = "prepared" if arguments.prepared else "per-call"
-        print(
-            f"{mode}: {repeat} runs, best {min(times) * 1e3:.3f} ms, "
-            f"mean {sum(times) / len(times) * 1e3:.3f} ms",
-            file=sys.stderr,
-        )
+    answers = query_literals(base, parse_body(arguments.body))
     if not answers:
         print("(no answers)")
         return 0

@@ -616,7 +616,7 @@ class ClusterConnection(Connection):
             "durability": docs[0].get("durability"),
             "write_timeout": docs[0].get("write_timeout"),
             "subscriptions": {"active": len(self._streams)},
-            "prepared": {"shards": [doc.get("prepared") for doc in docs]},
+            "prepared": {},
             "caches": {"shards": [doc.get("caches") for doc in docs]},
             "replication": _aggregate_replication(docs),
             "metrics": {

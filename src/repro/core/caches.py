@@ -1,13 +1,12 @@
 """A process-wide registry of the engine's caches and intern tables.
 
-Long-lived serving processes (the prepared-query layer, the versioned
-store, any daemon built on the engine) accumulate state in several places.
-The *process-wide* ones register here: the ``lru_cache``-decorated plan
-compilers and the OID intern table; :func:`cache_stats` snapshots their
-counters.  Per-instance state is bounded and observable at its owner
-instead: the engine's compiled-program LRU (``compile_cache_size``) and
-each store's prepared-query registry
-(``StoreOptions.prepared_cache_size`` / ``store.prepared_stats()``).
+Long-lived serving processes (the versioned store, any daemon built on
+the engine) accumulate state in several places.  The *process-wide* ones
+register here: the ``lru_cache``-decorated plan compilers, the
+text → compiled query cache (``query.prepared``) and the OID intern table;
+:func:`cache_stats` snapshots their counters.  Per-instance state is
+bounded and observable at its owner instead: the engine's
+compiled-program LRU (``compile_cache_size``).
 
 Each cache registers a zero-argument stats callable under a dotted name;
 :func:`cache_stats` snapshots them all into one JSON-ready dict.  The

@@ -1,4 +1,4 @@
-"""A query API over object bases, with a prepared / memoized serving path.
+"""A query API over object bases, with a compile-once form.
 
 The paper's language derives updates, not queries, but inspecting states —
 "which salary does ``mod(phil)`` have?" — is what its examples do in prose.
@@ -11,20 +11,22 @@ With the concrete syntax of :mod:`repro.lang` this becomes::
     query(base, "E.isa -> empl, E.sal -> S")
     # -> [{'E': 'bob', 'S': 4200}, {'E': 'phil', 'S': 4000}]
 
-For read-heavy serving, :class:`PreparedQuery` is the compile-once form: the
-join plan (literal ordering *and* secondary-index column selection) is built
-and compiled a single time, every execution runs that closure, and the query
-carries the :class:`~repro.core.plans.QuerySignature` the versioned store
-uses to decide — from the exact ``(added, removed)`` delta of each commit —
-whether a memoized answer set is still valid at the new revision
-(:meth:`repro.storage.history.VersionedStore.query`).
+:class:`PreparedQuery` is the compile-once form: the join plan (literal
+ordering *and* secondary-index column selection) is built and compiled a
+single time and every execution runs that closure against whatever base it
+is given — answers are never kept across updates.  :func:`prepare_query`
+keeps the one cache of the read path, *text → compiled query*; the query's
+:class:`~repro.core.plans.QuerySignature` is what sessions and
+subscriptions test a commit's exact ``(added, removed)`` delta against.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from repro.core.atoms import Literal
+from repro.core.caches import register_lru_cache
 from repro.core.codegen import compiled_body
 from repro.core.grounding import match_body
 from repro.core.objectbase import ObjectBase
@@ -134,11 +136,11 @@ def decode_answer(row) -> Answer:
     sorted variable order, so two equal rows always render identically
     (``repr``, ``json.dumps``) no matter which backend produced them.
 
-    This is the *decode on receipt* step of every client layer: a row that
-    crossed the JSON wire (or was handed out by an in-process dispatcher
-    straight from a store's live memo) becomes a fresh, canonical dict the
-    caller may mutate freely.  JSON artifacts are undone (lists become
-    tuples); a non-dict row is rejected as a protocol error.
+    This is the *decode on receipt* step of the wire client: a row that
+    crossed the JSON wire (or is shared with a subscription's held state)
+    becomes a fresh, canonical dict the caller may mutate freely.  JSON
+    artifacts are undone (lists become tuples); a non-dict row is rejected
+    as a protocol error.
     """
     from repro.core.errors import ReproError
 
@@ -184,8 +186,6 @@ def sorted_answers(
     return answers
 
 
-
-
 class PreparedQuery:
     """A conjunctive query compiled once and executable many times.
 
@@ -194,15 +194,14 @@ class PreparedQuery:
     :class:`~repro.core.errors.EvaluationError` naming the query when the
     body is unsafe — and derives its
     :class:`~repro.core.plans.QuerySignature` (which method keys and host
-    shapes can change the answers).  ``run`` executes against any base; the
-    versioned store adds per-revision memoization on top (see
-    ``VersionedStore.prepare`` / ``VersionedStore.query``).
+    shapes can change the answers).  ``run`` executes against any base.
 
-    Instances are immutable and safe to share across stores and threads —
-    all memoization state lives with the store, keyed by the query.
+    Instances are immutable and safe to share across stores and threads.
+    Equality and hash are by body, so queries that differ only in ``name``
+    share one evaluation wherever they key a dict.
     """
 
-    __slots__ = ("body", "compiled", "signature", "name", "_hash")
+    __slots__ = ("body", "compiled", "signature", "name", "_hash", "_columns")
 
     def __init__(
         self, literals: Sequence[Literal], *, name: str = "<prepared>"
@@ -215,6 +214,8 @@ class PreparedQuery:
         self.signature = body_signature(self.body)
         self.name = name
         self._hash = hash(self.body)
+        # Row keys in sorted variable order: what decode_answer produces.
+        self._columns = sorted(self.compiled.slots, key=lambda var: var.name)
 
     def __hash__(self) -> int:
         return self._hash
@@ -232,26 +233,48 @@ class PreparedQuery:
         return self.compiled.bindings(base)
 
     def run(self, base: ObjectBase) -> list[Answer]:
-        """Formatted, deterministically sorted answers against ``base``.
+        """Canonical answers against ``base``: fresh rows keyed in sorted
+        variable order, sorted by :func:`answer_sort_key` — already what
+        :func:`decode_answers` would make of them."""
+        columns = self._columns
+        answers = [
+            {
+                var.name: v.value if isinstance(v := binding[var], Oid) else str(v)
+                for var in columns
+            }
+            for binding in self.compiled.bindings(base)
+        ]
+        answers.sort(key=_answer_sort_key)
+        return answers
 
-        No memoization here — a bare base has no revision identity to key
-        a memo on.  Use the store's ``query`` for the cached path.
-        """
-        return sorted_answers(self.compiled.bindings(base))
+
+#: Bound of the text → compiled query cache (the size of the per-store
+#: registry it replaced; entries weigh about 1 kB each).
+_PREPARED_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_PREPARED_CACHE_SIZE)
+def _prepare_text(text: str, name: str) -> PreparedQuery:
+    from repro.lang.parser import parse_body  # lazy: lang sits above core
+
+    return PreparedQuery(parse_body(text), name=name)
+
+
+register_lru_cache("query.prepared", _prepare_text)
 
 
 def prepare_query(query, *, name: str | None = None) -> PreparedQuery:
     """Coerce ``query`` — a :class:`PreparedQuery`, a literal sequence, or
-    concrete-syntax text — into a :class:`PreparedQuery`."""
+    concrete-syntax text — into a :class:`PreparedQuery`.  Text goes through
+    the bounded process-wide cache ``query.prepared``, so a repeated string
+    skips the parser and the compile."""
     if isinstance(query, PreparedQuery):
         return query
     if isinstance(query, str):
-        from repro.lang.parser import parse_body  # lazy: lang sits above core
-
-        return PreparedQuery(parse_body(query), name=name or query)
+        return _prepare_text(query, name or query)
     literals = tuple(query)
-    # Default programmatic names render the body, so stats keyed by name
-    # stay tellable-apart across distinct unnamed queries.
+    # Default programmatic names render the body, so distinct unnamed
+    # queries stay tellable-apart in error messages and pushes.
     derived = ", ".join(str(literal) for literal in literals) or "<empty>"
     return PreparedQuery(literals, name=name or derived)
 

@@ -4,8 +4,8 @@ and push-based live queries over a versioned store.
 The paper's update programs assume a single mutator.  This subpackage is
 the concurrency seam on the road to "heavy traffic from millions of
 users": it mediates many readers and writers over one
-:class:`~repro.storage.history.VersionedStore` and turns the prepared-query
-memoization of the serving layer into *push* delivery.
+:class:`~repro.storage.history.VersionedStore` and delivers live-query
+changes by *push*, so clients need not re-ask.
 
 * :mod:`~repro.server.service` — :class:`StoreService` and
   :class:`Session`: snapshot reads pinned to a revision (free via

@@ -130,7 +130,7 @@ class StaleEpochError(ServerError):
 class NotPrimaryError(ServerError):
     """A mutation reached a node serving as a read-only follower.
 
-    Followers serve pinned reads, prepared queries and subscriptions
+    Followers serve pinned reads, head queries and subscriptions
     locally but never originate commits — those belong on the primary (or
     on this node *after* ``repro replica promote``).  Retryable: clients
     rediscover the primary and re-route."""

@@ -27,8 +27,7 @@ Commands::
 
     ping                                     liveness probe
     apply      {program, tag?, name?}        autocommit an update program
-    query      {body}                        answers at the head (memoized)
-    prepare    {body, name?}                 register a prepared query
+    query      {body}                        answers at the head
     subscribe  {body, name?}                 live query; initial answers + sid
     unsubscribe{sid}
     tx-begin                                 MVCC session; pinned revision
@@ -287,15 +286,9 @@ class Dispatcher:
         self._check_min_revision(request)
         answers = self.service.query(_required(request, "body"))
         return {
-            "answers": list(answers),
+            "answers": answers,
             "revision": len(self.service.store) - 1,
         }
-
-    def _cmd_prepare(self, request, state) -> dict:
-        prepared = self.service.prepare(
-            _required(request, "body"), name=request.get("name")
-        )
-        return {"name": prepared.name, "literals": len(prepared.body)}
 
     def _cmd_subscribe(self, request, state) -> dict:
         self._check_min_revision(request)
@@ -328,7 +321,7 @@ class Dispatcher:
     def _cmd_tx_query(self, request, state) -> dict:
         session = self._session(request, state)
         answers = session.query(_required(request, "body"))
-        return {"answers": list(answers), "revision": session.pinned}
+        return {"answers": answers, "revision": session.pinned}
 
     def _cmd_tx_stage(self, request, state) -> dict:
         session = self._session(request, state)
@@ -496,7 +489,6 @@ _HANDLERS = {
     "ping": Dispatcher._cmd_ping,
     "apply": Dispatcher._cmd_apply,
     "query": Dispatcher._cmd_query,
-    "prepare": Dispatcher._cmd_prepare,
     "subscribe": Dispatcher._cmd_subscribe,
     "unsubscribe": Dispatcher._cmd_unsubscribe,
     "tx-begin": Dispatcher._cmd_tx_begin,

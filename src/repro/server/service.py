@@ -44,7 +44,7 @@ from repro.core.objectbase import Delta, ObjectBase
 from repro.obs import metrics as _obs
 from repro.obs import slowlog as _slowlog
 from repro.core.plans import QuerySignature, program_signature
-from repro.core.query import Answer, PreparedQuery
+from repro.core.query import Answer, prepare_query
 from repro.core.rules import UpdateProgram
 from repro.server.errors import (
     ConflictError,
@@ -205,12 +205,11 @@ class Session:
         """Answer a conjunctive query against the pinned revision and add
         its dependency signature to the session's read footprint.
 
-        Always evaluated against the pinned base — never routed to the
-        store's head memo, whose "head" can move between the check and the
-        read when another thread commits (``base_at`` pairs index and base
+        Always evaluated against the pinned base, not the head, which can
+        move when another thread commits (``base_at`` pairs index and base
         atomically, so the pin holds even mid-commit)."""
         self._check_open()
-        prepared = self.service.store.prepare(query)
+        prepared = prepare_query(query)
         self._signatures.append(prepared.signature)
         return prepared.run(self.base())
 
@@ -400,8 +399,7 @@ class StoreService:
 
     # -- reading -----------------------------------------------------------
     def query(self, query) -> list[Answer]:
-        """Answer against the current head, memoized per revision (the
-        store's prepared-query serving path)."""
+        """Answer against the current head: fresh canonical rows."""
         start = time.perf_counter()
         answers = self.store.query(query)
         elapsed = time.perf_counter() - start
@@ -410,9 +408,6 @@ class StoreService:
             "query", elapsed, detail=str(query), answers=len(answers)
         )
         return answers
-
-    def prepare(self, query, *, name: str | None = None) -> PreparedQuery:
-        return self.store.prepare(query, name=name)
 
     # -- transactions ------------------------------------------------------
     def begin(self) -> Session:
@@ -683,8 +678,8 @@ class StoreService:
     def stats(self) -> dict:
         """A point-in-time, JSON-ready report on the service.
 
-        Every mutable sub-structure (subscription counters, prepared-query
-        stats, the cache registry, replication info) is deep-snapshotted
+        Every mutable sub-structure (subscription counters, the cache
+        registry, replication info) is deep-snapshotted
         before the dict is returned: a concurrent commit can bump counters
         and grow cache dicts at any moment, and handing live dicts to
         ``json.dumps`` intermittently raised ``RuntimeError: dictionary
@@ -705,7 +700,9 @@ class StoreService:
             ),
             "write_timeout": self.write_timeout,
             "subscriptions": _deep_snapshot(self.subscriptions.stats()),
-            "prepared": _deep_snapshot(self.store.prepared_stats()),
+            # Always empty since the answer memo went; the frozen benchmark
+            # still iterates the key (ROADMAP item 4 retires both).
+            "prepared": {},
             # The process-wide cache registry (join-plan compilers, the
             # codegen backend counters, the OID intern table, ...) — what
             # ``repro client stats`` shows an operator.

@@ -1,21 +1,19 @@
 """Push-based live queries: subscriptions that receive *answer diffs*.
 
-PR 3's prepared-query layer made repeated reads cheap but still *pull*: a
-client has to re-ask to learn that nothing changed.  This module turns the
-same machinery into push delivery.  A subscription registers a prepared
-conjunctive body; on every store commit the manager folds the commit's
-exact ``(added, removed)`` fact delta through the query's
-:class:`~repro.core.plans.QuerySignature`:
+A read is *pull*: a client has to re-ask to learn that nothing changed.
+Subscriptions are the mechanism that avoids re-asking.  A subscription
+registers a prepared conjunctive body; on every store commit the manager
+folds the commit's exact ``(added, removed)`` fact delta through the
+query's :class:`~repro.core.plans.QuerySignature`:
 
 * **no trigger fires** — the delta provably cannot change the answers; the
   subscription advances its revision silently, with no evaluation and no
-  message (the push analogue of PR 3's memo *carry*);
-* **a trigger fires** — the answers are refreshed through
-  :meth:`VersionedStore.query` (so N subscriptions sharing a body share one
-  evaluation via the store's per-revision memo) and only the **answer
-  diff** (:func:`~repro.core.query.diff_answers`) travels to the client —
-  an empty diff (the delta touched the query's keys but not its answers)
-  sends nothing.
+  message;
+* **a trigger fires** — the body is evaluated once against the new
+  revision (N subscriptions sharing a body share that evaluation) and only
+  the **answer diff** (:func:`~repro.core.query.diff_answers`) travels to
+  the client — an empty diff (the delta touched the query's keys but not
+  its answers) sends nothing.
 
 Folding a subscription's diff stream over its initial answer set
 reproduces the full answer set at every revision — the differential
@@ -32,7 +30,7 @@ import threading
 from typing import Callable
 
 from repro.core.objectbase import Delta
-from repro.core.query import Answer, diff_answers
+from repro.core.query import Answer, PreparedQuery, diff_answers, prepare_query
 from repro.storage.history import StoreRevision, VersionedStore
 
 __all__ = ["Subscription", "SubscriptionManager"]
@@ -113,16 +111,16 @@ class SubscriptionManager:
         initial answer set at the current head (the client's fold seed).
         No push is sent for the initial state — it is the subscribe
         response."""
-        prepared = self._store.prepare(query, name=name)
+        prepared = prepare_query(query, name=name)
         with self._lock:
-            answers = list(self._store.query(prepared))
+            revision = len(self._store) - 1
             self._counter += 1
             subscription = Subscription(
                 f"q{self._counter}",
                 prepared,
                 deliver,
-                answers,
-                len(self._store) - 1,
+                prepared.run(self._store.base_at(revision)),
+                revision,
             )
             self._subscriptions[subscription.id] = subscription
             return subscription
@@ -168,25 +166,26 @@ class SubscriptionManager:
         if not self._subscriptions:
             return
         delta = self._delta_source(revision)
-        # Subscriptions sharing a query body converge onto one refreshed
-        # answer list (one evaluation via the store's per-revision memo),
-        # and subscriptions that additionally share a prior answer state
-        # share the diff: with N clients on the same live query the whole
-        # refresh is computed once and delivered N times.  Diff keys hold
-        # the old list alive, so id() pairs stay unambiguous for the loop.
-        refreshed: dict[int, list] = {}
-        diffs: dict[tuple[int, int], tuple] = {}
+        base = self._store.base_at(revision.index)
+        # Subscriptions sharing a query body (queries hash and compare by
+        # body) converge onto one refreshed answer list, and subscriptions
+        # that additionally share a prior answer state share the diff: with
+        # N clients on the same live query the whole refresh is computed
+        # once and delivered N times.  Diff keys hold the old list alive,
+        # so its id() stays unambiguous for the loop.
+        refreshed: dict[PreparedQuery, list] = {}
+        diffs: dict[tuple[PreparedQuery, int], tuple] = {}
         for subscription in list(self._subscriptions.values()):
-            if not subscription.query.signature.affected_by(delta):
+            query = subscription.query
+            if not query.signature.affected_by(delta):
                 subscription.revision = revision.index
                 subscription.skipped += 1
                 continue
-            query_key = id(subscription.query)
-            new_answers = refreshed.get(query_key)
+            new_answers = refreshed.get(query)
             if new_answers is None:
-                new_answers = list(self._store.query(subscription.query))
-                refreshed[query_key] = new_answers
-            diff_key = (query_key, id(subscription.answers))
+                new_answers = query.run(base)
+                refreshed[query] = new_answers
+            diff_key = (query, id(subscription.answers))
             diff = diffs.get(diff_key)
             if diff is None:
                 diff = (subscription.answers, *diff_answers(subscription.answers, new_answers))

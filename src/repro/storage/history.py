@@ -24,10 +24,9 @@ deltas, not a pile of copies:
   comparing two bases;
 * the engine's :class:`~repro.core.engine.CompiledProgram` cache makes a
   chain of ``apply`` calls of the same program pay the static analysis once;
-* registered :class:`~repro.core.query.PreparedQuery` objects are served
-  memoized per revision (:meth:`VersionedStore.query`): every commit folds
-  its exact delta against each query's dependency signature, carrying the
-  memos it provably cannot affect and invalidating only the rest.
+* a query is an inspection of one state: :meth:`VersionedStore.query`
+  evaluates the compiled body against the head on demand and keeps no
+  answers across updates.
 
 ``StoreOptions(snapshot_interval=1)`` materializes a full base at every
 revision — the chain with no reconstruction step, which the equivalence
@@ -37,7 +36,7 @@ tests use as the reference for every other interval.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -45,7 +44,7 @@ from repro.core.atoms import Literal
 from repro.core.engine import UpdateEngine, UpdateResult
 from repro.core.errors import ReproError
 from repro.core.facts import EXISTS, Fact
-from repro.core.objectbase import Delta, ObjectBase
+from repro.core.objectbase import ObjectBase
 from repro.core.query import Answer, PreparedQuery, prepare_query
 from repro.core.rules import UpdateProgram
 
@@ -82,43 +81,6 @@ def resolve_revision_ref(ref: str | int) -> str | int:
 SnapshotSource = Callable[[], ObjectBase]
 
 
-class _PreparedEntry:
-    """Per-store memo state for one registered :class:`PreparedQuery`.
-
-    ``revision`` is the revision index the cached ``answers`` are valid at
-    (``None`` = nothing cached).  ``carried`` counts commits whose delta
-    provably could not change the answers — the memo survived them without
-    re-execution; ``invalidated`` counts the commits that did hit the
-    query's signature.  ``text`` remembers the concrete-syntax form the
-    query was registered under (if any) so repeats of the same string skip
-    the parser, and so eviction can drop the alias.
-    """
-
-    __slots__ = (
-        "query", "revision", "answers",
-        "hits", "misses", "carried", "invalidated", "text",
-    )
-
-    def __init__(self, query: PreparedQuery) -> None:
-        self.query = query
-        self.revision: int | None = None
-        self.answers: list[Answer] | None = None
-        self.hits = 0
-        self.misses = 0
-        self.carried = 0
-        self.invalidated = 0
-        self.text: str | None = None
-
-    def stats(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "carried": self.carried,
-            "invalidated": self.invalidated,
-            "valid_at": self.revision,
-        }
-
-
 @dataclass(frozen=True)
 class StoreOptions:
     """Tunable shape of a :class:`VersionedStore`.
@@ -132,23 +94,14 @@ class StoreOptions:
         repeated ``as_of`` reads — and, separately, how many snapshot bases
         that can be reloaded from a journal file stay resident
         (:meth:`VersionedStore.snapshot_persisted`).
-    prepared_cache_size:
-        How many prepared queries (with their per-revision answer memos)
-        the store keeps registered, LRU by use.  Bounds the serving-layer
-        state of long-lived processes that push ad-hoc query strings
-        through :meth:`VersionedStore.query`; an evicted query simply
-        re-registers (and re-memoizes) on its next use.
     """
 
     snapshot_interval: int = 32
     materialize_cache: int = 4
-    prepared_cache_size: int = 256
 
     def __post_init__(self) -> None:
         if self.snapshot_interval < 1:
             raise ReproError("snapshot_interval must be >= 1")
-        if self.prepared_cache_size < 1:
-            raise ReproError("prepared_cache_size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -222,9 +175,6 @@ class VersionedStore:
         self._snapshot_sources: dict[int, "SnapshotSource"] = {}
         self._resident: deque[int] = deque()
         self._resident_lock = threading.Lock()
-        self._prepared: OrderedDict[PreparedQuery, _PreparedEntry] = OrderedDict()
-        self._prepared_texts: dict[str, PreparedQuery] = {}
-        self._prepared_lock = threading.RLock()
         self._commit_listeners: list[Callable[[StoreRevision], None]] = []
         self.epoch = 0
         self._revisions: list[StoreRevision] = [
@@ -263,9 +213,6 @@ class VersionedStore:
         store._snapshot_sources = snapshot_sources
         store._resident = deque()
         store._resident_lock = threading.Lock()
-        store._prepared = OrderedDict()
-        store._prepared_texts = {}
-        store._prepared_lock = threading.RLock()
         store._commit_listeners = []
         store._revisions = []
         for expected, revision in enumerate(revisions):
@@ -422,134 +369,21 @@ class VersionedStore:
                 return revision
         raise ReproError(f"no revision tagged {tag_or_index!r}")
 
-    # -- prepared-query serving -------------------------------------------
-    def prepare(
-        self,
-        query: "PreparedQuery | str | Sequence[Literal]",
-        *,
-        name: str | None = None,
-    ) -> PreparedQuery:
-        """Register a prepared query with this store and return it.
-
-        The query's body is compiled exactly once (join plan + index-column
-        selection + dependency signature); :meth:`query` then serves it
-        from a per-revision memo.  Preparing the same body (or the same
-        concrete-syntax string — repeats skip the parser entirely) returns
-        the original registration, memo state included.
-
-        The registry is LRU-bounded by
-        :attr:`StoreOptions.prepared_cache_size`; an evicted query simply
-        re-registers with a cold memo on its next use.  Registry mutations
-        are serialized by a lock, so concurrent reader threads (the MVCC
-        sessions of :mod:`repro.server.service`) cannot corrupt the LRU
-        structure.
-        """
-        with self._prepared_lock:
-            if isinstance(query, str):
-                known = self._prepared_texts.get(query)
-                if known is not None:
-                    entry = self._prepared.get(known)
-                    if entry is not None:
-                        self._prepared.move_to_end(known)
-                        return entry.query
-            prepared = prepare_query(query, name=name)
-            entry = self._prepared.get(prepared)
-            if entry is not None:
-                self._prepared.move_to_end(prepared)
-                if isinstance(query, str) and entry.text is None:
-                    # Remember the alias so repeats of this string skip the
-                    # parser even though the body was first registered
-                    # programmatically.
-                    entry.text = query
-                    self._prepared_texts[query] = entry.query
-                return entry.query
-            entry = _PreparedEntry(prepared)
-            if isinstance(query, str):
-                entry.text = query
-                self._prepared_texts[query] = prepared
-            self._prepared[prepared] = entry
-            while len(self._prepared) > self.options.prepared_cache_size:
-                _evicted, old_entry = self._prepared.popitem(last=False)
-                if old_entry.text is not None:
-                    self._prepared_texts.pop(old_entry.text, None)
-            return entry.query
-
+    # -- querying ----------------------------------------------------------
     def query(
         self, query: "PreparedQuery | str | Sequence[Literal]"
     ) -> list[Answer]:
-        """Answer a conjunctive query against the head revision, memoized.
-
-        A first execution at a revision runs the compiled plan and caches
-        the answers; repeats at the same revision are dictionary hits.  On
-        every commit the store folds the revision's exact ``(added,
-        removed)`` delta against each registered query's
-        :class:`~repro.core.plans.QuerySignature`: when no trigger fires the
-        memo is *carried forward* to the new revision without re-execution,
-        so updates that cannot change a query's answers keep its serving
-        path at cache speed.
-
-        The returned list is the live cache entry — treat it as read-only.
-        Unregistered query forms are registered on first use (into the
-        LRU-bounded registry; see :meth:`prepare`).
-        """
-        prepared = self.prepare(query)
-        with self._prepared_lock:
-            entry = self._prepared[prepared]
-            head_index = len(self._revisions) - 1
-            if entry.revision == head_index and entry.answers is not None:
-                entry.hits += 1
-                return entry.answers
-            entry.answers = prepared.run(self.base_at(head_index))
-            entry.revision = head_index
-            entry.misses += 1
-            return entry.answers
-
-    def prepared_stats(self) -> dict[str, dict]:
-        """Memo counters per registered prepared query, by query name
-        (colliding names get a ``#n`` suffix so no entry is dropped)."""
-        stats: dict[str, dict] = {}
-        with self._prepared_lock:
-            entries = list(self._prepared.values())
-        for entry in entries:
-            key = entry.query.name
-            if key in stats:
-                suffix = 2
-                while f"{key}#{suffix}" in stats:
-                    suffix += 1
-                key = f"{key}#{suffix}"
-            stats[key] = entry.stats()
-        return stats
-
-    def _revalidate_prepared(
-        self, added: frozenset[Fact], removed: frozenset[Fact]
-    ) -> None:
-        """The commit hook: carry every unaffected memo to the new head,
-        drop the affected ones."""
-        head_index = len(self._revisions) - 1
-        previous = head_index - 1
-        delta: Delta | None = None
-        with self._prepared_lock:
-            for entry in self._prepared.values():
-                if entry.answers is None or entry.revision != previous:
-                    continue
-                if delta is None:
-                    delta = Delta()
-                    delta.record(added, removed)
-                if entry.query.signature.affected_by(delta):
-                    entry.answers = None
-                    entry.revision = None
-                    entry.invalidated += 1
-                else:
-                    entry.revision = head_index
-                    entry.carried += 1
+        """Answer a conjunctive query against the head revision: a fresh,
+        canonically ordered list the caller owns."""
+        return prepare_query(query).run(self.current)
 
     # -- commit listeners --------------------------------------------------
     def add_commit_listener(
         self, listener: Callable[[StoreRevision], None]
     ) -> Callable[[StoreRevision], None]:
         """Register ``listener`` to be called with every newly committed
-        :class:`StoreRevision` (after the store's own memo revalidation, so
-        listeners reading through :meth:`query` see the new head).
+        :class:`StoreRevision` (the head already is the new revision when
+        a listener runs).
 
         This is the seam the serving subsystem's subscription manager (and,
         later, replication) plugs into: a listener receives the revision's
@@ -675,7 +509,6 @@ class VersionedStore:
         )
         self._revisions.append(revision)
         self._head_cache = (index, new_base)
-        self._revalidate_prepared(added, removed)
         for listener in tuple(self._commit_listeners):
             listener(revision)
         return revision

@@ -1,10 +1,10 @@
 """Satellite regression: every client surface returns *decoded* answers.
 
-A client used to hand back whatever the dispatcher produced — in-process
-that was the store's live memo rows (mutating one corrupted the cache),
-and over the wire the raw JSON decode.  Every receipt path decodes
-(``decode_answers``) into canonical fresh rows that match ``repro.query``
-exactly.
+``PreparedQuery.run`` emits canonical fresh rows (keys in sorted variable
+order, rows in ``answer_sort_key`` order), so the in-process connection
+returns them as they are; the wire client decodes on receipt
+(``decode_answers``) to undo the JSON artefacts.  Either way the caller
+gets rows that match ``repro.query`` exactly and may mutate them.
 """
 
 import json
@@ -80,6 +80,27 @@ class TestWireDecoding:
                 )
 
 
+    def test_in_process_rows_render_exactly_like_wire_rows(
+        self, service, tmp_path
+    ):
+        # Z binds before A, so slot order is not alphabetical: only rows
+        # built in sorted key order repr like decoded wire rows.
+        body = "Z.isa -> empl, Z.sal -> A"
+        socket_path = str(tmp_path / "order.sock")
+        with BackgroundServer(service, path=socket_path):
+            with repro.connect(f"serve:{socket_path}") as conn:
+                wire = conn.query(body)
+                with conn.transaction() as tx:
+                    tx_wire = tx.query(body)
+        assert [list(row) for row in wire] == [["A", "Z"], ["A", "Z"]]
+        assert repr(service.query(body)) == repr(wire)
+        assert repr(service.store.query(body)) == repr(wire)
+        with repro.connect("memory:", base=BASE) as conn:
+            assert repr(conn.query(body)) == repr(wire)
+            with conn.transaction() as tx:
+                assert repr(tx.query(body)) == repr(tx_wire) == repr(wire)
+
+
 class TestCanonicalForm:
     def test_decode_answer_sorts_binding_keys(self):
         row = {"S": 4000, "E": "phil"}
@@ -104,3 +125,11 @@ class TestCanonicalForm:
             rows = conn.query(QUERY)
         assert [list(row) for row in rows] == [["E", "S"], ["E", "S"]]
         assert rows == sorted(rows, key=answer_sort_key)
+
+    def test_memory_rows_belong_to_the_caller(self):
+        with repro.connect("memory:", base=BASE) as conn:
+            first = conn.query(QUERY)
+            expected = [dict(row) for row in first]
+            first[0]["S"] = "corrupted"
+            first.pop()
+            assert conn.query(QUERY) == expected

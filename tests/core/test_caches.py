@@ -17,6 +17,8 @@ def test_known_caches_are_registered_with_bounds():
         assert name in stats, name
         assert stats[name]["maxsize"] == 4096  # bounded, not lru_cache(None)
         assert set(stats[name]) >= {"hits", "misses", "size", "maxsize"}
+    # the read path's one cache, text -> compiled query: small on purpose
+    assert stats["query.prepared"]["maxsize"] == 256
     assert "terms.oid_intern" in stats
 
 

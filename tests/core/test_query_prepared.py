@@ -86,8 +86,10 @@ def test_prepare_query_is_idempotent_and_hashable(base):
     first = prepare_query("E.sal -> S")
     again = prepare_query(first)
     assert again is first
+    assert prepare_query("E.sal -> S") is first  # text -> compiled, cached
     other = prepare_query("E.sal -> S", name="renamed")
     assert other == first and hash(other) == hash(first)
+    assert (first.name, other.name) == ("E.sal -> S", "renamed")
     assert prepare_query(parse_body("E.sal -> S")) == first
 
 

@@ -28,7 +28,6 @@ def test_expected_examples_present():
         "version_audit",
         "control_comparison",
         "inventory_views",
-        "prepared_queries",
         "live_queries",
     } <= names
 

@@ -93,11 +93,14 @@ class TestCommands:
             client.call("as-of", revision="nope")
 
     def test_prepare_and_stats(self, client):
-        prepared = client.call("prepare", body="E.sal -> S", name="sals")
-        assert prepared["name"] == "sals"
+        # the wire `prepare` command is gone with the registry it fed
+        with pytest.raises(ServerError, match="unknown command 'prepare'"):
+            client.call("prepare", body="E.sal -> S", name="sals")
+        client.call("query", body="E.sal -> S")
         stats = client.call("stats")["stats"]
         assert stats["revisions"] == 1
-        assert "sals" in stats["prepared"]
+        assert stats["prepared"] == {}  # kept for the frozen benchmark
+        assert stats["caches"]["query.prepared"]["maxsize"] == 256
 
     def test_id_echo(self, client):
         response = client.request("ping")

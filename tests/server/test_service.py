@@ -6,11 +6,12 @@ import time
 import pytest
 
 from repro.core.errors import VersionLinearityError
-from repro.lang.parser import parse_program
+from repro.lang.parser import parse_body, parse_program
 from repro.server import ConflictError, SessionError, StoreService
 from repro.server.service import _FIFOLock
 from repro.storage import VersionedStore, load_store
 from repro.storage.serialize import JOURNAL_FILE
+from repro.testing.reference import query_reference
 from repro.workloads import paper_example_base
 
 RAISE_PHIL = "r: mod[phil].sal -> (S, S2) <= phil.sal -> S, S2 = S + 100."
@@ -207,6 +208,48 @@ class TestFIFOLock:
         assert len(service.store) == 9
         assert service.query("phil.sal -> S") == [{"S": 4400}]
         assert service.query("bob.sal -> S") == [{"S": 4600}]
+
+
+    def test_concurrent_reads_see_one_revision_never_a_mixture(self, service):
+        """Head reads take no lock: each answer must still be the reference
+        answer of one revision that was the head during the read."""
+        raise_all = (
+            "r: mod[E].sal -> (S, S2) <= E.isa -> empl, E.sal -> S, S2 = S + 100."
+        )
+        body = "E.isa -> empl, E.sal -> S"
+        commits, readers = 20, 4
+        observed, errors = [], []
+        done = threading.Event()
+
+        def reader():
+            try:
+                while not done.is_set():
+                    start = len(service.store) - 1
+                    answers = service.query(body)
+                    observed.append((start, len(service.store) - 1, answers))
+            except Exception as error:  # pragma: no cover - fails the test
+                errors.append(error)
+
+        threads = [threading.Thread(target=reader) for _ in range(readers)]
+        for thread in threads:
+            thread.start()
+        try:
+            for index in range(commits):
+                service.apply(raise_all, tag=f"c{index}")
+        finally:
+            done.set()
+            for thread in threads:
+                thread.join()
+        assert not errors
+        literals = parse_body(body)
+        reference = [
+            query_reference(literals, service.store.base_at(index))
+            for index in range(commits + 1)
+        ]
+        assert len({repr(rows) for rows in reference}) == commits + 1
+        assert observed
+        for start, end, answers in observed:
+            assert answers in reference[start : end + 1], (start, end, answers)
 
 
 class TestDurability:

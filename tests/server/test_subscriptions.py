@@ -7,7 +7,12 @@ revision.
 
 import pytest
 
-from repro.core.query import diff_answers, fold_answers, prepare_query
+from repro.core.query import (
+    PreparedQuery,
+    diff_answers,
+    fold_answers,
+    prepare_query,
+)
 from repro.server import StoreService
 from repro.storage import VersionedStore
 from repro.workloads import paper_example_base
@@ -95,6 +100,34 @@ class TestSubscriptions:
         assert sub_a.query is sub_b.query  # one compiled query
         service.apply(RAISE_PHIL)
         assert sub_a.answers is sub_b.answers  # one refreshed answer list
+        assert a_received[0]["added"] == b_received[0]["added"]
+
+    def test_same_body_under_two_names_keeps_each_name(
+        self, service, monkeypatch
+    ):
+        """A query's name belongs to its subscriber: the second client of a
+        body used to be answered (and pushed to) under the first one's
+        name.  The two still share one evaluation per commit."""
+        a_received, b_received = [], []
+        sub_a = service.subscriptions.subscribe(
+            SALARIES, a_received.append, name="a"
+        )
+        sub_b = service.subscriptions.subscribe(
+            SALARIES, b_received.append, name="b"
+        )
+        assert (sub_a.query.name, sub_b.query.name) == ("a", "b")
+        runs = []
+        run = PreparedQuery.run
+        monkeypatch.setattr(
+            PreparedQuery,
+            "run",
+            lambda query, base: runs.append(query.name) or run(query, base),
+        )
+        service.apply(RAISE_PHIL)
+        assert len(runs) == 1
+        assert sub_a.answers is sub_b.answers
+        assert [push["query"] for push in a_received] == ["a"]
+        assert [push["query"] for push in b_received] == ["b"]
         assert a_received[0]["added"] == b_received[0]["added"]
 
     def test_unsubscribe_stops_pushes(self, service):

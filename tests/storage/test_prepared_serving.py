@@ -1,13 +1,15 @@
-"""Tests for the store's prepared-query serving layer: per-revision
-memoization, delta-driven invalidation, and carry across unaffected
-commits."""
+"""Tests for ``VersionedStore.query``: evaluated on demand against the
+head, so it equals the reference at every revision and hands out rows the
+caller owns."""
 
 import pytest
 
 from repro import parse_object_base, parse_program
-from repro.core.query import query_literals
 from repro.lang.parser import parse_body
 from repro.storage import VersionedStore
+from repro.testing.reference import query_reference
+
+TEXTS = ("E.sal -> S", "E.boss -> B", "M.pos -> mgr")
 
 
 @pytest.fixture()
@@ -27,110 +29,47 @@ RAISE = parse_program(
 )
 
 
-def _fresh(store, text):
-    return query_literals(store.current, parse_body(text))
+def _assert_matches_reference(store):
+    head = store.base_at(len(store) - 1)
+    for text in TEXTS:
+        assert store.query(text) == query_reference(parse_body(text), head), text
 
 
-def test_memo_hits_at_same_revision(store):
-    prepared = store.prepare("E.sal -> S", name="sal")
-    first = store.query(prepared)
-    assert store.query(prepared) is first  # the very cache entry
-    stats = store.prepared_stats()["sal"]
-    assert stats["misses"] == 1 and stats["hits"] == 1
-
-
-def test_invalidation_on_affecting_commit(store):
-    prepared = store.prepare("E.sal -> S", name="sal")
-    before = store.query(prepared)
-    store.apply(RAISE, tag="raise")
-    after = store.query(prepared)
-    assert after != before
-    assert after == _fresh(store, "E.sal -> S")
-    stats = store.prepared_stats()["sal"]
-    assert stats["invalidated"] == 1 and stats["misses"] == 2
-
-
-def test_carry_across_unaffected_commit(store):
-    prepared = store.prepare("E.boss -> B", name="org")
-    before = store.query(prepared)
-    store.apply(RAISE, tag="raise")  # touches sal facts only
-    assert store.query(prepared) is before  # carried, not recomputed
-    stats = store.prepared_stats()["org"]
-    assert stats["carried"] == 1 and stats["misses"] == 1
-    assert stats["invalidated"] == 0
-    assert store.query(prepared) == _fresh(store, "E.boss -> B")
+def test_query_returns_rows_the_caller_may_mutate(store):
+    first = store.query("E.sal -> S")
+    expected = [dict(row) for row in first]
+    first[0]["S"] = -1
+    first.clear()
+    assert store.query("E.sal -> S") == expected
 
 
 def test_unregistered_query_registers_on_first_use(store):
-    answers = store.query("E.isa -> empl")
-    assert len(answers) == 2
-    assert "E.isa -> empl" in store.prepared_stats()
+    """The one cache of the read path is text -> compiled query, shared by
+    every store of the process: a first use compiles, a repeat is a hit."""
+    from repro.core.caches import cache_stats
 
-
-def test_prepare_returns_the_original_registration(store):
-    first = store.prepare("E.sal -> S", name="sal")
-    assert store.prepare("E.sal -> S") is first  # text repeat skips the parser
-    assert store.prepare(first) is first
-    store.query(first)
-    store.query("E.sal -> S")  # same registration -> a memo hit
-    stats = store.prepared_stats()["sal"]
-    assert stats["misses"] == 1 and stats["hits"] == 1
-
-
-def test_text_alias_recorded_for_programmatic_registration(store):
-    from repro.core.query import PreparedQuery
-
-    programmatic = PreparedQuery(parse_body("E.sal -> S"), name="sal")
-    registered = store.prepare(programmatic)
-    # The first text lookup parses, finds the existing registration, and
-    # records the alias; repeats then skip the parser entirely.
-    assert store.prepare("E.sal -> S") is registered
-    assert store._prepared_texts.get("E.sal -> S") is registered
-
-
-def test_prepared_registry_is_lru_bounded():
-    from repro import parse_object_base
-    from repro.storage import StoreOptions
-
-    bounded = VersionedStore(
-        parse_object_base("phil.isa -> empl."),
-        options=StoreOptions(prepared_cache_size=2),
-    )
-    for method in ("m1", "m2", "m3"):
-        bounded.query(f"E.{method} -> R")
-    stats = bounded.prepared_stats()
-    assert len(stats) == 2
-    assert "E.m1 -> R" not in stats  # least-recently used was evicted
-    # an evicted query re-registers with a cold memo on next use
-    bounded.query("E.m1 -> R")
-    assert "E.m1 -> R" in bounded.prepared_stats()
-    assert len(bounded.prepared_stats()) == 2
+    text = "E.isa -> empl, E.first_use_probe -> R"
+    before = cache_stats()["query.prepared"]
+    assert store.query(text) == store.query(text) == []
+    after = cache_stats()["query.prepared"]
+    assert after["misses"] == before["misses"] + 1
+    assert after["hits"] == before["hits"] + 1
 
 
 def test_rollback_revalidates(store):
-    prepared = store.prepare("E.sal -> S", name="sal")
-    initial = list(store.query(prepared))
+    initial = store.query("E.sal -> S")
     store.apply(RAISE, tag="raise")
-    store.query(prepared)
+    assert store.query("E.sal -> S") != initial
+    _assert_matches_reference(store)
     store.rollback_to(0, tag="undo")
-    assert store.query(prepared) == initial
-    assert store.query(prepared) == _fresh(store, "E.sal -> S")
+    assert store.query("E.sal -> S") == initial
+    _assert_matches_reference(store)
 
 
 def test_serving_stays_correct_over_a_chain(store):
-    """Differential check across a revision chain: the memoized path always
-    equals a fresh per-call query, whatever mix of hits, carries and
-    invalidations it took."""
-    queries = {
-        "sal": store.prepare("E.sal -> S", name="sal"),
-        "org": store.prepare("E.boss -> B", name="org"),
-        "mgr": store.prepare("M.pos -> mgr", name="mgr"),
-    }
-    texts = {"sal": "E.sal -> S", "org": "E.boss -> B", "mgr": "M.pos -> mgr"}
+    """Differential check across a revision chain: ``store.query`` equals
+    the reference evaluation of the head after every apply."""
     for round_index in range(4):
-        for name, prepared in queries.items():
-            assert store.query(prepared) == _fresh(store, texts[name]), name
+        _assert_matches_reference(store)
         store.apply(RAISE, tag=f"round{round_index}")
-    stats = store.prepared_stats()
-    assert stats["org"]["carried"] >= 1
-    assert stats["sal"]["invalidated"] >= 1
+    _assert_matches_reference(store)

@@ -8,9 +8,12 @@
 * There are three ``Connection`` implementations — in-process, wire,
   shard router — and failover is the wire connection's job: the
   replication package defines none.
+* The read path keeps no answers across updates: the per-revision memo is
+  gone from the store, not bypassed.
 """
 
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
@@ -66,6 +69,24 @@ def test_exactly_three_connection_classes_and_none_under_replication():
         "WireConnection": "api",
         "ClusterConnection": "cluster",
     }
+
+
+def test_the_answer_memo_is_gone_not_bypassed():
+    from repro.storage import StoreOptions, VersionedStore
+
+    assert [field.name for field in dataclasses.fields(StoreOptions)] == [
+        "snapshot_interval",
+        "materialize_cache",
+    ]
+    assert not hasattr(VersionedStore, "prepare")
+    gone = ("_revalidate_prepared", "prepared_stats", "prepared_cache_size")
+    offenders = [
+        f"{path.relative_to(SRC.parent)} mentions {name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for name in gone
+        if name in path.read_text(encoding="utf-8")
+    ]
+    assert not offenders, offenders
 
 
 def test_cli_parser_builds_without_the_benchmarks_package(tmp_path):
