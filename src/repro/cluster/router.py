@@ -51,12 +51,7 @@ from repro.api.wire import WireConnection, _body_text
 from repro.cluster.partition import program_shards, query_scope
 from repro.core.errors import ReproError
 from repro.core.objectbase import ObjectBase
-from repro.core.query import (
-    Answer,
-    answer_sort_key,
-    decode_answers,
-    prepare_query,
-)
+from repro.core.query import Answer, answer_sort_key, prepare_query
 from repro.server.errors import ServerBusyError
 from repro.server.service import StoreService
 from repro.storage.history import resolve_revision_ref
@@ -373,7 +368,7 @@ class ClusterConnection(Connection):
             return merged
         with self._lock:
             self.gather_reads += 1
-        return decode_answers(prepared.run(self._gather(components)))
+        return prepared.run(self._gather(components))
 
     def _gather(self, components: list[int | None]) -> ObjectBase:
         """A consistent cross-shard snapshot for centrally evaluated

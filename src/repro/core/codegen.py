@@ -44,6 +44,11 @@ Python function per plan instead:
 * **one ``compile()`` per generated text** — constants sit in the function's
   namespace, so rules differing only in constants share a code object.
 
+:func:`compile_seeded` builds one seeded variant — bulk seed matcher plus
+the rest of the body — for a rule (ending in its firing loop) and, without
+a rule, for a live query's delta evaluation
+(:meth:`repro.core.query.PreparedQuery.delta_answers`).
+
 Semantics are pinned by the independent reference evaluator
 (:mod:`repro.testing.reference`) — which keeps the interpreted head
 handling: substitute, ``update_atom_true_in_head``, ``PendingUpdates.add`` —
@@ -102,6 +107,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "CompiledBody",
     "CompiledRule",
+    "compile_seeded",
     "compiled_body",
     "compiled_rule",
     "match_rule_compiled",
@@ -961,6 +967,18 @@ def _compile_seed_matcher(
     return fn
 
 
+def compile_seeded(
+    plan: JoinPlan, literal: Literal, name: str, rule: "UpdateRule | None" = None
+) -> tuple[Callable, CompiledBody]:
+    """``(seed_matcher, compiled_body)`` for a body seeded at ``literal``:
+    ``plan`` orders the rest of the body (``compile_seed_plan``).  Given
+    ``rule`` the body ends in the rule's firing loop; without it, it
+    returns its rows (a query's seeded variant)."""
+    seed_vars = tuple(sorted(literal.variables, key=var_sort_key))
+    matcher = _compile_seed_matcher(literal.atom, seed_vars, name)
+    return matcher, _compile_body_plan(plan, seed_vars, name, rule, seeded=True)
+
+
 class CompiledRule:
     """Everything compiled for one rule: the full-body executor plus one
     (lazily built) bulk seed matcher + seeded executor per seed literal,
@@ -980,14 +998,11 @@ class CompiledRule:
         try:
             return self._seeded[position]
         except KeyError:
-            plan = self.plans.seed_plan(position)
-            literal = self.rule.body[position]
-            seed_vars = tuple(sorted(literal.variables, key=var_sort_key))
-            name = f"{self.rule.name}/seed{position}"
-            matcher = _compile_seed_matcher(literal.atom, seed_vars, name)
-            entry = (
-                matcher,
-                _compile_body_plan(plan, seed_vars, name, self.rule, seeded=True),
+            entry = compile_seeded(
+                self.plans.seed_plan(position),
+                self.rule.body[position],
+                f"{self.rule.name}/seed{position}",
+                self.rule,
             )
             self._seeded[position] = entry
             return entry

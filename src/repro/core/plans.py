@@ -72,6 +72,7 @@ __all__ = [
     "PlanStep",
     "JoinPlan",
     "compile_plan",
+    "compile_seed_plan",
     "RuleSignature",
     "QuerySignature",
     "body_signature",
@@ -396,18 +397,25 @@ def rule_signature(rule: "UpdateRule") -> RuleSignature:
 
 @dataclass(frozen=True)
 class QuerySignature:
-    """What a conjunctive *query* body reads, keyed for memo invalidation.
+    """What a conjunctive *query* body reads, keyed for sessions and
+    subscriptions.
 
-    Unlike :class:`RuleSignature` there is no head and no seed/FULL split:
-    a cached answer set can change whenever any fact a body literal reads —
-    positively or under negation — is added *or* removed, so one trigger
-    list is checked against both directions of a
-    :class:`~repro.core.objectbase.Delta`.  A delta that fires no trigger
-    provably leaves the answers untouched, which is what lets the prepared
-    -query layer carry memoized results across store revisions.
+    Unlike :class:`RuleSignature` there is no head: an answer set can
+    change whenever any fact a body literal reads — positively or under
+    negation — is added *or* removed, so one trigger list is checked
+    against both directions of a :class:`~repro.core.objectbase.Delta`.  A
+    delta that fires no trigger provably leaves the answers untouched,
+    which is what lets a session keep its read footprint valid and a
+    subscription skip a commit without evaluating anything.
+
+    ``seeds`` has the :attr:`RuleSignature.seeds` layout — one entry per
+    positive version-term literal of a body — so :func:`seed_facts` picks a
+    delta's facts for a seeded evaluation of the body; a program's
+    signature has none.
     """
 
     triggers: tuple[Trigger, ...]
+    seeds: tuple[Seed, ...] = ()
 
     def affected_by(self, delta: "Delta") -> bool:
         """True when ``delta`` may change the query's answers."""
@@ -455,12 +463,15 @@ def program_signature(program) -> QuerySignature:
 def body_signature(body: tuple[Literal, ...]) -> QuerySignature:
     """The :class:`QuerySignature` of a bare conjunctive body."""
     triggers: list[Trigger] = []
-    for literal in body:
+    seeds: list[Seed] = []
+    for position, literal in enumerate(body):
         atom = literal.atom
         if isinstance(atom, VersionAtom):
             key = (atom.method, len(atom.args))
             prefix, exact = _pattern_shape(atom.host)
             triggers.append((key, prefix, exact))
+            if literal.positive:
+                seeds.append((position, key, prefix, exact))
         elif isinstance(atom, UpdateAtom):
             key = (atom.method, len(atom.args)) if atom.method else None
             prefix, exact = _pattern_shape(atom.target)
@@ -468,7 +479,7 @@ def body_signature(body: tuple[Literal, ...]) -> QuerySignature:
             triggers.append(((EXISTS, 0), (atom.kind.value, *prefix), exact))
             triggers.extend(_v_star_triggers([key, (EXISTS, 0)], atom.target))
         # Built-ins read no facts: no trigger.
-    return QuerySignature(tuple(dict.fromkeys(triggers)))
+    return QuerySignature(tuple(dict.fromkeys(triggers)), tuple(seeds))
 
 
 class RulePlan:
@@ -484,21 +495,22 @@ class RulePlan:
         self._seed_plans: dict[int, JoinPlan] = {}
 
     def seed_plan(self, position: int) -> JoinPlan:
-        """The plan for the body minus the seed literal at ``position``,
-        compiled with the seed literal's variables already bound."""
+        """The rule's :func:`compile_seed_plan` at ``position``."""
         try:
             return self._seed_plans[position]
         except KeyError:
-            body = tuple(
-                literal
-                for index, literal in enumerate(self.rule.body)
-                if index != position
-            )
-            plan = compile_plan(
-                body, self.rule.body[position].variables, name=self.rule.name
-            )
+            plan = compile_seed_plan(self.rule.body, position, self.rule.name)
             self._seed_plans[position] = plan
             return plan
+
+
+def compile_seed_plan(
+    body: tuple[Literal, ...], position: int, name: str = "<body>"
+) -> JoinPlan:
+    """The plan for ``body`` minus the seed literal at ``position``,
+    compiled with the seed literal's variables already bound."""
+    rest = tuple(literal for index, literal in enumerate(body) if index != position)
+    return compile_plan(rest, body[position].variables, name=name)
 
 
 @lru_cache(maxsize=4096)
@@ -562,7 +574,7 @@ def classify(
 
 
 def seed_facts(
-    delta: "Delta", signature: RuleSignature, position: int
+    delta: "Delta", signature: RuleSignature | QuerySignature, position: int
 ) -> list[Fact]:
     """The added facts a seed literal at ``position`` can match, by key and
     host shape."""

@@ -17,7 +17,9 @@ single time and every execution runs that closure against whatever base it
 is given — answers are never kept across updates.  :func:`prepare_query`
 keeps the one cache of the read path, *text → compiled query*; the query's
 :class:`~repro.core.plans.QuerySignature` is what sessions and
-subscriptions test a commit's exact ``(added, removed)`` delta against.
+subscriptions test a commit's exact ``(added, removed)`` delta against, and
+:meth:`PreparedQuery.delta_answers` is how a subscription learns what that
+delta did to its answers without re-running the body.
 """
 
 from __future__ import annotations
@@ -25,12 +27,12 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from repro.core.atoms import Literal
+from repro.core.atoms import BuiltinAtom, Literal, VersionAtom
 from repro.core.caches import register_lru_cache
-from repro.core.codegen import compiled_body
+from repro.core.codegen import compile_seeded, compiled_body
 from repro.core.grounding import match_body
-from repro.core.objectbase import ObjectBase
-from repro.core.plans import body_signature
+from repro.core.objectbase import Delta, ObjectBase
+from repro.core.plans import body_signature, compile_seed_plan, seed_facts
 from repro.core.terms import Oid, Var
 
 __all__ = [
@@ -101,10 +103,12 @@ def diff_answers(
     a stream of diffs is replayable deterministically (see
     :func:`fold_answers`).
     """
-    old_keys = {_answer_sort_key(answer) for answer in old}
-    new_keys = {_answer_sort_key(answer) for answer in new}
-    added = [a for a in new if _answer_sort_key(a) not in old_keys]
-    removed = [a for a in old if _answer_sort_key(a) not in new_keys]
+    old_keyed = [(_answer_sort_key(answer), answer) for answer in old]
+    new_keyed = [(_answer_sort_key(answer), answer) for answer in new]
+    old_keys = {key for key, _answer in old_keyed}
+    new_keys = {key for key, _answer in new_keyed}
+    added = [answer for key, answer in new_keyed if key not in old_keys]
+    removed = [answer for key, answer in old_keyed if key not in new_keys]
     return added, removed
 
 
@@ -196,12 +200,20 @@ class PreparedQuery:
     :class:`~repro.core.plans.QuerySignature` (which method keys and host
     shapes can change the answers).  ``run`` executes against any base.
 
-    Instances are immutable and safe to share across stores and threads.
-    Equality and hash are by body, so queries that differ only in ``name``
-    share one evaluation wherever they key a dict.
+    A body is ``seedable`` when every literal is a positive version-term or
+    a built-in: :meth:`delta_answers` then evaluates it from a commit's
+    delta alone, through one seeded variant per positive version-term
+    (built lazily, as a rule's are).
+
+    Instances are safe to share across stores and threads.  Equality and
+    hash are by body, so queries that differ only in ``name`` share one
+    evaluation wherever they key a dict.
     """
 
-    __slots__ = ("body", "compiled", "signature", "name", "_hash", "_columns")
+    __slots__ = (
+        "body", "compiled", "signature", "name", "seedable",
+        "_hash", "_columns", "_seeded",
+    )
 
     def __init__(
         self, literals: Sequence[Literal], *, name: str = "<prepared>"
@@ -213,9 +225,15 @@ class PreparedQuery:
         self.compiled = compiled_body(self.body, name)
         self.signature = body_signature(self.body)
         self.name = name
+        self.seedable = all(
+            isinstance(literal.atom, BuiltinAtom)
+            or (literal.positive and isinstance(literal.atom, VersionAtom))
+            for literal in self.body
+        )
         self._hash = hash(self.body)
         # Row keys in sorted variable order: what decode_answer produces.
         self._columns = sorted(self.compiled.slots, key=lambda var: var.name)
+        self._seeded: dict[int, tuple] = {}
 
     def __hash__(self) -> int:
         return self._hash
@@ -246,6 +264,49 @@ class PreparedQuery:
         ]
         answers.sort(key=_answer_sort_key)
         return answers
+
+    def delta_answers(self, delta: Delta, base: ObjectBase) -> list[Answer]:
+        """The canonical answers of ``base`` that use at least one fact
+        ``delta`` added, sorted by :func:`answer_sort_key`.
+
+        Each positive version-term seeds its variant with the delta's
+        matching facts and the rest of the body runs on ``base``.  For a
+        :attr:`seedable` body an answer binds every body variable, so it
+        grounds to exactly one set of facts: with ``delta`` the exact change
+        from ``b`` to ``base`` these are the rows ``diff_answers(run(b),
+        run(base))`` adds — and, for the inverse delta on ``b``, the rows it
+        removes.
+        """
+        keyed: dict[tuple, Answer] = {}
+        signature = self.signature
+        for position, *_ in signature.seeds:
+            facts = seed_facts(delta, signature, position)
+            if not facts:
+                continue
+            matcher, body, columns = self._seeded_at(position)
+            for row in body.fn(base, matcher(facts)):
+                answer = {
+                    name: v.value if isinstance(v := row[slot], Oid) else str(v)
+                    for name, slot in columns
+                }
+                keyed.setdefault(_answer_sort_key(answer), answer)
+        return [keyed[key] for key in sorted(keyed)]
+
+    def _seeded_at(self, position: int) -> tuple:
+        """``(seed_matcher, compiled_body, columns)`` of the variant seeded
+        at ``position``; one ``compile()`` per generated text is shared by
+        every body of the same shape."""
+        try:
+            return self._seeded[position]
+        except KeyError:
+            matcher, body = compile_seeded(
+                compile_seed_plan(self.body, position),
+                self.body[position],
+                f"<body>/seed{position}",
+            )
+            columns = tuple((var.name, body.slots.index(var)) for var in self._columns)
+            entry = self._seeded[position] = (matcher, body, columns)
+            return entry
 
 
 #: Bound of the text → compiled query cache (the size of the per-store

@@ -82,24 +82,41 @@ class TestSubscriptions:
 
     def test_affected_but_unchanged_sends_nothing(self, service):
         # ``bob.sal -> S`` shares the sal key with a phil-only raise: the
-        # trigger fires (re-evaluation), but the answers are identical, so
-        # no diff is pushed.
+        # trigger fires (a seeded evaluation), but the answers are
+        # identical, so no diff is pushed.
         received = []
         subscription = service.subscriptions.subscribe(
             "bob.sal -> S", received.append
         )
+        answers = subscription.answers
         service.apply(RAISE_PHIL)
         assert received == []
-        assert subscription.refreshed == 1
+        assert subscription.seeded == 1
+        assert subscription.refreshed == 0
         assert subscription.pushed == 0
+        assert subscription.answers is answers  # nothing to fold
 
-    def test_shared_body_shares_refresh(self, service):
+    def test_negated_body_is_re_run_in_full(self, service):
+        body = "E.isa -> empl, E.sal -> S, not E.pos -> mgr"
+        received = []
+        subscription = service.subscriptions.subscribe(body, received.append)
+        assert not subscription.query.seedable
+        service.apply(RAISE_BOB)
+        assert (subscription.seeded, subscription.refreshed) == (0, 1)
+        assert received[0]["added"] == [{"E": "bob", "S": 4300}]
+        assert subscription.answers == service.store.query(body)
+
+    def test_shared_body_shares_refresh(self, service, monkeypatch):
         a_received, b_received = [], []
         sub_a = service.subscriptions.subscribe(SALARIES, a_received.append)
         sub_b = service.subscriptions.subscribe(SALARIES, b_received.append)
         assert sub_a.query is sub_b.query  # one compiled query
+        evaluations = _count_evaluations(monkeypatch)
         service.apply(RAISE_PHIL)
-        assert sub_a.answers is sub_b.answers  # one refreshed answer list
+        # one seeded evaluation of the body: its added and its removed rows
+        assert evaluations == {"run": 0, "delta_answers": 2}
+        assert (sub_a.seeded, sub_b.seeded) == (1, 1)
+        assert sub_a.answers is sub_b.answers  # one folded answer list
         assert a_received[0]["added"] == b_received[0]["added"]
 
     def test_same_body_under_two_names_keeps_each_name(
@@ -116,15 +133,9 @@ class TestSubscriptions:
             SALARIES, b_received.append, name="b"
         )
         assert (sub_a.query.name, sub_b.query.name) == ("a", "b")
-        runs = []
-        run = PreparedQuery.run
-        monkeypatch.setattr(
-            PreparedQuery,
-            "run",
-            lambda query, base: runs.append(query.name) or run(query, base),
-        )
+        evaluations = _count_evaluations(monkeypatch)
         service.apply(RAISE_PHIL)
-        assert len(runs) == 1
+        assert evaluations == {"run": 0, "delta_answers": 2}
         assert sub_a.answers is sub_b.answers
         assert [push["query"] for push in a_received] == ["a"]
         assert [push["query"] for push in b_received] == ["b"]
@@ -144,6 +155,60 @@ class TestSubscriptions:
         service.subscriptions.close()
         service.apply(RAISE_PHIL)
         assert received == []
+
+
+class TestSeededFoldRaces:
+    def test_subscribing_inside_the_commit_is_not_folded_twice(self):
+        """A commit listener registered ahead of the manager subscribes
+        while the revision is already appended: the new subscription starts
+        at that revision, so the manager must leave it alone — and evaluate
+        the others' removed rows on the revision before it, not on the one
+        the late subscriber moved the manager to."""
+        body = "E.sal -> S, F.sal -> T, S < T"  # removed rows join two facts
+        query = prepare_query(body)
+        store = VersionedStore(paper_example_base(), tag="initial")
+        inside, late_pushes, pushes = [], [], []
+
+        def subscribe_once(revision):
+            if not inside:
+                inside.append(service.subscriptions.subscribe(body, late_pushes.append))
+
+        store.add_commit_listener(subscribe_once)
+        service = StoreService(store)
+        before = service.subscriptions.subscribe(body, pushes.append)
+        for revision in (1, 2):
+            service.apply(RAISE_PHIL)
+            late = inside[0]
+            fresh = [query.run(store.base_at(revision - k)) for k in (1, 0)]
+            assert late.revision == before.revision == revision
+            assert late.answers == before.answers == fresh[1]
+            added, removed = diff_answers(*fresh)
+            assert (pushes[-1]["added"], pushes[-1]["removed"]) == (added, removed)
+        assert (late.seeded, late.skipped) == (1, 0)
+        assert [push["revision"] for push in late_pushes] == [2]
+
+    def test_last_unsubscribe_drops_the_held_base(self, service):
+        manager = service.subscriptions
+        subscription = manager.subscribe(SALARIES, lambda push: None)
+        service.apply(RAISE_PHIL)
+        assert manager._head is not None
+        manager.unsubscribe(subscription.id)
+        service.apply(RAISE_PHIL)
+        assert manager._head is None
+
+
+def _count_evaluations(monkeypatch) -> dict:
+    """Count whole-body runs and seeded evaluations from now on."""
+    counts = {"run": 0, "delta_answers": 0}
+    for name in counts:
+        method = getattr(PreparedQuery, name)
+
+        def counted(query, *args, _name=name, _method=method):
+            counts[_name] += 1
+            return _method(query, *args)
+
+        monkeypatch.setattr(PreparedQuery, name, counted)
+    return counts
 
 
 class TestFoldDifferential:
