@@ -210,24 +210,10 @@ class Follower:
         return store
 
     def _validated(self, entry: dict, *, expected: int, store) -> dict:
-        """The follower's gate on every received line: parse + CRC check,
-        chain order, epoch monotonicity (a regressing epoch is a zombie
-        primary's line — never adopt it)."""
-        record = parse_journal_record(entry["line"])
-        index = record["index"]
-        if index != expected:
-            raise ReproError(
-                f"replication stream broke the chain: got revision {index}, "
-                f"expected {expected} — resyncing"
-            )
-        current_epoch = store.epoch if store is not None else 0
-        if record.get("epoch", 0) < current_epoch:
-            raise ReproError(
-                f"replication line {index} carries epoch "
-                f"{record.get('epoch', 0)} below this replica's epoch "
-                f"{current_epoch}; refusing a fenced primary's history"
-            )
-        return record
+        """The follower's gate on every received line: the journal's own
+        rule (CRC, chain order, no epoch regression)."""
+        epoch = store.epoch if store is not None else 0
+        return parse_journal_record(entry["line"], expected=expected, epoch=epoch)
 
     def _persist(self, entry: dict) -> None:
         """Snapshot file first, then the verbatim line — the same

@@ -5,12 +5,13 @@ follower's journal is a **byte-identical prefix** of the primary's.  This
 module never re-serializes history to uphold it:
 
 * :func:`read_journal_entries` reads the journal file's raw lines straight
-  off disk (bootstrap and catch-up), carrying referenced snapshot files
+  off disk (bootstrap and catch-up) — the lines
+  :func:`~repro.storage.serialize.journal_history` counts as history, the
+  ones ``load_store`` would load — carrying referenced snapshot files
   inline;
-* live pushes render the just-committed revision through
-  :func:`~repro.storage.serialize.format_revision_line` — the *same*
-  function ``append_revision`` just used, so the streamed text equals the
-  appended bytes.
+* live pushes carry the entry ``append_revision`` returned for the
+  commit: the appended line and the snapshot text it just wrote, so
+  nothing is rendered, parsed or read back per follower.
 
 :class:`ReplicationHub` glues both to a :class:`StoreService`: ``sync``
 answers one catch-up batch, ``attach`` replays catch-up then registers a
@@ -23,12 +24,11 @@ line the primary lost.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Callable
 
 from repro.core.errors import ReproError
-from repro.storage.serialize import JOURNAL_FILE, format_revision_line
+from repro.storage.serialize import journal_history
 
 __all__ = ["ReplicationHub", "hub_for", "read_journal_entries"]
 
@@ -41,53 +41,26 @@ def read_journal_entries(
 
     Each entry is ``{"index", "epoch", "line", "snapshot"}`` where
     ``snapshot`` is ``{"name", "content"}`` for lines that reference one
-    (``None`` otherwise).  A torn tail line is simply not streamed — it is
-    the crash residue of an interrupted append, never durable history.
+    (``None`` otherwise).  The lines are those ``load_store`` loads: crash
+    residue is not streamed, and earlier damage raises
+    :class:`~repro.storage.serialize.JournalCorruptError`.
     """
     directory = Path(directory)
-    journal = directory / JOURNAL_FILE
-    if not journal.exists():
-        raise ReproError(f"no journal at {journal}")
-    lines = journal.read_text(encoding="utf-8").split("\n")
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines:
-        raise ReproError(f"journal {journal} is empty")
-    header = lines[0]
-    entries: list[dict] = []
-    for position, line in enumerate(lines[1:]):
-        try:
-            record = json.loads(line)
-            index = record["index"]
-        except (ValueError, TypeError, KeyError):
-            if position == len(lines) - 2:
-                break  # torn tail: not durable, not streamed
-            raise ReproError(
-                f"journal {journal} has a corrupt line before its tail; "
-                f"run `repro store verify` and repair before replicating"
-            ) from None
-        if not isinstance(index, int) or index < from_index:
+    header, history, _residue = journal_history(directory)
+    entries = []
+    for _number, _offset, line, record in history:
+        if record["index"] < from_index:
             continue
-        if entries and line == entries[-1]["line"]:
-            continue  # duplicate tail residue of a retried append
-        entries.append(_entry(directory, record, line))
+        snapshot = None
+        if name := record.get("snapshot"):
+            snapshot = {"name": name, "content": (directory / name).read_text(encoding="utf-8")}
+        entries.append({
+            "index": record["index"],
+            "epoch": record.get("epoch", 0),
+            "line": line,
+            "snapshot": snapshot,
+        })
     return header, entries
-
-
-def _entry(directory: Path, record: dict, line: str) -> dict:
-    snapshot = None
-    name = record.get("snapshot")
-    if name:
-        snapshot = {
-            "name": name,
-            "content": (directory / name).read_text(encoding="utf-8"),
-        }
-    return {
-        "index": record["index"],
-        "epoch": record.get("epoch", 0),
-        "line": line,
-        "snapshot": snapshot,
-    }
 
 
 class ReplicationHub:
@@ -141,10 +114,8 @@ class ReplicationHub:
             for entry in entries:
                 deliver(dict(entry, push="repl-line"))
 
-            def publish(revision, has_snapshot, _deliver=deliver):
-                line = format_revision_line(revision, has_snapshot)
-                record = json.loads(line)
-                _deliver(dict(_entry(directory, record, line), push="repl-line"))
+            def publish(entry, _deliver=deliver):
+                _deliver(dict(entry, push="repl-line"))
 
             listener = self.service.add_replication_listener(publish)
             head = len(self.service.store) - 1

@@ -316,7 +316,7 @@ class StoreService:
         self._fenced_epoch = 0
         #: Journal lines published to replication streams, lifetime total.
         self._repl_streamed = 0
-        self._repl_listeners: list[Callable[[StoreRevision, bool], None]] = []
+        self._repl_listeners: list[Callable[[dict], None]] = []
         #: Extra ``stats()["replication"]`` fields (a follower installs its
         #: lag/heartbeat view here); zero-argument callable returning a dict.
         self.replication_info: Callable[[], dict] | None = None
@@ -508,14 +508,14 @@ class StoreService:
             return new_epoch
 
     def add_replication_listener(
-        self, listener: Callable[[StoreRevision, bool], None]
-    ) -> Callable[[StoreRevision, bool], None]:
-        """Register ``listener(revision, has_snapshot)`` to run after each
-        commit's journal append succeeds — i.e. only for revisions that are
-        durable on this node, so a follower can never hold a line its
-        primary lost.  The caller must serialize registration against
-        in-flight commits (attach under :meth:`_writer`, as the replication
-        hub does)."""
+        self, listener: Callable[[dict], None]
+    ) -> Callable[[dict], None]:
+        """Register ``listener(entry)`` to run after each commit's journal
+        append succeeds — i.e. only for revisions that are durable on this
+        node, so a follower can never hold a line its primary lost.
+        ``entry`` is what ``append_revision`` returned, shared by every
+        listener.  The caller must serialize registration against in-flight
+        commits (attach under :meth:`_writer`, as the replication hub does)."""
         self._repl_listeners.append(listener)
         return listener
 
@@ -623,7 +623,7 @@ class StoreService:
             if self.journal_dir is not None:
                 append_start = time.perf_counter()
                 try:
-                    append_revision(
+                    entry = append_revision(
                         store, self.journal_dir, durability=self.durability
                     )
                 except Exception as error:
@@ -643,7 +643,7 @@ class StoreService:
                 # streams lines that are durable here, keeping its journal a
                 # prefix of this one even through a primary crash.
                 for listener in tuple(self._repl_listeners):
-                    listener(revision, store.has_snapshot(revision.index))
+                    listener(entry)
                     self._repl_streamed += 1
             revisions.append(revision)
         with self._state_lock:

@@ -315,13 +315,10 @@ class TestPromotionAndFencing:
         try:
             fol.service.store.epoch = 2
             from repro.core.errors import ReproError
-            from repro.storage.serialize import format_revision_line
 
             service.apply(RAISE, tag="old-epoch")  # epoch 0 line
-            store = service.store
-            line = format_revision_line(
-                store.head, store.has_snapshot(store.head.index)
-            )
+            line = journal_text(tmp_path / "primary").splitlines()[-1]
+            assert '"tag": "old-epoch"' in line
             with pytest.raises(ReproError, match="refusing a fenced"):
                 fol._validated(
                     {"line": line}, expected=len(fol.service.store),

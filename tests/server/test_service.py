@@ -271,6 +271,28 @@ class TestDurability:
         assert reopened.query("phil.sal -> S") == [{"S": 4100}]
         assert reopened.query("joe.boss -> B") == [{"B": "phil"}]
 
+    def test_append_torn_at_its_newline_does_not_swallow_the_next_commit(
+        self, tmp_path
+    ):
+        """A crash that lands exactly between a line and its ``\\n`` leaves
+        a complete, CRC-valid line that was never acknowledged.  Reopening
+        must drop it, or the next commit is appended onto the same line and
+        the next reload loses both."""
+        directory = tmp_path / "journal"
+        service = StoreService.create(
+            paper_example_base(), directory, tag="initial"
+        )
+        service.apply(RAISE_PHIL, tag="a")
+        journal = directory / JOURNAL_FILE
+        journal.write_bytes(journal.read_bytes()[:-1])
+
+        reopened = StoreService.open(directory)
+        assert [r.tag for r in reopened.store.revisions()] == ["initial"]
+        reopened.apply(RAISE_BOB, tag="b")
+        assert [r.tag for r in load_store(directory).revisions()] == [
+            "initial", "b",
+        ]
+
     def test_journal_is_replay_equivalent(self, tmp_path):
         """Commits through the service leave the same journal bytes as the
         same programs applied sequentially to a plain store."""

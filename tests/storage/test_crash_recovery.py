@@ -120,7 +120,9 @@ def _assert_clean_prefix(directory, programs, acked, submitted):
 def test_every_append_crash_point(tmp_path, mode, action):
     durability = DurabilityOptions(mode=mode)
     for at in range(N_COMMITS):
-        for keep in ([0, 1, 23] if action == "torn" else [0]):
+        # keep_bytes=-1: the whole line but its newline (a CRC-valid record
+        # that was never acknowledged)
+        for keep in ([0, 1, 23, -1] if action == "torn" else [0]):
             directory = tmp_path / f"{action}-{at}-{keep}"
             programs = _history(seed=at * 31 + keep)
             spec = FaultSpec("append", action, at=at, keep_bytes=keep)

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.errors import ReproError
 from repro.core.query import result_value
+from repro.lang.parser import parse_program
 from repro.storage import (
     StoreOptions,
     VersionedStore,
@@ -132,6 +133,104 @@ class TestJournalSafety:
         assert set(loaded.base_at(1)) == set(store.base_at(1))  # via snap 0
         with pytest.raises(Exception):
             loaded.base_at(4)  # only now is the corrupt snapshot parsed
+
+
+class _CountingReader:
+    """A file handle that records the size of everything read through it."""
+
+    def __init__(self, handle, sizes: list[int]):
+        self._handle = handle
+        self._sizes = sizes
+
+    def read(self, *args):
+        data = self._handle.read(*args)
+        self._sizes.append(len(data))
+        return data
+
+    def __next__(self):
+        line = next(self._handle)
+        self._sizes.append(len(line))
+        return line
+
+    def __iter__(self):
+        return self
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._handle.close()
+
+
+@pytest.fixture()
+def reads(monkeypatch) -> dict[str, list[int]]:
+    """File name → sizes of the reads made through ``Path.open`` while the
+    test runs (write and append opens are not recorded)."""
+    opened: dict[str, list[int]] = {}
+    real_open = Path.open
+
+    def counting_open(self, mode="r", *args, **kwargs):
+        handle = real_open(self, mode, *args, **kwargs)
+        if any(flag in mode for flag in "wax+"):
+            return handle
+        return _CountingReader(handle, opened.setdefault(self.name, []))
+
+    monkeypatch.setattr(Path, "open", counting_open)
+    return opened
+
+
+class TestWritePath:
+    RAISE = "r: mod[phil].sal -> (S, S2) <= phil.sal -> S, S2 = S + 1."
+
+    def test_append_reads_only_the_journal_tail(self, tmp_path, reads):
+        store = VersionedStore(
+            paper_example_base(),
+            tag="initial",
+            options=StoreOptions(snapshot_interval=10_000),
+        )
+        program = parse_program(self.RAISE)
+        for index in range(2_000):
+            store.apply(program, tag=f"r{index}")
+        save_store(store, tmp_path)
+        assert (tmp_path / JOURNAL_FILE).stat().st_size > 400_000
+        store.apply(program, tag="next")
+        reads.clear()
+        append_revision(store, tmp_path)
+        assert 0 < sum(reads[JOURNAL_FILE]) <= 16 * 1024
+        assert load_store(tmp_path).head.tag == "next"
+
+    def test_followers_receive_the_appended_entry(self, tmp_path, reads):
+        from repro.replication import hub_for
+        from repro.server.service import StoreService
+
+        directory = tmp_path / "primary"
+        service = StoreService.create(
+            paper_example_base(),
+            directory,
+            options=StoreOptions(snapshot_interval=2),
+        )
+        hub = hub_for(service)
+        received: tuple[list, list] = ([], [])
+        detaches = [
+            hub.attach(pushes.append, from_index=1)[0] for pushes in received
+        ]
+        service.apply(self.RAISE, tag="one")
+        service.apply(self.RAISE, tag="two")  # revision 2: a snapshot
+        for detach in detaches:
+            detach()
+        assert not [name for name in reads if name.startswith("snap-")]
+        appended = (directory / JOURNAL_FILE).read_text().splitlines()[-2:]
+        snapshot = (directory / "snap-000002.json").read_text()
+        for pushes in received:
+            assert [push["line"] for push in pushes] == appended
+            assert [push["index"] for push in pushes] == [1, 2]
+            assert pushes[0]["snapshot"] is None
+            assert pushes[1]["snapshot"] == {
+                "name": "snap-000002.json", "content": snapshot,
+            }
 
 
 class TestCompaction:
