@@ -14,9 +14,11 @@ Scenario (what the CI job runs)::
    answer-diff JSON line and exit 0;
 5. ``repro client tx`` an optimistic transaction with a read footprint;
 6. ``repro client log`` must show the three revisions; a bad revision
-   reference must exit non-zero with a clean message;
+   reference must exit non-zero with a clean message; ``repro client
+   --target STORE log`` reads the live server's journal directory
+   read-only: the same tags, and not one journal byte changed;
 7. terminate the server (graceful drain) and check the journal kept the
-   transaction;
+   transaction (``repro client --target STORE log``);
 8. restart, commit once more, then SIGKILL the server: every
    acknowledged journal byte must survive the crash, ``repro store
    verify`` must pass, and a restarted server must replay the journal
@@ -31,7 +33,8 @@ Scenario (what the CI job runs)::
 10. sharded cluster: ``repro cluster init`` a 2-shard layout, ``repro
     cluster launch`` both shards, commit a single-host program to each
     shard through the ``cluster:`` router, scatter-gather a cross-shard
-    query, check ``repro cluster status``; then attach a replica to one
+    query, check ``repro top --target cluster:...`` shows every shard as
+    a primary; then attach a replica to one
     shard, SIGKILL that shard's primary, promote the replica, and verify
     the router (with the shard spelled ``primary|replica``) fails over
     and still returns the full, correct answer set.
@@ -90,6 +93,11 @@ def cli(*args: str, check: bool = True, timeout: float = 60.0):
             f"stdout: {result.stdout}\nstderr: {result.stderr}"
         )
     return result
+
+
+def tags(log: str) -> list[str]:
+    """The tag column of ``repro client log`` output."""
+    return [line[7:].split()[0] for line in log.splitlines() if line.strip()]
 
 
 def fail(message: str) -> None:
@@ -213,16 +221,23 @@ def main() -> int:
                       check=False)
             if bad.returncode == 0 or "error:" not in bad.stderr:
                 fail("bad revision reference did not fail cleanly")
+            journal_file = store_dir / "journal.jsonl"
+            live_bytes = journal_file.read_bytes()
+            local = cli("client", "--target", str(store_dir), "log").stdout
+            if tags(local) != tags(log):
+                fail(f"the directory and the server disagree on the log:\n"
+                     f"{local}\nvs\n{log}")
+            if journal_file.read_bytes() != live_bytes:
+                fail("reading the live server's directory changed its journal")
 
             print("7. durability: restart replays the journal")
             server.terminate()
             server.wait(timeout=30)
-            log_output = cli("store", "log", "--dir", str(store_dir)).stdout
+            log_output = cli("client", "--target", str(store_dir), "log").stdout
             if "smoke-tx" not in log_output:
                 fail(f"journal lost the transaction:\n{log_output}")
 
             print("8. crash safety: SIGKILL, verify, byte-identical replay")
-            journal_file = store_dir / "journal.jsonl"
             server = start_server(store_dir, socket_path)
             # the crashed socket file may linger, so readiness is a ping
             wait_for(
@@ -417,9 +432,10 @@ def main() -> int:
                              "henry.sal -> T, phil.sal -> S").stdout
                 if "S = 4100, T = 4250" not in gather:
                     fail(f"cross-shard gather join went wrong:\n{gather}")
-                status = cli("cluster", "status", cluster_target).stdout
+                status = cli("top", "--target", cluster_target,
+                             "--iterations", "1").stdout
                 if status.count("primary") < 2:
-                    fail(f"cluster status missing shard rows:\n{status}")
+                    fail(f"cluster dashboard missing shard rows:\n{status}")
             finally:
                 if launcher.poll() is None:
                     launcher.terminate()
@@ -482,9 +498,10 @@ def main() -> int:
                         or "E = henry, S = 4300" not in scatter):
                     fail(f"post-failover scatter answers are wrong:\n"
                          f"{scatter}")
-                status = cli("cluster", "status", failover_target).stdout
-                if "primary" not in status:
-                    fail(f"post-failover cluster status went wrong:\n"
+                status = cli("top", "--target", failover_target,
+                             "--iterations", "1").stdout
+                if status.count("primary") < 2:
+                    fail(f"post-failover cluster dashboard went wrong:\n"
                          f"{status}")
             finally:
                 for process in (shard0, shard1, shard0_replica):

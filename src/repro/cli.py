@@ -2,45 +2,46 @@
 
 Usage (installed as ``repro-updates``, also ``python -m repro``)::
 
-    repro-updates apply --program update.upd --base world.ob [--trace]
-    repro-updates stratify --program update.upd [--conditions abcd]
+    repro-updates apply --program update.upd --base world.ob --trace
+    repro-updates stratify --program update.upd --conditions abcd
     repro-updates check --program update.upd
     repro-updates query --base world.ob "E.isa -> empl, E.sal -> S"
     repro-updates store init --dir STORE --base world.ob
-    repro-updates store apply --dir STORE --program update.upd [--tag t]
-    repro-updates store log --dir STORE
-    repro-updates store diff --dir STORE OLDER NEWER
-    repro-updates store as-of --dir STORE REVISION [--out new.ob]
-    repro-updates store compact --dir STORE [--interval N]
-    repro-updates store verify --dir STORE [--json]
-    repro-updates serve --dir STORE --socket /tmp/repro.sock
-    repro-updates serve --dir STORE --socket S --durability fsync
+    repro-updates store compact --dir STORE --interval 64
+    repro-updates store verify --dir STORE --json
+    repro-updates client --target STORE apply --program update.upd --tag t1
+    repro-updates client --target STORE log
+    repro-updates client --target STORE diff initial t1
+    repro-updates client --target STORE as-of t1
+    repro-updates serve --dir STORE --socket /tmp/repro.sock --durability fsync
     repro-updates client --socket /tmp/repro.sock query "E.sal -> S"
     repro-updates client --socket /tmp/repro.sock subscribe "E.sal -> S" --pushes 1
     repro-updates client --socket /tmp/repro.sock tx --program update.upd
     repro-updates replica serve --dir R --primary unix:P.sock --socket R.sock
-    repro-updates replica promote --socket R.sock [--takeover P.sock]
+    repro-updates replica promote --socket R.sock --takeover P.sock
     repro-updates replicaset --primary unix:P.sock --follower unix:R.sock
     repro-updates serve --dir STORE --socket S --metrics
-    repro-updates client --socket S metrics [--json]
-    repro-updates client --socket S slowlog [--clear]
-    repro-updates top --socket S [--interval 2] [--iterations N]
+    repro-updates client --socket S metrics --json
+    repro-updates client --socket S slowlog
+    repro-updates top --socket S --interval 2 --iterations 10
+    repro-updates top --target STORE
     repro-updates cluster init --dir C --base world.ob --shards 4
-    repro-updates cluster launch --dir C [--supervise]
-    repro-updates cluster status cluster:unix:C/shard-0.sock,unix:C/shard-1.sock
-    repro-updates top --target cluster:unix:A,unix:B
+    repro-updates cluster launch --dir C --supervise
+    repro-updates top --target cluster:unix:C/shard-0.sock,unix:C/shard-1.sock
+    repro-updates client --target cluster:unix:C/shard-0.sock,unix:C/shard-1.sock stats
 
 ``apply`` prints the new object base (``ob'``) to stdout, or writes it with
 ``--out``; ``--result-base`` dumps ``result(P)`` with all versions instead.
-``store`` commands operate on a durable journal directory (JSONL delta log
-plus periodic snapshots) holding a whole revision chain.  ``serve`` exposes
-a journal directory over the concurrent JSON-lines protocol (MVCC sessions,
-optimistic transactions, push-based live queries); ``client`` talks to it.
+``store`` holds the offline tools for a durable journal directory (JSONL
+delta log plus periodic snapshots).  ``serve`` exposes a journal directory
+over the concurrent JSON-lines protocol (MVCC sessions, optimistic
+transactions, push-based live queries).
 
-The ``store`` and ``client`` command groups run through the unified
-connection facade (``repro.connect``) — the CLI is just another caller of
-the public API, so journal directories and served sockets behave
-identically here and in embedding code.
+``client`` and ``top`` are callers of the unified connection facade
+(``repro.connect``): ``--target`` names any target it accepts — a journal
+directory, ``memory:``, a served endpoint, ``replset:``, ``cluster:`` —
+and ``--socket`` / ``--port`` spell a served one.  A journal directory is
+opened read-only except by ``client apply`` and ``client tx``, its writers.
 
 Every handler exits 0 on success and non-zero with a one-line ``error: …``
 on stderr for expected failures (unknown tags/revisions, missing files,
@@ -125,7 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
     query_cmd.add_argument("body", help="query text, e.g. 'E.isa -> empl'")
 
     store_cmd = commands.add_parser(
-        "store", help="manage a durable versioned-store journal directory"
+        "store",
+        help="offline tools for a journal directory (read and write its "
+        "revisions with `repro client --target DIR`)",
     )
     store_sub = store_cmd.add_subparsers(dest="store_command", required=True)
 
@@ -133,6 +136,23 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--dir", required=True, type=Path, dest="directory",
             help="journal directory",
+        )
+
+    def _target_args(sub):
+        # resolved by _client_target
+        sub.add_argument(
+            "--target", default=None, metavar="TARGET",
+            help="any repro.connect target: a journal directory, memory:, "
+            "serve:/unix:/tcp:/a socket path, replset:, cluster:",
+        )
+        sub.add_argument(
+            "--socket", type=Path, default=None,
+            help="a server's unix socket (same as --target unix:PATH)",
+        )
+        sub.add_argument("--host", default="127.0.0.1")
+        sub.add_argument(
+            "--port", type=int, default=None,
+            help="a server's TCP port (same as --target tcp:HOST:PORT)",
         )
 
     init_cmd = store_sub.add_parser(
@@ -145,31 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--snapshot-interval", type=int, default=None,
         help="materialize a full snapshot every N revisions",
     )
-
-    store_apply_cmd = store_sub.add_parser(
-        "apply", help="run a program against the head, append one revision"
-    )
-    _dir_arg(store_apply_cmd)
-    store_apply_cmd.add_argument("--program", required=True, type=Path)
-    store_apply_cmd.add_argument("--tag", default="")
-
-    log_cmd = store_sub.add_parser("log", help="list the revision chain")
-    _dir_arg(log_cmd)
-
-    diff_cmd = store_sub.add_parser(
-        "diff", help="added/removed facts between two revisions"
-    )
-    _dir_arg(diff_cmd)
-    diff_cmd.add_argument("older", help="revision tag or index")
-    diff_cmd.add_argument("newer", help="revision tag or index")
-    diff_cmd.add_argument("--include-exists", action="store_true")
-
-    asof_cmd = store_sub.add_parser(
-        "as-of", help="print the base as of a revision"
-    )
-    _dir_arg(asof_cmd)
-    asof_cmd.add_argument("revision", help="revision tag or index")
-    asof_cmd.add_argument("--out", type=Path, help="write here instead of stdout")
 
     compact_cmd = store_sub.add_parser(
         "compact", help="rewrite the journal under a fresh snapshot interval"
@@ -231,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_cmd = commands.add_parser(
         "cluster",
         help="manage a hash-partitioned shard cluster "
-        "(init/launch/status; connect with cluster:a,b,...)",
+        "(init/launch; connect with cluster:a,b,...)",
     )
     cluster_sub = cluster_cmd.add_subparsers(
         dest="cluster_command", required=True
@@ -270,19 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_launch.add_argument(
         "--durability", choices=["none", "flush", "fsync"], default=None,
     )
-    cluster_status = cluster_sub.add_parser(
-        "status",
-        help="ping every shard of a cluster: target and print the "
-        "per-shard status table",
-    )
-    cluster_status.add_argument(
-        "target", help="a cluster: target, e.g. cluster:unix:a,unix:b"
-    )
-    cluster_status.add_argument(
-        "--json", action="store_true",
-        help="print the composed stats document as JSON instead",
-    )
-
     replica_cmd = commands.add_parser(
         "replica",
         help="run or control a journal-streaming read replica",
@@ -293,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     replica_serve = replica_sub.add_parser(
         "serve",
         help="bootstrap from a primary, tail its journal and serve reads "
-        "(promotes on `repro replica promote` or --auto-promote)",
+        "(promotes on `repro replica promote` or `repro replicaset`)",
     )
     _dir_arg(replica_serve)
     replica_serve.add_argument(
@@ -321,15 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="consecutive failed pings before the primary is declared dead",
     )
     replica_serve.add_argument(
-        "--auto-promote", action="store_true",
-        help="promote this replica itself when the primary is declared dead",
-    )
-    replica_serve.add_argument(
-        "--takeover", type=Path, default=None, metavar="SOCKET",
-        help="after promotion, additionally bind the old primary's unix "
-        "socket so reconnecting clients land here",
-    )
-    replica_serve.add_argument(
         "--metrics", action="store_true",
         help="enable the observability registry for this replica process "
         "(same as REPRO_OBS=1)",
@@ -339,9 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="tell a running replica to stop replicating and become the "
         "writable primary (fences the old one)",
     )
-    replica_promote.add_argument("--socket", type=Path, default=None)
-    replica_promote.add_argument("--host", default="127.0.0.1")
-    replica_promote.add_argument("--port", type=int, default=None)
+    _target_args(replica_promote)
     replica_promote.add_argument(
         "--epoch", type=int, default=None,
         help="promote at this fencing epoch (default: past everything seen)",
@@ -378,16 +349,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     client_cmd = commands.add_parser(
-        "client", help="talk to a running `repro serve` instance"
+        "client",
+        help="read and write revisions on one target: a journal directory, "
+        "a server, a replica set or a cluster",
     )
-    client_cmd.add_argument("--socket", type=Path, default=None)
-    client_cmd.add_argument("--host", default="127.0.0.1")
-    client_cmd.add_argument("--port", type=int, default=None)
-    client_cmd.add_argument(
-        "--target", default=None, metavar="TARGET",
-        help="connect to any target spec (serve:/tcp:/replset:/cluster:) "
-        "instead of --socket/--port",
-    )
+    _target_args(client_cmd)
     client_cmd.add_argument(
         "--retry", type=int, default=None, metavar="ATTEMPTS",
         help="reconnect across restarts and failovers, redialling up to "
@@ -397,11 +363,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     client_sub.add_parser("ping", help="liveness probe")
     client_query = client_sub.add_parser(
-        "query", help="answer a conjunctive query at the server's head"
+        "query", help="answer a conjunctive query at the head"
     )
     client_query.add_argument("body")
     client_apply = client_sub.add_parser(
-        "apply", help="autocommit an update program on the server"
+        "apply",
+        help="autocommit an update program (named after its file) as one "
+        "revision",
     )
     client_apply.add_argument("--program", required=True, type=Path)
     client_apply.add_argument("--tag", default="")
@@ -435,28 +403,31 @@ def build_parser() -> argparse.ArgumentParser:
         "--retries", type=int, default=5,
         help="attempts before giving up on repeated conflicts",
     )
-    client_sub.add_parser("log", help="print the server's revision chain")
-    client_asof = client_sub.add_parser(
-        "as-of", help="print the base as of a revision on the server"
+    client_sub.add_parser(
+        "log", help="list the revision chain (`*` marks snapshot revisions)"
     )
-    client_asof.add_argument("revision")
-    client_sub.add_parser("stats", help="print server counters as JSON")
+    client_diff = client_sub.add_parser(
+        "diff", help="added/removed facts between two revisions"
+    )
+    client_diff.add_argument("older", help="revision tag or index")
+    client_diff.add_argument("newer", help="revision tag or index")
+    client_diff.add_argument("--include-exists", action="store_true")
+    client_asof = client_sub.add_parser(
+        "as-of", help="print the base as of a revision"
+    )
+    client_asof.add_argument("revision", help="revision tag or index")
+    client_sub.add_parser("stats", help="print the target's counters as JSON")
     client_metrics = client_sub.add_parser(
         "metrics",
-        help="print the server's metrics registry as Prometheus text "
-        "(empty unless the server runs with --metrics / REPRO_OBS=1)",
+        help="print the target's metrics registry as Prometheus text "
+        "(empty unless it runs with --metrics / REPRO_OBS=1)",
     )
     client_metrics.add_argument(
         "--json", action="store_true",
-        help="print the raw registry snapshot as JSON instead",
+        help="print the stats() metrics section as JSON instead",
     )
-    client_slowlog = client_sub.add_parser(
-        "slowlog",
-        help="print the server's slow-operation ring buffer as JSON",
-    )
-    client_slowlog.add_argument(
-        "--clear", action="store_true",
-        help="also reset the ring buffer after reading it",
+    client_sub.add_parser(
+        "slowlog", help="print the target's slow-operation ring as JSON"
     )
     client_script = client_sub.add_parser(
         "script",
@@ -467,22 +438,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     top_cmd = commands.add_parser(
         "top",
-        help="live text dashboard over a running server's stats/metrics "
-        "(refreshes in place; Ctrl-C to exit)",
+        help="live text dashboard over a target's stats/metrics (refreshes "
+        "in place; Ctrl-C to exit; a journal directory renders once; a "
+        "cluster: target adds one row per shard)",
     )
-    top_cmd.add_argument("--socket", type=Path, default=None)
-    top_cmd.add_argument("--host", default="127.0.0.1")
-    top_cmd.add_argument("--port", type=int, default=None)
-    top_cmd.add_argument(
-        "--target", default=None,
-        help="any repro.connect target instead of --socket/--port — a "
-        "cluster: target renders the aggregated multi-shard dashboard",
-    )
-    top_cmd.add_argument(
-        "--dir", type=Path, default=None, dest="directory",
-        help="render one snapshot from a local journal directory instead "
-        "of a server",
-    )
+    _target_args(top_cmd)
     top_cmd.add_argument(
         "--interval", type=float, default=2.0, metavar="SECONDS",
         help="refresh period (default: %(default)s)",
@@ -594,35 +554,60 @@ def _cmd_check(arguments) -> int:
 
 def _cmd_query(arguments) -> int:
     base = parse_object_base(arguments.base.read_text(encoding="utf-8"))
-    answers = query_literals(base, parse_body(arguments.body))
-    if not answers:
-        print("(no answers)")
-        return 0
-    for answer in answers:
-        if answer:
-            print(", ".join(f"{k} = {v}" for k, v in sorted(answer.items())))
-        else:
-            print("yes")
+    _print_answers(query_literals(base, parse_body(arguments.body)))
     return 0
 
 
-def _cmd_serve(arguments) -> int:
-    import signal
-
-    from repro.server import ReproServer, StoreService
-    from repro.storage import DurabilityOptions
-
+def _prepare_serving(arguments, command: str):
+    """What ``serve`` and ``replica serve`` check and switch on before
+    they open a store; returns the journal's durability options."""
     if arguments.socket is None and arguments.port is None:
-        raise ReproError("serve needs --socket PATH or --port N")
-    durability = (
-        DurabilityOptions(mode=arguments.durability)
-        if arguments.durability is not None
-        else None
-    )
+        raise ReproError(f"{command} needs --socket PATH or --port N")
     if arguments.metrics:
         from repro.obs import enable_metrics
 
         enable_metrics(True)
+    if arguments.durability is None:
+        return None
+    from repro.storage import DurabilityOptions
+
+    return DurabilityOptions(mode=arguments.durability)
+
+
+async def _start_server(service, arguments):
+    from repro.server import ReproServer
+
+    server = ReproServer(
+        service,
+        path=str(arguments.socket) if arguments.socket else None,
+        host=arguments.host,
+        port=arguments.port if arguments.port is not None else 0,
+    )
+    return await server.start()
+
+
+async def _serve_until_signalled(server, *, deadline=None) -> None:
+    """Run a started server until SIGTERM/SIGINT, then drain it: stop
+    accepting, let in-flight commands finish, flush outboxes (bounded by
+    ``deadline``), then close sockets with the journal clean on disk."""
+    import signal
+
+    stop = asyncio.Event()
+    loop = asyncio.get_running_loop()
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        loop.add_signal_handler(signum, stop.set)
+    serving = asyncio.ensure_future(server.serve_forever())
+    waiting = asyncio.ensure_future(stop.wait())
+    await asyncio.wait([serving, waiting], return_when=asyncio.FIRST_COMPLETED)
+    waiting.cancel()
+    serving.cancel()
+    await server.shutdown(deadline=deadline)
+
+
+def _cmd_serve(arguments) -> int:
+    from repro.server import StoreService
+
+    durability = _prepare_serving(arguments, "serve")
     if (arguments.shard_id is None) != (arguments.shard_count is None):
         raise ReproError("--shard-id and --shard-count go together")
     service = StoreService.open(
@@ -631,13 +616,7 @@ def _cmd_serve(arguments) -> int:
     )
 
     async def run() -> None:
-        server = ReproServer(
-            service,
-            path=str(arguments.socket) if arguments.socket else None,
-            host=arguments.host,
-            port=arguments.port if arguments.port is not None else 0,
-        )
-        await server.start()
+        server = await _start_server(service, arguments)
         print(
             f"serving {arguments.directory} at {server.address} "
             f"({len(service.store)} revisions, head "
@@ -645,21 +624,9 @@ def _cmd_serve(arguments) -> int:
             file=sys.stderr,
             flush=True,
         )
-        # SIGTERM/SIGINT drain gracefully: stop accepting, let in-flight
-        # commands finish, flush outboxes (bounded by the deadline), then
-        # close sockets with the journal already clean on disk.
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            loop.add_signal_handler(signum, stop.set)
-        serving = asyncio.ensure_future(server.serve_forever())
-        waiting = asyncio.ensure_future(stop.wait())
-        await asyncio.wait(
-            [serving, waiting], return_when=asyncio.FIRST_COMPLETED
+        await _serve_until_signalled(
+            server, deadline=arguments.shutdown_deadline
         )
-        waiting.cancel()
-        serving.cancel()
-        await server.shutdown(deadline=arguments.shutdown_deadline)
         print("server stopped (drained)", file=sys.stderr)
 
     try:
@@ -675,42 +642,21 @@ def _cmd_replica(arguments) -> int:
 
 
 def _cmd_replica_serve(arguments) -> int:
-    import signal
-
     from repro.replication import Follower
     from repro.server import ReproServer
-    from repro.storage import DurabilityOptions
 
-    if arguments.socket is None and arguments.port is None:
-        raise ReproError("replica serve needs --socket PATH or --port N")
-    durability = (
-        DurabilityOptions(mode=arguments.durability)
-        if arguments.durability is not None
-        else None
-    )
-    if arguments.metrics:
-        from repro.obs import enable_metrics
-
-        enable_metrics(True)
+    durability = _prepare_serving(arguments, "replica serve")
     follower = Follower(
         arguments.directory,
         arguments.primary,
         durability=durability,
         heartbeat_interval=arguments.heartbeat_interval,
         heartbeat_misses=arguments.heartbeat_misses,
-        auto_promote=arguments.auto_promote,
-        takeover=str(arguments.takeover) if arguments.takeover else None,
     )
     follower.start()
 
     async def run() -> None:
-        server = ReproServer(
-            follower.service,
-            path=str(arguments.socket) if arguments.socket else None,
-            host=arguments.host,
-            port=arguments.port if arguments.port is not None else 0,
-        )
-        await server.start()
+        server = await _start_server(follower.service, arguments)
         loop = asyncio.get_running_loop()
         takeover_servers: list[ReproServer] = []
 
@@ -740,17 +686,7 @@ def _cmd_replica_serve(arguments) -> int:
             file=sys.stderr,
             flush=True,
         )
-        stop = asyncio.Event()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            loop.add_signal_handler(signum, stop.set)
-        serving = asyncio.ensure_future(server.serve_forever())
-        waiting = asyncio.ensure_future(stop.wait())
-        await asyncio.wait(
-            [serving, waiting], return_when=asyncio.FIRST_COMPLETED
-        )
-        waiting.cancel()
-        serving.cancel()
-        await server.shutdown()
+        await _serve_until_signalled(server)
         for extra in takeover_servers:
             await extra.shutdown()
         print("replica stopped", file=sys.stderr)
@@ -765,14 +701,13 @@ def _cmd_replica_serve(arguments) -> int:
 
 
 def _cmd_replica_promote(arguments) -> int:
-    from repro.api import connect
-
     payload = {}
     if arguments.epoch is not None:
         payload["epoch"] = arguments.epoch
     if arguments.takeover is not None:
         payload["takeover"] = str(arguments.takeover)
-    with connect(_client_target(arguments)) as conn:
+    with _open(_client_target(arguments)) as conn:
+        _require_raw(conn, "replica promote")
         response = conn.call("repl-promote", **payload)
     print(
         f"promoted at epoch {response['epoch']}"
@@ -816,15 +751,53 @@ def _cmd_replicaset(arguments) -> int:
 
 
 def _client_target(arguments) -> str:
-    """The connect target a client command names: ``--target`` verbatim,
-    else ``--socket`` / ``--host --port`` spelled in the target grammar."""
-    if getattr(arguments, "target", None):
+    """The connect target of ``client``, ``top`` and ``replica promote``:
+    ``--target`` verbatim, else ``--socket`` / ``--host --port`` spelled
+    in the target grammar."""
+    if arguments.target:
         return arguments.target
     if arguments.socket is not None:
         return f"unix:{arguments.socket}"
     if arguments.port is not None:
         return f"tcp:{arguments.host}:{arguments.port}"
-    raise ReproError("client needs --socket PATH or --port N")
+    raise ReproError(
+        f"{arguments.command} needs --target T, --socket PATH or --port N"
+    )
+
+
+def _is_directory(target: str) -> bool:
+    from repro.api import parse_target
+
+    return parse_target(target).scheme == "journal"
+
+
+def _open(target: str, *, write: bool = False, retry=None):
+    """Connect to ``target``.  A journal directory opens read-only unless
+    ``write``: a reader never repairs or appends to a journal a live
+    server may be appending to."""
+    from repro.api import connect
+
+    readonly = not write and _is_directory(target)
+    return connect(target, readonly=readonly, retry=retry)
+
+
+def _require_raw(conn, command: str) -> None:
+    """``script`` and ``replica promote`` speak protocol commands the
+    facade does not wrap: only a served target has that raw channel."""
+    if not hasattr(conn, "request"):
+        raise ReproError(
+            f"{command} is a raw-protocol tool: it needs a served endpoint "
+            f"(--socket/--port, serve:/unix:/tcp:/replset:), not "
+            f"{conn.target}"
+        )
+
+
+def _read_program(path: Path):
+    """An update program named after its file's stem, on every target
+    (the wire carries the name in its ``name`` field)."""
+    program = parse_program(path.read_text(encoding="utf-8"))
+    program.name = path.stem
+    return program
 
 
 def _print_answers(answers) -> None:
@@ -844,21 +817,21 @@ def _cmd_client(arguments) -> int:
     ``script``, which is deliberately a raw protocol tool."""
     import json
 
-    from repro.api import ConflictError, RetryPolicy, connect
+    from repro.api import ConflictError, RetryPolicy
+    from repro.obs import render_prometheus
 
-    retry = (
-        RetryPolicy(attempts=arguments.retry)
-        if getattr(arguments, "retry", None)
-        else None
-    )
+    retry = RetryPolicy(attempts=arguments.retry) if arguments.retry else None
     command = arguments.client_command
-    with connect(_client_target(arguments), retry=retry) as conn:
+    with _open(
+        _client_target(arguments), write=command in ("apply", "tx"),
+        retry=retry,
+    ) as conn:
         if command == "ping":
             print(f"pong (protocol {conn.ping()['protocol']})")
         elif command == "query":
             _print_answers(conn.query(arguments.body))
         elif command == "apply":
-            program = arguments.program.read_text(encoding="utf-8")
+            program = _read_program(arguments.program)
             revision = conn.apply(program, tag=arguments.tag)
             print(
                 f"revision {revision.index} [{revision.tag}]: "
@@ -892,37 +865,35 @@ def _cmd_client(arguments) -> int:
                     f"{revision.tag:<24} +{revision.added:<5} "
                     f"-{revision.removed:<5} {program}"
                 )
+        elif command == "diff":
+            added, removed = conn.diff(
+                arguments.older, arguments.newer,
+                include_exists=arguments.include_exists,
+            )
+            for fact in added:
+                print(f"+ {fact}")
+            for fact in removed:
+                print(f"- {fact}")
         elif command == "as-of":
-            # display-only: print the server's formatted text as-is (the
-            # raw escape hatch) instead of parse+reformat round-tripping
-            print(conn.call("as-of", revision=arguments.revision)["facts"])
+            print(format_object_base(conn.as_of(arguments.revision)))
         elif command == "stats":
             print(json.dumps(conn.stats(), indent=2, sort_keys=True))
         elif command == "metrics":
-            response = conn.call("metrics")
+            metrics = conn.stats()["metrics"]
             if arguments.json:
-                print(json.dumps(response, indent=2, sort_keys=True))
+                print(json.dumps(metrics, indent=2, sort_keys=True))
             else:
-                text = response.get("text", "")
-                if text:
-                    print(text, end="")
-                if not response.get("enabled"):
+                print(render_prometheus(metrics["registry"]), end="")
+                if not metrics["enabled"]:
                     print(
-                        "(metrics disabled on the server — start it with "
+                        "(metrics disabled on the target — start it with "
                         "--metrics or REPRO_OBS=1)",
                         file=sys.stderr,
                     )
         elif command == "slowlog":
-            payload = {"clear": True} if arguments.clear else {}
-            response = conn.call("slowlog", **payload)
-            print(json.dumps(response["slowlog"], indent=2, sort_keys=True))
+            print(json.dumps(conn.stats()["slowlog"], indent=2, sort_keys=True))
         elif command == "script":
-            if not hasattr(conn, "request"):
-                raise ReproError(
-                    "client script is a raw-protocol tool: it needs a "
-                    "single served endpoint (--socket/--port), not a "
-                    "routed target"
-                )
+            _require_raw(conn, "client script")
             source = (
                 sys.stdin.read()
                 if arguments.file == "-"
@@ -944,7 +915,7 @@ def _run_client_tx(conn, arguments, conflict_error) -> int:
     the CLI (rather than `transaction(attempts=N)`) so every lost attempt
     prints its conflict notice — operators watch that stderr stream to
     spot contention."""
-    program = arguments.program.read_text(encoding="utf-8")
+    program = _read_program(arguments.program)
     for attempt in range(1, max(1, arguments.retries) + 1):
         transaction = conn.transaction(tag=arguments.tag)
         try:
@@ -1120,79 +1091,27 @@ def _cmd_cluster_launch(arguments) -> int:
     return exit_code
 
 
-def _cmd_cluster_status(arguments) -> int:
-    import json
-
-    from repro.api import connect
-
-    with connect(arguments.target) as conn:
-        pong = conn.ping()
-        stats = conn.stats()
-    if arguments.json:
-        print(json.dumps(stats, indent=2, default=str))
-        return 0 if pong["pong"] else 1
-    cluster = stats.get("cluster") or {}
-    router = cluster.get("router") or {}
-    print(
-        f"cluster: {router.get('shards', 0)} shards, revision "
-        f"{router.get('revision', 0)} ({router.get('vector', '')}), "
-        f"head [{stats.get('head_tag', '-')}]"
-    )
-    print(
-        "shard  role      revisions  commits  conflicts  lag  "
-        "subs  endpoint"
-    )
-    for entry in cluster.get("shards", ()):
-        print(
-            f"{entry['shard']:>5}  {str(entry.get('role') or '-'):<8}  "
-            f"{entry.get('revisions', 0):>9}  {entry.get('commits', 0):>7}  "
-            f"{entry.get('conflicts', 0):>9}  {entry.get('lag', 0):>3}  "
-            f"{entry.get('subscriptions', 0):>4}  {entry.get('target', '')}"
-        )
-    return 0 if pong["pong"] else 1
-
-
 _CLUSTER_HANDLERS = {
     "init": _cmd_cluster_init,
     "launch": _cmd_cluster_launch,
-    "status": _cmd_cluster_status,
 }
 
 
 def _cmd_top(arguments) -> int:
     """Curses-free live dashboard: redraw ``render_dashboard`` over the
-    stats document every ``--interval`` seconds with an ANSI clear."""
+    stats document every ``--interval`` seconds with an ANSI clear.  A
+    journal directory (nothing else writes it from here) renders once."""
     import time
 
-    from repro.api import connect
     from repro.obs import render_dashboard
 
-    if arguments.directory is not None:
-        # One-shot local mode: stats of an unserved journal directory.
-        with connect(arguments.directory, readonly=True) as conn:
-            for line in render_dashboard(
-                conn.stats(), target=str(arguments.directory)
-            ):
-                print(line)
-        return 0
-
-    if arguments.target is not None:
-        target = arguments.target
-    elif arguments.socket is not None:
-        target = f"serve:{arguments.socket}"
-    elif arguments.port is not None:
-        target = f"tcp:{arguments.host}:{arguments.port}"
-    else:
-        raise ReproError(
-            "top needs --target T, --socket PATH, --port N, or --dir DIR"
-        )
-    iterations = arguments.iterations
+    target = _client_target(arguments)
+    iterations = 1 if _is_directory(target) else arguments.iterations
     interval = max(0.1, arguments.interval)
-    with connect(target) as conn:
+    with _open(target) as conn:
         count = 0
         while True:
-            stats = conn.stats()
-            frame = render_dashboard(stats, target=target)
+            frame = render_dashboard(conn.stats(), target=target)
             if count:
                 # Clear screen + home, only between frames — a single
                 # finite iteration stays pipe-friendly for tests.
@@ -1236,67 +1155,6 @@ def _cmd_store_init(arguments) -> int:
         facts = len(conn.as_of(0))
     journal = arguments.directory / JOURNAL_FILE
     print(f"initialized {journal} ({facts} facts)", file=sys.stderr)
-    return 0
-
-
-def _cmd_store_apply(arguments) -> int:
-    from repro.api import connect
-
-    program = parse_program(arguments.program.read_text(encoding="utf-8"))
-    program.name = arguments.program.stem
-    # connect() opens the journal as a writer: a torn tail line is repaired
-    # on disk, and the commit below is journalled automatically.
-    with connect(arguments.directory) as conn:
-        revision = conn.apply(program, tag=arguments.tag)
-    print(
-        f"revision {revision.index} [{revision.tag}]: "
-        f"+{revision.added} -{revision.removed} facts",
-        file=sys.stderr,
-    )
-    return 0
-
-
-def _cmd_store_log(arguments) -> int:
-    from repro.api import connect
-
-    # readonly: metadata only, no journal repair, no cold snapshots parsed
-    with connect(arguments.directory, readonly=True) as conn:
-        for revision in conn.log():
-            marker = "*" if revision.snapshot else " "
-            program = revision.program or "-"
-            print(
-                f"{revision.index:>4} {marker} {revision.tag:<24} "
-                f"+{revision.added:<5} -{revision.removed:<5} {program}"
-            )
-    return 0
-
-
-def _cmd_store_diff(arguments) -> int:
-    from repro.api import connect
-
-    with connect(arguments.directory, readonly=True) as conn:
-        added, removed = conn.diff(
-            arguments.older,
-            arguments.newer,
-            include_exists=arguments.include_exists,
-        )
-    for fact in added:
-        print(f"+ {fact}")
-    for fact in removed:
-        print(f"- {fact}")
-    return 0
-
-
-def _cmd_store_as_of(arguments) -> int:
-    from repro.api import connect
-
-    with connect(arguments.directory, readonly=True) as conn:
-        text = format_object_base(conn.as_of(arguments.revision))
-    if arguments.out:
-        arguments.out.write_text(text + "\n", encoding="utf-8")
-        print(f"wrote {arguments.out}", file=sys.stderr)
-    else:
-        print(text)
     return 0
 
 
@@ -1346,10 +1204,6 @@ def _cmd_store_verify(arguments) -> int:
 
 _STORE_HANDLERS = {
     "init": _cmd_store_init,
-    "apply": _cmd_store_apply,
-    "log": _cmd_store_log,
-    "diff": _cmd_store_diff,
-    "as-of": _cmd_store_as_of,
     "compact": _cmd_store_compact,
     "verify": _cmd_store_verify,
 }

@@ -609,7 +609,6 @@ class ClusterConnection(Connection):
             ),
             "journal": {"shards": [doc.get("journal") for doc in docs]},
             "durability": docs[0].get("durability"),
-            "write_timeout": docs[0].get("write_timeout"),
             "subscriptions": {"active": len(self._streams)},
             "prepared": {},
             "caches": {"shards": [doc.get("caches") for doc in docs]},

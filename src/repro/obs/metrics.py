@@ -241,35 +241,9 @@ class MetricsRegistry:
         return out
 
     def render_prometheus(self, namespace: str = "repro") -> str:
-        """Prometheus text exposition (HTTP-free — served over the JSON
-        wire protocol and printed by ``repro client metrics``)."""
-        lines: list[str] = []
-        for name, entry in self.snapshot().items():
-            kind = entry["kind"]
-            metric_name = f"{namespace}_{name}"
-            if kind == "counter":
-                metric_name += "_total"
-            lines.append(f"# TYPE {metric_name} {kind}")
-            for labelstr, value in entry["series"].items():
-                rendered = _render_labels(labelstr)
-                if kind == "histogram":
-                    lines.append(
-                        f"{metric_name}_count{rendered} {value['count']}"
-                    )
-                    lines.append(
-                        f"{metric_name}_sum{rendered} {_fmt(value['sum'])}"
-                    )
-                    for q in ("p50", "p95", "p99"):
-                        if q in value:
-                            quantile = _render_labels(
-                                labelstr, extra=("quantile", f"0.{q[1:]}")
-                            )
-                            lines.append(
-                                f"{metric_name}{quantile} {_fmt(value[q])}"
-                            )
-                else:
-                    lines.append(f"{metric_name}{rendered} {_fmt(value)}")
-        return "\n".join(lines) + ("\n" if lines else "")
+        """Prometheus text exposition of :meth:`snapshot` (see the
+        module-level :func:`render_prometheus`)."""
+        return render_prometheus(self.snapshot(), namespace)
 
     def reset(self) -> None:
         with self._lock:
@@ -378,5 +352,32 @@ def snapshot() -> dict:
     return {"enabled": metrics_enabled(), "registry": _REGISTRY.snapshot()}
 
 
-def render_prometheus() -> str:
-    return _REGISTRY.render_prometheus()
+def render_prometheus(
+    snapshot: dict | None = None, namespace: str = "repro"
+) -> str:
+    """Prometheus text exposition of a registry snapshot (the process-wide
+    registry's when ``None``) — HTTP-free: the wire ``metrics`` command
+    carries it and ``repro client metrics`` renders ``stats()``'s."""
+    if snapshot is None:
+        snapshot = _REGISTRY.snapshot()
+    lines: list[str] = []
+    for name, entry in snapshot.items():
+        kind = entry["kind"]
+        metric_name = f"{namespace}_{name}"
+        if kind == "counter":
+            metric_name += "_total"
+        lines.append(f"# TYPE {metric_name} {kind}")
+        for labelstr, value in entry["series"].items():
+            rendered = _render_labels(labelstr)
+            if kind == "histogram":
+                lines.append(f"{metric_name}_count{rendered} {value['count']}")
+                lines.append(f"{metric_name}_sum{rendered} {_fmt(value['sum'])}")
+                for q in ("p50", "p95", "p99"):
+                    if q in value:
+                        quantile = _render_labels(
+                            labelstr, extra=("quantile", f"0.{q[1:]}")
+                        )
+                        lines.append(f"{metric_name}{quantile} {_fmt(value[q])}")
+            else:
+                lines.append(f"{metric_name}{rendered} {_fmt(value)}")
+    return "\n".join(lines) + ("\n" if lines else "")

@@ -18,8 +18,10 @@ A :class:`Follower` owns a journal directory and keeps it a
   because its cursor *is* the journal.
 * **Heartbeats**: periodic pings on a side channel; after
   ``heartbeat_misses`` consecutive failures the primary is reported dead
-  (``stats()["replication"]["primary_alive"]``) and, with
-  ``auto_promote=True``, the follower promotes itself.
+  (``stats()["replication"]["primary_alive"]``).  Deciding to promote is
+  the supervisor's job (``repro replicaset``), which picks the freshest
+  follower — two followers promoting themselves would both become
+  writable at the same epoch.
 * **Promotion**: :meth:`promote` stops replication, bumps the fencing
   epoch past everything this node has seen
   (:meth:`StoreService.promote`), binds the local journal for writing,
@@ -80,8 +82,6 @@ class Follower:
         retry: RetryPolicy | None = None,
         heartbeat_interval: float = 1.0,
         heartbeat_misses: int = 3,
-        auto_promote: bool = False,
-        takeover: str | None = None,
     ) -> None:
         self.directory = Path(directory)
         self.primary = str(primary)
@@ -90,8 +90,6 @@ class Follower:
                                           max_delay=1.0)
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_misses = heartbeat_misses
-        self.auto_promote = auto_promote
-        self.takeover = takeover
         #: Called with the takeover socket path after a promotion that
         #: requested one (the CLI installs a binder for the old endpoint).
         self.on_takeover = None
@@ -303,8 +301,6 @@ class Follower:
                 _obs.inc("repl_heartbeat_misses")
                 if self.missed_heartbeats >= self.heartbeat_misses:
                     self.primary_alive = False
-                    if self.auto_promote and not self._promoted:
-                        self.promote(takeover=self.takeover)
 
     # -- control surface (repl-promote / repl-retarget) --------------------
     def promote(self, *, epoch: int | None = None,
@@ -331,7 +327,6 @@ class Follower:
         if not already:
             self._kick_link()
             self._fence_old_primary(new_epoch)
-        takeover = takeover or self.takeover
         if takeover and self.on_takeover is not None:
             self.on_takeover(takeover)
         return new_epoch

@@ -36,7 +36,6 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
 from typing import Callable, Sequence
 
 from repro.core.caches import cache_stats
@@ -49,7 +48,6 @@ from repro.core.rules import UpdateProgram
 from repro.server.errors import (
     ConflictError,
     NotPrimaryError,
-    ServerBusyError,
     SessionError,
     StaleEpochError,
 )
@@ -104,26 +102,15 @@ class _FIFOLock:
         self._tickets: deque[object] = deque()
         self._holder: object | None = None
 
-    def acquire(self, timeout: float | None = None) -> bool:
-        """Take the lock in arrival order; ``False`` on timeout (the
-        ticket is withdrawn, so a timed-out waiter never blocks the
-        queue behind it)."""
+    def acquire(self) -> None:
+        """Take the lock in arrival order."""
         ticket = object()
-        deadline = None if timeout is None else time.monotonic() + timeout
         with self._condition:
             self._tickets.append(ticket)
             while self._holder is not None or self._tickets[0] is not ticket:
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        self._tickets.remove(ticket)
-                        self._condition.notify_all()
-                        return False
-                self._condition.wait(remaining)
+                self._condition.wait()
             self._tickets.popleft()
             self._holder = ticket
-        return True
 
     def release(self) -> None:
         with self._condition:
@@ -289,7 +276,6 @@ class StoreService:
         *,
         journal_dir=None,
         durability: DurabilityOptions | None = None,
-        write_timeout: float | None = None,
         role: str = "primary",
         shard_id: int | None = None,
         shard_count: int | None = None,
@@ -305,10 +291,6 @@ class StoreService:
         #: fails loudly instead of scattering facts to the wrong shards.
         self.shard_id = shard_id
         self.shard_count = shard_count
-        #: Seconds a commit may wait in the FIFO writer queue before the
-        #: service sheds it with a retryable :class:`ServerBusyError`
-        #: (``None`` = wait forever, the embedded-single-writer default).
-        self.write_timeout = write_timeout
         #: ``"primary"`` (accepts commits) or ``"follower"`` (read-only,
         #: fed by a replication stream; see :mod:`repro.replication`).
         self.role = role
@@ -343,7 +325,6 @@ class StoreService:
         engine=None,
         options=None,
         durability: DurabilityOptions | None = None,
-        write_timeout: float | None = None,
         shard_id: int | None = None,
         shard_count: int | None = None,
     ) -> "StoreService":
@@ -356,7 +337,6 @@ class StoreService:
             store,
             journal_dir=directory,
             durability=durability,
-            write_timeout=write_timeout,
             shard_id=shard_id,
             shard_count=shard_count,
         )
@@ -369,7 +349,6 @@ class StoreService:
         *,
         tag: str = "initial",
         durability: DurabilityOptions | None = None,
-        write_timeout: float | None = None,
         shard_id: int | None = None,
         shard_count: int | None = None,
         **store_kwargs,
@@ -382,7 +361,6 @@ class StoreService:
             store,
             journal_dir=directory,
             durability=durability,
-            write_timeout=write_timeout,
             shard_id=shard_id,
             shard_count=shard_count,
         )
@@ -525,19 +503,9 @@ class StoreService:
         except ValueError:
             pass
 
-    @contextmanager
-    def _writer(self):
-        """Hold the FIFO writer queue, shedding with a retryable
-        :class:`ServerBusyError` when ``write_timeout`` elapses first."""
-        if not self._writer_queue.acquire(self.write_timeout):
-            raise ServerBusyError(
-                f"writer queue still busy after {self.write_timeout}s; "
-                f"the commit was shed — back off and retry"
-            )
-        try:
-            yield
-        finally:
-            self._writer_queue.release()
+    def _writer(self) -> _FIFOLock:
+        """The FIFO writer queue; hold it with ``with service._writer():``."""
+        return self._writer_queue
 
     def _commit_session(self, session: Session, tag: str) -> CommitOutcome:
         with self._writer():
@@ -698,7 +666,6 @@ class StoreService:
                 if self.journal_dir
                 else None
             ),
-            "write_timeout": self.write_timeout,
             "subscriptions": _deep_snapshot(self.subscriptions.stats()),
             # Always empty since the answer memo went; the frozen benchmark
             # still iterates the key (ROADMAP item 4 retires both).

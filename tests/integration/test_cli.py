@@ -1,8 +1,13 @@
 """CLI integration tests (python -m repro / repro-updates)."""
 
+import json
+
 import pytest
 
-from repro.cli import main
+from repro.api import BackgroundServer
+from repro.cli import build_parser, main
+from repro.lang.parser import parse_object_base
+from repro.lang.pretty import format_object_base
 
 PROGRAM = """
 rule1: mod[E].sal -> (S, S2) <=
@@ -135,6 +140,11 @@ class TestQuery:
         assert main(["query", "--base", str(base), "E.sal -> "]) == 1
 
 
+def client(target, *args):
+    """``repro client --target TARGET ARGS...`` through ``main``."""
+    return main(["client", "--target", str(target), *map(str, args)])
+
+
 class TestStoreCli:
     @pytest.fixture()
     def journal(self, files, tmp_path):
@@ -154,50 +164,44 @@ class TestStoreCli:
 
     def test_apply_appends_and_logs(self, files, journal, capsys):
         program, _ = files
-        code = main([
-            "store", "apply", "--dir", str(journal),
-            "--program", str(program), "--tag", "raise-q1",
-        ])
+        code = client(journal, "apply", "--program", program, "--tag", "raise-q1")
         assert code == 0
         assert "revision 1 [raise-q1]" in capsys.readouterr().err
-        assert main(["store", "log", "--dir", str(journal)]) == 0
+        assert client(journal, "log") == 0
         out = capsys.readouterr().out
         assert "raise-q1" in out
         assert "update" in out  # program name from the file stem
 
     def test_diff_and_as_of(self, files, journal, capsys):
         program, _ = files
-        main(["store", "apply", "--dir", str(journal),
-              "--program", str(program), "--tag", "upd"])
+        client(journal, "apply", "--program", program, "--tag", "upd")
         capsys.readouterr()
-        assert main(["store", "diff", "--dir", str(journal), "initial", "upd"]) == 0
+        assert client(journal, "diff", "initial", "upd") == 0
         out = capsys.readouterr().out
         assert "+ phil.isa -> hpe" in out
         assert "- bob.isa -> empl" in out
-        assert main(["store", "as-of", "--dir", str(journal), "0"]) == 0
+        assert client(journal, "as-of", "0") == 0
         out = capsys.readouterr().out
         assert "bob.sal -> 4200." in out
-        assert main(["store", "as-of", "--dir", str(journal), "upd"]) == 0
+        assert client(journal, "as-of", "upd") == 0
         assert "bob" not in capsys.readouterr().out
 
     def test_compact(self, files, journal, capsys):
         program, _ = files
         for tag in ("one", "two", "three"):
-            main(["store", "apply", "--dir", str(journal),
-                  "--program", str(program), "--tag", tag])
+            client(journal, "apply", "--program", program, "--tag", tag)
         assert main(["store", "compact", "--dir", str(journal),
                      "--interval", "2"]) == 0
         assert "compacted" in capsys.readouterr().err
         assert sorted(p.name for p in journal.glob("snap-*.json")) == [
             "snap-000000.json", "snap-000002.json",
         ]
-        assert main(["store", "log", "--dir", str(journal)]) == 0
+        assert client(journal, "log") == 0
         assert "three" in capsys.readouterr().out
 
     def test_verify_clean_journal(self, files, journal, capsys):
         program, _ = files
-        main(["store", "apply", "--dir", str(journal),
-              "--program", str(program), "--tag", "one"])
+        client(journal, "apply", "--program", program, "--tag", "one")
         assert main(["store", "verify", "--dir", str(journal)]) == 0
         out = capsys.readouterr().out
         assert "2 revisions" in out and "ok" in out
@@ -212,15 +216,13 @@ class TestStoreCli:
         assert "line 3" in out and "byte" in out
 
     def test_verify_json_report(self, journal, capsys):
-        import json
-
         assert main(["store", "verify", "--dir", str(journal),
                      "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["ok"] is True and report["revisions"] == 1
 
     def test_missing_journal_is_an_error(self, tmp_path, capsys):
-        code = main(["store", "log", "--dir", str(tmp_path / "nope")])
+        code = client(tmp_path / "nope", "log")
         assert code == 1
         assert "no journal" in capsys.readouterr().err
 
@@ -247,19 +249,19 @@ class TestCliErrorPolish:
         return directory
 
     def test_unknown_tag_and_index(self, journal, capsys):
-        for argv in (
-            ["store", "as-of", "--dir", str(journal), "nope"],
-            ["store", "as-of", "--dir", str(journal), "99"],
-            ["store", "diff", "--dir", str(journal), "init", "nope"],
-            ["store", "log", "--dir", str(journal / "missing")],
+        for target, args in (
+            (journal, ["as-of", "nope"]),
+            (journal, ["as-of", "99"]),
+            (journal, ["diff", "init", "nope"]),
+            (journal / "missing", ["log"]),
         ):
-            assert main(argv) == 1
+            assert client(target, *args) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ")
             assert "Traceback" not in err
 
     def test_negative_index_is_rejected_not_resolved(self, journal, capsys):
-        code = main(["store", "as-of", "--dir", str(journal), "--", "-1"])
+        code = client(journal, "as-of", "--", "-1")
         assert code == 1
         assert "no revision -1" in capsys.readouterr().err
 
@@ -277,13 +279,13 @@ class TestCliErrorPolish:
         lines = journal_file.read_text(encoding="utf-8").splitlines()
         lines.insert(1, "garbage")
         journal_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        assert main(["store", "log", "--dir", str(journal)]) == 1
+        assert client(journal, "log") == 1
         err = capsys.readouterr().err
         assert "corrupt" in err and "Traceback" not in err
 
     def test_missing_snapshot_file(self, journal, capsys):
         (journal / "snap-000000.json").unlink()
-        assert main(["store", "as-of", "--dir", str(journal), "0"]) == 1
+        assert client(journal, "as-of", "0") == 1
         err = capsys.readouterr().err
         assert "snapshot" in err and "Traceback" not in err
 
@@ -293,6 +295,186 @@ class TestCliErrorPolish:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
 
+    def test_client_without_a_target_is_an_error(self, capsys):
+        assert main(["client", "ping"]) == 1
+        assert "--target" in capsys.readouterr().err
+
     def test_serve_requires_an_endpoint(self, journal, capsys):
         assert main(["serve", "--dir", str(journal)]) == 1
         assert "--socket" in capsys.readouterr().err
+
+    def test_raw_protocol_tools_refuse_a_directory(self, journal, capsys):
+        script = journal.parent / "script.jsonl"
+        script.write_text('{"cmd": "ping"}\n', encoding="utf-8")
+        assert client(journal, "script", script) == 1
+        assert "raw-protocol" in capsys.readouterr().err
+        assert main(["replica", "promote", "--target", str(journal)]) == 1
+        assert "raw-protocol" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def metrics_on():
+    from repro.obs import metrics
+
+    metrics.enable_metrics(True)
+    metrics.registry().reset()
+    yield
+    metrics.registry().reset()
+    metrics.enable_metrics(None)
+
+
+class TestClientOnEveryTarget:
+    """``client`` reads through the ``Connection`` surface, so every
+    subcommand works on every target kind."""
+
+    @pytest.fixture()
+    def journal(self, files, tmp_path):
+        program, base = files
+        directory = tmp_path / "store"
+        assert main(["store", "init", "--dir", str(directory), "--base", str(base)]) == 0
+        assert client(directory, "apply", "--program", program, "--tag", "upd") == 0
+        return directory
+
+    @pytest.fixture()
+    def cluster(self):
+        from repro.cluster import LocalCluster
+
+        with LocalCluster(BASE, shards=2) as deployment:
+            yield deployment.target
+
+    @staticmethod
+    def _check(command, target, capsys):
+        capsys.readouterr()
+        code = client(target, command, *(["0"] if command == "as-of" else []))
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert "Traceback" not in captured.err
+        if command == "as-of":
+            expected = format_object_base(parse_object_base(BASE))
+            assert captured.out == expected + "\n"
+        elif command == "metrics":
+            assert "# TYPE repro_store_revisions gauge" in captured.out
+        else:
+            assert set(json.loads(captured.out)) == {
+                "entries", "dropped", "capacity", "thresholds_ms",
+            }
+
+    @pytest.mark.parametrize("command", ["as-of", "metrics", "slowlog"])
+    def test_reads_on_a_directory(self, command, journal, metrics_on, capsys):
+        self._check(command, journal, capsys)
+
+    @pytest.mark.parametrize("command", ["as-of", "metrics", "slowlog"])
+    def test_reads_on_a_cluster(self, command, cluster, metrics_on, capsys):
+        self._check(command, cluster, capsys)
+
+    def test_metrics_json_is_the_stats_section(self, journal, metrics_on, capsys):
+        capsys.readouterr()
+        assert client(journal, "metrics", "--json") == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document["enabled"] is True
+        assert "store_revisions" in document["registry"]
+
+    def test_as_of_prints_the_same_bytes_over_a_socket(
+        self, journal, tmp_path, capsys
+    ):
+        outputs = []
+        for revision in ("initial", "upd"):
+            assert client(journal, "as-of", revision) == 0
+            outputs.append(capsys.readouterr().out)
+        socket_path = str(tmp_path / "asof.sock")
+        with BackgroundServer(journal, path=socket_path):
+            for revision, expected in zip(("initial", "upd"), outputs):
+                assert main(
+                    ["client", "--socket", socket_path, "as-of", revision]
+                ) == 0
+                assert capsys.readouterr().out == expected
+
+    def test_apply_names_the_program_after_its_file_over_the_wire(
+        self, files, journal, tmp_path, capsys
+    ):
+        program, _ = files
+        socket_path = str(tmp_path / "name.sock")
+        with BackgroundServer(journal, path=socket_path):
+            assert main(["client", "--socket", socket_path, "apply",
+                         "--program", str(program), "--tag", "wire"]) == 0
+            assert main(["client", "--socket", socket_path, "tx",
+                         "--program", str(program), "--tag", "wire-tx"]) == 0
+        capsys.readouterr()
+        assert client(journal, "log") == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[-2].split()[-1] == "update"
+        assert rows[-1].split()[-1] == "update"
+
+
+class TestDirectoryReadsAreReadOnly:
+    """A read through ``client --target DIR`` never repairs the journal:
+    a live server may be in the middle of appending its final line."""
+
+    TORN = '{"index": 2, "tag": "half-writ'
+
+    @pytest.fixture()
+    def torn(self, files, tmp_path):
+        program, base = files
+        directory = tmp_path / "store"
+        assert main(["store", "init", "--dir", str(directory), "--base", str(base)]) == 0
+        assert client(directory, "apply", "--program", program, "--tag", "upd") == 0
+        journal_file = directory / "journal.jsonl"
+        clean = journal_file.read_bytes()
+        with journal_file.open("a", encoding="utf-8") as handle:
+            handle.write(self.TORN)
+        return directory, clean
+
+    @pytest.mark.parametrize("args", [
+        ["log"],
+        ["query", "E.isa -> hpe"],
+        ["diff", "initial", "upd"],
+        ["as-of", "upd"],
+        ["stats"],
+    ], ids=lambda args: args[0])
+    def test_reads_leave_the_torn_tail_alone(self, args, torn, capsys):
+        directory, _ = torn
+        journal_file = directory / "journal.jsonl"
+        before = journal_file.read_bytes()
+        assert client(directory, *args) == 0, capsys.readouterr().err
+        assert journal_file.read_bytes() == before
+
+    def test_top_leaves_the_torn_tail_alone(self, torn, capsys):
+        directory, _ = torn
+        journal_file = directory / "journal.jsonl"
+        before = journal_file.read_bytes()
+        assert main(["top", "--target", str(directory),
+                     "--interval", "0.1", "--iterations", "2"]) == 0
+        assert capsys.readouterr().out.count("repro top") == 1  # one frame
+        assert journal_file.read_bytes() == before
+
+    def test_apply_is_the_writer_and_repairs_the_tail(self, files, torn, capsys):
+        program, _ = files
+        directory, clean = torn
+        assert client(directory, "apply", "--program", program, "--tag", "next") == 0
+        assert "revision 2 [next]" in capsys.readouterr().err
+        repaired = (directory / "journal.jsonl").read_bytes()
+        assert repaired.startswith(clean)
+        assert self.TORN.encode() not in repaired
+        assert repaired.count(b"\n") == clean.count(b"\n") + 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["store", "apply", "--dir", "D", "--program", "p.upd"],
+    ["store", "log", "--dir", "D"],
+    ["store", "diff", "--dir", "D", "initial", "t1"],
+    ["store", "as-of", "--dir", "D", "t1"],
+    ["cluster", "status", "cluster:unix:a,unix:b"],
+    ["top", "--dir", "D"],
+    ["replica", "serve", "--dir", "R", "--primary", "unix:P", "--socket",
+     "R.sock", "--auto-promote"],
+    ["replica", "serve", "--dir", "R", "--primary", "unix:P", "--socket",
+     "R.sock", "--takeover", "P.sock"],
+    ["client", "--socket", "S", "slowlog", "--clear"],
+], ids=[
+    "store-apply", "store-log", "store-diff", "store-as-of", "cluster-status",
+    "top-dir", "replica-auto-promote", "replica-takeover", "slowlog-clear",
+])
+def test_deleted_spellings_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(argv)
+    assert exit_info.value.code == 2

@@ -152,7 +152,7 @@ def test_wire_stats_tolerates_unknown_request_fields(tmp_path):
 def test_cli_top_one_shot_against_a_directory(enabled, tmp_path, capsys):
     with repro.connect(tmp_path / "j", base=BASE, tag="seed") as conn:
         conn.apply(RAISE, tag="r1")
-    assert cli_main(["top", "--dir", str(tmp_path / "j")]) == 0
+    assert cli_main(["top", "--target", str(tmp_path / "j")]) == 0
     out = capsys.readouterr().out
     assert "repro top" in out
     assert "revisions" in out

@@ -176,3 +176,11 @@ class TestPrometheusRendering:
 
     def test_empty_registry_renders_empty(self, registry):
         assert registry.render_prometheus() == ""
+
+    def test_a_snapshot_renders_like_its_registry(self, registry):
+        registry.inc("commits", 3, node="a")
+        registry.observe("lat", 0.25, cmd="query")
+        registry.set_gauge("depth", 4)
+        snapshot = registry.snapshot()
+        assert metrics.render_prometheus(snapshot) == registry.render_prometheus()
+        assert metrics.render_prometheus({}) == ""
