@@ -118,7 +118,8 @@ def connect(
     error on targets that already hold data.  ``tag`` names revision 0 of
     a newly created store; ``options`` are its
     :class:`~repro.storage.history.StoreOptions`.  ``call_timeout`` bounds
-    request round-trips on served targets, and ``retry`` (a
+    every call on served targets (``None``: 30 s,
+    :data:`repro.api.wire.CALL_TIMEOUT`), and ``retry`` (a
     :class:`RetryPolicy`) makes a served connection survive server
     restarts — reconnect with backoff, re-established subscriptions,
     safe requests re-issued (``replset:`` and ``cluster:`` targets exist to

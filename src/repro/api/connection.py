@@ -22,6 +22,12 @@ Three interaction styles:
 * **live queries** — :meth:`Connection.subscribe` returns a
   :class:`SubscriptionStream`: the initial answers plus a blocking
   iterator of :class:`~repro.api.model.AnswerDelta` pushes.
+
+Read-your-writes is one rule on every backend: a node sheds a read whose
+``min_revision`` token its head has not reached with the retryable
+:class:`~repro.server.errors.ServerBusyError`, and the connection retries
+it (:func:`wait_for_revision`) for at most :data:`READ_YOUR_WRITES_WAIT`
+seconds before that error reaches the caller.
 """
 
 from __future__ import annotations
@@ -34,12 +40,37 @@ from typing import Callable, Sequence
 from repro.api.model import AnswerDelta, CommitResult, Diff, Revision
 from repro.core.objectbase import ObjectBase
 from repro.core.query import Answer, decode_answers, diff_answers, fold_answers
-from repro.server.errors import ConflictError, ServerError, SessionError
+from repro.server.errors import (
+    ConflictError,
+    ServerBusyError,
+    ServerError,
+    SessionError,
+)
 
 __all__ = ["Connection", "Transaction", "SubscriptionStream"]
 
 #: Transaction lifecycle states.
 OPEN, COMMITTED, ABORTED = "open", "committed", "aborted"
+
+#: How long a read carrying a ``min_revision`` token waits — on any
+#: backend — for the head to reach it before the busy error surfaces.
+READ_YOUR_WRITES_WAIT = 10.0
+
+
+def wait_for_revision(attempt: Callable):
+    """``attempt()``, re-run with backoff while it raises
+    :class:`ServerBusyError` (a head behind the read's token), until
+    :data:`READ_YOUR_WRITES_WAIT` has passed; then the error surfaces."""
+    deadline = time.monotonic() + READ_YOUR_WRITES_WAIT
+    delay = 0.005
+    while True:
+        try:
+            return attempt()
+        except ServerBusyError:
+            if time.monotonic() >= deadline:
+                raise
+            time.sleep(delay)
+            delay = min(delay * 2, 0.1)
 
 
 class Connection(ABC):
@@ -70,12 +101,14 @@ class Connection(ABC):
         head revision.  Rows are canonical decoded answers — value-equal
         to ``repro.query`` on the same base, on every backend.
 
-        ``min_revision`` is the read-your-writes token of replicated
-        serving: a node whose head has not reached that revision waits
-        briefly for replication, then sheds the read with a retryable
-        :class:`~repro.server.errors.ServerBusyError` rather than answer
-        from the past.  (On a single-node backend the head always
-        satisfies any token it issued.)"""
+        ``min_revision`` is the read-your-writes token of replicated and
+        sharded serving: the read waits until the head (a ``cluster:``
+        router: the sum of its shard heads) reaches that revision, for at
+        most :data:`READ_YOUR_WRITES_WAIT` seconds, then raises the
+        retryable :class:`~repro.server.errors.ServerBusyError` rather than
+        answer from the past — one rule and one deadline on every backend.
+        (On a single-node backend the head always satisfies any token it
+        issued.)"""
 
     @abstractmethod
     def log(self) -> tuple[Revision, ...]:
@@ -142,8 +175,10 @@ class Connection(ABC):
     ) -> "SubscriptionStream":
         """Register a live query; returns the stream seeded with the
         current answers.  Only answer diffs travel afterwards.
-        ``min_revision`` is the same read-your-writes token as on
-        :meth:`query` — the seed answers are at least that fresh."""
+        ``min_revision`` is the same read-your-writes token, with the same
+        wait, as on :meth:`query` — the seed answers are at least that
+        fresh.  No backend starts a thread per stream: a ``cluster:``
+        stream folds its shards' pushes in :meth:`SubscriptionStream.next`."""
 
     # -- accounting --------------------------------------------------------
     @abstractmethod

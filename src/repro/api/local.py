@@ -12,9 +12,13 @@ parity suite is what proves this fast path and the wire path agree.
 from __future__ import annotations
 
 import queue
-import time
 
-from repro.api.connection import Connection, SubscriptionStream, Transaction
+from repro.api.connection import (
+    Connection,
+    SubscriptionStream,
+    Transaction,
+    wait_for_revision,
+)
 from repro.api.model import CommitResult, Diff, Revision
 from repro.core.errors import ReproError
 from repro.core.objectbase import ObjectBase
@@ -51,28 +55,8 @@ class ServiceConnection(Connection):
     # -- reading -----------------------------------------------------------
     def query(self, body, *, min_revision: int | None = None) -> list[Answer]:
         self._check_open()
-        self._await_min_revision(min_revision)
+        wait_for_revision(lambda: self.service.check_revision(min_revision))
         return self.service.query(body)
-
-    def _await_min_revision(
-        self, min_revision: int | None, *, deadline: float = 5.0
-    ) -> None:
-        """Read-your-writes on a replica served in-process: wait briefly
-        for the replication stream to reach ``min_revision``, then shed the
-        read (retryable) rather than answer from the past."""
-        if min_revision is None:
-            return
-        limit = time.monotonic() + deadline
-        while len(self.service.store) - 1 < min_revision:
-            if time.monotonic() >= limit:
-                from repro.server.errors import ServerBusyError
-
-                raise ServerBusyError(
-                    f"read-your-writes token not satisfied: node is at "
-                    f"revision {len(self.service.store) - 1}, the read "
-                    f"demands {min_revision} — retry shortly"
-                )
-            time.sleep(0.005)
 
     def log(self) -> tuple[Revision, ...]:
         self._check_open()
@@ -119,7 +103,7 @@ class ServiceConnection(Connection):
         min_revision: int | None = None,
     ) -> SubscriptionStream:
         self._check_open()
-        self._await_min_revision(min_revision)
+        wait_for_revision(lambda: self.service.check_revision(min_revision))
         pushes: "queue.Queue[dict]" = queue.Queue()
         subscription = self.service.subscriptions.subscribe(
             body, pushes.put, name=name

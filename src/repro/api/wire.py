@@ -23,6 +23,11 @@ re-issued transparently; a mutation that was in flight when the link died
 surfaces :class:`~repro.server.errors.ConnectionClosed` (retryable) for
 the caller, because the server may already have committed it.
 
+**Silence.**  Every facade call is bounded by ``call_timeout`` (default
+:data:`CALL_TIMEOUT`), reconnects included: a server that accepts and never
+answers fails the call with the retryable ``ConnectionClosed`` ("did not
+answer within …"), and the link stays up for the next request.
+
 **Replica sets.**  A connection over more than one endpoint
 (``replset:a,b,c``, or a ``cluster:`` shard spelled ``a|b``) is the same
 machinery with a choice of whom to dial: every (re)dial pings the members
@@ -43,10 +48,14 @@ import asyncio
 import concurrent.futures
 import queue
 import threading
-import time
 from typing import Sequence
 
-from repro.api.connection import Connection, SubscriptionStream, Transaction
+from repro.api.connection import (
+    Connection,
+    SubscriptionStream,
+    Transaction,
+    wait_for_revision,
+)
 from repro.api.model import CommitResult, Diff, RetryPolicy, Revision
 from repro.api.targets import dial_endpoint
 from repro.core.errors import ReproError
@@ -56,7 +65,7 @@ from repro.core.rules import UpdateProgram
 from repro.lang.parser import parse_object_base
 from repro.lang.pretty import format_program
 from repro.server.client import AsyncClient, _raise_for
-from repro.server.errors import ConnectionClosed, ServerBusyError, ServerError
+from repro.server.errors import ConnectionClosed, ServerError
 from repro.storage.history import resolve_revision_ref
 
 __all__ = ["WireConnection"]
@@ -73,9 +82,9 @@ _SAFE_COMMANDS = frozenset(
 #: Redial timeout per attempt (matches the initial-connect bound).
 _DIAL_TIMEOUT = 30.0
 
-#: How long a ``min_revision`` read polls a lagging replica before the
-#: retryable busy error surfaces to the caller.
-_MIN_REVISION_WAIT = 10.0
+#: The ``call_timeout`` a served connection gets when none is passed: how
+#: long one facade call may wait for its answer.
+CALL_TIMEOUT = 30.0
 
 
 class _LiveSub:
@@ -107,13 +116,15 @@ class _EventLoopThread:
         self.loop.run_forever()
 
     def run(self, coro, timeout: float | None = None):
-        """Run a coroutine on the loop, blocking the calling thread."""
+        """Run a coroutine on the loop, blocking the calling thread for at
+        most ``timeout`` seconds; past that the coroutine is cancelled and
+        the retryable :class:`ConnectionClosed` raised."""
         future = asyncio.run_coroutine_threadsafe(coro, self.loop)
         try:
             return future.result(timeout)
         except concurrent.futures.TimeoutError:
             future.cancel()
-            raise ServerError(
+            raise ConnectionClosed(
                 f"server did not answer within {timeout:g}s"
             ) from None
 
@@ -129,8 +140,8 @@ class WireConnection(Connection):
     ``endpoints`` are served-endpoint texts (``serve:`` / ``unix:`` /
     ``tcp:`` / a socket path) in preference order: one is a plain served
     connection, several are the members of a replica set (see the module
-    doc).  ``call_timeout`` bounds every request round-trip (``None``
-    waits forever — pushes are unaffected either way).  ``retry`` (a
+    doc).  ``call_timeout`` bounds every facade call, reconnects included
+    (``None`` takes :data:`CALL_TIMEOUT`; pushes are unaffected).  ``retry`` (a
     :class:`~repro.api.model.RetryPolicy`) enables transparent reconnect
     after a dropped link — see the module doc for what is and is not
     re-issued, and, over a member list, re-sent after a refusal.
@@ -156,7 +167,7 @@ class WireConnection(Connection):
             )
         else:
             self.target = "replset:" + ",".join(self.targets)
-        self.call_timeout = call_timeout
+        self.call_timeout = CALL_TIMEOUT if call_timeout is None else call_timeout
         self.retry = retry
         #: Highest fencing epoch observed anywhere; stamped on mutations.
         self.epoch = 0
@@ -245,7 +256,7 @@ class WireConnection(Connection):
                 AsyncClient.connect(**self._endpoints[member]), _DIAL_TIMEOUT
             )
             pong = await asyncio.wait_for(
-                client.call("ping"), self.call_timeout or _DIAL_TIMEOUT
+                client.call("ping"), self.call_timeout
             )
         except (ConnectionError, OSError, asyncio.TimeoutError, ReproError):
             if client is not None:
@@ -383,15 +394,7 @@ class WireConnection(Connection):
                 await self._await_reconnect(cmd, sent=False)
                 client = self._client
             try:
-                send = client.request(cmd, **payload)
-                if self.call_timeout is not None:
-                    response = await asyncio.wait_for(send, self.call_timeout)
-                else:
-                    response = await send
-            except asyncio.TimeoutError:
-                raise ServerError(
-                    f"server did not answer within {self.call_timeout:g}s"
-                ) from None
+                response = await client.request(cmd, **payload)
             except ConnectionClosed:
                 # the link died with the request possibly delivered: only
                 # safe commands may be blindly re-issued
@@ -452,30 +455,11 @@ class WireConnection(Connection):
 
     def _run(self, coro):
         try:
-            return self._loop.run(coro, timeout=self._deadline())
+            return self._loop.run(coro, timeout=self.call_timeout)
         except (ConnectionError, OSError) as error:
             raise ServerError(
                 f"connection to {self.target} failed: {error}"
             ) from None
-
-    def _deadline(self) -> float | None:
-        """The blocking bound for one facade call: the per-request timeout
-        plus, under a retry policy, the worst-case reconnect budget (the
-        request timeout is enforced per attempt inside :meth:`_invoke`)."""
-        if self.call_timeout is None:
-            return None
-        if self.retry is None:
-            # margin: the in-coroutine wait_for fires first with the
-            # precise "did not answer" error; this bound is the backstop
-            return self.call_timeout + 5.0
-        policy = self.retry
-        backoff = sum(
-            min(policy.max_delay, policy.base_delay * (2 ** attempt))
-            * (1 + policy.jitter)
-            for attempt in range(policy.attempts)
-        )
-        per_attempt = self.call_timeout + _DIAL_TIMEOUT
-        return (1 + policy.attempts) * per_attempt + backoff
 
     # -- liveness ----------------------------------------------------------
     def ping(self) -> dict:
@@ -484,41 +468,18 @@ class WireConnection(Connection):
 
     # -- reading -----------------------------------------------------------
     def query(self, body, *, min_revision: int | None = None) -> list[Answer]:
-        response = self._call_min_revision(
-            "query", min_revision, body=_body_text(body)
-        )
-        return decode_answers(response["answers"])
+        return self.query_with_revision(body, min_revision=min_revision)[0]
 
     def query_with_revision(
         self, body, *, min_revision: int | None = None
     ) -> tuple[list[Answer], int]:
         """Like :meth:`query`, also returning the head revision index the
         answers were computed at (the server stamps every query response)."""
-        response = self._call_min_revision(
-            "query", min_revision, body=_body_text(body)
+        text = _body_text(body)
+        response = wait_for_revision(
+            lambda: self.call("query", body=text, min_revision=min_revision)
         )
         return decode_answers(response["answers"]), response["revision"]
-
-    def _call_min_revision(
-        self, cmd: str, min_revision: int | None, **payload
-    ) -> dict:
-        """A read carrying a read-your-writes token: a replica that has not
-        caught up sheds it with a retryable busy error — poll briefly so
-        the common just-behind case resolves without surfacing it."""
-        if min_revision is None:
-            return self.call(cmd, **payload)
-        deadline = time.monotonic() + _MIN_REVISION_WAIT
-        delay = 0.02
-        while True:
-            try:
-                return self.call(
-                    cmd, min_revision=min_revision, **payload
-                )
-            except ServerBusyError:
-                if time.monotonic() >= deadline:
-                    raise
-                time.sleep(delay)
-                delay = min(delay * 2, 0.25)
 
     def log(self) -> tuple[Revision, ...]:
         response = self.call("log")
@@ -568,11 +529,24 @@ class WireConnection(Connection):
         self, body, *, name: str | None = None,
         min_revision: int | None = None,
     ) -> SubscriptionStream:
+        return self._subscribe(
+            body, name=name, min_revision=min_revision, pushes=queue.Queue()
+        )
+
+    def _subscribe(
+        self, body, *, name: str | None, min_revision: int | None, pushes,
+    ) -> SubscriptionStream:
+        """:meth:`subscribe` onto a caller-supplied queue.  This module only
+        ever calls ``pushes.put`` — routing, the claim sweep, the reconnect
+        resync and the dead-link sentinel — so the ``cluster:`` router
+        hands each shard a feed onto its merged stream's one queue."""
         self._check_open()
         body_text = _body_text(body)
-        pushes: "queue.Queue[dict]" = queue.Queue()
-        response = self._call_min_revision(
-            "subscribe", min_revision, body=body_text, name=name
+        response = wait_for_revision(
+            lambda: self.call(
+                "subscribe", body=body_text, name=name,
+                min_revision=min_revision,
+            )
         )
         sid = response["sid"]
         stream = SubscriptionStream(

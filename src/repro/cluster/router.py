@@ -26,7 +26,16 @@ router's history, so ``as_of``/``diff``/``min_revision`` tokens compose
 per-shard history exactly; reads additionally ride a per-shard
 *watermark* (the highest component this router has observed), giving
 monotonic reads across failovers — a lagging replica sheds a read below
-the watermark rather than answer from the past.
+the watermark rather than answer from the past.  An integer token this
+router never recorded waits, under the one read-your-writes rule
+(:func:`~repro.api.connection.wait_for_revision`), for the summed shard
+heads to reach it.
+
+**Live queries** start no thread: every shard stream puts ``(shard,
+push)`` on the merged stream's one queue, and its ``next()`` folds them —
+advancing the shard's vector component and the watermark, and turning a
+shard's ``lagged`` resync into one exact merged resync.  A shard stream
+that dies (reconnect budget spent) ends the merged stream.
 
 Limitations, by design: a program whose rule hosts contain variables
 cannot be routed (it could touch any shard) and is rejected with a typed
@@ -39,28 +48,36 @@ Cross-host *join* subscriptions are not supported.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import queue
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
-from repro.api.connection import Connection, SubscriptionStream, Transaction
-from repro.api.model import CommitResult, Diff, RetryPolicy, Revision
+from repro.api.connection import (
+    _STREAM_CLOSED,
+    Connection,
+    SubscriptionStream,
+    Transaction,
+    wait_for_revision,
+)
+from repro.api.model import AnswerDelta, CommitResult, Diff, RetryPolicy, Revision
 from repro.api.wire import WireConnection, _body_text
 from repro.cluster.partition import program_shards, query_scope
 from repro.core.errors import ReproError
 from repro.core.objectbase import ObjectBase
-from repro.core.query import Answer, answer_sort_key, prepare_query
+from repro.core.query import (
+    Answer,
+    answer_sort_key,
+    decode_answers,
+    fold_answers,
+    prepare_query,
+)
 from repro.server.errors import ServerBusyError
 from repro.server.service import StoreService
 from repro.storage.history import resolve_revision_ref
 
 __all__ = ["ClusterConnection", "RevisionVector"]
-
-#: How long a read carrying an unknown (another router's) consistency
-#: token waits for the aggregate head to catch up before shedding.
-_TOKEN_WAIT = 10.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -91,12 +108,6 @@ class RevisionVector:
     @property
     def total(self) -> int:
         return sum(self.components)
-
-    def merge(self, other: "RevisionVector") -> "RevisionVector":
-        """Componentwise max — the smallest cut at least as new as both."""
-        return RevisionVector(tuple(
-            max(a, b) for a, b in zip(self.components, other.components)
-        ))
 
     def __len__(self) -> int:
         return len(self.components)
@@ -268,29 +279,15 @@ class ClusterConnection(Connection):
         # A token minted elsewhere (another router) addresses a cut this
         # router never recorded; wait for the aggregate head to reach it,
         # after which any shard's current head satisfies its share.
-        self._await_total(min_revision)
-        return [None] * self.count
-
-    def _await_total(self, token: int) -> None:
-        deadline = time.monotonic() + _TOKEN_WAIT
-        delay = 0.02
-        while True:
-            heads = self._scatter(
-                lambda shard, conn: self._shard_head(conn)
-            )
+        def check_total() -> None:
+            heads = self._scatter(lambda shard, conn: self._shard_head(conn))
             for shard, head in enumerate(heads):
                 self._observe(shard, head)
-            total = sum(heads)
-            if total >= token:
-                return
-            if time.monotonic() >= deadline:
-                raise ServerBusyError(
-                    f"read-your-writes token not satisfied: the cluster is "
-                    f"at revision {total}, the read demands {token} — "
-                    f"retry shortly"
-                )
-            time.sleep(delay)
-            delay = min(0.25, delay * 2)
+            if sum(heads) < min_revision:
+                raise ServerBusyError.behind(sum(heads), min_revision)
+
+        wait_for_revision(check_total)
+        return [None] * self.count
 
     def _floor(self, shard: int, component: int | None) -> int | None:
         """The min_revision to send shard ``shard``: the caller's token
@@ -481,82 +478,19 @@ class ClusterConnection(Connection):
             )
         components = self._components(min_revision)
         targets = [shard] if scope == "single" else list(range(self.count))
+        pushes: "queue.Queue" = queue.Queue()
         inners: dict[int, SubscriptionStream] = {}
         try:
             for target in targets:
-                inners[target] = self._conn(target).subscribe(
+                inners[target] = self._conn(target)._subscribe(
                     body_text, name=name,
                     min_revision=self._floor(target, components[target]),
+                    pushes=_ShardFeed(target, pushes),
                 )
         except Exception:
-            for inner in inners.values():
-                inner.close()
+            _close_inners(inners)
             raise
-        with self._lock:
-            vector = list(self._watermark)
-        answers: list[Answer] = []
-        for target, inner in inners.items():
-            vector[target] = max(vector[target], inner.revision)
-            self._observe(target, inner.revision)
-            answers.extend(inner.answers)
-        answers.sort(key=answer_sort_key)
-        pushes: "queue.Queue[dict]" = queue.Queue()
-        stream = SubscriptionStream(
-            sid="+".join(inners[target].sid for target in sorted(inners)),
-            query=body_text,
-            revision=sum(vector),
-            answers=answers,
-            pushes=pushes,
-            closer=lambda: _close_inners(inners),
-        )
-        pump = threading.Thread(
-            target=self._pump,
-            args=(stream, inners, vector, pushes),
-            daemon=True,
-        )
-        pump.start()
-        return self._track(stream)
-
-    def _pump(self, stream, inners, vector, pushes) -> None:
-        """Merge per-shard streams into the consumer's: forward each shard
-        delta re-stamped with the composed cluster revision; coalesce an
-        inner resync into one lagged push carrying the merged answer set
-        (the outer stream diffs it against its own folded state)."""
-        while not stream.closed and not self._closed:
-            for shard, inner in inners.items():
-                if stream.closed or self._closed:
-                    return
-                if inner.closed:
-                    # The shard connection gave up for good (retry
-                    # exhausted); the merged stream cannot stay exact.
-                    stream._mark_dead()
-                    return
-                delta = inner.next(timeout=0.05)
-                if delta is None:
-                    continue
-                vector[shard] = max(vector[shard], delta.revision)
-                self._observe(shard, delta.revision)
-                revision = sum(vector)
-                if delta.lagged:
-                    merged: list[Answer] = []
-                    for member in inners.values():
-                        merged.extend(member.answers)
-                    merged.sort(key=answer_sort_key)
-                    pushes.put({
-                        "push": "lagged",
-                        "sid": stream.sid,
-                        "query": stream.query,
-                        "from_revision": stream.revision,
-                        "to_revision": revision,
-                        "revision": revision,
-                        "tag": delta.tag,
-                        "answers": [dict(row) for row in merged],
-                    })
-                else:
-                    push = delta.as_push()
-                    push["sid"] = stream.sid
-                    push["revision"] = revision
-                    pushes.put(push)
+        return self._track(_MergedStream(self, inners, body_text, pushes))
 
     # -- accounting --------------------------------------------------------
     def stats(self) -> dict:
@@ -643,6 +577,82 @@ class ClusterConnection(Connection):
                 pass
         if executor is not None:
             executor.shutdown(wait=False)
+
+
+class _ShardFeed:
+    """The queue a shard's inner stream is handed: the wire layer only
+    ever calls ``put`` on it, which lands ``(shard, push)`` on the merged
+    stream's one queue."""
+
+    __slots__ = ("shard", "merged")
+
+    def __init__(self, shard: int, merged: "queue.Queue") -> None:
+        self.shard = shard
+        self.merged = merged
+
+    def put(self, push) -> None:
+        self.merged.put((self.shard, push))
+
+
+class _MergedStream(SubscriptionStream):
+    """One live query over per-shard streams, folded on the consumer's
+    :meth:`next` (see the module doc): the queue carries ``(shard, push)``
+    pairs, and the base class folds the restamped result."""
+
+    def __init__(self, router: ClusterConnection, inners: dict, query: str,
+                 pushes: "queue.Queue") -> None:
+        with router._lock:
+            vector = list(router._watermark)
+        for shard, inner in inners.items():
+            vector[shard] = max(vector[shard], inner.revision)
+            router._observe(shard, inner.revision)
+        self._router = router
+        self._vector = vector
+        self._shard_answers = {
+            shard: list(inner.answers) for shard, inner in inners.items()
+        }
+        super().__init__(
+            sid="+".join(inners[shard].sid for shard in sorted(inners)),
+            query=query,
+            revision=sum(vector),
+            answers=self._merged(),
+            pushes=pushes,
+            closer=lambda: _close_inners(inners),
+        )
+
+    def _merged(self) -> list[Answer]:
+        return sorted(
+            itertools.chain.from_iterable(self._shard_answers.values()),
+            key=answer_sort_key,
+        )
+
+    def _ingest(self, item) -> AnswerDelta | None:
+        shard, push = item
+        if push is _STREAM_CLOSED:
+            # the shard's stream died (its reconnect budget is spent): the
+            # merged answers cannot stay exact, so the merged stream ends
+            self.close()
+            return None
+        kind = push.get("push", "diff")
+        if kind not in ("diff", "lagged"):
+            return None
+        revision = push.get("to_revision", push.get("revision", 0))
+        self._vector[shard] = max(self._vector[shard], revision)
+        self._router._observe(shard, revision)
+        total = sum(self._vector)
+        if kind == "lagged":
+            self._shard_answers[shard] = decode_answers(push.get("answers", []))
+            return super()._ingest({
+                "push": "lagged",
+                "tag": push.get("tag", ""),
+                "to_revision": total,
+                "answers": self._merged(),
+            })
+        delta = super()._ingest(dict(push, sid=self.sid, revision=total))
+        self._shard_answers[shard] = fold_answers(
+            self._shard_answers[shard], delta.added, delta.removed
+        )
+        return delta
 
 
 class _ClusterTransaction(Transaction):

@@ -25,12 +25,9 @@ epoch it has observed so a zombie primary rejects them.
 """
 
 from repro.replication.follower import Follower
-from repro.replication.stream import ReplicationHub, hub_for
 from repro.replication.supervisor import ReplicaSet
 
 __all__ = [
     "Follower",
     "ReplicaSet",
-    "ReplicationHub",
-    "hub_for",
 ]

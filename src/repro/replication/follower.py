@@ -345,15 +345,7 @@ class Follower:
         ``StaleEpochError`` instead of forking history."""
         async def fence() -> None:
             try:
-                client = await asyncio.wait_for(
-                    AsyncClient.connect(**self._endpoint), 2.0
-                )
-                try:
-                    await asyncio.wait_for(
-                        client.call("repl-fence", epoch=epoch), 2.0
-                    )
-                finally:
-                    await client.close()
+                await self._request("repl-fence", 2.0, epoch=epoch)
             except Exception:
                 pass  # dead primaries cannot be fenced; the epoch does it
 
@@ -372,22 +364,24 @@ class Follower:
         if client is not None and self._loop is not None:
             asyncio.run_coroutine_threadsafe(client.close(), self._loop.loop)
 
-    def _call(self, cmd: str, *, timeout: float = 5.0, **payload) -> dict:
-        """One command to the primary over a fresh short-lived connection
-        (bootstrap, heartbeats) — the tail stream has its own link."""
-        async def one() -> dict:
-            client = await asyncio.wait_for(
-                AsyncClient.connect(**self._endpoint), timeout
-            )
-            try:
-                return await asyncio.wait_for(
-                    client.call(cmd, **payload), timeout
-                )
-            finally:
-                await client.close()
-
+    async def _request(self, cmd: str, timeout: float, **payload) -> dict:
+        """Connect to the primary, send one command, close: a fresh
+        short-lived link each time — the tail stream has its own."""
+        client = await asyncio.wait_for(
+            AsyncClient.connect(**self._endpoint), timeout
+        )
         try:
-            return self._loop.run(one(), timeout=timeout * 2 + 1)
+            return await asyncio.wait_for(client.call(cmd, **payload), timeout)
+        finally:
+            await client.close()
+
+    def _call(self, cmd: str, *, timeout: float = 5.0, **payload) -> dict:
+        """One command to the primary from a caller thread (bootstrap,
+        heartbeats)."""
+        try:
+            return self._loop.run(
+                self._request(cmd, timeout, **payload), timeout=timeout * 2 + 1
+            )
         except (ConnectionError, OSError) as error:
             raise ServerError(
                 f"cannot reach primary {self.primary}: {error}"

@@ -13,13 +13,15 @@ module never re-serializes history to uphold it:
   commit: the appended line and the snapshot text it just wrote, so
   nothing is rendered, parsed or read back per follower.
 
-:class:`ReplicationHub` glues both to a :class:`StoreService`: ``sync``
-answers one catch-up batch, ``attach`` replays catch-up then registers a
+Two functions glue both to a :class:`StoreService` (the ``repl-sync`` /
+``repl-stream`` protocol handlers call them): :func:`sync` answers one
+catch-up batch, :func:`attach` replays catch-up then registers a
 per-subscriber commit listener — both under the service's writer queue, so
 no commit can slip between the disk read and the listener registration.
 Listeners fire only *after* a commit's journal append succeeded
 (:meth:`StoreService.add_replication_listener`), so followers never hold a
-line the primary lost.
+line the primary lost.  Replication needs a journal-backed primary: it
+streams *the journal*, not a reconstruction of it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Callable
 from repro.core.errors import ReproError
 from repro.storage.serialize import journal_history
 
-__all__ = ["ReplicationHub", "hub_for", "read_journal_entries"]
+__all__ = ["attach", "read_journal_entries", "sync"]
 
 
 def read_journal_entries(
@@ -63,75 +65,55 @@ def read_journal_entries(
     return header, entries
 
 
-class ReplicationHub:
-    """Fan-out of a primary's committed journal lines to followers.
+def _journal_dir(service) -> Path:
+    directory = service.journal_dir
+    if directory is None:
+        raise ReproError(
+            "replication needs a journal-backed primary; serve a journal "
+            "directory (repro serve DIR) instead of an in-memory store"
+        )
+    return Path(directory)
 
-    One per :class:`~repro.server.service.StoreService` (see
-    :func:`hub_for`); the ``repl-sync`` / ``repl-stream`` protocol handlers
-    call into it.  Requires the service to be journal-backed — replication
-    streams *the journal*, not a reconstruction of it.
+
+def sync(service, from_index: int) -> dict:
+    """One catch-up batch: every durable line from ``from_index`` on."""
+    directory = _journal_dir(service)
+    with service._writer():
+        header, entries = read_journal_entries(directory, from_index)
+        return {
+            "header": header,
+            "entries": entries,
+            "from_index": from_index,
+            "head": len(service.store) - 1,
+            "epoch": service.epoch,
+        }
+
+
+def attach(
+    service, deliver: Callable[[dict], None], from_index: int
+) -> tuple[Callable[[], None], int, int]:
+    """Start a live stream: replay catch-up entries into ``deliver``,
+    then register a commit listener pushing every future line.
+
+    Runs under the writer queue so the catch-up read and the listener
+    registration are atomic against commits — no line can fall into the
+    gap.  Returns ``(detach, head, epoch)``; the connection teardown
+    must call ``detach``.
     """
+    directory = _journal_dir(service)
+    with service._writer():
+        _header, entries = read_journal_entries(directory, from_index)
+        for entry in entries:
+            deliver(dict(entry, push="repl-line"))
 
-    def __init__(self, service) -> None:
-        self.service = service
+        def publish(entry, _deliver=deliver):
+            _deliver(dict(entry, push="repl-line"))
 
-    def _journal_dir(self) -> Path:
-        directory = self.service.journal_dir
-        if directory is None:
-            raise ReproError(
-                "replication needs a journal-backed primary; serve a journal "
-                "directory (repro serve DIR) instead of an in-memory store"
-            )
-        return Path(directory)
+        listener = service.add_replication_listener(publish)
+        head = len(service.store) - 1
+        epoch = service.epoch
 
-    def sync(self, from_index: int) -> dict:
-        """One catch-up batch: every durable line from ``from_index`` on."""
-        directory = self._journal_dir()
-        with self.service._writer():
-            header, entries = read_journal_entries(directory, from_index)
-            return {
-                "header": header,
-                "entries": entries,
-                "from_index": from_index,
-                "head": len(self.service.store) - 1,
-                "epoch": self.service.epoch,
-            }
+    def detach() -> None:
+        service.remove_replication_listener(listener)
 
-    def attach(
-        self, deliver: Callable[[dict], None], from_index: int
-    ) -> tuple[Callable[[], None], int, int]:
-        """Start a live stream: replay catch-up entries into ``deliver``,
-        then register a commit listener pushing every future line.
-
-        Runs under the writer queue so the catch-up read and the listener
-        registration are atomic against commits — no line can fall into the
-        gap.  Returns ``(detach, head, epoch)``; the connection teardown
-        must call ``detach``.
-        """
-        directory = self._journal_dir()
-        with self.service._writer():
-            _header, entries = read_journal_entries(directory, from_index)
-            for entry in entries:
-                deliver(dict(entry, push="repl-line"))
-
-            def publish(entry, _deliver=deliver):
-                _deliver(dict(entry, push="repl-line"))
-
-            listener = self.service.add_replication_listener(publish)
-            head = len(self.service.store) - 1
-            epoch = self.service.epoch
-
-        def detach() -> None:
-            self.service.remove_replication_listener(listener)
-
-        return detach, head, epoch
-
-
-def hub_for(service) -> ReplicationHub:
-    """The service's hub, created on first use (one per service, so the
-    ``followers`` stat counts every attached stream)."""
-    hub = getattr(service, "_replication_hub", None)
-    if hub is None:
-        hub = ReplicationHub(service)
-        service._replication_hub = hub
-    return hub
+    return detach, head, epoch

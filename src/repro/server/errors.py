@@ -12,8 +12,9 @@ the distinctions a concurrent client actually branches on:
   unknown or already-finished session, or a commit with nothing staged.
 * :class:`ConnectionClosed` — the transport died (server restart, dropped
   socket, shutdown); **retryable** through a reconnecting client.
-* :class:`ServerBusyError` — the server shed load (writer-queue timeout,
-  outbox overflow); **retryable** after a backoff.
+* :class:`ServerBusyError` — the node cannot serve this yet (its head is
+  behind a read-your-writes token) or shed load (outbox overflow);
+  **retryable** after a backoff.
 * :class:`StaleEpochError` — a write carried (or arrived at a node holding)
   a fencing epoch older than the replica set's current one: the zombie
   primary's write is rejected; **retryable** against the new primary.
@@ -92,11 +93,20 @@ class ConnectionClosed(ServerError):
 
 
 class ServerBusyError(ServerError):
-    """The server shed load instead of queueing without bound: the FIFO
-    writer queue did not free up within the configured timeout, or a
-    connection's outbox overflowed its hard cap.  Back off and retry."""
+    """The node cannot serve the request yet: its head has not reached the
+    read's ``min_revision`` token (see :meth:`behind`), or a connection's
+    outbox overflowed its hard cap.  Back off and retry."""
 
     retryable = True
+
+    @classmethod
+    def behind(cls, head: int, token: int) -> "ServerBusyError":
+        """The one read-your-writes refusal, whoever checks the token: a
+        node against its head, a router against its summed shard heads."""
+        return cls(
+            f"read-your-writes token not satisfied: the head is at "
+            f"revision {head}, the read demands {token} — retry shortly"
+        )
 
 
 class StaleEpochError(ServerError):

@@ -74,7 +74,6 @@ from repro.lang.pretty import format_object_base
 from repro.server.errors import (
     ConflictError,
     NotPrimaryError,
-    ServerBusyError,
     SessionError,
     StaleEpochError,
 )
@@ -116,8 +115,8 @@ def decode(line: bytes | str) -> dict:
 
 class ClientState:
     """Per-connection state: open sessions, live subscriptions, and the
-    push sink the transport provided (a queue writer for sockets, a list
-    append for the in-process client)."""
+    push sink the transport provided (the socket server hands each
+    connection its outbox's ``put``)."""
 
     def __init__(self, deliver) -> None:
         self.deliver = deliver
@@ -224,24 +223,6 @@ class Dispatcher:
             "snapshot": self.service.store.has_snapshot(revision.index),
         }
 
-    def _check_min_revision(self, request: dict) -> None:
-        """The read-your-writes gate: a client that committed revision N on
-        the primary may demand ``min_revision: N`` from a follower; until
-        the stream catches up the read is shed (retryable) instead of
-        silently answering from the past."""
-        token = request.get("min_revision")
-        if token is None:
-            return
-        if not isinstance(token, int) or isinstance(token, bool):
-            raise ReproError(f"min_revision must be an integer, got {token!r}")
-        head = len(self.service.store) - 1
-        if head < token:
-            raise ServerBusyError(
-                f"read-your-writes token not satisfied: this node is at "
-                f"revision {head}, the read demands {token}; replication "
-                f"is catching up — retry shortly"
-            )
-
     # -- command handlers --------------------------------------------------
     def _cmd_ping(self, request, state) -> dict:
         pong = {
@@ -283,7 +264,7 @@ class Dispatcher:
         }
 
     def _cmd_query(self, request, state) -> dict:
-        self._check_min_revision(request)
+        self.service.check_revision(request.get("min_revision"))
         answers = self.service.query(_required(request, "body"))
         return {
             "answers": answers,
@@ -291,7 +272,7 @@ class Dispatcher:
         }
 
     def _cmd_subscribe(self, request, state) -> dict:
-        self._check_min_revision(request)
+        self.service.check_revision(request.get("min_revision"))
         subscription = self.service.subscriptions.subscribe(
             _required(request, "body"), state.deliver, name=request.get("name")
         )
@@ -417,18 +398,18 @@ class Dispatcher:
         return from_index
 
     def _cmd_repl_sync(self, request, state) -> dict:
-        from repro.replication.stream import hub_for  # lazy: optional layer
+        from repro.replication.stream import sync  # lazy: optional layer
 
-        return hub_for(self.service).sync(self._from_index(request))
+        return sync(self.service, self._from_index(request))
 
     def _cmd_repl_stream(self, request, state) -> dict:
-        from repro.replication.stream import hub_for
+        from repro.replication.stream import attach
 
         # Catch-up entries are delivered as pushes *before* this response
         # is enqueued; the attach runs under the writer queue, so nothing
         # can commit between the catch-up read and the live listener.
-        detach, head, epoch = hub_for(self.service).attach(
-            state.deliver, self._from_index(request)
+        detach, head, epoch = attach(
+            self.service, state.deliver, self._from_index(request)
         )
         state.repl_detach.append(detach)
         return {"streaming": True, "head": head, "epoch": epoch}

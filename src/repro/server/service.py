@@ -39,6 +39,7 @@ from collections import deque
 from typing import Callable, Sequence
 
 from repro.core.caches import cache_stats
+from repro.core.errors import ReproError
 from repro.core.objectbase import Delta, ObjectBase
 from repro.obs import metrics as _obs
 from repro.obs import slowlog as _slowlog
@@ -48,6 +49,7 @@ from repro.core.rules import UpdateProgram
 from repro.server.errors import (
     ConflictError,
     NotPrimaryError,
+    ServerBusyError,
     SessionError,
     StaleEpochError,
 )
@@ -447,6 +449,22 @@ class StoreService:
                 required_epoch=min_epoch,
             )
 
+    def check_revision(self, min_revision: int | None) -> None:
+        """The read-your-writes gate: a client that committed revision N
+        may demand ``min_revision: N`` of any node.  Until this node's head
+        reaches it the read is shed with the retryable
+        :class:`ServerBusyError` — at once; the waiting is the client's
+        (:func:`repro.api.connection.wait_for_revision`)."""
+        if min_revision is None:
+            return
+        if not isinstance(min_revision, int) or isinstance(min_revision, bool):
+            raise ReproError(
+                f"min_revision must be an integer, got {min_revision!r}"
+            )
+        head = len(self.store) - 1
+        if head < min_revision:
+            raise ServerBusyError.behind(head, min_revision)
+
     def fence(self, epoch: int) -> bool:
         """Fence writes below ``epoch`` (the promotion's edict to the old
         primary).  Returns ``True`` when this node is now fenced — i.e. its
@@ -493,7 +511,8 @@ class StoreService:
         node, so a follower can never hold a line its primary lost.
         ``entry`` is what ``append_revision`` returned, shared by every
         listener.  The caller must serialize registration against in-flight
-        commits (attach under :meth:`_writer`, as the replication hub does)."""
+        commits (register under :meth:`_writer`, as
+        :func:`repro.replication.stream.attach` does)."""
         self._repl_listeners.append(listener)
         return listener
 

@@ -10,6 +10,8 @@ drive the same machinery through wire faults (torn frames, stalls,
 drops) instead of a clean restart.
 """
 
+import socket
+import threading
 import time
 
 import pytest
@@ -21,6 +23,7 @@ from repro.api import (
     RetryPolicy,
     ServerError,
 )
+from repro.api import wire
 from repro.api.wire import _EventLoopThread
 from repro.core.errors import ReproError
 from repro.testing import ChaosProxy
@@ -335,6 +338,42 @@ class TestWireFaults:
             conn.close()
             proxy.close()
             server.close()
+
+    @pytest.mark.parametrize("retry", [None, POLICY], ids=["plain", "retry"])
+    def test_silent_server_fails_the_call_after_the_default_timeout(
+        self, tmp_path, monkeypatch, retry
+    ):
+        """A server that accepts and never answers fails the call with
+        the typed, retryable ConnectionClosed after the default
+        call_timeout — never after the reconnect budget, never never."""
+        monkeypatch.setattr(wire, "CALL_TIMEOUT", 0.2)
+        path = str(tmp_path / "silent.sock")
+        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        listener.bind(path)
+        listener.listen(1)
+        outcome: dict = {}
+
+        def ping() -> None:
+            conn = repro.connect(f"unix:{path}", retry=retry)
+            started = time.monotonic()
+            try:
+                conn.ping()
+            except Exception as error:
+                outcome["error"] = error
+            outcome["elapsed"] = time.monotonic() - started
+            conn.close()
+
+        caller = threading.Thread(target=ping, daemon=True)
+        try:
+            caller.start()
+            caller.join(timeout=5.0)
+            assert not caller.is_alive(), "ping hung on a silent server"
+        finally:
+            listener.close()
+        assert isinstance(outcome.get("error"), ConnectionClosed)
+        assert outcome["error"].retryable
+        assert "did not answer within" in str(outcome["error"])
+        assert outcome["elapsed"] < 2.0
 
 
 class TestStreamFolding:

@@ -30,7 +30,8 @@ import pytest
 import repro
 from repro.api import BackgroundServer
 from repro.lang.parser import parse_object_base
-from repro.replication import Follower, ReplicaSet, hub_for
+from repro.replication import Follower, ReplicaSet
+from repro.replication.stream import sync
 from repro.server.errors import (
     ConnectionClosed,
     NotPrimaryError,
@@ -237,7 +238,7 @@ class TestFollower:
 
         service = StoreService(VersionedStore(ObjectBase()))
         with pytest.raises(ReproError):
-            hub_for(service).sync(0)
+            sync(service, 0)
 
 
 class TestPromotionAndFencing:

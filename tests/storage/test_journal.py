@@ -203,7 +203,7 @@ class TestWritePath:
         assert load_store(tmp_path).head.tag == "next"
 
     def test_followers_receive_the_appended_entry(self, tmp_path, reads):
-        from repro.replication import hub_for
+        from repro.replication.stream import attach
         from repro.server.service import StoreService
 
         directory = tmp_path / "primary"
@@ -212,10 +212,10 @@ class TestWritePath:
             directory,
             options=StoreOptions(snapshot_interval=2),
         )
-        hub = hub_for(service)
         received: tuple[list, list] = ([], [])
         detaches = [
-            hub.attach(pushes.append, from_index=1)[0] for pushes in received
+            attach(service, pushes.append, from_index=1)[0]
+            for pushes in received
         ]
         service.apply(self.RAISE, tag="one")
         service.apply(self.RAISE, tag="two")  # revision 2: a snapshot
