@@ -32,8 +32,8 @@ __all__ = ["ServiceConnection"]
 
 class ServiceConnection(Connection):
     """A connection bound directly to a :class:`StoreService` in this
-    process.  ``readonly=True`` (journal readers like ``repro store log``)
-    rejects every write path and never repairs or appends the journal."""
+    process.  ``readonly=True`` (``repro client --target DIR log``) rejects
+    every write path and never repairs or appends the journal."""
 
     def __init__(
         self,

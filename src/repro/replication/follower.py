@@ -5,15 +5,16 @@ A :class:`Follower` owns a journal directory and keeps it a
 
 * **Bootstrap** (``repl-sync``): fetch every durable journal line past the
   local journal's end — the primary's raw bytes, snapshot files inline —
-  validate each (CRC, chain order, epoch monotonicity), append verbatim,
-  and replay it through :func:`~repro.storage.serialize.apply_journal_record`.
+  validate each (CRC, chain order, epoch monotonicity), and replay it
+  through :func:`~repro.storage.serialize.apply_journal_record`, whose
+  write-ahead step appends it verbatim before the revision is published.
   A local journal that exists is *continued*: torn-tail recovery
   (``load_store(repair=True)``) runs first, and the sync starts at the
   first missing index — a follower SIGKILLed mid-bootstrap resumes
   without re-downloading the snapshot.
 * **Tail** (``repl-stream``): live ``repl-line`` pushes take the same
-  validate → append → replay path, so local subscriptions fire exactly as
-  if the commit were local.  A dropped link redials with backoff and
+  validate → write ahead → publish path, so local subscriptions fire
+  exactly as if the commit were local.  A dropped link redials with backoff and
   resyncs from the journal's own end — the stream is always resumable
   because its cursor *is* the journal.
 * **Heartbeats**: periodic pings on a side channel; after
@@ -48,10 +49,10 @@ from repro.server.service import StoreService
 from repro.storage.serialize import (
     JOURNAL_FILE,
     DurabilityOptions,
-    append_journal_line,
     apply_journal_record,
     load_store,
     parse_journal_record,
+    write_journal_entries,
     write_journal_file,
 )
 
@@ -194,14 +195,16 @@ class Follower:
             record = self._validated(
                 entry, expected=from_index, store=store
             )
-            self._persist(entry)
-            if store is not None:
-                apply_journal_record(store, record)
+            if store is None:  # revision 0, snapshot and all, starts the store
+                write_journal_entries(
+                    self.directory, [entry], durability=self.durability
+                )
+                store = load_store(
+                    self.directory, engine=self._engine, options=self._options
+                )
+            else:
+                apply_journal_record(store, record, journal=self._step(entry))
             from_index += 1
-        if store is None:
-            store = load_store(
-                self.directory, engine=self._engine, options=self._options
-            )
         self.primary_head = max(
             self.primary_head, response.get("head", -1), len(store) - 1
         )
@@ -213,17 +216,11 @@ class Follower:
         epoch = store.epoch if store is not None else 0
         return parse_journal_record(entry["line"], expected=expected, epoch=epoch)
 
-    def _persist(self, entry: dict) -> None:
-        """Snapshot file first, then the verbatim line — the same
-        crash-ordering ``append_revision`` uses."""
-        snapshot = entry.get("snapshot")
-        if snapshot:
-            write_journal_file(
-                self.directory, snapshot["name"], snapshot["content"],
-                durability=self.durability,
-            )
-        append_journal_line(
-            self.directory, entry["line"], durability=self.durability
+    def _step(self, entry: dict):
+        """The write-ahead step of a received entry: written as it arrived,
+        by the primary's own writer, before its revision is published."""
+        return lambda _revisions: write_journal_entries(
+            self.directory, [entry], durability=self.durability
         )
 
     # -- live tail ---------------------------------------------------------
@@ -272,8 +269,7 @@ class Follower:
             if not isinstance(index, int) or index < expected:
                 return  # catch-up overlap with the bootstrap: already have it
             record = self._validated(entry, expected=expected, store=store)
-            self._persist(entry)
-            apply_journal_record(store, record)
+            apply_journal_record(store, record, journal=self._step(entry))
             self.primary_head = max(self.primary_head, record["index"])
             self._last_applied_at = time.monotonic()
             _obs.inc("repl_streamed_lines_received")

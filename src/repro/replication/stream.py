@@ -9,18 +9,18 @@ module never re-serializes history to uphold it:
   :func:`~repro.storage.serialize.journal_history` counts as history, the
   ones ``load_store`` would load — carrying referenced snapshot files
   inline;
-* live pushes carry the entry ``append_revision`` returned for the
-  commit: the appended line and the snapshot text it just wrote, so
-  nothing is rendered, parsed or read back per follower.
+* live pushes carry the entry :func:`~repro.storage.serialize.journal_revisions`
+  wrote ahead of the commit, so nothing is rendered or read back per follower.
 
 Two functions glue both to a :class:`StoreService` (the ``repl-sync`` /
 ``repl-stream`` protocol handlers call them): :func:`sync` answers one
 catch-up batch, :func:`attach` replays catch-up then registers a
 per-subscriber commit listener — both under the service's writer queue, so
 no commit can slip between the disk read and the listener registration.
-Listeners fire only *after* a commit's journal append succeeded
-(:meth:`StoreService.add_replication_listener`), so followers never hold a
-line the primary lost.  Replication needs a journal-backed primary: it
+Commits are written ahead, and listeners fire only once a commit's line
+is durable and its revision published — a failed write streams nothing
+(:meth:`StoreService.add_replication_listener`) — so followers never hold
+a line the primary lost.  Replication needs a journal-backed primary: it
 streams *the journal*, not a reconstruction of it.
 """
 

@@ -22,13 +22,15 @@ recipe, built entirely from machinery the store already has:
   equivalent to evaluating at the pin — first-committer-wins
   serializability, the causal-rejection ordering problem of Eiter et al.
   resolved by commit order.
-* **Durability.**  A service opened over a journal directory appends every
-  committed revision (``append_revision``); a restart replays the journal
+* **Durability.**  A journal-backed service writes ahead: readers,
+  subscribers and followers see a revision only once its line is durable
+  (``commit_updates(journal=...)``); a restart replays the journal
   (``StoreService.open``) and resumes exactly where the chain ended.
 
 Commit batches are atomic: all staged programs are evaluated first (each
 against the previous one's result, starting from the head), and only then
-committed — an evaluation error anywhere commits nothing.
+committed — an evaluation error anywhere commits nothing, and a journal
+write that fails publishes none of the batch.
 """
 
 from __future__ import annotations
@@ -56,8 +58,8 @@ from repro.server.errors import (
 from repro.storage.history import StoreRevision, VersionedStore
 from repro.storage.serialize import (
     DurabilityOptions,
-    append_revision,
     bind_snapshots,
+    journal_revisions,
     load_store,
     save_store,
 )
@@ -307,7 +309,6 @@ class StoreService:
         #: The node-control surface behind ``repl-promote``/``repl-retarget``
         #: (a :class:`repro.replication.follower.Follower` installs itself).
         self.replication_control = None
-        self._journal_error: str | None = None
         self._writer_queue = _FIFOLock()
         self._state_lock = threading.Lock()
         self._session_counter = 0
@@ -506,10 +507,10 @@ class StoreService:
     def add_replication_listener(
         self, listener: Callable[[dict], None]
     ) -> Callable[[dict], None]:
-        """Register ``listener(entry)`` to run after each commit's journal
-        append succeeds — i.e. only for revisions that are durable on this
-        node, so a follower can never hold a line its primary lost.
-        ``entry`` is what ``append_revision`` returned, shared by every
+        """Register ``listener(entry)`` to run for each commit once its
+        journal line is durable and the revision published — never for a
+        write that failed, so a follower can never hold a line its primary
+        lost.  ``entry`` is what ``journal_revisions`` wrote, shared by every
         listener.  The caller must serialize registration against in-flight
         commits (register under :meth:`_writer`, as
         :func:`repro.replication.stream.attach` does)."""
@@ -554,18 +555,14 @@ class StoreService:
         """Evaluate-all-then-commit-all (atomic batch); caller holds the
         writer queue.
 
-        Evaluation errors commit nothing.  A journal *append* failure
-        after an in-memory commit is unrecoverable divergence (the store
-        is ahead of its durable log), so the service fail-stops: the
-        error is raised and every further commit is refused until the
-        process restarts and replays the journal — never a silently
-        widening gap.
+        Evaluation errors commit nothing.  With a journal the batch is
+        written ahead: the store publishes none of it until all its lines
+        are durable (one append), then replication listeners get the
+        entries.  A failed write raises :class:`SessionError` and publishes
+        nothing; the next commit works if the write left no bytes, and fails
+        the journal's tail check if it left some, until :meth:`open`
+        repairs or adopts the tail.
         """
-        if self._journal_error is not None:
-            raise SessionError(
-                f"service is read-only after a journal failure "
-                f"({self._journal_error}); restart to replay the journal"
-            )
         if self.role != "primary":
             raise NotPrimaryError(
                 f"this node is a read-only {self.role}; commit on the "
@@ -583,56 +580,48 @@ class StoreService:
         engine = store.engine
         base = store.current
         commit_start = time.perf_counter()
-        # (new_base, added, removed) per program — not the whole result,
-        # whose result(P) would pin one more set of index spines each
-        staged: list[tuple] = []
-        for program in programs:
+        # (new_base, added, removed, tag, name) per program — not the whole
+        # result, whose result(P) would pin one more set of index spines each
+        updates: list[tuple] = []
+        for position, program in enumerate(programs):
             result = engine.apply(program, base)
             base = result.new_base.freeze()
-            staged.append((base, result.added, result.removed))
+            revision_tag = tag if len(programs) == 1 else (tag and f"{tag}.{position}")
+            updates.append(
+                (base, result.added, result.removed, revision_tag, program.name)
+            )
         _obs.observe(
             "commit_phase_seconds",
             time.perf_counter() - commit_start,
             phase="evaluate",
         )
-        revisions: list[StoreRevision] = []
-        for position, (program, (new_base, added, removed)) in enumerate(
-            zip(programs, staged)
-        ):
-            revision_tag = tag if len(programs) == 1 else (tag and f"{tag}.{position}")
-            revision = store.commit_update(
-                new_base,
-                tag=revision_tag,
-                program_name=program.name,
-                added=added,
-                removed=removed,
-            )
-            if self.journal_dir is not None:
-                append_start = time.perf_counter()
-                try:
-                    entry = append_revision(
-                        store, self.journal_dir, durability=self.durability
-                    )
-                except Exception as error:
-                    self._journal_error = str(error)
-                    raise SessionError(
-                        f"revision {revision.index} [{revision.tag}] "
-                        f"committed in memory but could not be journalled "
-                        f"({error}); the service is now read-only — restart "
-                        f"to recover at the last durable revision"
-                    ) from error
-                _obs.observe(
-                    "commit_phase_seconds",
-                    time.perf_counter() - append_start,
-                    phase="append",
+        entries: list[dict] = []
+
+        def write_ahead(revisions: list[StoreRevision]):
+            """The journal step: the batch's lines are durable before the
+            store publishes any of it."""
+            try:
+                written, sources = journal_revisions(
+                    revisions, self.journal_dir, durability=self.durability
                 )
-                # Published strictly after the append: a follower only ever
-                # streams lines that are durable here, keeping its journal a
-                # prefix of this one even through a primary crash.
-                for listener in tuple(self._repl_listeners):
-                    listener(entry)
-                    self._repl_streamed += 1
-            revisions.append(revision)
+            except Exception as error:
+                named = ", ".join(f"{r.index} [{r.tag}]" for r in revisions)
+                raise SessionError(
+                    f"not committed: the journal write of revision {named} "
+                    f"failed ({error})"
+                ) from error
+            entries.extend(written)
+            return sources
+
+        revisions = store.commit_updates(
+            updates, journal=write_ahead if self.journal_dir is not None else None
+        )
+        # A follower only ever streams lines that are durable here, keeping
+        # its journal a prefix of this one through a crash.
+        for entry in entries:
+            for listener in tuple(self._repl_listeners):
+                listener(entry)
+                self._repl_streamed += 1
         with self._state_lock:
             self._commits += len(revisions)
         total = time.perf_counter() - commit_start

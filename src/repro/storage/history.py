@@ -79,6 +79,9 @@ def resolve_revision_ref(ref: str | int) -> str | int:
 
 #: A deferred snapshot: called once, on first need, to produce the base.
 SnapshotSource = Callable[[], ObjectBase]
+#: A commit's write-ahead step: makes a batch of formed revisions durable,
+#: returns each one's snapshot source.
+JournalStep = Callable[[list["StoreRevision"]], "list[SnapshotSource | None]"]
 
 
 @dataclass(frozen=True)
@@ -432,6 +435,7 @@ class VersionedStore:
         program_name: str | None = None,
         added: "Iterable[Fact] | None" = None,
         removed: "Iterable[Fact] | None" = None,
+        journal: JournalStep | None = None,
     ) -> StoreRevision:
         """Append an engine-produced ``new_base`` as a new revision, without
         the defensive copy of :meth:`commit_base`.
@@ -448,13 +452,33 @@ class VersionedStore:
         journal record — and must be the exact, disjoint set difference
         between the head and ``new_base``; the commit then costs the delta.
         Left out, the pair is computed by comparing the two bases.
+        ``journal`` is a journal owner's write-ahead step (:meth:`_commit`).
         """
-        new_base.freeze()
-        if added is None or removed is None:
-            added, removed = _diff_bases(self.current, new_base)
-        return self._commit(
-            new_base, frozenset(added), frozenset(removed), tag, program_name
-        )
+        return self.commit_updates(
+            [(new_base, added, removed, tag, program_name)], journal=journal
+        )[0]
+
+    def commit_updates(
+        self,
+        updates: Sequence[tuple],
+        *,
+        journal: JournalStep | None = None,
+    ) -> list[StoreRevision]:
+        """Commit a batch of ``(new_base, added, removed, tag, program_name)``
+        updates, each over the one before, as :meth:`commit_update` commits
+        one — except that ``journal`` makes the whole batch durable before
+        any of it is published, so a failed write publishes none of it."""
+        commits = []
+        head = self.current
+        for new_base, added, removed, tag, program_name in updates:
+            new_base.freeze()
+            if added is None or removed is None:
+                added, removed = _diff_bases(head, new_base)
+            commits.append(
+                (new_base, frozenset(added), frozenset(removed), tag, program_name)
+            )
+            head = new_base
+        return self._commit(commits, journal)
 
     def commit_base(self, base: ObjectBase, *, tag: str = "") -> StoreRevision:
         """Append an externally produced base as a new revision."""
@@ -462,7 +486,7 @@ class VersionedStore:
         snapshot.ensure_exists()
         snapshot.freeze()
         added, removed = _diff_bases(self.current, snapshot)
-        return self._commit(snapshot, added, removed, tag, None)
+        return self._commit([(snapshot, added, removed, tag, None)])[0]
 
     def rollback_to(self, tag_or_index: str | int, *, tag: str = "") -> StoreRevision:
         """Append a new revision whose base equals an older revision's.
@@ -477,41 +501,49 @@ class VersionedStore:
         added, removed = self.diff(
             len(self._revisions) - 1, source.index, include_exists=True
         )
-        return self._commit(
+        return self._commit([(
             self.base_at(source.index),
             added,
             removed,
             tag or f"rollback-to-{source.tag}",
             None,
-        )
+        )])[0]
 
     def _commit(
         self,
-        new_base: ObjectBase,
-        added: frozenset[Fact],
-        removed: frozenset[Fact],
-        tag: str,
-        program_name: str | None,
-    ) -> StoreRevision:
-        index = len(self._revisions)
-        snapshot = None
-        if index % self.options.snapshot_interval == 0:
-            snapshot = new_base
-        revision = StoreRevision(
-            index,
-            _check_tag(tag or f"rev{index}"),
-            program_name,
-            added,
-            removed,
-            snapshot,
-            self,
-            self.epoch,
-        )
-        self._revisions.append(revision)
-        self._head_cache = (index, new_base)
-        for listener in tuple(self._commit_listeners):
-            listener(revision)
-        return revision
+        commits: list[tuple],
+        journal: JournalStep | None = None,
+    ) -> list[StoreRevision]:
+        """The one place revisions become visible: the batch is formed, made
+        durable by ``journal`` (which, raising, leaves the store as it was),
+        then published one revision at a time."""
+        revisions = []
+        for index, (new_base, added, removed, tag, program_name) in enumerate(
+            commits, len(self._revisions)
+        ):
+            snapshot = None
+            if index % self.options.snapshot_interval == 0:
+                snapshot = new_base
+            revisions.append(StoreRevision(
+                index,
+                _check_tag(tag or f"rev{index}"),
+                program_name,
+                added,
+                removed,
+                snapshot,
+                self,
+                self.epoch,
+            ))
+        sources = journal(revisions) if journal is not None else ()
+        for revision, (new_base, *_rest) in zip(revisions, commits):
+            self._revisions.append(revision)
+            self._head_cache = (revision.index, new_base)
+            for listener in tuple(self._commit_listeners):
+                listener(revision)
+        for revision, source in zip(revisions, sources):
+            if source is not None:
+                self.snapshot_persisted(revision.index, source)
+        return revisions
 
     # -- comparing --------------------------------------------------------
     def diff(

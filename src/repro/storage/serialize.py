@@ -17,9 +17,9 @@ The **journal** is the durable form of a
   materialized.
 
 ``save_store`` / ``load_store`` round-trip a whole revision chain;
-``append_revision`` extends a journal by the store's newest revision in
-O(|delta|), reading only the journal's last line (backwards from the end),
-and returns the entry it wrote for replication to push;
+``journal_revisions``, a commit's write-ahead step, writes a batch of
+revisions in O(|delta|) through ``write_journal_entries`` (the writer
+primary and follower share), reading only the journal's last line;
 ``compact_journal`` rewrites a journal under a fresh snapshot interval;
 ``verify_journal`` audits a journal's checksums without replaying it.
 
@@ -61,7 +61,9 @@ from repro.core.terms import Oid, Term, UpdateKind, VersionId, intern_oid
 from repro.lang.parser import parse_object_base
 from repro.lang.pretty import format_object_base
 from repro.obs import metrics as _obs
-from repro.storage.history import StoreOptions, StoreRevision, VersionedStore
+from repro.storage.history import (
+    JournalStep, SnapshotSource, StoreOptions, StoreRevision, VersionedStore,
+)
 
 __all__ = [
     "dump_base_text",
@@ -74,6 +76,8 @@ __all__ = [
     "save_store",
     "load_store",
     "append_revision",
+    "journal_revisions",
+    "write_journal_entries",
     "bind_snapshots",
     "compact_journal",
     "verify_journal",
@@ -94,7 +98,7 @@ _DURABILITY_MODES = ("none", "flush", "fsync")
 class DurabilityOptions:
     """How hard journal writes are pushed toward stable storage.
 
-    ``mode`` governs each ``append_revision`` line:
+    ``mode`` governs each journal line append:
 
     * ``"none"`` — hand the bytes to the OS and move on (buffered write,
       closed immediately); fastest, loses the tail on a machine crash.
@@ -119,11 +123,8 @@ class DurabilityOptions:
         return self.mode in ("flush", "fsync")
 
     @property
-    def fsync_appends(self) -> bool:
-        return self.mode == "fsync"
-
-    @property
-    def sync_snapshots(self) -> bool:
+    def fsync(self) -> bool:
+        """Every journal append, snapshot and rename is fsynced."""
         return self.mode == "fsync"
 
 
@@ -359,16 +360,6 @@ def _revision_line(revision: StoreRevision, has_snapshot: bool) -> str:
     return json.dumps(record, sort_keys=True)
 
 
-def _write_snapshot(
-    base: ObjectBase, path: Path, durability: DurabilityOptions
-) -> str:
-    start = time.perf_counter()
-    text = dump_base_json(base)
-    _fs.write_text(path, text, fsync=durability.sync_snapshots)
-    _obs.observe("journal_snapshot_seconds", time.perf_counter() - start)
-    return text
-
-
 def save_store(
     store: VersionedStore,
     directory: str | Path,
@@ -408,17 +399,63 @@ def save_store(
         if has_snapshot:
             name = _snapshot_name(revision.index)
             kept.add(name)
-            _write_snapshot(
-                store.snapshot_at(revision.index), directory / name, durability
+            write_journal_file(
+                directory, name, dump_base_json(store.snapshot_at(revision.index)),
+                durability=durability,
             )
-    journal = directory / JOURNAL_FILE
-    _fs.write_text(
-        journal, "\n".join(lines) + "\n", fsync=durability.fsync_appends
+    journal = write_journal_file(
+        directory, JOURNAL_FILE, "\n".join(lines) + "\n", durability=durability
     )
     for stale in directory.glob("snap-*.json"):
         if stale.name not in kept:
             _fs.unlink(stale)
     return journal
+
+
+def journal_revisions(
+    revisions: list[StoreRevision],
+    directory: str | Path,
+    *,
+    durability: DurabilityOptions | None = None,
+) -> tuple[list[dict], list[SnapshotSource | None]]:
+    """The write-ahead step (``commit_updates(journal=...)``): form the
+    entries of the unpublished ``revisions`` and make them durable together,
+    once the journal's last line (read from the end) is the revision before
+    the first — a journal that moved under its writer (another process, the
+    bytes of a failed append) fails cleanly instead of forking.  Returns the
+    entries, each ``{"index", "epoch", "line", "snapshot": {"name",
+    "content"} | None}`` (the replication stream's shape), and their
+    snapshots' reload sources."""
+    start = time.perf_counter()
+    directory = Path(directory)
+    journal = directory / JOURNAL_FILE
+    if not journal.exists():
+        raise ReproError(f"no journal at {journal}")
+    last = _last_journal_index(journal)
+    first = revisions[0].index
+    if last != first - 1:
+        raise ReproError(
+            f"journal at {journal} ends at revision {last}, cannot append "
+            f"revision {first}; it was modified since this store "
+            f"loaded it (concurrent writer?) — reload and retry"
+        )
+    entries = []
+    for revision in revisions:
+        snapshot = None
+        if revision.snapshot is not None:
+            snapshot = {
+                "name": _snapshot_name(revision.index),
+                "content": dump_base_json(revision.snapshot),
+            }
+        entries.append({
+            "index": revision.index,
+            "epoch": revision.epoch,
+            "line": _revision_line(revision, snapshot is not None),
+            "snapshot": snapshot,
+        })
+    sources = write_journal_entries(directory, entries, durability=durability)
+    _obs.observe("commit_phase_seconds", time.perf_counter() - start, phase="append")
+    return entries, sources
 
 
 def append_revision(
@@ -427,56 +464,15 @@ def append_revision(
     *,
     durability: DurabilityOptions | None = None,
 ) -> dict:
-    """Append the store's newest revision to an existing journal.
-
-    This is the fast path of ``repro store apply``: one JSONL line (plus a
-    snapshot file when the policy materialized one) instead of rewriting
-    the whole chain.  Before writing, the journal's last line (read from
-    the end of the file) is checked against the revision being appended,
-    so a journal that moved under us (a concurrent ``store apply``) fails
-    cleanly instead of silently forking the chain into an unreadable state.
-
-    The snapshot (when due) is written before the journal line, so a crash
-    between the two leaves a dangling snapshot file (harmless, cleaned by
-    the next compaction) rather than a journal line pointing at nothing.
-
-    Returns the entry written, ``{"index", "epoch", "line", "snapshot":
-    {"name", "content"} | None}`` — the shape of the replication stream.
-    """
-    durability = durability or DEFAULT_DURABILITY
-    directory = Path(directory)
-    journal = directory / JOURNAL_FILE
-    if not journal.exists():
-        raise ReproError(f"no journal at {journal}")
+    """Journal ``store``'s head, already published, through
+    :func:`journal_revisions`; returns the entry written."""
     revision = store.head
-    last = _last_journal_index(journal)
-    if last != revision.index - 1:
-        raise ReproError(
-            f"journal at {journal} ends at revision {last}, cannot append "
-            f"revision {revision.index}; it was modified since this store "
-            f"loaded it (concurrent writer?) — reload and retry"
-        )
-    has_snapshot = store.has_snapshot(revision.index)
-    snapshot = None
-    if has_snapshot:
-        snapshot_path = directory / _snapshot_name(revision.index)
-        base = store.snapshot_at(revision.index)
-        snapshot = {
-            "name": snapshot_path.name,
-            "content": _write_snapshot(base, snapshot_path, durability),
-        }
-    line = _revision_line(revision, has_snapshot)
-    append_journal_line(directory, line, durability=durability)
-    if has_snapshot:
-        # The file is as durable as the journal now: the resident base
-        # becomes one of a bounded number of cache entries.
-        store.snapshot_persisted(revision.index, partial(_load_snapshot, snapshot_path))
-    return {
-        "index": revision.index,
-        "epoch": revision.epoch,
-        "line": line,
-        "snapshot": snapshot,
-    }
+    (entry,), (source,) = journal_revisions(
+        [revision], directory, durability=durability
+    )
+    if source is not None:
+        store.snapshot_persisted(revision.index, source)
+    return entry
 
 
 def bind_snapshots(store: VersionedStore, directory: str | Path) -> None:
@@ -492,6 +488,37 @@ def bind_snapshots(store: VersionedStore, directory: str | Path) -> None:
                 revision.index,
                 partial(_load_snapshot, directory / _snapshot_name(revision.index)),
             )
+
+
+def write_journal_entries(
+    directory: str | Path,
+    entries: list[dict],
+    *,
+    durability: DurabilityOptions | None = None,
+) -> list[SnapshotSource | None]:
+    """Make entries durable, for primary and follower alike: every snapshot
+    file first, then the verbatim lines in one append — a crash between
+    leaves dangling snapshots (cleaned by compaction), never a line pointing
+    at nothing, and a write that fails without leaving bytes leaves none of
+    the entries.  Returns each entry's snapshot reload source."""
+    sources = []
+    for entry in entries:
+        snapshot = entry.get("snapshot")
+        source = None
+        if snapshot:
+            start = time.perf_counter()
+            path = write_journal_file(
+                directory, snapshot["name"], snapshot["content"],
+                durability=durability,
+            )
+            _obs.observe("journal_snapshot_seconds", time.perf_counter() - start)
+            source = partial(_load_snapshot, path)
+        sources.append(source)
+    append_journal_line(
+        directory, "\n".join(entry["line"] for entry in entries),
+        durability=durability,
+    )
+    return sources
 
 
 def parse_journal_record(line: str, *, expected: int, epoch: int) -> dict:
@@ -513,14 +540,10 @@ def append_journal_line(
     line: str,
     *,
     durability: DurabilityOptions | None = None,
-) -> Path:
-    """Append one raw journal line **verbatim**.
-
-    ``append_revision``'s write, and the replication follower's: its lines
-    arrive as the primary's exact bytes and must land unchanged, so
-    follower journals stay byte-identical prefixes of the primary's.
-    Callers validate first (:func:`parse_journal_record`).
-    """
+) -> None:
+    """Append raw journal lines (newline-joined) **verbatim**, for
+    :func:`write_journal_entries`, so follower journals stay byte-identical
+    prefixes of the primary's."""
     durability = durability or DEFAULT_DURABILITY
     journal = Path(directory) / JOURNAL_FILE
     _obs.inc("journal_bytes", len(line.encode("utf-8")) + 1)
@@ -528,9 +551,8 @@ def append_journal_line(
         journal,
         line + "\n",
         flush=durability.flush_appends,
-        fsync=durability.fsync_appends,
+        fsync=durability.fsync,
     )
-    return journal
 
 
 def write_journal_file(
@@ -541,15 +563,16 @@ def write_journal_file(
     durability: DurabilityOptions | None = None,
 ) -> Path:
     """Atomically write one journal-directory file (header, snapshot)
-    with the snapshot durability discipline.  Replication's counterpart to
-    the internal snapshot writer, for content that arrives as text."""
+    with the snapshot durability discipline."""
     durability = durability or DEFAULT_DURABILITY
     path = Path(directory) / name
-    _fs.write_text(path, text, fsync=durability.sync_snapshots)
+    _fs.write_text(path, text, fsync=durability.fsync)
     return path
 
 
-def apply_journal_record(store: VersionedStore, record: dict) -> StoreRevision:
+def apply_journal_record(
+    store: VersionedStore, record: dict, *, journal: JournalStep | None = None
+) -> StoreRevision:
     """Replay one parsed journal record onto ``store``'s head.
 
     The follower's apply path: fold the record's ``(added, removed)`` into
@@ -557,19 +580,25 @@ def apply_journal_record(store: VersionedStore, record: dict) -> StoreRevision:
     record's own tag/program/epoch — O(delta), like the commit it replays.
     Because commits are deterministic over the totally ordered journal,
     the revision this produces is exactly the one the primary committed —
-    commit listeners (subscriptions) fire as if the commit were local.
+    commit listeners (subscriptions) fire as if the commit were local,
+    once ``journal`` (the follower's write-ahead step) has returned.
     """
     added = frozenset(_fact_from_json(e) for e in record["added"])
     removed = frozenset(_fact_from_json(e) for e in record["removed"])
     new_base = store.current.apply_delta(added, removed)
-    store.epoch = max(store.epoch, record.get("epoch", 0))
-    return store.commit_update(
-        new_base,
-        tag=record["tag"],
-        program_name=record.get("program"),
-        added=added,
-        removed=removed,
-    )
+    epoch, store.epoch = store.epoch, max(store.epoch, record.get("epoch", 0))
+    try:
+        return store.commit_update(
+            new_base,
+            tag=record["tag"],
+            program_name=record.get("program"),
+            added=added,
+            removed=removed,
+            journal=journal,
+        )
+    except BaseException:
+        store.epoch = epoch  # an entry that was not written moved nothing
+        raise
 
 
 def _last_journal_index(journal: Path) -> int:
@@ -760,9 +789,9 @@ def load_store(
 
     With ``repair=True`` the journal file is additionally rewritten back
     to its last-good content (via a temp file + atomic rename) so future
-    appends line up again; writers (the serving subsystem's startup,
-    ``store apply``) pass it, read-only paths (``store log``) must not,
-    since rewriting the file from a reader could race a live appender.
+    appends line up again; writers (``StoreService.open``, a follower's
+    restart) pass it, readers (a ``readonly`` directory connection) must
+    not, since rewriting the file from a reader could race a live appender.
     """
     directory = Path(directory)
     journal = directory / JOURNAL_FILE

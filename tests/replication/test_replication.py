@@ -35,16 +35,18 @@ from repro.replication.stream import sync
 from repro.server.errors import (
     ConnectionClosed,
     NotPrimaryError,
+    SessionError,
     StaleEpochError,
 )
 from repro.server.service import StoreService
-from repro.storage.history import VersionedStore
+from repro.storage.history import StoreOptions, VersionedStore
 from repro.storage.serialize import (
     JOURNAL_FILE,
     compact_journal,
     load_store,
     verify_journal,
 )
+from repro.testing import FaultSpec, inject_faults
 
 from .test_replication_chaos import _ProxyThread
 
@@ -230,6 +232,58 @@ class TestFollower:
             lambda: service.stats()["replication"]["followers"] == 0,
             message="follower deregistration",
         )
+
+    def test_follower_keeps_snapshots_bounded_like_the_primary(self, tmp_path):
+        """Both nodes write through one entry writer, so a replayed
+        snapshot becomes a reloadable cache entry as a committed one does."""
+        service = StoreService.create(
+            parse_object_base(BASE), tmp_path / "primary", tag="seed",
+            options=StoreOptions(snapshot_interval=4),
+        )
+        with BackgroundServer(service, path=str(tmp_path / "p.sock")) as server:
+            with Follower(tmp_path / "f", server.address, **FAST) as fol:
+                fol.start()
+                for i in range(40):
+                    service.apply(RAISE, tag=f"r{i}")
+                wait_for(
+                    lambda: len(fol.service.store) == len(service.store),
+                    message="follower catch-up",
+                )
+                for store in (service.store, fol.service.store):
+                    resident = [
+                        r.index for r in store.revisions() if r.snapshot is not None
+                    ]
+                    assert len(resident) <= store.options.materialize_cache == 4
+                # revision 4 was evicted on both sides: it reloads from file
+                assert set(fol.service.store.as_of(4)) == set(service.store.as_of(4))
+
+    def test_a_failed_primary_append_never_reaches_the_follower(self, primary):
+        service, server, tmp_path = primary
+        with Follower(tmp_path / "f", server.address, **FAST) as fol:
+            fol.start()
+            wait_for(
+                lambda: service.stats()["replication"]["followers"] == 1,
+                message="follower registration",
+            )
+            service.apply(RAISE, tag="r1")
+            wait_for(lambda: len(fol.service.store) == len(service.store))
+            streamed = service.stats()["replication"]["streamed_lines"]
+            with inject_faults(FaultSpec("append", "enospc")) as filesystem:
+                with pytest.raises(SessionError, match="not committed"):
+                    service.apply(RAISE, tag="lost")
+            assert filesystem.ops == [("append", JOURNAL_FILE)]
+            assert service.stats()["replication"]["streamed_lines"] == streamed
+            service.apply(RAISE, tag="r2")
+            wait_for(
+                lambda: len(fol.service.store) == len(service.store),
+                message="the next commit streamed",
+            )
+            assert [r.tag for r in fol.service.store.revisions()] == [
+                "seed", "r1", "r2",
+            ]
+            assert journal_text(tmp_path / "f") == journal_text(
+                tmp_path / "primary"
+            )
 
     def test_hub_requires_a_journal(self):
         from repro.core.objectbase import ObjectBase

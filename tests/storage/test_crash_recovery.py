@@ -16,7 +16,11 @@ is the classic in-doubt commit: it *may* legitimately survive — the suite
 pins down that it is the only kind of unacknowledged commit that can,
 and that it is byte-clean when it does.
 
-All of it runs under all three durability modes.
+All of it runs under all three durability modes, and the append and
+snapshot sweeps run twice: once through ``store.apply`` + ``append_revision``
+and once through a journal-backed ``StoreService.apply``, the commit path a
+server runs.  That one writes ahead, so after every fault that leaves the
+journal at the acknowledged prefix its in-memory head is that prefix too.
 """
 
 import random
@@ -25,6 +29,8 @@ import shutil
 import pytest
 
 from repro.lang.parser import parse_program
+from repro.server.errors import SessionError
+from repro.server.service import StoreService
 from repro.storage import (
     DurabilityOptions,
     StoreOptions,
@@ -43,6 +49,9 @@ MODES = ["none", "flush", "fsync"]
 LOSSY = ["crash_before", "torn", "corrupt", "enospc"]
 #: actions where the commit's bytes are durable but the ack was lost
 IN_DOUBT = ["crash_after", "duplicate"]
+
+#: who commits: a plain store + ``append_revision``, or a ``StoreService``
+DRIVERS = ["store", "service"]
 
 N_COMMITS = 9
 SNAPSHOT_EVERY = 3  # dense, so the sweep crosses snapshot boundaries
@@ -65,25 +74,45 @@ def _history(seed: int) -> list[str]:
     return [_program(step, rng) for step in range(N_COMMITS)]
 
 
-def _grow(directory, programs, durability, specs):
+def _grow(directory, programs, durability, specs, driver="store"):
     """Run the history against a journal until a fault kills the writer.
 
-    Returns ``(acked, submitted)`` — the head index the caller saw
-    acknowledged, and the index of the commit in flight when the crash
-    hit (equal when the whole history ran clean).
+    Returns ``(acked, submitted, store)`` — the head index the caller saw
+    acknowledged, the index of the commit in flight when the crash hit
+    (equal when the whole history ran clean), and the writer's store.
     """
-    store = VersionedStore(paper_example_base(), tag="initial", options=_options())
-    save_store(store, directory, durability=durability)
+    if driver == "service":
+        service = StoreService.create(
+            paper_example_base(), directory, tag="initial",
+            durability=durability, options=_options(),
+        )
+        store = service.store
+
+        def commit(text, tag):
+            service.apply(text, tag=tag)
+    else:
+        store = VersionedStore(paper_example_base(), tag="initial", options=_options())
+        save_store(store, directory, durability=durability)
+
+        def commit(text, tag):
+            store.apply(parse_program(text), tag=tag)
+            append_revision(store, directory, durability=durability)
     acked = 0
     with inject_faults(*specs):
         for step, text in enumerate(programs):
-            store.apply(parse_program(text), tag=f"t{step}")
             try:
-                append_revision(store, directory, durability=durability)
-            except (InjectedCrash, OSError):
-                return acked, store.head.index
+                commit(text, f"t{step}")
+            except (InjectedCrash, OSError, SessionError):
+                return acked, acked + 1, store
             acked = store.head.index
-    return acked, acked
+    return acked, acked, store
+
+
+def _assert_head_is_durable(store, directory, acked):
+    """A write-ahead writer publishes nothing a reload would not show."""
+    reloaded = load_store(directory)
+    assert store.head.index == len(reloaded) - 1 == acked
+    assert set(store.current) == set(reloaded.current)
 
 
 def _replay(programs, upto):
@@ -115,9 +144,10 @@ def _assert_clean_prefix(directory, programs, acked, submitted):
     return head
 
 
+@pytest.mark.parametrize("driver", DRIVERS)
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("action", LOSSY + IN_DOUBT)
-def test_every_append_crash_point(tmp_path, mode, action):
+def test_every_append_crash_point(tmp_path, mode, action, driver):
     durability = DurabilityOptions(mode=mode)
     for at in range(N_COMMITS):
         # keep_bytes=-1: the whole line but its newline (a CRC-valid record
@@ -126,8 +156,12 @@ def test_every_append_crash_point(tmp_path, mode, action):
             directory = tmp_path / f"{action}-{at}-{keep}"
             programs = _history(seed=at * 31 + keep)
             spec = FaultSpec("append", action, at=at, keep_bytes=keep)
-            acked, submitted = _grow(directory, programs, durability, [spec])
+            acked, submitted, store = _grow(
+                directory, programs, durability, [spec], driver
+            )
             assert acked == at  # the fault hit exactly the at-th append
+            if driver == "service" and action in LOSSY:
+                _assert_head_is_durable(store, directory, acked)
             head = _assert_clean_prefix(directory, programs, acked, submitted)
             if action in LOSSY:
                 assert head == acked
@@ -135,8 +169,9 @@ def test_every_append_crash_point(tmp_path, mode, action):
                 assert head == submitted  # fully-written in-doubt commit survives
 
 
+@pytest.mark.parametrize("driver", DRIVERS)
 @pytest.mark.parametrize("mode", MODES)
-def test_snapshot_write_crash_points(tmp_path, mode):
+def test_snapshot_write_crash_points(tmp_path, mode, driver):
     # Snapshot files are written by the "write" op; killing each of them
     # (before the journal line lands) must cost at most the in-flight
     # commit, never a snapshot the durable journal references.
@@ -148,7 +183,11 @@ def test_snapshot_write_crash_points(tmp_path, mode):
             spec = FaultSpec(
                 "write", action, at=at, keep_bytes=11, path_glob="snap-*.json"
             )
-            acked, submitted = _grow(directory, programs, durability, [spec])
+            acked, submitted, store = _grow(
+                directory, programs, durability, [spec], driver
+            )
+            if driver == "service":  # the journal line was never written
+                _assert_head_is_durable(store, directory, acked)
             head = _assert_clean_prefix(directory, programs, acked, submitted)
             if action != "crash_after":
                 assert head == acked
@@ -159,7 +198,7 @@ def test_every_compaction_crash_point(tmp_path, mode):
     durability = DurabilityOptions(mode=mode)
     programs = _history(seed=1234)
     pristine = tmp_path / "pristine"
-    acked, _ = _grow(pristine, programs, durability, [])
+    acked, _, _ = _grow(pristine, programs, durability, [])
     assert acked == N_COMMITS
     truth = load_store(pristine)
 
