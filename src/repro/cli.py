@@ -33,7 +33,7 @@ Usage (installed as ``repro-updates``, also ``python -m repro``)::
 ``apply`` prints the new object base (``ob'``) to stdout, or writes it with
 ``--out``; ``--result-base`` dumps ``result(P)`` with all versions instead.
 ``store`` holds the offline tools for a durable journal directory (JSONL
-delta log plus periodic snapshots).  ``serve`` exposes a journal directory
+delta log plus snapshot files).  ``serve`` exposes a journal directory
 over the concurrent JSON-lines protocol (MVCC sessions, optimistic
 transactions, push-based live queries).
 
@@ -163,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     init_cmd.add_argument("--tag", default="initial")
     init_cmd.add_argument(
         "--snapshot-interval", type=int, default=None,
-        help="materialize a full snapshot every N revisions",
+        help="a snapshot candidate every N revisions (journal weight picks)",
     )
 
     compact_cmd = store_sub.add_parser(

@@ -6,12 +6,12 @@ object versioning as in [Kim91].  This subpackage provides that usual sense:
 
 * :class:`~repro.storage.history.VersionedStore` — an append-only delta
   chain of object-base revisions (one per applied update-program /
-  transaction) with periodic full snapshots, structural sharing between
-  revisions, as-of queries and delta-composed diffs;
+  transaction) with full snapshots as reconstruction anchors, structural
+  sharing between revisions, as-of queries and delta-composed diffs;
 * :mod:`~repro.storage.serialize` — text and JSON round-trips for object
   bases, plus the durable JSONL journal format that persists a whole
   revision chain (``save_store`` / ``load_store`` / ``append_revision`` /
-  ``compact_journal``).
+  ``compact_journal``), writing snapshot files by journal weight.
 """
 
 from repro.storage.history import (

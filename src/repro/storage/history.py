@@ -9,8 +9,9 @@ History is represented the way the paper frames it — a *chain* of update
 deltas, not a pile of copies:
 
 * a :class:`StoreRevision` records the ``(added, removed)`` fact sets
-  against its parent; every ``snapshot_interval``-th revision additionally
-  materializes a full frozen base, so reconstructing any revision costs the
+  against its parent; every ``snapshot_interval``-th revision may also
+  materialize a full frozen base (a journal-backed store keeps only those
+  its journal wrote a file for), so reconstructing any revision costs the
   nearest snapshot plus the deltas since it, never ``O(|base| · revisions)``;
 * the head base and every snapshot are frozen
   (:meth:`~repro.core.objectbase.ObjectBase.freeze`), so ``current`` and
@@ -89,9 +90,10 @@ class StoreOptions:
     """Tunable shape of a :class:`VersionedStore`.
 
     snapshot_interval:
-        Materialize a full snapshot every this-many revisions (revision 0
-        always has one).  Smaller values trade memory for faster ``as_of``
-        reconstruction of cold revisions.
+        Every this-many revisions is a snapshot candidate (revision 0
+        always has one); on a journal-backed store the journal's weight
+        decides which get a file.  Smaller values trade memory for faster
+        ``as_of`` reconstruction of cold revisions.
     materialize_cache:
         How many reconstructed non-head revisions to keep around for
         repeated ``as_of`` reads — and, separately, how many snapshot bases
@@ -113,7 +115,7 @@ class StoreRevision:
 
     ``added`` / ``removed`` are exact set differences w.r.t. the parent
     revision (disjoint by construction); ``snapshot`` is the full frozen
-    base when this revision falls on the snapshot policy, else ``None``.
+    base when this revision keeps a snapshot in memory, else ``None``.
     ``base`` reconstructs the full (frozen, shared) base through the owning
     store — the pre-delta attribute kept as a property so audits and
     examples read naturally.
@@ -148,6 +150,11 @@ class StoreRevision:
             )
         return self._store.base_at(self.index)
 
+    @property
+    def weight(self) -> int:
+        """Its journal line's weight: its facts, plus one for the line."""
+        return 1 + len(self.added) + len(self.removed)
+
     def facts(self) -> frozenset[Fact]:
         return frozenset(self.base)
 
@@ -178,6 +185,7 @@ class VersionedStore:
         self._snapshot_sources: dict[int, "SnapshotSource"] = {}
         self._resident: deque[int] = deque()
         self._resident_lock = threading.Lock()
+        self._weight_memo: "tuple[int, int] | None" = None
         self._commit_listeners: list[Callable[[StoreRevision], None]] = []
         self.epoch = 0
         self._revisions: list[StoreRevision] = [
@@ -216,6 +224,7 @@ class VersionedStore:
         store._snapshot_sources = snapshot_sources
         store._resident = deque()
         store._resident_lock = threading.Lock()
+        store._weight_memo = None
         store._commit_listeners = []
         store._revisions = []
         for expected, revision in enumerate(revisions):
@@ -315,9 +324,25 @@ class VersionedStore:
         self._keep_resident(revision, base)
         return base
 
-    def snapshot_persisted(self, index: int, source: "SnapshotSource") -> None:
+    def journal_weight(self, index: int) -> int:
+        """The summed :attr:`~StoreRevision.weight` of the revisions after
+        the newest snapshot at or below ``index``, through ``index``; the
+        last answer is kept, so a run of commits walks each revision once."""
+        walked, weight = index, 0
+        memo = self._weight_memo
+        while not self.has_snapshot(walked):
+            if memo is not None and memo[0] == walked:
+                weight += memo[1]
+                break
+            weight += self._revisions[walked].weight
+            walked -= 1
+        self._weight_memo = (index, weight)
+        return weight
+
+    def snapshot_persisted(self, index: int, source: "SnapshotSource | None") -> None:
         """Declare that revision ``index``'s snapshot can be reloaded from
-        durable storage by calling ``source``.
+        durable storage by calling ``source`` — or, ``None``, that it has no
+        file, so it keeps no snapshot in memory either.
 
         From then on the resident base is a cache entry, not the only copy:
         at most ``StoreOptions.materialize_cache`` reloadable snapshots stay
@@ -329,6 +354,10 @@ class VersionedStore:
         A store that never hears of a source keeps every snapshot.
         """
         revision = self._revisions[index]
+        self._weight_memo = None
+        if source is None:
+            object.__setattr__(revision, "snapshot", None)
+            return
         self._snapshot_sources[index] = source
         if revision.snapshot is not None:
             self._keep_resident(revision, revision.snapshot)
@@ -516,7 +545,8 @@ class VersionedStore:
     ) -> list[StoreRevision]:
         """The one place revisions become visible: the batch is formed, made
         durable by ``journal`` (which, raising, leaves the store as it was),
-        then published one revision at a time."""
+        then published one revision at a time, minus any snapshot that got
+        no file."""
         revisions = []
         for index, (new_base, added, removed, tag, program_name) in enumerate(
             commits, len(self._revisions)
@@ -535,6 +565,9 @@ class VersionedStore:
                 self.epoch,
             ))
         sources = journal(revisions) if journal is not None else ()
+        for revision, source in zip(revisions, sources):
+            if source is None:
+                object.__setattr__(revision, "snapshot", None)
         for revision, (new_base, *_rest) in zip(revisions, commits):
             self._revisions.append(revision)
             self._head_cache = (revision.index, new_base)

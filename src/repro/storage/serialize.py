@@ -13,13 +13,16 @@ The **journal** is the durable form of a
   removed)`` fact delta and a CRC-32 of the record, appendable without
   rewriting history;
 * ``snap-<index>.json`` — full object-base snapshots (the
-  :func:`dump_base_json` format) for the revisions the snapshot policy
-  materialized.
+  :func:`dump_base_json` format), each only a cache of the base its
+  revision reconstructs to.
 
 ``save_store`` / ``load_store`` round-trip a whole revision chain;
 ``journal_revisions``, a commit's write-ahead step, writes a batch of
 revisions in O(|delta|) through ``write_journal_entries`` (the writer
-primary and follower share), reading only the journal's last line;
+primary and follower share), reading only the journal's last line; it
+writes a ``snapshot_interval`` candidate's O(|base|) file only once the
+lines since the last file weigh (``1 + |added| + |removed|`` each) at
+least the base, so a commit costs its delta, amortized.
 ``compact_journal`` rewrites a journal under a fresh snapshot interval;
 ``verify_journal`` audits a journal's checksums without replaying it.
 
@@ -425,7 +428,8 @@ def journal_revisions(
     bytes of a failed append) fails cleanly instead of forking.  Returns the
     entries, each ``{"index", "epoch", "line", "snapshot": {"name",
     "content"} | None}`` (the replication stream's shape), and their
-    snapshots' reload sources."""
+    snapshots' reload sources.  A candidate gets its file by the module
+    doc's weight rule, the batch's earlier lines counting."""
     start = time.perf_counter()
     directory = Path(directory)
     journal = directory / JOURNAL_FILE
@@ -439,10 +443,13 @@ def journal_revisions(
             f"revision {first}; it was modified since this store "
             f"loaded it (concurrent writer?) — reload and retry"
         )
+    weight = revisions[0]._store.journal_weight(first - 1)
     entries = []
     for revision in revisions:
+        weight += revision.weight
         snapshot = None
-        if revision.snapshot is not None:
+        if revision.snapshot is not None and weight >= len(revision.snapshot):
+            weight = 0
             snapshot = {
                 "name": _snapshot_name(revision.index),
                 "content": dump_base_json(revision.snapshot),
@@ -470,8 +477,7 @@ def append_revision(
     (entry,), (source,) = journal_revisions(
         [revision], directory, durability=durability
     )
-    if source is not None:
-        store.snapshot_persisted(revision.index, source)
+    store.snapshot_persisted(revision.index, source)
     return entry
 
 

@@ -257,6 +257,45 @@ class TestFollower:
                 # revision 4 was evicted on both sides: it reloads from file
                 assert set(fol.service.store.as_of(4)) == set(service.store.as_of(4))
 
+    def test_follower_mirrors_the_primarys_snapshot_files(self, tmp_path):
+        """A follower writes the snapshot files its entries carry and no
+        others: three employees (9 facts) against raises of 3 put files on
+        every other candidate, in bootstrap and live tail alike."""
+        service = StoreService.create(
+            parse_object_base(
+                BASE + " ann.isa -> empl. ann.sal -> 1. bea.isa -> empl. bea.sal -> 1."
+            ),
+            tmp_path / "primary", tag="seed",
+            options=StoreOptions(snapshot_interval=2),
+        )
+        for i in range(10):
+            service.apply(RAISE, tag=f"pre{i}")
+
+        def files(directory):
+            return sorted(path.name for path in directory.glob("snap-*.json"))
+
+        with BackgroundServer(service, path=str(tmp_path / "p.sock")) as server:
+            with Follower(tmp_path / "f", server.address, **FAST) as fol:
+                fol.start()
+                assert fol.bootstrap_snapshots == verify_journal(
+                    tmp_path / "primary"
+                )["snapshots"] == 3
+                for i in range(10):
+                    service.apply(RAISE, tag=f"live{i}")
+                wait_for(
+                    lambda: len(fol.service.store) == len(service.store),
+                    message="follower catch-up",
+                )
+                anchors = [
+                    f"snap-{index:06d}.json" for index in range(0, 21, 4)
+                ]
+                assert files(tmp_path / "primary") == anchors
+                assert files(tmp_path / "f") == anchors
+                for store in (service.store, fol.service.store):
+                    assert [
+                        r.index for r in store.revisions() if store.has_snapshot(r.index)
+                    ] == list(range(0, 21, 4))
+
     def test_a_failed_primary_append_never_reaches_the_follower(self, primary):
         service, server, tmp_path = primary
         with Follower(tmp_path / "f", server.address, **FAST) as fol:

@@ -22,12 +22,15 @@ commits none of the batch.
 import pytest
 
 from repro.core.errors import ReproError
+from repro.lang.parser import parse_object_base
 from repro.server.errors import ServerBusyError, SessionError
 from repro.server.service import StoreService
 from repro.storage import StoreOptions, load_store
 from repro.testing import FaultSpec, inject_faults
-from repro.workloads import paper_example_base
 
+#: phil alone, four facts with his ``exists``: two raises (3 facts of
+#: journal each) outweigh it, so revision 2 writes a snapshot file
+BASE = "phil.isa -> empl. phil.pos -> mgr. phil.sal -> 4000."
 RAISE = "r: mod[phil].sal -> (S, S2) <= phil.sal -> S, S2 = S + 100."
 WATCH = "phil.sal -> S"
 
@@ -51,9 +54,9 @@ IN_DOUBT = {"duplicate", "crash_after"}
 
 def _service(directory):
     """A journal-backed service at revision 1 with one subscription; its
-    next revision (2) falls on a snapshot boundary."""
+    next revision (2) writes a snapshot file."""
     service = StoreService.create(
-        paper_example_base(), directory,
+        parse_object_base(BASE), directory,
         options=StoreOptions(snapshot_interval=2),
     )
     pushes: list[dict] = []
@@ -98,6 +101,7 @@ def test_a_failed_journal_write_publishes_nothing(tmp_path, op, action):
     if (op, action) in ZERO_BYTES:
         service.apply(RAISE, tag="next")
         assert [push["revision"] for push in pushes] == [1, 2]
+        assert (directory / "snap-000002.json").exists()
     else:
         with pytest.raises(ReproError, match="torn line|ends at revision 2"):
             service.apply(RAISE, tag="next")

@@ -6,18 +6,34 @@ not depend on the machine: re-hosting every final version constructs one
 runs ``ObjectBase._build_indexes`` on its first read.  With counters around
 both, a two-fact raise must do the same work on a 200- and on a
 2 000-employee store, and build no index — not in the commit, not in the
-read that follows it.  The last test pins the memory side: a long-lived
-journal-backed service keeps a bounded number of snapshot bases resident.
+read that follows it.
+
+The base-sized cost a journal-backed commit may still pay is a snapshot
+file, and it is paid for: a ``snapshot_interval`` candidate gets its file
+only once the journal since the last one weighs as much as the base (a
+line weighs ``1 + |added| + |removed|``).  The last tests pin where the
+files land, that the placement is a function of the chain alone (restarts
+do not move it), that reconstruction across the sparse anchors is exact,
+and the memory side: a long-lived service keeps a bounded number of
+snapshot bases resident and none that has no file behind it.
 """
+
+import hashlib
+import random
 
 import pytest
 
 import repro
+from repro.api import BackgroundServer
 from repro.core.facts import Fact
 from repro.core.objectbase import ObjectBase
 from repro.server.service import StoreService
-from repro.storage import StoreOptions, VersionedStore
-from repro.workloads import enterprise_base, targeted_raise_program
+from repro.storage import StoreOptions, VersionedStore, load_store
+from repro.workloads import (
+    enterprise_base,
+    salary_raise_program,
+    targeted_raise_program,
+)
 
 
 @pytest.fixture()
@@ -92,16 +108,47 @@ def test_commit_update_without_a_delta_still_finds_it():
     assert handed.head == compared.head
 
 
+def _rule_anchors(store: VersionedStore, interval: int) -> list[int]:
+    """Where the snapshot rule puts files, re-derived from the chain: a
+    candidate whose lines since the last anchor weigh at least its base."""
+    anchors, weight = [0], 0
+    for revision in store.revisions()[1:]:
+        weight += 1 + len(revision.added) + len(revision.removed)
+        if revision.index % interval == 0 and weight >= len(store.base_at(revision.index)):
+            anchors.append(revision.index)
+            weight = 0
+    return anchors
+
+
+def _snapshot_files(directory) -> list[int]:
+    return sorted(int(path.stem[len("snap-"):]) for path in directory.glob("snap-*.json"))
+
+
+def _mixed_history(base: ObjectBase, commits: int) -> list:
+    """One-employee raises (weight 3) with an all-employee raise every
+    ninth commit (weight 1 + 2 per employee): lines of uneven weight."""
+    rng = random.Random(11)
+    employees = sorted(str(host) for host in base.objects() if str(host).startswith("emp"))
+    return [
+        salary_raise_program() if step % 9 == 4
+        else targeted_raise_program(rng.choice(employees))
+        for step in range(commits)
+    ]
+
+
 def test_journal_backed_service_bounds_resident_snapshots(tmp_path):
     options = StoreOptions(snapshot_interval=4, materialize_cache=2)
     base = enterprise_base(n_employees=30, seed=7)
-    service = StoreService.create(base, tmp_path / "journal", options=options)
+    directory = tmp_path / "journal"
+    service = StoreService.create(base, directory, options=options)
     program = targeted_raise_program(_plain_employee(base))
-    for _ in range(100):
+    for _ in range(400):
         service.apply(program)
     store = service.store
     snapshots = [r.index for r in store.revisions() if store.has_snapshot(r.index)]
-    assert snapshots == list(range(0, 101, 4))  # the policy is unchanged
+    # 125 facts at 3 a raise: the first candidate past 42 raises, every time
+    assert len(store.current) == 125
+    assert snapshots == list(range(0, 401, 44)) == _snapshot_files(directory)
     resident = {id(r.snapshot) for r in store.revisions() if r.snapshot is not None}
     resident.add(id(store.current))
     assert len(resident) <= options.materialize_cache + 1
@@ -113,10 +160,103 @@ def test_journal_backed_service_bounds_resident_snapshots(tmp_path):
     for _ in range(evicted):
         memory.apply(program)
     assert reloaded == memory.current
-    with repro.connect(service) as conn:  # log() still marks every snapshot
+    with repro.connect(service) as conn:  # log() marks exactly the files
         assert [r.snapshot for r in conn.log()] == [
-            r.index % 4 == 0 for r in store.revisions()
+            r.index in snapshots for r in store.revisions()
         ]
+
+
+def test_a_large_base_gets_no_snapshot_file_from_a_few_hundred_raises(tmp_path):
+    """200 raises journal 600 facts against an 8 399-fact base: no
+    candidate is worth a file, and none keeps a snapshot in memory."""
+    base = enterprise_base(n_employees=2_000, overpaid_ratio=0.1, seed=7)
+    directory = tmp_path / "journal"
+    service = StoreService.create(base, directory)
+    program = targeted_raise_program(_plain_employee(base))
+    for _ in range(200):
+        service.apply(program)
+    store = service.store
+    assert [path.name for path in directory.glob("snap-*.json")] == ["snap-000000.json"]
+    assert [r.index for r in store.revisions() if store.has_snapshot(r.index)] == [0]
+    assert [r.index for r in store.revisions()[1:] if r.snapshot is not None] == []
+
+
+def test_snapshot_files_land_where_the_rule_predicts(tmp_path):
+    base = enterprise_base(n_employees=12, seed=7)
+    directory = tmp_path / "journal"
+    service = StoreService.create(
+        base, directory, options=StoreOptions(snapshot_interval=4)
+    )
+    published = []  # what a listener sees: the snapshot is settled by then
+    service.store.add_commit_listener(
+        lambda r: published.append(service.store.has_snapshot(r.index))
+    )
+    for program in _mixed_history(base, 90):
+        service.apply(program)
+    anchors = _rule_anchors(service.store, 4)
+    assert 4 <= len(anchors) < len(range(0, 91, 4))  # some candidates lose
+    assert _snapshot_files(directory) == anchors
+    assert [k for k, flag in enumerate(published, 1) if flag] == anchors[1:]
+
+
+def test_snapshot_placement_survives_restarts(tmp_path):
+    """The weight is a function of the chain: a service reopened every 7
+    commits writes the same bytes as one that never stopped."""
+    base = enterprise_base(n_employees=12, seed=7)
+    options = StoreOptions(snapshot_interval=4)
+    history = _mixed_history(base, 90)
+    once, restarted = tmp_path / "once", tmp_path / "restarted"
+    service = StoreService.create(base, once, options=options)
+    for program in history:
+        service.apply(program)
+    service = StoreService.create(base, restarted, options=options)
+    for step, program in enumerate(history):
+        if step and step % 7 == 0:
+            service = StoreService.open(restarted)
+        service.apply(program)
+
+    def digests(directory):
+        return {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(directory.iterdir())
+        }
+
+    assert len(_snapshot_files(once)) >= 4
+    assert digests(once) == digests(restarted)
+
+
+def test_every_revision_reconstructs_across_sparse_anchors(tmp_path):
+    base = enterprise_base(n_employees=12, seed=7)
+    directory = tmp_path / "journal"
+    service = StoreService.create(
+        base, directory, options=StoreOptions(snapshot_interval=4)
+    )
+    reference = VersionedStore(base, options=StoreOptions(snapshot_interval=1))
+    for program in _mixed_history(base, 90):
+        service.apply(program)
+        reference.apply(program)
+    loaded = load_store(directory)
+    assert len(_snapshot_files(directory)) >= 4
+    for k in range(len(reference)):
+        expected = reference.as_of(k)
+        assert service.store.as_of(k) == expected, k
+        assert loaded.as_of(k) == expected, k
+
+
+def test_served_log_flags_exactly_the_snapshot_files(tmp_path):
+    base = enterprise_base(n_employees=12, seed=7)
+    directory = tmp_path / "journal"
+    service = StoreService.create(
+        base, directory, options=StoreOptions(snapshot_interval=4)
+    )
+    with BackgroundServer(service, path=str(tmp_path / "s.sock")) as server:
+        with repro.connect(server.target) as conn:
+            for program in _mixed_history(base, 90):
+                conn.apply(program)
+            flags = [r.snapshot for r in conn.log()]
+    loaded = load_store(directory)
+    assert flags == [loaded.has_snapshot(k) for k in range(len(loaded))]
+    assert [k for k, flag in enumerate(flags) if flag] == _snapshot_files(directory)
 
 
 def test_memory_store_keeps_its_snapshots():

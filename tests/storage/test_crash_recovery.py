@@ -55,6 +55,9 @@ DRIVERS = ["store", "service"]
 
 N_COMMITS = 9
 SNAPSHOT_EVERY = 3  # dense, so the sweep crosses snapshot boundaries
+#: the snapshot sweep's history: each raise weighs 3 against the 8-fact
+#: base, so every candidate (3, 6, 9, 12) outweighs it and writes a file
+SNAPSHOT_COMMITS = 12
 
 
 def _program(step: int, rng: random.Random) -> str:
@@ -69,9 +72,9 @@ def _options():
     return StoreOptions(snapshot_interval=SNAPSHOT_EVERY)
 
 
-def _history(seed: int) -> list[str]:
+def _history(seed: int, commits: int = N_COMMITS) -> list[str]:
     rng = random.Random(seed)
-    return [_program(step, rng) for step in range(N_COMMITS)]
+    return [_program(step, rng) for step in range(commits)]
 
 
 def _grow(directory, programs, durability, specs, driver="store"):
@@ -80,6 +83,8 @@ def _grow(directory, programs, durability, specs, driver="store"):
     Returns ``(acked, submitted, store)`` — the head index the caller saw
     acknowledged, the index of the commit in flight when the crash hit
     (equal when the whole history ran clean), and the writer's store.
+    Every fault in ``specs`` must have fired: a sweep whose history never
+    reaches its crash point would pass without testing anything.
     """
     if driver == "service":
         service = StoreService.create(
@@ -97,15 +102,17 @@ def _grow(directory, programs, durability, specs, driver="store"):
         def commit(text, tag):
             store.apply(parse_program(text), tag=tag)
             append_revision(store, directory, durability=durability)
-    acked = 0
-    with inject_faults(*specs):
+    acked = submitted = 0
+    with inject_faults(*specs) as filesystem:
         for step, text in enumerate(programs):
             try:
                 commit(text, f"t{step}")
             except (InjectedCrash, OSError, SessionError):
-                return acked, acked + 1, store
-            acked = store.head.index
-    return acked, acked, store
+                submitted = acked + 1
+                break
+            acked = submitted = store.head.index
+    assert [spec for spec in specs if spec not in filesystem.fired] == []
+    return acked, submitted, store
 
 
 def _assert_head_is_durable(store, directory, acked):
@@ -176,10 +183,10 @@ def test_snapshot_write_crash_points(tmp_path, mode, driver):
     # (before the journal line lands) must cost at most the in-flight
     # commit, never a snapshot the durable journal references.
     durability = DurabilityOptions(mode=mode)
-    for at in range(1, 4):  # snapshots during growth (at=0 is the initial save)
+    for at in range(4):  # every snapshot write during growth
         for action in ["crash_before", "torn", "crash_after", "enospc"]:
             directory = tmp_path / f"snap-{action}-{at}"
-            programs = _history(seed=at * 7)
+            programs = _history(seed=at * 7, commits=SNAPSHOT_COMMITS)
             spec = FaultSpec(
                 "write", action, at=at, keep_bytes=11, path_glob="snap-*.json"
             )

@@ -217,19 +217,24 @@ class TestWritePath:
             attach(service, pushes.append, from_index=1)[0]
             for pushes in received
         ]
-        service.apply(self.RAISE, tag="one")
-        service.apply(self.RAISE, tag="two")  # revision 2: a snapshot
+        # each raise weighs 3 against an 8-fact base: candidate 2 (weight
+        # 6) gets no file, candidate 4 (weight 12) does
+        for tag in ("one", "two", "three", "four"):
+            service.apply(self.RAISE, tag=tag)
         for detach in detaches:
             detach()
         assert not [name for name in reads if name.startswith("snap-")]
-        appended = (directory / JOURNAL_FILE).read_text().splitlines()[-2:]
-        snapshot = (directory / "snap-000002.json").read_text()
+        assert sorted(path.name for path in directory.glob("snap-*.json")) == [
+            "snap-000000.json", "snap-000004.json",
+        ]
+        appended = (directory / JOURNAL_FILE).read_text().splitlines()[-4:]
+        snapshot = (directory / "snap-000004.json").read_text()
         for pushes in received:
             assert [push["line"] for push in pushes] == appended
-            assert [push["index"] for push in pushes] == [1, 2]
-            assert pushes[0]["snapshot"] is None
-            assert pushes[1]["snapshot"] == {
-                "name": "snap-000002.json", "content": snapshot,
+            assert [push["index"] for push in pushes] == [1, 2, 3, 4]
+            assert [push["snapshot"] for push in pushes[:3]] == [None] * 3
+            assert pushes[3]["snapshot"] == {
+                "name": "snap-000004.json", "content": snapshot,
             }
 
 
