@@ -5,7 +5,8 @@ The paper requires safe rules: although rules are ∀-quantified over the set
 instantiations.  A rule is *safe* when every variable is **limited**:
 
 * variables occurring in a positive version-term or positive update-term of
-  the body are limited (they are matched against the finite object base);
+  the body are limited (they are matched against the finite object base) —
+  as are those of a positive predicate atom of a Datalog rule;
 * a variable ``X`` is limited by a positive built-in ``X = e`` (or ``e = X``)
   once every variable of ``e`` is limited;
 
@@ -17,7 +18,9 @@ a safe program can only derive finitely many new versions.
 
 from __future__ import annotations
 
-from repro.core.atoms import BuiltinAtom, UpdateAtom, VersionAtom
+from typing import Iterable
+
+from repro.core.atoms import BuiltinAtom, Literal
 from repro.core.errors import SafetyError
 from repro.core.exprs import expr_variables
 from repro.core.rules import UpdateProgram, UpdateRule
@@ -26,17 +29,24 @@ from repro.core.terms import Var
 __all__ = ["limited_variables", "check_rule_safety", "check_program_safety", "is_safe"]
 
 
-def limited_variables(rule: UpdateRule) -> frozenset[Var]:
-    """The set of limited variables of ``rule`` (see module docstring)."""
+def limited_variables(body: Iterable[Literal]) -> frozenset[Var]:
+    """The limited variables of a rule body (see module docstring).
+
+    One definition for every rule language: update-rules, derived-method
+    rules (:mod:`repro.ext.derived`) and Datalog rules, whose
+    :class:`~repro.datalog.ast.DatalogLiteral` has the same ``atom`` /
+    ``positive`` shape.  In each, a positive atom that is not a built-in is
+    matched against a finite base.
+    """
     limited: set[Var] = set()
     equalities: list[BuiltinAtom] = []
-    for literal in rule.body:
+    for literal in body:
         atom = literal.atom
         if not literal.positive:
             continue
-        if isinstance(atom, (VersionAtom, UpdateAtom)):
+        if not isinstance(atom, BuiltinAtom):
             limited |= atom.variables
-        elif isinstance(atom, BuiltinAtom) and atom.op == "=":
+        elif atom.op == "=":
             equalities.append(atom)
 
     # Propagate through '=' chains to a fixpoint, e.g. S' = S * 1.1 limits S'
@@ -58,7 +68,7 @@ def limited_variables(rule: UpdateRule) -> frozenset[Var]:
 
 def check_rule_safety(rule: UpdateRule) -> None:
     """Raise :class:`SafetyError` when ``rule`` is unsafe."""
-    unlimited = rule.variables - limited_variables(rule)
+    unlimited = rule.variables - limited_variables(rule.body)
     if unlimited:
         raise SafetyError(
             rule.name or str(rule), tuple(sorted(v.name for v in unlimited))
@@ -67,7 +77,7 @@ def check_rule_safety(rule: UpdateRule) -> None:
 
 def is_safe(rule: UpdateRule) -> bool:
     """Predicate form of :func:`check_rule_safety`."""
-    return not (rule.variables - limited_variables(rule))
+    return not (rule.variables - limited_variables(rule.body))
 
 
 def check_program_safety(program: UpdateProgram) -> None:

@@ -27,16 +27,18 @@ rules' variables are renamed apart before each check.
 
 A stratification exists iff the precedence graph has no cycle through a
 strict edge.  Strata are computed by condensing strongly connected
-components and taking the longest strict-edge path — the minimal
-stratification, reproducing the paper's ``{r1,r2} < {r3} < {r4}``.
+components (Tarjan's algorithm) and taking the longest strict-edge path —
+the minimal stratification, reproducing the paper's
+``{r1,r2} < {r3} < {r4}``.  The graph pass, :func:`levels`, is shared with
+the Datalog substrate's predicate stratification and the derived-method
+views of Section 6.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterator
-
-import networkx as nx
+from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
 from repro.core.errors import StratificationError
 from repro.core.rules import UpdateProgram, UpdateRule
@@ -51,6 +53,8 @@ from repro.core.terms import (
 from repro.unify.unification import unifiable
 
 __all__ = ["Stratification", "PrecedenceEdge", "stratify", "precedence_edges"]
+
+N = TypeVar("N", bound=Hashable)
 
 
 @dataclass(frozen=True)
@@ -237,81 +241,126 @@ def stratify(
     """Compute the minimal stratification, or raise
     :class:`StratificationError` when none exists.
 
-    The rule-precedence graph is condensed into strongly connected
-    components; a strict edge inside a component is a contradiction
-    (``r < r`` transitively).  Otherwise the stratum of a component is the
-    longest chain of strict edges leading to it, and rules within one
-    stratum keep program order for stable display.
+    Each rule's stratum is its :func:`levels` level in the precedence
+    graph; rules within one stratum keep program order for stable display.
     """
     edges = precedence_edges(program, conditions=conditions)
 
-    graph = nx.DiGraph()
+    def describe(lower: str, upper: str, cycle: tuple[str, ...]) -> str:
+        return (
+            f"no stratification satisfying conditions "
+            f"({', '.join(conditions)}) exists: rules "
+            f"{' -> '.join(cycle)} form a cycle through the strict "
+            f"constraint {lower} < {upper}"
+        )
+
+    stratum_of = levels(
+        [rule.name for rule in program],
+        [(edge.lower, edge.upper, edge.strict) for edge in edges],
+        describe,
+    )
+    strata: list[list[UpdateRule]] = [
+        [] for _ in range(max(stratum_of.values(), default=-1) + 1)
+    ]
     for rule in program:
-        graph.add_node(rule.name)
-    for edge in edges:
-        if graph.has_edge(edge.lower, edge.upper):
-            graph[edge.lower][edge.upper]["strict"] |= edge.strict
-        else:
-            graph.add_edge(edge.lower, edge.upper, strict=edge.strict)
-
-    condensation = nx.condensation(graph)
-    component_of = condensation.graph["mapping"]
-
-    # A strict edge inside one component means r < r transitively.
-    for lower, upper, data in graph.edges(data=True):
-        if data["strict"] and component_of[lower] == component_of[upper]:
-            cycle = _strict_cycle(graph, lower, upper)
-            raise StratificationError(
-                f"no stratification satisfying conditions "
-                f"({', '.join(conditions)}) exists: rules "
-                f"{' -> '.join(cycle)} form a cycle through the strict "
-                f"constraint {lower} < {upper}",
-                cycle=tuple(cycle),
-            )
-
-    strict_between: dict[tuple[int, int], bool] = {}
-    for lower, upper, data in graph.edges(data=True):
-        key = (component_of[lower], component_of[upper])
-        strict_between[key] = strict_between.get(key, False) or data["strict"]
-
-    level: dict[int, int] = {}
-    for component in nx.topological_sort(condensation):
-        best = 0
-        for predecessor in condensation.predecessors(component):
-            step = 1 if strict_between.get((predecessor, component), False) else 0
-            best = max(best, level[predecessor] + step)
-        level[component] = best
-
-    max_level = max(level.values(), default=0)
-    buckets: list[list[UpdateRule]] = [[] for _ in range(max_level + 1)]
-    stratum_of: dict[str, int] = {}
-    for rule in program:  # program order within a stratum
-        stratum = level[component_of[rule.name]]
-        stratum_of[rule.name] = stratum
-        buckets[stratum].append(rule)
-
-    # Drop empty strata (possible when levels skip numbers is impossible by
-    # construction, but keep the guard cheap and explicit).
-    strata = tuple(tuple(bucket) for bucket in buckets if bucket)
-    stratum_of = _renumber(strata, stratum_of)
-    return Stratification(strata, stratum_of, tuple(edges))
+        strata[stratum_of[rule.name]].append(rule)
+    return Stratification(
+        tuple(tuple(stratum) for stratum in strata), stratum_of, tuple(edges)
+    )
 
 
-def _renumber(
-    strata: tuple[tuple[UpdateRule, ...], ...], old: dict[str, int]
-) -> dict[str, int]:
-    fresh: dict[str, int] = {}
-    for index, stratum in enumerate(strata):
-        for rule in stratum:
-            fresh[rule.name] = index
-    return fresh
+def levels(
+    nodes: Iterable[N],
+    edges: Iterable[tuple[N, N, bool]],
+    describe: Callable[[N, N, tuple[N, ...]], str],
+) -> dict[N, int]:
+    """The minimal stratum of every node of a precedence graph.
+
+    ``edges`` are ``(lower, upper, strict)``; a repeated edge ORs in
+    ``strict``.  The graph is condensed into strongly connected components
+    (Tarjan); a strict edge inside a component is ``n < n`` transitively,
+    reported as :class:`StratificationError` with ``describe(lower, upper,
+    cycle)`` for the first such edge (node order, then each node's edges in
+    insertion order) and its shortest witness ``cycle``, a closed walk
+    ``upper ⇝ lower -> upper``.  Otherwise a node's level is the largest
+    number of strict edges on a path into it, so levels run 0, 1, … with
+    no gap.
+    """
+    succ: dict[N, dict[N, bool]] = {node: {} for node in nodes}
+    for lower, upper, strict in edges:
+        succ[lower][upper] = succ[lower].get(upper, False) or strict
+
+    components = _components(succ)
+    component_of = {
+        node: index for index, members in enumerate(components) for node in members
+    }
+    for lower, out in succ.items():
+        for upper, strict in out.items():
+            if strict and component_of[lower] == component_of[upper]:
+                cycle = (*_shortest_path(succ, upper, lower), upper)
+                raise StratificationError(describe(lower, upper, cycle), cycle=cycle)
+
+    # Tarjan finishes a component after every component it reaches, so
+    # walking them backwards visits each after all of its predecessors.
+    level = [0] * len(components)
+    for index in reversed(range(len(components))):
+        for node in components[index]:
+            for upper, strict in succ[node].items():
+                target = component_of[upper]
+                level[target] = max(level[target], level[index] + strict)
+    return {node: level[component_of[node]] for node in succ}
 
 
-def _strict_cycle(graph: nx.DiGraph, lower: str, upper: str) -> list[str]:
-    """A witness cycle for the error message: upper ⇝ lower plus the strict
-    edge lower -> upper."""
-    try:
-        path = nx.shortest_path(graph, upper, lower)
-    except nx.NetworkXNoPath:  # pragma: no cover - same SCC guarantees a path
-        path = [upper, lower]
-    return path + [upper]
+def _components(succ: dict[N, dict[N, bool]]) -> list[list[N]]:
+    """Strongly connected components, iterative Tarjan, sinks first."""
+    index: dict[N, int] = {}
+    low: dict[N, int] = {}
+    stack: list[N] = []
+    on_stack: set[N] = set()
+    components: list[list[N]] = []
+    for root in succ:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            node, children = work[-1]
+            for child in children:
+                if child not in index:
+                    index[child] = low[child] = len(index)
+                    stack.append(child)
+                    on_stack.add(child)
+                    work.append((child, iter(succ[child])))
+                    break
+                if child in on_stack:
+                    low[node] = min(low[node], index[child])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    members: list[N] = []
+                    while not members or members[-1] != node:
+                        members.append(stack.pop())
+                        on_stack.discard(members[-1])
+                    components.append(members)
+    return components
+
+
+def _shortest_path(succ: dict[N, dict[N, bool]], source: N, target: N) -> list[N]:
+    """Breadth-first ``source ⇝ target``; the caller knows one exists."""
+    parent = {source: source}
+    queue = deque([source])
+    while target not in parent:
+        node = queue.popleft()
+        for child in succ[node]:
+            if child not in parent:
+                parent[child] = node
+                queue.append(child)
+    path = [target]
+    while path[-1] != source:
+        path.append(parent[path[-1]])
+    return path[::-1]

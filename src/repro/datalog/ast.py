@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Union
 
 from repro.core.atoms import BuiltinAtom
 from repro.core.errors import ProgramError, SafetyError, TermError
-from repro.core.exprs import expr_variables
+from repro.core.safety import limited_variables
 from repro.core.terms import Oid, Var
 from repro.unify.substitution import resolve
 
@@ -106,7 +106,7 @@ def body_literal(atom, positive: bool = True) -> DatalogLiteral:
 class DatalogRule:
     """``head :- body.`` — a safe Datalog rule.
 
-    Safety mirrors :mod:`repro.core.safety`: every variable must occur in a
+    Safety is :mod:`repro.core.safety`'s: every variable must occur in a
     positive predicate atom or be bound through ``=`` chains.
     """
 
@@ -122,28 +122,7 @@ class DatalogRule:
         return frozenset(names)
 
     def check_safety(self) -> None:
-        limited: set[Var] = set()
-        equalities: list[BuiltinAtom] = []
-        for literal in self.body:
-            if not literal.positive:
-                continue
-            if isinstance(literal.atom, PredicateAtom):
-                limited |= literal.atom.variables
-            elif literal.atom.op == "=":
-                equalities.append(literal.atom)
-        changed = True
-        while changed:
-            changed = False
-            for eq in equalities:
-                for target, source in ((eq.left, eq.right), (eq.right, eq.left)):
-                    if (
-                        isinstance(target, Var)
-                        and target not in limited
-                        and expr_variables(source) <= limited
-                    ):
-                        limited.add(target)
-                        changed = True
-        unlimited = self.variables - limited
+        unlimited = self.variables - limited_variables(self.body)
         if unlimited:
             raise SafetyError(
                 self.name or str(self), tuple(sorted(v.name for v in unlimited))

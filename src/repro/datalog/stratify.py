@@ -3,17 +3,17 @@
 The classic construction the paper adapts in Section 4: build the dependency
 graph over predicates (an edge ``q -> p`` when ``q`` occurs in the body of a
 rule defining ``p``; strict when the occurrence is negated); a program is
-stratified iff no cycle passes through a strict edge.
+stratified iff no cycle passes through a strict edge.  The graph pass is
+the update language's own, :func:`repro.core.stratification.levels`: only
+the edges differ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.core.atoms import BuiltinAtom
-from repro.core.errors import StratificationError
+from repro.core.stratification import levels
 from repro.datalog.ast import DatalogProgram, DatalogRule
 
 __all__ = ["DatalogStratification", "stratify_datalog"]
@@ -38,60 +38,28 @@ class DatalogStratification:
 def stratify_datalog(program: DatalogProgram) -> DatalogStratification:
     """Stratify by predicates; raise :class:`StratificationError` when a
     negative edge lies on a cycle."""
-    graph = nx.DiGraph()
     idb = program.idb_predicates()
-    for key in idb:
-        graph.add_node(key)
+    edges = [
+        (literal.atom.key, rule.head.key, not literal.positive)
+        for rule in program
+        for literal in rule.body
+        # built-ins and EDB predicates never move strata
+        if not isinstance(literal.atom, BuiltinAtom) and literal.atom.key in idb
+    ]
 
+    def describe(lower: Key, upper: Key, cycle: tuple[Key, ...]) -> str:
+        return (
+            f"Datalog program is not stratified: predicate "
+            f"{upper[0]}/{upper[1]} depends negatively on itself through "
+            f"{lower[0]}/{lower[1]}"
+        )
+
+    predicate_stratum = levels([rule.head.key for rule in program], edges, describe)
+    strata: list[list[DatalogRule]] = [
+        [] for _ in range(max(predicate_stratum.values(), default=-1) + 1)
+    ]
     for rule in program:
-        head = rule.head.key
-        for literal in rule.body:
-            if isinstance(literal.atom, BuiltinAtom):
-                continue
-            dep = literal.atom.key
-            if dep not in idb:
-                continue  # EDB predicates never move strata
-            strict = not literal.positive
-            if graph.has_edge(dep, head):
-                graph[dep][head]["strict"] |= strict
-            else:
-                graph.add_edge(dep, head, strict=strict)
-
-    condensation = nx.condensation(graph)
-    component_of = condensation.graph["mapping"]
-    for lower, upper, data in graph.edges(data=True):
-        if data["strict"] and component_of[lower] == component_of[upper]:
-            raise StratificationError(
-                f"Datalog program is not stratified: predicate "
-                f"{upper[0]}/{upper[1]} depends negatively on itself through "
-                f"{lower[0]}/{lower[1]}"
-            )
-
-    strict_between: dict[tuple[int, int], bool] = {}
-    for lower, upper, data in graph.edges(data=True):
-        key = (component_of[lower], component_of[upper])
-        strict_between[key] = strict_between.get(key, False) or data["strict"]
-
-    level: dict[int, int] = {}
-    for component in nx.topological_sort(condensation):
-        best = 0
-        for predecessor in condensation.predecessors(component):
-            step = 1 if strict_between.get((predecessor, component), False) else 0
-            best = max(best, level[predecessor] + step)
-        level[component] = best
-
-    predicate_stratum = {key: level[component_of[key]] for key in idb}
-    max_level = max(predicate_stratum.values(), default=0)
-    buckets: list[list[DatalogRule]] = [[] for _ in range(max_level + 1)]
-    for rule in program:
-        buckets[predicate_stratum[rule.head.key]].append(rule)
-    strata = tuple(tuple(bucket) for bucket in buckets if bucket)
-
-    # Renumber in case pruning empty buckets shifted indexes.
-    renumbered: dict[Key, int] = {}
-    for index, stratum in enumerate(strata):
-        for rule in stratum:
-            renumbered[rule.head.key] = index
-    for key, old_level in predicate_stratum.items():
-        renumbered.setdefault(key, old_level)
-    return DatalogStratification(strata, renumbered)
+        strata[predicate_stratum[rule.head.key]].append(rule)
+    return DatalogStratification(
+        tuple(tuple(stratum) for stratum in strata), predicate_stratum
+    )

@@ -15,7 +15,10 @@ in this direction").  This module supplies the generalisation:
   an update-program whose head targets a derived method is rejected;
 * derived rules may use other derived methods, recursively, with stratified
   negation among derived methods (method-level stratification, exactly the
-  Datalog construction the update language adapts at the version level);
+  Datalog construction the update language adapts at the version level, by
+  the same graph pass, :func:`repro.core.stratification.levels`);
+* a head variable must be limited by the body, as
+  :func:`repro.core.safety.limited_variables` decides for update-rules;
 * during an update-process the view is recomputed before every ``T_P``
   application, so rule bodies always see derived facts consistent with the
   current version states — including on freshly created versions.
@@ -39,24 +42,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-import networkx as nx
-
-from repro.core.atoms import BuiltinAtom, Literal, UpdateAtom, VersionAtom
+from repro.core.atoms import Literal, VersionAtom
 from repro.core.consequence import apply_tp, tp_step
 from repro.core.engine import UpdateResult, update_result
-from repro.core.errors import (
-    EvaluationLimitError,
-    ProgramError,
-    StratificationError,
-)
+from repro.core.errors import EvaluationLimitError, ProgramError
 from repro.core.evaluation import EvaluationOptions
 from repro.core.facts import EXISTS
 from repro.core.grounding import match_body
 from repro.core.linearity import LinearityTracker
 from repro.core.objectbase import ObjectBase
 from repro.core.rules import UpdateProgram
-from repro.core.safety import check_program_safety
-from repro.core.stratification import stratify
+from repro.core.safety import check_program_safety, limited_variables
+from repro.core.stratification import levels, stratify
 from repro.core.trace import EvaluationTrace
 from repro.lang.parser import parse_derived_rules
 
@@ -80,7 +77,7 @@ class DerivedRule:
     def __post_init__(self) -> None:
         if self.head.method == EXISTS:
             raise ProgramError("the system method 'exists' cannot be derived")
-        unlimited = self.head.variables - _limited(self.body)
+        unlimited = self.head.variables - limited_variables(self.body)
         if unlimited:
             names = ", ".join(sorted(v.name for v in unlimited))
             raise ProgramError(
@@ -92,36 +89,6 @@ class DerivedRule:
         if not self.body:
             return f"{self.head}."
         return f"{self.head} <= {' ^ '.join(str(b) for b in self.body)}."
-
-
-def _limited(body: tuple[Literal, ...]):
-    from repro.core.exprs import expr_variables
-
-    limited = set()
-    equalities = []
-    for literal in body:
-        if not literal.positive:
-            continue
-        atom = literal.atom
-        if isinstance(atom, (VersionAtom, UpdateAtom)):
-            limited |= atom.variables
-        elif isinstance(atom, BuiltinAtom) and atom.op == "=":
-            equalities.append(atom)
-    changed = True
-    while changed:
-        changed = False
-        for eq in equalities:
-            for target, source in ((eq.left, eq.right), (eq.right, eq.left)):
-                from repro.core.terms import Var
-
-                if (
-                    isinstance(target, Var)
-                    and target not in limited
-                    and expr_variables(source) <= limited
-                ):
-                    limited.add(target)
-                    changed = True
-    return limited
 
 
 class DerivedProgram:
@@ -158,48 +125,29 @@ class DerivedProgram:
 
     def _stratify(self) -> tuple[tuple[DerivedRule, ...], ...]:
         """Stratify by derived-method name (negation edges strict)."""
-        graph = nx.DiGraph()
-        for method in self.derived_methods:
-            graph.add_node(method)
-        for rule in self.rules:
-            for literal in rule.body:
-                atom = literal.atom
-                if not isinstance(atom, VersionAtom):
-                    continue
-                if atom.method not in self.derived_methods:
-                    continue
-                strict = not literal.positive
-                edge = (atom.method, rule.head.method)
-                if graph.has_edge(*edge):
-                    graph[edge[0]][edge[1]]["strict"] |= strict
-                else:
-                    graph.add_edge(*edge, strict=strict)
+        edges = [
+            (literal.atom.method, rule.head.method, not literal.positive)
+            for rule in self.rules
+            for literal in rule.body
+            if isinstance(literal.atom, VersionAtom)
+            and literal.atom.method in self.derived_methods
+        ]
 
-        condensation = nx.condensation(graph)
-        component_of = condensation.graph["mapping"]
-        for lower, upper, data in graph.edges(data=True):
-            if data["strict"] and component_of[lower] == component_of[upper]:
-                raise StratificationError(
-                    f"derived method {upper!r} depends negatively on itself "
-                    f"through {lower!r}"
-                )
-        strict_between: dict[tuple[int, int], bool] = {}
-        for lower, upper, data in graph.edges(data=True):
-            key = (component_of[lower], component_of[upper])
-            strict_between[key] = strict_between.get(key, False) or data["strict"]
-        level: dict[int, int] = {}
-        for component in nx.topological_sort(condensation):
-            best = 0
-            for predecessor in condensation.predecessors(component):
-                step = 1 if strict_between.get((predecessor, component)) else 0
-                best = max(best, level[predecessor] + step)
-            level[component] = best
-        method_level = {m: level[component_of[m]] for m in self.derived_methods}
-        max_level = max(method_level.values(), default=0)
-        buckets: list[list[DerivedRule]] = [[] for _ in range(max_level + 1)]
+        def describe(lower: str, upper: str, cycle: tuple[str, ...]) -> str:
+            return (
+                f"derived method {upper!r} depends negatively on itself "
+                f"through {lower!r}"
+            )
+
+        method_level = levels(
+            [rule.head.method for rule in self.rules], edges, describe
+        )
+        strata: list[list[DerivedRule]] = [
+            [] for _ in range(max(method_level.values(), default=-1) + 1)
+        ]
         for rule in self.rules:
-            buckets[method_level[rule.head.method]].append(rule)
-        return tuple(tuple(bucket) for bucket in buckets if bucket)
+            strata[method_level[rule.head.method]].append(rule)
+        return tuple(tuple(stratum) for stratum in strata)
 
     def check_disjoint(self, base: ObjectBase) -> None:
         """Reject bases that *store* facts under a derived method name."""

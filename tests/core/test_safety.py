@@ -43,7 +43,7 @@ def test_comparison_only_variable_not_limited():
 def test_equality_chain_limits():
     rule = parse_rule("ins[X].m -> T <= X.a -> S, S2 = S * 2, T = S2 + 1.")
     assert is_safe(rule)
-    limited = limited_variables(rule)
+    limited = limited_variables(rule.body)
     assert {Var("X"), Var("S"), Var("S2"), Var("T")} <= limited
 
 
