@@ -3,9 +3,12 @@
 ``PYTHONPATH=src python scripts/profile_round.py [--seed N] [--rounds K]``
 
 One warm round under ``cProfile`` (top 30 by cumulative time, plus the call
-counts ISSUE 23 pinned), then ``K`` un-profiled rounds with a
+counts a round should not grow), then ``K`` un-profiled rounds with a
 ``gc.callbacks`` probe: collections and seconds per generation inside the
-timed part of each round.  Reads ``benchmarks.e2e.batch``; changes nothing.
+timed part of each round, and the rounds' fixpoint counts — ``T_P``
+iterations per program and ``result(P)`` facts in all, e.g.
+``iterations per program [6, 2, 10] = 18, result facts 86555`` at seed
+1992.  Reads ``benchmarks.e2e.batch``; changes nothing.
 """
 
 from __future__ import annotations
@@ -60,13 +63,18 @@ def main() -> None:
 
     print(f"\n{args.rounds} un-profiled rounds, collections inside the timed part:")
     full = []
+    counts = set()
     for index in range(args.rounds):
         events.clear()
         gc.callbacks.append(probe)
         try:
-            seconds, _results = batch.round()
+            seconds, results = batch.round()
         finally:
             gc.callbacks.remove(probe)
+        counts.add((
+            tuple(result.iterations for result in results),
+            sum(len(result.result_base) for result in results),
+        ))
         # round() opens with its own gc.collect(), before the clock starts
         explicit = next(i for i, event in enumerate(events) if event[0] == 2)
         timed = events[explicit + 1:]
@@ -78,6 +86,11 @@ def main() -> None:
         )
         print(f"  round {index}: {sum(seconds):.3f} s  ({per_generation})")
     print(f"full collections per round, median: {statistics.median(full)}")
+    for iterations, facts in sorted(counts):  # one line unless rounds differ
+        print(
+            f"iterations per program {list(iterations)} = {sum(iterations)}, "
+            f"result facts {facts}"
+        )
 
 
 if __name__ == "__main__":

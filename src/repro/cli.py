@@ -489,20 +489,19 @@ def main(argv: list[str] | None = None) -> int:
 def _cmd_apply(arguments) -> int:
     program = parse_program(arguments.program.read_text(encoding="utf-8"))
     base = parse_object_base(arguments.base.read_text(encoding="utf-8"))
+    options = {
+        "collect_trace": arguments.trace,
+        "check_linearity": not arguments.no_linearity_check,
+    }
     if arguments.views:
         from repro.ext.derived import DerivedUpdateEngine, parse_derived_program
 
         views = parse_derived_program(
             arguments.views.read_text(encoding="utf-8")
         )
-        engine = DerivedUpdateEngine(
-            views, check_linearity=not arguments.no_linearity_check
-        )
+        engine = DerivedUpdateEngine(views, **options)
     else:
-        engine = UpdateEngine(
-            collect_trace=arguments.trace,
-            check_linearity=not arguments.no_linearity_check,
-        )
+        engine = UpdateEngine(**options)
     result = engine.apply(program, base)
     if arguments.trace:
         print(result.trace.render(), file=sys.stderr)

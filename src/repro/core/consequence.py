@@ -183,9 +183,11 @@ def tp_step(
 
     ``match_base`` — when given, step 1 (body matching and head truth) runs
     against it instead of ``base``, while steps 2/3 still copy from
-    ``base``.  The derived-methods extension (:mod:`repro.ext.derived`)
-    passes a superset of ``base`` enriched with view facts here, so rules
-    can *read* derived methods without the copies ever *storing* them.
+    ``base``.  :func:`~repro.core.evaluation.evaluate` passes
+    ``overlay(working)`` here; the derived-methods extension
+    (:mod:`repro.ext.derived`) makes that a superset of ``base`` enriched
+    with view facts, so rules can *read* derived methods without the
+    copies ever *storing* them.
 
     ``delta`` — the structured change of the previous ``apply_tp`` on the
     same stratum.  When given (and ``match_base`` is not in play — view

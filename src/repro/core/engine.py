@@ -16,6 +16,7 @@ check, new-base construction — behind one call::
 from __future__ import annotations
 
 from collections import OrderedDict
+from copy import copy
 from dataclasses import dataclass, replace
 
 from repro.core.evaluation import (
@@ -159,10 +160,10 @@ class UpdateEngine:
         self._compiled: OrderedDict[tuple, CompiledProgram] = OrderedDict()
 
     def with_options(self, **option_overrides) -> "UpdateEngine":
-        """A copy of this engine with some options changed (fresh cache)."""
-        engine = UpdateEngine.__new__(UpdateEngine)
+        """A copy of this engine — of its class, with its other attributes —
+        with some options changed (fresh cache)."""
+        engine = copy(self)
         engine.options = replace(self.options, **option_overrides)
-        engine.compile_cache_size = self.compile_cache_size
         engine._compiled = OrderedDict()
         return engine
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 from repro.core.codegen import compiled_rule
 from repro.core.consequence import apply_tp, tp_step
@@ -171,6 +172,7 @@ def evaluate(
     options: EvaluationOptions | None = None,
     *,
     compiled: CompiledProgram | None = None,
+    overlay: Callable[[ObjectBase], ObjectBase] | None = None,
 ) -> EvaluationOutcome:
     """Compute ``result(P)`` for ``program`` on a fork of ``base``.
 
@@ -187,6 +189,12 @@ def evaluate(
     computed :class:`CompiledProgram` (it must stem from this ``program``
     under equivalent options; :meth:`repro.core.engine.UpdateEngine.compile`
     guarantees that).
+
+    ``overlay`` — when given, every step matches rule bodies against
+    ``overlay(working)`` rather than the working base itself (``tp_step``'s
+    ``match_base``), recomputed before each step and then discarded.  The
+    derived-methods extension passes its view materialisation here
+    (:class:`repro.ext.derived.DerivedUpdateEngine`).
     """
     options = options or EvaluationOptions()
     if compiled is None:
@@ -225,6 +233,7 @@ def evaluate(
             step = tp_step(
                 stratum,
                 working,
+                match_base=None if overlay is None else overlay(working),
                 create_missing_objects=options.create_missing_objects,
                 collect_fired=options.collect_trace,
                 delta=delta,

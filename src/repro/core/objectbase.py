@@ -49,8 +49,8 @@ class Delta:
     keys and host shapes of the delta to decide which rules can possibly
     derive anything new.
 
-    Truthiness is "did the base change", so legacy ``if not apply_tp(...)``
-    call sites keep working unchanged.
+    Truthiness is "did the base change": the fixpoint loop's test for the
+    end of a stratum.
     """
 
     __slots__ = (

@@ -21,7 +21,10 @@ in this direction").  This module supplies the generalisation:
   :func:`repro.core.safety.limited_variables` decides for update-rules;
 * during an update-process the view is recomputed before every ``T_P``
   application, so rule bodies always see derived facts consistent with the
-  current version states — including on freshly created versions.
+  current version states — including on freshly created versions.  This is
+  the core fixpoint itself, :func:`repro.core.evaluation.evaluate`, with
+  the materialisation as its ``overlay``: one ``T_P`` loop, so tracing,
+  the linearity check and every evaluation option behave as without views.
 
 A view whose head host is a plain variable (``X.senior -> yes``) attaches
 to *objects* only — variables range over ``O`` (DESIGN.md D2).  For a
@@ -33,8 +36,8 @@ and use a version variable::
 Now ``mod(phil).senior`` is derivable from ``mod(phil)``'s state, so update
 rules in later strata can test derived properties of intermediate versions.
 
-:class:`DerivedUpdateEngine` packages the interleaving; standalone
-materialisation is :func:`materialize`.
+:class:`DerivedUpdateEngine` is the :class:`~repro.core.engine.UpdateEngine`
+that runs it; standalone materialisation is :func:`materialize`.
 """
 
 from __future__ import annotations
@@ -43,18 +46,15 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.core.atoms import Literal, VersionAtom
-from repro.core.consequence import apply_tp, tp_step
-from repro.core.engine import UpdateResult, update_result
+from repro.core.engine import UpdateEngine
 from repro.core.errors import EvaluationLimitError, ProgramError
-from repro.core.evaluation import EvaluationOptions
+from repro.core.evaluation import EvaluationOutcome, evaluate
 from repro.core.facts import EXISTS
 from repro.core.grounding import match_body
-from repro.core.linearity import LinearityTracker
 from repro.core.objectbase import ObjectBase
 from repro.core.rules import UpdateProgram
-from repro.core.safety import check_program_safety, limited_variables
-from repro.core.stratification import levels, stratify
-from repro.core.trace import EvaluationTrace
+from repro.core.safety import limited_variables
+from repro.core.stratification import levels
 from repro.lang.parser import parse_derived_rules
 
 __all__ = [
@@ -192,7 +192,7 @@ def materialize(
     """
     views.check_disjoint(base)
     enriched = base.copy()
-    for stratum in views._strata:
+    for stratum_index, stratum in enumerate(views._strata):
         for _round in range(max_iterations):
             changed = False
             for rule in stratum:
@@ -209,79 +209,37 @@ def materialize(
             if not changed:
                 break
         else:
-            raise EvaluationLimitError(0, max_iterations)
+            raise EvaluationLimitError(stratum_index, max_iterations)
     return enriched
 
 
-class DerivedUpdateEngine:
-    """An update engine whose rule bodies can read derived methods.
+class DerivedUpdateEngine(UpdateEngine):
+    """An :class:`~repro.core.engine.UpdateEngine` whose rule bodies can
+    read derived methods.
 
-    Before every ``T_P`` application the view overlay is recomputed over
-    the current version states, passed to step 1 as the *match base*, and
-    discarded — steps 2/3 copy from the pure base, so view facts are never
-    stored or copied into versions (and a ``del[v].*`` cannot delete them).
+    It runs the one ``T_P`` loop of :func:`repro.core.evaluation.evaluate`
+    with the view materialisation as its ``overlay``: before every ``T_P``
+    application the views are recomputed over the current version states,
+    passed to step 1 as the *match base*, and discarded — steps 2/3 copy
+    from the pure base, so view facts are never stored or copied into
+    versions (and a ``del[v].*`` cannot delete them).  Options, the compile
+    cache, :meth:`apply` and :meth:`with_options` are the base engine's.
     """
 
     def __init__(self, views: DerivedProgram, **option_overrides):
+        super().__init__(**option_overrides)
         self.views = views
-        self.options = EvaluationOptions(**option_overrides)
 
-    def evaluate(self, program: UpdateProgram, base: ObjectBase):
-        options = self.options
+    def evaluate(
+        self, program: UpdateProgram, base: ObjectBase
+    ) -> EvaluationOutcome:
+        """Compute ``result(P)`` with rule bodies reading the views."""
         self.views.check_not_updated(program)
-        if options.check_safety:
-            check_program_safety(program)
-        stratification = stratify(program)
-
-        working = base.copy()
-        working.ensure_exists()
-        self.views.check_disjoint(working)
-
-        tracker = LinearityTracker()
-        if options.check_linearity:
-            tracker.seed_from(working)
-
-        iterations = 0
-        for stratum_index, stratum in enumerate(stratification):
-            while True:
-                iterations += 1
-                if iterations > options.max_iterations_per_stratum * len(
-                    stratification
-                ):
-                    raise EvaluationLimitError(
-                        stratum_index, options.max_iterations_per_stratum
-                    )
-                overlay = materialize(working, self.views)
-                step = tp_step(
-                    stratum,
-                    working,
-                    match_base=overlay,
-                    create_missing_objects=options.create_missing_objects,
-                )
-                fresh = [
-                    version
-                    for version in step.new_versions
-                    if not working.version_exists(version)
-                    and not working.state_of(version)
-                ]
-                changed = apply_tp(working, step)
-                if options.check_linearity:
-                    for version in sorted(fresh, key=str):
-                        tracker.observe(version)
-                if not changed:
-                    break
-
-        from repro.core.evaluation import EvaluationOutcome
-
-        finals = tracker.latest if options.check_linearity else {}
-        return EvaluationOutcome(
-            working, stratification, EvaluationTrace(), finals, iterations
+        compiled = self.compile(program)
+        self.views.check_disjoint(base)
+        return evaluate(
+            program, base, self.options, compiled=compiled, overlay=self.view
         )
-
-    def apply(self, program: UpdateProgram, base: ObjectBase) -> UpdateResult:
-        """Full pipeline; ``result.new_base`` is the pure ``ob'`` — call
-        :meth:`view` on it to see the derived methods of the new state."""
-        return update_result(base, self.evaluate(program, base))
 
     def view(self, base: ObjectBase) -> ObjectBase:
         """Materialise the views over any base (e.g. an ``ob'``)."""

@@ -3,7 +3,7 @@
 The registry is always importable and always writable, but the
 *instrumentation call sites* spread through the engine, store, server and replication
 layers all go through the guarded module-level helpers (:func:`inc`,
-:func:`observe`, :func:`set_gauge`, :func:`span`), which are no-ops
+:func:`observe`, :func:`set_gauge`), which are no-ops
 unless observability is switched on.  That keeps the disabled path to a
 single module-global read plus a falsy check per instrumentation point:
 the acceptance bound — metrics on within 5 % of metrics off on the hot
@@ -22,18 +22,12 @@ Histograms keep ``count``/``sum``/``min``/``max`` exactly and a bounded
 reservoir (default 512 samples, oldest-out) from which snapshot-time
 quantiles (p50/p95/p99) are computed — memory stays O(series), never
 O(observations).
-
-Tracing spans are deliberately lightweight: :func:`span` is a context
-manager that times its block and feeds one histogram observation
-(``<name>_seconds``), so a span costs nothing when metrics are off and
-one ``perf_counter`` pair when on.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-import time
 from collections import deque
 
 __all__ = [
@@ -49,7 +43,6 @@ __all__ = [
     "render_prometheus",
     "set_gauge",
     "snapshot",
-    "span",
 ]
 
 #: Bounded reservoir size per histogram series (oldest-out).
@@ -298,52 +291,6 @@ def set_gauge(name: str, value: float, **labels: str) -> None:
 def observe(name: str, value: float, **labels: str) -> None:
     if metrics_enabled():
         _REGISTRY.observe(name, value, **labels)
-
-
-class _Span:
-    """Times its block and observes ``<name>_seconds`` on exit."""
-
-    __slots__ = ("name", "labels", "start", "seconds")
-
-    def __init__(self, name: str, labels: dict[str, str]) -> None:
-        self.name = name
-        self.labels = labels
-        self.start = 0.0
-        self.seconds = 0.0
-
-    def __enter__(self) -> "_Span":
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.seconds = time.perf_counter() - self.start
-        if metrics_enabled():
-            _REGISTRY.observe(
-                f"{self.name}_seconds", self.seconds, **self.labels
-            )
-
-
-class _NoopSpan:
-    __slots__ = ()
-    seconds = 0.0
-
-    def __enter__(self) -> "_NoopSpan":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        return None
-
-
-_NOOP_SPAN = _NoopSpan()
-
-
-def span(name: str, **labels: str):
-    """A lightweight tracing span: ``with span("commit.append"): ...``
-    observes one duration into the ``commit.append_seconds`` histogram.
-    Returns a shared no-op object when metrics are off."""
-    if not metrics_enabled():
-        return _NOOP_SPAN
-    return _Span(name, labels)
 
 
 def snapshot() -> dict:

@@ -3,7 +3,12 @@
 import pytest
 
 from repro import parse_object_base, parse_program, query
-from repro.core.errors import ProgramError, StratificationError
+from repro.core.errors import (
+    EvaluationLimitError,
+    ProgramError,
+    StratificationError,
+    VersionDepthError,
+)
 from repro.ext.derived import (
     DerivedProgram,
     DerivedUpdateEngine,
@@ -94,6 +99,19 @@ class TestMaterialize:
         with pytest.raises(ProgramError):
             parse_derived_program("bad: X.exists -> X <= X.m -> V.")
 
+    def test_iteration_limit_names_the_diverging_stratum(self, base):
+        views = parse_derived_program(
+            """
+            boss: X.isboss -> yes <= X.pos -> mgr.
+            c0:   X.cnt -> 0 <= X.isa -> empl, not X.isboss -> yes.
+            c1:   X.cnt -> M <= X.cnt -> N, M = N + 1.
+            """
+        )
+        with pytest.raises(EvaluationLimitError) as caught:
+            materialize(base, views, max_iterations=50)
+        assert caught.value.stratum == 1  # c0/c1 sit above boss
+        assert "stratum 1 " in str(caught.value)
+
 
 class TestDerivedUpdateEngine:
     def test_update_rules_read_views(self, views, base):
@@ -168,6 +186,63 @@ class TestDerivedUpdateEngine:
         plain = UpdateEngine().apply(program, base)
         derived = DerivedUpdateEngine(views).apply(program, base)
         assert plain.new_base == derived.new_base
+
+
+class TestOneLoop:
+    """The derived engine is the core ``T_P`` loop with a view overlay, so
+    every evaluation option means what it means without views."""
+
+    def test_trace_matches_plain_engine(self, views):
+        from repro import UpdateEngine
+        from repro.workloads import paper_example_base, paper_example_program
+
+        program, base = paper_example_program(), paper_example_base()
+        plain = UpdateEngine(collect_trace=True).apply(program, base)
+        derived = DerivedUpdateEngine(views, collect_trace=True).apply(
+            program, base
+        )
+        # A view overlay turns off semi-naive seeding, so later iterations
+        # re-list old instances as fired; strata, rule names, iterations
+        # and created versions are the plain engine's.
+        def shape(trace):
+            return [
+                (stratum.index, stratum.rule_names,
+                 [iteration.new_versions for iteration in stratum.iterations])
+                for stratum in trace.strata
+            ]
+
+        assert derived.trace.render().startswith("stratum 0: {rule1, rule2}")
+        assert shape(derived.trace) == shape(plain.trace)
+
+    def test_max_version_depth_enforced(self, views):
+        from repro.workloads import paper_example_base, paper_example_program
+
+        engine = DerivedUpdateEngine(views, max_version_depth=1)
+        with pytest.raises(VersionDepthError):
+            engine.apply(paper_example_program(), paper_example_base())
+
+    def test_version_variable_head_rejected_like_plain_engine(self, views, base):
+        from repro import UpdateEngine
+
+        program = parse_program("bad: ins[?W].tag -> x <= ?W.sal -> S.")
+        with pytest.raises(ProgramError) as plain:
+            UpdateEngine().apply(program, base)
+        with pytest.raises(ProgramError) as derived:
+            DerivedUpdateEngine(views).apply(program, base)
+        assert type(derived.value) is type(plain.value)
+        assert str(derived.value) == str(plain.value)
+
+    def test_with_options_keeps_the_views(self, views, base):
+        engine = DerivedUpdateEngine(views).with_options(check_linearity=False)
+        assert isinstance(engine, DerivedUpdateEngine)
+        assert not engine.options.check_linearity
+        program = parse_program(
+            "cut: mod[E].sal -> (S, S2) <= E.senior -> yes, E.sal -> S, "
+            "S2 = S - 500."
+        )
+        result = engine.apply(program, base)
+        salaries = {a["E"]: a["S"] for a in query(result.new_base, "E.sal -> S")}
+        assert salaries == {"phil": 4000, "bob": 3700, "amy": 3000}
 
 
 class TestDerivedProgramStructure:

@@ -42,6 +42,18 @@ def test_apply_with_views(files, capsys):
     assert "senior" not in out           # views are never stored
 
 
+def test_apply_with_views_traces(files, capsys):
+    code = main([
+        "apply",
+        "--program", str(files["p.upd"]),
+        "--base", str(files["w.ob"]),
+        "--views", str(files["v.upd"]),
+        "--trace",
+    ])
+    assert code == 0
+    assert "stratum 0: {cut}" in capsys.readouterr().err
+
+
 def test_apply_without_views_rejects_view_reads(files, capsys):
     # without --views the body's `senior` method simply never matches:
     # the rule cannot fire and salaries stay put
