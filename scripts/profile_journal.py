@@ -9,7 +9,11 @@ applies ``K`` single-employee raises through ``StoreService.apply`` (the
 workload's writer stream).  Prints the snapshot files the raises wrote,
 the bytes each commit added to the directory (journal lines and snapshot
 files together), commit p50 / max, the share of all commit time spent in
-the commits that wrote a snapshot, and how long ``load_store`` takes to
+the commits that wrote a snapshot, how many entries the forks of frozen
+bases copy per commit (``ObjectBase.fork`` is wrapped in this script for
+the raises: each such fork counts the ``len()`` of every dict and set slot
+of its parent except ``_owned`` and an adopted fact set, plus each
+per-method dict of ``_by_arg``), and how long ``load_store`` takes to
 reach the head of the result.  Reads ``benchmarks.e2e.served``; changes
 nothing outside a temporary directory.
 """
@@ -28,6 +32,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from benchmarks.e2e.served import Enterprise, raise_text  # noqa: E402
+from repro.core.objectbase import ObjectBase  # noqa: E402
 from repro.server import StoreService  # noqa: E402
 from repro.storage import DurabilityOptions, load_store  # noqa: E402
 
@@ -37,6 +42,33 @@ def disk(directory: Path) -> tuple[int, int]:
     files = list(directory.iterdir())
     snapshots = sum(1 for path in files if path.name.startswith("snap-"))
     return sum(path.stat().st_size for path in files), snapshots
+
+
+def copied_entries(parent: ObjectBase) -> int:
+    """The entries a fork of the frozen ``parent`` copies: its dict and
+    set slots (not the fork's own ``_owned`` marks, not an adopted fact
+    set), plus the per-method dicts of the column indexes."""
+    total = 0
+    for slot in ObjectBase.__slots__:
+        value = getattr(parent, slot, None)
+        if slot not in ("_owned", "_adopted") and isinstance(value, (dict, set)):
+            total += len(value)
+    return total + sum(len(per_column) for per_column in parent._by_arg.values())
+
+
+def count_forks(forks: list[int]):
+    """Wrap ``ObjectBase.fork`` so each fork of a frozen base appends its
+    :func:`copied_entries` to ``forks``; returns the unwrapped method."""
+    fork = ObjectBase.fork
+
+    def counted(self: ObjectBase) -> ObjectBase:
+        child = fork(self)
+        if self.frozen:
+            forks.append(copied_entries(self))
+        return child
+
+    ObjectBase.fork = counted
+    return fork
 
 
 def main() -> None:
@@ -55,6 +87,8 @@ def main() -> None:
         bytes0, files0 = disk(directory)
         plain_s, snapshot_s = [], []
         files = files0
+        forks: list[int] = []
+        fork = count_forks(forks)
         for emp in itertools.islice(ent.writer_ops(), args.raises):
             started = time.perf_counter()
             service.apply(raise_text(emp))
@@ -62,6 +96,7 @@ def main() -> None:
             _size, now = disk(directory)
             (snapshot_s if now > files else plain_s).append(elapsed)
             files = now
+        ObjectBase.fork = fork
         bytes1, files1 = disk(directory)
         started = time.perf_counter()
         len(load_store(directory).current)  # snapshots load lazily: touch the head
@@ -74,6 +109,8 @@ def main() -> None:
     print(f"bytes written per commit: {(bytes1 - bytes0) / args.raises:.0f}")
     print(f"commit p50 {statistics.median(commits_s) * 1e3:.2f} ms, "
           f"max {max(commits_s) * 1e3:.2f} ms")
+    print(f"fork entries per commit: {len(forks) / args.raises:g} forks, "
+          f"{sum(forks) / args.raises:.0f} entries")
     print(f"share of commit time in snapshot commits: "
           f"{sum(snapshot_s) / sum(commits_s):.1%} ({len(snapshot_s)} commits)")
     print(f"load_store to head: {load_s * 1e3:.0f} ms")

@@ -198,9 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="listen on TCP (0 picks a free port, printed on stderr)",
     )
     serve_cmd.add_argument(
-        "--durability", choices=["none", "flush", "fsync"], default=None,
+        "--durability", choices=["flush", "fsync"], default=None,
         help="journal write discipline for served commits (default: flush; "
-        "fsync survives power loss, none is fastest)",
+        "fsync survives power loss)",
     )
     serve_cmd.add_argument(
         "--shutdown-deadline", type=float, default=None, metavar="SECONDS",
@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="launch every shard with the metrics registry enabled",
     )
     cluster_launch.add_argument(
-        "--durability", choices=["none", "flush", "fsync"], default=None,
+        "--durability", choices=["flush", "fsync"], default=None,
     )
     replica_cmd = commands.add_parser(
         "replica",
@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve this replica on TCP (0 picks a free port)",
     )
     replica_serve.add_argument(
-        "--durability", choices=["none", "flush", "fsync"], default=None,
+        "--durability", choices=["flush", "fsync"], default=None,
         help="journal write discipline for replicated lines",
     )
     replica_serve.add_argument(

@@ -59,8 +59,6 @@ class EvaluationOptions:
         Guard against value-generating recursion (DESIGN.md D7).
     check_linearity:
         Run the Section 5 check incrementally (raises on violation).
-    check_safety:
-        Reject unsafe rules up front (Section 2.1 requires safe rules).
     create_missing_objects:
         Allow ``ins`` on OIDs unknown to the base to create objects
         (DESIGN.md D3; the strict paper reading is False).
@@ -75,7 +73,6 @@ class EvaluationOptions:
 
     max_iterations_per_stratum: int = 10_000
     check_linearity: bool = True
-    check_safety: bool = True
     create_missing_objects: bool = False
     collect_trace: bool = False
     collect_snapshots: bool = False
@@ -137,7 +134,6 @@ class CompiledProgram:
 
     program: UpdateProgram
     stratification: Stratification
-    safety_checked: bool
     #: The plan-compiled rule executors (``repro.core.codegen``), pinned
     #: here so a long-lived compiled program never loses its closures to
     #: LRU eviction.
@@ -151,19 +147,14 @@ def compile_program(
 
     Raises the same :class:`~repro.core.errors.ProgramError` family a direct
     ``evaluate`` call would, so an invalid program fails at compile time —
-    before any base is touched.  With ``check_safety`` off, a rule whose
-    body cannot be ordered raises :class:`~repro.core.errors.EvaluationError`
-    here, where its plan is built.
+    before any base is touched.  The artifact does not depend on
+    ``options``.
     """
-    options = options or EvaluationOptions()
     _reject_version_vars_in_heads(program)
-    if options.check_safety:
-        check_program_safety(program)
+    check_program_safety(program)
     stratification = stratify(program)
     compiled_rules = tuple(compiled_rule(rule) for rule in program)
-    return CompiledProgram(
-        program, stratification, options.check_safety, compiled_rules
-    )
+    return CompiledProgram(program, stratification, compiled_rules)
 
 
 def evaluate(

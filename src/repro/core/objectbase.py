@@ -5,11 +5,12 @@ of a version ``v`` w.r.t. the base is the set of all method-applications
 derivable from its version-terms.  This module adds:
 
 * hash indexes by method, by host, and by (host, method) — the access paths
-  of the rule matcher;
+  of the rule matcher, and the only place a fact is stored;
 * ``exists`` bookkeeping (Section 3): ``o.exists -> o`` is defined for every
   object of the initial base, copies propagate it to derived versions, and
   it can never be updated, so even a fully-deleted version survives as
-  ``del(v).exists -> o``;
+  ``del(v).exists -> o``.  Which versions exist is read off the
+  ``(version, "exists", 0)`` buckets of the (host, method) index;
 * the ``v*`` operator of Section 3: the largest subterm of a VID whose
   ``exists`` fact is present — the state a head update is checked against
   and copied from.
@@ -17,6 +18,7 @@ derivable from its version-terms.  This module adds:
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
 from repro.core.errors import FrozenBaseError, TermError
@@ -158,35 +160,36 @@ def _shaped(
 class ObjectBase:
     """A mutable set of facts with the indexes the engine needs.
 
-    The public surface treats the base as a set of :class:`Fact`; mutation
-    keeps all indexes synchronous.  :meth:`fork` (and ``copy()``, which is
-    the same thing) of a *frozen* base shares every index bucket with it
-    and copies a bucket the first time the fork writes to it, so deriving
-    a base from a frozen one costs the dict spines plus the buckets
-    actually written, never the base; of an unfrozen base it is an eager
-    dict/set copy.  :meth:`from_fact_set` adopts a fact set alone and
-    builds the four indexes on first use.
+    The public surface treats the base as a set of :class:`Fact`, each
+    stored only in the index buckets; mutation keeps all indexes
+    synchronous.  :meth:`fork` (and ``copy()``, which is the same thing) of
+    a *frozen* base shares every index bucket with it and copies a bucket
+    the first time the fork writes to it, so deriving a base from a frozen
+    one costs the dict spines plus the buckets actually written, never the
+    base; of an unfrozen base it is an eager bucket-by-bucket copy.
+    :meth:`from_fact_set` adopts a fact set alone and builds the indexes
+    from it on the first indexed read.
     """
 
     __slots__ = (
-        "_facts",
+        "_adopted",
         "_by_method",
         "_by_host",
         "_by_host_method",
         "_by_arg",
-        "_exists",
         "_frozen",
         "_owned",
         "_plain",
     )
 
     def __init__(self, facts: Iterable[Fact] = ()):
-        self._facts: set[Fact] = set()
+        #: The set :meth:`from_fact_set` adopted (``_by_method`` is then
+        #: ``None``) until the indexes are built from it; then ``None``.
+        self._adopted: set[Fact] | None = None
         self._by_method: dict[tuple[str, int], set[Fact]] | None = {}
         self._by_host: dict[Term, set[Fact]] | None = {}
         self._by_host_method: dict[tuple[Term, str, int], set[Fact]] | None = {}
         self._by_arg: dict[MethodKey, dict[int, dict[Oid, set[Fact]]]] = {}
-        self._exists: dict[Term, Oid] | None = {}
         self._frozen = False
         #: ``None``: every index bucket is this base's own.  A set: this
         #: base is a fork sharing buckets with a frozen parent, and the
@@ -206,22 +209,25 @@ class ObjectBase:
             self._build_indexes()
 
     def _build_indexes(self) -> None:
+        """Index the adopted set, then drop it.  Safe for concurrent
+        readers of a frozen base: the set is read once, and ``_by_method``
+        (the flag :meth:`_ensure_indexes` tests) is published after the
+        other indexes and before the set is dropped."""
+        adopted = self._adopted
+        if adopted is None:
+            return
         by_method: dict[tuple[str, int], set[Fact]] = {}
         by_host: dict[Term, set[Fact]] = {}
         by_host_method: dict[tuple[Term, str, int], set[Fact]] = {}
-        exists: dict[Term, Oid] = {}
-        for fact in self._facts:
+        for fact in adopted:
             mkey = (fact.method, len(fact.args))
             by_method.setdefault(mkey, set()).add(fact)
             by_host.setdefault(fact.host, set()).add(fact)
             by_host_method.setdefault((fact.host, *mkey), set()).add(fact)
-            if fact.method == EXISTS and not fact.args:
-                exists[fact.host] = fact.result
-        self._by_method = by_method
         self._by_host = by_host
         self._by_host_method = by_host_method
-        self._by_arg = {}
-        self._exists = exists
+        self._by_method = by_method
+        self._adopted = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -260,19 +266,14 @@ class ObjectBase:
     @classmethod
     def from_fact_set(cls, facts: set[Fact]) -> "ObjectBase":
         """Adopt an already-validated set of ground facts without building
-        indexes (they are rebuilt on first indexed access).  Internal fast
-        path for bulk construction — the caller must not reuse ``facts``.
+        indexes: the set protocol (``len``, ``in``, iteration,
+        :meth:`difference`) answers from it, and the first indexed read
+        builds the indexes from it and drops it.  Internal fast path for
+        bulk construction — the caller must not reuse ``facts``.
         """
-        base = cls.__new__(cls)
-        base._facts = facts
-        base._by_method = None
-        base._by_host = None
-        base._by_host_method = None
-        base._by_arg = {}
-        base._exists = None
-        base._frozen = False
-        base._owned = None
-        base._plain = None
+        base = cls()
+        base._adopted = facts
+        base._by_method = base._by_host = base._by_host_method = None
         return base
 
     def copy(self) -> "ObjectBase":
@@ -306,8 +307,8 @@ class ObjectBase:
         """A mutable base equal to this one that never writes through to it.
 
         Forking a **frozen** base is copy-on-write at bucket level: the
-        fact set and the dict spines of the indexes are copied (C-level
-        ``set.copy()`` / ``dict.copy()``), every bucket is shared, and a
+        dict spines of the three indexes and of the column indexes are
+        copied (C-level ``dict.copy()``), every bucket is shared, and a
         bucket is copied the first time the fork writes to it.  The buckets
         of hosts the fork creates (``mod(e)``, ``del(mod(e))`` …) are new,
         so an update that touches a few objects copies the handful of
@@ -316,23 +317,22 @@ class ObjectBase:
 
         An unfrozen parent may still write to its buckets, so nothing is
         shared with it: its fork is an eager copy of every bucket (or of
-        the fact set alone while its indexes are not built).
+        the adopted set while its indexes are not built).
         """
-        child = ObjectBase.from_fact_set(self._facts.copy())
+        if not self._frozen and self._adopted is not None:
+            return ObjectBase.from_fact_set(self._adopted.copy())
+        child = ObjectBase()
         if not self._frozen:
-            if self._by_method is not None:
-                child._by_method = {k: set(v) for k, v in self._by_method.items()}
-                child._by_host = {k: set(v) for k, v in self._by_host.items()}
-                child._by_host_method = {
-                    k: set(v) for k, v in self._by_host_method.items()
-                }
-                child._exists = dict(self._exists)
+            child._by_method = {k: set(v) for k, v in self._by_method.items()}
+            child._by_host = {k: set(v) for k, v in self._by_host.items()}
+            child._by_host_method = {
+                k: set(v) for k, v in self._by_host_method.items()
+            }
             return child
         self._ensure_indexes()
         child._by_method = self._by_method.copy()
         child._by_host = self._by_host.copy()
         child._by_host_method = self._by_host_method.copy()
-        child._exists = self._exists.copy()
         # Per-method column spines are copied up front: the (frozen) parent
         # may still *build* new column indexes lazily — from a reader
         # thread, even — and those must not leak into the fork.  The outer
@@ -397,15 +397,15 @@ class ObjectBase:
         cost is the delta plus the spine copies — never an index rebuild.
         A :meth:`plain <is_plain>` parent hands its plainness on when the
         hosts the delta touched still qualify.  Applied to an unfrozen base
-        (nothing to share) only the fact set is derived; its indexes are
-        rebuilt on first use.
+        (nothing to share) the result adopts a fact set derived from this
+        base (:meth:`from_fact_set`); its indexes are built on first use.
         """
         added = added if isinstance(added, (set, frozenset, list, tuple)) else list(added)
         removed = (
             removed if isinstance(removed, (set, frozenset, list, tuple)) else list(removed)
         )
         if not self._frozen:
-            facts = self._facts.copy()
+            facts = set(self)
             facts.difference_update(removed)
             facts.update(added)
             return ObjectBase.from_fact_set(facts)
@@ -433,14 +433,15 @@ class ObjectBase:
         On a plain base :meth:`ensure_exists` has nothing to add, every
         object is its own final version until a rule touches it, and a
         no-op update drops nothing — which is what lets the engine skip
-        three base-sized passes.  Establishing it is one pass; the answer
-        is cached only where it cannot go stale: on a frozen base, and on a
-        fork until its next write.
+        three base-sized passes.  Establishing it is one pass over the
+        hosts and their ``exists`` buckets; the answer is cached only where
+        it cannot go stale: on a frozen base, and on a fork until its next
+        write.
         """
         plain = self._plain
         if plain is None:
             self._ensure_indexes()
-            exists = self._exists
+            by_host_method = self._by_host_method
             hosts = 0
             plain = True
             for host, state in self._by_host.items():
@@ -450,7 +451,9 @@ class ObjectBase:
                 if len(state) < 2 or host.__class__ is not Oid:
                     plain = False
                     break
-                owner = exists.get(host)
+                exists = by_host_method.get((host, EXISTS, 0))
+                # the bucket's only fact, when the count below holds
+                owner = next(iter(exists)).result if exists else None
                 if owner is not host and owner != host:
                     plain = False
                     break
@@ -472,7 +475,7 @@ class ObjectBase:
         return (
             host.__class__ is Oid
             and len(state) > 1
-            and self._exists.get(host) == host
+            and self._by_host_method.get((host, EXISTS, 0)) == {exists_fact(host)}
             and sum(1 for fact in state if fact.method == EXISTS) == 1
         )
 
@@ -480,34 +483,52 @@ class ObjectBase:
     # set protocol
     # ------------------------------------------------------------------
     def __contains__(self, fact: Fact) -> bool:
-        return fact in self._facts
+        adopted = self._adopted
+        if adopted is not None:
+            return fact in adopted
+        # By method, not by host: a host term hashes and compares in Python.
+        bucket = self._by_method.get((fact.method, len(fact.args)))
+        return bucket is not None and fact in bucket
 
     def __len__(self) -> int:
-        return len(self._facts)
+        adopted = self._adopted
+        if adopted is not None:
+            return len(adopted)
+        return sum(map(len, self._by_method.values()))
 
     def __iter__(self) -> Iterator[Fact]:
-        return iter(self._facts)
+        adopted = self._adopted
+        if adopted is not None:
+            return iter(adopted)
+        return chain.from_iterable(self._by_method.values())
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, ObjectBase):
-            return self._facts == other._facts
+            return len(self) == len(other) and not self.difference(other)
         return NotImplemented
 
     def difference(self, other: "ObjectBase | set[Fact] | frozenset[Fact]") -> set[Fact]:
         """The facts of this base that ``other`` — a base or a set of
-        facts — does not hold."""
-        return self._facts - (other._facts if isinstance(other, ObjectBase) else other)
+        facts — does not hold (bucket by bucket between indexed bases)."""
+        theirs = other._by_method if isinstance(other, ObjectBase) else None
+        if self._by_method is None or theirs is None:
+            return set(self).difference(other)
+        return set().union(
+            *(bucket.difference(theirs.get(mkey, ())) for mkey, bucket in self._by_method.items())
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        versions = "?" if self._exists is None else len(self._exists)
-        return f"ObjectBase({len(self._facts)} facts, {versions} versions)"
+        return f"ObjectBase({len(self)} facts)"
 
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
     def add(self, fact: Fact) -> bool:
         """Insert ``fact``; returns True when the base changed."""
-        if fact in self._facts:
+        self._ensure_indexes()
+        mkey = (fact.method, len(fact.args))
+        bucket = self._by_method.get(mkey)
+        if bucket is not None and fact in bucket:
             return False
         if self._frozen:
             raise FrozenBaseError(
@@ -518,24 +539,20 @@ class ObjectBase:
             raise TermError(f"object bases hold ground facts only, got {fact}")
         if self._owned is not None:
             self._own(fact)
-        self._ensure_indexes()
-        self._facts.add(fact)
-        method = fact.method
-        arity = len(fact.args)
         try:
-            self._by_method[(method, arity)].add(fact)
+            self._by_method[mkey].add(fact)
         except KeyError:
-            self._by_method[(method, arity)] = {fact}
+            self._by_method[mkey] = {fact}
         try:
             self._by_host[host].add(fact)
         except KeyError:
             self._by_host[host] = {fact}
-        hkey = (host, method, arity)
+        hkey = (host, *mkey)
         try:
             self._by_host_method[hkey].add(fact)
         except KeyError:
             self._by_host_method[hkey] = {fact}
-        per_column = self._by_arg.get((method, arity))
+        per_column = self._by_arg.get(mkey)
         if per_column:
             for column, index in per_column.items():
                 key = fact.result if column < 0 else fact.args[column]
@@ -543,13 +560,11 @@ class ObjectBase:
                     index[key].add(fact)
                 except KeyError:
                     index[key] = {fact}
-        if method == EXISTS and not fact.args:
-            self._exists[host] = fact.result
         return True
 
     def discard(self, fact: Fact) -> bool:
         """Remove ``fact`` if present; returns True when the base changed."""
-        if fact not in self._facts:
+        if fact not in self:
             return False
         if self._frozen:
             raise FrozenBaseError(
@@ -558,7 +573,6 @@ class ObjectBase:
         if self._owned is not None:
             self._own(fact)
         self._ensure_indexes()
-        self._facts.discard(fact)
         mkey = (fact.method, len(fact.args))
         self._by_method[mkey].discard(fact)
         self._by_host[fact.host].discard(fact)
@@ -570,8 +584,6 @@ class ObjectBase:
                 bucket = index.get(key)
                 if bucket is not None:
                     bucket.discard(fact)
-        if fact.method == EXISTS and not fact.args:
-            self._exists.pop(fact.host, None)
         return True
 
     def add_state(self, host: Term, state: set[Fact]) -> None:
@@ -611,7 +623,6 @@ class ObjectBase:
             # private; shared per-method and column buckets are copied once.
             self._plain = None
             owned.add(host)
-        self._facts.update(state)
         self._by_host[host] = state
         by_method = self._by_method
         for mkey, group in groups.items():
@@ -632,9 +643,6 @@ class ObjectBase:
             if per_column:
                 for column in per_column:
                     self._index_column(per_column, mkey, column, group)
-            if mkey == (EXISTS, 0):
-                for fact in group:
-                    self._exists[host] = fact.result
 
     def _index_column(
         self, per_column: dict, mkey: MethodKey, column: int, facts: set[Fact]
@@ -672,9 +680,10 @@ class ObjectBase:
         copying, never through this method.
         """
         self._ensure_indexes()
+        by_host_method = self._by_host_method
         added = 0
         for host in list(self._by_host):
-            if isinstance(host, Oid) and host not in self._exists:
+            if isinstance(host, Oid) and not by_host_method.get((host, EXISTS, 0)):
                 if self.add(exists_fact(host)):
                     added += 1
         return added
@@ -772,13 +781,6 @@ class ObjectBase:
             per_column[column] = index
         return index.get(value) or ()
 
-    def arg_index_columns(self) -> dict[MethodKey, tuple[int, ...]]:
-        """The secondary index columns currently materialized per method
-        key (introspection for tests and the cache-stats hook)."""
-        return {
-            mkey: tuple(sorted(per)) for mkey, per in self._by_arg.items() if per
-        }
-
     def state_of(self, version: Term) -> frozenset[Fact]:
         """All method-applications of ``version`` (including ``exists``)."""
         return self.facts_by_host(version)
@@ -811,11 +813,11 @@ class ObjectBase:
         return self._by_host.get(version) or ()
 
     def iter_existing_versions(self) -> Iterable[Term]:
-        """The keys of the ``exists`` map, without the defensive dict copy
-        of :meth:`existing_versions` (same no-mutation caveat as the other
-        ``iter_*`` accessors)."""
-        self._ensure_indexes()
-        return self._exists.keys()
+        """The hosts of the ``exists`` facts, without the dict of
+        :meth:`existing_versions` (same no-mutation caveat as the other
+        ``iter_*`` accessors; a version with two ``exists`` facts comes
+        twice)."""
+        return (fact.host for fact in self.iter_facts_by_method(EXISTS, 0))
 
     # ------------------------------------------------------------------
     # versions and objects
@@ -823,25 +825,22 @@ class ObjectBase:
     def version_exists(self, version: Term) -> bool:
         """True when ``version.exists -> o`` is in the base."""
         self._ensure_indexes()
-        return version in self._exists
+        return bool(self._by_host_method.get((version, EXISTS, 0)))
 
     def existing_versions(self) -> Mapping[Term, Oid]:
-        """Read-only view of the ``exists`` map (version -> object)."""
-        self._ensure_indexes()
-        return dict(self._exists)
+        """The ``exists`` facts as a map, version -> object."""
+        return {fact.host: fact.result for fact in self.iter_facts_by_method(EXISTS, 0)}
 
     def objects(self) -> frozenset[Oid]:
         """The OIDs registered as objects (those with ``o.exists -> o``)."""
-        self._ensure_indexes()
-        return frozenset(v for v in self._exists if isinstance(v, Oid))
+        return frozenset(v for v in self.iter_existing_versions() if isinstance(v, Oid))
 
     def versions_of(self, oid: Oid) -> frozenset[Term]:
         """All existing versions of object ``oid`` (including ``oid``)."""
-        self._ensure_indexes()
         return frozenset(
-            version
-            for version, owner in self._exists.items()
-            if owner == oid and object_of(version) == oid
+            fact.host
+            for fact in self.iter_facts_by_method(EXISTS, 0)
+            if fact.result == oid and object_of(fact.host) == oid
         )
 
     def v_star(self, version: Term) -> Term | None:
@@ -854,8 +853,8 @@ class ObjectBase:
         is checked against and copied from.
         """
         self._ensure_indexes()
-        exists = self._exists
-        while version not in exists:
+        by_host_method = self._by_host_method
+        while not by_host_method.get((version, EXISTS, 0)):
             if version.__class__ is not VersionId:
                 return None
             version = version.base
@@ -869,7 +868,7 @@ class ObjectBase:
         objects, arguments and results).  This is the active domain used by
         the brute-force reference matcher in tests."""
         oids: set[Oid] = set()
-        for fact in self._facts:
+        for fact in self:
             oids.add(object_of(fact.host))
             oids.update(fact.args)
             oids.add(fact.result)
@@ -884,11 +883,8 @@ class ObjectBase:
         holds a key per fact: at 42 k facts three times the time, and
         young containers enough to bring a full collection forward into
         the snapshot write that asked for the order."""
+        self._ensure_indexes()
         by_host = self._by_host
-        if by_host is None:
-            by_host = {}
-            for fact in self._facts:
-                by_host.setdefault(fact.host, []).append(fact)
         ordered: list[Fact] = []
         for host in sorted(by_host, key=_host_sort_key):
             ordered.extend(sorted(by_host[host], key=_state_sort_key))

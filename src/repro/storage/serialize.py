@@ -37,7 +37,7 @@ follower checks received lines with :func:`parse_journal_record`.
 
 Durability is a policy, not a property of the data: :class:`DurabilityOptions`
 selects how hard each append and snapshot write is pushed toward the platter
-(``none``/``flush``/``fsync``), and every whole-file write — snapshots, the
+(``flush``/``fsync``), and every whole-file write — snapshots, the
 journal itself on save/compaction, tail repair — goes through an atomic
 temp-file + ``os.replace`` so a crash never leaves a half-written file under
 a durable name.  All file I/O funnels through a single module-level
@@ -94,7 +94,7 @@ __all__ = [
 JOURNAL_FILE = "journal.jsonl"
 _JOURNAL_FORMAT = "repro-store-journal"
 
-_DURABILITY_MODES = ("none", "flush", "fsync")
+_DURABILITY_MODES = ("flush", "fsync")
 
 
 @dataclass(frozen=True)
@@ -103,10 +103,9 @@ class DurabilityOptions:
 
     ``mode`` governs each journal line append:
 
-    * ``"none"`` — hand the bytes to the OS and move on (buffered write,
-      closed immediately); fastest, loses the tail on a machine crash.
-    * ``"flush"`` — explicitly flush the stream before close (the
-      historical behavior; survives process death, not power loss).
+    * ``"flush"`` — hand the bytes to the OS before the append returns
+      (the handle is closed, which flushes it); survives process death,
+      not power loss.
     * ``"fsync"`` — flush **and** ``os.fsync`` the journal (and the
       directory after a rename), so an acknowledged commit survives power
       loss.  Snapshot files are fsynced under this mode too.
@@ -120,10 +119,6 @@ class DurabilityOptions:
                 f"unknown durability mode {self.mode!r}; "
                 f"expected one of {', '.join(_DURABILITY_MODES)}"
             )
-
-    @property
-    def flush_appends(self) -> bool:
-        return self.mode in ("flush", "fsync")
 
     @property
     def fsync(self) -> bool:
@@ -154,14 +149,11 @@ class _Filesystem:
                 os.fsync(handle.fileno())
         self.replace(temp, path, fsync=fsync)
 
-    def append_text(
-        self, path: Path, text: str, *, flush: bool = True, fsync: bool = False
-    ) -> None:
+    def append_text(self, path: Path, text: str, *, fsync: bool = False) -> None:
         with path.open("a", encoding="utf-8") as handle:
             handle.write(text)
-            if flush or fsync:
-                handle.flush()
             if fsync:
+                handle.flush()
                 start = time.perf_counter()
                 os.fsync(handle.fileno())
                 _obs.observe(
@@ -553,12 +545,7 @@ def append_journal_line(
     durability = durability or DEFAULT_DURABILITY
     journal = Path(directory) / JOURNAL_FILE
     _obs.inc("journal_bytes", len(line.encode("utf-8")) + 1)
-    _fs.append_text(
-        journal,
-        line + "\n",
-        flush=durability.flush_appends,
-        fsync=durability.fsync,
-    )
+    _fs.append_text(journal, line + "\n", fsync=durability.fsync)
 
 
 def write_journal_file(

@@ -131,29 +131,29 @@ class FaultyFilesystem(_serialize._Filesystem):
             self.fired.append(spec_hit)
         return spec_hit
 
-    def _raw_append(self, path: Path, text: str, flush: bool, fsync: bool) -> None:
-        super().append_text(path, text, flush=flush, fsync=fsync)
+    def _raw_append(self, path: Path, text: str, fsync: bool) -> None:
+        super().append_text(path, text, fsync=fsync)
 
-    def append_text(self, path, text, *, flush=True, fsync=False):
+    def append_text(self, path, text, *, fsync=False):
         spec = self._arm("append", path)
         if spec is None:
-            return self._raw_append(path, text, flush, fsync)
+            return self._raw_append(path, text, fsync)
         if spec.action == "crash_before":
             raise InjectedCrash(f"crash before append to {path.name}")
         if spec.action == "enospc":
             raise OSError(errno.ENOSPC, f"no space left on device (injected): {path}")
         if spec.action == "torn":
-            self._raw_append(path, text[: spec.keep_bytes], True, fsync)
+            self._raw_append(path, text[: spec.keep_bytes], fsync)
             raise InjectedCrash(
                 f"crash after {spec.keep_bytes} bytes of append to {path.name}"
             )
         if spec.action == "duplicate":
-            self._raw_append(path, text + text, True, fsync)
+            self._raw_append(path, text + text, fsync)
             raise InjectedCrash(f"crash after duplicated append to {path.name}")
         if spec.action == "corrupt":
-            self._raw_append(path, _garble(text), True, fsync)
+            self._raw_append(path, _garble(text), fsync)
             raise InjectedCrash(f"crash after corrupted append to {path.name}")
-        self._raw_append(path, text, True, True)
+        self._raw_append(path, text, True)
         raise InjectedCrash(f"crash after durable append to {path.name}")
 
     def write_text(self, path, text, *, fsync=False):

@@ -87,8 +87,7 @@ def evaluate_reference(
     """
     options = options or EvaluationOptions()
     _reject_version_vars_in_heads(program)
-    if options.check_safety:
-        check_program_safety(program)
+    check_program_safety(program)
     stratification = stratify(program)
 
     plain = options.check_linearity and base.is_plain()

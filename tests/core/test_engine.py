@@ -80,7 +80,7 @@ class TestCompiledPrograms:
 
     def test_with_options_gets_a_fresh_cache(self, engine, paper_program):
         compiled = engine.compile(paper_program)
-        derived = engine.with_options(check_safety=False)
+        derived = engine.with_options(check_linearity=False)
         assert derived.compile(paper_program) is not compiled
 
 

@@ -1,5 +1,8 @@
 """Unit and property tests for the object base (indexes, exists, v*)."""
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -72,6 +75,21 @@ class TestMutation:
         base.discard(exists_fact(Oid("o")))
         assert not base.version_exists(Oid("o"))
 
+    def test_exists_survives_discarding_a_second_exists_fact(self):
+        a, b = Oid("a"), Oid("b")
+        base = ObjectBase(
+            [
+                make_fact(a, EXISTS, (), a),
+                make_fact(a, EXISTS, (), b),
+                make_fact(a, "sal", (), Oid(1)),
+            ]
+        )
+        base.discard(make_fact(a, EXISTS, (), b))
+        fresh = ObjectBase(list(base))
+        assert base.version_exists(a)
+        assert base.v_star(a) == a
+        assert fresh.version_exists(a) and fresh.v_star(a) == a
+
     def test_copy_is_independent(self):
         base = small_base()
         clone = base.copy()
@@ -105,6 +123,37 @@ class TestFreezing:
         assert base.facts_by_method("sal", 0)  # index built lazily, allowed
         assert base.version_exists(Oid("phil")) is False  # no exists facts
 
+    def test_concurrent_first_reads_of_a_lazy_frozen_base_agree(self):
+        # Readers race to build the indexes of an adopted set: each must
+        # see either the set or every index, never a half-published mix.
+        facts = set(ObjectBase.from_triples(
+            [(f"o{i}", "sal", i) for i in range(200)]
+        ))
+        expected = frozenset(f for f in facts if f.host == Oid("o7"))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                base = ObjectBase.from_fact_set(set(facts)).freeze()
+                seen = []
+
+                def read():
+                    seen.append((
+                        len(base),
+                        base.facts_by_host(Oid("o7")),
+                        base.v_star(wrap(MOD, Oid("o7"))),
+                    ))
+
+                threads = [threading.Thread(target=read) for _ in range(16)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                    assert not thread.is_alive()
+                assert seen == [(len(facts), expected, Oid("o7"))] * 16
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_copy_of_frozen_is_mutable(self):
         base = small_base().freeze()
         clone = base.copy()
@@ -116,6 +165,95 @@ class TestFreezing:
         base = small_base()
         base.ensure_exists()
         assert base.freeze().ensure_exists() == 0
+
+
+def _shapes_of(facts):
+    """The same facts held the ways a base can hold them: indexed,
+    adopted and unread, adopted then indexed, frozen, a fork of a frozen
+    base that wrote and undid a fact, and a base with an emptied bucket."""
+    facts = list(facts)
+    extra = make_fact(Oid("zed"), "tmp", (Oid(1),), Oid(2))
+
+    def adopted():
+        return ObjectBase.from_fact_set(set(facts))
+
+    def built():
+        base = ObjectBase.from_fact_set(set(facts))
+        base.facts_by_host(Oid("phil"))
+        return base
+
+    def fork():
+        base = ObjectBase(facts).freeze().fork()
+        base.add(extra)
+        base.discard(extra)
+        return base
+
+    def emptied():
+        base = ObjectBase(facts + [extra])
+        base.discard(extra)
+        return base
+
+    return {
+        "indexed": lambda: ObjectBase(facts),
+        "adopted": adopted,
+        "built": built,
+        "frozen": lambda: ObjectBase(facts).freeze(),
+        "fork": fork,
+        "emptied": emptied,
+    }
+
+
+SHAPES = list(_shapes_of(()))
+
+
+class TestSetProtocolAcrossShapes:
+    """``in``, ``len``, iteration, ``==`` and :meth:`difference` answer the
+    same for every way a base holds its facts."""
+
+    @pytest.fixture(params=SHAPES)
+    def shaped(self, request):
+        facts = set(small_base())
+        return _shapes_of(facts)[request.param](), facts
+
+    def test_contains(self, shaped):
+        base, facts = shaped
+        assert all(fact in base for fact in facts)
+        assert make_fact(Oid("zed"), "tmp", (Oid(1),), Oid(2)) not in base
+        assert make_fact(Oid("phil"), "sal", (), Oid(1)) not in base
+
+    def test_len_and_iter(self, shaped):
+        base, facts = shaped
+        listed = list(base)
+        assert len(base) == len(facts) == len(listed)
+        assert set(listed) == facts
+
+    def test_equal_to_every_other_shape(self, shaped):
+        base, facts = shaped
+        for make in _shapes_of(facts).values():
+            other = make()
+            assert base == other and other == base
+
+    def test_difference_against_bases_and_sets(self, shaped):
+        base, facts = shaped
+        smaller = set(facts)
+        dropped = make_fact(Oid("phil"), "sal", (), Oid(4000))
+        smaller.discard(dropped)
+        assert base.difference(facts) == set()
+        assert base.difference(smaller) == {dropped}
+        assert base.difference(frozenset(smaller)) == {dropped}
+        assert base.difference(ObjectBase(smaller)) == {dropped}
+        assert base.difference(ObjectBase.from_fact_set(set(smaller))) == {dropped}
+        assert ObjectBase(smaller).difference(base) == set()
+
+    def test_one_write_makes_it_unequal(self, shaped):
+        base, facts = shaped
+        reference = ObjectBase(facts)
+        changed = base.fork()
+        changed.discard(make_fact(Oid("phil"), "sal", (), Oid(4000)))
+        changed.add(make_fact(Oid("phil"), "sal", (), Oid(4400)))
+        assert len(changed) == len(base)
+        assert changed != base and changed != reference
+        assert base == reference
 
 
 class TestApplyDelta:

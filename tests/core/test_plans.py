@@ -6,7 +6,6 @@ import pytest
 from repro.core.codegen import match_rule_seeded_compiled
 from repro.core.consequence import apply_tp, tp_step
 from repro.core.errors import EvaluationError
-from repro.core.evaluation import EvaluationOptions, compile_program
 from repro.core.grounding import match_body, match_rule
 from repro.core.objectbase import Delta, ObjectBase
 from repro.core.plans import (
@@ -20,7 +19,6 @@ from repro.core.plans import (
 )
 from repro.core.facts import Fact
 from repro.core.query import prepare_query
-from repro.core.rules import UpdateProgram
 from repro.core.terms import Oid
 from repro.lang.parser import parse_body, parse_object_base, parse_program
 from repro.testing.reference import match_rule_dynamic
@@ -79,10 +77,6 @@ class TestJoinPlans:
         rules = parse_program("u1: ins[X].t -> 1 <= not X.isa -> empl.")
         with pytest.raises(EvaluationError, match="'u1'.*unsafe"):
             compile_plan(rules[0].body, name="u1")
-        with pytest.raises(EvaluationError, match="'u1'.*unsafe"):
-            compile_program(
-                UpdateProgram(rules), EvaluationOptions(check_safety=False)
-            )
 
     def test_unsafe_query_body_raises_a_typed_error_naming_the_query(self):
         text = "not X.isa -> empl"

@@ -34,10 +34,16 @@ fact_strategy = st.builds(
     st.integers(0, len(VALUES) - 1),
 )
 
+#: A method-application, or the ``exists`` fact of a host: deltas add and
+#: remove ``exists`` facts through the copy-on-write buckets too.
+delta_fact_strategy = st.one_of(
+    fact_strategy, st.builds(exists_fact, st.sampled_from(HOSTS))
+)
+
 #: One revision step: facts to add and facts to remove.
 delta_strategy = st.tuples(
-    st.lists(fact_strategy, max_size=4),
-    st.lists(fact_strategy, max_size=4),
+    st.lists(delta_fact_strategy, max_size=4),
+    st.lists(delta_fact_strategy, max_size=4),
 )
 
 #: Facts whose applications make up the complete state of a brand-new version.
@@ -70,6 +76,8 @@ def _probe_everything(base: ObjectBase) -> dict:
         observed[("host", host)] = base.facts_by_host(host)
         for method in METHODS:
             observed[("hm", host, method)] = base.facts_by_host_method(host, method, 0)
+        observed[("exists", host)] = base.version_exists(host)
+        observed[("v*", host)] = base.v_star(host)
     observed["exists"] = dict(base.existing_versions())
     return observed
 

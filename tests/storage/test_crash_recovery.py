@@ -28,6 +28,7 @@ import shutil
 
 import pytest
 
+from repro.core.errors import ReproError
 from repro.lang.parser import parse_program
 from repro.server.errors import SessionError
 from repro.server.service import StoreService
@@ -44,7 +45,7 @@ from repro.storage.serialize import append_revision
 from repro.testing import FaultSpec, FaultyFilesystem, InjectedCrash, inject_faults
 from repro.workloads import paper_example_base
 
-MODES = ["none", "flush", "fsync"]
+MODES = ["flush", "fsync"]
 #: actions that must leave the journal at exactly the acknowledged prefix
 LOSSY = ["crash_before", "torn", "corrupt", "enospc"]
 #: actions where the commit's bytes are durable but the ack was lost
@@ -312,6 +313,17 @@ def test_journals_without_checksums_still_load(tmp_path):
     assert report["ok"] is True
     assert report["unchecksummed"] == N_COMMITS + 1
     assert report["checksummed"] == 0
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_durability_modes_are_accepted(mode):
+    assert DurabilityOptions(mode=mode).fsync is (mode == "fsync")
+
+
+@pytest.mark.parametrize("mode", ["none", "FSYNC", "sync", ""])
+def test_unknown_durability_mode_is_rejected(mode):
+    with pytest.raises(ReproError, match="unknown durability mode"):
+        DurabilityOptions(mode=mode)
 
 
 def test_faultless_probe_filesystem_reports_operations(tmp_path):
