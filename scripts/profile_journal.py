@@ -13,9 +13,13 @@ the commits that wrote a snapshot, how many entries the forks of frozen
 bases copy per commit (``ObjectBase.fork`` is wrapped in this script for
 the raises: each such fork counts the ``len()`` of every dict and set slot
 of its parent except ``_owned`` and an adopted fact set, plus each
-per-method dict of ``_by_arg``), and how long ``load_store`` takes to
-reach the head of the result.  Reads ``benchmarks.e2e.served``; changes
-nothing outside a temporary directory.
+per-method dict of ``_by_arg``), how many entries the writes of a commit
+then copy out of the shared buckets (the median over the raises: after
+each commit, every value in a dict slot of such a fork that is not the
+parent's own object counts its ``len()``, and a dict value also counts
+the ``len()`` of each of its values that is not the parent's), and how
+long ``load_store`` takes to reach the head of the result.  Reads
+``benchmarks.e2e.served``; changes nothing outside a temporary directory.
 """
 
 from __future__ import annotations
@@ -56,15 +60,43 @@ def copied_entries(parent: ObjectBase) -> int:
     return total + sum(len(per_column) for per_column in parent._by_arg.values())
 
 
-def count_forks(forks: list[int]):
+def bucket_entries(parent: ObjectBase, child: ObjectBase) -> int:
+    """The entries the writes to ``child``, a fork of the frozen
+    ``parent``, have put into buckets of its own: every value of a dict
+    slot that is not the parent's object counts its size, and a dict value
+    also counts the values of its own that are not the parent's."""
+    total = 0
+    for slot in ObjectBase.__slots__:
+        mine = getattr(child, slot, None)
+        if slot in ("_owned", "_adopted") or not isinstance(mine, dict):
+            continue
+        theirs = getattr(parent, slot, None) or {}
+        for key, value in mine.items():
+            shared = theirs.get(key)
+            if value is shared:
+                continue
+            total += len(value)
+            if isinstance(value, dict):
+                shared = shared if isinstance(shared, dict) else {}
+                total += sum(
+                    len(inner)
+                    for inner_key, inner in value.items()
+                    if inner is not shared.get(inner_key)
+                )
+    return total
+
+
+def count_forks(forks: list[int], pairs: list[tuple[ObjectBase, ObjectBase]]):
     """Wrap ``ObjectBase.fork`` so each fork of a frozen base appends its
-    :func:`copied_entries` to ``forks``; returns the unwrapped method."""
+    :func:`copied_entries` to ``forks`` and ``(parent, fork)`` to
+    ``pairs``; returns the unwrapped method."""
     fork = ObjectBase.fork
 
     def counted(self: ObjectBase) -> ObjectBase:
         child = fork(self)
         if self.frozen:
             forks.append(copied_entries(self))
+            pairs.append((self, child))
         return child
 
     ObjectBase.fork = counted
@@ -88,11 +120,15 @@ def main() -> None:
         plain_s, snapshot_s = [], []
         files = files0
         forks: list[int] = []
-        fork = count_forks(forks)
+        pairs: list[tuple[ObjectBase, ObjectBase]] = []
+        buckets: list[int] = []
+        fork = count_forks(forks, pairs)
         for emp in itertools.islice(ent.writer_ops(), args.raises):
             started = time.perf_counter()
             service.apply(raise_text(emp))
             elapsed = time.perf_counter() - started
+            buckets.append(sum(bucket_entries(*pair) for pair in pairs))
+            pairs.clear()
             _size, now = disk(directory)
             (snapshot_s if now > files else plain_s).append(elapsed)
             files = now
@@ -111,6 +147,7 @@ def main() -> None:
           f"max {max(commits_s) * 1e3:.2f} ms")
     print(f"fork entries per commit: {len(forks) / args.raises:g} forks, "
           f"{sum(forks) / args.raises:.0f} entries")
+    print(f"bucket entries per commit: {statistics.median(buckets):.0f}")
     print(f"share of commit time in snapshot commits: "
           f"{sum(snapshot_s) / sum(commits_s):.1%} ({len(snapshot_s)} commits)")
     print(f"load_store to head: {load_s * 1e3:.0f} ms")

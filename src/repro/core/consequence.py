@@ -117,13 +117,6 @@ class PendingUpdates:
     def is_empty(self) -> bool:
         return not (self.inserts or self.deletes or self.modifies)
 
-    def total_updates(self) -> int:
-        return (
-            sum(len(v) for v in self.inserts.values())
-            + sum(len(v) for v in self.deletes.values())
-            + sum(len(rs) for slot in self.modifies.values() for rs in slot.values())
-        )
-
 
 @dataclass
 class TPResult:

@@ -113,10 +113,6 @@ class EvaluationOutcome:
         finals.update(self.tracked)
         return finals
 
-    @property
-    def strata_count(self) -> int:
-        return len(self.stratification)
-
 
 @dataclass(frozen=True)
 class CompiledProgram:

@@ -4,13 +4,13 @@ An object base (Section 2.1) is a set of ground version-terms.  The *state*
 of a version ``v`` w.r.t. the base is the set of all method-applications
 derivable from its version-terms.  This module adds:
 
-* hash indexes by method, by host, and by (host, method) — the access paths
-  of the rule matcher, and the only place a fact is stored;
+* hash indexes by method (then host) and by host — the access paths of
+  the rule matcher, and the only place a fact is stored;
 * ``exists`` bookkeeping (Section 3): ``o.exists -> o`` is defined for every
   object of the initial base, copies propagate it to derived versions, and
   it can never be updated, so even a fully-deleted version survives as
-  ``del(v).exists -> o``.  Which versions exist is read off the
-  ``(version, "exists", 0)`` buckets of the (host, method) index;
+  ``del(v).exists -> o``.  Which versions exist is read off the host
+  buckets of the ``("exists", 0)`` method key;
 * the ``v*`` operator of Section 3: the largest subterm of a VID whose
   ``exists`` fact is present — the state a head update is checked against
   and copied from.
@@ -36,6 +36,9 @@ __all__ = ["ObjectBase", "Delta"]
 
 #: The access-path vocabulary of the engine: a ``(method, arity)`` pair.
 MethodKey = tuple[str, int]
+
+#: The method key of the ``exists`` bookkeeping facts.
+_EXISTS_KEY: MethodKey = (EXISTS, 0)
 
 #: The update-functor chain of a host, outermost first (``terms.kind_chain``).
 Shape = tuple[str, ...]
@@ -161,12 +164,13 @@ class ObjectBase:
     """A mutable set of facts with the indexes the engine needs.
 
     The public surface treats the base as a set of :class:`Fact`, each
-    stored only in the index buckets; mutation keeps all indexes
-    synchronous.  :meth:`fork` (and ``copy()``, which is the same thing) of
-    a *frozen* base shares every index bucket with it and copies a bucket
-    the first time the fork writes to it, so deriving a base from a frozen
-    one costs the dict spines plus the buckets actually written, never the
-    base; of an unfrozen base it is an eager bucket-by-bucket copy.
+    stored in two buckets: its host's bucket under its ``(method, arity)``
+    key, and its host's state.  Mutation keeps all indexes synchronous.
+    :meth:`fork` (and ``copy()``, which is the same thing) of a *frozen*
+    base shares every index bucket with it and copies a bucket the first
+    time the fork writes to it, so deriving a base from a frozen one costs
+    the dict spines plus the buckets actually written, never the base; of
+    an unfrozen base it is an eager bucket-by-bucket copy.
     :meth:`from_fact_set` adopts a fact set alone and builds the indexes
     from it on the first indexed read.
     """
@@ -175,7 +179,6 @@ class ObjectBase:
         "_adopted",
         "_by_method",
         "_by_host",
-        "_by_host_method",
         "_by_arg",
         "_frozen",
         "_owned",
@@ -186,9 +189,10 @@ class ObjectBase:
         #: The set :meth:`from_fact_set` adopted (``_by_method`` is then
         #: ``None``) until the indexes are built from it; then ``None``.
         self._adopted: set[Fact] | None = None
-        self._by_method: dict[tuple[str, int], set[Fact]] | None = {}
+        #: ``(method, arity)`` -> host -> the facts of that method on that host.
+        self._by_method: dict[MethodKey, dict[Term, set[Fact]]] | None = {}
+        #: host -> its state (every fact it hosts).
         self._by_host: dict[Term, set[Fact]] | None = {}
-        self._by_host_method: dict[tuple[Term, str, int], set[Fact]] | None = {}
         self._by_arg: dict[MethodKey, dict[int, dict[Oid, set[Fact]]]] = {}
         self._frozen = False
         #: ``None``: every index bucket is this base's own.  A set: this
@@ -216,16 +220,14 @@ class ObjectBase:
         adopted = self._adopted
         if adopted is None:
             return
-        by_method: dict[tuple[str, int], set[Fact]] = {}
+        by_method: dict[MethodKey, dict[Term, set[Fact]]] = {}
         by_host: dict[Term, set[Fact]] = {}
-        by_host_method: dict[tuple[Term, str, int], set[Fact]] = {}
         for fact in adopted:
-            mkey = (fact.method, len(fact.args))
-            by_method.setdefault(mkey, set()).add(fact)
-            by_host.setdefault(fact.host, set()).add(fact)
-            by_host_method.setdefault((fact.host, *mkey), set()).add(fact)
+            host = fact.host
+            hosts = by_method.setdefault((fact.method, len(fact.args)), {})
+            hosts.setdefault(host, set()).add(fact)
+            by_host.setdefault(host, set()).add(fact)
         self._by_host = by_host
-        self._by_host_method = by_host_method
         self._by_method = by_method
         self._adopted = None
 
@@ -273,7 +275,7 @@ class ObjectBase:
         """
         base = cls()
         base._adopted = facts
-        base._by_method = base._by_host = base._by_host_method = None
+        base._by_method = base._by_host = None
         return base
 
     def copy(self) -> "ObjectBase":
@@ -307,13 +309,15 @@ class ObjectBase:
         """A mutable base equal to this one that never writes through to it.
 
         Forking a **frozen** base is copy-on-write at bucket level: the
-        dict spines of the three indexes and of the column indexes are
-        copied (C-level ``dict.copy()``), every bucket is shared, and a
-        bucket is copied the first time the fork writes to it.  The buckets
-        of hosts the fork creates (``mod(e)``, ``del(mod(e))`` …) are new,
-        so an update that touches a few objects copies the handful of
-        per-method buckets its facts land in and nothing else.  Sharing is
-        safe because the parent's buckets can never change again.
+        dict spines of the two indexes and of the column indexes are copied
+        (C-level ``dict.copy()``; one entry per method key, per host, per
+        column), every bucket is shared, and a bucket is copied the first
+        time the fork writes to it — a method's host map, a host's bucket in
+        it, a host's state.  The buckets of hosts the fork creates
+        (``mod(e)``, ``del(mod(e))`` …) are new, so an update that touches a
+        few objects copies the host maps of the handful of methods its
+        facts land in and nothing else.  Sharing is safe because the
+        parent's buckets can never change again.
 
         An unfrozen parent may still write to its buckets, so nothing is
         shared with it: its fork is an eager copy of every bucket (or of
@@ -323,16 +327,15 @@ class ObjectBase:
             return ObjectBase.from_fact_set(self._adopted.copy())
         child = ObjectBase()
         if not self._frozen:
-            child._by_method = {k: set(v) for k, v in self._by_method.items()}
-            child._by_host = {k: set(v) for k, v in self._by_host.items()}
-            child._by_host_method = {
-                k: set(v) for k, v in self._by_host_method.items()
+            child._by_method = {
+                mkey: {host: set(bucket) for host, bucket in hosts.items()}
+                for mkey, hosts in self._by_method.items()
             }
+            child._by_host = {host: set(state) for host, state in self._by_host.items()}
             return child
         self._ensure_indexes()
         child._by_method = self._by_method.copy()
         child._by_host = self._by_host.copy()
-        child._by_host_method = self._by_host_method.copy()
         # Per-method column spines are copied up front: the (frozen) parent
         # may still *build* new column indexes lazily — from a reader
         # thread, even — and those must not leak into the fork.  The outer
@@ -347,10 +350,10 @@ class ObjectBase:
         """The copy-on-write step of a fork (see :meth:`fork`): make private
         every bucket a write of ``fact`` lands in, once per bucket.
 
-        ``_owned`` holds one mark per private bucket.  The marks of the
-        three primary indexes are their own keys — ``(method, arity)``,
-        the host term, ``(host, method, arity)`` — which cannot collide;
-        column-index marks are tagged.
+        ``_owned`` holds one mark per private bucket: ``(method, arity)``
+        for a method's host map, the host term for its state, and
+        ``(host, method, arity)`` for the host's bucket in the method's map
+        — shapes that cannot collide; column-index marks are tagged.
         """
         owned = self._owned
         self._plain = None
@@ -358,16 +361,19 @@ class ObjectBase:
         method = fact.method
         arity = len(fact.args)
         mkey = (method, arity)
-        for index, key in (
-            (self._by_method, mkey),
-            (self._by_host, host),
-            (self._by_host_method, (host, method, arity)),
-        ):
+        for index, key in ((self._by_method, mkey), (self._by_host, host)):
             if key not in owned:
                 owned.add(key)
                 shared = index.get(key)
                 if shared is not None:
                     index[key] = shared.copy()
+        # The method's host map is now this fork's own: the copy of the
+        # host's bucket is stored into it, not into the parent's.
+        if (host, method, arity) not in owned:
+            owned.add((host, method, arity))
+            hosts = self._by_method.get(mkey)
+            if hosts and host in hosts:
+                hosts[host] = hosts[host].copy()
         per_column = self._by_arg.get(mkey)
         if per_column:
             for column, index in per_column.items():
@@ -441,7 +447,7 @@ class ObjectBase:
         plain = self._plain
         if plain is None:
             self._ensure_indexes()
-            by_host_method = self._by_host_method
+            exists_of = self._by_method.get(_EXISTS_KEY) or {}
             hosts = 0
             plain = True
             for host, state in self._by_host.items():
@@ -451,7 +457,7 @@ class ObjectBase:
                 if len(state) < 2 or host.__class__ is not Oid:
                     plain = False
                     break
-                exists = by_host_method.get((host, EXISTS, 0))
+                exists = exists_of.get(host)
                 # the bucket's only fact, when the count below holds
                 owner = next(iter(exists)).result if exists else None
                 if owner is not host and owner != host:
@@ -459,8 +465,8 @@ class ObjectBase:
                     break
             # one ``exists`` fact per host, the 0-ary one checked above
             plain = plain and hosts == sum(
-                len(bucket)
-                for (method, _arity), bucket in self._by_method.items()
+                sum(map(len, buckets.values()))
+                for (method, _arity), buckets in self._by_method.items()
                 if method == EXISTS
             )
             if self._frozen:
@@ -475,7 +481,7 @@ class ObjectBase:
         return (
             host.__class__ is Oid
             and len(state) > 1
-            and self._by_host_method.get((host, EXISTS, 0)) == {exists_fact(host)}
+            and self.iter_facts_by_host_method(host, EXISTS, 0) == {exists_fact(host)}
             and sum(1 for fact in state if fact.method == EXISTS) == 1
         )
 
@@ -486,21 +492,20 @@ class ObjectBase:
         adopted = self._adopted
         if adopted is not None:
             return fact in adopted
-        # By method, not by host: a host term hashes and compares in Python.
-        bucket = self._by_method.get((fact.method, len(fact.args)))
-        return bucket is not None and fact in bucket
+        state = self._by_host.get(fact.host)
+        return state is not None and fact in state
 
     def __len__(self) -> int:
         adopted = self._adopted
         if adopted is not None:
             return len(adopted)
-        return sum(map(len, self._by_method.values()))
+        return sum(map(len, self._by_host.values()))
 
     def __iter__(self) -> Iterator[Fact]:
         adopted = self._adopted
         if adopted is not None:
             return iter(adopted)
-        return chain.from_iterable(self._by_method.values())
+        return chain.from_iterable(self._by_host.values())
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, ObjectBase):
@@ -509,12 +514,12 @@ class ObjectBase:
 
     def difference(self, other: "ObjectBase | set[Fact] | frozenset[Fact]") -> set[Fact]:
         """The facts of this base that ``other`` — a base or a set of
-        facts — does not hold (bucket by bucket between indexed bases)."""
-        theirs = other._by_method if isinstance(other, ObjectBase) else None
-        if self._by_method is None or theirs is None:
+        facts — does not hold (state by state between indexed bases)."""
+        theirs = other._by_host if isinstance(other, ObjectBase) else None
+        if self._by_host is None or theirs is None:
             return set(self).difference(other)
         return set().union(
-            *(bucket.difference(theirs.get(mkey, ())) for mkey, bucket in self._by_method.items())
+            *(state.difference(theirs.get(host, ())) for host, state in self._by_host.items())
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -526,32 +531,28 @@ class ObjectBase:
     def add(self, fact: Fact) -> bool:
         """Insert ``fact``; returns True when the base changed."""
         self._ensure_indexes()
-        mkey = (fact.method, len(fact.args))
-        bucket = self._by_method.get(mkey)
-        if bucket is not None and fact in bucket:
+        host = fact.host
+        state = self._by_host.get(host)
+        if state is not None and fact in state:
             return False
         if self._frozen:
             raise FrozenBaseError(
                 f"cannot add {fact} to a frozen base; copy() it first"
             )
-        host = fact.host
         if not is_ground(host):
             raise TermError(f"object bases hold ground facts only, got {fact}")
         if self._owned is not None:
             self._own(fact)
-        try:
-            self._by_method[mkey].add(fact)
-        except KeyError:
-            self._by_method[mkey] = {fact}
-        try:
-            self._by_host[host].add(fact)
-        except KeyError:
+            state = self._by_host.get(host)  # now the fork's own copy
+        if state is None:
             self._by_host[host] = {fact}
-        hkey = (host, *mkey)
+        else:
+            state.add(fact)
+        mkey = (fact.method, len(fact.args))
         try:
-            self._by_host_method[hkey].add(fact)
+            self._by_method[mkey][host].add(fact)
         except KeyError:
-            self._by_host_method[hkey] = {fact}
+            self._by_method.setdefault(mkey, {})[host] = {fact}
         per_column = self._by_arg.get(mkey)
         if per_column:
             for column, index in per_column.items():
@@ -574,9 +575,8 @@ class ObjectBase:
             self._own(fact)
         self._ensure_indexes()
         mkey = (fact.method, len(fact.args))
-        self._by_method[mkey].discard(fact)
+        self._by_method[mkey][fact.host].discard(fact)
         self._by_host[fact.host].discard(fact)
-        self._by_host_method[(fact.host, *mkey)].discard(fact)
         per_column = self._by_arg.get(mkey)
         if per_column:
             for column, index in per_column.items():
@@ -591,9 +591,10 @@ class ObjectBase:
         that has none — step 2 + 3 of ``T_P`` for a fresh version, as one
         write.
 
-        ``state`` is adopted as the host's index bucket (the caller must
-        not reuse it), and every other index is updated once per
-        ``(method, arity)`` group instead of once per fact.
+        ``state`` is adopted as the host's state (the caller must not reuse
+        it), each ``(method, arity)`` group of it becomes the host's bucket
+        in that method's map — one dict store per group — and the column
+        indexes are updated once per group instead of once per fact.
         """
         if self._frozen:
             raise FrozenBaseError(
@@ -619,26 +620,25 @@ class ObjectBase:
             return
         owned = self._owned
         if owned is not None:
-            # The host and (host, method, arity) buckets are new, hence
-            # private; shared per-method and column buckets are copied once.
+            # The host's state and its per-method buckets are new, hence
+            # private; shared method host maps and column buckets are
+            # copied once.
             self._plain = None
             owned.add(host)
         self._by_host[host] = state
         by_method = self._by_method
         for mkey, group in groups.items():
-            hkey = (host, *mkey)
-            self._by_host_method[hkey] = group
-            bucket = by_method.get(mkey)
+            hosts = by_method.get(mkey)
             if owned is not None:
-                owned.add(hkey)
+                owned.add((host, *mkey))
                 if mkey not in owned:
                     owned.add(mkey)
-                    if bucket is not None:
-                        bucket = by_method[mkey] = bucket.copy()
-            if bucket is None:
-                by_method[mkey] = group.copy()
+                    if hosts is not None:
+                        hosts = by_method[mkey] = hosts.copy()
+            if hosts is None:
+                by_method[mkey] = {host: group}
             else:
-                bucket.update(group)
+                hosts[host] = group
             per_column = self._by_arg.get(mkey)
             if per_column:
                 for column in per_column:
@@ -680,10 +680,10 @@ class ObjectBase:
         copying, never through this method.
         """
         self._ensure_indexes()
-        by_host_method = self._by_host_method
+        exists_of = self._by_method.get(_EXISTS_KEY) or {}
         added = 0
         for host in list(self._by_host):
-            if isinstance(host, Oid) and not by_host_method.get((host, EXISTS, 0)):
+            if isinstance(host, Oid) and not exists_of.get(host):
                 if self.add(exists_fact(host)):
                     added += 1
         return added
@@ -734,16 +734,13 @@ class ObjectBase:
     # lookups (the matcher's access paths)
     # ------------------------------------------------------------------
     def facts_by_method(self, method: str, arity: int) -> frozenset[Fact]:
-        self._ensure_indexes()
-        return frozenset(self._by_method.get((method, arity), ()))
+        return frozenset(self.iter_facts_by_method(method, arity))
 
     def facts_by_host(self, host: Term) -> frozenset[Fact]:
-        self._ensure_indexes()
-        return frozenset(self._by_host.get(host, ()))
+        return frozenset(self.iter_state_of(host))
 
     def facts_by_host_method(self, host: Term, method: str, arity: int) -> frozenset[Fact]:
-        self._ensure_indexes()
-        return frozenset(self._by_host_method.get((host, method, arity), ()))
+        return frozenset(self.iter_facts_by_host_method(host, method, arity))
 
     def facts_by_arg(
         self, method: str, arity: int, column: int, value: Oid
@@ -772,7 +769,7 @@ class ObjectBase:
         index = per_column.get(column)
         if index is None:
             index = {}
-            for fact in self._by_method.get(mkey, ()):
+            for fact in self.iter_facts_by_method(method, arity):
                 key = fact.result if column < 0 else fact.args[column]
                 try:
                     index[key].add(fact)
@@ -787,10 +784,7 @@ class ObjectBase:
 
     def method_applications(self, version: Term) -> frozenset[Fact]:
         """The state of ``version`` without the ``exists`` bookkeeping."""
-        self._ensure_indexes()
-        return frozenset(
-            f for f in self._by_host.get(version, ()) if f.method != EXISTS
-        )
+        return frozenset(f for f in self.iter_state_of(version) if f.method != EXISTS)
 
     # -- zero-copy variants for the matcher's inner loop -----------------
     #
@@ -799,14 +793,17 @@ class ObjectBase:
     # dominate its profile.  These return the live index sets — callers
     # must not mutate the base while iterating.
     def iter_facts_by_method(self, method: str, arity: int) -> Iterable[Fact]:
+        """The method's host buckets, chained (nothing is copied)."""
         self._ensure_indexes()
-        return self._by_method.get((method, arity)) or ()
+        hosts = self._by_method.get((method, arity))
+        return chain.from_iterable(hosts.values()) if hosts else ()
 
     def iter_facts_by_host_method(
         self, host: Term, method: str, arity: int
     ) -> Iterable[Fact]:
         self._ensure_indexes()
-        return self._by_host_method.get((host, method, arity)) or ()
+        hosts = self._by_method.get((method, arity))
+        return (hosts.get(host) or ()) if hosts else ()
 
     def iter_state_of(self, version: Term) -> Iterable[Fact]:
         self._ensure_indexes()
@@ -824,8 +821,7 @@ class ObjectBase:
     # ------------------------------------------------------------------
     def version_exists(self, version: Term) -> bool:
         """True when ``version.exists -> o`` is in the base."""
-        self._ensure_indexes()
-        return bool(self._by_host_method.get((version, EXISTS, 0)))
+        return bool(self.iter_facts_by_host_method(version, EXISTS, 0))
 
     def existing_versions(self) -> Mapping[Term, Oid]:
         """The ``exists`` facts as a map, version -> object."""
@@ -853,8 +849,8 @@ class ObjectBase:
         is checked against and copied from.
         """
         self._ensure_indexes()
-        by_host_method = self._by_host_method
-        while not by_host_method.get((version, EXISTS, 0)):
+        exists_of = self._by_method.get(_EXISTS_KEY) or {}
+        while not exists_of.get(version):
             if version.__class__ is not VersionId:
                 return None
             version = version.base

@@ -101,10 +101,6 @@ class Substitution:
     def items(self):
         return self._binding.items()
 
-    def as_dict(self) -> dict[Var, Term]:
-        """A mutable copy of the underlying mapping."""
-        return dict(self._binding)
-
     # -- operations --------------------------------------------------------
     def bind(self, var: Var, value: Term) -> "Substitution":
         """Return a new substitution extended with ``var -> value``."""

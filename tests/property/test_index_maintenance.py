@@ -74,8 +74,9 @@ def _probe_everything(base: ObjectBase) -> dict:
                     )
     for host in {*HOSTS, *(fact.host for fact in base)}:
         observed[("host", host)] = base.facts_by_host(host)
-        for method in METHODS:
-            observed[("hm", host, method)] = base.facts_by_host_method(host, method, 0)
+        for method in (*METHODS, "exists"):
+            arity = int(method == "rate")  # the arity of its facts (``_fact``)
+            observed[("hm", host, method)] = base.facts_by_host_method(host, method, arity)
         observed[("exists", host)] = base.version_exists(host)
         observed[("v*", host)] = base.v_star(host)
     observed["exists"] = dict(base.existing_versions())
