@@ -92,10 +92,6 @@ class RevisionVector:
     components: tuple[int, ...]
 
     @classmethod
-    def zero(cls, count: int) -> "RevisionVector":
-        return cls((0,) * count)
-
-    @classmethod
     def parse(cls, text: str) -> "RevisionVector":
         if not isinstance(text, str) or not text.startswith("rv:"):
             raise ReproError(f"not a revision-vector token: {text!r}")

@@ -168,16 +168,16 @@ class UpdateEngine:
         return engine
 
     def compile(self, program: UpdateProgram) -> CompiledProgram:
-        """The cached static artifact for ``program`` under this engine's
-        options (compiling on a miss)."""
+        """The cached static artifact for ``program`` (compiling on a
+        miss)."""
         if self.compile_cache_size <= 0:
-            return compile_program(program, self.options)
+            return compile_program(program)
         key = program.rules
         compiled = self._compiled.get(key)
         if compiled is not None:
             self._compiled.move_to_end(key)
             return compiled
-        compiled = compile_program(program, self.options)
+        compiled = compile_program(program)
         self._compiled[key] = compiled
         while len(self._compiled) > self.compile_cache_size:
             self._compiled.popitem(last=False)

@@ -136,15 +136,13 @@ class CompiledProgram:
     compiled_rules: tuple = ()
 
 
-def compile_program(
-    program: UpdateProgram, options: EvaluationOptions | None = None
-) -> CompiledProgram:
+def compile_program(program: UpdateProgram) -> CompiledProgram:
     """Run the static pipeline of :func:`evaluate` and package the result.
 
     Raises the same :class:`~repro.core.errors.ProgramError` family a direct
     ``evaluate`` call would, so an invalid program fails at compile time —
-    before any base is touched.  The artifact does not depend on
-    ``options``.
+    before any base is touched.  The artifact depends on the program
+    alone, never on evaluation options.
     """
     _reject_version_vars_in_heads(program)
     check_program_safety(program)
@@ -185,7 +183,7 @@ def evaluate(
     """
     options = options or EvaluationOptions()
     if compiled is None:
-        compiled = compile_program(program, options)
+        compiled = compile_program(program)
     stratification = compiled.stratification
 
     # On a plain input there is no ``exists`` fact to add and no version to

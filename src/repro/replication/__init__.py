@@ -6,12 +6,13 @@ by the tier-1 suite.  This package streams that log to live follower
 processes and handles the failure half — health checks, promotion, and
 epoch fencing — so one ``StoreService`` survives node loss:
 
-* :mod:`repro.replication.stream` — the primary side: ``repl-sync``
-  (snapshot bootstrap) and ``repl-stream`` (live tail) read raw journal
-  lines so followers receive the primary's exact bytes;
-* :mod:`repro.replication.follower` — the replica process: bootstraps a
-  byte-identical journal, tails the stream through the ``load_store`` /
-  ``apply_delta`` replay path, serves reads/subscriptions locally,
+* :mod:`repro.replication.stream` — the primary side: ``repl-stream``
+  answers with the catch-up batch of raw journal lines, then pushes each
+  later commit's line, so followers receive the primary's exact bytes;
+* :mod:`repro.replication.follower` — the replica process: attaches to
+  the stream from its journal's end (at start and after every dropped
+  link), replays each line through the write-ahead commit path into a
+  byte-identical journal, serves reads/subscriptions locally,
   heartbeats the primary, and can be promoted (``repro replica promote``);
 * :mod:`repro.replication.supervisor` — ``repro replicaset``: an external
   health checker that auto-promotes the freshest follower and fences the

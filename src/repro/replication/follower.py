@@ -1,22 +1,21 @@
-"""The replica process: bootstrap, tail, heartbeat, promote.
+"""The replica process: catch-up, tail, heartbeat, promote.
 
 A :class:`Follower` owns a journal directory and keeps it a
 **byte-identical prefix** of a primary's:
 
-* **Bootstrap** (``repl-sync``): fetch every durable journal line past the
-  local journal's end — the primary's raw bytes, snapshot files inline —
-  validate each (CRC, chain order, epoch monotonicity), and replay it
-  through :func:`~repro.storage.serialize.apply_journal_record`, whose
-  write-ahead step appends it verbatim before the revision is published.
-  A local journal that exists is *continued*: torn-tail recovery
-  (``load_store(repair=True)``) runs first, and the sync starts at the
-  first missing index — a follower SIGKILLed mid-bootstrap resumes
-  without re-downloading the snapshot.
-* **Tail** (``repl-stream``): live ``repl-line`` pushes take the same
-  validate → write ahead → publish path, so local subscriptions fire
-  exactly as if the commit were local.  A dropped link redials with backoff and
-  resyncs from the journal's own end — the stream is always resumable
-  because its cursor *is* the journal.
+* **Attach** (``repl-stream``): dial the primary and ask for every
+  durable journal line past the local journal's end.  The response is the
+  catch-up batch — the primary's raw bytes, snapshot files inline — and
+  the ``repl-line`` pushes after it carry each later commit.  Every line,
+  batch or push, takes one path (:meth:`Follower._ingest`): validate
+  (CRC, chain order, epoch monotonicity), write ahead verbatim, publish —
+  so local subscriptions fire exactly as if the commit were local.  A
+  local journal that exists is *continued*: torn-tail recovery
+  (``load_store(repair=True)``) runs first, so a follower SIGKILLed
+  mid-catch-up resumes without re-downloading the snapshot.  A dropped
+  link redials with backoff and attaches again from the journal's own
+  end — the stream is always resumable because its cursor *is* the
+  journal, and a backlog of any length arrives as one response.
 * **Heartbeats**: periodic pings on a side channel; after
   ``heartbeat_misses`` consecutive failures the primary is reported dead
   (``stats()["replication"]["primary_alive"]``).  Deciding to promote is
@@ -58,14 +57,14 @@ from repro.storage.serialize import (
 
 __all__ = ["Follower"]
 
-#: Bootstrap may move a whole snapshot; give it a generous bound.
-_SYNC_TIMEOUT = 60.0
+#: A catch-up batch may move a whole snapshot; give it a generous bound.
+_CATCH_UP_TIMEOUT = 60.0
 
 
 class Follower:
     """One live read replica over a local journal directory.
 
-    ``start()`` bootstraps, exposes :attr:`service` (serve it with
+    ``start()`` catches up, exposes :attr:`service` (serve it with
     :class:`~repro.server.server.ReproServer` or query it in-process), and
     returns once the replica is streaming.  The service carries this
     follower as its ``replication_control``, so ``repl-promote`` /
@@ -98,7 +97,10 @@ class Follower:
         self._options = options
         self._endpoint = dial_endpoint(self.primary)
         self.service: StoreService | None = None
-        #: Where the last bootstrap started (0 = full download; > 0 means
+        #: The local store: ``None`` until revision 0 arrives on a fresh
+        #: replica, then the store :attr:`service` serves.
+        self._store = None
+        #: Where the last catch-up started (0 = full download; > 0 means
         #: the local journal was continued — no snapshot re-download).
         self.last_sync_from: int | None = None
         self.bootstrap_snapshots = 0
@@ -107,9 +109,9 @@ class Follower:
         self.primary_alive = True
         self.missed_heartbeats = 0
         self.stream_resyncs = 0
-        #: Monotonic clock of the last applied journal line (bootstrap or
-        #: stream) — the basis of the lag-in-seconds stat: how stale this
-        #: replica's newest data is while it is behind the primary.
+        #: Monotonic clock of the last applied journal line — the basis of
+        #: the lag-in-seconds stat: how stale this replica's newest data is
+        #: while it is behind the primary.
         self._last_applied_at = time.monotonic()
         self._streaming = False
         self._closed = False
@@ -121,20 +123,22 @@ class Follower:
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> "Follower":
-        """Bootstrap from the primary and begin tailing + heartbeating."""
+        """Catch up with the primary and begin tailing + heartbeating."""
         from repro.api.wire import _EventLoopThread  # shared loop plumbing
 
         self._loop = _EventLoopThread(f"repro-replica[{self.directory}]")
         try:
-            store = self._bootstrap()
+            self._store = self._open_journal()
+            link = self._attach()
         except BaseException:
             self._loop.stop()
             raise
-        self.service = StoreService(store, role="follower")
+        self.service = StoreService(self._store, role="follower")
         self.service.replication_info = self._info
         self.service.replication_control = self
-        for target in (self._tail_forever, self._heartbeat_forever):
-            thread = threading.Thread(target=target, daemon=True)
+        for target, args in ((self._tail_forever, (link,)),
+                             (self._heartbeat_forever, ())):
+            thread = threading.Thread(target=target, args=args, daemon=True)
             thread.start()
             self._threads.append(thread)
         return self
@@ -158,57 +162,89 @@ class Follower:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # -- bootstrap ---------------------------------------------------------
-    def _bootstrap(self):
-        store = None
-        if (self.directory / JOURNAL_FILE).exists():
-            # Continue a prior replica (or resume a killed bootstrap): torn
-            # tails are repaired here, and the sync picks up at the first
-            # missing index — the snapshot is never downloaded twice.
-            try:
-                store = load_store(
-                    self.directory, engine=self._engine,
-                    options=self._options, repair=True,
-                )
-            except ReproError:
-                # Nothing recoverable (died before the first replicated
-                # line became durable, or damage beyond tail repair).  A
-                # replica's journal is derived state: rebuild it from the
-                # primary rather than refuse to start.
-                (self.directory / JOURNAL_FILE).unlink()
-                self.bootstrap_rebuilds += 1
-        from_index = len(store) if store is not None else 0
+    # -- catch-up and tail ------------------------------------------------
+    def _open_journal(self):
+        """The local store to continue, or ``None`` to start from scratch.
+
+        Torn tails are repaired here, so the catch-up picks up at the first
+        missing index — the snapshot is never downloaded twice.
+        """
+        if not (self.directory / JOURNAL_FILE).exists():
+            return None
+        try:
+            return load_store(
+                self.directory, engine=self._engine, options=self._options,
+                repair=True,
+            )
+        except ReproError:
+            # Nothing recoverable (died before the first replicated line
+            # became durable, or damage beyond tail repair).  A replica's
+            # journal is derived state: rebuild it from the primary rather
+            # than refuse to start.
+            (self.directory / JOURNAL_FILE).unlink()
+            self.bootstrap_rebuilds += 1
+            return None
+
+    def _attach(self) -> AsyncClient:
+        """Dial the primary, send ``repl-stream`` from the local journal's
+        end and ingest the catch-up batch it answers with; returns the
+        open link, whose pushes are the lines committed since."""
+        from_index = len(self._store) if self._store is not None else 0
         self.last_sync_from = from_index
-        response = self._call(
-            "repl-sync", from_index=from_index, timeout=_SYNC_TIMEOUT
+        client, batch = self._run(
+            self._open("repl-stream", _CATCH_UP_TIMEOUT, from_index=from_index),
+            _CATCH_UP_TIMEOUT,
         )
-        if store is None:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            write_journal_file(
-                self.directory, JOURNAL_FILE, response["header"] + "\n",
-                durability=self.durability,
+        self._link_client = client
+        try:
+            if self._store is None:
+                self.directory.mkdir(parents=True, exist_ok=True)
+                write_journal_file(
+                    self.directory, JOURNAL_FILE, batch["header"] + "\n",
+                    durability=self.durability,
+                )
+            self.bootstrap_snapshots = sum(
+                1 for entry in batch["entries"] if entry.get("snapshot")
             )
-        self.bootstrap_snapshots = sum(
-            1 for entry in response["entries"] if entry.get("snapshot")
-        )
-        for entry in response["entries"]:
+            for entry in batch["entries"]:
+                self._ingest(entry)
+        except BaseException:
+            self._link_client = None
+            self._loop.run(client.close())
+            raise
+        self.primary_head = max(self.primary_head, batch["head"])
+        self._streaming = True
+        return client
+
+    def _ingest(self, entry: dict) -> None:
+        """Validate one received line, write it ahead — as it arrived, by
+        the primary's own writer — and publish its revision; on a fresh
+        replica, revision 0 creates the store."""
+        with self._lock:
+            if self._done():
+                return
+            store = self._store
             record = self._validated(
-                entry, expected=from_index, store=store
+                entry, expected=len(store) if store is not None else 0,
+                store=store,
             )
-            if store is None:  # revision 0, snapshot and all, starts the store
-                write_journal_entries(
+
+            def write_ahead(_revisions=()):
+                return write_journal_entries(
                     self.directory, [entry], durability=self.durability
                 )
-                store = load_store(
+
+            if store is None:  # revision 0, snapshot and all, starts the store
+                write_ahead()
+                self._store = load_store(
                     self.directory, engine=self._engine, options=self._options
                 )
             else:
-                apply_journal_record(store, record, journal=self._step(entry))
-            from_index += 1
-        self.primary_head = max(
-            self.primary_head, response.get("head", -1), len(store) - 1
-        )
-        return store
+                apply_journal_record(store, record, journal=write_ahead)
+            self.primary_head = max(self.primary_head, record["index"])
+            self._last_applied_at = time.monotonic()
+            _obs.inc("repl_streamed_lines_received")
+            _obs.inc("repl_streamed_bytes", len(entry["line"]))
 
     def _validated(self, entry: dict, *, expected: int, store) -> dict:
         """The follower's gate on every received line: the journal's own
@@ -216,66 +252,35 @@ class Follower:
         epoch = store.epoch if store is not None else 0
         return parse_journal_record(entry["line"], expected=expected, epoch=epoch)
 
-    def _step(self, entry: dict):
-        """The write-ahead step of a received entry: written as it arrived,
-        by the primary's own writer, before its revision is published."""
-        return lambda _revisions: write_journal_entries(
-            self.directory, [entry], durability=self.durability
-        )
-
-    # -- live tail ---------------------------------------------------------
-    def _tail_forever(self) -> None:
+    def _tail_forever(self, link: AsyncClient | None) -> None:
         attempt = 0
         while not self._done():
             try:
-                self._loop.run(self._stream_once())
-                attempt = 0
+                if link is None:
+                    link = self._attach()
+                    attempt = 0
+                self._loop.run(self._follow(link))
             except Exception:
                 if self._done():
                     break
                 attempt = min(attempt + 1, self.retry.attempts - 1)
                 self.stream_resyncs += 1
                 time.sleep(self.retry.delay(attempt))
+            link = None
         self._streaming = False
 
-    async def _stream_once(self) -> None:
-        client = await asyncio.wait_for(
-            AsyncClient.connect(**self._endpoint), self._dial_timeout()
-        )
-        self._link_client = client
+    async def _follow(self, client: AsyncClient) -> None:
+        """Ingest ``repl-line`` pushes until the link dies or replication
+        stops; the link is closed either way."""
         try:
-            response = await client.call(
-                "repl-stream", from_index=len(self.service.store)
-            )
-            self.primary_head = max(self.primary_head, response.get("head", -1))
-            self._streaming = True
             while not self._done():
                 push = await client.next_push()
-                if push.get("push") != "repl-line":
-                    continue
-                self._ingest(push)
+                if push.get("push") == "repl-line":
+                    self._ingest(push)
         finally:
             self._streaming = False
             self._link_client = None
             await client.close()
-
-    def _ingest(self, entry: dict) -> None:
-        with self._lock:
-            if self._done():
-                return
-            store = self.service.store
-            expected = len(store)
-            index = entry.get("index")
-            if not isinstance(index, int) or index < expected:
-                return  # catch-up overlap with the bootstrap: already have it
-            record = self._validated(entry, expected=expected, store=store)
-            apply_journal_record(store, record, journal=self._step(entry))
-            self.primary_head = max(self.primary_head, record["index"])
-            self._last_applied_at = time.monotonic()
-            _obs.inc("repl_streamed_lines_received")
-            _obs.inc(
-                "repl_streamed_bytes", len(str(entry.get("line", "")))
-            )
 
     # -- heartbeats --------------------------------------------------------
     def _heartbeat_forever(self) -> None:
@@ -284,9 +289,8 @@ class Follower:
             if self._done():
                 break
             try:
-                pong = self._call(
-                    "ping", timeout=max(self.heartbeat_interval, 0.5) * 2
-                )
+                timeout = max(self.heartbeat_interval, 0.5) * 2
+                pong = self._run(self._request("ping", timeout), timeout)
                 self.missed_heartbeats = 0
                 self.primary_alive = True
                 self.primary_head = max(
@@ -360,24 +364,33 @@ class Follower:
         if client is not None and self._loop is not None:
             asyncio.run_coroutine_threadsafe(client.close(), self._loop.loop)
 
-    async def _request(self, cmd: str, timeout: float, **payload) -> dict:
-        """Connect to the primary, send one command, close: a fresh
-        short-lived link each time — the tail stream has its own."""
+    async def _open(
+        self, cmd: str, timeout: float, **payload
+    ) -> tuple[AsyncClient, dict]:
+        """Connect to the primary and send one command on a fresh link;
+        returns ``(client, response)`` with the link still open."""
         client = await asyncio.wait_for(
-            AsyncClient.connect(**self._endpoint), timeout
+            AsyncClient.connect(**self._endpoint), self._dial_timeout()
         )
         try:
-            return await asyncio.wait_for(client.call(cmd, **payload), timeout)
-        finally:
-            await client.close()
-
-    def _call(self, cmd: str, *, timeout: float = 5.0, **payload) -> dict:
-        """One command to the primary from a caller thread (bootstrap,
-        heartbeats)."""
-        try:
-            return self._loop.run(
-                self._request(cmd, timeout, **payload), timeout=timeout * 2 + 1
+            return client, await asyncio.wait_for(
+                client.call(cmd, **payload), timeout
             )
+        except BaseException:
+            await client.close()
+            raise
+
+    async def _request(self, cmd: str, timeout: float, **payload) -> dict:
+        """One command on a short-lived link of its own (heartbeats, the
+        fence) — the tail stream has its own."""
+        client, response = await self._open(cmd, timeout, **payload)
+        await client.close()
+        return response
+
+    def _run(self, coro, timeout: float):
+        """Run a primary-bound coroutine from a caller thread."""
+        try:
+            return self._loop.run(coro, timeout=timeout * 2 + 1)
         except (ConnectionError, OSError) as error:
             raise ServerError(
                 f"cannot reach primary {self.primary}: {error}"

@@ -5,18 +5,19 @@ follower's journal is a **byte-identical prefix** of the primary's.  This
 module never re-serializes history to uphold it:
 
 * :func:`read_journal_entries` reads the journal file's raw lines straight
-  off disk (bootstrap and catch-up) — the lines
+  off disk (the catch-up batch) — the lines
   :func:`~repro.storage.serialize.journal_history` counts as history, the
   ones ``load_store`` would load — carrying referenced snapshot files
   inline;
 * live pushes carry the entry :func:`~repro.storage.serialize.journal_revisions`
   wrote ahead of the commit, so nothing is rendered or read back per follower.
 
-Two functions glue both to a :class:`StoreService` (the ``repl-sync`` /
-``repl-stream`` protocol handlers call them): :func:`sync` answers one
-catch-up batch, :func:`attach` replays catch-up then registers a
-per-subscriber commit listener — both under the service's writer queue, so
-no commit can slip between the disk read and the listener registration.
+:func:`attach` glues both to a :class:`StoreService` for the
+``repl-stream`` handler: under the service's writer queue it reads the
+catch-up batch (the command's response) and registers a per-subscriber
+commit listener (the pushes that follow), so no commit can slip between
+the disk read and the listener.  However long the backlog, it travels in
+one response, never as a burst of pushes into the connection's outbox.
 Commits are written ahead, and listeners fire only once a commit's line
 is durable and its revision published — a failed write streams nothing
 (:meth:`StoreService.add_replication_listener`) — so followers never hold
@@ -32,7 +33,7 @@ from typing import Callable
 from repro.core.errors import ReproError
 from repro.storage.serialize import journal_history
 
-__all__ = ["attach", "read_journal_entries", "sync"]
+__all__ = ["attach", "read_journal_entries"]
 
 
 def read_journal_entries(
@@ -75,45 +76,29 @@ def _journal_dir(service) -> Path:
     return Path(directory)
 
 
-def sync(service, from_index: int) -> dict:
-    """One catch-up batch: every durable line from ``from_index`` on."""
+def attach(
+    service, deliver: Callable[[dict], None], from_index: int
+) -> tuple[Callable[[], None], dict]:
+    """Open a stream: read the catch-up batch — every durable line from
+    ``from_index`` on — and register a commit listener pushing each later
+    line into ``deliver`` as a ``repl-line`` message.
+
+    Both run under the writer queue, so no commit can fall between the
+    batch and the first push.  Returns ``(detach, batch)``, the batch being
+    ``{header, entries, from_index, head, epoch}``; the connection teardown
+    must call ``detach``.
+    """
     directory = _journal_dir(service)
     with service._writer():
         header, entries = read_journal_entries(directory, from_index)
-        return {
+        listener = service.add_replication_listener(
+            lambda entry: deliver(dict(entry, push="repl-line"))
+        )
+        batch = {
             "header": header,
             "entries": entries,
             "from_index": from_index,
             "head": len(service.store) - 1,
             "epoch": service.epoch,
         }
-
-
-def attach(
-    service, deliver: Callable[[dict], None], from_index: int
-) -> tuple[Callable[[], None], int, int]:
-    """Start a live stream: replay catch-up entries into ``deliver``,
-    then register a commit listener pushing every future line.
-
-    Runs under the writer queue so the catch-up read and the listener
-    registration are atomic against commits — no line can fall into the
-    gap.  Returns ``(detach, head, epoch)``; the connection teardown
-    must call ``detach``.
-    """
-    directory = _journal_dir(service)
-    with service._writer():
-        _header, entries = read_journal_entries(directory, from_index)
-        for entry in entries:
-            deliver(dict(entry, push="repl-line"))
-
-        def publish(entry, _deliver=deliver):
-            _deliver(dict(entry, push="repl-line"))
-
-        listener = service.add_replication_listener(publish)
-        head = len(service.store) - 1
-        epoch = service.epoch
-
-    def detach() -> None:
-        service.remove_replication_listener(listener)
-
-    return detach, head, epoch
+    return lambda: service.remove_replication_listener(listener), batch

@@ -41,8 +41,7 @@ Commands::
     stats                                    service counters
     metrics                                  registry snapshot + Prometheus text
     slowlog    {clear?}                      slow-query/slow-commit ring buffer
-    repl-sync  {from_index}                  catch-up batch of raw journal lines
-    repl-stream{from_index}                  live journal stream (repl-line pushes)
+    repl-stream{from_index}                  catch-up batch, then repl-line pushes
     repl-fence {epoch}                       fence writes below a promotion epoch
     repl-promote {epoch?, takeover?}         promote this node to primary
     repl-retarget {primary}                  point a follower at a new primary
@@ -57,6 +56,11 @@ client has observed); a node behind that epoch rejects the write with
 successful commit responses report the node's current ``epoch``.
 ``repl-stream`` subscribers receive ``{"push": "repl-line", index, epoch,
 line, snapshot}`` messages carrying the primary's raw journal bytes.
+
+Protocol v4: ``repl-stream`` answers with the catch-up batch — ``{header,
+entries, from_index, head, epoch}``, each entry shaped like a
+``repl-line`` push — and pushes only lines committed after it; v3's
+catch-up pushes and its separate catch-up command are gone.
 
 The :class:`Dispatcher` maps request dicts to response dicts against a
 :class:`~repro.server.service.StoreService`; the asyncio server
@@ -85,7 +89,7 @@ __all__ = [
     "PROTOCOL_VERSION", "LINE_LIMIT",
 ]
 
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 #: Per-frame byte ceiling for both transports' stream readers.  asyncio's
 #: default readline limit is 64 KiB; one ``as-of`` response carries a whole
@@ -397,22 +401,16 @@ class Dispatcher:
             )
         return from_index
 
-    def _cmd_repl_sync(self, request, state) -> dict:
-        from repro.replication.stream import sync  # lazy: optional layer
-
-        return sync(self.service, self._from_index(request))
-
     def _cmd_repl_stream(self, request, state) -> dict:
-        from repro.replication.stream import attach
+        from repro.replication.stream import attach  # lazy: optional layer
 
-        # Catch-up entries are delivered as pushes *before* this response
-        # is enqueued; the attach runs under the writer queue, so nothing
-        # can commit between the catch-up read and the live listener.
-        detach, head, epoch = attach(
+        # The response is the catch-up batch; pushes carry only lines
+        # committed after it (both are taken under the writer queue).
+        detach, batch = attach(
             self.service, state.deliver, self._from_index(request)
         )
         state.repl_detach.append(detach)
-        return {"streaming": True, "head": head, "epoch": epoch}
+        return batch
 
     def _cmd_repl_fence(self, request, state) -> dict:
         epoch = _required(request, "epoch")
@@ -483,7 +481,6 @@ _HANDLERS = {
     "stats": Dispatcher._cmd_stats,
     "metrics": Dispatcher._cmd_metrics,
     "slowlog": Dispatcher._cmd_slowlog,
-    "repl-sync": Dispatcher._cmd_repl_sync,
     "repl-stream": Dispatcher._cmd_repl_stream,
     "repl-fence": Dispatcher._cmd_repl_fence,
     "repl-promote": Dispatcher._cmd_repl_promote,

@@ -676,7 +676,7 @@ class StoreService:
             ),
             "subscriptions": _deep_snapshot(self.subscriptions.stats()),
             # Always empty since the answer memo went; the frozen benchmark
-            # still iterates the key (ROADMAP item 4 retires both).
+            # still iterates the key (ROADMAP item 3 retires both).
             "prepared": {},
             # The process-wide cache registry (join-plan compilers, the
             # codegen backend counters, the OID intern table, ...) — what

@@ -155,9 +155,6 @@ class StoreRevision:
         """Its journal line's weight: its facts, plus one for the line."""
         return 1 + len(self.added) + len(self.removed)
 
-    def facts(self) -> frozenset[Fact]:
-        return frozenset(self.base)
-
 
 class VersionedStore:
     """An append-only chain of object-base revisions.
@@ -184,6 +181,7 @@ class VersionedStore:
         self._materialized: dict[int, ObjectBase] = {}
         self._snapshot_sources: dict[int, "SnapshotSource"] = {}
         self._resident: deque[int] = deque()
+        #: Guards both caches' eviction: ``_materialized`` and ``_resident``.
         self._resident_lock = threading.Lock()
         self._weight_memo: "tuple[int, int] | None" = None
         self._commit_listeners: list[Callable[[StoreRevision], None]] = []
@@ -296,10 +294,11 @@ class VersionedStore:
         cached = self._materialized.get(index)
         if cached is not None:
             return cached
-        base = self._reconstruct(index)
-        self._materialized[index] = base
-        while len(self._materialized) > self.options.materialize_cache:
-            self._materialized.pop(next(iter(self._materialized)))
+        base = self._reconstruct(index)  # unlocked: snapshot_at takes the lock
+        with self._resident_lock:
+            self._materialized[index] = base
+            while len(self._materialized) > self.options.materialize_cache:
+                self._materialized.pop(next(iter(self._materialized)))
         return base
 
     def has_snapshot(self, index: int) -> bool:

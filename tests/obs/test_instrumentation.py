@@ -199,9 +199,8 @@ def test_follower_reports_lag_seconds(enabled, tmp_path):
             tmp_path / "replica", server.address, heartbeat_interval=0.1
         ).start()
         try:
-            # r1 must arrive as a streamed line: a follower whose stream is
-            # not open yet would fetch it through ``repl-sync`` instead and
-            # never count a ``repl_streamed_lines_received``
+            # r1 must arrive as a pushed line, after the catch-up batch,
+            # so the stream has to be open before it is committed
             deadline = 50
             while not follower._info()["streaming"] and deadline:
                 time.sleep(0.1)

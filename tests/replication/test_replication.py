@@ -31,7 +31,7 @@ import repro
 from repro.api import BackgroundServer
 from repro.lang.parser import parse_object_base
 from repro.replication import Follower, ReplicaSet
-from repro.replication.stream import sync
+from repro.replication.stream import attach
 from repro.server.errors import (
     ConnectionClosed,
     NotPrimaryError,
@@ -331,7 +331,7 @@ class TestFollower:
 
         service = StoreService(VersionedStore(ObjectBase()))
         with pytest.raises(ReproError):
-            sync(service, 0)
+            attach(service, lambda _push: None, 0)
 
 
 class TestPromotionAndFencing:

@@ -208,3 +208,18 @@ class TestDispatcherDirect:
         response = dispatcher.handle({"cmd": "apply", "program": "not a program"}, state)
         assert response["ok"] is False
         assert response["id"] is None
+
+
+def test_docstring_command_table_lists_exactly_the_handlers():
+    """The module docstring's ``Commands::`` table names every command the
+    dispatcher answers, and no other."""
+    import re
+
+    from repro.server import protocol
+
+    table = protocol.__doc__.split("Commands::", 1)[1].split("\n\n", 2)[1]
+    documented = {
+        re.match(r"\s+([a-z-]+)", line).group(1)
+        for line in table.splitlines()
+    }
+    assert documented == set(protocol._HANDLERS)

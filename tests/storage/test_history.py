@@ -1,10 +1,13 @@
 """Tests for the versioned store (revision chain, as-of, diff)."""
 
+import sys
+import threading
+
 import pytest
 
 from repro import query
 from repro.core.errors import FrozenBaseError, ReproError
-from repro.storage import VersionedStore
+from repro.storage import StoreOptions, VersionedStore
 from repro.workloads import paper_example_base, paper_example_program, salary_raise_program
 
 
@@ -127,6 +130,44 @@ class TestCommitListeners:
         store.remove_commit_listener(listener)
         store.apply(salary_raise_program(), tag="two")
         assert [r.tag for r in seen] == ["one"]
+
+
+class TestConcurrentReads:
+    def test_cold_reads_from_many_threads_share_the_cache_safely(self):
+        """Reconstructed revisions enter and leave the one-entry cache from
+        eight threads at once; before the cache's insert and eviction took
+        the store's lock, most threads died in the eviction with
+        ``RuntimeError: dictionary changed size during iteration`` or a
+        ``KeyError``."""
+        store = VersionedStore(
+            paper_example_base(), tag="initial",
+            options=StoreOptions(materialize_cache=1),
+        )
+        for index in range(29):
+            store.apply(salary_raise_program(), tag=f"r{index}")
+        expected = {index: store.base_at(index) for index in range(30)}
+        errors: list[BaseException] = []
+
+        def reader(offset: int) -> None:
+            try:
+                for step in range(5_000):
+                    index = 1 + (offset + step) % 29
+                    assert store.base_at(index) == expected[index]
+            except BaseException as error:
+                errors.append(error)
+
+        threads = [threading.Thread(target=reader, args=(n,)) for n in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
 
 
 class TestJournalCompactionInterleaving:
