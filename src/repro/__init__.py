@@ -32,30 +32,51 @@ The engine layer underneath stays available for direct use::
 
 Subpackages
 -----------
-``repro.api``
-    The unified connection facade: :func:`connect`, the
-    :class:`~repro.api.Connection` surface, transactions with conflict
-    retry, subscription streams, and the shared result model.
+Listed bottom-up: each imports only itself and the ones above it in this
+list (``tests/testing/test_boundaries.py`` holds the order).
+
+``repro.obs``
+    Observability: the metrics registry, the slow log and the ``repro
+    top`` dashboard renderer.
 ``repro.core``
-    The paper's contribution: terms, truth, the ``T_P`` operator,
-    stratification, evaluation, version linearity, new-base construction.
+    The paper's contribution: terms, sorted unification, truth, the
+    ``T_P`` operator, stratification, evaluation, version linearity,
+    new-base construction, and queries over literals.
 ``repro.lang``
-    Concrete syntax: parser and pretty printer.
+    Concrete syntax: parser, pretty printer, and text → compiled query
+    (:func:`prepare_query`).
 ``repro.datalog``
     A stratified Datalog engine (the substrate the paper's language is "a
     variant of"), also used by the baselines.
 ``repro.baselines``
     Section 2.4 comparison points: naive single-time-step update semantics
     and Logres-style rule modules.
-``repro.storage``
-    Versioned store: snapshots, transaction history, serialization.
 ``repro.workloads``
     Workload generators for examples, tests and benchmarks.
 ``repro.ext``
-    Section 6 extension: depth-bounded quantification over VIDs.
+    Section 6 extensions: quantification over VIDs, derived methods,
+    schema bookkeeping.
+``repro.analysis``
+    Static lint and run-time provenance over the core.
+``repro.storage``
+    Versioned store: snapshots, transaction history, the journal.
+``repro.testing``
+    The reference evaluator (the engine's oracle) and deterministic
+    fault-injection harnesses.
 ``repro.server``
     Concurrent serving: MVCC sessions, optimistic transactions, push-based
-    live queries, and the asyncio JSON-lines wire protocol.
+    live queries, the asyncio JSON-lines wire protocol, and the primary's
+    half of replication.
+``repro.api``
+    The unified connection facade: :func:`connect`, the
+    :class:`~repro.api.Connection` surface and its three classes
+    (in-process, wire, shard router), transactions with conflict retry,
+    subscription streams, and the shared result model.
+``repro.replication``
+    Followers and the ``repro replicaset`` supervisor.
+``repro.cluster``
+    :class:`~repro.cluster.LocalCluster`, an in-process sharded
+    deployment, plus re-exports of the router and partitioning names.
 """
 
 from repro.core import (
@@ -90,7 +111,6 @@ from repro.core import (
 from repro.core.query import (
     PreparedQuery,
     method_results,
-    prepare_query,
     query_literals,
     result_value,
 )
@@ -106,6 +126,7 @@ from repro.lang import (
     parse_rule,
     parse_term,
 )
+from repro.lang.parser import prepare_query
 
 __version__ = "1.0.0"
 

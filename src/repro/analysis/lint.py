@@ -42,7 +42,7 @@ from repro.core.terms import (
     subterms,
 )
 from repro.core.stratification import _rename_apart  # shared renaming helper
-from repro.unify.unification import unifiable
+from repro.core.unification import unifiable
 
 __all__ = ["Severity", "Finding", "lint_program"]
 

@@ -34,10 +34,16 @@ a directory path
     (a ``|``-separated spec is a replica-set shard).  Facts live on the
     shard their host OID hashes to; cross-shard reads scatter-gather and
     compose per-shard revisions into a cluster-wide revision vector (see
-    :mod:`repro.cluster`).
+    :mod:`repro.api.cluster`; :mod:`repro.cluster` runs one in process).
 a :class:`~repro.server.service.StoreService` or
 :class:`~repro.storage.history.VersionedStore`
     Wrapped in-process as-is (embedding).
+
+All three connection classes live in this package:
+:class:`~repro.api.local.ServiceConnection` (in process),
+:class:`~repro.api.wire.WireConnection` (one endpoint, or a replica set)
+and :class:`~repro.api.cluster.ClusterConnection` (the shard router, over
+the partitioning rule of :mod:`repro.api.partition`).
 
 Every backend speaks the same result model (:mod:`repro.api.model`), the
 same revision addressing (tags or indexes, digit strings included), and
@@ -53,6 +59,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from repro.api.cluster import ClusterConnection
 from repro.api.connection import Connection, SubscriptionStream, Transaction
 from repro.api.hosting import BackgroundServer
 from repro.api.local import ServiceConnection
@@ -165,8 +172,6 @@ def connect(
             retry=retry or RetryPolicy(),
         )
     if parsed.scheme == "cluster":
-        from repro.cluster.router import ClusterConnection
-
         _reject_seed_kwargs("a cluster: target", base, options)
         _reject_durability(
             "a cluster: target (each shard owns its journal)", durability

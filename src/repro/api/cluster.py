@@ -4,7 +4,7 @@ A :class:`ClusterConnection` holds one
 :class:`~repro.api.wire.WireConnection` per shard — over the shard's one
 endpoint, or over every member of a ``|``-separated group, so a
 replicated shard fails over exactly as a ``replset:`` target does — and
-routes by the partitioning rule of :mod:`repro.cluster.partition`:
+routes by the partitioning rule of :mod:`repro.api.partition`:
 
 * **commits** (apply/transactions) whose hosts are ground and hash to one
   shard go to that shard alone, through the existing single-server fast
@@ -62,8 +62,8 @@ from repro.api.connection import (
     wait_for_revision,
 )
 from repro.api.model import AnswerDelta, CommitResult, Diff, RetryPolicy, Revision
+from repro.api.partition import program_shards, query_scope
 from repro.api.wire import WireConnection, _body_text
-from repro.cluster.partition import program_shards, query_scope
 from repro.core.errors import ReproError
 from repro.core.objectbase import ObjectBase
 from repro.core.query import (
@@ -71,8 +71,8 @@ from repro.core.query import (
     answer_sort_key,
     decode_answers,
     fold_answers,
-    prepare_query,
 )
+from repro.lang.parser import prepare_query
 from repro.server.errors import ServerBusyError
 from repro.server.service import StoreService
 from repro.storage.history import resolve_revision_ref
@@ -99,6 +99,10 @@ class RevisionVector:
             parts = tuple(int(part) for part in text[3:].split(","))
         except ValueError:
             raise ReproError(f"not a revision-vector token: {text!r}") from None
+        if any(part < 0 for part in parts):
+            raise ReproError(
+                f"revision-vector components must be non-negative: {text!r}"
+            )
         return cls(parts)
 
     @property
@@ -260,14 +264,24 @@ class ClusterConnection(Connection):
         return reindexed
 
     # -- consistency tokens ------------------------------------------------
+    def _vector(self, token) -> tuple[int, ...]:
+        """A revision-vector token (a :class:`RevisionVector` or its
+        ``rv:`` text) as its components, exactly one per shard."""
+        if not isinstance(token, RevisionVector):
+            token = RevisionVector.parse(token)
+        if len(token) != self.count:
+            raise ReproError(
+                f"revision vector {token} has {len(token)} components, but "
+                f"this cluster has {self.count} shards"
+            )
+        return token.components
+
     def _components(self, min_revision) -> list[int | None]:
         """Resolve a read-your-writes token into per-shard floors."""
         if min_revision is None:
             return [None] * self.count
-        if isinstance(min_revision, RevisionVector):
-            return list(min_revision.components)
-        if isinstance(min_revision, str):
-            return list(RevisionVector.parse(min_revision).components)
+        if isinstance(min_revision, (RevisionVector, str)):
+            return list(self._vector(min_revision))
         with self._lock:
             vector = self._history.get(min_revision)
         if vector is not None:
@@ -297,10 +311,10 @@ class ClusterConnection(Connection):
         """A revision reference (cluster index, digit string, tag, or
         revision-vector token) as a full per-shard vector."""
         self._bootstrap()
-        if isinstance(ref, RevisionVector):
-            return ref.components
-        if isinstance(ref, str) and ref.startswith("rv:"):
-            return RevisionVector.parse(ref).components
+        if isinstance(ref, RevisionVector) or (
+            isinstance(ref, str) and ref.startswith("rv:")
+        ):
+            return self._vector(ref)
         resolved = resolve_revision_ref(ref)
         if isinstance(resolved, int):
             with self._lock:

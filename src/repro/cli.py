@@ -948,7 +948,7 @@ def _cmd_cluster(arguments) -> int:
 def _cmd_cluster_init(arguments) -> int:
     import json
 
-    from repro.cluster.partition import split_base
+    from repro.cluster import split_base
     from repro.server.service import StoreService
     from repro.storage.serialize import JOURNAL_FILE
 

@@ -2,32 +2,34 @@
 
 The paper anchors every fact to a host OID, which makes the fact space
 naturally partitionable: hash the host, and every rule-match and commit
-whose hosts are ground stays local to one shard.  This package exploits
-that:
+whose hosts are ground stays local to one shard.  The client half of that
+lives in :mod:`repro.api`, beside the other two connection classes:
 
-* :mod:`repro.cluster.partition` — the stable partitioning rule
+* :mod:`repro.api.partition` — the stable partitioning rule
   (``shard_for``), base splitting, and program/query routing analysis;
-* :mod:`repro.cluster.router` — :class:`ClusterConnection`, the
+* :mod:`repro.api.cluster` — :class:`ClusterConnection`, the
   ``cluster:`` :class:`~repro.api.connection.Connection` backend:
   single-shard fast path, scatter-gather reads, revision-vector
   consistency tokens, merged subscriptions, per-shard failover (a
-  ``a|b`` shard is a wire connection over both members);
-* :mod:`repro.cluster.local` — :class:`LocalCluster`, an in-process
-  N-shard deployment for tests, examples and benchmarks.
+  ``a|b`` shard is a wire connection over both members).
+
+This package holds the deployment half, :mod:`repro.cluster.local`'s
+:class:`LocalCluster` — an in-process N-shard deployment for tests,
+examples and benchmarks — and re-exports the names above.
 
 Connect with ``repro.connect("cluster:unix:a.sock,unix:b.sock")``; manage
-deployments with the ``repro cluster`` CLI (init/launch/status).
+deployments with the ``repro cluster`` CLI (init/launch).
 """
 
-from repro.cluster.local import LocalCluster
-from repro.cluster.partition import (
+from repro.api.cluster import ClusterConnection, RevisionVector
+from repro.api.partition import (
     program_hosts,
     query_scope,
     shard_for,
     shard_of_fact,
     split_base,
 )
-from repro.cluster.router import ClusterConnection, RevisionVector
+from repro.cluster.local import LocalCluster
 
 __all__ = [
     "ClusterConnection",

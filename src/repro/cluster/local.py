@@ -1,7 +1,7 @@
 """An in-process N-shard cluster for tests, examples and benchmarks.
 
 :class:`LocalCluster` partitions a seed base with
-:func:`~repro.cluster.partition.split_base`, stands up one
+:func:`~repro.api.partition.split_base`, stands up one
 :class:`~repro.api.hosting.BackgroundServer` per shard (real servers,
 real sockets — the exact transport the router speaks in production) and
 exposes the composed ``cluster:`` target:
@@ -23,7 +23,7 @@ import tempfile
 from pathlib import Path
 
 from repro.api.hosting import BackgroundServer
-from repro.cluster.partition import split_base
+from repro.api.partition import split_base
 from repro.core.errors import ReproError
 from repro.server.service import StoreService
 from repro.storage.history import StoreOptions, VersionedStore

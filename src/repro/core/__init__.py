@@ -7,8 +7,10 @@ Layout mirrors the paper:
   :mod:`~repro.core.safety`
 * Section 3 (semantics): :mod:`~repro.core.objectbase`,
   :mod:`~repro.core.truth`, :mod:`~repro.core.consequence`
-* Section 4 (evaluation): :mod:`~repro.core.stratification`,
-  :mod:`~repro.core.grounding`, :mod:`~repro.core.evaluation`
+* Section 4 (evaluation): :mod:`~repro.core.unification` and
+  :mod:`~repro.core.substitution` (sorted, docs/DESIGN.md D2),
+  :mod:`~repro.core.stratification`, :mod:`~repro.core.grounding`,
+  :mod:`~repro.core.evaluation`
 * Section 5 (new base): :mod:`~repro.core.linearity`,
   :mod:`~repro.core.newbase`
 * Facade: :mod:`~repro.core.engine`, :mod:`~repro.core.query`

@@ -22,6 +22,7 @@ from typing import Union
 from repro.core.errors import ProgramError, TermError
 from repro.core.exprs import Expr, expr_variables
 from repro.core.facts import EXISTS, Fact
+from repro.core.substitution import apply_term, resolve
 from repro.core.terms import (
     Oid,
     Term,
@@ -34,7 +35,6 @@ from repro.core.terms import (
     variables_of,
     wrap,
 )
-from repro.unify.substitution import apply_term, resolve
 
 __all__ = [
     "VersionAtom",

@@ -205,7 +205,7 @@ def _builtin_filter(
 ) -> Callable[[Row], bool]:
     """A row predicate mirroring ``literal_true`` on a ground built-in,
     with ``BuiltinError`` failing the candidate regardless of polarity
-    (the ``_check_ground`` contract, DESIGN.md D6)."""
+    (the ``_check_ground`` contract, docs/DESIGN.md D6)."""
     left = _compile_expr(atom.left, slot_of, strict=True)
     right = _compile_expr(atom.right, slot_of, strict=True)
     op = atom.op

@@ -19,7 +19,7 @@ Step 3 performs the updates on the copies:
   their new values.
 
 ``T_P(I)`` is the family of recomputed states; iteration substitutes them
-into ``I`` (state replacement, DESIGN.md D1).
+into ``I`` (state replacement, docs/DESIGN.md D1).
 
 How the engine carries the three steps out:
 
@@ -172,7 +172,7 @@ def tp_step(
     ``create_missing_objects`` controls the edge the paper leaves open: an
     insert whose target has no existing subterm (``v* = None``) creates a
     brand-new object when True, and contributes an ``exists``-less orphan
-    state when False (strict reading).  See DESIGN.md D3.
+    state when False (strict reading).  See docs/DESIGN.md D3.
 
     ``match_base`` — when given, step 1 (body matching and head truth) runs
     against it instead of ``base``, while steps 2/3 still copy from
@@ -240,7 +240,7 @@ def tp_step(
 
 def apply_tp(base: ObjectBase, result: TPResult) -> Delta:
     """Steps 2 + 3 of ``T_P`` as one write per relevant version, substituted
-    into ``base`` (DESIGN.md D1).
+    into ``base`` (docs/DESIGN.md D1).
 
     Every write is computed from ``base`` as it stands — a fresh version
     copies ``v*``, which may itself be edited by this very step — and only

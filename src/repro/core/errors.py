@@ -11,7 +11,7 @@ engine keeps the specific failure modes of the paper distinguishable:
 * :class:`SafetyError` — a rule is unsafe in the sense of [Ull88] (a variable
   is not limited by the positive body).
 * :class:`EvaluationLimitError` — the per-stratum iteration cap was exceeded
-  (possible with arithmetic in recursive rules; see DESIGN.md, D7);
+  (possible with arithmetic in recursive rules; see docs/DESIGN.md D7);
   :class:`VersionDepthError` is its depth-guard variant.
 """
 
@@ -81,7 +81,7 @@ class EvaluationError(ReproError):
 
 
 class EvaluationLimitError(EvaluationError):
-    """The iteration cap for a stratum was exceeded (DESIGN.md D7)."""
+    """The iteration cap for a stratum was exceeded (docs/DESIGN.md D7)."""
 
     def __init__(self, stratum: int, limit: int):
         self.stratum = stratum
@@ -95,7 +95,7 @@ class EvaluationLimitError(EvaluationError):
 
 class VersionDepthError(EvaluationLimitError):
     """A created version exceeded the configured functor-depth guard
-    (``max_version_depth``, DESIGN.md D7 / Section 6 extension)."""
+    (``max_version_depth``, docs/DESIGN.md D7 / Section 6 extension)."""
 
     def __init__(self, stratum: int, limit: int, version):
         self.version = version

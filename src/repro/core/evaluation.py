@@ -1,7 +1,7 @@
 """Bottom-up evaluation — Section 4 of the paper.
 
 Evaluation proceeds stratum by stratum: within a stratum, ``T_P`` is applied
-repeatedly (substituting the recomputed version states, DESIGN.md D1) until
+repeatedly (substituting the recomputed version states, docs/DESIGN.md D1) until
 the object base stops changing; the result of the lower strata is the input
 of the next.  For programs satisfying conditions (a)-(d) the per-stratum
 head set grows monotonically, so this terminates in a fixpoint —
@@ -56,12 +56,12 @@ class EvaluationOptions:
     """Tunable behaviour of the evaluator.
 
     max_iterations_per_stratum:
-        Guard against value-generating recursion (DESIGN.md D7).
+        Guard against value-generating recursion (docs/DESIGN.md D7).
     check_linearity:
         Run the Section 5 check incrementally (raises on violation).
     create_missing_objects:
         Allow ``ins`` on OIDs unknown to the base to create objects
-        (DESIGN.md D3; the strict paper reading is False).
+        (docs/DESIGN.md D3; the strict paper reading is False).
     collect_trace / collect_snapshots:
         Record a :class:`~repro.core.trace.EvaluationTrace`, optionally with
         full object-base snapshots per iteration (Figure 2 reproduction).

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Mapping, Union
 
 from repro.core.errors import BuiltinError, TermError
+from repro.core.substitution import resolve
 from repro.core.terms import Oid, Term, Var, VersionId
-from repro.unify.substitution import resolve
 
 __all__ = ["Expr", "BinOp", "Neg", "expr_variables", "evaluate_expr", "ARITH_OPS"]
 

@@ -33,6 +33,7 @@ from repro.core.facts import Fact
 from repro.core.objectbase import ObjectBase
 from repro.core.plans import JoinPlan, compile_plan
 from repro.core.rules import UpdateRule
+from repro.core.substitution import apply_term
 from repro.core.terms import (
     Oid,
     Term,
@@ -41,8 +42,7 @@ from repro.core.terms import (
     is_ground,
 )
 from repro.core.truth import literal_true
-from repro.unify.substitution import apply_term
-from repro.unify.unification import match_term
+from repro.core.unification import match_term
 
 __all__ = ["match_rule", "match_body"]
 
@@ -54,7 +54,7 @@ def match_rule(rule: UpdateRule, base: ObjectBase) -> Iterator[Binding]:
 
     Substitutions are restricted to the rule's variables and yielded at most
     once each.  Built-in type errors (e.g. arithmetic on a symbolic OID)
-    fail the candidate instead of raising (DESIGN.md D6).  Yielded dicts are
+    fail the candidate instead of raising (docs/DESIGN.md D6).  Yielded dicts are
     fresh per answer and safe to keep.
     """
     from repro.core.codegen import match_rule_compiled  # codegen sits above
@@ -111,7 +111,7 @@ def _check_ground(literal: Literal, binding: Binding, base: ObjectBase) -> bool:
         return literal_true(base, literal.substitute(binding))
     except BuiltinError:
         # Type-mismatched built-ins fail the candidate regardless of
-        # polarity (DESIGN.md D6) instead of aborting the evaluation.
+        # polarity (docs/DESIGN.md D6) instead of aborting the evaluation.
         return False
 
 

@@ -676,7 +676,7 @@ class ObjectBase:
         """Add ``o.exists -> o`` for every OID hosting a method-application.
 
         Returns the number of facts added.  Called on freshly loaded bases
-        (DESIGN.md D3); derived versions get their ``exists`` fact by state
+        (docs/DESIGN.md D3); derived versions get their ``exists`` fact by state
         copying, never through this method.
         """
         self._ensure_indexes()
@@ -691,7 +691,7 @@ class ObjectBase:
     def replace_state(self, version: Term, facts: Iterable[Fact]) -> bool:
         """Replace the whole state of ``version`` with ``facts``.
 
-        This is the ``⊕`` of DESIGN.md D1: ``T_P`` recomputes complete new
+        This is the ``⊕`` of docs/DESIGN.md D1: ``T_P`` recomputes complete new
         states for the relevant versions, and iteration substitutes them.
         Returns True when the stored state actually changed.
         """
@@ -830,14 +830,6 @@ class ObjectBase:
     def objects(self) -> frozenset[Oid]:
         """The OIDs registered as objects (those with ``o.exists -> o``)."""
         return frozenset(v for v in self.iter_existing_versions() if isinstance(v, Oid))
-
-    def versions_of(self, oid: Oid) -> frozenset[Term]:
-        """All existing versions of object ``oid`` (including ``oid``)."""
-        return frozenset(
-            fact.host
-            for fact in self.iter_facts_by_method(EXISTS, 0)
-            if fact.result == oid and object_of(fact.host) == oid
-        )
 
     def v_star(self, version: Term) -> Term | None:
         """Section 3's ``v*``: the largest subterm of ``version`` whose

@@ -4,18 +4,18 @@ The paper's language derives updates, not queries, but inspecting states —
 "which salary does ``mod(phil)`` have?" — is what its examples do in prose.
 This module exposes the rule matcher for that purpose: a query is a
 conjunction of body literals, answered by the substitutions that satisfy it.
+It takes literals only; text is the parser's business, one layer up::
 
-With the concrete syntax of :mod:`repro.lang` this becomes::
-
-    from repro import query
+    from repro import query                       # parses, then answers
     query(base, "E.isa -> empl, E.sal -> S")
     # -> [{'E': 'bob', 'S': 4200}, {'E': 'phil', 'S': 4000}]
 
 :class:`PreparedQuery` is the compile-once form: the join plan (literal
 ordering *and* secondary-index column selection) is built and compiled a
 single time and every execution runs that closure against whatever base it
-is given — answers are never kept across updates.  :func:`prepare_query`
-keeps the one cache of the read path, *text → compiled query*; the query's
+is given — answers are never kept across updates.
+:func:`repro.lang.parser.prepare_query` builds one from text and keeps the
+one cache of the read path, *text → compiled query*.  The query's
 :class:`~repro.core.plans.QuerySignature` is what sessions and
 subscriptions test a commit's exact ``(added, removed)`` delta against, and
 :meth:`PreparedQuery.delta_answers` is how a subscription learns what that
@@ -24,11 +24,9 @@ delta did to its answers without re-running the body.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from repro.core.atoms import BuiltinAtom, Literal, VersionAtom
-from repro.core.caches import register_lru_cache
 from repro.core.codegen import compile_seeded, compiled_body
 from repro.core.grounding import match_body
 from repro.core.objectbase import Delta, ObjectBase
@@ -37,7 +35,6 @@ from repro.core.terms import Oid, Var
 
 __all__ = [
     "PreparedQuery",
-    "prepare_query",
     "query_literals",
     "sorted_answers",
     "answer_sort_key",
@@ -307,37 +304,6 @@ class PreparedQuery:
             columns = tuple((var.name, body.slots.index(var)) for var in self._columns)
             entry = self._seeded[position] = (matcher, body, columns)
             return entry
-
-
-#: Bound of the text → compiled query cache (the size of the per-store
-#: registry it replaced; entries weigh about 1 kB each).
-_PREPARED_CACHE_SIZE = 256
-
-
-@lru_cache(maxsize=_PREPARED_CACHE_SIZE)
-def _prepare_text(text: str, name: str) -> PreparedQuery:
-    from repro.lang.parser import parse_body  # lazy: lang sits above core
-
-    return PreparedQuery(parse_body(text), name=name)
-
-
-register_lru_cache("query.prepared", _prepare_text)
-
-
-def prepare_query(query, *, name: str | None = None) -> PreparedQuery:
-    """Coerce ``query`` — a :class:`PreparedQuery`, a literal sequence, or
-    concrete-syntax text — into a :class:`PreparedQuery`.  Text goes through
-    the bounded process-wide cache ``query.prepared``, so a repeated string
-    skips the parser and the compile."""
-    if isinstance(query, PreparedQuery):
-        return query
-    if isinstance(query, str):
-        return _prepare_text(query, name or query)
-    literals = tuple(query)
-    # Default programmatic names render the body, so distinct unnamed
-    # queries stay tellable-apart in error messages and pushes.
-    derived = ", ".join(str(literal) for literal in literals) or "<empty>"
-    return PreparedQuery(literals, name=name or derived)
 
 
 def query_literals(

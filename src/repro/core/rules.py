@@ -14,7 +14,7 @@ from typing import Iterable, Iterator
 
 from repro.core.atoms import Literal, UpdateAtom, VersionAtom
 from repro.core.errors import ProgramError
-from repro.core.terms import Term, UpdateKind, Var, VersionId
+from repro.core.terms import Term, Var, VersionId
 
 __all__ = ["UpdateRule", "UpdateProgram"]
 
@@ -48,11 +48,6 @@ class UpdateRule:
             names |= literal.variables
         return frozenset(names)
 
-    @property
-    def is_fact(self) -> bool:
-        """True for update-facts (k = 0)."""
-        return not self.body
-
     def substitute(self, binding) -> "UpdateRule":
         """A (possibly ground) instance of this rule."""
         return UpdateRule(
@@ -60,12 +55,6 @@ class UpdateRule:
             tuple(literal.substitute(binding) for literal in self.body),
             self.name,
         )
-
-    def positive_literals(self) -> Iterator[Literal]:
-        return (lit for lit in self.body if lit.positive)
-
-    def negative_literals(self) -> Iterator[Literal]:
-        return (lit for lit in self.body if not lit.positive)
 
     def body_version_id_terms(self) -> Iterator[tuple[Term, bool]]:
         """Yield ``(version-id-term, positive)`` for every body atom.
@@ -123,21 +112,12 @@ class UpdateProgram:
     def __getitem__(self, index: int) -> UpdateRule:
         return self.rules[index]
 
-    def rule_named(self, name: str) -> UpdateRule:
-        for rule in self.rules:
-            if rule.name == name:
-                return rule
-        raise KeyError(name)
-
     @property
     def variables(self) -> frozenset[Var]:
         names: set[Var] = set()
         for rule in self.rules:
             names |= rule.variables
         return frozenset(names)
-
-    def update_kinds_used(self) -> frozenset[UpdateKind]:
-        return frozenset(rule.head.kind for rule in self.rules)
 
     def __str__(self) -> str:
         return "\n".join(str(rule) for rule in self.rules)

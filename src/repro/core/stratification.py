@@ -22,7 +22,7 @@ The conditions, as precedence constraints between rules (``r' < r`` strict,
     could be used to infer updates on other objects and be deleted
     afterwards.
 
-Unification is sorted (variables range over OIDs, DESIGN.md D2); the two
+Unification is sorted (variables range over OIDs, docs/DESIGN.md D2); the two
 rules' variables are renamed apart before each check.
 
 A stratification exists iff the precedence graph has no cycle through a
@@ -50,7 +50,7 @@ from repro.core.terms import (
     VersionVar,
     subterms,
 )
-from repro.unify.unification import unifiable
+from repro.core.unification import unifiable
 
 __all__ = ["Stratification", "PrecedenceEdge", "stratify", "precedence_edges"]
 

@@ -1,6 +1,6 @@
 """Substitutions: finite mappings from variables to object-id-terms.
 
-Because the language is sorted (variables denote objects, DESIGN.md D2), a
+Because the language is sorted (variables denote objects, docs/DESIGN.md D2), a
 binding always maps a :class:`~repro.core.terms.Var` to an
 :class:`~repro.core.terms.Oid` or to another :class:`~repro.core.terms.Var` —
 never to a compound version-id-term.  This keeps substitutions idempotent
@@ -77,7 +77,7 @@ class Substitution:
                 if not _binding_allowed(var, value):
                     raise TermError(
                         "substitution values must be object-id-terms "
-                        f"(sorted unification, DESIGN.md D2), got {value!r}"
+                        f"(sorted unification, docs/DESIGN.md D2), got {value!r}"
                     )
                 items[var] = value
         self._binding = items
@@ -125,17 +125,6 @@ class Substitution:
         for var, value in other._binding.items():
             merged.setdefault(var, value)
         return Substitution(merged)
-
-    def restrict(self, variables) -> "Substitution":
-        """Keep only the bindings for ``variables``."""
-        wanted = set(variables)
-        return Substitution(
-            {var: value for var, value in self._binding.items() if var in wanted}
-        )
-
-    def is_ground_on(self, variables) -> bool:
-        """True when every variable in ``variables`` resolves to an OID."""
-        return all(isinstance(resolve(v, self._binding), Oid) for v in variables)
 
     # -- value semantics -----------------------------------------------------
     def __eq__(self, other: object) -> bool:

@@ -1,4 +1,4 @@
-"""Sorted unification of version-id-terms (DESIGN.md D2).
+"""Sorted unification of version-id-terms (docs/DESIGN.md D2).
 
 Stratification conditions (a)-(d) of Section 4 ask whether one rule's head
 version-id-term "unifies with a subterm of" another rule's version-id-term.
@@ -18,8 +18,8 @@ This sort discipline is semantically load-bearing:
 
 from __future__ import annotations
 
+from repro.core.substitution import Substitution, resolve
 from repro.core.terms import Oid, Term, Var, VersionId, VersionVar, subterms
-from repro.unify.substitution import Substitution, resolve
 
 __all__ = ["unify_terms", "unify", "unifiable", "match_term"]
 

@@ -15,8 +15,8 @@ from typing import Iterable, Iterator, Union
 from repro.core.atoms import BuiltinAtom
 from repro.core.errors import ProgramError, SafetyError, TermError
 from repro.core.safety import limited_variables
+from repro.core.substitution import resolve
 from repro.core.terms import Oid, Var
-from repro.unify.substitution import resolve
 
 __all__ = [
     "PredicateAtom",

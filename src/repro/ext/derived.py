@@ -27,7 +27,7 @@ in this direction").  This module supplies the generalisation:
   the linearity check and every evaluation option behave as without views.
 
 A view whose head host is a plain variable (``X.senior -> yes``) attaches
-to *objects* only — variables range over ``O`` (DESIGN.md D2).  For a
+to *objects* only — variables range over ``O`` (docs/DESIGN.md D2).  For a
 **version-transparent** view, compose with the other Section 6 extension
 and use a version variable::
 

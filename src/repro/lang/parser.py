@@ -12,10 +12,14 @@ notations handled here:
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.core.atoms import BuiltinAtom, Literal, UpdateAtom, VersionAtom
+from repro.core.caches import register_lru_cache
 from repro.core.errors import ProgramError, TermError
 from repro.core.exprs import BinOp, Expr, Neg
 from repro.core.objectbase import ObjectBase
+from repro.core.query import PreparedQuery
 from repro.core.rules import UpdateProgram, UpdateRule
 from repro.core.terms import Term, UpdateKind, Var, VersionId, VersionVar, intern_oid
 from repro.lang.errors import ParseError
@@ -25,6 +29,7 @@ __all__ = [
     "parse_program",
     "parse_rule",
     "parse_body",
+    "prepare_query",
     "parse_object_base",
     "parse_term",
     "parse_derived_rules",
@@ -400,6 +405,35 @@ def parse_body(text: str) -> tuple[Literal, ...]:
     return tuple(literals)
 
 
+#: Bound of the text → compiled query cache (the size of the per-store
+#: registry it replaced; entries weigh about 1 kB each).
+_PREPARED_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_PREPARED_CACHE_SIZE)
+def _prepare_text(text: str, name: str) -> PreparedQuery:
+    return PreparedQuery(parse_body(text), name=name)
+
+
+register_lru_cache("query.prepared", _prepare_text)
+
+
+def prepare_query(query, *, name: str | None = None) -> PreparedQuery:
+    """Coerce ``query`` — a :class:`~repro.core.query.PreparedQuery`, a
+    literal sequence, or concrete-syntax text — into a prepared query.
+    Text goes through the bounded process-wide cache ``query.prepared``,
+    so a repeated string skips the parser and the compile."""
+    if isinstance(query, PreparedQuery):
+        return query
+    if isinstance(query, str):
+        return _prepare_text(query, name or query)
+    literals = tuple(query)
+    # Default programmatic names render the body, so distinct unnamed
+    # queries stay tellable-apart in error messages and pushes.
+    derived = ", ".join(str(literal) for literal in literals) or "<empty>"
+    return PreparedQuery(literals, name=name or derived)
+
+
 def parse_term(text: str) -> Term:
     """Parse a single (version-id-)term."""
     parser = _Parser(text)
@@ -428,7 +462,7 @@ def parse_object_base(text: str, *, ensure_exists: bool = True) -> ObjectBase:
     """Parse an object-base file: ground version-terms terminated by '.'.
 
     ``ensure_exists`` adds the Section 3 ``o.exists -> o`` bookkeeping for
-    every host OID (DESIGN.md D3).
+    every host OID (docs/DESIGN.md D3).
     """
     atoms = _Parser(text).parse_fact_clauses()
     base = ObjectBase()

@@ -102,9 +102,6 @@ class Gauge:
     def set(self, value: float) -> None:
         self.value = value
 
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
     def snapshot(self) -> float:
         return self.value
 
@@ -205,9 +202,6 @@ class MetricsRegistry:
 
     def set_gauge(self, name: str, value: float, **labels: str) -> None:
         self._get("gauge", name, labels).set(value)
-
-    def inc_gauge(self, name: str, amount: float = 1.0, **labels: str) -> None:
-        self._get("gauge", name, labels).inc(amount)
 
     def observe(self, name: str, value: float, **labels: str) -> None:
         self._get("histogram", name, labels).observe(value)

@@ -4,11 +4,12 @@ The journal (PR 2/4/6) already *is* a replication log: a totally ordered,
 CRC-checked, byte-replayable history whose replay is proven byte-identical
 by the tier-1 suite.  This package streams that log to live follower
 processes and handles the failure half — health checks, promotion, and
-epoch fencing — so one ``StoreService`` survives node loss:
+epoch fencing — so one ``StoreService`` survives node loss.  The primary
+side is the server's: :mod:`repro.server.stream` answers ``repl-stream``
+with the catch-up batch of raw journal lines, then pushes each later
+commit's line, so followers receive the primary's exact bytes.  This
+package is the follower side:
 
-* :mod:`repro.replication.stream` — the primary side: ``repl-stream``
-  answers with the catch-up batch of raw journal lines, then pushes each
-  later commit's line, so followers receive the primary's exact bytes;
 * :mod:`repro.replication.follower` — the replica process: attaches to
   the stream from its journal's end (at start and after every dropped
   link), replays each line through the write-ahead commit path into a

@@ -20,6 +20,10 @@ changes by *push*, so clients need not re-ask.
 * :mod:`~repro.server.protocol` / :mod:`~repro.server.server` /
   :mod:`~repro.server.client` — the JSON-lines wire protocol, its asyncio
   transport (``repro serve``), and the wire client (:class:`AsyncClient`).
+* :mod:`~repro.server.stream` — the primary's half of replication:
+  ``repl-stream`` answers with the catch-up batch of raw journal lines,
+  then pushes each later commit's line (the follower side is
+  :mod:`repro.replication`).
 
 This is the architectural seam later scaling PRs (sharding, replication,
 multi-backend) plug into: everything above the :class:`StoreService` talks

@@ -82,6 +82,7 @@ from repro.server.errors import (
     StaleEpochError,
 )
 from repro.server.service import Session, StoreService
+from repro.server.stream import attach
 from repro.storage.history import resolve_revision_ref
 
 __all__ = [
@@ -402,8 +403,6 @@ class Dispatcher:
         return from_index
 
     def _cmd_repl_stream(self, request, state) -> dict:
-        from repro.replication.stream import attach  # lazy: optional layer
-
         # The response is the catch-up batch; pushes carry only lines
         # committed after it (both are taken under the writer queue).
         detach, batch = attach(

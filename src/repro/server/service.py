@@ -46,8 +46,9 @@ from repro.core.objectbase import Delta, ObjectBase
 from repro.obs import metrics as _obs
 from repro.obs import slowlog as _slowlog
 from repro.core.plans import QuerySignature, program_signature
-from repro.core.query import Answer, prepare_query
+from repro.core.query import Answer
 from repro.core.rules import UpdateProgram
+from repro.lang.parser import prepare_query
 from repro.server.errors import (
     ConflictError,
     NotPrimaryError,
@@ -513,7 +514,7 @@ class StoreService:
         lost.  ``entry`` is what ``journal_revisions`` wrote, shared by every
         listener.  The caller must serialize registration against in-flight
         commits (register under :meth:`_writer`, as
-        :func:`repro.replication.stream.attach` does)."""
+        :func:`repro.server.stream.attach` does)."""
         self._repl_listeners.append(listener)
         return listener
 

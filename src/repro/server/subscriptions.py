@@ -44,8 +44,8 @@ from repro.core.query import (
     PreparedQuery,
     diff_answers,
     fold_answers,
-    prepare_query,
 )
+from repro.lang.parser import prepare_query
 from repro.storage.history import StoreRevision, VersionedStore
 
 __all__ = ["Subscription", "SubscriptionManager"]

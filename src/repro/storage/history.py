@@ -46,8 +46,9 @@ from repro.core.engine import UpdateEngine, UpdateResult
 from repro.core.errors import ReproError
 from repro.core.facts import EXISTS, Fact
 from repro.core.objectbase import ObjectBase
-from repro.core.query import Answer, PreparedQuery, prepare_query
+from repro.core.query import Answer, PreparedQuery
 from repro.core.rules import UpdateProgram
+from repro.lang.parser import prepare_query
 
 __all__ = [
     "StoreOptions",

@@ -216,7 +216,7 @@ def reference_step(
 
 
 def _substitute(base: ObjectBase, step: _ReferenceStep) -> bool:
-    """Substitute the recomputed states into ``base`` (DESIGN.md D1); True
+    """Substitute the recomputed states into ``base`` (docs/DESIGN.md D1); True
     when the base changed."""
     changed = False
     for version, state in step.new_states.items():

@@ -215,6 +215,37 @@ def test_composed_as_of_equals_per_shard_replay(cluster):
                     assert shard_conn.head.index == parsed[shard]
 
 
+def test_revision_vector_tokens_name_every_shard(cluster):
+    """A token with fewer or more components than shards is refused with
+    both counts on every path that reads one — never an ``IndexError``,
+    never silently truncated — and a negative component fails at parse."""
+    with repro.connect(cluster.target) as conn:
+        conn.apply(RAISE_HENRY, tag="raise-h")  # shard 0
+        conn.apply(RAISE_PHIL, tag="raise-q1")  # shard 1
+        for token in ("rv:1", "rv:1,1,0", RevisionVector((1, 1, 0))):
+            count = len(RevisionVector.parse(str(token)))
+            wrong = f"has {count} components, but this cluster has 2 shards"
+            reads = (
+                lambda: conn.as_of(token),
+                lambda: conn.diff("rv:0,0", token),
+                lambda: conn.diff(token, "raise-q1"),
+                lambda: conn.query("phil.sal -> S", min_revision=token),
+                lambda: conn.query(SALARY_QUERY, min_revision=token),
+                lambda: conn.subscribe("phil.sal -> S", min_revision=token),
+            )
+            for read in reads:
+                with pytest.raises(ReproError, match=wrong):
+                    read()
+        for token in ("rv:1,-1", "rv:-1,2"):
+            with pytest.raises(ReproError, match="non-negative"):
+                RevisionVector.parse(token)
+            with pytest.raises(ReproError, match="non-negative"):
+                conn.as_of(token)
+        assert format_object_base(conn.as_of("rv:1,1")) == (
+            format_object_base(conn.as_of("raise-q1"))
+        )
+
+
 def test_cluster_stats_are_uniform_plus_cluster_section(cluster):
     with repro.connect("memory:", base=BASE, tag="initial") as conn:
         memory_stats = conn.stats()

@@ -15,8 +15,8 @@ from repro.cluster import (
 )
 from repro.core.errors import TermError
 from repro.core.facts import Fact
-from repro.core.query import prepare_query
 from repro.core.terms import Oid, Var
+from repro.lang.parser import prepare_query
 from repro.server.service import StoreService
 
 BASE = repro.parse_object_base(

@@ -144,7 +144,7 @@ class TestApplyTp:
         assert not apply_tp(base, result2)
 
     def test_growing_deletes_within_iterations(self):
-        """DESIGN.md D1: a delete firing later must remove the fact copied
+        """docs/DESIGN.md D1: a delete firing later must remove the fact copied
         earlier — union semantics would resurrect it."""
         base = parse_object_base("a.keep -> 1. a.m -> 1. a.trigger -> go.")
         program_text = """

@@ -80,6 +80,14 @@ class TestBasicMatching:
             frozenset({("X", "b"), ("V", 3), ("V2", 4)})
         }
 
+    def test_type_error_fails_a_negated_candidate_too(self):
+        # not 5 = 'blue' + 1 does not succeed: the candidate dies either way
+        base = parse_object_base("a.m -> blue. a.n -> 5.  b.m -> 3. b.n -> 5.")
+        rule = parse_rule("ins[X].t -> 1 <= X.m -> V, X.n -> W, not W = V + 1.")
+        assert bindings_set(match_rule(rule, base)) == {
+            frozenset({("X", "b"), ("V", 3), ("W", 5)})
+        }
+
 
 class TestVersionPatternMatching:
     def test_var_host_never_matches_versions(self):

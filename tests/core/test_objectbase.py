@@ -396,13 +396,6 @@ class TestLookups:
         assert len(applications) == 2
         assert all(f.method != EXISTS for f in applications)
 
-    def test_versions_of(self):
-        base = small_base()
-        version = wrap(MOD, Oid("phil"))
-        base.add(exists_fact(version))
-        assert base.versions_of(Oid("phil")) == {Oid("phil"), version}
-        assert base.versions_of(Oid("bob")) == {Oid("bob")}
-
     def test_facts_by_method_respects_arity(self):
         base = ObjectBase.from_triples(
             [("a", "m", 1), ("b", "m", ("x",), 2)]

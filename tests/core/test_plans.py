@@ -18,9 +18,8 @@ from repro.core.plans import (
     rule_plan,
 )
 from repro.core.facts import Fact
-from repro.core.query import prepare_query
 from repro.core.terms import Oid
-from repro.lang.parser import parse_body, parse_object_base, parse_program
+from repro.lang.parser import parse_body, parse_object_base, parse_program, prepare_query
 from repro.testing.reference import match_rule_dynamic
 
 

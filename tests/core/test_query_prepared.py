@@ -7,11 +7,11 @@ from repro import parse_body, parse_object_base
 from repro.core.plans import GENERATE, compile_plan
 from repro.core.query import (
     PreparedQuery,
-    prepare_query,
     query_literals,
     sorted_answers,
 )
 from repro.core.terms import Var
+from repro.lang.parser import prepare_query
 from repro.testing.reference import query_reference
 
 

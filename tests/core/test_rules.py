@@ -31,7 +31,7 @@ class TestUpdateRule:
 
     def test_fact(self):
         fact = UpdateRule(UpdateAtom(INS, Oid("o"), "m", (), Oid(1)))
-        assert fact.is_fact
+        assert not fact.body
         assert str(fact) == "ins[o].m -> 1."
 
     def test_substitution(self):
@@ -63,17 +63,6 @@ class TestUpdateRule:
         # the update-term contributes its created version del(mod(E))
         assert (wrap(DEL, wrap(MOD, Var("E"))), False) in terms
 
-    def test_literal_split(self):
-        rule = UpdateRule(
-            UpdateAtom(INS, Var("E"), "m", (), Oid(1)),
-            (
-                Literal(VersionAtom(Var("E"), "a", (), Oid(1))),
-                Literal(VersionAtom(Var("E"), "b", (), Oid(2)), positive=False),
-            ),
-        )
-        assert len(list(rule.positive_literals())) == 1
-        assert len(list(rule.negative_literals())) == 1
-
 
 class TestUpdateProgram:
     def test_auto_naming(self):
@@ -87,17 +76,11 @@ class TestUpdateProgram:
 
     def test_explicit_names_kept(self):
         program = UpdateProgram([_raise_rule()])
-        assert program.rule_named("raise").name == "raise"
-        with pytest.raises(KeyError):
-            program.rule_named("nope")
+        assert [rule.name for rule in program] == ["raise"]
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ProgramError):
             UpdateProgram([_raise_rule(), _raise_rule()])
-
-    def test_kinds_used(self):
-        program = UpdateProgram([_raise_rule()])
-        assert program.update_kinds_used() == {MOD}
 
     def test_iteration_and_indexing(self):
         program = UpdateProgram([_raise_rule()])

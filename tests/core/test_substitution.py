@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.errors import TermError
+from repro.core.substitution import Substitution, apply_term, resolve
 from repro.core.terms import Oid, UpdateKind, Var, VersionId, VersionVar, wrap
-from repro.unify.substitution import Substitution, apply_term, resolve
 
 names = st.sampled_from(["X", "Y", "Z", "E", "B"])
 oids = st.one_of(
@@ -50,7 +50,7 @@ class TestApplyTerm:
 
 class TestSubstitution:
     def test_sort_discipline(self):
-        # plain variables cannot take version identities (DESIGN.md D2)
+        # plain variables cannot take version identities (docs/DESIGN.md D2)
         with pytest.raises(TermError):
             Substitution({Var("X"): wrap(UpdateKind.INSERT, Oid("a"))})
 
@@ -63,10 +63,6 @@ class TestSubstitution:
         extended = empty.bind(Var("X"), Oid("a"))
         assert Var("X") not in empty
         assert extended[Var("X")] == Oid("a")
-
-    def test_restrict(self):
-        subst = Substitution({Var("X"): Oid("a"), Var("Y"): Oid("b")})
-        assert set(subst.restrict([Var("X")])) == {Var("X")}
 
     def test_compose_applies_left_then_right(self):
         left = Substitution({Var("X"): Var("Y")})
@@ -87,8 +83,3 @@ class TestSubstitution:
         for var in binding:
             once = subst.apply(var)
             assert subst.apply(once) == once
-
-    @given(st.dictionaries(names.map(Var), oids, max_size=4), names.map(Var))
-    def test_ground_on_matches_membership(self, binding, var):
-        subst = Substitution(binding)
-        assert subst.is_ground_on([var]) == (var in binding)

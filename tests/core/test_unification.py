@@ -1,4 +1,4 @@
-"""Unit and property tests for sorted unification (DESIGN.md D2).
+"""Unit and property tests for sorted unification (docs/DESIGN.md D2).
 
 The sort discipline is semantically load-bearing for the paper's examples
 (stratification shapes, exactly-once updates), so it is pinned extensively.
@@ -7,7 +7,7 @@ The sort discipline is semantically load-bearing for the paper's examples
 from hypothesis import given, strategies as st
 
 from repro.core.terms import Oid, UpdateKind, Var, VersionId, VersionVar, wrap
-from repro.unify.unification import match_term, unifiable, unify, unify_terms
+from repro.core.unification import match_term, unifiable, unify, unify_terms
 
 INS, DEL, MOD = UpdateKind.INSERT, UpdateKind.DELETE, UpdateKind.MODIFY
 
@@ -69,7 +69,7 @@ class TestSortDiscipline:
         binding = unify_terms(wrap(MOD, Var("X")), wrap(MOD, Var("Y")))
         extended = unify_terms(Var("X"), Oid("a"), binding)
         assert extended is not None
-        from repro.unify.substitution import resolve
+        from repro.core.substitution import resolve
 
         assert resolve(Var("Y"), extended) == Oid("a")
 
@@ -124,7 +124,7 @@ class TestMatchTerm:
 
     @given(patterns, ground_terms)
     def test_match_result_reproduces_ground(self, pattern, ground):
-        from repro.unify.substitution import apply_term
+        from repro.core.substitution import apply_term
 
         binding = match_term(pattern, ground)
         if binding is not None:

@@ -62,7 +62,7 @@ class TestRules:
     def test_unlabelled_rule(self):
         rule = parse_rule("ins[o].m -> 1.")
         assert rule.name == ""
-        assert rule.is_fact
+        assert not rule.body
 
     def test_path_shorthand_expands(self):
         rule = parse_rule(

@@ -30,12 +30,10 @@ class TestCounterGaugeHistogram:
         registry.inc("requests", 2.5)
         assert registry.snapshot()["requests"]["series"][""] == 3.5
 
-    def test_gauge_sets_and_incs(self, registry):
+    def test_gauge_sets(self, registry):
         registry.set_gauge("depth", 7)
         registry.set_gauge("depth", 3)
         assert registry.snapshot()["depth"]["series"][""] == 3
-        registry.inc_gauge("depth", 2)
-        assert registry.snapshot()["depth"]["series"][""] == 5
 
     def test_histogram_snapshot_fields(self, registry):
         for value in (0.1, 0.2, 0.3, 0.4):

@@ -31,7 +31,6 @@ import repro
 from repro.api import BackgroundServer
 from repro.lang.parser import parse_object_base
 from repro.replication import Follower, ReplicaSet
-from repro.replication.stream import attach
 from repro.server.errors import (
     ConnectionClosed,
     NotPrimaryError,
@@ -39,6 +38,7 @@ from repro.server.errors import (
     StaleEpochError,
 )
 from repro.server.service import StoreService
+from repro.server.stream import attach
 from repro.storage.history import StoreOptions, VersionedStore
 from repro.storage.serialize import (
     JOURNAL_FILE,

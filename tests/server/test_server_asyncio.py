@@ -9,8 +9,8 @@ import asyncio
 
 import pytest
 
-from repro.core.query import fold_answers, prepare_query
-from repro.lang.parser import parse_program
+from repro.core.query import fold_answers
+from repro.lang.parser import parse_program, prepare_query
 from repro.server import AsyncClient, ConflictError, ReproServer, StoreService
 from repro.storage import VersionedStore, load_store
 from repro.storage.serialize import JOURNAL_FILE, append_revision, save_store

@@ -11,8 +11,8 @@ from repro.core.query import (
     PreparedQuery,
     diff_answers,
     fold_answers,
-    prepare_query,
 )
+from repro.lang.parser import prepare_query
 from repro.server import StoreService
 from repro.storage import VersionedStore
 from repro.workloads import paper_example_base

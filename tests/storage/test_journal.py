@@ -203,7 +203,7 @@ class TestWritePath:
         assert load_store(tmp_path).head.tag == "next"
 
     def test_followers_receive_the_appended_entry(self, tmp_path, reads):
-        from repro.replication.stream import attach
+        from repro.server.stream import attach
         from repro.server.service import StoreService
 
         directory = tmp_path / "primary"

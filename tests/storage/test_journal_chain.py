@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.errors import ReproError
 from repro.lang.parser import parse_program
-from repro.replication.stream import read_journal_entries
+from repro.server.stream import read_journal_entries
 from repro.storage import (
     JournalCorruptError,
     StoreOptions,

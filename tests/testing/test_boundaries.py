@@ -1,13 +1,16 @@
 """The boundaries of the one-engine design, held structurally.
 
+* The subpackages form a DAG: every import under ``src/repro``, top-level
+  or inside a function, names its own subpackage or one earlier in
+  :data:`LAYERS`, and every subpackage on disk has a place there.
 * The reference evaluator is an oracle for tests, not a second engine: no
   module of the product imports it.
 * The ``REPRO_NO_CODEGEN`` switch is gone, not merely unused.
 * The product does not depend on the chaos-guard sweeps that live beside
   the benchmark (``benchmarks/sweeps.py``).
 * There are three ``Connection`` implementations — in-process, wire,
-  shard router — and failover is the wire connection's job: the
-  replication package defines none.
+  shard router — all in ``repro.api``, and failover is the wire
+  connection's job: the replication package defines none.
 * The read path keeps no answers across updates: the per-revision memo is
   gone from the store, not bypassed.
 """
@@ -23,6 +26,15 @@ import repro
 
 SRC = Path(repro.__file__).resolve().parent
 
+#: The subpackages bottom-up.  A module may import its own subpackage or an
+#: earlier one; ``cli.py``, ``__init__.py`` and ``__main__.py`` sit above
+#: all, so importing a name from ``repro`` itself is an upward import too.
+LAYERS = (
+    "obs", "core", "lang", "datalog", "baselines", "workloads", "ext",
+    "analysis", "storage", "testing", "server", "api", "replication",
+    "cluster",
+)
+
 
 def _imported_modules(tree: ast.AST):
     """Absolute import targets (``src/repro`` uses no relative imports —
@@ -37,6 +49,25 @@ def _imported_modules(tree: ast.AST):
                 continue
             for alias in node.names:
                 yield f"{node.module}.{alias.name}"
+
+
+def test_subpackages_import_only_their_own_layer_or_below():
+    modules = sorted(SRC.glob("*/**/*.py"))
+    on_disk = {path.relative_to(SRC).parts[0] for path in modules}
+    assert on_disk == set(LAYERS), f"place every subpackage in LAYERS: {on_disk}"
+    rank = {package: index for index, package in enumerate(LAYERS)}
+    offenders = []
+    for path in modules:
+        package = path.relative_to(SRC).parts[0]
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for module in _imported_modules(tree):
+            parts = module.split(".")
+            if parts[0] not in ("repro", "<relative import>"):
+                continue
+            target = parts[1] if len(parts) > 1 else "repro"
+            if rank.get(target, len(LAYERS)) > rank[package]:
+                offenders.append(f"{path.relative_to(SRC.parent)} imports {module}")
+    assert not offenders, offenders
 
 
 def test_only_repro_testing_imports_the_reference_and_the_switch_is_gone():
@@ -67,7 +98,7 @@ def test_exactly_three_connection_classes_and_none_under_replication():
     assert found == {
         "ServiceConnection": "api",
         "WireConnection": "api",
-        "ClusterConnection": "cluster",
+        "ClusterConnection": "api",
     }
 
 
