@@ -63,6 +63,12 @@ def _host_root(term: Term) -> Term:
     return term
 
 
+def _literal_root(atom) -> Term:
+    """The host root a version- or update-term reads: an update-term's is
+    its target's, since every version of an object lives with it."""
+    return _host_root(atom.host if isinstance(atom, VersionAtom) else atom.target)
+
+
 def shard_of_fact(fact: Fact, count: int) -> int:
     """The shard ``fact`` lives on — its host's innermost object's shard."""
     root = _host_root(fact.host)
@@ -86,18 +92,17 @@ def split_base(base: ObjectBase, count: int) -> list[ObjectBase]:
 
 def program_hosts(program) -> frozenset[Oid] | None:
     """The ground host objects a program touches, or ``None`` when any
-    host (head target or body version-atom host) has a variable innermost
-    — such a program cannot be routed to one shard."""
+    host (head target, body version-term host or update-term target) has a
+    variable innermost — such a program cannot be routed to one shard."""
     hosts: set[Oid] = set()
     for rule in program:
-        terms = [rule.head.target]
-        for literal in rule.body:
-            atom = literal.atom
-            if isinstance(atom, BuiltinAtom):
-                continue
-            terms.append(atom.host)
-        for term in terms:
-            root = _host_root(term)
+        roots = [_host_root(rule.head.target)]
+        roots += [
+            _literal_root(literal.atom)
+            for literal in rule.body
+            if not isinstance(literal.atom, BuiltinAtom)
+        ]
+        for root in roots:
             if not isinstance(root, Oid):
                 return None
             hosts.add(root)
@@ -120,29 +125,28 @@ def query_scope(
     Returns one of
 
     * ``("single", shard)`` — every host is ground and hashes to one
-      shard (or the body has no version literal at all): answer from that
-      shard alone;
-    * ``("scatter", None)`` — the version literals share exactly one host
-      variable and name no ground host: per-shard evaluation is complete
-      (each binding's facts are colocated), so evaluate everywhere and
-      merge;
+      shard (or the body has no version- or update-term at all): answer
+      from that shard alone;
+    * ``("scatter", None)`` — the version- and update-terms share exactly
+      one host variable and name no ground host: per-shard evaluation is
+      complete (each binding's facts are colocated), so evaluate
+      everywhere and merge;
     * ``("gather", None)`` — the body joins across distinct host roots:
       union per-shard snapshots and evaluate centrally.
     """
     ground: set[Oid] = set()
     variables: set[Term] = set()
-    saw_version_literal = False
+    saw_host = False
     for literal in literals:
-        atom = literal.atom
-        if not isinstance(atom, VersionAtom):
+        if isinstance(literal.atom, BuiltinAtom):
             continue
-        saw_version_literal = True
-        root = _host_root(atom.host)
+        saw_host = True
+        root = _literal_root(literal.atom)
         if isinstance(root, Oid):
             ground.add(root)
         else:
             variables.add(root)
-    if not saw_version_literal:
+    if not saw_host:
         return ("single", 0)
     if not variables:
         shards = {shard_for(oid, count) for oid in ground}

@@ -1013,7 +1013,7 @@ class CompiledRule:
         through the bulk seed matcher, one batch per position."""
         signature = self.plans.signature
         for position in positions:
-            facts = seed_facts(delta, signature, position)
+            facts = seed_facts(delta.added_index(), signature, position)
             if not facts:
                 continue
             matcher, body = self.seeded(position)

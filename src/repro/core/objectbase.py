@@ -78,7 +78,7 @@ class Delta:
         self._added_runs: list[tuple[Shape | None, int]] = []
         self._removed_runs: list[tuple[Shape | None, int]] = []
         self._added_index: dict[MethodKey, dict[Shape, list[Fact]]] | None = None
-        self._removed_index: dict[MethodKey, set[Shape]] | None = None
+        self._removed_index: dict[MethodKey, dict[Shape, list[Fact]]] | None = None
         self._added_shapes: set[Shape] | None = None
         self._removed_shapes: set[Shape] | None = None
 
@@ -111,22 +111,13 @@ class Delta:
     def added_index(self) -> dict[MethodKey, dict[Shape, list[Fact]]]:
         """Added facts grouped by ``(method, arity)`` then host shape."""
         if self._added_index is None:
-            index: dict[MethodKey, dict[Shape, list[Fact]]] = {}
-            for shape, facts in _shaped(self.added, self._added_runs):
-                for fact in facts:
-                    key = (fact.method, len(fact.args))
-                    index.setdefault(key, {}).setdefault(shape, []).append(fact)
-            self._added_index = index
+            self._added_index = _indexed(self.added, self._added_runs)
         return self._added_index
 
-    def removed_index(self) -> dict[MethodKey, set[Shape]]:
-        """Host shapes of removed facts per ``(method, arity)`` key."""
+    def removed_index(self) -> dict[MethodKey, dict[Shape, list[Fact]]]:
+        """Removed facts grouped as :meth:`added_index` groups added ones."""
         if self._removed_index is None:
-            index: dict[MethodKey, set[Shape]] = {}
-            for shape, facts in _shaped(self.removed, self._removed_runs):
-                for fact in facts:
-                    index.setdefault((fact.method, len(fact.args)), set()).add(shape)
-            self._removed_index = index
+            self._removed_index = _indexed(self.removed, self._removed_runs)
         return self._removed_index
 
     def added_shapes(self) -> set[Shape]:
@@ -144,6 +135,19 @@ class Delta:
                 shape for shape, _facts in _shaped(self.removed, self._removed_runs)
             }
         return self._removed_shapes
+
+
+def _indexed(
+    facts: list[Fact], runs: list[tuple[Shape | None, int]]
+) -> dict[MethodKey, dict[Shape, list[Fact]]]:
+    """One side of a :class:`Delta` grouped by ``(method, arity)`` then
+    host shape."""
+    index: dict[MethodKey, dict[Shape, list[Fact]]] = {}
+    for shape, group in _shaped(facts, runs):
+        for fact in group:
+            key = (fact.method, len(fact.args))
+            index.setdefault(key, {}).setdefault(shape, []).append(fact)
+    return index
 
 
 def _shaped(

@@ -288,8 +288,8 @@ def _choose_static(
 #: (version-variable patterns, which reach hosts of any depth).
 Trigger = tuple[MethodKey | None, Shape, bool]
 
-#: A seed ``(body position, key, shape_prefix, exact)`` for a positive
-#: version-term literal.
+#: A seed ``(body position, key, shape_prefix, exact)`` for a version-term
+#: literal: positive ones in a rule's signature, either polarity in a query's.
 Seed = tuple[int, MethodKey, Shape, bool]
 
 
@@ -409,8 +409,9 @@ class QuerySignature:
     subscription skip a commit without evaluating anything.
 
     ``seeds`` has the :attr:`RuleSignature.seeds` layout — one entry per
-    positive version-term literal of a body — so :func:`seed_facts` picks a
-    delta's facts for a seeded evaluation of the body; a program's
+    version-term literal of a body, negated ones too (a removed fact admits
+    rows through ``not L``, an added one drops them) — so :func:`seed_facts`
+    picks a delta's facts for a seeded evaluation of the body; a program's
     signature has none.
     """
 
@@ -470,8 +471,7 @@ def body_signature(body: tuple[Literal, ...]) -> QuerySignature:
             key = (atom.method, len(atom.args))
             prefix, exact = _pattern_shape(atom.host)
             triggers.append((key, prefix, exact))
-            if literal.positive:
-                seeds.append((position, key, prefix, exact))
+            seeds.append((position, key, prefix, exact))
         elif isinstance(atom, UpdateAtom):
             key = (atom.method, len(atom.args)) if atom.method else None
             prefix, exact = _pattern_shape(atom.target)
@@ -574,14 +574,17 @@ def classify(
 
 
 def seed_facts(
-    delta: "Delta", signature: RuleSignature | QuerySignature, position: int
+    index: dict[MethodKey, dict[Shape, list[Fact]]],
+    signature: RuleSignature | QuerySignature,
+    position: int,
 ) -> list[Fact]:
-    """The added facts a seed literal at ``position`` can match, by key and
-    host shape."""
+    """The facts of ``index`` (a delta's ``added_index()`` or
+    ``removed_index()``) a seed literal at ``position`` can match, by key
+    and host shape."""
     for pos, key, prefix, exact in signature.seeds:
         if pos != position:
             continue
-        buckets = delta.added_index().get(key)
+        buckets = index.get(key)
         if not buckets:
             return []
         if exact:

@@ -26,10 +26,10 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from repro.core.atoms import BuiltinAtom, Literal, VersionAtom
+from repro.core.atoms import Literal
 from repro.core.codegen import compile_seeded, compiled_body
 from repro.core.grounding import match_body
-from repro.core.objectbase import Delta, ObjectBase
+from repro.core.objectbase import ObjectBase
 from repro.core.plans import body_signature, compile_seed_plan, seed_facts
 from repro.core.terms import Oid, Var
 
@@ -94,11 +94,11 @@ def diff_answers(
 ) -> tuple[list[Answer], list[Answer]]:
     """``(added, removed)`` answer rows between two sorted answer lists.
 
-    The *answer diff* of the push-based serving layer: a subscription holds
-    ``old``, a commit produces ``new``, and only the difference travels to
-    the client.  Both outputs come back in :func:`answer_sort_key` order, so
-    a stream of diffs is replayable deterministically (see
-    :func:`fold_answers`).
+    A subscription stream that lagged diffs the answers it holds
+    (``old``) against the server's snapshot (``new``); the property suites
+    diff fresh queries of two revisions.  Both outputs come back in
+    :func:`answer_sort_key` order, so a stream of diffs is replayable
+    deterministically (see :func:`fold_answers`).
     """
     old_keyed = [(_answer_sort_key(answer), answer) for answer in old]
     new_keyed = [(_answer_sort_key(answer), answer) for answer in new]
@@ -195,12 +195,10 @@ class PreparedQuery:
     :class:`~repro.core.errors.EvaluationError` naming the query when the
     body is unsafe — and derives its
     :class:`~repro.core.plans.QuerySignature` (which method keys and host
-    shapes can change the answers).  ``run`` executes against any base.
-
-    A body is ``seedable`` when every literal is a positive version-term or
-    a built-in: :meth:`delta_answers` then evaluates it from a commit's
-    delta alone, through one seeded variant per positive version-term
-    (built lazily, as a rule's are).
+    shapes can change the answers).  ``run`` executes against any base;
+    :meth:`delta_answers` evaluates the body from one side of a commit's
+    delta, through one seeded variant per version-term (built lazily, as a
+    rule's are).
 
     Instances are safe to share across stores and threads.  Equality and
     hash are by body, so queries that differ only in ``name`` share one
@@ -208,7 +206,7 @@ class PreparedQuery:
     """
 
     __slots__ = (
-        "body", "compiled", "signature", "name", "seedable",
+        "body", "compiled", "signature", "name",
         "_hash", "_columns", "_seeded",
     )
 
@@ -222,11 +220,6 @@ class PreparedQuery:
         self.compiled = compiled_body(self.body, name)
         self.signature = body_signature(self.body)
         self.name = name
-        self.seedable = all(
-            isinstance(literal.atom, BuiltinAtom)
-            or (literal.positive and isinstance(literal.atom, VersionAtom))
-            for literal in self.body
-        )
         self._hash = hash(self.body)
         # Row keys in sorted variable order: what decode_answer produces.
         self._columns = sorted(self.compiled.slots, key=lambda var: var.name)
@@ -262,22 +255,25 @@ class PreparedQuery:
         answers.sort(key=_answer_sort_key)
         return answers
 
-    def delta_answers(self, delta: Delta, base: ObjectBase) -> list[Answer]:
-        """The canonical answers of ``base`` that use at least one fact
-        ``delta`` added, sorted by :func:`answer_sort_key`.
+    def delta_answers(self, gained, lost, base: ObjectBase) -> list[Answer]:
+        """The rows ``diff_answers(run(b), run(base))`` adds, sorted by
+        :func:`answer_sort_key`, where ``gained`` and ``lost`` are the two
+        sides of the exact delta from ``b`` to ``base`` (indexed as
+        :meth:`~repro.core.objectbase.Delta.added_index`).  Swap the sides
+        and pass ``b`` as ``base`` for the rows it removes.
 
-        Each positive version-term seeds its variant with the delta's
-        matching facts and the rest of the body runs on ``base``.  For a
-        :attr:`seedable` body an answer binds every body variable, so it
-        grounds to exactly one set of facts: with ``delta`` the exact change
-        from ``b`` to ``base`` these are the rows ``diff_answers(run(b),
-        run(base))`` adds — and, for the inverse delta on ``b``, the rows it
-        removes.
+        A positive version-term seeds its variant with its facts in
+        ``gained``, a negated one with those in ``lost``; the rest of the
+        body runs on ``base``.  Safety binds a negated literal's variables
+        elsewhere, so a row grounds to one set of facts, and ``not L`` needs
+        no re-check: a ``lost`` fact is absent from ``base``.  Update-terms
+        are not seeded (subscriptions refuse them).
         """
         keyed: dict[tuple, Answer] = {}
         signature = self.signature
         for position, *_ in signature.seeds:
-            facts = seed_facts(delta, signature, position)
+            index = gained if self.body[position].positive else lost
+            facts = seed_facts(index, signature, position)
             if not facts:
                 continue
             matcher, body, columns = self._seeded_at(position)

@@ -4,24 +4,22 @@ A read is *pull*: a client has to re-ask to learn that nothing changed.
 Subscriptions are the mechanism that avoids re-asking.  A subscription
 registers a prepared conjunctive body; every store commit hands the manager
 its exact ``(added, removed)`` fact delta, and each subscription is brought
-to the new revision the way ``T_P`` treats a rule
-(:func:`~repro.core.plans.classify`):
+to the new revision from that delta alone:
 
 * **SKIP** — no trigger of the query's
   :class:`~repro.core.plans.QuerySignature` fires: the delta provably cannot
   change the answers; the subscription advances its revision silently, with
   no evaluation and no message;
-* **SEED** — a trigger fires and the body is *seedable* (every literal a
-  positive version-term or a built-in): the answer diff is evaluated from
-  the delta alone (:meth:`~repro.core.query.PreparedQuery.delta_answers`).
-  Added rows are the body seeded with the added facts on the new base,
-  removed rows the body seeded with the removed facts on the previous one —
-  both exact, since an answer row grounds to one set of facts;
-* **FULL** — a trigger fires and the body reads a negated literal or an
-  update-term: it is re-run on the new revision and diffed against the held
-  answers (:func:`~repro.core.query.diff_answers`).
+* **SEED** — a trigger fires: the answer diff is evaluated from the delta
+  (:meth:`~repro.core.query.PreparedQuery.delta_answers`).  Added rows are
+  the body seeded at its positive version-terms with the added facts and at
+  its negated ones with the removed facts, on the new base; removed rows
+  are the same with the two sides swapped, on the previous base.  Both are
+  exact, since an answer row grounds to one set of facts.
 
-Either way N subscriptions sharing a body share one evaluation, only the
+:meth:`SubscriptionManager.subscribe` refuses a body with an update-term:
+a committed base is plain (every host an OID), so the term cannot change
+there.  N subscriptions sharing a body share one evaluation, only the
 **answer diff** travels to the client, and an empty diff (the delta touched
 the query's keys but not its answers) sends nothing.  Folding a
 subscription's diff stream over its initial answer set reproduces the full
@@ -38,13 +36,10 @@ from __future__ import annotations
 import threading
 from typing import Callable
 
+from repro.core.atoms import UpdateAtom
+from repro.core.errors import ReproError
 from repro.core.objectbase import Delta, ObjectBase
-from repro.core.query import (
-    Answer,
-    PreparedQuery,
-    diff_answers,
-    fold_answers,
-)
+from repro.core.query import Answer, PreparedQuery, fold_answers
 from repro.lang.parser import prepare_query
 from repro.storage.history import StoreRevision, VersionedStore
 
@@ -64,13 +59,13 @@ class Subscription:
     brought to (initial set plus every delivered diff); the list is
     replaced on change, never mutated.  ``skipped`` counts commits proven
     irrelevant by the signature, ``seeded`` the commits answered from the
-    seeded body, ``refreshed`` those that forced a whole-body
-    re-evaluation, and ``pushed`` the non-empty diffs actually delivered.
+    seeded body, and ``pushed`` the non-empty diffs actually delivered
+    (``stats()`` keeps a ``refreshed`` key, always 0).
     """
 
     __slots__ = (
         "id", "query", "deliver", "answers", "revision",
-        "skipped", "seeded", "refreshed", "pushed",
+        "skipped", "seeded", "pushed",
     )
 
     def __init__(self, sid, query, deliver, answers, revision):
@@ -81,7 +76,6 @@ class Subscription:
         self.revision: int = revision
         self.skipped = 0
         self.seeded = 0
-        self.refreshed = 0
         self.pushed = 0
 
     def stats(self) -> dict:
@@ -91,7 +85,7 @@ class Subscription:
             "answers": len(self.answers),
             "skipped": self.skipped,
             "seeded": self.seeded,
-            "refreshed": self.refreshed,
+            "refreshed": 0,
             "pushed": self.pushed,
         }
 
@@ -133,8 +127,15 @@ class SubscriptionManager:
         """Register a live query; the returned subscription carries the
         initial answer set at the current head (the client's fold seed).
         No push is sent for the initial state — it is the subscribe
-        response."""
+        response.  A body with an update-term raises
+        :class:`~repro.core.errors.ReproError` naming the literal."""
         prepared = prepare_query(query, name=name)
+        for literal in prepared.body:
+            if isinstance(literal.atom, UpdateAtom):
+                raise ReproError(
+                    f"query {prepared.name!r}: a live query cannot read the "
+                    f"update-term '{literal}' (ask it with query())"
+                )
         with self._lock:
             revision = len(self._store) - 1
             base = self._store.base_at(revision)
@@ -194,11 +195,10 @@ class SubscriptionManager:
         delta = self._delta_source(revision)
         base = self._store.base_at(index)
         held, self._head = self._head, (index, base)
-        # The previous base and the inverse delta are needed only by a
-        # seeded commit; a subscription registered during this commit moved
-        # the held base ahead, so fall back to the store.
+        # The previous base is read only when a trigger fires; a
+        # subscription registered during this commit moved the held base
+        # ahead, so fall back to the store.
         previous = held[1] if held is not None and held[0] == index - 1 else None
-        inverse: Delta | None = None
         # Subscriptions sharing a query body (queries hash and compare by
         # body) at one revision hold equal answers, so one evaluation per
         # body gives every one of them the same diff and the same new list.
@@ -213,27 +213,17 @@ class SubscriptionManager:
                 continue
             result = results.get(query)
             if result is None:
+                if previous is None:
+                    previous = self._store.base_at(index - 1)
+                gained, lost = delta.added_index(), delta.removed_index()
+                added = query.delta_answers(gained, lost, base)
+                removed = query.delta_answers(lost, gained, previous)
                 answers = subscription.answers
-                if query.seedable:
-                    if inverse is None:
-                        inverse = Delta()
-                        inverse.record(revision.removed, ())
-                        if previous is None:
-                            previous = self._store.base_at(index - 1)
-                    added = query.delta_answers(delta, base)
-                    removed = query.delta_answers(inverse, previous)
-                    if added or removed:
-                        answers = fold_answers(answers, added, removed)
-                else:
-                    fresh = query.run(base)
-                    added, removed = diff_answers(answers, fresh)
-                    answers = fresh
+                if added or removed:
+                    answers = fold_answers(answers, added, removed)
                 result = results[query] = (added, removed, answers)
             added, removed, subscription.answers = result
-            if query.seedable:
-                subscription.seeded += 1
-            else:
-                subscription.refreshed += 1
+            subscription.seeded += 1
             subscription.revision = index
             if not added and not removed:
                 continue

@@ -45,6 +45,9 @@ HIRE = """
 
 SALARY_QUERY = "E.isa -> empl, E.sal -> S"
 
+#: A body with a negated literal, maintained from each commit's delta.
+UNBOSSED_QUERY = "E.isa -> empl, E.sal -> S, not E.boss -> phil"
+
 
 def run_workload(conn) -> dict:
     """The scripted workload; returns every observable as plain data."""
@@ -53,6 +56,8 @@ def run_workload(conn) -> dict:
     stream = conn.subscribe(SALARY_QUERY, name="salaries")
     trace["initial_answers"] = list(stream.answers)
     trace["initial_revision"] = stream.revision
+    unbossed = conn.subscribe(UNBOSSED_QUERY, name="unbossed")
+    trace["unbossed_answers"] = list(unbossed.answers)
 
     # autocommit
     trace["apply"] = conn.apply(RAISE, tag="raise-q1")
@@ -94,6 +99,10 @@ def run_workload(conn) -> dict:
         )
     trace["deltas"] = deltas
     trace["extra_delta"] = stream.next(timeout=0.25)
+    trace["unbossed_deltas"] = [
+        (delta.query, delta.revision, delta.tag, delta.added, delta.removed)
+        for delta in iter(lambda: unbossed.next(timeout=0.25), None)
+    ]
 
     # history: log records, as-of in every addressing form, diffs
     trace["log"] = conn.log()
@@ -114,6 +123,7 @@ def run_workload(conn) -> dict:
     trace["errors"] = errors
 
     stream.close()
+    unbossed.close()
     return trace
 
 
@@ -157,6 +167,15 @@ def test_three_backends_produce_identical_traces(journal_dirs, tmp_path):
     ]
     assert trace["extra_delta"] is None
     assert any(row["E"] == "dee" for row in trace["deltas"][2][3])
+    assert trace["unbossed_answers"] == [{"E": "phil", "S": 4000}]
+    assert [
+        (tag, list(added)) for _q, _r, tag, added, _removed in trace["unbossed_deltas"]
+    ] == [
+        ("raise-q1", [{"E": "phil", "S": 4025}]),
+        ("interloper", [{"E": "phil", "S": 4026}]),
+        ("tx-hire", [{"E": "dee", "S": 3000}]),
+        ("bump-2", [{"E": "dee", "S": 3001}, {"E": "phil", "S": 4027}]),
+    ]
     assert trace["errors"]["nope"] == "no revision tagged 'nope'"
     assert trace["errors"]["99"] == "no revision 99"
     assert trace["errors"]["-1"] == "no revision -1"
@@ -243,15 +262,21 @@ def test_unsafe_query_is_a_typed_error_naming_it_on_every_backend(
 ):
     """A body the planner cannot order fails where its plan is built —
     ``EvaluationError`` in process, the same message over the wire — and
-    the connection keeps answering afterwards."""
+    the connection keeps answering afterwards.  So does a live query over
+    an update-term, which ``subscribe`` refuses naming the literal."""
     from repro.core.errors import EvaluationError
 
     unsafe = "not X.isa -> empl"
+    versioned = "E.sal -> S, not mod[E].sal -> (S, S)"
     _journal_dir, served_dir = journal_dirs
     with repro.connect("memory:", base=BASE, tag="initial") as conn:
         with pytest.raises(EvaluationError, match="unsafe") as memory_error:
             conn.query(unsafe)
         assert unsafe in str(memory_error.value)
+        with pytest.raises(ReproError) as memory_refusal:
+            conn.subscribe(versioned)
+        assert "not mod[E].sal -> (S, S)" in str(memory_refusal.value)
+        assert len(conn.query(versioned)) == 3
         assert len(conn.query(SALARY_QUERY)) == 3
 
     socket_path = str(tmp_path / "parity5.sock")
@@ -260,4 +285,7 @@ def test_unsafe_query_is_a_typed_error_naming_it_on_every_backend(
             with pytest.raises(ReproError) as served_error:
                 conn.query(unsafe)
             assert str(memory_error.value) in str(served_error.value)
+            with pytest.raises(ReproError) as served_refusal:
+                conn.subscribe(versioned)
+            assert str(memory_refusal.value) in str(served_refusal.value)
             assert len(conn.query(SALARY_QUERY)) == 3

@@ -298,6 +298,43 @@ def test_cluster_rejects_unroutable_work(cluster):
         repro.connect(cluster.target, base=BASE)
 
 
+#: A plain base beside one ``ins(bob)`` version fact, so update-terms on
+#: ``bob`` hold; ann sits on shard 1, bob, carl and dan on shard 0.
+UPDATE_TERM_BASE = """
+    bob.sal -> 10.  ins(bob).sal -> 10.
+    ann.isa -> empl.  bob.isa -> empl.  carl.isa -> empl.  dan.isa -> empl.
+"""
+
+
+def test_update_terms_route_like_the_memory_backend():
+    """A commit whose body reads an update-term routes by the term's
+    target, and a read joining a host variable with a ground update-term
+    gathers: a scattered one missed ``ann`` and answered the negated form
+    with a spurious ``ann``."""
+    reads = (
+        "X.isa -> empl, ins[bob].sal -> S",
+        "X.isa -> empl, not ins[bob].sal -> 10",
+    )
+    flag = (
+        "r: ins[mod(bob)].flag -> yes <= bob.sal -> S, "
+        "not del[mod(bob)].isa -> empl."
+    )
+    assert [shard_for(Oid(name), 2) for name in ("ann", "bob")] == [1, 0]
+    traces = []
+    with repro.connect("memory:", base=UPDATE_TERM_BASE) as memory:
+        with LocalCluster(UPDATE_TERM_BASE, shards=2) as deployment:
+            with repro.connect(deployment.target) as clustered:
+                for conn in (memory, clustered):
+                    trace = [conn.query(body) for body in reads]
+                    conn.apply(flag)
+                    trace.append(conn.query("X.flag -> F"))
+                    traces.append(trace)
+    assert traces[0] == traces[1]
+    assert {row["X"] for row in traces[0][0]} == {"ann", "bob", "carl", "dan"}
+    assert traces[0][1] == []
+    assert traces[0][2] == [{"F": "yes", "X": "bob"}]
+
+
 def test_min_revision_token_is_read_your_writes(cluster):
     """A cluster revision index handed to another connection acts as a
     read-your-writes token: the read reflects at least that commit."""

@@ -97,3 +97,18 @@ def test_query_scope_classification():
     assert (kind, shard) == ("scatter", None)
     kind, shard = _scope("phil.sal -> S, henry.sal -> T", count=1)
     assert (kind, shard) == ("single", 0)
+
+
+def test_update_terms_are_routed_by_their_target_root():
+    # An update-term reads the versions of its target's object, which live
+    # with that object: its root counts like a version-term host's.
+    program = StoreService.coerce_program(
+        "r: ins[mod(bob)].flag -> yes <= bob.sal -> S, "
+        "not del[mod(bob)].isa -> empl."
+    )
+    assert program_hosts(program) == frozenset({Oid("bob")})
+    assert _scope("ins[bob].sal -> S") == ("single", shard_for(Oid("bob"), 2))
+    assert _scope("X.isa -> empl, ins[X].sal -> S") == ("scatter", None)
+    # a host variable joined with a ground update-term target: gather
+    assert _scope("X.isa -> empl, ins[bob].sal -> S") == ("gather", None)
+    assert _scope("X.isa -> empl, not ins[bob].sal -> 10") == ("gather", None)

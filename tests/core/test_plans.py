@@ -100,6 +100,10 @@ class TestDelta:
         assert ("sal", 0) in delta.added_index()
         # all new facts live on mod(..) versions
         assert set(delta.added_index()[("sal", 0)]) == {("mod",)}
+        # removed facts are grouped the same way: key, then shape, then facts
+        undo = Delta()
+        undo.record([], delta.added)
+        assert undo.removed_index() == delta.added_index()
         # re-applying the same step is idempotent: empty delta
         assert not apply_tp(base, step)
 

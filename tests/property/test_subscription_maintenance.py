@@ -1,12 +1,13 @@
 """Differential property of delta-maintained subscriptions.
 
-A subscription is brought to each new revision from the commit's delta: a
-seedable body by the seeded evaluations of
-:meth:`~repro.core.query.PreparedQuery.delta_answers`, any other body by a
-whole-body re-run and :func:`~repro.core.query.diff_answers`.  Over random
-bases, bodies taken from random update programs (negated, update-term and
-built-in literals included, so both paths run) and random sequences of
-applies, rollbacks and late subscriptions, after every commit:
+A subscription is brought to each new revision from the commit's delta, by
+the seeded evaluations of
+:meth:`~repro.core.query.PreparedQuery.delta_answers`: positive
+version-terms seeded with one side of the delta, negated ones with the
+other.  Over random bases, bodies taken from random update programs
+(negated and built-in literals included; update-terms, which ``subscribe``
+refuses, left out) and random sequences of applies, rollbacks and late
+subscriptions, after every commit:
 
 * each subscription holds exactly ``query.run(base_at(r))``;
 * each push carries exactly ``diff_answers(run(base_at(r - 1)),
@@ -16,6 +17,7 @@ applies, rollbacks and late subscriptions, after every commit:
 
 from hypothesis import given, settings, strategies as st
 
+from repro.core.atoms import UpdateAtom
 from repro.core.errors import VersionLinearityError
 from repro.core.query import diff_answers
 from repro.lang.parser import parse_body
@@ -25,14 +27,16 @@ from repro.workloads.synthetic import random_update_program
 
 from .test_delta_commit import _draw_program, _input_base, seeds, shapes
 
-#: Rule bodies of the random program families, plus joins over plain hosts,
-#: ground hosts, a version variable and the ``exists`` map.
+#: Rule bodies of the random program families without an update-term, plus
+#: joins over plain hosts, ground hosts, a version variable and the
+#: ``exists`` map, and bodies whose negated literals a commit can flip.
 BODIES = tuple(
     dict.fromkeys(
         [
             rule.body
             for seed in range(60)
             for rule in random_update_program(seed=seed)
+            if not any(isinstance(lit.atom, UpdateAtom) for lit in rule.body)
         ]
         + [
             parse_body(text)
@@ -45,6 +49,13 @@ BODIES = tuple(
                 "?W.size -> S, S > 400",
                 "X.exists -> X, X.color -> C",
                 "X.link -> Y, K = 1, Y != o2",
+                "X.size -> S, not X.color -> o1",
+                "X.link -> Y, not Y.link -> X",
+                "X.size -> S, Y.size -> S, not X.link -> Y",
+                "X.color -> C, not X.link -> o0, not X.link -> o1",
+                "X.link -> Y, Y.size -> S, not Y.link -> X, not X.size -> S",
+                "X.size -> S, not mod(X).size -> S",
+                "X.exists -> X, X.link -> Y, not Y.exists -> Y",
             )
         ]
     )

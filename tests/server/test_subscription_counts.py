@@ -2,9 +2,9 @@
 
 The 64 live queries of the ``serve_fanout_1k`` workload over its
 1 000-employee base, in process.  A raise changes one employee's salary; the
-bodies it can affect are all seedable, so the commit is answered from its
-delta — no whole-body run, no answer-list diff — and the push stream is the
-one the whole-body re-run-and-diff maintenance produced.
+commit is answered from its delta — no whole-body run, no answer-list diff —
+and the push stream is the one the whole-body re-run-and-diff maintenance
+produced.
 """
 
 import hashlib
@@ -51,14 +51,13 @@ def test_one_raise_runs_no_body_and_diffs_no_answer_list(monkeypatch):
         calls["diff_answers"] += 1
         return diff(old, new)
 
-    def counted_seeded(query, delta, base):
+    def counted_seeded(query, gained, lost, base):
         evaluated[query] = evaluated.get(query, 0) + 1
-        return seeded(query, delta, base)
+        return seeded(query, gained, lost, base)
 
     monkeypatch.setattr(PreparedQuery, "run", counted_run)
     monkeypatch.setattr(PreparedQuery, "delta_answers", counted_seeded)
     monkeypatch.setattr(query_module, "diff_answers", counted_diff)
-    monkeypatch.setattr("repro.server.subscriptions.diff_answers", counted_diff)
     service.apply(next(programs))
 
     assert calls == {"run": 0, "diff_answers": 0}
