@@ -15,11 +15,11 @@ from repro.workloads.synthetic import random_object_base, version_chain_program
 
 
 @pytest.mark.parametrize("k", [1, 4, 8, 16])
-def test_e10_chain_depth(benchmark, engine, k):
+def test_e10_chain_depth(engine, k):
     base = random_object_base(n_objects=5, seed=10)
     program = version_chain_program(k)
 
-    result = benchmark(lambda: engine.apply(program, base))
+    result = engine.apply(program, base)
 
     for owner, final in result.final_versions.items():
         assert object_of(final) == owner

@@ -42,27 +42,27 @@ def chain_db(n: int) -> Database:
 
 @pytest.mark.parametrize("mode", ["naive", "seminaive"])
 @pytest.mark.parametrize("n", [30, 60])
-def test_e12_transitive_closure_chain(benchmark, mode, n):
+def test_e12_transitive_closure_chain(mode, n):
     db = chain_db(n)
     engine = DatalogEngine(mode)
 
-    result = benchmark(lambda: engine.run(TC, db))
+    result = engine.run(TC, db)
     assert len(result.rows("path", 2)) == n * (n + 1) // 2
 
 
 @pytest.mark.parametrize("mode", ["naive", "seminaive"])
-def test_e12_random_graph(benchmark, mode):
+def test_e12_random_graph(mode):
     db = random_edge_database(n_nodes=40, n_edges=90, seed=12)
     engine = DatalogEngine(mode)
 
-    result = benchmark(lambda: engine.run(TC, db))
+    result = engine.run(TC, db)
     assert result.rows("path", 2)
 
 
-def test_e12_methods_as_predicates_round_trip(benchmark):
+def test_e12_methods_as_predicates_round_trip():
     base = enterprise_base(n_employees=100, seed=12)
 
     def round_trip():
         return database_to_object_base(object_base_to_database(base))
 
-    assert benchmark(round_trip) == base
+    assert round_trip() == base

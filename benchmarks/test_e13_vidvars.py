@@ -39,22 +39,22 @@ def _history_base(n_objects: int, levels: int):
 
 
 @pytest.mark.parametrize("levels", [2, 4])
-def test_e13_generic_audit(benchmark, engine, levels):
+def test_e13_generic_audit(engine, levels):
     base = _history_base(n_objects=10, levels=levels)
     program = audit_history_program("sal")
 
-    outcome = benchmark(lambda: engine.evaluate(program, base))
+    outcome = engine.evaluate(program, base)
 
     history = [a["S"] for a in query(outcome.result_base, "ins(ledger).hist@o0 -> S")]
     assert sorted(history) == [100 + 10 * i for i in range(levels + 1)]
 
 
 @pytest.mark.parametrize("levels", [2, 4])
-def test_e13_specialised_audit(benchmark, engine, levels):
+def test_e13_specialised_audit(engine, levels):
     base = _history_base(n_objects=10, levels=levels)
     program = specialised_audit_program("sal", levels)
 
-    outcome = benchmark(lambda: engine.evaluate(program, base))
+    outcome = engine.evaluate(program, base)
 
     history = [a["S"] for a in query(outcome.result_base, "ins(ledger).hist@o0 -> S")]
     assert sorted(history) == [100 + 10 * i for i in range(levels + 1)]

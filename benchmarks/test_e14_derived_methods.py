@@ -32,11 +32,11 @@ CUT = parse_program(
 
 
 @pytest.mark.parametrize("n_employees", [25, 100])
-def test_e14_live_view_engine(benchmark, n_employees):
+def test_e14_live_view_engine(n_employees):
     base = enterprise_base(n_employees=n_employees, seed=14)
     engine = DerivedUpdateEngine(VIEWS)
 
-    result = benchmark(lambda: engine.apply(CUT, base))
+    result = engine.apply(CUT, base)
 
     # correctness anchor: `check` runs after `cut` and must see the view
     # over the *reduced* salaries — only those above 4500 pre-cut remain
@@ -47,7 +47,7 @@ def test_e14_live_view_engine(benchmark, n_employees):
 
 
 @pytest.mark.parametrize("n_employees", [25, 100])
-def test_e14_stale_copy_baseline(benchmark, n_employees):
+def test_e14_stale_copy_baseline(n_employees):
     """The ablation: materialise the view once into stored facts and run
     the plain engine — faster, but the `check` stratum then reads *stale*
     senior flags (copied along by the frame rule)."""
@@ -58,7 +58,7 @@ def test_e14_stale_copy_baseline(benchmark, n_employees):
         frozen = materialize(base, VIEWS)
         return plain.apply(CUT, frozen)
 
-    result = benchmark(stale_run)
+    result = stale_run()
 
     before = {a["E"]: a["S"] for a in query(base, "E.sal -> S")}
     still = {a["E"] for a in query(result.new_base, "E.still_senior -> yes")}
@@ -67,7 +67,7 @@ def test_e14_stale_copy_baseline(benchmark, n_employees):
 
 
 @pytest.mark.parametrize("n_employees", [50, 200, 800])
-def test_e14_materialisation_cost(benchmark, n_employees):
+def test_e14_materialisation_cost(n_employees):
     base = enterprise_base(n_employees=n_employees, seed=14)
-    enriched = benchmark(lambda: materialize(base, VIEWS))
+    enriched = materialize(base, VIEWS)
     assert enriched.facts_by_method("senior", 0)

@@ -37,27 +37,27 @@ def _network(order):
     return RdlProgram(Seq(tuple(Saturate(modules[name]) for name in order)))
 
 
-def test_e15_rdl_intended_network(benchmark):
+def test_e15_rdl_intended_network():
     db = object_base_to_database(paper_example_base(bob_salary=4100))
     program = _network(["raise", "fire", "hpe"])
 
-    result = benchmark(lambda: program.run(db))
+    result = program.run(db)
 
     salaries = dict(DatalogEngine.query(result, "sal", (None, None)))
     assert salaries["bob"] == pytest.approx(4510.0)
 
 
-def test_e15_rdl_miswired_network(benchmark):
+def test_e15_rdl_miswired_network():
     db = object_base_to_database(paper_example_base(bob_salary=4100))
     program = _network(["fire", "raise", "hpe"])
 
-    result = benchmark(lambda: program.run(db))
+    result = program.run(db)
 
     salaries = dict(DatalogEngine.query(result, "sal", (None, None)))
     assert "bob" not in salaries  # explicit control, explicitly wrong
 
 
-def test_e15_deltalog_oscillator_detection(benchmark):
+def test_e15_deltalog_oscillator_detection():
     program = DeltalogProgram(
         [
             LogresRule(A("p", "X"), (L(A("q", "X")), L(A("p", "X"), False)), True, "on"),
@@ -71,10 +71,10 @@ def test_e15_deltalog_oscillator_detection(benchmark):
             program.run(edb)
         return excinfo.value.cycle_length
 
-    assert benchmark(detect) == 2
+    assert detect() == 2
 
 
-def test_e15_versioned_analogue_terminates(benchmark, engine):
+def test_e15_versioned_analogue_terminates(engine):
     base = parse_object_base("a.q -> yes.")
     program = parse_program(
         """
@@ -83,5 +83,5 @@ def test_e15_versioned_analogue_terminates(benchmark, engine):
         """
     )
 
-    outcome = benchmark(lambda: engine.evaluate(program, base))
+    outcome = engine.evaluate(program, base)
     assert outcome.iterations <= 5  # structural termination, no oscillation

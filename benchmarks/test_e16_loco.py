@@ -37,7 +37,7 @@ def _build_hierarchy(n: int) -> LocoHierarchy:
 
 
 @pytest.mark.parametrize("n", [10, 50])
-def test_e16_loco_manual_instances(benchmark, n):
+def test_e16_loco_manual_instances(n):
     def loco_raise():
         hierarchy = _build_hierarchy(n)
         states = []
@@ -48,14 +48,14 @@ def test_e16_loco_manual_instances(benchmark, n):
             states.append(hierarchy.state_of(instance.name))
         return states
 
-    states = benchmark(loco_raise)
+    states = loco_raise()
     for i, state in enumerate(states):
         assert DatalogEngine.query(state, "sal", (None,)) == [(1100 + i,)]
         assert DatalogEngine.query(state, "status", (None,)) == [("active",)]
 
 
 @pytest.mark.parametrize("n", [10, 50])
-def test_e16_versioned_single_rule(benchmark, engine, n):
+def test_e16_versioned_single_rule(engine, n):
     base = parse_object_base(
         "\n".join(f"e{i}.isa -> empl. e{i}.sal -> {1000 + i}." for i in range(n))
     )
@@ -64,7 +64,7 @@ def test_e16_versioned_single_rule(benchmark, engine, n):
         "S2 = S + 100."
     )
 
-    result = benchmark(lambda: engine.apply(program, base))
+    result = engine.apply(program, base)
 
     salaries = {a["E"]: a["S"] for a in query(result.new_base, "E.sal -> S")}
     assert salaries == {f"e{i}": 1100 + i for i in range(n)}

@@ -22,11 +22,11 @@ from repro.workloads import (
 INS, DEL, MOD = UpdateKind.INSERT, UpdateKind.DELETE, UpdateKind.MODIFY
 
 
-def test_e2_figure2_literal(benchmark, engine):
+def test_e2_figure2_literal(engine):
     base = paper_example_base()
     program = paper_example_program()
 
-    result = benchmark(lambda: engine.apply(program, base))
+    result = engine.apply(program, base)
 
     assert result.stratification.names() == [
         ["rule1", "rule2"], ["rule3"], ["rule4"],
@@ -39,24 +39,24 @@ def test_e2_figure2_literal(benchmark, engine):
     assert query(result.new_base, "bob.isa -> X") == []
 
 
-def test_e2_figure2_trace(benchmark):
-    """Timing with full tracing + snapshots (the Figure-2 renderer)."""
+def test_e2_figure2_trace():
+    """Full tracing + snapshots (the Figure-2 renderer)."""
     tracing = UpdateEngine(collect_trace=True, collect_snapshots=True)
     base = paper_example_base()
     program = paper_example_program()
 
-    result = benchmark(lambda: tracing.apply(program, base))
+    result = tracing.apply(program, base)
 
     text = result.trace.render(objects=(Oid("phil"), Oid("bob")))
     assert "mod(phil): " in text and "del(mod(bob)): " in text
 
 
 @pytest.mark.parametrize("n_employees", [25, 100])
-def test_e2_enterprise_scaled(benchmark, engine, n_employees):
+def test_e2_enterprise_scaled(engine, n_employees):
     base = enterprise_base(n_employees=n_employees, overpaid_ratio=0.2, seed=3)
     program = enterprise_update_program(hpe_threshold=4000)
 
-    result = benchmark(lambda: engine.apply(program, base))
+    result = engine.apply(program, base)
 
     # rule 3 compares *post-raise* salaries: predict the fired set exactly
     managers = {str(a["E"]) for a in query(base, "E.pos -> mgr")}

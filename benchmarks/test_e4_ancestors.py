@@ -17,13 +17,13 @@ from repro.workloads import ancestors_program, genealogy_base, true_ancestors
     [(3, 6), (5, 6), (7, 6), (5, 12)],
     ids=["shallow", "medium", "deep", "wide"],
 )
-def test_e4_ancestors(benchmark, engine, generations, per_generation):
+def test_e4_ancestors(engine, generations, per_generation):
     base = genealogy_base(
         generations=generations, per_generation=per_generation, seed=4
     )
     program = ancestors_program()
 
-    result = benchmark(lambda: engine.apply(program, base))
+    result = engine.apply(program, base)
 
     assert len(result.stratification) == 1  # single recursive stratum
     truth = true_ancestors(base)

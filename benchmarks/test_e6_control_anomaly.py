@@ -22,11 +22,11 @@ from repro.workloads import (
 )
 
 
-def test_e6_versioned_semantics(benchmark, engine):
+def test_e6_versioned_semantics(engine):
     base = paper_example_base(bob_salary=4100)
     program = paper_example_program()
 
-    result = benchmark(lambda: engine.apply(program, base))
+    result = engine.apply(program, base)
 
     employees = {a["E"] for a in query(result.new_base, "E.isa -> empl")}
     hpe = {a["E"] for a in query(result.new_base, "E.isa -> hpe")}
@@ -34,11 +34,11 @@ def test_e6_versioned_semantics(benchmark, engine):
     assert hpe == {"phil", "bob"}         # both high-paid after the raise
 
 
-def test_e6_naive_semantics(benchmark):
+def test_e6_naive_semantics():
     base = paper_example_base(bob_salary=4100)
     program = paper_example_program()
 
-    result = benchmark(lambda: naive_one_step_update(program, base))
+    result = naive_one_step_update(program, base)
 
     employees = {a["E"] for a in query(result.new_base, "E.isa -> empl")}
     assert employees == {"phil"}                       # bob wrongly fired
@@ -46,7 +46,7 @@ def test_e6_naive_semantics(benchmark):
 
 
 @pytest.mark.parametrize("n_employees", [25, 100])
-def test_e6_divergence_scales(benchmark, engine, n_employees):
+def test_e6_divergence_scales(engine, n_employees):
     """The two semantics keep diverging on generated enterprises."""
     base = enterprise_base(n_employees=n_employees, overpaid_ratio=0.3, seed=6)
     program = enterprise_update_program(hpe_threshold=4000)
@@ -56,7 +56,7 @@ def test_e6_divergence_scales(benchmark, engine, n_employees):
         naive = naive_one_step_update(program, base).new_base
         return versioned, naive
 
-    versioned, naive = benchmark(both)
+    versioned, naive = both()
     versioned_employees = {a["E"] for a in query(versioned, "E.isa -> empl")}
     naive_employees = {a["E"] for a in query(naive, "E.isa -> empl")}
     # one-step semantics fires against pre-raise salaries: strictly more

@@ -16,28 +16,28 @@ from repro.workloads.synthetic import version_chain_program, random_object_base
 
 
 @pytest.mark.parametrize("checked", [True, False], ids=["check-on", "check-off"])
-def test_e7_overhead(benchmark, checked):
+def test_e7_overhead(checked):
     """The paper's cheapness claim: on/off should be within noise."""
     engine = UpdateEngine(check_linearity=checked)
     base = enterprise_base(n_employees=100, overpaid_ratio=0.2, seed=7)
     program = paper_example_program()
 
-    result = benchmark(lambda: engine.evaluate(program, base))
+    result = engine.evaluate(program, base)
     assert result.result_base is not None
 
 
 @pytest.mark.parametrize("k", [4, 8])
-def test_e7_overhead_on_deep_chains(benchmark, k):
+def test_e7_overhead_on_deep_chains(k):
     """Deep chains maximise subterm comparisons; still cheap."""
     engine = UpdateEngine(check_linearity=True)
     base = random_object_base(n_objects=10, seed=7)
     program = version_chain_program(k)
 
-    outcome = benchmark(lambda: engine.evaluate(program, base))
+    outcome = engine.evaluate(program, base)
     assert len(outcome.final_versions) == len(base.objects())
 
 
-def test_e7_violation_detected(benchmark, engine):
+def test_e7_violation_detected(engine):
     base = parse_object_base("o.m -> a. o.trigger -> yes.")
     program = parse_program(
         """
@@ -51,4 +51,4 @@ def test_e7_violation_detected(benchmark, engine):
             engine.apply(program, base)
         return True
 
-    assert benchmark(attempt)
+    assert attempt()

@@ -30,30 +30,30 @@ def _touch_program(n_touched: int):
 
 
 @pytest.mark.parametrize("touched", [1, 10, 50])
-def test_e8_copies_track_touched_objects(benchmark, touched):
+def test_e8_copies_track_touched_objects(touched):
     engine = UpdateEngine(collect_trace=True)
     base = random_object_base(n_objects=100, facts_per_object=4, seed=8)
     program = _touch_program(touched)
 
-    outcome = benchmark(lambda: engine.evaluate(program, base))
+    outcome = engine.evaluate(program, base)
     # the frame rule copied exactly the touched objects — footnote 4
     assert outcome.trace.total_copies == touched
 
 
 @pytest.mark.parametrize("n_objects", [50, 200, 800])
-def test_e8_fixed_updates_scaling_base(benchmark, n_objects):
+def test_e8_fixed_updates_scaling_base(n_objects):
     """10 touched objects; base size swept.  Lazy copying keeps the copy
     work constant (10), so cost grows far slower than base size."""
     engine = UpdateEngine(collect_trace=True)
     base = random_object_base(n_objects=n_objects, facts_per_object=4, seed=8)
     program = _touch_program(10)
 
-    outcome = benchmark(lambda: engine.evaluate(program, base))
+    outcome = engine.evaluate(program, base)
     assert outcome.trace.total_copies == 10
 
 
 @pytest.mark.parametrize("n_objects", [50, 200, 800])
-def test_e8_eager_copy_baseline(benchmark, n_objects):
+def test_e8_eager_copy_baseline(n_objects):
     """The ablation contrast: copy the *whole base* once per T_P round —
     what a versioning scheme without lazy copies would pay."""
     base = random_object_base(n_objects=n_objects, facts_per_object=4, seed=8)
@@ -66,4 +66,4 @@ def test_e8_eager_copy_baseline(benchmark, n_objects):
         copied = {Fact(f.host, f.method, f.args, f.result) for f in base}
         return len(copied) + len(step.new_states)
 
-    assert benchmark(eager_round) > 0
+    assert eager_round() > 0

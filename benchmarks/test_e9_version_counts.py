@@ -15,11 +15,11 @@ from repro.workloads.synthetic import random_object_base, version_chain_program
 
 
 @pytest.mark.parametrize("k", [2, 6, 12])
-def test_e9_versions_bounded_by_head_depth(benchmark, engine, k):
+def test_e9_versions_bounded_by_head_depth(engine, k):
     base = random_object_base(n_objects=5, seed=9)
     program = version_chain_program(k)
 
-    outcome = benchmark(lambda: engine.evaluate(program, base))
+    outcome = engine.evaluate(program, base)
 
     versions = outcome.result_base.existing_versions()
     n_objects = len(base.objects())
@@ -28,11 +28,11 @@ def test_e9_versions_bounded_by_head_depth(benchmark, engine, k):
 
 
 @pytest.mark.parametrize("n_objects", [5, 20, 80])
-def test_e9_versions_linear_in_objects(benchmark, engine, n_objects):
+def test_e9_versions_linear_in_objects(engine, n_objects):
     base = random_object_base(n_objects=n_objects, seed=9)
     program = version_chain_program(4)
 
-    outcome = benchmark(lambda: engine.evaluate(program, base))
+    outcome = engine.evaluate(program, base)
     assert len(outcome.result_base.existing_versions()) == n_objects * 5
 
 

@@ -14,16 +14,16 @@ from repro.workloads import enterprise_base, enterprise_update_program
 
 
 @pytest.mark.parametrize("n_employees", [25, 100, 400])
-def test_p1_base_size_sweep(benchmark, engine, n_employees):
+def test_p1_base_size_sweep(engine, n_employees):
     base = enterprise_base(n_employees=n_employees, overpaid_ratio=0.1, seed=21)
     program = enterprise_update_program(hpe_threshold=4000)
 
-    result = benchmark(lambda: engine.apply(program, base))
+    result = engine.apply(program, base)
     assert len(result.new_base) > 0
 
 
 @pytest.mark.parametrize("n_rules", [2, 8, 32])
-def test_p1_rule_count_sweep(benchmark, engine, n_rules):
+def test_p1_rule_count_sweep(engine, n_rules):
     """Independent single-stratum insert rules at fixed base size."""
     base = enterprise_base(n_employees=100, seed=21)
     lines = [
@@ -32,5 +32,5 @@ def test_p1_rule_count_sweep(benchmark, engine, n_rules):
     ]
     program = parse_program("\n".join(lines))
 
-    result = benchmark(lambda: engine.apply(program, base))
+    result = engine.apply(program, base)
     assert query(result.new_base, "E.tag0 -> yes")

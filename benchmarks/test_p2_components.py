@@ -1,6 +1,6 @@
-"""P2 (added) — component micro-benchmarks.
+"""P2 (added) — component checks.
 
-Costs of the moving parts the other experiments compose: the rule matcher,
+The moving parts the other experiments compose: the rule matcher,
 one T_P application, parsing, the storage layer's revision chain, and the
 serialization round-trips.
 """
@@ -22,33 +22,33 @@ from repro.workloads import (
 RAISE_RULE = salary_raise_program()[0]
 
 
-def test_p2_matcher(benchmark):
+def test_p2_matcher():
     base = enterprise_base(n_employees=200, seed=22)
-    bindings = benchmark(lambda: list(match_rule(RAISE_RULE, base)))
+    bindings = list(match_rule(RAISE_RULE, base))
     assert len(bindings) == 200
 
 
-def test_p2_single_tp_application(benchmark):
+def test_p2_single_tp_application():
     base = enterprise_base(n_employees=200, seed=22)
     rules = list(salary_raise_program())
-    step = benchmark(lambda: tp_step(rules, base))
+    step = tp_step(rules, base)
     assert len(step.new_states) == 200
 
 
-def test_p2_parse_program(benchmark):
+def test_p2_parse_program():
     from repro.workloads.enterprise import _PAPER_PROGRAM
 
-    program = benchmark(lambda: parse_program(_PAPER_PROGRAM))
+    program = parse_program(_PAPER_PROGRAM)
     assert len(program) == 4
 
 
-def test_p2_parse_object_base(benchmark):
+def test_p2_parse_object_base():
     text = format_object_base(enterprise_base(n_employees=200, seed=22))
-    base = benchmark(lambda: parse_object_base(text))
+    base = parse_object_base(text)
     assert len(base.objects()) == 200
 
 
-def test_p2_store_revision_chain(benchmark):
+def test_p2_store_revision_chain():
     base = enterprise_base(n_employees=50, seed=22)
     program = salary_raise_program()
 
@@ -58,11 +58,11 @@ def test_p2_store_revision_chain(benchmark):
             store.apply(program, tag=f"q{quarter}")
         return store
 
-    store = benchmark(three_rounds)
+    store = three_rounds()
     assert len(store) == 4
 
 
-def test_p2_json_round_trip(benchmark):
+def test_p2_json_round_trip():
     base = enterprise_base(n_employees=100, seed=22)
-    loaded = benchmark(lambda: load_base_json(dump_base_json(base)))
+    loaded = load_base_json(dump_base_json(base))
     assert loaded == base

@@ -18,41 +18,41 @@ from repro.workloads import (
 from repro.workloads.synthetic import version_chain_program
 
 
-def test_p3_lint_paper_program(benchmark):
+def test_p3_lint_paper_program():
     program = paper_example_program()
-    findings = benchmark(lambda: lint_program(program))
+    findings = lint_program(program)
     assert findings == []
 
 
 @pytest.mark.parametrize("k", [8, 16])
-def test_p3_lint_chain_program(benchmark, k):
+def test_p3_lint_chain_program(k):
     program = version_chain_program(k)
-    findings = benchmark(lambda: lint_program(program))
+    findings = lint_program(program)
     assert all(f.code != "L001" for f in findings)
 
 
 @pytest.mark.parametrize("n_employees", [100, 400])
-def test_p3_class_signatures(benchmark, n_employees):
+def test_p3_class_signatures(n_employees):
     base = enterprise_base(n_employees=n_employees, seed=31)
-    signatures = benchmark(lambda: class_signatures(base))
+    signatures = class_signatures(base)
     from repro.core.terms import Oid
 
     assert signatures[Oid("empl")].mandatory >= {("sal", 0)}
 
 
-def test_p3_schema_delta_figure2(benchmark, engine):
+def test_p3_schema_delta_figure2(engine):
     from repro.workloads import paper_example_base
 
     base = paper_example_base()
     new_base = engine.apply(paper_example_program(), base).new_base
-    delta = benchmark(lambda: schema_delta(base, new_base))
+    delta = schema_delta(base, new_base)
     assert not delta.is_empty()
 
 
-def test_p3_chain_rendering(benchmark, engine):
+def test_p3_chain_rendering(engine):
     from repro.workloads.synthetic import random_object_base
 
     base = random_object_base(n_objects=20, seed=31)
     outcome = engine.evaluate(version_chain_program(6), base)
-    text = benchmark(lambda: render_version_chains(outcome.result_base))
+    text = render_version_chains(outcome.result_base)
     assert "=>" in text

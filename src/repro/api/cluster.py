@@ -812,15 +812,24 @@ def _merge_registries(registries: list[dict]) -> dict:
 
 
 def _merge_slowlogs(sections: list[dict]) -> dict:
-    entries: list[dict] = []
-    for section in sections:
-        entries.extend(section.get("entries") or [])
+    """The shards' slowlog sections (in shard order) as one: every entry
+    tagged with its ``shard``, newest last by ``(wall_time, shard, seq)``,
+    and only the newest ``capacity`` (the largest shard ring) kept."""
+    entries = sorted(
+        (
+            {**entry, "shard": shard}
+            for shard, section in enumerate(sections)
+            for entry in section.get("entries") or []
+        ),
+        key=lambda entry: (entry["wall_time"], entry["shard"], entry["seq"]),
+    )
+    capacity = max(
+        (section.get("capacity", 0) for section in sections), default=0
+    )
     first = sections[0] if sections else {}
     return {
-        "entries": entries[-50:],
+        "entries": entries[max(len(entries) - capacity, 0):],
         "dropped": sum(section.get("dropped", 0) for section in sections),
-        "capacity": max(
-            (section.get("capacity", 0) for section in sections), default=0
-        ),
+        "capacity": capacity,
         "thresholds_ms": first.get("thresholds_ms"),
     }

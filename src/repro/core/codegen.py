@@ -39,15 +39,19 @@ Python function per plan instead:
   make is decided at compile time, and an ``UpdateAtom`` plus the sorted
   binding is built per instance only for traces (``fired``).  Called without
   ``pending`` the same function is the bare body executor, which
-  :func:`match_rule_compiled` / :func:`match_rule_seeded_compiled` wrap into
-  binding dicts for tests and baselines;
+  :meth:`CompiledBody.bindings` wraps into binding dicts
+  (:func:`repro.core.grounding.match_rule`);
 * **one ``compile()`` per generated text** — constants sit in the function's
   namespace, so rules differing only in constants share a code object.
 
-:func:`compile_seeded` builds one seeded variant — bulk seed matcher plus
-the rest of the body — for a rule (ending in its firing loop) and, without
-a rule, for a live query's delta evaluation
-(:meth:`repro.core.query.PreparedQuery.delta_answers`).
+Each rule has one compiled artifact, its :class:`CompiledRule` (cached per
+rule by :func:`compiled_rule`): its dependency signature, its full-body
+executor and its seeded variants; a bare body has one, its
+:class:`CompiledBody` (:func:`compiled_body`).  :func:`compile_seeded`
+builds one seeded variant — bulk seed matcher plus the rest of the body —
+for a rule (ending in its firing loop, kept by :meth:`CompiledRule.seeded`)
+and, without a rule, for a live query's delta evaluation (kept by
+:meth:`repro.core.query.PreparedQuery.delta_answers`).
 
 Semantics are pinned by the independent reference evaluator
 (:mod:`repro.testing.reference`) — which keeps the interpreted head
@@ -87,14 +91,15 @@ from repro.core.caches import register_cache, register_lru_cache
 from repro.core.errors import BuiltinError, EvaluationError, TermError
 from repro.core.exprs import BinOp, Neg, _numeric, expr_variables
 from repro.core.facts import EXISTS, Fact
-from repro.core.grounding import _body_plan, _check_ground, _generate
+from repro.core.grounding import _check_ground, _generate
 from repro.core.plans import (
     BINDER,
     FILTER,
     JoinPlan,
     PlanStep,
     compile_plan,
-    rule_plan,
+    compile_seed_plan,
+    rule_signature,
     seed_facts,
     var_sort_key,
 )
@@ -110,8 +115,6 @@ __all__ = [
     "compile_seeded",
     "compiled_body",
     "compiled_rule",
-    "match_rule_compiled",
-    "match_rule_seeded_compiled",
 ]
 
 Binding = dict[Var, Oid]
@@ -873,11 +876,6 @@ class CompiledBody:
         self.generator_count = generator_count
         self.source = source
 
-    def rows(self, base: "ObjectBase", seed_rows: list[Row]) -> list[Row]:
-        """Run the compiled steps over ``seed_rows`` (no deduplication —
-        seeded callers dedup across seed positions themselves)."""
-        return self.fn(base, seed_rows)
-
     def bindings(self, base: "ObjectBase") -> list[Binding]:
         """Complete matches as fresh dicts (dedup only with > 1 generator)."""
         rows = self.fn(base, [()])
@@ -895,7 +893,7 @@ class CompiledBody:
         return out
 
 
-def _compile_body_plan(
+def _compile_body(
     plan: JoinPlan,
     seed_vars: tuple[Var, ...],
     name: str,
@@ -968,28 +966,36 @@ def _compile_seed_matcher(
 
 
 def compile_seeded(
-    plan: JoinPlan, literal: Literal, name: str, rule: "UpdateRule | None" = None
+    body: tuple[Literal, ...],
+    position: int,
+    name: str,
+    rule: "UpdateRule | None" = None,
 ) -> tuple[Callable, CompiledBody]:
-    """``(seed_matcher, compiled_body)`` for a body seeded at ``literal``:
-    ``plan`` orders the rest of the body (``compile_seed_plan``).  Given
+    """``(seed_matcher, compiled_body)`` for ``body`` seeded at the literal
+    at ``position``, both labelled ``name/seed<position>``: the rest of the
+    body is ordered by :func:`~repro.core.plans.compile_seed_plan`.  Given
     ``rule`` the body ends in the rule's firing loop; without it, it
     returns its rows (a query's seeded variant)."""
+    label = f"{name}/seed{position}"
+    literal = body[position]
     seed_vars = tuple(sorted(literal.variables, key=var_sort_key))
-    matcher = _compile_seed_matcher(literal.atom, seed_vars, name)
-    return matcher, _compile_body_plan(plan, seed_vars, name, rule, seeded=True)
+    matcher = _compile_seed_matcher(literal.atom, seed_vars, label)
+    plan = compile_seed_plan(body, position, name)
+    return matcher, _compile_body(plan, seed_vars, label, rule, seeded=True)
 
 
 class CompiledRule:
-    """Everything compiled for one rule: the full-body executor plus one
-    (lazily built) bulk seed matcher + seeded executor per seed literal,
-    each ending in the rule's firing loop."""
+    """Everything static about one rule: its dependency signature, the
+    full-body executor, and one (lazily built) bulk seed matcher + seeded
+    executor per seed literal, each ending in the rule's firing loop."""
 
-    __slots__ = ("rule", "plans", "full", "_seeded")
+    __slots__ = ("rule", "signature", "full", "_seeded")
 
     def __init__(self, rule: "UpdateRule") -> None:
         self.rule = rule
-        self.plans = rule_plan(rule)
-        self.full = _compile_body_plan(self.plans.full_plan, (), rule.name, rule)
+        self.signature = rule_signature(rule)
+        plan = compile_plan(rule.body, name=rule.name)
+        self.full = _compile_body(plan, (), rule.name, rule)
         self._seeded: dict[int, tuple] = {}
 
     def seeded(self, position: int) -> tuple:
@@ -998,12 +1004,8 @@ class CompiledRule:
         try:
             return self._seeded[position]
         except KeyError:
-            entry = compile_seeded(
-                self.plans.seed_plan(position),
-                self.rule.body[position],
-                f"{self.rule.name}/seed{position}",
-                self.rule,
-            )
+            rule = self.rule
+            entry = compile_seeded(rule.body, position, rule.name, rule)
             self._seeded[position] = entry
             return entry
 
@@ -1011,7 +1013,7 @@ class CompiledRule:
         """``(compiled_body, seed_rows)`` per seed position with at least
         one added fact its seed literal matches: the delta's facts streamed
         through the bulk seed matcher, one batch per position."""
-        signature = self.plans.signature
+        signature = self.signature
         for position in positions:
             facts = seed_facts(delta.added_index(), signature, position)
             if not facts:
@@ -1076,7 +1078,7 @@ def compiled_rule(rule: "UpdateRule") -> CompiledRule:
 
 @lru_cache(maxsize=4096)
 def _compiled_body(body: tuple[Literal, ...]) -> CompiledBody:
-    return _compile_body_plan(_body_plan(body), (), "<body>")
+    return _compile_body(compile_plan(body), (), "<body>")
 
 
 def compiled_body(
@@ -1097,34 +1099,3 @@ register_lru_cache("codegen.body", _compiled_body)
 register_lru_cache("codegen.code", _code)
 register_cache("codegen.backend", lambda: dict(_STATS))
 
-
-def match_rule_compiled(rule: "UpdateRule", base: "ObjectBase") -> list[Binding]:
-    """Every substitution making the body of ``rule`` true in ``base``."""
-    return compiled_rule(rule).full.bindings(base)
-
-
-def match_rule_seeded_compiled(
-    rule: "UpdateRule",
-    base: "ObjectBase",
-    delta: "Delta",
-    positions: tuple[int, ...],
-) -> list[Binding]:
-    """Semi-naive matching: every returned binding has at least one seed
-    literal matching a fact *added* by the previous ``T_P`` application,
-    deduplicated across positions.
-
-    Only sound when :func:`repro.core.plans.classify` returned these seed
-    positions — i.e. when every other way the rule could newly fire has
-    been ruled out by its dependency signature.
-    """
-    seen: set[tuple] = set()
-    results: list[Binding] = []
-    for body, seed_rows in compiled_rule(rule).seed_rows(delta, positions):
-        key_getter = body.key_getter
-        slots = body.slots
-        for row in body.rows(base, seed_rows):
-            key = key_getter(row)
-            if key not in seen:
-                seen.add(key)
-                results.append(dict(zip(slots, row)))
-    return results

@@ -58,7 +58,7 @@ from repro.core.codegen import compiled_rule
 from repro.core.facts import EXISTS, Fact
 from repro.core.objectbase import Delta, ObjectBase
 from repro.obs import metrics as _obs
-from repro.core.plans import SEED, SKIP, classify, rule_plan
+from repro.core.plans import SEED, SKIP, classify
 from repro.core.rules import UpdateRule
 from repro.core.terms import Oid, UpdateKind, VersionId, object_of
 
@@ -209,18 +209,17 @@ def tp_step(
 
     for rule in rules:
         rule_start = time.perf_counter() if record else 0.0
+        compiled = compiled_rule(rule)
         seeds = None
         if restricted:
-            mode, positions = classify(rule_plan(rule).signature, delta)
+            mode, positions = classify(compiled.signature, delta)
             if mode == SKIP:
                 if record:
                     registry.inc("engine_rule_skipped", 1, rule=rule.name)
                 continue
             if mode == SEED:
                 seeds = (delta, positions)
-        matched, rule_fired = compiled_rule(rule).fire(
-            reading, base, pending, on_fired, seeds
-        )
+        matched, rule_fired = compiled.fire(reading, base, pending, on_fired, seeds)
         if record:
             if matched:
                 registry.inc("engine_rule_matched", matched, rule=rule.name)

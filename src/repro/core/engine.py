@@ -35,6 +35,9 @@ from repro.core.trace import EvaluationTrace
 
 __all__ = ["UpdateEngine", "UpdateResult", "CompiledProgram", "update_result"]
 
+#: How many :class:`CompiledProgram` artifacts one engine keeps.
+COMPILE_CACHE_SIZE = 64
+
 
 @dataclass
 class UpdateResult:
@@ -149,14 +152,13 @@ class UpdateEngine:
     keeps an LRU cache of :class:`CompiledProgram` artifacts keyed by program
     identity (its rule tuple — structurally equal programs share an entry,
     so re-parsing the same text still hits), bounded by
-    ``compile_cache_size``.  Repeated ``apply``/``evaluate`` of the same
+    :data:`COMPILE_CACHE_SIZE`.  Repeated ``apply``/``evaluate`` of the same
     program therefore pays the safety check, the stratification and the join
     plans exactly once.
     """
 
-    def __init__(self, *, compile_cache_size: int = 64, **option_overrides) -> None:
+    def __init__(self, **option_overrides) -> None:
         self.options = EvaluationOptions(**option_overrides)
-        self.compile_cache_size = compile_cache_size
         self._compiled: OrderedDict[tuple, CompiledProgram] = OrderedDict()
 
     def with_options(self, **option_overrides) -> "UpdateEngine":
@@ -170,8 +172,6 @@ class UpdateEngine:
     def compile(self, program: UpdateProgram) -> CompiledProgram:
         """The cached static artifact for ``program`` (compiling on a
         miss)."""
-        if self.compile_cache_size <= 0:
-            return compile_program(program)
         key = program.rules
         compiled = self._compiled.get(key)
         if compiled is not None:
@@ -179,7 +179,7 @@ class UpdateEngine:
             return compiled
         compiled = compile_program(program)
         self._compiled[key] = compiled
-        while len(self._compiled) > self.compile_cache_size:
+        while len(self._compiled) > COMPILE_CACHE_SIZE:
             self._compiled.popitem(last=False)
         return compiled
 

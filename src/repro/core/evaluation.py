@@ -118,22 +118,20 @@ class EvaluationOutcome:
 class CompiledProgram:
     """The reusable static artifact of one update-program.
 
-    Everything :func:`evaluate` derives from the program alone — the
-    head-variable rejection, the safety check, the stratification, and the
-    per-rule join plans / dependency signatures of :mod:`repro.core.plans`
-    with their compiled executors — is computed once here and reused across
-    every subsequent evaluation of the same program, whatever the base.
-    This is what lets the versioned store run long chains of ``store.apply``
-    at per-update cost proportional to the update, not to the program
-    analysis.
+    Everything :func:`evaluate` derives from the program alone is computed
+    once here and reused across every subsequent evaluation of the same
+    program, whatever the base: the head-variable rejection, the safety
+    check and the stratification it holds, and each rule's
+    :class:`~repro.core.codegen.CompiledRule` (dependency signature, join
+    plan, generated executor), which :func:`compile_program` builds into
+    the ``codegen.rule`` cache that :func:`~repro.core.consequence.tp_step`
+    reads.  This is what lets the versioned store run long chains of
+    ``store.apply`` at per-update cost proportional to the update, not to
+    the program analysis.
     """
 
     program: UpdateProgram
     stratification: Stratification
-    #: The plan-compiled rule executors (``repro.core.codegen``), pinned
-    #: here so a long-lived compiled program never loses its closures to
-    #: LRU eviction.
-    compiled_rules: tuple = ()
 
 
 def compile_program(program: UpdateProgram) -> CompiledProgram:
@@ -147,8 +145,9 @@ def compile_program(program: UpdateProgram) -> CompiledProgram:
     _reject_version_vars_in_heads(program)
     check_program_safety(program)
     stratification = stratify(program)
-    compiled_rules = tuple(compiled_rule(rule) for rule in program)
-    return CompiledProgram(program, stratification, compiled_rules)
+    for rule in program:
+        compiled_rule(rule)  # code generation and its errors happen here
+    return CompiledProgram(program, stratification)
 
 
 def evaluate(

@@ -22,16 +22,13 @@ force) that the differential suites compare against live in
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 from repro.core.atoms import BuiltinAtom, Literal, UpdateAtom, VersionAtom
-from repro.core.caches import register_lru_cache
 from repro.core.errors import BuiltinError, EvaluationError
 from repro.core.exprs import evaluate_expr, expr_variables
 from repro.core.facts import Fact
 from repro.core.objectbase import ObjectBase
-from repro.core.plans import JoinPlan, compile_plan
 from repro.core.rules import UpdateRule
 from repro.core.substitution import apply_term
 from repro.core.terms import (
@@ -57,17 +54,9 @@ def match_rule(rule: UpdateRule, base: ObjectBase) -> Iterator[Binding]:
     fail the candidate instead of raising (docs/DESIGN.md D6).  Yielded dicts are
     fresh per answer and safe to keep.
     """
-    from repro.core.codegen import match_rule_compiled  # codegen sits above
+    from repro.core.codegen import compiled_rule  # codegen sits above
 
-    return iter(match_rule_compiled(rule, base))
-
-
-@lru_cache(maxsize=4096)
-def _body_plan(body: tuple[Literal, ...]) -> JoinPlan:
-    return compile_plan(body)
-
-
-register_lru_cache("grounding.body_plan", _body_plan)
+    return iter(compiled_rule(rule).full.bindings(base))
 
 
 def match_body(

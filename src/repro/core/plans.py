@@ -12,11 +12,11 @@ binder iff its unbound side is a single fresh variable whose other side is
 fully bound, and the generator score counts bound variables and checks host
 groundness.  The bound set after any prefix of choices is itself statically
 determined, so the entire choice sequence can be replayed once per
-``(body, seed)`` pair and cached as a :class:`JoinPlan`, which
-:mod:`repro.core.codegen` compiles into the executor.  When the simulation
-gets stuck — an unsafe body, which the safety checker rejects unless it was
-switched off — there is no plan and :func:`compile_plan` raises a typed
-:class:`~repro.core.errors.EvaluationError` naming the rule.
+``(body, seed)`` pair as a :class:`JoinPlan`, which
+:mod:`repro.core.codegen` compiles into the executor it caches.  When the
+simulation gets stuck — an unsafe body, which the safety checker rejects
+unless it was switched off — there is no plan and :func:`compile_plan`
+raises a typed :class:`~repro.core.errors.EvaluationError` naming the rule.
 
 **Rule dependency signatures.**  After the first ``T_P`` application of a
 stratum, a rule can only derive a *new* head-true ground instance if some
@@ -44,11 +44,9 @@ facts matching its seed literals, or re-match it in full.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable
 
 from repro.core.atoms import BuiltinAtom, Literal, UpdateAtom, VersionAtom
-from repro.core.caches import register_lru_cache
 from repro.core.errors import EvaluationError
 from repro.core.exprs import expr_variables
 from repro.core.facts import EXISTS, Fact
@@ -77,8 +75,6 @@ __all__ = [
     "QuerySignature",
     "body_signature",
     "program_signature",
-    "RulePlan",
-    "rule_plan",
     "classify",
     "SKIP",
     "SEED",
@@ -482,28 +478,6 @@ def body_signature(body: tuple[Literal, ...]) -> QuerySignature:
     return QuerySignature(tuple(dict.fromkeys(triggers)), tuple(seeds))
 
 
-class RulePlan:
-    """Everything precompiled for one rule: its dependency signature, the
-    full-body join plan, and (lazily) one plan per seed literal."""
-
-    __slots__ = ("rule", "signature", "full_plan", "_seed_plans")
-
-    def __init__(self, rule: "UpdateRule"):
-        self.rule = rule
-        self.signature = rule_signature(rule)
-        self.full_plan = compile_plan(rule.body, name=rule.name)
-        self._seed_plans: dict[int, JoinPlan] = {}
-
-    def seed_plan(self, position: int) -> JoinPlan:
-        """The rule's :func:`compile_seed_plan` at ``position``."""
-        try:
-            return self._seed_plans[position]
-        except KeyError:
-            plan = compile_seed_plan(self.rule.body, position, self.rule.name)
-            self._seed_plans[position] = plan
-            return plan
-
-
 def compile_seed_plan(
     body: tuple[Literal, ...], position: int, name: str = "<body>"
 ) -> JoinPlan:
@@ -511,16 +485,6 @@ def compile_seed_plan(
     compiled with the seed literal's variables already bound."""
     rest = tuple(literal for index, literal in enumerate(body) if index != position)
     return compile_plan(rest, body[position].variables, name=name)
-
-
-@lru_cache(maxsize=4096)
-def rule_plan(rule: "UpdateRule") -> RulePlan:
-    """The cached :class:`RulePlan` for ``rule`` (rules are frozen values,
-    so plans survive across iterations, strata and evaluations)."""
-    return RulePlan(rule)
-
-
-register_lru_cache("plans.rule_plan", rule_plan)
 
 
 # ----------------------------------------------------------------------

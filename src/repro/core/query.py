@@ -30,7 +30,7 @@ from repro.core.atoms import Literal
 from repro.core.codegen import compile_seeded, compiled_body
 from repro.core.grounding import match_body
 from repro.core.objectbase import ObjectBase
-from repro.core.plans import body_signature, compile_seed_plan, seed_facts
+from repro.core.plans import body_signature, seed_facts
 from repro.core.terms import Oid, Var
 
 __all__ = [
@@ -292,11 +292,7 @@ class PreparedQuery:
         try:
             return self._seeded[position]
         except KeyError:
-            matcher, body = compile_seeded(
-                compile_seed_plan(self.body, position),
-                self.body[position],
-                f"<body>/seed{position}",
-            )
+            matcher, body = compile_seeded(self.body, position, "<body>")
             columns = tuple((var.name, body.slots.index(var)) for var in self._columns)
             entry = self._seeded[position] = (matcher, body, columns)
             return entry

@@ -273,6 +273,28 @@ def test_cluster_stats_are_uniform_plus_cluster_section(cluster):
     assert all(entry["role"] == "primary" for entry in shards)
 
 
+def test_cluster_slowlog_keeps_the_newest_entries_of_every_shard():
+    """A shard's newest entry survives the merge even when another shard's
+    ring alone fills it: entries are ordered by ``(wall_time, shard,
+    seq)`` and cut to the largest shard capacity."""
+    from repro.api.cluster import _merge_slowlogs
+
+    def entry(seq, wall_time):
+        return {"seq": seq, "kind": "commit", "seconds": 1.0, "wall_time": wall_time}
+
+    newest = entry(1, 5000.0)
+    older = [entry(seq, 1000.0 + seq) for seq in range(1, 61)]
+    merged = _merge_slowlogs([
+        {"entries": [newest], "dropped": 0, "capacity": 50},
+        {"entries": older, "dropped": 3, "capacity": 60},
+    ])
+    assert merged["capacity"] == 60 and merged["dropped"] == 3
+    entries = merged["entries"]
+    assert len(entries) == 60  # the oldest of shard 1's entries is cut
+    assert entries[-1] == {**newest, "shard": 0}
+    assert entries[:-1] == [{**e, "shard": 1} for e in older[1:]]
+
+
 def test_cluster_rejects_unroutable_work(cluster):
     with repro.connect(cluster.target) as conn:
         with pytest.raises(ReproError, match="ground rule hosts"):

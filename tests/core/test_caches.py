@@ -8,12 +8,11 @@ from repro.core.terms import Oid, intern_oid
 
 def test_known_caches_are_registered_with_bounds():
     # Importing the engine modules registers their lru_caches.
-    import repro.core.grounding  # noqa: F401
-    import repro.core.plans  # noqa: F401
+    import repro.core.codegen  # noqa: F401
     import repro.datalog.evaluation  # noqa: F401
 
     stats = caches.cache_stats()
-    for name in ("plans.rule_plan", "grounding.body_plan", "datalog.compile_plan"):
+    for name in ("codegen.rule", "codegen.body", "datalog.compile_plan"):
         assert name in stats, name
         assert stats[name]["maxsize"] == 4096  # bounded, not lru_cache(None)
         assert set(stats[name]) >= {"hits", "misses", "size", "maxsize"}
@@ -24,13 +23,13 @@ def test_known_caches_are_registered_with_bounds():
 
 def test_cache_stats_move_after_use():
     from repro import parse_body
-    from repro.core.grounding import _body_plan
+    from repro.core.codegen import compiled_body
 
-    before = caches.cache_stats()["grounding.body_plan"]
+    before = caches.cache_stats()["codegen.body"]
     body = parse_body("Zz.cache_probe -> R")
-    _body_plan(tuple(body))
-    _body_plan(tuple(body))
-    after = caches.cache_stats()["grounding.body_plan"]
+    compiled_body(tuple(body))
+    compiled_body(tuple(body))
+    after = caches.cache_stats()["codegen.body"]
     assert after["misses"] >= before["misses"] + 1
     assert after["hits"] >= before["hits"] + 1
 

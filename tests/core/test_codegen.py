@@ -7,11 +7,14 @@ the deterministic contracts — slot layout and dedup keys against
 and the cache-registry surface.
 """
 
+from repro.core import caches
 from repro.core.caches import cache_stats
-from repro.core.codegen import compiled_body, compiled_rule, match_rule_compiled
+from repro.core.codegen import _STATS, compiled_body, compiled_rule
+from repro.core.engine import UpdateEngine
 from repro.core.evaluation import EvaluationOptions, evaluate
-from repro.core.grounding import _body_plan
-from repro.core.plans import var_sort_key
+from repro.core.grounding import match_rule
+from repro.core.objectbase import Delta
+from repro.core.plans import compile_plan, var_sort_key
 from repro.core.query import PreparedQuery
 from repro.lang.parser import parse_body
 from repro.testing.reference import (
@@ -28,6 +31,7 @@ from repro.workloads.enterprise import (
     paper_example_base,
     paper_example_program,
 )
+from repro.workloads.genealogy import ancestors_program, genealogy_base
 
 
 def _fired_sets(trace):
@@ -72,7 +76,7 @@ def test_compiled_execution_matches_interpreted_on_paper_workloads():
 def test_compiled_matcher_matches_interpreted_per_rule():
     for program, base in _workloads():
         for rule in program:
-            compiled = match_rule_compiled(rule, base)
+            compiled = list(match_rule(rule, base))
             interpreted = list(match_rule_dynamic(rule, base))
             assert len(compiled) == len(interpreted)
             assert {frozenset(b.items()) for b in compiled} == {
@@ -92,7 +96,7 @@ def test_slot_layout_and_dedup_keys_agree_with_var_sort_key():
     for program, _base in _workloads():
         for rule in program:
             body = compiled_body(tuple(rule.body))
-            plan = _body_plan(tuple(rule.body))
+            plan = compile_plan(tuple(rule.body))
             assert tuple(body.slots[i] for i in body.key_slots) == plan.key_vars
             assert tuple(sorted(body.slots, key=var_sort_key)) == plan.key_vars
             assert body.generator_count == plan.generator_count
@@ -156,6 +160,34 @@ def test_codegen_caches_registered():
     backend = stats["codegen.backend"]
     assert backend["bodies_compiled"] >= 1
     assert {"seed_matchers_compiled", "batch_steps", "loop_steps"} <= set(backend)
+
+
+def test_each_body_and_seeded_variant_compiles_once_per_process():
+    """A rule's executors live on its one cached ``CompiledRule`` and a
+    query's seeded variants on its ``PreparedQuery``: running them again,
+    from a fresh engine or on the same delta, compiles nothing."""
+    caches.clear_caches()
+    program = ancestors_program()
+    base = genealogy_base(generations=4, per_generation=3, seed=1)
+    before = dict(_STATS)
+    result = UpdateEngine().apply(program, base)
+    # the recursive rule takes the SEED path
+    assert _STATS["seed_matchers_compiled"] > before["seed_matchers_compiled"]
+    warm = dict(_STATS)
+    assert UpdateEngine().apply(program, base).new_base == result.new_base
+    for counter in ("bodies_compiled", "seed_matchers_compiled"):
+        assert _STATS[counter] == warm[counter], counter
+
+    query = PreparedQuery(parse_body("X.anc -> A, A.isa -> person"))
+    delta = Delta()
+    delta.record(result.added, result.removed)
+    gained, lost = delta.added_index(), delta.removed_index()
+    first = query.delta_answers(gained, lost, result.new_base)
+    assert first
+    warm = dict(_STATS)
+    assert query.delta_answers(gained, lost, result.new_base) == first
+    for counter in ("bodies_compiled", "seed_matchers_compiled"):
+        assert _STATS[counter] == warm[counter], counter
 
 
 def test_generated_source_is_inspectable():

@@ -10,6 +10,7 @@ from repro import (
     query,
     result_value,
 )
+from repro.core import engine as engine_module
 from repro.core.terms import Oid, UpdateKind, wrap
 
 O = Oid
@@ -57,14 +58,15 @@ class TestCompiledPrograms:
         )
 
     def test_compiled_reuse_gives_same_results(self, engine, paper_base, paper_program):
-        cold = UpdateEngine(compile_cache_size=0).apply(paper_program, paper_base)
+        cold = UpdateEngine().apply(paper_program, paper_base)
         engine.compile(paper_program)  # warm
         warm = engine.apply(paper_program, paper_base)
         assert warm.new_base == cold.new_base
         assert warm.result_base == cold.result_base
 
-    def test_lru_eviction(self):
-        engine = UpdateEngine(compile_cache_size=1)
+    def test_lru_eviction(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "COMPILE_CACHE_SIZE", 1)
+        engine = UpdateEngine()
         first_program = parse_program("r: ins[a].m -> b <= a.t -> yes.")
         second_program = parse_program("r: ins[a].n -> b <= a.t -> yes.")
         first = engine.compile(first_program)

@@ -3,7 +3,7 @@ signatures and the delta machinery behind semi-naive evaluation."""
 
 import pytest
 
-from repro.core.codegen import match_rule_seeded_compiled
+from repro.core.codegen import compiled_rule
 from repro.core.consequence import apply_tp, tp_step
 from repro.core.errors import EvaluationError
 from repro.core.grounding import match_body, match_rule
@@ -15,7 +15,7 @@ from repro.core.plans import (
     SKIP,
     classify,
     compile_plan,
-    rule_plan,
+    rule_signature,
 )
 from repro.core.facts import Fact
 from repro.core.terms import Oid
@@ -54,12 +54,12 @@ class TestJoinPlans:
             ), rule.name
 
     def test_plan_compiles_and_counts_generators(self):
-        plan = rule_plan(RULES[1]).full_plan  # r2: three generators
+        plan = compile_plan(RULES[1].body)  # r2: three generators
         generators = [s for s in plan.steps if s.action == GENERATE]
         assert len(generators) >= 2
 
     def test_version_atom_generators_skip_reverification(self):
-        plan = rule_plan(RULES[0]).full_plan
+        plan = compile_plan(RULES[0].body)
         assert any(
             s.action == GENERATE and not s.verify for s in plan.steps
         )
@@ -128,7 +128,7 @@ class TestClassification:
     def test_base_level_rule_skips_on_version_level_delta(self):
         # r1 reads plain-object facts; a delta on mod(..) hosts cannot
         # re-enable it (plain variables never bind proper VIDs).
-        sig = rule_plan(RULES[0]).signature
+        sig = rule_signature(RULES[0])
         from repro.core.terms import UpdateKind, VersionId
 
         mod_phil = VersionId(UpdateKind.MODIFY, Oid("phil"))
@@ -136,7 +136,7 @@ class TestClassification:
         assert classify(sig, delta) == (SKIP, ())
 
     def test_seed_mode_on_matching_shape(self):
-        sig = rule_plan(RULES[0]).signature
+        sig = rule_signature(RULES[0])
         delta = self._delta_with(Fact(Oid("zoe"), "sal", (), Oid(1)))
         mode, positions = classify(sig, delta)
         assert mode == SEED and positions
@@ -144,7 +144,7 @@ class TestClassification:
     def test_negation_and_update_atoms_force_full(self):
         from repro.core.terms import UpdateKind, VersionId
 
-        sig = rule_plan(RULES[3]).signature  # r4 has `not del[mod(E)].sal`
+        sig = rule_signature(RULES[3])  # r4 has `not del[mod(E)].sal`
         mod_phil = VersionId(UpdateKind.MODIFY, Oid("phil"))
         delta = self._delta_with(Fact(mod_phil, "sal", (), Oid(1)))
         assert classify(sig, delta) == (FULL, ())
@@ -152,7 +152,7 @@ class TestClassification:
     def test_delete_all_head_is_volatile_for_matching_shapes(self):
         from repro.core.terms import UpdateKind, VersionId
 
-        sig = rule_plan(RULES[2]).signature  # r3: del[mod(E)].*
+        sig = rule_signature(RULES[2])  # r3: del[mod(E)].*
         mod_phil = VersionId(UpdateKind.MODIFY, Oid("phil"))
         delta = self._delta_with(Fact(mod_phil, "anything", (), Oid(1)))
         assert classify(sig, delta) == (FULL, ())
@@ -170,11 +170,14 @@ class TestClassification:
         base.ensure_exists()
         delta = Delta()
         delta.record([new_fact], [])
-        mode, positions = classify(rule_plan(rule).signature, delta)
+        mode, positions = classify(rule_signature(rule), delta)
         assert mode == SEED
-        seeded = bindings_set(
-            match_rule_seeded_compiled(rule, base, delta, positions)
-        )
+        # The seeded bodies run without ``pending``: rows, not firings.
+        seeded = {
+            frozenset(zip(body.slots, row))
+            for body, rows in compiled_rule(rule).seed_rows(delta, positions)
+            for row in body.fn(base, rows)
+        }
         assert len(seeded) == 1
         full = bindings_set(match_rule(rule, base))
         assert seeded < full and len(full) == 4

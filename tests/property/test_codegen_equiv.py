@@ -14,12 +14,12 @@ so the compiled closures face every body shape the planner can produce.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.codegen import compiled_body, match_rule_compiled
+from repro.core.codegen import compiled_body
 from repro.core.consequence import apply_tp, tp_step
 from repro.core.errors import EvaluationError, ReproError
 from repro.core.evaluation import EvaluationOptions, evaluate
 from repro.core.facts import Fact
-from repro.core.grounding import _body_plan
+from repro.core.grounding import match_rule
 from repro.core.stratification import stratify
 from repro.core.terms import Oid
 from repro.lang.parser import parse_program
@@ -136,7 +136,7 @@ def test_compiled_matcher_agrees_with_interpreted_per_rule(seed):
     program = random_update_program(seed=seed, allow_nonlinear=True)
     base = _base_for(seed)
     for rule in program:
-        compiled = match_rule_compiled(rule, base)
+        compiled = list(match_rule(rule, base))
         interpreted = list(match_rule_dynamic(rule, base))
         assert len(compiled) == len(interpreted)
         fast = {frozenset(b.items()) for b in compiled}
@@ -151,12 +151,12 @@ def test_compiled_body_slots_cover_plan_key_vars(seed):
     slot layout covers exactly the plan's ``key_vars`` (all body variables
     in ``var_sort_key`` order), and its dedup-key slots read them back in
     that exact order."""
-    from repro.core.plans import var_sort_key
+    from repro.core.plans import compile_plan, var_sort_key
 
     program = random_update_program(seed=seed, allow_nonlinear=True)
     for rule in program:
         body = compiled_body(tuple(rule.body))
-        plan = _body_plan(tuple(rule.body))
+        plan = compile_plan(tuple(rule.body))
         assert tuple(body.slots[i] for i in body.key_slots) == plan.key_vars
         assert tuple(sorted(body.slots, key=var_sort_key)) == plan.key_vars
         assert body.generator_count == plan.generator_count

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.atoms import VersionAtom
 from repro.core.codegen import compiled_rule
 from repro.core.errors import EvaluationError, SafetyError
-from repro.core.plans import rule_plan
+from repro.core.plans import compile_plan, compile_seed_plan
 from repro.core.safety import is_safe
 from repro.datalog.ast import DatalogRule
 from repro.datalog.evaluation import _compile_plan, match_datalog_rule
@@ -37,14 +37,14 @@ from repro.workloads.synthetic import (
 
 def assert_plannable(rule):
     body_vars = frozenset().union(*(literal.variables for literal in rule.body))
-    plans = rule_plan(rule)
     compiled = compiled_rule(rule)
-    assert {step.literal for step in plans.full_plan.steps} == set(rule.body)
+    full_plan = compile_plan(rule.body, name=rule.name)
+    assert {step.literal for step in full_plan.steps} == set(rule.body)
     assert set(compiled.full.slots) == body_vars
     for position, literal in enumerate(rule.body):
         if not (literal.positive and isinstance(literal.atom, VersionAtom)):
             continue  # only positive version-terms are seed literals
-        seed_plan = plans.seed_plan(position)
+        seed_plan = compile_seed_plan(rule.body, position, rule.name)
         rest = set(rule.body[:position] + rule.body[position + 1:])
         assert {step.literal for step in seed_plan.steps} == rest
         _matcher, seeded = compiled.seeded(position)
