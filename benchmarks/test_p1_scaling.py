@@ -13,6 +13,10 @@ from repro.lang.parser import parse_program
 from repro.workloads import enterprise_base, enterprise_update_program
 
 
+#: ``(added, removed)`` facts of the sweep's update, by base size.
+SWEEP_DELTAS = {25: (26, 44), 100: (126, 147), 400: (455, 628)}
+
+
 @pytest.mark.parametrize("n_employees", [25, 100, 400])
 def test_p1_base_size_sweep(engine, n_employees):
     base = enterprise_base(n_employees=n_employees, overpaid_ratio=0.1, seed=21)
@@ -20,6 +24,8 @@ def test_p1_base_size_sweep(engine, n_employees):
 
     result = engine.apply(program, base)
     assert len(result.new_base) > 0
+    assert result.iterations == 6
+    assert (len(result.added), len(result.removed)) == SWEEP_DELTAS[n_employees]
 
 
 @pytest.mark.parametrize("n_rules", [2, 8, 32])

@@ -11,14 +11,13 @@ the bytes each commit added to the directory (journal lines and snapshot
 files together), commit p50 / max, the share of all commit time spent in
 the commits that wrote a snapshot, how many entries the forks of frozen
 bases copy per commit (``ObjectBase.fork`` is wrapped in this script for
-the raises: each such fork counts the ``len()`` of every dict and set slot
-of its parent except ``_owned`` and an adopted fact set, plus each
-per-method dict of ``_by_arg``), how many entries the writes of a commit
-then copy out of the shared buckets (the median over the raises: after
-each commit, every value in a dict slot of such a fork that is not the
-parent's own object counts its ``len()``, and a dict value also counts
-the ``len()`` of each of its values that is not the parent's), and how
-long ``load_store`` takes to reach the head of the result.  Reads
+the raises: each such fork counts the spines of its parent's indexes —
+the method keys, the 64 chunk slots of the host map, the column keys),
+how many entries the writes of a commit then copy out of what the fork
+shares (the median over the raises: after each commit, every chunk list,
+chunk and bucket under a fork's spines that is not the parent's own
+object counts its ``len()``), and how long ``load_store`` takes to reach
+the head of the result.  Reads
 ``benchmarks.e2e.served``; changes nothing outside a temporary directory.
 """
 
@@ -48,41 +47,59 @@ def disk(directory: Path) -> tuple[int, int]:
     return sum(path.stat().st_size for path in files), snapshots
 
 
+#: The index slots of an ``ObjectBase``, each with the number of its levels
+#: a fork of a frozen base copies whole: the method and column spines and
+#: the host map's list of chunks.  Below them the fork shares everything
+#: until it writes.
+SPINES = {"_by_host": 1, "_by_method": 1, "_by_arg": 2}
+
+
+def _values(container) -> list:
+    return list(container.values() if isinstance(container, dict) else container)
+
+
+def _pairs(mine, theirs) -> list[tuple]:
+    """``(value, the value at the same place in theirs)`` for each slot of
+    the dict or list ``mine``."""
+    if isinstance(mine, dict):
+        theirs = theirs if isinstance(theirs, dict) else {}
+        return [(value, theirs.get(key)) for key, value in mine.items()]
+    theirs = theirs if isinstance(theirs, list) else []
+    return [(value, theirs[i] if i < len(theirs) else None) for i, value in enumerate(mine)]
+
+
+def _private(mine, theirs) -> int:
+    """The entries of ``mine`` and of every container under it that is not
+    the identical object at the same place in ``theirs``."""
+    if mine is theirs:
+        return 0
+    if isinstance(mine, (dict, list)):
+        return len(mine) + sum(_private(m, t) for m, t in _pairs(mine, theirs))
+    return len(mine)  # a bucket of facts
+
+
 def copied_entries(parent: ObjectBase) -> int:
-    """The entries a fork of the frozen ``parent`` copies: its dict and
-    set slots (not the fork's own ``_owned`` marks, not an adopted fact
-    set), plus the per-method dicts of the column indexes."""
+    """The entries a fork of the frozen ``parent`` copies: the
+    :data:`SPINES` levels of its index slots."""
     total = 0
-    for slot in ObjectBase.__slots__:
-        value = getattr(parent, slot, None)
-        if slot not in ("_owned", "_adopted") and isinstance(value, (dict, set)):
-            total += len(value)
-    return total + sum(len(per_column) for per_column in parent._by_arg.values())
+    for slot, levels in SPINES.items():
+        containers = [getattr(parent, slot)]
+        for _ in range(levels):
+            total += sum(map(len, containers))
+            containers = [value for c in containers for value in _values(c)]
+    return total
 
 
 def bucket_entries(parent: ObjectBase, child: ObjectBase) -> int:
     """The entries the writes to ``child``, a fork of the frozen
-    ``parent``, have put into buckets of its own: every value of a dict
-    slot that is not the parent's object counts its size, and a dict value
-    also counts the values of its own that are not the parent's."""
+    ``parent``, have made its own below the spines: each chunk list, chunk
+    and bucket that is not the parent's object counts its size."""
     total = 0
-    for slot in ObjectBase.__slots__:
-        mine = getattr(child, slot, None)
-        if slot in ("_owned", "_adopted") or not isinstance(mine, dict):
-            continue
-        theirs = getattr(parent, slot, None) or {}
-        for key, value in mine.items():
-            shared = theirs.get(key)
-            if value is shared:
-                continue
-            total += len(value)
-            if isinstance(value, dict):
-                shared = shared if isinstance(shared, dict) else {}
-                total += sum(
-                    len(inner)
-                    for inner_key, inner in value.items()
-                    if inner is not shared.get(inner_key)
-                )
+    for slot, levels in SPINES.items():
+        pairs = [(getattr(child, slot), getattr(parent, slot))]
+        for _ in range(levels):
+            pairs = [pair for mine, theirs in pairs for pair in _pairs(mine, theirs)]
+        total += sum(_private(mine, theirs) for mine, theirs in pairs)
     return total
 
 

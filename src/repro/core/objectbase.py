@@ -43,6 +43,35 @@ _EXISTS_KEY: MethodKey = (EXISTS, 0)
 #: The update-functor chain of a host, outermost first (``terms.kind_chain``).
 Shape = tuple[str, ...]
 
+#: How many hash chunks a frozen base splits each index map into.  A key
+#: ``k`` lives in chunk ``k._hash >> 16 & mask``: every index key is an
+#: :class:`Oid` or a :class:`VersionId` with a cached hash, and the high
+#: bits are taken because a chunk dict probes the low bits first.
+_CHUNKS = 64
+
+#: One index map: ``mask + 1`` dicts, a key in chunk ``key._hash >> 16 & mask``.
+Chunks = list[dict]
+
+
+def _chunked(flat: dict, mask: int) -> Chunks:
+    """The map ``flat`` as ``mask + 1`` chunks (``[flat]`` itself at 0)."""
+    if not mask:
+        return [flat]
+    chunks: Chunks = [{} for _ in range(mask + 1)]
+    for key, value in flat.items():
+        chunks[key._hash >> 16 & mask][key] = value
+    return chunks
+
+
+def _values(chunks: Chunks) -> Iterator:
+    """Every value of a chunked map, chunk by chunk."""
+    return chain.from_iterable(map(dict.values, chunks))
+
+
+def _items(chunks: Chunks) -> Iterator[tuple]:
+    """Every ``(key, value)`` of a chunked map, chunk by chunk."""
+    return chain.from_iterable(map(dict.items, chunks))
+
 
 class Delta:
     """The structured outcome of one ``apply_tp``: which facts entered and
@@ -170,13 +199,25 @@ class ObjectBase:
     The public surface treats the base as a set of :class:`Fact`, each
     stored in two buckets: its host's bucket under its ``(method, arity)``
     key, and its host's state.  Mutation keeps all indexes synchronous.
+
+    Each index map — host -> state, each method's host -> bucket, each
+    built column's value -> bucket — is a list of ``mask + 1`` dicts, a
+    key living in chunk ``key._hash >> 16 & mask``.  ``mask`` is 0 (one
+    chunk: a plain dict in insertion order) until :meth:`freeze`, which
+    splits the maps into :data:`_CHUNKS` chunks once.  Only frozen bases
+    are chunked, because only they are forked copy-on-write, and a chunk's
+    entries lie scattered across allocation order, which the cyclic
+    collector pays for: chunking every base made each full collection of
+    a batch round about 20 % longer.
+
     :meth:`fork` (and ``copy()``, which is the same thing) of a *frozen*
-    base shares every index bucket with it and copies a bucket the first
-    time the fork writes to it, so deriving a base from a frozen one costs
-    the dict spines plus the buckets actually written, never the base; of
-    an unfrozen base it is an eager bucket-by-bucket copy.
-    :meth:`from_fact_set` adopts a fact set alone and builds the indexes
-    from it on the first indexed read.
+    base shares every chunk and bucket with it and copies a chunk list,
+    a chunk and a bucket the first time the fork writes to each, so
+    deriving a base from a frozen one costs the spines plus the chunks
+    and buckets actually written — about ``|map| / 64`` entries a map,
+    never the base; of an unfrozen base it is an eager bucket-by-bucket
+    copy.  :meth:`from_fact_set` adopts a fact set alone and builds the
+    indexes from it on the first indexed read.
     """
 
     __slots__ = (
@@ -185,6 +226,7 @@ class ObjectBase:
         "_by_host",
         "_by_arg",
         "_frozen",
+        "_mask",
         "_owned",
         "_plain",
     )
@@ -193,15 +235,19 @@ class ObjectBase:
         #: The set :meth:`from_fact_set` adopted (``_by_method`` is then
         #: ``None``) until the indexes are built from it; then ``None``.
         self._adopted: set[Fact] | None = None
+        #: The chunk of a key in every index map: ``key._hash >> 16 & mask``.
+        self._mask = 0
         #: ``(method, arity)`` -> host -> the facts of that method on that host.
-        self._by_method: dict[MethodKey, dict[Term, set[Fact]]] | None = {}
+        self._by_method: dict[MethodKey, Chunks] | None = {}
         #: host -> its state (every fact it hosts).
-        self._by_host: dict[Term, set[Fact]] | None = {}
-        self._by_arg: dict[MethodKey, dict[int, dict[Oid, set[Fact]]]] = {}
+        self._by_host: Chunks | None = [{}]
+        #: ``(method, arity)`` -> column -> value -> the facts holding it there.
+        self._by_arg: dict[MethodKey, dict[int, Chunks]] = {}
         self._frozen = False
         #: ``None``: every index bucket is this base's own.  A set: this
-        #: base is a fork sharing buckets with a frozen parent, and the
-        #: set names the buckets it has made private so far (see ``_own``).
+        #: base is a fork sharing chunks with a frozen parent, and the
+        #: set names the chunk lists, chunks and buckets it has made
+        #: private so far (see ``_own``).
         self._owned: set | None = None
         #: Cached answer of :meth:`is_plain` (``None``: not known).  Only
         #: ever held by a frozen base or a fork, whose writes reset it.
@@ -220,7 +266,8 @@ class ObjectBase:
         """Index the adopted set, then drop it.  Safe for concurrent
         readers of a frozen base: the set is read once, and ``_by_method``
         (the flag :meth:`_ensure_indexes` tests) is published after the
-        other indexes and before the set is dropped."""
+        other indexes and before the set is dropped.  The maps are built
+        flat, then split by the base's mask."""
         adopted = self._adopted
         if adopted is None:
             return
@@ -231,8 +278,9 @@ class ObjectBase:
             hosts = by_method.setdefault((fact.method, len(fact.args)), {})
             hosts.setdefault(host, set()).add(fact)
             by_host.setdefault(host, set()).add(fact)
-        self._by_host = by_host
-        self._by_method = by_method
+        mask = self._mask
+        self._by_host = _chunked(by_host, mask)
+        self._by_method = {mkey: _chunked(hosts, mask) for mkey, hosts in by_method.items()}
         self._adopted = None
 
     # ------------------------------------------------------------------
@@ -304,7 +352,26 @@ class ObjectBase:
         (re)building stays allowed — it only caches derived state.
         Freezing is irreversible; use :meth:`fork` for a mutable private
         base.
+
+        The first freeze of a flat base splits its index maps into
+        :data:`_CHUNKS` hash chunks, once, so that a fork's write copies
+        one chunk of a map, not the map; with the indexes not built yet it
+        only sets the mask, and the lazy build comes out chunked.  A base
+        forked from a frozen one is chunked already.
         """
+        if self._frozen:
+            return self
+        if not self._mask:
+            mask = _CHUNKS - 1
+            if self._by_method is not None:
+                self._by_host = _chunked(self._by_host[0], mask)
+                self._by_method = {
+                    mkey: _chunked(hosts[0], mask) for mkey, hosts in self._by_method.items()
+                }
+                for per_column in self._by_arg.values():
+                    for column, index in per_column.items():
+                        per_column[column] = _chunked(index[0], mask)
+            self._mask = mask
         self._frozen = True
         self._owned = None  # no write will ever ask again
         return self
@@ -312,30 +379,38 @@ class ObjectBase:
     def fork(self) -> "ObjectBase":
         """A mutable base equal to this one that never writes through to it.
 
-        Forking a **frozen** base is copy-on-write at bucket level: the
-        dict spines of the two indexes and of the column indexes are copied
-        (C-level ``dict.copy()``; one entry per method key, per host, per
-        column), every bucket is shared, and a bucket is copied the first
-        time the fork writes to it — a method's host map, a host's bucket in
-        it, a host's state.  The buckets of hosts the fork creates
-        (``mod(e)``, ``del(mod(e))`` …) are new, so an update that touches a
-        few objects copies the host maps of the handful of methods its
+        Forking a **frozen** base is copy-on-write at chunk level: the
+        ``(method, arity)`` spines of the method and column indexes and
+        the host map's list of chunks are copied (one entry per method
+        key, per column, per chunk), every chunk and bucket is shared, and
+        the fork's first write to a map copies its list of chunks, then
+        the chunk the key lands in (≈ ``|map| / 64`` entries), then the
+        key's bucket — a method's host map, a host's bucket in it, a
+        host's state, a column's value bucket.  The buckets of hosts the
+        fork creates (``mod(e)``, ``del(mod(e))`` …) are new, so an update
+        that touches a few objects copies a few chunks of the maps its
         facts land in and nothing else.  Sharing is safe because the
-        parent's buckets can never change again.
+        parent's chunks can never change again.
 
         An unfrozen parent may still write to its buckets, so nothing is
         shared with it: its fork is an eager copy of every bucket (or of
-        the adopted set while its indexes are not built).
+        the adopted set while its indexes are not built).  Either way the
+        fork inherits the parent's mask.
         """
         if not self._frozen and self._adopted is not None:
-            return ObjectBase.from_fact_set(self._adopted.copy())
+            child = ObjectBase.from_fact_set(self._adopted.copy())
+            child._mask = self._mask
+            return child
         child = ObjectBase()
+        child._mask = self._mask
         if not self._frozen:
             child._by_method = {
-                mkey: {host: set(bucket) for host, bucket in hosts.items()}
+                mkey: [{host: set(bucket) for host, bucket in chunk.items()} for chunk in hosts]
                 for mkey, hosts in self._by_method.items()
             }
-            child._by_host = {host: set(state) for host, state in self._by_host.items()}
+            child._by_host = [
+                {host: set(state) for host, state in chunk.items()} for chunk in self._by_host
+            ]
             return child
         self._ensure_indexes()
         child._by_method = self._by_method.copy()
@@ -352,46 +427,63 @@ class ObjectBase:
 
     def _own(self, fact: Fact) -> None:
         """The copy-on-write step of a fork (see :meth:`fork`): make private
-        every bucket a write of ``fact`` lands in, once per bucket.
+        every chunk list, chunk and bucket a write of ``fact`` lands in,
+        once each.
 
-        ``_owned`` holds one mark per private bucket: ``(method, arity)``
-        for a method's host map, the host term for its state, and
-        ``(host, method, arity)`` for the host's bucket in the method's map
-        — shapes that cannot collide; column-index marks are tagged.
+        ``_owned`` holds one mark per private piece, tagged by its kind
+        — ``("chunks", map)``, ``("chunk", map, i)``, ``("bucket", map,
+        key)`` — where ``map`` names the index map: ``None`` for the host
+        map (whose list of chunks every fork owns from birth), the method
+        key for a method's host map, ``(method key, column)`` for a column
+        index.  The tags keep the three kinds from colliding.
         """
-        owned = self._owned
         self._plain = None
         host = fact.host
-        method = fact.method
-        arity = len(fact.args)
-        mkey = (method, arity)
-        for index, key in ((self._by_method, mkey), (self._by_host, host)):
-            if key not in owned:
-                owned.add(key)
-                shared = index.get(key)
-                if shared is not None:
-                    index[key] = shared.copy()
-        # The method's host map is now this fork's own: the copy of the
-        # host's bucket is stored into it, not into the parent's.
-        if (host, method, arity) not in owned:
-            owned.add((host, method, arity))
-            hosts = self._by_method.get(mkey)
-            if hosts and host in hosts:
-                hosts[host] = hosts[host].copy()
+        mkey = (fact.method, len(fact.args))
+        mask = self._mask
+        i = host._hash >> 16 & mask
+        self._own_entry(self._by_host, None, i, host)
+        hosts = self._own_chunks(self._by_method, mkey, mkey)
+        if hosts is not None:
+            self._own_entry(hosts, mkey, i, host)
         per_column = self._by_arg.get(mkey)
         if per_column:
-            for column, index in per_column.items():
-                mark = ("arg", mkey, column)
-                if mark not in owned:
-                    owned.add(mark)
-                    index = per_column[column] = index.copy()
+            for column in per_column:
+                tag = (mkey, column)
+                index = self._own_chunks(per_column, column, tag)
                 key = fact.result if column < 0 else fact.args[column]
-                mark = ("arg", mkey, column, key)
-                if mark not in owned:
-                    owned.add(mark)
-                    shared = index.get(key)
-                    if shared is not None:
-                        index[key] = shared.copy()
+                self._own_entry(index, tag, key._hash >> 16 & mask, key)
+
+    def _own_chunks(self, spine: dict, key, tag) -> Chunks | None:
+        """The fork's own list of chunks ``spine[key]`` of the map ``tag``
+        (``None`` while the map does not exist), copied on first use."""
+        chunks = spine.get(key)
+        mark = ("chunks", tag)
+        if mark not in self._owned:
+            self._owned.add(mark)
+            if chunks is not None:
+                chunks = spine[key] = chunks.copy()
+        return chunks
+
+    def _own_chunk(self, chunks: Chunks, tag, i: int) -> dict:
+        """Chunk ``i`` of the fork's own list ``chunks`` of the map ``tag``,
+        made the fork's own on first use."""
+        mark = ("chunk", tag, i)
+        if mark in self._owned:
+            return chunks[i]
+        self._owned.add(mark)
+        chunk = chunks[i] = chunks[i].copy()
+        return chunk
+
+    def _own_entry(self, chunks: Chunks, tag, i: int, key) -> None:
+        """Make chunk ``i`` and ``key``'s bucket in it the fork's own."""
+        chunk = self._own_chunk(chunks, tag, i)
+        mark = ("bucket", tag, key)
+        if mark not in self._owned:
+            self._owned.add(mark)
+            bucket = chunk.get(key)
+            if bucket is not None:
+                chunk[key] = bucket.copy()
 
     def apply_delta(
         self, added: Iterable[Fact], removed: Iterable[Fact]
@@ -402,13 +494,15 @@ class ObjectBase:
         This is how a revision advances, in the engine (``ob'`` = input ⊕
         delta) and in the store (snapshot ⊕ composed deltas): applied to a
         frozen base it is a :meth:`fork` plus the delta's writes, so the
-        :class:`Fact` objects and every untouched index bucket are shared
-        between the two bases, the derived base is born indexed, and the
-        cost is the delta plus the spine copies — never an index rebuild.
+        :class:`Fact` objects and every untouched chunk and bucket are
+        shared between the two bases, the derived base is born indexed and
+        chunked, and the cost is the delta plus the spines and the chunks
+        it lands in — never an index rebuild, never a whole map.
         A :meth:`plain <is_plain>` parent hands its plainness on when the
         hosts the delta touched still qualify.  Applied to an unfrozen base
         (nothing to share) the result adopts a fact set derived from this
-        base (:meth:`from_fact_set`); its indexes are built on first use.
+        base (:meth:`from_fact_set`), with this base's mask; its indexes
+        are built on first use.
         """
         added = added if isinstance(added, (set, frozenset, list, tuple)) else list(added)
         removed = (
@@ -418,7 +512,9 @@ class ObjectBase:
             facts = set(self)
             facts.difference_update(removed)
             facts.update(added)
-            return ObjectBase.from_fact_set(facts)
+            child = ObjectBase.from_fact_set(facts)
+            child._mask = self._mask
+            return child
         child = self.fork()
         for fact in removed:
             child.discard(fact)
@@ -451,17 +547,18 @@ class ObjectBase:
         plain = self._plain
         if plain is None:
             self._ensure_indexes()
-            exists_of = self._by_method.get(_EXISTS_KEY) or {}
+            mask = self._mask
+            exists_of = self._by_method.get(_EXISTS_KEY)
             hosts = 0
             plain = True
-            for host, state in self._by_host.items():
+            for host, state in _items(self._by_host):
                 if not state:
                     continue
                 hosts += 1
                 if len(state) < 2 or host.__class__ is not Oid:
                     plain = False
                     break
-                exists = exists_of.get(host)
+                exists = exists_of[host._hash >> 16 & mask].get(host) if exists_of else None
                 # the bucket's only fact, when the count below holds
                 owner = next(iter(exists)).result if exists else None
                 if owner is not host and owner != host:
@@ -469,7 +566,7 @@ class ObjectBase:
                     break
             # one ``exists`` fact per host, the 0-ary one checked above
             plain = plain and hosts == sum(
-                sum(map(len, buckets.values()))
+                sum(map(len, _values(buckets)))
                 for (method, _arity), buckets in self._by_method.items()
                 if method == EXISTS
             )
@@ -479,7 +576,7 @@ class ObjectBase:
 
     def _host_is_plain(self, host: Term) -> bool:
         """:meth:`is_plain`, for one host (absent hosts qualify)."""
-        state = self._by_host.get(host)
+        state = self._by_host[host._hash >> 16 & self._mask].get(host)
         if not state:
             return True
         return (
@@ -496,20 +593,21 @@ class ObjectBase:
         adopted = self._adopted
         if adopted is not None:
             return fact in adopted
-        state = self._by_host.get(fact.host)
+        host = fact.host
+        state = self._by_host[host._hash >> 16 & self._mask].get(host)
         return state is not None and fact in state
 
     def __len__(self) -> int:
         adopted = self._adopted
         if adopted is not None:
             return len(adopted)
-        return sum(map(len, self._by_host.values()))
+        return sum(map(len, _values(self._by_host)))
 
     def __iter__(self) -> Iterator[Fact]:
         adopted = self._adopted
         if adopted is not None:
             return iter(adopted)
-        return chain.from_iterable(self._by_host.values())
+        return chain.from_iterable(_values(self._by_host))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, ObjectBase):
@@ -518,12 +616,17 @@ class ObjectBase:
 
     def difference(self, other: "ObjectBase | set[Fact] | frozenset[Fact]") -> set[Fact]:
         """The facts of this base that ``other`` — a base or a set of
-        facts — does not hold (state by state between indexed bases)."""
+        facts — does not hold (state by state between indexed bases, each
+        looked up in ``other`` by ``other``'s own mask)."""
         theirs = other._by_host if isinstance(other, ObjectBase) else None
         if self._by_host is None or theirs is None:
             return set(self).difference(other)
+        mask = other._mask
         return set().union(
-            *(state.difference(theirs.get(host, ())) for host, state in self._by_host.items())
+            *(
+                state.difference(theirs[host._hash >> 16 & mask].get(host, ()))
+                for host, state in _items(self._by_host)
+            )
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -536,7 +639,9 @@ class ObjectBase:
         """Insert ``fact``; returns True when the base changed."""
         self._ensure_indexes()
         host = fact.host
-        state = self._by_host.get(host)
+        mask = self._mask
+        i = host._hash >> 16 & mask
+        state = self._by_host[i].get(host)
         if state is not None and fact in state:
             return False
         if self._frozen:
@@ -547,24 +652,28 @@ class ObjectBase:
             raise TermError(f"object bases hold ground facts only, got {fact}")
         if self._owned is not None:
             self._own(fact)
-            state = self._by_host.get(host)  # now the fork's own copy
+            state = self._by_host[i].get(host)  # now the fork's own copy
         if state is None:
-            self._by_host[host] = {fact}
+            self._by_host[i][host] = {fact}
         else:
             state.add(fact)
         mkey = (fact.method, len(fact.args))
         try:
-            self._by_method[mkey][host].add(fact)
+            self._by_method[mkey][i][host].add(fact)
         except KeyError:
-            self._by_method.setdefault(mkey, {})[host] = {fact}
+            hosts = self._by_method.get(mkey)
+            if hosts is None:
+                hosts = self._by_method[mkey] = _chunked({}, mask)
+            hosts[i][host] = {fact}
         per_column = self._by_arg.get(mkey)
         if per_column:
             for column, index in per_column.items():
                 key = fact.result if column < 0 else fact.args[column]
+                chunk = index[key._hash >> 16 & mask]
                 try:
-                    index[key].add(fact)
+                    chunk[key].add(fact)
                 except KeyError:
-                    index[key] = {fact}
+                    chunk[key] = {fact}
         return True
 
     def discard(self, fact: Fact) -> bool:
@@ -575,17 +684,20 @@ class ObjectBase:
             raise FrozenBaseError(
                 f"cannot discard {fact} from a frozen base; copy() it first"
             )
+        self._ensure_indexes()
         if self._owned is not None:
             self._own(fact)
-        self._ensure_indexes()
+        host = fact.host
+        mask = self._mask
+        i = host._hash >> 16 & mask
         mkey = (fact.method, len(fact.args))
-        self._by_method[mkey][fact.host].discard(fact)
-        self._by_host[fact.host].discard(fact)
+        self._by_method[mkey][i][host].discard(fact)
+        self._by_host[i][host].discard(fact)
         per_column = self._by_arg.get(mkey)
         if per_column:
             for column, index in per_column.items():
                 key = fact.result if column < 0 else fact.args[column]
-                bucket = index.get(key)
+                bucket = index[key._hash >> 16 & mask].get(key)
                 if bucket is not None:
                     bucket.discard(fact)
         return True
@@ -607,7 +719,9 @@ class ObjectBase:
         if not is_ground(host):
             raise TermError(f"object bases hold ground facts only, got host {host}")
         self._ensure_indexes()
-        if self._by_host.get(host):
+        mask = self._mask
+        i = host._hash >> 16 & mask
+        if self._by_host[i].get(host):
             raise TermError(f"add_state({host}): the version already has a state")
         groups: dict[MethodKey, set[Fact]] = {}
         for fact in state:
@@ -623,26 +737,27 @@ class ObjectBase:
         if not groups:
             return
         owned = self._owned
+        by_host = self._by_host
         if owned is not None:
             # The host's state and its per-method buckets are new, hence
-            # private; shared method host maps and column buckets are
-            # copied once.
+            # private; the shared chunk lists and chunks they land in, and
+            # column buckets, are copied once.
             self._plain = None
-            owned.add(host)
-        self._by_host[host] = state
+            self._own_chunk(by_host, None, i)
+            owned.add(("bucket", None, host))
+        by_host[i][host] = state
         by_method = self._by_method
         for mkey, group in groups.items():
-            hosts = by_method.get(mkey)
-            if owned is not None:
-                owned.add((host, *mkey))
-                if mkey not in owned:
-                    owned.add(mkey)
-                    if hosts is not None:
-                        hosts = by_method[mkey] = hosts.copy()
-            if hosts is None:
-                by_method[mkey] = {host: group}
+            if owned is None:
+                hosts = by_method.get(mkey)
             else:
-                hosts[host] = group
+                hosts = self._own_chunks(by_method, mkey, mkey)
+                if hosts is not None:
+                    self._own_chunk(hosts, mkey, i)
+                owned.add(("bucket", mkey, host))
+            if hosts is None:
+                hosts = by_method[mkey] = _chunked({}, mask)
+            hosts[i][host] = group
             per_column = self._by_arg.get(mkey)
             if per_column:
                 for column in per_column:
@@ -653,20 +768,22 @@ class ObjectBase:
     ) -> None:
         """Enter ``facts`` (all of key ``mkey``) into one built column
         index, copying what a fork still shares (see :meth:`_own`)."""
-        index = per_column[column]
         owned = self._owned
-        if owned is not None and ("arg", mkey, column) not in owned:
-            owned.add(("arg", mkey, column))
-            index = per_column[column] = index.copy()
+        mask = self._mask
+        tag = (mkey, column)
+        if owned is None:
+            index = per_column[column]
+        else:
+            index = self._own_chunks(per_column, column, tag)
         for fact in facts:
             key = fact.result if column < 0 else fact.args[column]
-            bucket = index.get(key)
-            if owned is not None and ("arg", mkey, column, key) not in owned:
-                owned.add(("arg", mkey, column, key))
-                if bucket is not None:
-                    bucket = index[key] = bucket.copy()
+            i = key._hash >> 16 & mask
+            if owned is not None:
+                self._own_entry(index, tag, i, key)
+            chunk = index[i]
+            bucket = chunk.get(key)
             if bucket is None:
-                index[key] = {fact}
+                chunk[key] = {fact}
             else:
                 bucket.add(fact)
 
@@ -684,10 +801,11 @@ class ObjectBase:
         copying, never through this method.
         """
         self._ensure_indexes()
-        exists_of = self._by_method.get(_EXISTS_KEY) or {}
+        mask = self._mask
+        exists_of = self._by_method.get(_EXISTS_KEY) or [{}] * (mask + 1)
         added = 0
-        for host in list(self._by_host):
-            if isinstance(host, Oid) and not exists_of.get(host):
+        for host in list(chain.from_iterable(self._by_host)):
+            if isinstance(host, Oid) and not exists_of[host._hash >> 16 & mask].get(host):
                 if self.add(exists_fact(host)):
                     added += 1
         return added
@@ -718,7 +836,7 @@ class ObjectBase:
                     f"replace_state({version}): fact {fact} hosts a different version"
                 )
         self._ensure_indexes()
-        old_state = self._by_host.get(version)
+        old_state = self._by_host[version._hash >> 16 & self._mask].get(version)
         if not old_state:
             added = frozenset(new_state)
             removed: frozenset[Fact] = frozenset()
@@ -771,16 +889,17 @@ class ObjectBase:
         if per_column is None:
             per_column = self._by_arg[mkey] = {}
         index = per_column.get(column)
+        mask = self._mask
         if index is None:
-            index = {}
+            flat: dict[Oid, set[Fact]] = {}
             for fact in self.iter_facts_by_method(method, arity):
                 key = fact.result if column < 0 else fact.args[column]
                 try:
-                    index[key].add(fact)
+                    flat[key].add(fact)
                 except KeyError:
-                    index[key] = {fact}
-            per_column[column] = index
-        return index.get(value) or ()
+                    flat[key] = {fact}
+            index = per_column[column] = _chunked(flat, mask)
+        return index[value._hash >> 16 & mask].get(value) or ()
 
     def state_of(self, version: Term) -> frozenset[Fact]:
         """All method-applications of ``version`` (including ``exists``)."""
@@ -800,18 +919,18 @@ class ObjectBase:
         """The method's host buckets, chained (nothing is copied)."""
         self._ensure_indexes()
         hosts = self._by_method.get((method, arity))
-        return chain.from_iterable(hosts.values()) if hosts else ()
+        return chain.from_iterable(_values(hosts)) if hosts else ()
 
     def iter_facts_by_host_method(
         self, host: Term, method: str, arity: int
     ) -> Iterable[Fact]:
         self._ensure_indexes()
         hosts = self._by_method.get((method, arity))
-        return (hosts.get(host) or ()) if hosts else ()
+        return (hosts[host._hash >> 16 & self._mask].get(host) or ()) if hosts else ()
 
     def iter_state_of(self, version: Term) -> Iterable[Fact]:
         self._ensure_indexes()
-        return self._by_host.get(version) or ()
+        return self._by_host[version._hash >> 16 & self._mask].get(version) or ()
 
     def iter_existing_versions(self) -> Iterable[Term]:
         """The hosts of the ``exists`` facts, without the dict of
@@ -845,8 +964,9 @@ class ObjectBase:
         is checked against and copied from.
         """
         self._ensure_indexes()
-        exists_of = self._by_method.get(_EXISTS_KEY) or {}
-        while not exists_of.get(version):
+        mask = self._mask
+        exists_of = self._by_method.get(_EXISTS_KEY) or [{}] * (mask + 1)
+        while not exists_of[version._hash >> 16 & mask].get(version):
             if version.__class__ is not VersionId:
                 return None
             version = version.base
@@ -876,10 +996,9 @@ class ObjectBase:
         young containers enough to bring a full collection forward into
         the snapshot write that asked for the order."""
         self._ensure_indexes()
-        by_host = self._by_host
         ordered: list[Fact] = []
-        for host in sorted(by_host, key=_host_sort_key):
-            ordered.extend(sorted(by_host[host], key=_state_sort_key))
+        for host in sorted(chain.from_iterable(self._by_host), key=_host_sort_key):
+            ordered.extend(sorted(self.iter_state_of(host), key=_state_sort_key))
         return ordered
 
 

@@ -414,28 +414,15 @@ def journal_revisions(
     durability: DurabilityOptions | None = None,
 ) -> tuple[list[dict], list[SnapshotSource | None]]:
     """The write-ahead step (``commit_updates(journal=...)``): form the
-    entries of the unpublished ``revisions`` and make them durable together,
-    once the journal's last line (read from the end) is the revision before
-    the first — a journal that moved under its writer (another process, the
-    bytes of a failed append) fails cleanly instead of forking.  Returns the
-    entries, each ``{"index", "epoch", "line", "snapshot": {"name",
-    "content"} | None}`` (the replication stream's shape), and their
-    snapshots' reload sources.  A candidate gets its file by the module
-    doc's weight rule, the batch's earlier lines counting."""
+    entries of the unpublished ``revisions`` and make them durable together
+    through :func:`write_journal_entries`.  Returns the entries, each
+    ``{"index", "epoch", "line", "snapshot": {"name", "content"} | None}``
+    (the replication stream's shape), and their snapshots' reload sources.
+    A candidate gets its file by the module doc's weight rule, the batch's
+    earlier lines counting."""
     start = time.perf_counter()
     directory = Path(directory)
-    journal = directory / JOURNAL_FILE
-    if not journal.exists():
-        raise ReproError(f"no journal at {journal}")
-    last = _last_journal_index(journal)
-    first = revisions[0].index
-    if last != first - 1:
-        raise ReproError(
-            f"journal at {journal} ends at revision {last}, cannot append "
-            f"revision {first}; it was modified since this store "
-            f"loaded it (concurrent writer?) — reload and retry"
-        )
-    weight = revisions[0]._store.journal_weight(first - 1)
+    weight = revisions[0]._store.journal_weight(revisions[0].index - 1)
     entries = []
     for revision in revisions:
         weight += revision.weight
@@ -498,7 +485,10 @@ def write_journal_entries(
     file first, then the verbatim lines in one append — a crash between
     leaves dangling snapshots (cleaned by compaction), never a line pointing
     at nothing, and a write that fails without leaving bytes leaves none of
-    the entries.  Returns each entry's snapshot reload source."""
+    the entries.  Nothing is written unless the journal's last line is the
+    revision before the first entry's (:func:`_check_journal_end`).
+    Returns each entry's snapshot reload source."""
+    _check_journal_end(Path(directory) / JOURNAL_FILE, entries[0]["index"])
     sources = []
     for entry in entries:
         snapshot = entry.get("snapshot")
@@ -592,6 +582,23 @@ def apply_journal_record(
     except BaseException:
         store.epoch = epoch  # an entry that was not written moved nothing
         raise
+
+
+def _check_journal_end(journal: Path, first: int) -> None:
+    """Refuse an append of revision ``first`` unless the journal's last
+    line (read from the end) is revision ``first - 1``: a journal that
+    moved under its writer (another process, the bytes of a failed append)
+    fails cleanly instead of forking, and no line is glued onto a torn
+    tail."""
+    if not journal.exists():
+        raise ReproError(f"no journal at {journal}")
+    last = _last_journal_index(journal)
+    if last != first - 1:
+        raise ReproError(
+            f"journal at {journal} ends at revision {last}, cannot append "
+            f"revision {first}; it was modified since this store "
+            f"loaded it (concurrent writer?) — reload and retry"
+        )
 
 
 def _last_journal_index(journal: Path) -> int:

@@ -233,6 +233,44 @@ class TestFollower:
             message="follower deregistration",
         )
 
+    def test_follower_refuses_to_append_onto_a_torn_tail(self, primary):
+        """Primary and follower check the journal's last line through one
+        writer: a fragment left by a failed append is refused, not glued
+        onto, with the error the primary raises for the same tail."""
+        from repro.core.errors import ReproError
+
+        service, server, tmp_path = primary
+        conn = repro.connect(server.address)
+        with Follower(tmp_path / "f", server.address, **FAST) as fol:
+            fol.start()
+            refusals = []
+            ingest = fol._ingest
+
+            def recording(entry):
+                try:
+                    ingest(entry)
+                except ReproError as error:
+                    refusals.append(str(error))
+                    raise
+
+            fol._ingest = recording
+            journal = tmp_path / "f" / JOURNAL_FILE
+            with journal.open("ab") as handle:
+                handle.write(b'{"index": 1, "ta')
+            torn = journal.read_bytes()
+            revisions = len(fol.service.store)
+            conn.apply(RAISE, tag="after-tear")
+            wait_for(lambda: refusals, message="the follower's refusal")
+            assert "ends in a torn line" in refusals[0]
+            assert journal.read_bytes() == torn
+            assert len(fol.service.store) == revisions
+        conn.close()
+        primary_journal = tmp_path / "primary" / JOURNAL_FILE
+        with primary_journal.open("ab") as handle:
+            handle.write(b'{"index": 2, "ta')
+        with pytest.raises(ReproError, match="ends in a torn line"):
+            service.apply(RAISE)
+
     def test_follower_keeps_snapshots_bounded_like_the_primary(self, tmp_path):
         """Both nodes write through one entry writer, so a replayed
         snapshot becomes a reloadable cache entry as a committed one does."""

@@ -6,7 +6,9 @@ not depend on the machine: re-hosting every final version constructs one
 runs ``ObjectBase._build_indexes`` on its first read.  With counters around
 both, a two-fact raise must do the same work on a 200- and on a
 2 000-employee store, and build no index — not in the commit, not in the
-read that follows it.
+read that follows it.  What the commit's forks copy is counted by identity
+against their parent's containers: a chunk of each index map a write
+lands in (≈ 1/64 of it), so ten times the base may not double it.
 
 The base-sized cost a journal-backed commit may still pay is a snapshot
 file, and it is paid for: a ``snapshot_interval`` candidate gets its file
@@ -92,6 +94,59 @@ def test_two_fact_raise_does_the_same_work_at_any_base_size(counters):
     assert 0 < small["facts"] < 20
     assert small["index_builds"] == 0
     assert small["index_builds_after_reads"] == 0
+
+
+def _private_entries(mine, theirs) -> int:
+    """The entries of the container ``mine`` and of every container under
+    it that is not the identical object at the same place in ``theirs``
+    (lists and dicts recurse; a bucket of facts counts its size)."""
+    if mine is theirs:
+        return 0
+    if isinstance(mine, dict):
+        theirs = theirs if isinstance(theirs, dict) else {}
+        pairs = [(value, theirs.get(key)) for key, value in mine.items()]
+    elif isinstance(mine, list):
+        theirs = theirs if isinstance(theirs, list) else []
+        pairs = [(value, theirs[i] if i < len(theirs) else None) for i, value in enumerate(mine)]
+    else:
+        return len(mine)
+    return len(mine) + sum(_private_entries(m, t) for m, t in pairs)
+
+
+def _entries_copied_by_a_raise(n_employees: int, monkeypatch) -> int:
+    """What the forks of frozen bases own after one raise through a store:
+    every index container of theirs that they do not share with their
+    parent, counted by identity."""
+    base = enterprise_base(n_employees=n_employees, overpaid_ratio=0.1, seed=7)
+    store = VersionedStore(base)
+    program = targeted_raise_program(_plain_employee(base))
+    store.apply(program)  # compiles the program, establishes plainness
+    pairs = []
+    fork = ObjectBase.fork
+
+    def recording(self):
+        child = fork(self)
+        if self.frozen:
+            pairs.append((self, child))
+        return child
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ObjectBase, "fork", recording)
+        store.apply(program)
+    assert pairs
+    return sum(
+        _private_entries(getattr(child, slot), getattr(parent, slot))
+        for parent, child in pairs
+        for slot in ("_by_host", "_by_method", "_by_arg")
+    )
+
+
+def test_a_commit_copies_barely_more_of_a_larger_base(monkeypatch):
+    """A base ten times larger: the forks of a raise copy chunks of the
+    index maps, ≈ |map| / 64 entries each, not whole maps."""
+    small = _entries_copied_by_a_raise(200, monkeypatch)
+    large = _entries_copied_by_a_raise(2_000, monkeypatch)
+    assert large <= 2 * small, (small, large)
 
 
 def test_commit_update_without_a_delta_still_finds_it():
