@@ -17,7 +17,9 @@ how many entries the writes of a commit then copy out of what the fork
 shares (the median over the raises: after each commit, every chunk list,
 chunk and bucket under a fork's spines that is not the parent's own
 object counts its ``len()``), and how long ``load_store`` takes to reach
-the head of the result.  Reads
+the head of the result.  It also counts what parsing and compiling the
+raises cost: the tokenizations, the ``stratify`` calls (both wrapped here
+too) and the bodies code generation compiled.  Reads
 ``benchmarks.e2e.served``; changes nothing outside a temporary directory.
 """
 
@@ -35,7 +37,9 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from benchmarks.e2e.served import Enterprise, raise_text  # noqa: E402
+from repro.core import codegen, evaluation  # noqa: E402
 from repro.core.objectbase import ObjectBase  # noqa: E402
+from repro.lang import parser as lang_parser  # noqa: E402
 from repro.server import StoreService  # noqa: E402
 from repro.storage import DurabilityOptions, load_store  # noqa: E402
 
@@ -120,6 +124,19 @@ def count_forks(forks: list[int], pairs: list[tuple[ObjectBase, ObjectBase]]):
     return fork
 
 
+def count_calls(module, name: str, calls: list[int]):
+    """Wrap ``module.name`` so each call appends 1 to ``calls``; returns
+    the original."""
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    setattr(module, name, counted)
+    return original
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1992)
@@ -140,6 +157,11 @@ def main() -> None:
         pairs: list[tuple[ObjectBase, ObjectBase]] = []
         buckets: list[int] = []
         fork = count_forks(forks, pairs)
+        tokenizations: list[int] = []
+        stratifications: list[int] = []
+        tokenize = count_calls(lang_parser, "tokenize", tokenizations)
+        stratify = count_calls(evaluation, "stratify", stratifications)
+        bodies0 = codegen._STATS["bodies_compiled"]
         for emp in itertools.islice(ent.writer_ops(), args.raises):
             started = time.perf_counter()
             service.apply(raise_text(emp))
@@ -150,6 +172,8 @@ def main() -> None:
             (snapshot_s if now > files else plain_s).append(elapsed)
             files = now
         ObjectBase.fork = fork
+        lang_parser.tokenize, evaluation.stratify = tokenize, stratify
+        bodies = codegen._STATS["bodies_compiled"] - bodies0
         bytes1, files1 = disk(directory)
         started = time.perf_counter()
         len(load_store(directory).current)  # snapshots load lazily: touch the head
@@ -162,6 +186,8 @@ def main() -> None:
     print(f"bytes written per commit: {(bytes1 - bytes0) / args.raises:.0f}")
     print(f"commit p50 {statistics.median(commits_s) * 1e3:.2f} ms, "
           f"max {max(commits_s) * 1e3:.2f} ms")
+    print(f"parse and compile: {len(tokenizations)} tokenizations, "
+          f"{len(stratifications)} stratify calls, {bodies} bodies compiled")
     print(f"fork entries per commit: {len(forks) / args.raises:g} forks, "
           f"{sum(forks) / args.raises:.0f} entries")
     print(f"bucket entries per commit: {statistics.median(buckets):.0f}")

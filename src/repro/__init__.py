@@ -43,8 +43,10 @@ list (``tests/testing/test_boundaries.py`` holds the order).
     ``T_P`` operator, stratification, evaluation, version linearity,
     new-base construction, and queries over literals.
 ``repro.lang``
-    Concrete syntax: parser, pretty printer, and text → compiled query
-    (:func:`prepare_query`).
+    Concrete syntax: lexer, parser, pretty printer, and the program and
+    query shapes that parse and compile a text once per shape — the text
+    with its constants set aside (:func:`parse_program`,
+    :func:`prepare_query`).
 ``repro.datalog``
     A stratified Datalog engine (the substrate the paper's language is "a
     variant of"), also used by the baselines.

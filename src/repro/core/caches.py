@@ -5,11 +5,13 @@ the engine) accumulate state in several places.  The *process-wide* ones
 register here: the ``lru_cache``-decorated compilers (one compiled rule
 per rule under ``codegen.rule``, one compiled bare body per body under
 ``codegen.body``, their code objects under ``codegen.code``, and
-``datalog.compile_plan``), the text → compiled query cache
-(``query.prepared``) and the OID intern table; :func:`cache_stats`
+``datalog.compile_plan``), the two shape caches of
+:mod:`repro.lang.shapes` — program shape → parsed and compiled program
+(``program.shapes``) and body shape → parsed and compiled query
+(``query.prepared``) — and the OID intern table; :func:`cache_stats`
 snapshots their counters.  Per-instance state is bounded and observable at
-its owner instead: the engine's compiled-program LRU
-(``repro.core.engine.COMPILE_CACHE_SIZE`` entries).
+its owner instead: the engine's compiled-program LRU for programs built as
+ASTs (``repro.core.engine.COMPILE_CACHE_SIZE`` entries).
 
 Each cache registers a zero-argument stats callable under a dotted name;
 :func:`cache_stats` snapshots them all into one JSON-ready dict.  The

@@ -42,7 +42,11 @@ Python function per plan instead:
   :meth:`CompiledBody.bindings` wraps into binding dicts
   (:func:`repro.core.grounding.match_rule`);
 * **one ``compile()`` per generated text** — constants sit in the function's
-  namespace, so rules differing only in constants share a code object.
+  namespace, so rules differing only in constants share a code object;
+  every namespace entry derived from the AST's constants is recorded with
+  its recipe, so a parsed text of a known shape gets the shape's
+  functions over its own constants (:meth:`CompiledBody.bind`) without
+  emitting anything.
 
 Each rule has one compiled artifact, its :class:`CompiledRule` (cached per
 rule by :func:`compiled_rule`): its dependency signature, its full-body
@@ -84,7 +88,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, Sequence
+from types import FunctionType
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from repro.core.atoms import BuiltinAtom, Literal, UpdateAtom, VersionAtom
 from repro.core.caches import register_cache, register_lru_cache
@@ -103,6 +108,7 @@ from repro.core.plans import (
     seed_facts,
     var_sort_key,
 )
+from repro.core.rules import map_constants
 from repro.core.terms import Oid, UpdateKind, Var, VersionId, is_ground, wrap
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -119,6 +125,8 @@ __all__ = [
 
 Binding = dict[Var, Oid]
 Row = tuple
+#: An instance's OIDs by the shape's: what :meth:`CompiledBody.bind` maps.
+Constants = Mapping[Oid, Oid]
 
 #: Backend counters surfaced through the cache registry (``codegen.backend``).
 _STATS = {
@@ -311,7 +319,12 @@ def _pick_bucket(base: "ObjectBase", method: str, arity: int, cols_vals):
 
 
 class _Emitter:
-    """Accumulates generated source plus the closure globals it references."""
+    """Accumulates generated source plus the closure globals it references.
+
+    ``rebinds`` lists the globals derived from the AST's constants as
+    ``(label, node, make)``: for other constants the global is
+    ``map_constants(node, constants)``, passed through ``make`` when that
+    is given (:meth:`CompiledBody.bind`)."""
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -322,12 +335,27 @@ class _Emitter:
             "BuiltinError": BuiltinError,
             "_pick_bucket": _pick_bucket,
         }
+        self.rebinds: list[tuple[str, object, Callable | None]] = []
         self._counter = 0
 
     def const(self, value, prefix: str = "_C") -> str:
         self._counter += 1
         label = f"{prefix}{self._counter}"
         self.namespace[label] = value
+        return label
+
+    def term(self, term) -> str:
+        """A global holding a ground term of the AST."""
+        label = self.const(term)
+        self.rebinds.append((label, term, None))
+        return label
+
+    def derived(self, node, make: Callable, prefix: str) -> str:
+        """A global holding ``make(node)`` for an AST ``node`` — a closure
+        over its constants, made as ``make(node')`` for an instance."""
+        label = self.const(make(node), prefix)
+        if _has_constants(node):
+            self.rebinds.append((label, node, make))
         return label
 
     def fresh(self, prefix: str) -> str:
@@ -346,10 +374,41 @@ class _Emitter:
 @lru_cache(maxsize=1024)
 def _code(source: str, filename: str):
     """``compile()``, once per generated text.  Constants live in the
-    function's namespace, not in its source, so rules that differ only in
-    their constants — one ``raise`` per employee, say — share one code
-    object and pay for emission alone."""
+    function's namespace, not in its source, so rules built as ASTs that
+    differ only in their constants share one code object and pay for
+    emission alone; a parsed text whose shape is known skips emission too,
+    binding its constants into the shape's functions
+    (:meth:`CompiledBody.bind`)."""
     return compile(source, filename, "exec")
+
+
+class _Probe(dict):
+    """Maps every OID to itself, noting that it met one."""
+
+    met = False
+
+    def __missing__(self, oid: Oid) -> Oid:
+        self.met = True
+        return oid
+
+
+def _has_constants(node) -> bool:
+    """True when an AST node mentions an OID."""
+    probe = _Probe()
+    map_constants(node, probe)
+    return probe.met
+
+
+def _bound(fn, rebinds: tuple, constants: "Constants"):
+    """``fn`` over a copy of its globals with every constant-derived entry
+    rebuilt for ``constants``: the same code object, no ``compile()``."""
+    if not rebinds:
+        return fn
+    namespace = dict(fn.__globals__)
+    for label, node, make in rebinds:
+        value = map_constants(node, constants)
+        namespace[label] = value if make is None else make(value)
+    return FunctionType(fn.__code__, namespace, fn.__name__, fn.__defaults__)
 
 
 def _tuple_src(parts: Sequence[str]) -> str:
@@ -362,7 +421,7 @@ def _tuple_src(parts: Sequence[str]) -> str:
 def _bound_term_src(em: _Emitter, term, slot_of: dict[Var, int]) -> str:
     """Source expression rebuilding a fully-bound term from the row."""
     if is_ground(term):
-        return em.const(term)
+        return em.term(term)
     if isinstance(term, VersionId):
         return (
             f"VersionId({em.const(term.kind, '_K')}, "
@@ -387,13 +446,15 @@ def _emit_filter(
         condition = f"has({fact})" if literal.positive else f"not has({fact})"
         em.emit(1, f"rows = [r for r in rows if {condition}]")
     elif isinstance(atom, BuiltinAtom):
-        label = em.const(
-            _builtin_filter(atom, literal.positive, slot_of), "_B"
+        positive, layout = literal.positive, dict(slot_of)
+        label = em.derived(
+            atom, lambda a: _builtin_filter(a, positive, layout), "_B"
         )
         em.emit(1, f"rows = [r for r in rows if {label}(r)]")
     else:  # UpdateAtom — delegate to the authoritative semantics
-        label = em.const(
-            _update_filter(literal, tuple(slot_of.items())), "_U"
+        in_slots = tuple(slot_of.items())
+        label = em.derived(
+            literal, lambda lit: _update_filter(lit, in_slots), "_U"
         )
         em.emit(1, f"rows = [r for r in rows if {label}(base, r)]")
 
@@ -415,7 +476,8 @@ def _emit_binder(
             target, source = candidate, other
             break
     assert target is not None, "binder step with no bindable side"
-    label = em.const(_compile_expr(source, slot_of), "_E")
+    layout = dict(slot_of)
+    label = em.derived(source, lambda e: _compile_expr(e, layout), "_E")
     em.emit(1, "out = []")
     em.emit(1, "app = out.append")
     em.emit(1, "for r in rows:")
@@ -457,7 +519,7 @@ def _emit_fact_checks(
     if check_host:
         if not isinstance(inner, Var):
             # Fully ground host: one whole-term comparison.
-            em.emit(indent, f"if _f.host != {em.const(atom.host)}:")
+            em.emit(indent, f"if _f.host != {em.term(atom.host)}:")
             em.emit(indent + 1, "continue")
         elif inner in slot_of:
             host = _bound_term_src_for_fact(em, kinds, inner, slot_of)
@@ -505,7 +567,7 @@ def _emit_fact_checks(
                 em.emit(indent, f"{local} = {access}")
                 new_locals[pattern] = local
         else:
-            em.emit(indent, f"if {access} != {em.const(pattern)}:")
+            em.emit(indent, f"if {access} != {em.term(pattern)}:")
             em.emit(indent + 1, "continue")
     return new_locals, row_dependent
 
@@ -541,7 +603,7 @@ def _emit_version_generator(
 
     if not isinstance(inner, Var):
         # Ground host: the (host, method, arity) bucket is exact on all three.
-        probe = f"probe_hm({em.const(atom.host)}, {method}, {arity})"
+        probe = f"probe_hm({em.term(atom.host)}, {method}, {arity})"
     elif inner in slot_of:
         host = _bound_term_src_for_fact(em, kinds, inner, slot_of)
         probe = f"probe_hm({host}, {method}, {arity})"
@@ -558,7 +620,7 @@ def _emit_version_generator(
                     parts.append(f"({column}, r[{slot_of[term]}])")
                     probe_row_dependent = True
                 else:
-                    parts.append(f"({column}, {em.const(term)})")
+                    parts.append(f"({column}, {em.term(term)})")
             probe = (
                 f"_pick_bucket(base, {method}, {arity}, "
                 f"{_tuple_src(parts)})"
@@ -570,7 +632,7 @@ def _emit_version_generator(
                 value = f"r[{slot_of[term]}]"
                 probe_row_dependent = True
             else:
-                value = em.const(term)
+                value = em.term(term)
             probe = f"probe_arg({method}, {arity}, {column}, {value})"
             skip_col = column
         else:
@@ -663,10 +725,12 @@ def _emit_update_generator(
             key=var_sort_key,
         )
     )
-    generator = _update_generator(
-        step.literal, step.index_cols, tuple(slot_of.items()), out_vars
+    index_cols, in_slots = step.index_cols, tuple(slot_of.items())
+    label = em.derived(
+        step.literal,
+        lambda lit: _update_generator(lit, index_cols, in_slots, out_vars),
+        "_G",
     )
-    label = em.const(generator, "_G")
     em.emit(1, f"rows = {label}(base, rows)")
     em.emit(1, "if not rows:")
     em.emit(2, "return rows")
@@ -743,13 +807,15 @@ def _emit_head(
         em.emit(4, "app(r)")
         em.emit(2, "rows = out")
     if not all(var in slot_of for var in head.variables):
-        message = (
-            f"rule {rule.name!r} produced a non-ground head {head}; "
-            f"the rule is unsafe"
-        )
+        def message(head) -> str:
+            return (
+                f"rule {rule.name!r} produced a non-ground head {head}; "
+                f"the rule is unsafe"
+            )
+
         em.namespace["EvaluationError"] = EvaluationError
         em.emit(1, "if rows:")
-        em.emit(2, f"raise EvaluationError({em.const(message)})")
+        em.emit(2, f"raise EvaluationError({em.derived(head, message, '_C')})")
         em.emit(1, "return 0, 0")
         return
 
@@ -760,7 +826,7 @@ def _emit_head(
     kind_src = em.const(kind, "_K")
     target = term(head.target)
     version = (
-        em.const(wrap(kind, head.target))
+        em.term(wrap(kind, head.target))
         if is_ground(head.target)
         else f"VersionId({kind_src}, t)"
     )
@@ -839,11 +905,14 @@ def _emit_head(
 
 
 class CompiledBody:
-    """One body's compiled executor: a batch function over slot rows.
+    """One body's compiled executor: a batch function over slot rows — or,
+    for a seed matcher, from delta facts to slot rows.
 
     ``slots`` is the variable layout (slot index → variable); ``key_getter``
     projects a row onto the plan's ``key_vars`` order for deduplication.
-    ``source`` keeps the generated text for introspection and tests.
+    ``source`` keeps the generated text for introspection and tests;
+    ``rebinds`` its constant-derived globals (``_Emitter.rebinds``), which
+    :meth:`bind` remakes.
     """
 
     __slots__ = (
@@ -853,6 +922,7 @@ class CompiledBody:
         "key_getter",
         "generator_count",
         "source",
+        "rebinds",
     )
 
     def __init__(
@@ -862,8 +932,10 @@ class CompiledBody:
         key_slots: tuple[int, ...],
         generator_count: int,
         source: str,
+        rebinds: tuple = (),
     ) -> None:
         self.fn = fn
+        self.rebinds = rebinds
         self.slots = slots
         self.key_slots = key_slots
         if len(key_slots) == 1:
@@ -875,6 +947,18 @@ class CompiledBody:
             self.key_getter = lambda row: ()
         self.generator_count = generator_count
         self.source = source
+
+    def bind(self, constants: "Constants") -> "CompiledBody":
+        """This executor for the same body with its OIDs mapped through
+        ``constants`` (:func:`~repro.core.rules.map_constants`): the same
+        code, slots and source over rebuilt globals."""
+        if not self.rebinds:
+            return self
+        bound = object.__new__(CompiledBody)
+        for name in CompiledBody.__slots__:
+            setattr(bound, name, getattr(self, name))
+        bound.fn = _bound(self.fn, self.rebinds, constants)
+        return bound
 
     def bindings(self, base: "ObjectBase") -> list[Binding]:
         """Complete matches as fresh dicts (dedup only with > 1 generator)."""
@@ -935,12 +1019,14 @@ def _compile_body(
     slots = tuple(sorted(slot_of, key=slot_of.__getitem__))
     key_slots = tuple(slot_of[var] for var in plan.key_vars)
     _STATS["bodies_compiled"] += 1
-    return CompiledBody(fn, slots, key_slots, plan.generator_count, source)
+    return CompiledBody(
+        fn, slots, key_slots, plan.generator_count, source, tuple(em.rebinds)
+    )
 
 
 def _compile_seed_matcher(
     atom: VersionAtom, seed_vars: tuple[Var, ...], name: str
-):
+) -> CompiledBody:
     """Compile the bulk seed matcher: delta facts in, slot rows out.
 
     One generated loop destructures, checks and projects every fact into a
@@ -960,9 +1046,9 @@ def _compile_seed_matcher(
     projection = _tuple_src([new_locals[var] for var in seed_vars])
     em.emit(2, f"app({projection})")
     em.emit(1, "return out")
-    fn, _source = em.build("_seed")
+    fn, source = em.build("_seed")
     _STATS["seed_matchers_compiled"] += 1
-    return fn
+    return CompiledBody(fn, seed_vars, (), 0, source, tuple(em.rebinds))
 
 
 def compile_seeded(
@@ -970,7 +1056,7 @@ def compile_seeded(
     position: int,
     name: str,
     rule: "UpdateRule | None" = None,
-) -> tuple[Callable, CompiledBody]:
+) -> tuple[CompiledBody, CompiledBody]:
     """``(seed_matcher, compiled_body)`` for ``body`` seeded at the literal
     at ``position``, both labelled ``name/seed<position>``: the rest of the
     body is ordered by :func:`~repro.core.plans.compile_seed_plan`.  Given
@@ -987,9 +1073,12 @@ def compile_seeded(
 class CompiledRule:
     """Everything static about one rule: its dependency signature, the
     full-body executor, and one (lazily built) bulk seed matcher + seeded
-    executor per seed literal, each ending in the rule's firing loop."""
+    executor per seed literal, each ending in the rule's firing loop.
 
-    __slots__ = ("rule", "signature", "full", "_seeded")
+    :meth:`bind` makes the artifact of a rule that differs from this one
+    only in its constants; its seeded variants are this rule's, bound."""
+
+    __slots__ = ("rule", "signature", "full", "_seeded", "_shape", "_constants")
 
     def __init__(self, rule: "UpdateRule") -> None:
         self.rule = rule
@@ -997,6 +1086,23 @@ class CompiledRule:
         plan = compile_plan(rule.body, name=rule.name)
         self.full = _compile_body(plan, (), rule.name, rule)
         self._seeded: dict[int, tuple] = {}
+        self._shape: CompiledRule | None = None
+        self._constants: Constants | None = None
+
+    def bind(self, rule: "UpdateRule", constants: "Constants") -> "CompiledRule":
+        """The artifact of ``rule`` — this rule with its OIDs mapped
+        through ``constants`` — without planning or compiling anything:
+        the signature and plans do not depend on the constants, and the
+        executors are rebound (:meth:`CompiledBody.bind`).  ``constants``
+        maps *this* rule's OIDs, so bind a compiled rule, not a bound one."""
+        bound = object.__new__(CompiledRule)
+        bound.rule = rule
+        bound.signature = self.signature
+        bound.full = self.full.bind(constants)
+        bound._seeded = {}
+        bound._shape = self
+        bound._constants = constants
+        return bound
 
     def seeded(self, position: int) -> tuple:
         """``(seed_matcher, compiled_body)`` for the seed literal at
@@ -1004,8 +1110,14 @@ class CompiledRule:
         try:
             return self._seeded[position]
         except KeyError:
-            rule = self.rule
-            entry = compile_seeded(rule.body, position, rule.name, rule)
+            if self._shape is None:
+                rule = self.rule
+                entry = compile_seeded(rule.body, position, rule.name, rule)
+            else:
+                constants = self._constants
+                entry = tuple(
+                    part.bind(constants) for part in self._shape.seeded(position)
+                )
             self._seeded[position] = entry
             return entry
 
@@ -1019,7 +1131,7 @@ class CompiledRule:
             if not facts:
                 continue
             matcher, body = self.seeded(position)
-            rows = matcher(facts)
+            rows = matcher.fn(facts)
             if rows:
                 yield body, rows
 

@@ -54,7 +54,7 @@ from operator import attrgetter
 from typing import Iterable
 
 from repro.core.atoms import UpdateAtom
-from repro.core.codegen import compiled_rule
+from repro.core.codegen import CompiledRule, compiled_rule
 from repro.core.facts import EXISTS, Fact
 from repro.core.objectbase import Delta, ObjectBase
 from repro.obs import metrics as _obs
@@ -158,7 +158,7 @@ class TPResult:
 
 
 def tp_step(
-    rules: Iterable[UpdateRule],
+    rules: Iterable[UpdateRule | CompiledRule],
     base: ObjectBase,
     *,
     match_base: ObjectBase | None = None,
@@ -167,7 +167,10 @@ def tp_step(
     delta: Delta | None = None,
 ) -> TPResult:
     """Step 1 of ``T_P`` for the given rules against ``base``; steps 2 + 3
-    happen when the result is handed to :func:`apply_tp`.
+    happen when the result is handed to :func:`apply_tp`.  A rule may come
+    as its :class:`~repro.core.codegen.CompiledRule` (what
+    :func:`~repro.core.evaluation.evaluate` passes, from the program's
+    artifact) or as itself, compiled through the ``codegen.rule`` cache.
 
     ``create_missing_objects`` controls the edge the paper leaves open: an
     insert whose target has no existing subterm (``v* = None``) creates a
@@ -207,9 +210,11 @@ def tp_step(
     record = _obs.metrics_enabled()
     registry = _obs.registry() if record else None
 
-    for rule in rules:
+    for compiled in rules:
         rule_start = time.perf_counter() if record else 0.0
-        compiled = compiled_rule(rule)
+        if compiled.__class__ is not CompiledRule:
+            compiled = compiled_rule(compiled)
+        rule = compiled.rule
         seeds = None
         if restricted:
             mode, positions = classify(compiled.signature, delta)

@@ -148,13 +148,14 @@ class UpdateEngine:
 
     Keyword arguments mirror :class:`~repro.core.evaluation.EvaluationOptions`
     (trace collection, linearity checking, iteration caps, object creation).
-    The program-independent behaviour is stateless; the engine additionally
-    keeps an LRU cache of :class:`CompiledProgram` artifacts keyed by program
-    identity (its rule tuple — structurally equal programs share an entry,
-    so re-parsing the same text still hits), bounded by
-    :data:`COMPILE_CACHE_SIZE`.  Repeated ``apply``/``evaluate`` of the same
-    program therefore pays the safety check, the stratification and the join
-    plans exactly once.
+    The program-independent behaviour is stateless.  A parsed program
+    carries its :class:`CompiledProgram` (``program.compiled``, made once
+    per program shape by :mod:`repro.lang.shapes`), and the engine uses it;
+    for a program built as an AST the engine keeps an LRU cache of
+    artifacts keyed by program identity (its rule tuple — structurally
+    equal programs share an entry), bounded by :data:`COMPILE_CACHE_SIZE`.
+    Repeated ``apply``/``evaluate`` of the same program therefore pays the
+    safety check, the stratification and the join plans exactly once.
     """
 
     def __init__(self, **option_overrides) -> None:
@@ -170,8 +171,10 @@ class UpdateEngine:
         return engine
 
     def compile(self, program: UpdateProgram) -> CompiledProgram:
-        """The cached static artifact for ``program`` (compiling on a
-        miss)."""
+        """The static artifact for ``program``: the one it carries, else
+        the cached one (compiling on a miss)."""
+        if program.compiled is not None:
+            return program.compiled
         key = program.rules
         compiled = self._compiled.get(key)
         if compiled is not None:

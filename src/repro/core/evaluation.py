@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
-from repro.core.codegen import compiled_rule
+from repro.core.codegen import CompiledRule, Constants, compiled_rule
 from repro.core.consequence import apply_tp, tp_step
 from repro.core.errors import EvaluationLimitError, ProgramError, VersionDepthError
 from repro.core.linearity import LinearityTracker
@@ -123,15 +123,35 @@ class CompiledProgram:
     program, whatever the base: the head-variable rejection, the safety
     check and the stratification it holds, and each rule's
     :class:`~repro.core.codegen.CompiledRule` (dependency signature, join
-    plan, generated executor), which :func:`compile_program` builds into
-    the ``codegen.rule`` cache that :func:`~repro.core.consequence.tp_step`
-    reads.  This is what lets the versioned store run long chains of
-    ``store.apply`` at per-update cost proportional to the update, not to
-    the program analysis.
+    plan, generated executor), held per stratum in ``strata`` — what
+    :func:`~repro.core.consequence.tp_step` runs.  This is what lets the
+    versioned store run long chains of ``store.apply`` at per-update cost
+    proportional to the update, not to the program analysis.
+
+    A program that differs from this one only in its constants, with the
+    same ones equal, gets its artifact from :meth:`bind` without
+    stratifying, planning or compiling anything (a parsed text's shape,
+    :mod:`repro.lang.shapes`).
     """
 
-    program: UpdateProgram
     stratification: Stratification
+    strata: tuple[tuple[CompiledRule, ...], ...]
+
+    def bind(self, program: UpdateProgram, constants: Constants) -> "CompiledProgram":
+        """The artifact of ``program``, whose rules are this program's with
+        their OIDs mapped through ``constants`` — which must keep which
+        OIDs are equal, since stratification compares them."""
+        rules = {rule.name: rule for rule in program}
+        return CompiledProgram(
+            self.stratification.bind(program, constants),
+            tuple(
+                tuple(
+                    compiled.bind(rules[compiled.rule.name], constants)
+                    for compiled in stratum
+                )
+                for stratum in self.strata
+            ),
+        )
 
 
 def compile_program(program: UpdateProgram) -> CompiledProgram:
@@ -145,9 +165,15 @@ def compile_program(program: UpdateProgram) -> CompiledProgram:
     _reject_version_vars_in_heads(program)
     check_program_safety(program)
     stratification = stratify(program)
-    for rule in program:
-        compiled_rule(rule)  # code generation and its errors happen here
-    return CompiledProgram(program, stratification)
+    # code generation and its errors happen here, in program order
+    compiled = {rule.name: compiled_rule(rule) for rule in program}
+    return CompiledProgram(
+        stratification,
+        tuple(
+            tuple(compiled[rule.name] for rule in stratum)
+            for stratum in stratification
+        ),
+    )
 
 
 def evaluate(
@@ -199,7 +225,9 @@ def evaluate(
     trace = EvaluationTrace(snapshots=options.collect_snapshots)
     total_iterations = 0
 
-    for stratum_index, stratum in enumerate(stratification):
+    for stratum_index, (stratum, rules) in enumerate(
+        zip(stratification, compiled.strata)
+    ):
         record = None
         if options.collect_trace:
             record = trace.open_stratum(
@@ -215,7 +243,7 @@ def evaluate(
                     stratum_index, options.max_iterations_per_stratum
                 )
             step = tp_step(
-                stratum,
+                rules,
                 working,
                 match_base=None if overlay is None else overlay(working),
                 create_missing_objects=options.create_missing_objects,

@@ -15,7 +15,9 @@ ordering *and* secondary-index column selection) is built and compiled a
 single time and every execution runs that closure against whatever base it
 is given — answers are never kept across updates.
 :func:`repro.lang.parser.prepare_query` builds one from text and keeps the
-one cache of the read path, *text → compiled query*.  The query's
+one cache of the read path, *body shape → compiled query*: a text that
+differs from a known one only in its constants gets the known query bound
+to its own (:meth:`PreparedQuery.bind`).  The query's
 :class:`~repro.core.plans.QuerySignature` is what sessions and
 subscriptions test a commit's exact ``(added, removed)`` delta against, and
 :meth:`PreparedQuery.delta_answers` is how a subscription learns what that
@@ -27,7 +29,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from repro.core.atoms import Literal
-from repro.core.codegen import compile_seeded, compiled_body
+from repro.core.codegen import Constants, compile_seeded, compiled_body
 from repro.core.grounding import match_body
 from repro.core.objectbase import ObjectBase
 from repro.core.plans import body_signature, seed_facts
@@ -207,7 +209,7 @@ class PreparedQuery:
 
     __slots__ = (
         "body", "compiled", "signature", "name",
-        "_hash", "_columns", "_seeded",
+        "_hash", "_columns", "_seeded", "_shape", "_constants",
     )
 
     def __init__(
@@ -224,6 +226,28 @@ class PreparedQuery:
         # Row keys in sorted variable order: what decode_answer produces.
         self._columns = sorted(self.compiled.slots, key=lambda var: var.name)
         self._seeded: dict[int, tuple] = {}
+        self._shape: PreparedQuery | None = None
+        self._constants: Constants | None = None
+
+    def bind(
+        self, literals: Sequence[Literal], constants: Constants, *, name: str
+    ) -> "PreparedQuery":
+        """The prepared query of ``literals`` — this body with its OIDs
+        mapped through ``constants`` — named ``name``, without planning or
+        compiling: the signature and plan do not depend on the constants,
+        and the executors are rebound
+        (:meth:`~repro.core.codegen.CompiledBody.bind`)."""
+        bound = object.__new__(PreparedQuery)
+        bound.body = tuple(literals)
+        bound.compiled = self.compiled.bind(constants)
+        bound.signature = self.signature
+        bound.name = name
+        bound._hash = hash(bound.body)
+        bound._columns = self._columns
+        bound._seeded = {}
+        bound._shape = self
+        bound._constants = constants
+        return bound
 
     def __hash__(self) -> int:
         return self._hash
@@ -277,7 +301,7 @@ class PreparedQuery:
             if not facts:
                 continue
             matcher, body, columns = self._seeded_at(position)
-            for row in body.fn(base, matcher(facts)):
+            for row in body.fn(base, matcher.fn(facts)):
                 answer = {
                     name: v.value if isinstance(v := row[slot], Oid) else str(v)
                     for name, slot in columns
@@ -292,8 +316,15 @@ class PreparedQuery:
         try:
             return self._seeded[position]
         except KeyError:
-            matcher, body = compile_seeded(self.body, position, "<body>")
-            columns = tuple((var.name, body.slots.index(var)) for var in self._columns)
+            if self._shape is None:
+                matcher, body = compile_seeded(self.body, position, "<body>")
+                columns = tuple(
+                    (var.name, body.slots.index(var)) for var in self._columns
+                )
+            else:
+                matcher, body, columns = self._shape._seeded_at(position)
+                matcher = matcher.bind(self._constants)
+                body = body.bind(self._constants)
             entry = self._seeded[position] = (matcher, body, columns)
             return entry
 

@@ -37,11 +37,11 @@ views of Section 6.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator, TypeVar
+from dataclasses import dataclass, field
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, TypeVar
 
 from repro.core.errors import StratificationError
-from repro.core.rules import UpdateProgram, UpdateRule
+from repro.core.rules import UpdateProgram, UpdateRule, map_constants
 from repro.core.terms import (
     Term,
     UpdateKind,
@@ -59,13 +59,31 @@ N = TypeVar("N", bound=Hashable)
 
 @dataclass(frozen=True)
 class PrecedenceEdge:
-    """One derived constraint ``lower (< | ≤) upper`` with its justification."""
+    """One derived constraint ``lower (< | ≤) upper`` with its justification.
+
+    ``detail`` is its ``parts`` — text and terms — joined, so an edge of a
+    program that differs from this one only in its constants is this edge
+    with its terms mapped (:meth:`bind`)."""
 
     lower: str
     upper: str
     strict: bool
     condition: str  # "a" | "b" | "c" | "d"
     detail: str
+    parts: tuple = field(default=(), compare=False, repr=False)
+
+    def bind(self, constants: Mapping) -> "PrecedenceEdge":
+        """This edge with the OIDs of its terms mapped through ``constants``."""
+        return _edge(
+            self.lower,
+            self.upper,
+            self.strict,
+            self.condition,
+            *(
+                part if part.__class__ is str else map_constants(part, constants)
+                for part in self.parts
+            ),
+        )
 
     def __str__(self) -> str:
         op = "<" if self.strict else "<="
@@ -82,6 +100,21 @@ class Stratification:
 
     def __len__(self) -> int:
         return len(self.strata)
+
+    def bind(
+        self, rules: Iterable[UpdateRule], constants: Mapping
+    ) -> "Stratification":
+        """The stratification of a program whose ``rules`` are this one's
+        with their OIDs mapped through ``constants``, whose rules are
+        named alike.  Unification only compares OIDs, so when
+        ``constants`` keeps which of them are equal, the strata and edges
+        are these, over the new rules and terms."""
+        by_name = {rule.name: rule for rule in rules}
+        return Stratification(
+            tuple(tuple(by_name[rule.name] for rule in stratum) for stratum in self.strata),
+            self.stratum_of,
+            tuple(edge.bind(constants) for edge in self.edges),
+        )
 
     def __iter__(self) -> Iterator[tuple[UpdateRule, ...]]:
         return iter(self.strata)
@@ -102,6 +135,12 @@ class Stratification:
         for index, names in enumerate(self.names()):
             lines.append(f"  stratum {index}: {{{', '.join(names)}}}")
         return "\n".join(lines)
+
+
+def _edge(lower: str, upper: str, strict: bool, condition: str, *parts) -> PrecedenceEdge:
+    return PrecedenceEdge(
+        lower, upper, strict, condition, "".join(map(str, parts)), parts
+    )
 
 
 def _rename_apart(term: Term, tag: str) -> Term:
@@ -145,13 +184,16 @@ def precedence_edges(
                 for other, other_head in heads:
                     if _unifies_renamed(other_head, sub):
                         edges.append(
-                            PrecedenceEdge(
+                            _edge(
                                 other.name,
                                 rule.name,
                                 True,
                                 "a",
-                                f"head {other_head} of {other.name} unifies with "
-                                f"subterm {sub} of the head target of {rule.name}",
+                                "head ",
+                                other_head,
+                                f" of {other.name} unifies with subterm ",
+                                sub,
+                                f" of the head target of {rule.name}",
                             )
                         )
 
@@ -161,14 +203,16 @@ def precedence_edges(
                     for other, other_head in heads:
                         if _unifies_renamed(other_head, sub):
                             edges.append(
-                                PrecedenceEdge(
+                                _edge(
                                     other.name,
                                     rule.name,
                                     False,
                                     "b",
-                                    f"head {other_head} of {other.name} unifies "
-                                    f"with subterm {sub} of positive body term "
-                                    f"of {rule.name}",
+                                    "head ",
+                                    other_head,
+                                    f" of {other.name} unifies with subterm ",
+                                    sub,
+                                    f" of positive body term of {rule.name}",
                                 )
                             )
             if not positive and "c" in conditions:
@@ -176,14 +220,16 @@ def precedence_edges(
                     for other, other_head in heads:
                         if _unifies_renamed(other_head, sub):
                             edges.append(
-                                PrecedenceEdge(
+                                _edge(
                                     other.name,
                                     rule.name,
                                     True,
                                     "c",
-                                    f"head {other_head} of {other.name} unifies "
-                                    f"with subterm {sub} of negated body term "
-                                    f"of {rule.name}",
+                                    "head ",
+                                    other_head,
+                                    f" of {other.name} unifies with subterm ",
+                                    sub,
+                                    f" of negated body term of {rule.name}",
                                 )
                             )
             if "d" in conditions:
@@ -200,7 +246,7 @@ def precedence_edges(
                                 UpdateKind.MODIFY,
                             ):
                                 edges.append(
-                                    PrecedenceEdge(
+                                    _edge(
                                         other.name,
                                         rule.name,
                                         True,
@@ -222,14 +268,17 @@ def precedence_edges(
                             and _unifies_renamed(other_head.base, sub.base)
                         ):
                             edges.append(
-                                PrecedenceEdge(
+                                _edge(
                                     other.name,
                                     rule.name,
                                     True,
                                     "d",
                                     f"{other.name} performs a "
-                                    f"{sub.kind.value}-update on {other_head.base} "
-                                    f"read as {sub} in the body of {rule.name}",
+                                    f"{sub.kind.value}-update on ",
+                                    other_head.base,
+                                    " read as ",
+                                    sub,
+                                    f" in the body of {rule.name}",
                                 )
                             )
     return edges

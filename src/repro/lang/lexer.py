@@ -1,6 +1,7 @@
 """Tokenizer for the update language.
 
-Hand-rolled single-pass scanner.  Notable decisions:
+One compiled pattern scans the text (:data:`TOKEN_PATTERN`).  Notable
+decisions:
 
 * ``->`` is scanned before ``-`` (arrow beats minus);
 * ``<=`` is the implication arrow; the less-or-equal comparison is spelled
@@ -9,15 +10,23 @@ Hand-rolled single-pass scanner.  Notable decisions:
   other ``.`` is a DOT token — so ``E.sal`` and the rule-terminating ``.``
   both work, and ``4500.`` is the number 4500 followed by the terminator;
 * comments run from ``%`` or ``#`` to end of line.
+
+The *literals* — identifiers, numbers, strings and comments — are the
+alternatives :data:`LITERAL_PATTERN` splits a text on, and no punctuation
+token contains a character a literal can start with.  So splitting a text
+on literals and tokenizing it cut it at the same places, which is what lets
+:mod:`repro.lang.shapes` key parsing by the text with its literals set
+aside.
 """
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple
 
 from repro.lang.errors import ParseError
 
-__all__ = ["Token", "tokenize", "TOKEN_TYPES"]
+__all__ = ["Token", "tokenize", "TOKEN_TYPES", "TOKEN_PATTERN", "LITERAL_PATTERN"]
 
 
 class Token(NamedTuple):
@@ -65,16 +74,24 @@ TOKEN_TYPES = (
     "EOF",
 )
 
-_TWO_CHAR = {
+#: The literal alternatives, in scanning order.  Identifiers start with a
+#: word character that is not a decimal digit (a letter, ``_``, or a
+#: non-decimal numeral such as ``²``) and continue with word characters;
+#: a string may not span lines.
+_LITERALS = (
+    ("COMMENT", r"[%#][^\n]*"),
+    ("NUMBER", r"\d+(?:\.\d+)?"),
+    ("IDENT", r"[^\W\d]\w*"),
+    ("STRING", r"'[^'\n]*'|\"[^\"\n]*\""),
+)
+
+_PUNCTUATION = {
     "->": "ARROW",
     "<=": "IMPLIES",
     ":-": "IMPLIES",
     "=<": "LE",
     ">=": "GE",
     "!=": "NE",
-}
-
-_ONE_CHAR = {
     ":": "COLON",
     "?": "QMARK",
     ".": "DOT",
@@ -95,6 +112,27 @@ _ONE_CHAR = {
     ">": "GT",
 }
 
+#: One token per match, after the whitespace before it; two-character
+#: punctuation comes first, so ``->`` beats ``-``.
+TOKEN_PATTERN = re.compile(
+    r"[ \t\r\n]*(?:"
+    + "|".join(
+        [f"(?P<{name}>{pattern})" for name, pattern in _LITERALS]
+        + [
+            "(?P<PUNCT>"
+            + "|".join(re.escape(p) for p in sorted(_PUNCTUATION, key=len, reverse=True))
+            + ")"
+        ]
+    )
+    + ")"
+)
+
+#: The literals alone, as one capturing group: ``LITERAL_PATTERN.split``
+#: alternates punctuation-and-whitespace runs with literals.
+LITERAL_PATTERN = re.compile(
+    "(" + "|".join(pattern for _name, pattern in _LITERALS) + ")"
+)
+
 
 def tokenize(text: str) -> list[Token]:
     """Scan ``text`` into a token list ending with an EOF token.
@@ -103,89 +141,51 @@ def tokenize(text: str) -> list[Token]:
     character or an unterminated string.
     """
     tokens: list[Token] = []
+    append = tokens.append
+    new = tuple.__new__  # Token(...) without the NamedTuple signature
+    punctuation = _PUNCTUATION
+    multiline = "\n" in text
     line = 1
-    column = 1
-    index = 0
-    length = len(text)
-
-    def advance(count: int) -> None:
-        nonlocal index, line, column
-        for _ in range(count):
-            if index < length and text[index] == "\n":
-                line += 1
-                column = 1
-            else:
-                column += 1
-            index += 1
-
-    while index < length:
-        char = text[index]
-
-        if char in " \t\r\n":
-            advance(1)
-            continue
-
-        if char in "%#":  # comment to end of line
-            while index < length and text[index] != "\n":
-                advance(1)
-            continue
-
-        start_line, start_column = line, column
-
-        pair = text[index : index + 2]
-        if pair in _TWO_CHAR:
-            tokens.append(Token(_TWO_CHAR[pair], pair, start_line, start_column))
-            advance(2)
-            continue
-
-        if char.isdigit():
-            end = index
-            while end < length and text[end].isdigit():
-                end += 1
-            # A '.' continues the number only when a digit follows —
-            # otherwise it is the rule terminator / method selector.
-            if end + 1 < length and text[end] == "." and text[end + 1].isdigit():
-                end += 1
-                while end < length and text[end].isdigit():
-                    end += 1
-            value = text[index:end]
-            tokens.append(Token("NUMBER", value, start_line, start_column))
-            advance(end - index)
-            continue
-
-        if char.isalpha() or char == "_":
-            end = index
-            while end < length and (text[end].isalnum() or text[end] == "_"):
-                end += 1
-            value = text[index:end]
-            tokens.append(Token("IDENT", value, start_line, start_column))
-            advance(end - index)
-            continue
-
+    line_start = 0  # offset of the current line's first character
+    position = 0
+    for match in TOKEN_PATTERN.finditer(text):
+        if match.start() != position:
+            break  # an unmatched character: reported below
+        kind = match.lastgroup
+        start = match.start(kind)
+        if multiline and start != position:
+            newlines = text.count("\n", position, start)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", position, start) + 1
+        position = match.end()
+        if kind == "PUNCT":
+            value = match.group(kind)
+            append(new(Token, (punctuation[value], value, line, start - line_start + 1)))
+        elif kind == "STRING":
+            value = match.group(kind)[1:-1]
+            append(new(Token, (kind, value, line, start - line_start + 1)))
+        elif kind != "COMMENT":
+            value = match.group(kind)
+            append(new(Token, (kind, value, line, start - line_start + 1)))
+    rest = text[position:]
+    # whitespace the last match did not take
+    skipped = len(rest) - len(rest.lstrip(" \t\r\n"))
+    newlines = rest.count("\n", 0, skipped)
+    if newlines:
+        line += newlines
+        line_start = position + rest.rindex("\n", 0, skipped) + 1
+    position += skipped
+    column = position - line_start + 1
+    if position < len(text):
+        char = text[position]
         if char in "'\"":
-            quote = char
-            end = index + 1
-            while end < length and text[end] != quote:
-                if text[end] == "\n":
-                    raise ParseError(
-                        "unterminated string (newline inside quotes)",
-                        start_line,
-                        start_column,
-                    )
-                end += 1
-            if end >= length:
-                raise ParseError("unterminated string", start_line, start_column)
-            value = text[index + 1 : end]
-            tokens.append(Token("STRING", value, start_line, start_column))
-            advance(end - index + 1)
-            continue
-
-        if char in _ONE_CHAR:
-            tokens.append(Token(_ONE_CHAR[char], char, start_line, start_column))
-            advance(1)
-            continue
-
-        raise ParseError(f"unexpected character {char!r}", start_line, start_column)
-
-    tokens.append(Token("EOF", "", line, column))
+            # The pattern found no closing quote before the line's end.
+            if "\n" in text[position:]:
+                raise ParseError(
+                    "unterminated string (newline inside quotes)", line, column
+                )
+            raise ParseError("unterminated string", line, column)
+        raise ParseError(f"unexpected character {char!r}", line, column)
+    append(new(Token, ("EOF", "", line, column)))
     return tokens

@@ -12,18 +12,18 @@ notations handled here:
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from repro.core.atoms import BuiltinAtom, Literal, UpdateAtom, VersionAtom
-from repro.core.caches import register_lru_cache
-from repro.core.errors import ProgramError, TermError
+from repro.core.caches import register_cache
+from repro.core.errors import ProgramError, ReproError, TermError
+from repro.core.evaluation import compile_program
 from repro.core.exprs import BinOp, Expr, Neg
 from repro.core.objectbase import ObjectBase
 from repro.core.query import PreparedQuery
-from repro.core.rules import UpdateProgram, UpdateRule
+from repro.core.rules import UpdateProgram, UpdateRule, map_constants
 from repro.core.terms import Term, UpdateKind, Var, VersionId, VersionVar, intern_oid
 from repro.lang.errors import ParseError
 from repro.lang.lexer import Token, tokenize
+from repro.lang.shapes import ShapeCache, Template
 
 __all__ = [
     "parse_program",
@@ -42,11 +42,16 @@ _COMPARISON_OPS = {"=": "=", "!=": "!=", "<": "<", ">": ">", "=<": "<=", ">=": "
 
 
 class _Parser:
-    """Token-stream cursor with the usual expect/accept helpers."""
+    """Token-stream cursor with the usual expect/accept helpers.
+
+    ``consumed`` lists ``(token index, negated)`` for every token read as
+    an OID of an object-id term, in reading order — the parameters of the
+    text's shape (:mod:`repro.lang.shapes`)."""
 
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.position = 0
+        self.consumed: list[tuple[int, bool]] = []
 
     # -- cursor ---------------------------------------------------------
     def peek(self, offset: int = 0) -> Token:
@@ -101,15 +106,19 @@ class _Parser:
         if token.type == "IDENT":
             if token.value[0].isupper() or token.value[0] == "_":
                 return Var(token.value)
+            self.consumed.append((self.position - 1, False))
             # Interned: parsed programs, bases and queries share one Oid
             # object per symbol, so index probes compare by identity.
             return intern_oid(token.value)
         if token.type == "STRING":
+            self.consumed.append((self.position - 1, False))
             return intern_oid(token.value)
         if token.type == "NUMBER":
+            self.consumed.append((self.position - 1, False))
             return intern_oid(_number(token.value))
         if token.type == "MINUS" and self.peek().type == "NUMBER":
             number = self.advance()
+            self.consumed.append((self.position - 1, True))
             return intern_oid(-_number(number.value))
         raise ParseError(
             f"expected a term, found {token.describe()}", token.line, token.column
@@ -379,9 +388,49 @@ def _starts_comparison_ahead(parser: _Parser, token: Token) -> bool:
 # ----------------------------------------------------------------------
 
 
+#: Bound of the program-shape cache (``program.shapes``).
+_PROGRAM_SHAPES = 256
+#: Bound of the query-body shape cache, which is the read path's one cache
+#: (``query.prepared``; entries weigh about 1 kB each).
+_PREPARED_CACHE_SIZE = 256
+
+_programs = ShapeCache(_PROGRAM_SHAPES)
+_bodies = ShapeCache(_PREPARED_CACHE_SIZE)
+register_cache("program.shapes", _programs.stats, _programs.clear)
+register_cache("query.prepared", _bodies.stats, _bodies.clear)
+
+
 def parse_program(text: str, name: str = "program") -> UpdateProgram:
-    """Parse a whole update-program."""
-    return _Parser(text).parse_program(name)
+    """Parse a whole update-program.
+
+    The program carries its :class:`~repro.core.evaluation.CompiledProgram`
+    (``program.compiled``), made once per program shape
+    (:mod:`repro.lang.shapes`) and bound to this text's constants; it is
+    None when the program does not compile, and the error surfaces where
+    the program is compiled or run."""
+    template, probe = _programs.lookup(text)
+    _programs.count(template is not None)
+    if template is not None:
+        constants = template.constants(probe.values)
+        if constants is None:  # the template's own text, again
+            program = UpdateProgram(template.ast, name)
+            program.compiled = template.artifact
+        else:
+            program = UpdateProgram(
+                [map_constants(rule, constants) for rule in template.ast], name
+            )
+            program.compiled = template.artifact.bind(program, constants)
+        return program
+    parser = _Parser(text)
+    program = parser.parse_program(name)
+    try:
+        program.compiled = compile_program(program)
+    except ReproError:
+        return program  # compiled, and refused, again where it is run
+    _programs.remember(
+        probe, parser.tokens, parser.consumed, program.rules, program.compiled
+    )
+    return program
 
 
 def parse_rule(text: str) -> UpdateRule:
@@ -393,9 +442,7 @@ def parse_rule(text: str) -> UpdateRule:
     return rule
 
 
-def parse_body(text: str) -> tuple[Literal, ...]:
-    """Parse a conjunction of body literals (the query syntax)."""
-    parser = _Parser(text)
+def _parse_literals(parser: _Parser) -> tuple[Literal, ...]:
     literals = list(parser.parse_literals())
     while parser.peek().type in ("COMMA", "HAT"):
         parser.advance()
@@ -405,28 +452,54 @@ def parse_body(text: str) -> tuple[Literal, ...]:
     return tuple(literals)
 
 
-#: Bound of the text → compiled query cache (the size of the per-store
-#: registry it replaced; entries weigh about 1 kB each).
-_PREPARED_CACHE_SIZE = 256
+def _body(text: str) -> tuple[Template, dict | None]:
+    """The template of ``text``'s body shape and the constants that map it
+    to ``text`` — None when the template's OIDs are ``text``'s own.  A
+    body whose shape cannot be templated comes in a template of its own."""
+    template, probe = _bodies.lookup(text)
+    if template is not None:
+        return template, template.constants(probe.values)
+    parser = _Parser(text)
+    literals = _parse_literals(parser)
+    template = _bodies.remember(probe, parser.tokens, parser.consumed, literals, None)
+    return template or Template((), literals, None), None
 
 
-@lru_cache(maxsize=_PREPARED_CACHE_SIZE)
-def _prepare_text(text: str, name: str) -> PreparedQuery:
-    return PreparedQuery(parse_body(text), name=name)
+def parse_body(text: str) -> tuple[Literal, ...]:
+    """Parse a conjunction of body literals (the query syntax), once per
+    body shape (:mod:`repro.lang.shapes`)."""
+    template, constants = _body(text)
+    if constants is None:
+        return template.ast
+    return _map_literals(template.ast, constants)
 
 
-register_lru_cache("query.prepared", _prepare_text)
+def _map_literals(literals, constants) -> tuple[Literal, ...]:
+    return tuple([map_constants(literal, constants) for literal in literals])
 
 
 def prepare_query(query, *, name: str | None = None) -> PreparedQuery:
     """Coerce ``query`` — a :class:`~repro.core.query.PreparedQuery`, a
     literal sequence, or concrete-syntax text — into a prepared query.
-    Text goes through the bounded process-wide cache ``query.prepared``,
-    so a repeated string skips the parser and the compile."""
+    Text goes through the bounded process-wide body-shape cache
+    ``query.prepared``, so a text of a known shape skips the parser and the
+    compile: the shape's prepared query is bound to its constants."""
     if isinstance(query, PreparedQuery):
         return query
     if isinstance(query, str):
-        return _prepare_text(query, name or query)
+        name = name or query
+        template, constants = _body(query)
+        prepared = template.artifact
+        _bodies.count(prepared is not None)
+        if prepared is None:
+            prepared = template.artifact = PreparedQuery(template.ast, name=name)
+        if constants is not None:
+            return prepared.bind(
+                _map_literals(template.ast, constants), constants, name=name
+            )
+        if prepared.name != name:
+            return PreparedQuery(prepared.body, name=name)
+        return prepared
     literals = tuple(query)
     # Default programmatic names render the body, so distinct unnamed
     # queries stay tellable-apart in error messages and pushes.

@@ -59,6 +59,9 @@ __all__ = ["Follower"]
 
 #: A catch-up batch may move a whole snapshot; give it a generous bound.
 _CATCH_UP_TIMEOUT = 60.0
+#: What the journal writer says when the journal's last line is a fragment
+#: (``storage.serialize``): the one refusal a follower repairs itself.
+_TORN_TAIL = "ends in a torn line"
 
 
 class Follower:
@@ -260,14 +263,28 @@ class Follower:
                     link = self._attach()
                     attempt = 0
                 self._loop.run(self._follow(link))
-            except Exception:
+            except Exception as error:
                 if self._done():
                     break
+                if _TORN_TAIL in str(error):
+                    self._repair_journal()
                 attempt = min(attempt + 1, self.retry.attempts - 1)
                 self.stream_resyncs += 1
                 time.sleep(self.retry.delay(attempt))
             link = None
         self._streaming = False
+
+    def _repair_journal(self) -> None:
+        """Cut a fragment a failed append left at the end of this
+        replica's journal back to its last good line — the rule
+        ``load_store(repair=True)`` applies when a follower starts.  The
+        journal is derived data and the store in memory is unchanged, so
+        the next attach continues from its end."""
+        with self._lock:
+            load_store(
+                self.directory, engine=self._engine, options=self._options,
+                repair=True,
+            )
 
     async def _follow(self, client: AsyncClient) -> None:
         """Ingest ``repl-line`` pushes until the link dies or replication

@@ -98,6 +98,11 @@ class _Kill:
 #: Outbox sentinel: the connection is closing; drain returns after seeing it.
 _CLOSE = object()
 
+#: Commands whose service method records its own, richer slowlog entry:
+#: a commit's (``StoreService._commit_programs``) or a read's
+#: (``StoreService.query``).  Every other command is logged here.
+_SELF_LOGGED = frozenset(("apply", "tx-commit", "query"))
+
 
 class Outbox:
     """One connection's bounded, thread-safe outgoing queue.
@@ -371,9 +376,7 @@ class ReproServer:
                 elapsed = time.perf_counter() - start
                 cmd = str(request.get("cmd", "?"))
                 _obs.observe("server_command_seconds", elapsed, cmd=cmd)
-                if cmd not in ("apply", "tx", "commit"):
-                    # Commit-bearing commands land in the slowlog from the
-                    # service's own commit timer with richer detail.
+                if cmd not in _SELF_LOGGED:
                     _slowlog.maybe_record("command", elapsed, detail=cmd)
                 if _obs.metrics_enabled():
                     registry = _obs.registry()

@@ -12,11 +12,14 @@ from repro.core.caches import cache_stats
 from repro.core.codegen import _STATS, compiled_body, compiled_rule
 from repro.core.engine import UpdateEngine
 from repro.core.evaluation import EvaluationOptions, evaluate
+from repro.core.facts import Fact
 from repro.core.grounding import match_rule
-from repro.core.objectbase import Delta
+from repro.core.objectbase import Delta, ObjectBase
 from repro.core.plans import compile_plan, var_sort_key
 from repro.core.query import PreparedQuery
-from repro.lang.parser import parse_body
+from repro.core.terms import Oid, intern_oid
+from repro.lang.parser import parse_body, parse_program, prepare_query
+from repro.lang.pretty import format_program
 from repro.testing.reference import (
     evaluate_reference,
     match_body_dynamic,
@@ -186,6 +189,35 @@ def test_each_body_and_seeded_variant_compiles_once_per_process():
     assert first
     warm = dict(_STATS)
     assert query.delta_answers(gained, lost, result.new_base) == first
+    for counter in ("bodies_compiled", "seed_matchers_compiled"):
+        assert _STATS[counter] == warm[counter], counter
+
+    # A text that differs only in its constants binds the shape's
+    # executors, seeded variants included: the program and the query
+    # with ``person`` renamed compile nothing more.
+    text = format_program(program)
+    shaped = parse_program(text)
+    UpdateEngine().apply(shaped, base)
+    prepare_query("X.anc -> A, A.isa -> person").delta_answers(
+        gained, lost, result.new_base
+    )
+    warm = dict(_STATS)
+    renamed = parse_program(text.replace("person", "human"))
+    human = intern_oid("human")
+    renamed_base = ObjectBase.from_fact_set(
+        {
+            Fact(f.host, f.method, f.args, human if f.result == Oid("person") else f.result)
+            for f in base
+        }
+    )
+    renamed_result = UpdateEngine().apply(renamed, renamed_base)
+    reference = evaluate_reference(renamed, renamed_base)
+    assert renamed_result.result_base == reference.result_base
+    renamed_query = prepare_query("X.anc -> A, A.isa -> human")
+    assert renamed_query.delta_answers(gained, lost, result.new_base) == []
+    assert renamed_query.delta_answers(gained, lost, renamed_result.new_base) == [
+        dict(row) for row in first
+    ]
     for counter in ("bodies_compiled", "seed_matchers_compiled"):
         assert _STATS[counter] == warm[counter], counter
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro import (
     UpdateEngine,
+    UpdateProgram,
     method_results,
     parse_object_base,
     parse_program,
@@ -64,11 +65,24 @@ class TestCompiledPrograms:
         assert warm.new_base == cold.new_base
         assert warm.result_base == cold.result_base
 
+    def test_parsed_program_carries_its_artifact(self, engine):
+        program = parse_program("r: ins[a].m -> b <= a.t -> yes.")
+        assert program.compiled is not None
+        assert engine.compile(program) is program.compiled
+        # re-wrapping under a name keeps it
+        assert engine.compile(UpdateProgram(program, "named")) is program.compiled
+
     def test_lru_eviction(self, monkeypatch):
+        # the engine's cache serves programs built as ASTs, which carry no
+        # artifact: rebuild the parsed rules into a fresh program
         monkeypatch.setattr(engine_module, "COMPILE_CACHE_SIZE", 1)
         engine = UpdateEngine()
-        first_program = parse_program("r: ins[a].m -> b <= a.t -> yes.")
-        second_program = parse_program("r: ins[a].n -> b <= a.t -> yes.")
+        first_program = UpdateProgram(
+            parse_program("r: ins[a].m -> b <= a.t -> yes.").rules
+        )
+        second_program = UpdateProgram(
+            parse_program("r: ins[a].n -> b <= a.t -> yes.").rules
+        )
         first = engine.compile(first_program)
         engine.compile(second_program)  # evicts first
         assert engine.compile(first_program) is not first
@@ -81,6 +95,7 @@ class TestCompiledPrograms:
             engine.compile(unsafe)
 
     def test_with_options_gets_a_fresh_cache(self, engine, paper_program):
+        paper_program = UpdateProgram(paper_program.rules)  # no artifact
         compiled = engine.compile(paper_program)
         derived = engine.with_options(check_linearity=False)
         assert derived.compile(paper_program) is not compiled

@@ -9,7 +9,8 @@ ancestor program as a single stratum.
 
 import pytest
 
-from repro import parse_program
+from repro import UpdateEngine, parse_program
+from repro.core import caches
 from repro.core.errors import StratificationError
 from repro.core.stratification import precedence_edges, stratify
 from repro.workloads import (
@@ -160,3 +161,34 @@ class TestEdgesAndExplain:
         strata = stratify(program)
         # b copies mod(y); rule a writes mod(x) — x and y distinct constants
         assert strata.names() == [["a", "b"]]
+
+
+SAME = "r: ins[a].q -> 1 <= not ins(a).p -> 1."
+APART = "r: ins[a].q -> 1 <= not ins(b).p -> 1."
+
+
+class TestWhetherConstantsAreEqual:
+    """Stratification unifies ground terms, so two programs that differ
+    only in whether two of their constants are equal can stratify
+    differently.  That is why a parsed text's shape key carries which of
+    its constants are equal (:mod:`repro.lang.shapes`)."""
+
+    def test_equal_constants_form_a_strict_cycle(self):
+        with pytest.raises(StratificationError) as excinfo:
+            stratify(parse_program(SAME))
+        assert excinfo.value.cycle == ("r", "r")
+
+    def test_distinct_constants_stratify(self):
+        assert stratify(parse_program(APART)).names() == [["r"]]
+
+    @pytest.mark.parametrize("order", [(SAME, APART), (APART, SAME)])
+    def test_each_text_keeps_its_outcome_in_either_order(self, order):
+        caches.clear_caches()
+        for text in order + order:
+            program = parse_program(text)
+            if text == SAME:
+                with pytest.raises(StratificationError):
+                    UpdateEngine().compile(program)
+            else:
+                compiled = UpdateEngine().compile(program)
+                assert compiled.stratification.names() == [["r"]]

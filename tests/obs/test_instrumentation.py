@@ -108,6 +108,28 @@ def test_slow_commit_lands_in_the_slowlog(clean_slowlog):
     assert "slow-one" in tags
 
 
+def test_a_slow_commit_or_query_is_logged_once(clean_slowlog, tmp_path):
+    """With every threshold at 0, a served ``tx-commit`` and a ``query``
+    each leave exactly one entry: the service's, not the command's too."""
+    for kind in ("commit", "query", "command"):
+        clean_slowlog.set_threshold(kind, 0.0)
+    repro.connect(tmp_path / "served", base=BASE, tag="seed").close()
+    socket_path = str(tmp_path / "once.sock")
+    with BackgroundServer(tmp_path / "served", path=socket_path):
+        with repro.connect(f"serve:{socket_path}") as conn:
+            session = conn.call("tx-begin")["session"]
+            conn.call("tx-stage", session=session, program=RAISE)
+            clean_slowlog.clear()
+            conn.call("tx-commit", session=session)
+            assert [e["kind"] for e in clean_slowlog.entries()] == ["commit"]
+            clean_slowlog.clear()
+            conn.call("query", body="E.sal -> S")
+            assert [e["kind"] for e in clean_slowlog.entries()] == ["query"]
+            clean_slowlog.clear()
+            conn.call("ping")
+            assert [e["detail"] for e in clean_slowlog.entries()] == ["ping"]
+
+
 def test_wire_metrics_and_slowlog_commands(enabled, clean_slowlog, tmp_path):
     repro.connect(tmp_path / "served", base=BASE, tag="seed").close()
     socket_path = str(tmp_path / "obs.sock")

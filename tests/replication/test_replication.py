@@ -236,7 +236,9 @@ class TestFollower:
     def test_follower_refuses_to_append_onto_a_torn_tail(self, primary):
         """Primary and follower check the journal's last line through one
         writer: a fragment left by a failed append is refused, not glued
-        onto, with the error the primary raises for the same tail."""
+        onto, with the error the primary raises for the same tail.  The
+        follower then repairs its own journal — derived data — and catches
+        up within one resync."""
         from repro.core.errors import ReproError
 
         service, server, tmp_path = primary
@@ -245,25 +247,40 @@ class TestFollower:
             fol.start()
             refusals = []
             ingest = fol._ingest
+            journal = tmp_path / "f" / JOURNAL_FILE
 
             def recording(entry):
                 try:
                     ingest(entry)
                 except ReproError as error:
-                    refusals.append(str(error))
+                    # at the moment of refusal: nothing was glued on
+                    refusals.append(
+                        (
+                            str(error),
+                            journal.read_bytes() == torn,
+                            len(fol.service.store) == revisions,
+                        )
+                    )
                     raise
 
             fol._ingest = recording
-            journal = tmp_path / "f" / JOURNAL_FILE
             with journal.open("ab") as handle:
                 handle.write(b'{"index": 1, "ta')
             torn = journal.read_bytes()
             revisions = len(fol.service.store)
+            resyncs = fol.stream_resyncs
             conn.apply(RAISE, tag="after-tear")
             wait_for(lambda: refusals, message="the follower's refusal")
-            assert "ends in a torn line" in refusals[0]
-            assert journal.read_bytes() == torn
-            assert len(fol.service.store) == revisions
+            message, unchanged_journal, unchanged_store = refusals[0]
+            assert "ends in a torn line" in message
+            assert unchanged_journal and unchanged_store
+            wait_for(
+                lambda: len(fol.service.store) == len(service.store),
+                message="the follower's catch-up after the repair",
+            )
+            assert fol.stream_resyncs == resyncs + 1
+            assert len(refusals) == 1
+            assert b'{"index": 1, "ta' not in journal.read_bytes()
         conn.close()
         primary_journal = tmp_path / "primary" / JOURNAL_FILE
         with primary_journal.open("ab") as handle:

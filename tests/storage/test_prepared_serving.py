@@ -44,8 +44,9 @@ def test_query_returns_rows_the_caller_may_mutate(store):
 
 
 def test_unregistered_query_registers_on_first_use(store):
-    """The one cache of the read path is text -> compiled query, shared by
-    every store of the process: a first use compiles, a repeat is a hit."""
+    """The one cache of the read path is body shape -> compiled query,
+    shared by every store of the process: a first use compiles, a repeat
+    is a hit."""
     from repro.core.caches import cache_stats
 
     text = "E.isa -> empl, E.first_use_probe -> R"
