@@ -4,9 +4,11 @@
 
 Stands up, in process, a ``LocalCluster`` of 1, 2 and 3 shards and one
 served endpoint (``BackgroundServer``) over the same 12-employee base.  On
-each it runs one scatter query (so every shard link and the router's
-scatter pool exist), subscribes one scatter body and prints how many
-threads that ``subscribe`` started.  It then applies ``N`` single-host
+each it connects, runs one scatter query (so every shard link and the
+router's scatter pool exist) and prints how many threads the connection
+holds before its first ``subscribe`` — a served link starts none — then
+subscribes one scatter body and prints how many threads that
+``subscribe`` started.  It then applies ``N`` single-host
 raises in one block per shard — consecutive raises of one employee on
 that shard, so every shard commits — and prints the apply→push latency
 p50 and max: from the ``apply`` call to the ``next()`` that returns its
@@ -57,11 +59,16 @@ def schedule(shards: int, raises: int) -> list[int]:
     return [picks[number * shards // raises] for number in range(raises)]
 
 
-def measure(target: str, shards: int, raises: int) -> tuple[int, list[float]]:
-    """``(threads one subscribe started, apply→push seconds per raise)``."""
+def measure(
+    target: str, shards: int, raises: int
+) -> tuple[int, int, list[float]]:
+    """``(threads the connection held before its first subscribe, threads
+    that subscribe started, apply→push seconds per raise)``."""
+    idle = threading.active_count()
     with repro.connect(target) as conn:
         conn.query(BODY)
         before = threading.active_count()
+        held = before - idle
         stream = conn.subscribe(BODY)
         started = threading.active_count() - before
         latencies = []
@@ -72,12 +79,12 @@ def measure(target: str, shards: int, raises: int) -> tuple[int, list[float]]:
                 raise SystemExit(f"{target}: no push for raise {number}")
             latencies.append(time.perf_counter() - begin)
         stream.close()
-    return started, latencies
+    return held, started, latencies
 
 
-def report(label: str, started: int, latencies: list[float]) -> None:
+def report(label: str, held: int, started: int, latencies: list[float]) -> None:
     print(
-        f"{label:<18} {started:+d} thread(s)   "
+        f"{label:<18} held {held:+d} / subscribe {started:+d} thread(s)   "
         f"apply->push p50 {statistics.median(latencies) * 1e3:7.2f} ms   "
         f"max {max(latencies) * 1e3:7.2f} ms"
     )

@@ -169,9 +169,11 @@ def __getattr__(name: str):
 
 
 def query(base: ObjectBase, text: str) -> list[dict[str, object]]:
-    """Answer a conjunctive query written in the concrete syntax.
+    """Answer a conjunctive query written in the concrete syntax.  The
+    text goes through :func:`prepare_query`, so point reads that differ
+    only in their constants share one compiled body.
 
     >>> query(base, "E.isa -> empl, E.sal -> S")   # doctest: +SKIP
     [{'E': 'bob', 'S': 4200}, {'E': 'phil', 'S': 4000}]
     """
-    return query_literals(base, parse_body(text))
+    return prepare_query(text).run(base)

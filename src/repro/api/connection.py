@@ -468,7 +468,7 @@ class SubscriptionStream:
     def _mark_dead(self) -> None:
         """Terminate without the unsubscribe round-trip: the connection is
         gone for good (retry exhausted, or no policy).  Safe to call from
-        the wire backend's loop thread — no network, no locks."""
+        the wire backend's reader thread — no network, no locks."""
         if not self._closed:
             self._closed = True
             self._pushes.put(_STREAM_CLOSED)

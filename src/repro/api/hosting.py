@@ -4,19 +4,44 @@
 in a private event loop thread so synchronous code (tests, examples, small
 embedders) can stand up a real served endpoint and connect to it with
 ``repro.connect(server.target)`` — the exact transport the parity suite
-uses to prove the served backend agrees with the in-process ones.
-Production deployments still run ``repro serve`` as its own process.
+uses to prove the served backend agrees with the in-process ones.  The
+loop thread belongs to the server it hosts: clients, served connections
+included, run no event loop.  Production deployments still run
+``repro serve`` as its own process.
 """
 
 from __future__ import annotations
 
-from repro.api.wire import _EventLoopThread
+import asyncio
+import threading
+
 from repro.core.errors import ReproError
 from repro.server.server import ReproServer, ServerLimits
 from repro.server.service import StoreService
 from repro.storage.history import VersionedStore
 
 __all__ = ["BackgroundServer"]
+
+
+class _EventLoopThread:
+    """One private event loop running on a daemon thread."""
+
+    def __init__(self, name: str) -> None:
+        self.loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(
+            target=self.loop.run_forever, name=name, daemon=True
+        )
+        self._thread.start()
+
+    def run(self, coro, timeout: float | None = None):
+        """Run a coroutine on the loop, blocking the calling thread for at
+        most ``timeout`` seconds."""
+        return asyncio.run_coroutine_threadsafe(coro, self.loop).result(timeout)
+
+    def stop(self) -> None:
+        self.loop.call_soon_threadsafe(self.loop.stop)
+        self._thread.join(timeout=5)
+        self.loop.close()
 
 
 class BackgroundServer:

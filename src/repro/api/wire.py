@@ -1,11 +1,14 @@
-"""The served backend: a synchronous facade over the asyncio wire client.
+"""The served backend: a synchronous facade over the blocking wire client.
 
-A :class:`WireConnection` owns a private event loop on a daemon thread and
-drives one :class:`~repro.server.client.AsyncClient` through it, so the
-unified connection surface stays synchronous and identical to the
-in-process backends.  Push messages are routed off the client's push queue
-by subscription id into per-stream queues (a router task on the loop), so
-several live queries on one connection never steal each other's deltas.
+A :class:`WireConnection` drives one
+:class:`~repro.server.client.LineClient` link from the caller's own
+thread, so the unified connection surface stays synchronous and identical
+to the in-process backends, and a call costs one socket round trip.  A
+link without a live subscription starts no thread.  Push messages are
+filed by subscription id into per-stream queues on whichever thread read
+them — the caller, or the link's one reader thread once a subscription
+exists — so several live queries on one connection never steal each
+other's deltas.
 
 Failure mapping: connect and transport failures surface as
 :class:`~repro.server.errors.ServerError`; server-side errors arrive
@@ -23,10 +26,15 @@ re-issued transparently; a mutation that was in flight when the link died
 surfaces :class:`~repro.server.errors.ConnectionClosed` (retryable) for
 the caller, because the server may already have committed it.
 
-**Silence.**  Every facade call is bounded by ``call_timeout`` (default
-:data:`CALL_TIMEOUT`), reconnects included: a server that accepts and never
-answers fails the call with the retryable ``ConnectionClosed`` ("did not
-answer within …"), and the link stays up for the next request.
+**Silence.**  Every facade call's wait for the link and for its answer is
+bounded by ``call_timeout`` (default :data:`CALL_TIMEOUT`): a server that
+accepts and never answers fails the call with the retryable
+``ConnectionClosed`` ("did not answer within …"), and the link stays up
+for the next request.  A redial runs on the thread that found the link
+dead — a caller, or the reader — one at a time.  A caller's redial, its
+backoff sleeps and each dial and probe included, stays within the same
+``call_timeout``; when that runs out first while live queries still need
+the link, the redial goes on on a thread of its own.
 
 **Replica sets.**  A connection over more than one endpoint
 (``replset:a,b,c``, or a ``cluster:`` shard spelled ``a|b``) is the same
@@ -44,10 +52,9 @@ ever re-sent.
 
 from __future__ import annotations
 
-import asyncio
-import concurrent.futures
 import queue
 import threading
+import time
 from typing import Sequence
 
 from repro.api.connection import (
@@ -64,7 +71,9 @@ from repro.core.query import Answer, decode_answers
 from repro.core.rules import UpdateProgram
 from repro.lang.parser import parse_object_base
 from repro.lang.pretty import format_program
-from repro.server.client import AsyncClient, _raise_for
+from repro.server.client import (
+    CallTimeout, LineClient, NotSent, _left, _raise_for,
+)
 from repro.server.errors import ConnectionClosed, ServerError
 from repro.storage.history import resolve_revision_ref
 
@@ -101,50 +110,18 @@ class _LiveSub:
         self.stream = stream
 
 
-class _EventLoopThread:
-    """One private event loop running on a daemon thread."""
-
-    def __init__(self, name: str) -> None:
-        self.loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._run, name=name, daemon=True
-        )
-        self._thread.start()
-
-    def _run(self) -> None:
-        asyncio.set_event_loop(self.loop)
-        self.loop.run_forever()
-
-    def run(self, coro, timeout: float | None = None):
-        """Run a coroutine on the loop, blocking the calling thread for at
-        most ``timeout`` seconds; past that the coroutine is cancelled and
-        the retryable :class:`ConnectionClosed` raised."""
-        future = asyncio.run_coroutine_threadsafe(coro, self.loop)
-        try:
-            return future.result(timeout)
-        except concurrent.futures.TimeoutError:
-            future.cancel()
-            raise ConnectionClosed(
-                f"server did not answer within {timeout:g}s"
-            ) from None
-
-    def stop(self) -> None:
-        self.loop.call_soon_threadsafe(self.loop.stop)
-        self._thread.join(timeout=5)
-        self.loop.close()
-
-
 class WireConnection(Connection):
     """A connection to running ``repro serve`` endpoints.
 
     ``endpoints`` are served-endpoint texts (``serve:`` / ``unix:`` /
     ``tcp:`` / a socket path) in preference order: one is a plain served
     connection, several are the members of a replica set (see the module
-    doc).  ``call_timeout`` bounds every facade call, reconnects included
-    (``None`` takes :data:`CALL_TIMEOUT`; pushes are unaffected).  ``retry`` (a
-    :class:`~repro.api.model.RetryPolicy`) enables transparent reconnect
-    after a dropped link — see the module doc for what is and is not
-    re-issued, and, over a member list, re-sent after a refusal.
+    doc).  ``call_timeout`` bounds every facade call's wait for the link
+    and for its answer (``None`` takes :data:`CALL_TIMEOUT`; pushes are
+    unaffected).  ``retry`` (a :class:`~repro.api.model.RetryPolicy`)
+    enables transparent reconnect after a dropped link — see the module
+    doc for what is and is not re-issued, and, over a member list, re-sent
+    after a refusal.
     """
 
     def __init__(
@@ -174,54 +151,55 @@ class WireConnection(Connection):
         self._epoch_lock = threading.Lock()
         #: Index of the member last seen as ``role: primary`` (dialed first).
         self._primary: int | None = None
+        #: Guards the routing tables below: pushes are filed on whichever
+        #: thread read them, while callers (un)register streams.
+        self._route_lock = threading.Lock()
         self._push_queues: dict[str, "queue.Queue[dict]"] = {}
         self._unclaimed: "queue.Queue[dict]" = queue.Queue()
         self._subs: dict[str, _LiveSub] = {}
-        self._loop = _EventLoopThread(f"repro-wire[{self.target}]")
-        self._client: AsyncClient | None = None
-        self._router: asyncio.Future | None = None
-        self._reconnecting: asyncio.Future | None = None
+        #: Held by the one redial in progress.
+        self._redial_lock = threading.Lock()
+        self._client: LineClient | None = None
         self.reconnects = 0
         try:
-            self._loop.run(self._dial(), timeout=_DIAL_TIMEOUT + 5)
+            self._dial()
         except (ConnectionError, OSError) as error:
-            self._loop.stop()
             raise ServerError(
                 f"cannot connect to {self.target}: {error}"
             ) from None
-        except Exception:
-            self._loop.stop()
-            raise
 
-    async def _dial(self) -> None:
-        """(Re)establish the client and its push router.  Loop thread."""
-        if self._router is not None:
-            self._router.cancel()
-            self._router = None
-        if self._client is not None:
-            await self._client.close()
-            self._client = None
+    def _dial(self, deadline: float | None = None) -> None:
+        """(Re)establish the link, closing the old one first."""
+        old, self._client = self._client, None
+        if old is not None:
+            old.close()
         if len(self._endpoints) == 1:
-            client = await asyncio.wait_for(
-                AsyncClient.connect(**self._endpoints[0]), _DIAL_TIMEOUT
-            )
+            client = self._connect(0, deadline)
         else:
-            client = await self._dial_member()
+            client = self._dial_member(deadline)
+        if self._closed:  # closed while this redial was on its way
+            client.close()
+            raise ServerError("connection closed during reconnect")
         self._client = client
-        self._router = asyncio.ensure_future(self._route_pushes(client))
 
-    async def _dial_member(self) -> AsyncClient:
-        """Ping every member — last known primary first — and keep the
-        link to the primary with the highest epoch (a fenced zombie still
-        says "primary" but loses the compare) or, failing that, to the
-        first member that answered.  Loop thread."""
+    def _connect(self, member: int, deadline: float | None) -> LineClient:
+        return LineClient.connect(
+            **self._endpoints[member], timeout=_within(_DIAL_TIMEOUT, deadline),
+            on_push=self._route, on_dead=self._link_died,
+        )
+
+    def _dial_member(self, deadline: float | None) -> LineClient:
+        """Ping the members in turn — last known primary first — and keep
+        the link to the primary with the highest epoch (a fenced zombie
+        still says "primary" but loses the compare) or, failing that, to
+        the first member that answered."""
         order = list(range(len(self._endpoints)))
         if self._primary is not None:
             order.remove(self._primary)
             order.insert(0, self._primary)
-        probes = await asyncio.gather(*(self._probe(member) for member in order))
         answered = []
-        for member, probe in zip(order, probes):
+        for member in order:
+            probe = self._probe(member, deadline)
             if probe is None:
                 continue
             client, pong = probe
@@ -235,170 +213,199 @@ class WireConnection(Connection):
         chosen = max(answered, key=lambda entry: entry[0])
         for entry in answered:
             if entry is not chosen:
-                await entry[2].close()
+                entry[2].close()
         rank, member, client = chosen
         self._primary = member if rank[0] else None
         return client
 
     def _observe_epoch(self, epoch: int) -> None:
-        """Raise the bar, never lower it: caller threads (commit
-        responses) and the loop thread (dials, refusals) both report."""
+        """Raise the bar, never lower it: callers (commit responses) and
+        redials (pings, refusals) report from any thread."""
         if epoch > self.epoch:
             with self._epoch_lock:
                 if epoch > self.epoch:
                     self.epoch = epoch
 
-    async def _probe(self, member: int) -> tuple[AsyncClient, dict] | None:
+    def _probe(
+        self, member: int, deadline: float | None
+    ) -> tuple[LineClient, dict] | None:
         """Dial one member and ask who it is; ``None`` when it is down."""
         client = None
         try:
-            client = await asyncio.wait_for(
-                AsyncClient.connect(**self._endpoints[member]), _DIAL_TIMEOUT
+            client = self._connect(member, deadline)
+            pong = client.call(
+                "ping", timeout=_within(self.call_timeout, deadline)
             )
-            pong = await asyncio.wait_for(
-                client.call("ping"), self.call_timeout
-            )
-        except (ConnectionError, OSError, asyncio.TimeoutError, ReproError):
+        except (ConnectionError, OSError, ReproError):
             if client is not None:
-                await client.close()
+                client.close()
             return None
         return client, pong
 
-    async def _route_pushes(self, client: AsyncClient) -> None:
-        """Dispatch push messages to their stream's queue by ``sid``;
-        pushes for unknown sids (raw ``call("subscribe")`` users, the CLI
-        script command) collect in the unclaimed queue.  When the link
-        dies the router either kicks off a reconnect (retry policy set) or
-        terminates every stream so blocked consumers wake."""
+    def _route(self, push: dict) -> None:
+        """File a push in its stream's queue by ``sid``; pushes for
+        unknown sids (raw ``call("subscribe")`` users, the CLI script
+        command) collect in the unclaimed queue."""
+        with self._route_lock:
+            sink = self._push_queues.get(push.get("sid"))
+            (sink if sink is not None else self._unclaimed).put(push)
+
+    def _link_died(self, client: LineClient) -> None:
+        """A link with a reader died (reader thread), or a caller ran out
+        of time redialing one (a thread of its own): reconnect under the
+        retry policy, or terminate every stream so blocked consumers
+        wake.  A redial already under way on another thread owns the
+        recovery."""
+        if self._closed or client is not self._client:
+            return  # deliberate teardown, or an already-replaced link
+        if self.retry is None:
+            self._fail_streams()
+            return
         try:
-            while True:
-                push = await client.next_push()
-                sink = self._push_queues.get(push.get("sid"))
-                (sink if sink is not None else self._unclaimed).put(push)
-        except ConnectionClosed:
-            if self._closed or client is not self._client:
-                return  # deliberate teardown, or an already-replaced link
-            if self.retry is not None:
-                self._start_reconnect()
-            else:
-                self._fail_streams()
+            self._reconnect(client)
+        except ReproError:
+            pass  # the streams were failed; the next call reports it
 
     # -- reconnect ---------------------------------------------------------
-    def _start_reconnect(self) -> asyncio.Future:
-        """Begin (or join) the single in-flight reconnect.  Loop thread."""
-        if self._reconnecting is None or self._reconnecting.done():
-            task = asyncio.ensure_future(self._reconnect())
-            # consume the exception when no _invoke is waiting on it (the
-            # router kicked this off); waiters still see it via shield
-            task.add_done_callback(
-                lambda fut: fut.cancelled() or fut.exception()
-            )
-            self._reconnecting = task
-        return self._reconnecting
+    def _reconnect(self, stale: LineClient | None, deadline=None) -> None:
+        """Replace ``stale`` — unless another thread already has — by
+        redialing with backoff and re-establishing every live
+        subscription.  A caller waits for a redial in progress, and runs
+        its own, until its ``deadline``; the reader thread (no deadline)
+        leaves a running redial be.  Raises :class:`ConnectionClosed` —
+        and terminates the streams — when the policy's attempts are
+        exhausted."""
+        while True:
+            if deadline is None:
+                if not self._redial_lock.acquire(blocking=False):
+                    return  # the holder mends this loss too (see below)
+            elif not self._redial_lock.acquire(timeout=_left(deadline)):
+                raise self._timed_out()
+            try:
+                current = self._client
+                mended = (
+                    current is not None and current is not stale
+                    and current.alive  # someone else redialed meanwhile
+                ) or self._redial(deadline)
+            finally:
+                self._redial_lock.release()
+            if not mended:  # out of time, and live queries need the link
+                if self._subs:
+                    threading.Thread(
+                        target=self._link_died, args=(self._client,),
+                        name="repro-redial", daemon=True,
+                    ).start()
+                raise self._timed_out()
+            # a link that died while the lock was held turned its reader
+            # away, so the loss is this thread's to mend
+            current = self._client
+            if (self._closed or current is None or current._reader is None
+                    or current.alive):
+                return
+            stale = current
 
-    async def _reconnect(self) -> None:
-        """Redial with backoff, then re-establish every live subscription.
-        Raises :class:`ConnectionClosed` — and terminates the streams —
-        when the policy's attempts are exhausted."""
+    def _redial(self, deadline: float | None) -> bool:
+        """Dial and re-subscribe under the policy's backoff; ``False``
+        when ``deadline`` runs out first."""
         policy = self.retry
         failure: Exception | None = None
         for attempt in range(policy.attempts):
             if self._closed:
                 failure = ServerError("connection closed during reconnect")
                 break
+            pause = policy.delay(attempt)
+            if deadline is not None and time.monotonic() + pause >= deadline:
+                return False
             try:
-                await asyncio.sleep(policy.delay(attempt))
-                await self._dial()
-                await self._resubscribe()
-            except (ConnectionError, OSError, asyncio.TimeoutError,
-                    ReproError) as error:
+                time.sleep(pause)
+                self._dial(deadline)
+                self._resubscribe(deadline)
+            except (ConnectionError, OSError, ReproError) as error:
                 failure = error
                 continue
             self.reconnects += 1
-            return
+            return True
         self._fail_streams()
         raise ConnectionClosed(
             f"cannot re-establish {self.target} after "
             f"{policy.attempts} attempts: {failure}"
         )
 
-    async def _resubscribe(self) -> None:
-        """Re-register every live stream on the fresh connection and queue
-        each one coalesced ``lagged`` push carrying the resync answers.
-        The stream folds it against its own last-seen state, so consumers
+    def _resubscribe(self, deadline: float | None) -> None:
+        """Re-register every live stream on the fresh link and queue each
+        one coalesced ``lagged`` push carrying the resync answers.  The
+        stream folds it against its own last-seen state, so consumers
         observe one exact catch-up delta instead of a gap."""
         for old_sid, sub in list(self._subs.items()):
             if sub.stream.closed:
-                self._subs.pop(old_sid, None)
-                self._push_queues.pop(old_sid, None)
+                self._forget(old_sid)
                 continue
-            response = await self._client.call(
-                "subscribe", body=sub.body, name=sub.name
+            response = self._client.call(
+                "subscribe", {"body": sub.body, "name": sub.name},
+                timeout=_within(self.call_timeout, deadline),
             )
-            new_sid = response["sid"]
-            self._subs.pop(old_sid, None)
-            self._push_queues.pop(old_sid, None)
-            sub.sid = new_sid
-            sub.stream.sid = new_sid
-            self._subs[new_sid] = sub
-            self._push_queues[new_sid] = sub.pushes
-            sub.pushes.put(
-                {
-                    "push": "lagged",
-                    "sid": new_sid,
-                    "query": response["query"],
-                    "from_revision": sub.stream.revision,
-                    "to_revision": response["revision"],
-                    "revision": response["revision"],
-                    "tag": "",
-                    "answers": response["answers"],
-                }
-            )
+            self._forget(old_sid)
+            sub.sid = response["sid"]
+            sub.stream.sid = sub.sid
+            self._claim_pushes(sub, first={
+                "push": "lagged",
+                "sid": sub.sid,
+                "query": response["query"],
+                "from_revision": sub.stream.revision,
+                "to_revision": response["revision"],
+                "revision": response["revision"],
+                "tag": "",
+                "answers": response["answers"],
+            })
 
     def _fail_streams(self) -> None:
         """The link is gone for good: wake and terminate every stream so
-        blocked consumers end cleanly instead of hanging.  Loop thread."""
-        for sub in list(self._subs.values()):
+        blocked consumers end cleanly instead of hanging."""
+        with self._route_lock:
+            subs = list(self._subs.values())
+            self._subs.clear()
+            self._push_queues.clear()
+        for sub in subs:
             sub.stream._mark_dead()
-        self._subs.clear()
-        self._push_queues.clear()
 
     # -- raw protocol access ----------------------------------------------
     def call(self, cmd: str, **payload) -> dict:
         """One protocol command, raising the typed error on failure — the
         escape hatch for commands the facade does not wrap."""
         self._check_open()
-        return self._run(self._invoke(cmd, payload))
+        return self._invoke(cmd, payload)
 
     def request(self, cmd: str, **payload) -> dict:
         """Like :meth:`call` but returning error responses as dicts
         (``ok: false``) instead of raising — raw scripting."""
         self._check_open()
-        return self._run(self._invoke(cmd, payload, raw=True))
+        return self._invoke(cmd, payload, raw=True)
 
-    async def _invoke(self, cmd: str, payload: dict, *, raw: bool = False):
-        """One request with the reconnect funnel: a live client carries it;
-        a dead one triggers (or joins) the reconnect first.  A request that
-        dies *after* it may have reached the server is re-issued only for
-        safe commands — everything else surfaces the retryable
-        :class:`ConnectionClosed` to the caller.  A mutation a replica-set
-        member *refused* (see :meth:`_refused`) was not applied: the
-        primary is rediscovered through the same funnel and an ``apply``
-        is re-sent; a ``tx-commit`` surfaces the refusal, because its
-        session does not survive the redial."""
+    def _invoke(self, cmd: str, payload: dict, *, raw: bool = False):
+        """One request with the reconnect funnel, within ``call_timeout``.
+        A link found dead before the request was written (or none at all)
+        is redialed first; a request that dies *after* it may have reached
+        the server is re-issued only for safe commands — everything else
+        surfaces the retryable :class:`ConnectionClosed` to the caller.  A
+        mutation a replica-set member *refused* (see :meth:`_refused`) was
+        not applied: the primary is rediscovered through the same funnel
+        and an ``apply`` is re-sent; a ``tx-commit`` surfaces the refusal,
+        because its session does not survive the redial."""
+        deadline = time.monotonic() + self.call_timeout
         attempts = 1 + (self.retry.attempts if self.retry is not None else 0)
         for attempt in range(attempts):
             client = self._client
-            if client is None or not client.alive:
-                # nothing sent yet: any command may wait out a reconnect
-                await self._await_reconnect(cmd, sent=False)
-                client = self._client
             try:
-                response = await client.request(cmd, **payload)
-            except ConnectionClosed:
-                # the link died with the request possibly delivered: only
-                # safe commands may be blindly re-issued
-                await self._await_reconnect(cmd, sent=True)
+                if client is None:
+                    raise NotSent("no link")
+                response = client.request(cmd, payload, timeout=_left(deadline))
+            except CallTimeout:
+                raise self._timed_out() from None
+            except ConnectionClosed as lost:
+                # nothing sent yet, any command may wait out a reconnect;
+                # possibly delivered, only safe ones may be re-issued
+                sent = not isinstance(lost, NotSent)
+                self._await_reconnect(cmd, client, deadline, sent=sent)
                 continue
             if raw or response.get("ok"):
                 return response
@@ -407,13 +414,18 @@ class WireConnection(Connection):
             # refused, not lost: find the primary before anything else
             if cmd == "apply":
                 # promotion pending? back off like any other redial
-                await asyncio.sleep(self.retry.delay(attempt))
-            await asyncio.shield(self._start_reconnect())
+                time.sleep(self.retry.delay(attempt))
+            self._reconnect(client, deadline)
             if cmd != "apply":
                 _raise_for(response)  # the session died with the old link
             payload = dict(payload, epoch=self.epoch or None)
         raise ConnectionClosed(
             f"request {cmd!r} kept losing its connection to {self.target}"
+        )
+
+    def _timed_out(self) -> ConnectionClosed:
+        return ConnectionClosed(
+            f"server did not answer within {self.call_timeout:g}s"
         )
 
     def _refused(self, response: dict) -> bool:
@@ -425,9 +437,12 @@ class WireConnection(Connection):
         self._observe_epoch(response.get("required_epoch", 0))
         return len(self._endpoints) > 1
 
-    async def _await_reconnect(self, cmd: str, *, sent: bool) -> None:
-        """Block until the shared reconnect lands; refuse when the command
-        must not be replayed (or there is no policy to replay under)."""
+    def _await_reconnect(
+        self, cmd: str, stale: LineClient | None, deadline: float, *,
+        sent: bool,
+    ) -> None:
+        """Block until the link is redialed; refuse when the command must
+        not be replayed (or there is no policy to replay under)."""
         if self._closed:
             raise ServerError(f"connection to {self.target} is closed")
         if self.retry is None:
@@ -441,7 +456,7 @@ class WireConnection(Connection):
                 f"flight; it is not automatically re-issued — the server "
                 f"may have already applied it"
             )
-        await asyncio.shield(self._start_reconnect())
+        self._reconnect(stale, deadline)
 
     def drain_pushes(self) -> list[dict]:
         """Pushes that arrived for subscriptions made through raw
@@ -452,14 +467,6 @@ class WireConnection(Connection):
                 drained.append(self._unclaimed.get_nowait())
             except queue.Empty:
                 return drained
-
-    def _run(self, coro):
-        try:
-            return self._loop.run(coro, timeout=self.call_timeout)
-        except (ConnectionError, OSError) as error:
-            raise ServerError(
-                f"connection to {self.target} failed: {error}"
-            ) from None
 
     # -- liveness ----------------------------------------------------------
     def ping(self) -> dict:
@@ -560,34 +567,41 @@ class WireConnection(Connection):
         sub = _LiveSub(
             sid=sid, body=body_text, name=name, pushes=pushes, stream=stream
         )
-        self._run(self._claim_pushes(sub))
+        self._claim_pushes(sub)
         return self._track(stream)
 
-    async def _claim_pushes(self, sub: _LiveSub) -> None:
-        """Register a stream's queue (and its reconnect book-keeping) and
-        reclaim any pushes that raced the registration into the unclaimed
-        queue.  Runs on the loop thread — the same thread as the router —
-        so no push can be routed while the sweep is rehoming, which keeps
+    def _claim_pushes(self, sub: _LiveSub, first: dict | None = None) -> None:
+        """Register a stream's queue (and its reconnect book-keeping), put
+        ``first`` on it, and reclaim any pushes that raced the
+        registration into the unclaimed queue.  Holds the route lock, so
+        no push can be filed while the sweep is rehoming, which keeps
         delivery order intact."""
-        self._subs[sub.sid] = sub
-        self._push_queues[sub.sid] = sub.pushes
-        leftovers = []
-        while True:
-            try:
-                push = self._unclaimed.get_nowait()
-            except queue.Empty:
-                break
-            if push.get("sid") == sub.sid:
-                sub.pushes.put(push)
-            else:
-                leftovers.append(push)
-        for push in leftovers:
-            self._unclaimed.put(push)
+        with self._route_lock:
+            self._subs[sub.sid] = sub
+            self._push_queues[sub.sid] = sub.pushes
+            if first is not None:
+                sub.pushes.put(first)
+            leftovers = []
+            while True:
+                try:
+                    push = self._unclaimed.get_nowait()
+                except queue.Empty:
+                    break
+                if push.get("sid") == sub.sid:
+                    sub.pushes.put(push)
+                else:
+                    leftovers.append(push)
+            for push in leftovers:
+                self._unclaimed.put(push)
+
+    def _forget(self, sid: str) -> None:
+        with self._route_lock:
+            self._push_queues.pop(sid, None)
+            self._subs.pop(sid, None)
 
     def _unsubscribe(self, stream: SubscriptionStream) -> None:
         sid = stream.sid
-        self._push_queues.pop(sid, None)
-        self._subs.pop(sid, None)
+        self._forget(sid)
         client = self._client
         if not self._closed and client is not None and client.alive:
             try:
@@ -610,20 +624,9 @@ class WireConnection(Connection):
 
     # -- lifecycle ---------------------------------------------------------
     def _teardown(self) -> None:
-        try:
-            self._loop.run(self._shutdown(), timeout=10)
-        except Exception:  # tearing down a dead link is best-effort
-            pass
-        finally:
-            self._loop.stop()
-
-    async def _shutdown(self) -> None:
-        if self._reconnecting is not None:
-            self._reconnecting.cancel()
-        if self._router is not None:
-            self._router.cancel()
-        if self._client is not None:
-            await self._client.close()
+        client, self._client = self._client, None
+        if client is not None:
+            client.close()
 
 
 class _WireTransaction(Transaction):
@@ -675,6 +678,11 @@ class _WireTransaction(Transaction):
             self._conn.call("tx-abort", session=self._session)
         except ServerError:  # already gone server-side (conflict, teardown)
             pass
+
+
+def _within(limit: float, deadline: float | None) -> float:
+    """``limit`` seconds, or fewer when ``deadline`` comes sooner."""
+    return limit if deadline is None else min(limit, _left(deadline))
 
 
 def _body_text(body) -> str:

@@ -1123,7 +1123,9 @@ def _cmd_top(arguments) -> int:
 
 
 def _script_request(request: dict) -> dict:
-    """A raw script line becomes ``AsyncClient.request(cmd, **payload)``."""
+    """A raw script line becomes ``WireConnection.request(cmd, **payload)``:
+    one command over the connection's blocking link, the raw response
+    dict back."""
     payload = dict(request)
     cmd = payload.pop("cmd", None)
     if not isinstance(cmd, str):

@@ -33,7 +33,6 @@ A :class:`Follower` owns a journal directory and keeps it a
 
 from __future__ import annotations
 
-import asyncio
 import threading
 import time
 from pathlib import Path
@@ -42,7 +41,7 @@ from repro.api.model import RetryPolicy
 from repro.api.targets import dial_endpoint
 from repro.core.errors import ReproError
 from repro.obs import metrics as _obs
-from repro.server.client import AsyncClient
+from repro.server.client import LineClient
 from repro.server.errors import ServerError
 from repro.server.service import StoreService
 from repro.storage.serialize import (
@@ -120,22 +119,14 @@ class Follower:
         self._closed = False
         self._promoted = False
         self._lock = threading.Lock()
-        self._loop = None
-        self._link_client: AsyncClient | None = None
+        self._link_client: LineClient | None = None
         self._threads: list[threading.Thread] = []
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> "Follower":
         """Catch up with the primary and begin tailing + heartbeating."""
-        from repro.api.wire import _EventLoopThread  # shared loop plumbing
-
-        self._loop = _EventLoopThread(f"repro-replica[{self.directory}]")
-        try:
-            self._store = self._open_journal()
-            link = self._attach()
-        except BaseException:
-            self._loop.stop()
-            raise
+        self._store = self._open_journal()
+        link = self._attach()
         self.service = StoreService(self._store, role="follower")
         self.service.replication_info = self._info
         self.service.replication_control = self
@@ -151,8 +142,6 @@ class Follower:
         self._kick_link()
         for thread in self._threads:
             thread.join(timeout=5)
-        if self._loop is not None:
-            self._loop.stop()
 
     @property
     def promoted(self) -> bool:
@@ -188,18 +177,19 @@ class Follower:
             self.bootstrap_rebuilds += 1
             return None
 
-    def _attach(self) -> AsyncClient:
+    def _attach(self) -> LineClient:
         """Dial the primary, send ``repl-stream`` from the local journal's
         end and ingest the catch-up batch it answers with; returns the
         open link, whose pushes are the lines committed since."""
         from_index = len(self._store) if self._store is not None else 0
         self.last_sync_from = from_index
-        client, batch = self._run(
-            self._open("repl-stream", _CATCH_UP_TIMEOUT, from_index=from_index),
-            _CATCH_UP_TIMEOUT,
-        )
-        self._link_client = client
+        client = self._open()
+        self._link_client = client  # from here on a kick wakes the reads
         try:
+            batch = client.call(
+                "repl-stream", {"from_index": from_index},
+                timeout=_CATCH_UP_TIMEOUT,
+            )
             if self._store is None:
                 self.directory.mkdir(parents=True, exist_ok=True)
                 write_journal_file(
@@ -213,7 +203,7 @@ class Follower:
                 self._ingest(entry)
         except BaseException:
             self._link_client = None
-            self._loop.run(client.close())
+            client.close()
             raise
         self.primary_head = max(self.primary_head, batch["head"])
         self._streaming = True
@@ -255,14 +245,14 @@ class Follower:
         epoch = store.epoch if store is not None else 0
         return parse_journal_record(entry["line"], expected=expected, epoch=epoch)
 
-    def _tail_forever(self, link: AsyncClient | None) -> None:
+    def _tail_forever(self, link: LineClient | None) -> None:
         attempt = 0
         while not self._done():
             try:
                 if link is None:
                     link = self._attach()
                     attempt = 0
-                self._loop.run(self._follow(link))
+                self._follow(link)
             except Exception as error:
                 if self._done():
                     break
@@ -286,18 +276,19 @@ class Follower:
                 repair=True,
             )
 
-    async def _follow(self, client: AsyncClient) -> None:
-        """Ingest ``repl-line`` pushes until the link dies or replication
-        stops; the link is closed either way."""
+    def _follow(self, client: LineClient) -> None:
+        """Ingest ``repl-line`` pushes, read off the link by this thread,
+        until the link dies or replication stops; the link is closed
+        either way."""
         try:
             while not self._done():
-                push = await client.next_push()
+                push = client.next_push()
                 if push.get("push") == "repl-line":
                     self._ingest(push)
         finally:
             self._streaming = False
             self._link_client = None
-            await client.close()
+            client.close()
 
     # -- heartbeats --------------------------------------------------------
     def _heartbeat_forever(self) -> None:
@@ -307,7 +298,7 @@ class Follower:
                 break
             try:
                 timeout = max(self.heartbeat_interval, 0.5) * 2
-                pong = self._run(self._request("ping", timeout), timeout)
+                pong = self._request("ping", timeout)
                 self.missed_heartbeats = 0
                 self.primary_alive = True
                 self.primary_head = max(
@@ -360,14 +351,15 @@ class Follower:
         """Fire-and-forget ``repl-fence`` at the old primary: if it is
         alive (network partition, not death), its next commit raises
         ``StaleEpochError`` instead of forking history."""
-        async def fence() -> None:
+        def fence() -> None:
             try:
-                await self._request("repl-fence", 2.0, epoch=epoch)
+                self._request("repl-fence", 2.0, {"epoch": epoch})
             except Exception:
                 pass  # dead primaries cannot be fenced; the epoch does it
 
-        if self._loop is not None:
-            asyncio.run_coroutine_threadsafe(fence(), self._loop.loop)
+        threading.Thread(
+            target=fence, name="repro-replica-fence", daemon=True
+        ).start()
 
     # -- plumbing ----------------------------------------------------------
     def _done(self) -> bool:
@@ -377,41 +369,30 @@ class Follower:
         return max(self.heartbeat_interval * 2, 1.0)
 
     def _kick_link(self) -> None:
+        """Cut the tail link: its blocked read wakes with EOF."""
         client = self._link_client
-        if client is not None and self._loop is not None:
-            asyncio.run_coroutine_threadsafe(client.close(), self._loop.loop)
+        if client is not None:
+            client.close()
 
-    async def _open(
-        self, cmd: str, timeout: float, **payload
-    ) -> tuple[AsyncClient, dict]:
-        """Connect to the primary and send one command on a fresh link;
-        returns ``(client, response)`` with the link still open."""
-        client = await asyncio.wait_for(
-            AsyncClient.connect(**self._endpoint), self._dial_timeout()
-        )
+    def _open(self) -> LineClient:
+        """A fresh link to the primary."""
         try:
-            return client, await asyncio.wait_for(
-                client.call(cmd, **payload), timeout
+            return LineClient.connect(
+                **self._endpoint, timeout=self._dial_timeout()
             )
-        except BaseException:
-            await client.close()
-            raise
-
-    async def _request(self, cmd: str, timeout: float, **payload) -> dict:
-        """One command on a short-lived link of its own (heartbeats, the
-        fence) — the tail stream has its own."""
-        client, response = await self._open(cmd, timeout, **payload)
-        await client.close()
-        return response
-
-    def _run(self, coro, timeout: float):
-        """Run a primary-bound coroutine from a caller thread."""
-        try:
-            return self._loop.run(coro, timeout=timeout * 2 + 1)
-        except (ConnectionError, OSError) as error:
+        except OSError as error:
             raise ServerError(
                 f"cannot reach primary {self.primary}: {error}"
             ) from None
+
+    def _request(self, cmd: str, timeout: float, payload=None) -> dict:
+        """One command on a short-lived link of its own (heartbeats, the
+        fence) — the tail stream has its own."""
+        client = self._open()
+        try:
+            return client.call(cmd, payload, timeout=timeout)
+        finally:
+            client.close()
 
     def _info(self) -> dict:
         """The follower's extra ``stats()["replication"]`` fields."""

@@ -19,7 +19,9 @@ changes by *push*, so clients need not re-ask.
   *answer diffs* travel, and provably unaffected queries cost nothing.
 * :mod:`~repro.server.protocol` / :mod:`~repro.server.server` /
   :mod:`~repro.server.client` — the JSON-lines wire protocol, its asyncio
-  transport (``repro serve``), and the wire client (:class:`AsyncClient`).
+  transport (``repro serve``), and the blocking wire client
+  (:class:`LineClient`: the caller reads its own answer, and a link
+  starts a reader thread only once it carries a subscription).
 * :mod:`~repro.server.stream` — the primary's half of replication:
   ``repl-stream`` answers with the catch-up batch of raw journal lines,
   then pushes each later commit's line (the follower side is
@@ -30,7 +32,7 @@ multi-backend) plug into: everything above the :class:`StoreService` talks
 revisions, deltas and signatures — never raw bases.
 """
 
-from repro.server.client import AsyncClient
+from repro.server.client import LineClient
 from repro.server.errors import (
     ConflictError,
     ConnectionClosed,
@@ -50,7 +52,7 @@ __all__ = [
     "Subscription",
     "ReproServer",
     "ServerLimits",
-    "AsyncClient",
+    "LineClient",
     "ConflictError",
     "ServerError",
     "SessionError",

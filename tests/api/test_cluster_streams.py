@@ -1,7 +1,7 @@
 """Merged ``cluster:`` live queries and the one read-your-writes wait.
 
 A ``cluster:`` subscription is folded on the consumer's ``next()`` from
-its shards' pushes, so it starts no thread; it stays exact across a shard
+its shards' pushes, so the router starts no thread of its own; it stays exact across a shard
 restart (the shard's ``lagged`` resync becomes one merged resync) and ends
 when a shard is gone for good.  A ``min_revision`` token the head never
 reaches fails the same way on every backend: one deadline
@@ -41,16 +41,23 @@ def test_host_placement_assumed_by_this_suite():
     assert shard_for(Oid("phil"), 2) == 1
 
 
-def test_merged_subscribe_starts_no_thread():
+def test_merged_subscribe_adds_no_pump_thread():
+    """The router folds shard pushes in ``next()``: a merged subscribe
+    starts only the one reader each shard link starts with its first
+    subscription, and a second subscribe starts none."""
     with LocalCluster(BASE, shards=2) as cluster:
         with repro.connect(cluster.target) as conn:
             conn.query(BODY)  # opens both shard links and the scatter pool
             before = threading.active_count()
             stream = conn.subscribe(BODY)
-            assert threading.active_count() == before
+            assert threading.active_count() == before + 2  # one per shard
+            second = conn.subscribe(BODY)
+            assert threading.active_count() == before + 2
             conn.apply(RAISE_HENRY, tag="raise")
             assert stream.next(timeout=5.0) is not None
             assert stream.answers == conn.query(BODY)
+            assert second.next(timeout=5.0) is not None
+            second.close()
             stream.close()
 
 

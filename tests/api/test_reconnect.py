@@ -24,7 +24,7 @@ from repro.api import (
     ServerError,
 )
 from repro.api import wire
-from repro.api.wire import _EventLoopThread
+from repro.api.hosting import _EventLoopThread
 from repro.core.errors import ReproError
 from repro.testing import ChaosProxy
 
@@ -132,6 +132,26 @@ class TestServerRestart:
             conn.close()
             server.close()
 
+    def test_an_apply_right_after_a_restart_commits_exactly_once(
+        self, journal_dir, socket_path
+    ):
+        """The server closed an idle link before the call: nothing was
+        sent, so the apply waits out the reconnect instead of failing as
+        "in flight" — without first waiting for the client to notice."""
+        server = BackgroundServer(journal_dir, path=socket_path)
+        conn = repro.connect(server.target, retry=POLICY)
+        try:
+            head_before = conn.head.index
+            server.close()
+            server = BackgroundServer(journal_dir, path=socket_path)
+            revision = conn.apply(RAISE_HENRY, tag="right-after")
+            assert revision.index == head_before + 1
+            assert [r.tag for r in conn.log()].count("right-after") == 1
+            assert conn.head.index == head_before + 1
+        finally:
+            conn.close()
+            server.close()
+
     def test_subscription_stream_survives_restart_with_lagged_delta(
         self, journal_dir, socket_path
     ):
@@ -227,6 +247,64 @@ class TestServerRestart:
             with pytest.raises(ConnectionClosed):
                 conn.query(SALARIES)
         finally:
+            conn.close()
+            server.close()
+
+    def test_a_redial_stays_within_the_call_timeout(
+        self, journal_dir, socket_path
+    ):
+        """The server is down and stays down: a call that runs the redial
+        itself gives up within ``call_timeout``, not after the policy's
+        whole backoff ladder (about 7 s for the default policy)."""
+        server = BackgroundServer(journal_dir, path=socket_path)
+        conn = repro.connect(
+            server.target, retry=RetryPolicy(), call_timeout=0.5
+        )
+        try:
+            server.close()
+            started = time.monotonic()
+            with pytest.raises(ConnectionClosed, match="did not answer"):
+                conn.query(SALARIES)
+            assert time.monotonic() - started < 1.5
+        finally:
+            conn.close()
+            server.close()
+
+    def test_a_link_lost_right_after_the_resubscribe_is_redialed(
+        self, journal_dir, socket_path
+    ):
+        """The redialed link dies while its redial still holds the lock,
+        so that link's reader is turned away: the redial must mend the
+        second loss too, or a consumer that only waits on its stream
+        never hears from the server again."""
+        server = BackgroundServer(journal_dir, path=socket_path)
+        conn = repro.connect(server.target, retry=POLICY)
+        writer = None
+        resubscribe = conn._resubscribe
+        cut = []
+
+        def resubscribe_then_lose_the_link(*args):
+            resubscribe(*args)
+            if not cut:
+                cut.append(conn._client)
+                cut[0]._sock.shutdown(socket.SHUT_RDWR)
+                cut[0]._reader.join(timeout=5.0)  # turned away, and gone
+
+        conn._resubscribe = resubscribe_then_lose_the_link
+        try:
+            stream = conn.subscribe(SALARIES)
+            server.close()
+            server = BackgroundServer(journal_dir, path=socket_path)
+            _wait_for(lambda: conn.reconnects >= 2, message="a second redial")
+            writer = repro.connect(server.target)
+            writer.apply(RAISE_HENRY, tag="after-the-second-loss")
+            delta = stream.next(timeout=10.0)
+            assert delta is not None
+            assert stream.answers == writer.query(SALARIES)
+            assert len(cut) == 1
+        finally:
+            if writer is not None:
+                writer.close()
             conn.close()
             server.close()
 

@@ -8,11 +8,14 @@ import threading
 
 import pytest
 
+import repro
 from repro.core import caches
 from repro.core import evaluation as evaluation_module
 from repro.core.codegen import _STATS
+from repro.core.errors import EvaluationError
 from repro.core.rules import UpdateProgram
 from repro.core.terms import Oid
+from repro.lang.errors import ParseError
 from repro.lang.lexer import LITERAL_PATTERN, tokenize
 from repro.lang.parser import (
     _parse_literals,
@@ -75,6 +78,23 @@ def test_fifty_point_queries_compile_one_body(cold):
     assert _STATS["bodies_compiled"] - before == 1
     stats = caches.cache_stats()["query.prepared"]
     assert (stats["hits"], stats["misses"]) == (49, 1)
+
+
+def test_fifty_point_reads_through_repro_query_compile_one_body(cold):
+    base = enterprise_base(n_employees=200, seed=3)
+    before = _STATS["bodies_compiled"]
+    for i in range(50):
+        text = f"emp{i}.sal -> S, emp{i}.boss -> B"
+        assert repro.query(base, text) == query_reference(parse_body(text), base)
+    assert _STATS["bodies_compiled"] - before <= 1
+
+
+def test_repro_query_keeps_its_error_types():
+    base = enterprise_base(n_employees=10, seed=3)
+    with pytest.raises(ParseError):
+        repro.query(base, "E.sal ->")
+    with pytest.raises(EvaluationError, match="unsafe"):
+        repro.query(base, "E.sal -> S, S > T")
 
 
 def test_a_hit_equals_a_fresh_parse(cold):

@@ -220,6 +220,26 @@ class TestFollower:
             fconn.close()
         conn.close()
 
+    def test_a_started_follower_holds_its_tail_and_heartbeat_threads(
+        self, primary
+    ):
+        service, server, tmp_path = primary
+        before = set(threading.enumerate())
+        with Follower(tmp_path / "f", server.address, **FAST) as fol:
+            fol.start()
+            conn = repro.connect(server.address)
+            conn.apply(RAISE, tag="live")
+            conn.close()
+            wait_for(
+                lambda: len(fol.service.store) == len(service.store),
+                message="follower catch-up",
+            )
+            time.sleep(3 * FAST["heartbeat_interval"])  # a few heartbeats
+            started = [t for t in threading.enumerate() if t not in before]
+            assert set(started) == set(fol._threads)
+            assert len(started) == 2
+        assert not any(thread.is_alive() for thread in fol._threads)
+
     def test_primary_counts_followers(self, primary):
         service, server, tmp_path = primary
         with Follower(tmp_path / "f", server.address, **FAST) as fol:

@@ -15,17 +15,22 @@ the backlog the shedding policy exists for.
 
 import asyncio
 import json
+import socket
+import threading
+import time
 
 import pytest
 
+from repro.api.hosting import BackgroundServer
 from repro.core.query import fold_answers
 from repro.server import (
-    AsyncClient,
     ConnectionClosed,
+    LineClient,
     ReproServer,
     ServerLimits,
     StoreService,
 )
+from repro.server.client import CallTimeout
 from repro.server.protocol import encode
 from repro.server.server import Outbox
 from repro.storage import VersionedStore
@@ -37,6 +42,18 @@ RAISE_PHIL = "r: mod[phil].sal -> (S, S2) <= phil.sal -> S, S2 = S + 100."
 
 def run(coroutine):
     return asyncio.run(coroutine)
+
+
+def _served(socket_path, limits=None):
+    service = StoreService(VersionedStore(paper_example_base()))
+    return BackgroundServer(service, path=socket_path, limits=limits)
+
+
+def _wait_until_unsubscribed(service) -> None:
+    for _ in range(100):
+        if len(service.subscriptions) == 0:
+            return
+        time.sleep(0.01)
 
 
 @pytest.fixture()
@@ -128,45 +145,40 @@ class TestSlowSubscriberDegradation:
         lost updates)."""
         commits = 8
 
-        async def scenario():
-            service = StoreService(VersionedStore(paper_example_base()))
-            limits = ServerLimits(outbox_soft=1, outbox_hard=64)
-            server = await ReproServer(
-                service, path=socket_path, limits=limits
-            ).start()
-            watcher = await AsyncClient.connect(path=socket_path)
-            subscribed = await watcher.call("subscribe", body=SALARIES)
+        limits = ServerLimits(outbox_soft=1, outbox_hard=64)
+        with _served(socket_path, limits) as served:
+            watcher = LineClient.connect(path=socket_path)
+            subscribed = watcher.call("subscribe", {"body": SALARIES})
 
             # pipeline every apply in one write: the handler processes them
             # without yielding, so the watcher's outbox backs up and sheds
-            _reader, writer = await asyncio.open_unix_connection(socket_path)
-            frames = b"".join(
+            writer = socket.socket(socket.AF_UNIX)
+            writer.connect(socket_path)
+            writer.sendall(b"".join(
                 encode({"id": index, "cmd": "apply", "program": RAISE_PHIL,
                         "tag": f"raise-{index}"})
                 for index in range(commits)
-            )
-            writer.write(frames)
-            await writer.drain()
+            ))
 
             state = list(subscribed["answers"])
             lagged = []
             revision = subscribed["revision"]
             while revision < commits:
-                push = await watcher.next_push(timeout=5.0)
+                push = watcher.next_push(timeout=5.0)
                 state = _fold(state, push)
                 if push.get("push") == "lagged":
                     lagged.append(push)
                     revision = push["to_revision"]
                 else:
                     revision = push["revision"]
-            fresh = (await watcher.call("query", body=SALARIES))["answers"]
-            counters = (server.lagged_resyncs, server.overload_disconnects)
+            fresh = watcher.call("query", {"body": SALARIES})["answers"]
+            server = served.server
+            resyncs, disconnects = (
+                server.lagged_resyncs, server.overload_disconnects
+            )
             writer.close()
-            await watcher.close()
-            await server.close()
-            return state, fresh, lagged, counters
+            watcher.close()
 
-        state, fresh, lagged, (resyncs, disconnects) = run(scenario())
         assert state == fresh
         assert lagged, "the backlog never coalesced into a lagged resync"
         assert resyncs >= 1 and disconnects == 0
@@ -213,21 +225,17 @@ class TestSlowSubscriberDegradation:
 
 class TestGracefulShutdown:
     def test_shutdown_flushes_outboxes_and_says_goodbye(self, socket_path):
-        async def scenario():
-            service = StoreService(VersionedStore(paper_example_base()))
-            server = await ReproServer(service, path=socket_path).start()
-            client = await AsyncClient.connect(path=socket_path)
-            await client.call("subscribe", body=SALARIES)
-            await server.shutdown(deadline=5.0)
-            push = await client.next_push(timeout=5.0)
-            # the link then dies; further requests fail fast and typed
-            with pytest.raises(ConnectionClosed):
-                await client.call("ping")
-                await client.call("ping")
-            await client.close()
-            return push
+        served = _served(socket_path)
+        client = LineClient.connect(path=socket_path)
+        client.call("subscribe", {"body": SALARIES})
+        served.shutdown(deadline=5.0)
+        push = client.next_push(timeout=5.0)
+        # the link then dies; further requests fail fast and typed
+        with pytest.raises(ConnectionClosed):
+            client.call("ping", timeout=5.0)
+            client.call("ping", timeout=5.0)
+        client.close()
 
-        push = run(scenario())
         assert push["push"] == "shutdown"
         assert "shut" in push["reason"]
 
@@ -261,58 +269,41 @@ class TestConnectionTeardown:
         """A client that disappears mid-transaction must not leak its MVCC
         session or its subscriptions — and must not block later writers."""
 
-        async def scenario():
-            service = StoreService(VersionedStore(paper_example_base()))
-            server = await ReproServer(service, path=socket_path).start()
-            ghost = await AsyncClient.connect(path=socket_path)
-            session = (await ghost.call("tx-begin"))["session"]
-            await ghost.call(
-                "tx-stage", session=session, program=RAISE_PHIL
-            )
-            await ghost.call("subscribe", body=SALARIES)
+        with _served(socket_path) as served:
+            service = served.service
+            ghost = LineClient.connect(path=socket_path)
+            session = ghost.call("tx-begin")["session"]
+            ghost.call("tx-stage", {"session": session, "program": RAISE_PHIL})
+            ghost.call("subscribe", {"body": SALARIES})
             assert len(service.subscriptions) == 1
             # vanish without tx-abort/unsubscribe/goodbye
-            ghost._writer.transport.abort()
-            await ghost.close()
+            ghost.close()
 
-            survivor = await AsyncClient.connect(path=socket_path)
-            for _ in range(100):
-                if len(service.subscriptions) == 0:
-                    break
-                await asyncio.sleep(0.01)
-            applied = await survivor.call(
-                "apply", program=RAISE_PHIL, tag="after-ghost"
+            survivor = LineClient.connect(path=socket_path)
+            _wait_until_unsubscribed(service)
+            applied = survivor.call(
+                "apply", {"program": RAISE_PHIL, "tag": "after-ghost"}
             )
             subscriptions = len(service.subscriptions)
-            head = (await survivor.call("query", body="phil.sal -> S"))[
-                "answers"
-            ]
-            await survivor.close()
-            await server.close()
-            return applied, subscriptions, head
+            head = survivor.call("query", {"body": "phil.sal -> S"})["answers"]
+            survivor.close()
 
-        applied, subscriptions, head = run(scenario())
         assert subscriptions == 0  # the ghost's live query is gone
         assert applied["revision"] == 1  # the staged-but-dead tx never landed
         assert head == [{"S": 4100}]
 
     def test_duplicate_unsubscribe_is_harmless(self, socket_path):
-        async def scenario():
-            service = StoreService(VersionedStore(paper_example_base()))
-            server = await ReproServer(service, path=socket_path).start()
-            client = await AsyncClient.connect(path=socket_path)
-            other = await AsyncClient.connect(path=socket_path)
-            sid = (await client.call("subscribe", body=SALARIES))["sid"]
-            first = await client.call("unsubscribe", sid=sid)
-            second = await client.call("unsubscribe", sid=sid)
-            foreign = await other.call("unsubscribe", sid=sid)
-            alive = (await client.call("ping"))["pong"]
-            await client.close()
-            await other.close()
-            await server.close()
-            return first, second, foreign, alive
+        with _served(socket_path):
+            client = LineClient.connect(path=socket_path)
+            other = LineClient.connect(path=socket_path)
+            sid = client.call("subscribe", {"body": SALARIES})["sid"]
+            first = client.call("unsubscribe", {"sid": sid})
+            second = client.call("unsubscribe", {"sid": sid})
+            foreign = other.call("unsubscribe", {"sid": sid})
+            alive = client.call("ping")["pong"]
+            client.close()
+            other.close()
 
-        first, second, foreign, alive = run(scenario())
         assert first["removed"] is True
         assert second["removed"] is False
         assert foreign["removed"] is False  # never someone else's sid
@@ -322,100 +313,160 @@ class TestConnectionTeardown:
         """Subscribing and dropping the link while commits are in flight
         must neither crash the server nor leak the subscription."""
 
-        async def scenario():
-            service = StoreService(VersionedStore(paper_example_base()))
-            server = await ReproServer(service, path=socket_path).start()
-            writer_client = await AsyncClient.connect(path=socket_path)
+        with _served(socket_path) as served:
+            service = served.service
+            writer_client = LineClient.connect(path=socket_path)
 
-            async def churn():
+            def churn():
                 for index in range(5):
-                    await writer_client.call(
-                        "apply", program=RAISE_PHIL, tag=f"race-{index}"
+                    writer_client.call(
+                        "apply", {"program": RAISE_PHIL, "tag": f"race-{index}"}
                     )
 
-            async def flicker():
+            def flicker():
                 for _ in range(5):
-                    flaky = await AsyncClient.connect(path=socket_path)
-                    await flaky.call("subscribe", body=SALARIES)
-                    flaky._writer.transport.abort()
-                    await flaky.close()
+                    flaky = LineClient.connect(path=socket_path)
+                    flaky.call("subscribe", {"body": SALARIES})
+                    flaky.close()
 
-            await asyncio.gather(churn(), flicker())
-            for _ in range(100):
-                if len(service.subscriptions) == 0:
-                    break
-                await asyncio.sleep(0.01)
+            churner = threading.Thread(target=churn)
+            churner.start()
+            flicker()
+            churner.join()
+            _wait_until_unsubscribed(service)
             remaining = len(service.subscriptions)
-            head = (await writer_client.call("query", body="phil.sal -> S"))[
+            head = writer_client.call("query", {"body": "phil.sal -> S"})[
                 "answers"
             ]
-            await writer_client.close()
-            await server.close()
-            return remaining, head
+            writer_client.close()
 
-        remaining, head = run(scenario())
         assert remaining == 0
         assert head == [{"S": 4500}]
 
 
-class TestAsyncClientClose:
-    def test_close_wakes_pending_push_waiters(self, socket_path):
-        async def scenario():
-            service = StoreService(VersionedStore(paper_example_base()))
-            server = await ReproServer(service, path=socket_path).start()
-            client = await AsyncClient.connect(path=socket_path)
-            waiter = asyncio.ensure_future(client.next_push())
-            await asyncio.sleep(0.05)  # let the waiter block
-            await client.close()
-            try:
-                await asyncio.wait_for(waiter, timeout=5.0)
-            except ConnectionClosed:
-                outcome = "closed"
-            else:
-                outcome = "hung-or-returned"
-            await server.close()
-            return outcome
+class _SilentPeer:
+    """A unix-socket peer that answers a ``subscribe`` (when asked to) and
+    nothing else, so a later call blocks until the client is closed."""
 
-        assert run(scenario()) == "closed"
+    def __init__(self, path: str) -> None:
+        self._listener = socket.socket(socket.AF_UNIX)
+        self._listener.bind(path)
+        self._listener.listen(1)
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        peer, _ = self._listener.accept()
+        with peer:
+            for line in peer.makefile("rb"):
+                message = json.loads(line)
+                if message["cmd"] == "subscribe":
+                    peer.sendall(encode({
+                        "id": message["id"], "ok": True, "sid": "s1",
+                        "query": "", "revision": 0, "answers": [],
+                    }))
+
+    def close(self) -> None:
+        self._listener.close()
+
+
+class TestLineClientClose:
+    def test_close_wakes_pending_push_waiters(self, socket_path):
+        with _served(socket_path):
+            client = LineClient.connect(path=socket_path)
+            outcome = []
+
+            def wait_for_push():
+                try:
+                    client.next_push()
+                except ConnectionClosed:
+                    outcome.append("closed")
+                else:
+                    outcome.append("returned")
+
+            waiter = threading.Thread(target=wait_for_push, daemon=True)
+            waiter.start()
+            time.sleep(0.05)  # let the waiter block
+            client.close()
+            waiter.join(timeout=5.0)
+
+        assert outcome == ["closed"]
+
+    @pytest.mark.parametrize("subscribed", [False, True],
+                             ids=["caller-reads", "reader-thread"])
+    def test_close_wakes_a_call_blocked_on_another_thread(
+        self, socket_path, subscribed
+    ):
+        peer = _SilentPeer(socket_path)
+        try:
+            client = LineClient.connect(path=socket_path)
+            if subscribed:
+                client.call("subscribe", {"body": SALARIES}, timeout=5.0)
+            outcome = []
+
+            def blocked_call():
+                try:
+                    client.call("ping")
+                except ConnectionClosed:
+                    outcome.append("closed")
+                else:
+                    outcome.append("answered")
+
+            caller = threading.Thread(target=blocked_call, daemon=True)
+            caller.start()
+            time.sleep(0.05)  # let the call block on its answer
+            client.close()
+            caller.join(timeout=5.0)
+        finally:
+            peer.close()
+
+        assert outcome == ["closed"]
+
+    def test_a_call_timeout_is_not_a_closed_link(self, socket_path):
+        """A silent server times the call out; that is not a dead link,
+        so a test that expects a fast typed close cannot pass on a hang."""
+        peer = _SilentPeer(socket_path)
+        try:
+            client = LineClient.connect(path=socket_path)
+            with pytest.raises(CallTimeout) as caught:
+                client.call("ping", timeout=0.2)
+            assert not isinstance(caught.value, ConnectionClosed)
+            assert caught.value.retryable
+            assert client.alive  # the link stays up for the next call
+            client.close()
+        finally:
+            peer.close()
 
     def test_close_is_idempotent_and_kills_pending_requests(self, socket_path):
-        async def scenario():
-            service = StoreService(VersionedStore(paper_example_base()))
-            server = await ReproServer(service, path=socket_path).start()
-            client = await AsyncClient.connect(path=socket_path)
-            await client.close()
-            await client.close()  # second close must be a no-op
+        with _served(socket_path):
+            client = LineClient.connect(path=socket_path)
+            client.close()
+            client.close()  # second close must be a no-op
             try:
-                await client.request("ping")
+                client.request("ping")
             except ConnectionClosed:
                 outcome = "closed"
             else:
                 outcome = "answered"
-            await server.close()
-            return outcome
 
-        assert run(scenario()) == "closed"
+        assert outcome == "closed"
 
     def test_server_death_fails_pending_request_waiters(self, socket_path):
-        async def scenario():
-            service = StoreService(VersionedStore(paper_example_base()))
-            server = await ReproServer(service, path=socket_path).start()
-            client = await AsyncClient.connect(path=socket_path)
-            assert client.alive
-            # one round-trip first, so the server has fully adopted the
-            # connection before we cut it (close only cuts adopted links)
-            assert (await client.call("ping"))["pong"] is True
-            await server.close()
-            try:
-                await asyncio.wait_for(client.call("ping"), timeout=5.0)
-            except ConnectionClosed:
-                outcome = "closed"
-            else:  # pragma: no cover - would be the bug
-                outcome = "answered"
-            alive = client.alive
-            await client.close()
-            return outcome, alive
+        served = _served(socket_path)
+        client = LineClient.connect(path=socket_path)
+        assert client.alive
+        # one round-trip first, so the server has fully adopted the
+        # connection before we cut it (close only cuts adopted links)
+        assert client.call("ping")["pong"] is True
+        served.close()
+        try:
+            client.call("ping", timeout=5.0)
+        except ConnectionClosed:
+            outcome = "closed"
+        else:  # pragma: no cover - would be the bug
+            outcome = "answered"
+        alive = client.alive
+        client.close()
 
-        outcome, alive = run(scenario())
         assert outcome == "closed"
         assert alive is False

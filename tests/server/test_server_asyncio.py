@@ -2,16 +2,21 @@
 differential: concurrent optimistic commits through the server leave a
 journal byte-identical to the same programs applied sequentially in the
 server's commit order, and wire subscription streams fold to fresh store
-queries at every revision.
+queries at every revision.  The server runs on a background loop thread
+(:class:`~repro.api.hosting.BackgroundServer`); clients are blocking
+:class:`~repro.server.client.LineClient` links.
 """
 
 import asyncio
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.api.hosting import BackgroundServer
 from repro.core.query import fold_answers
 from repro.lang.parser import parse_program, prepare_query
-from repro.server import AsyncClient, ConflictError, ReproServer, StoreService
+from repro.server import ConflictError, LineClient, ReproServer, StoreService
 from repro.storage import VersionedStore, load_store
 from repro.storage.serialize import JOURNAL_FILE, append_revision, save_store
 from repro.workloads import paper_example_base
@@ -29,37 +34,34 @@ def socket_path(tmp_path):
     return str(tmp_path / "repro.sock")
 
 
+def _served(socket_path, service=None):
+    if service is None:
+        service = StoreService(VersionedStore(paper_example_base()))
+    return BackgroundServer(service, path=socket_path)
+
+
 class TestWireBasics:
     def test_ping_query_apply(self, socket_path):
-        async def scenario():
-            service = StoreService(VersionedStore(paper_example_base()))
-            server = await ReproServer(service, path=socket_path).start()
-            client = await AsyncClient.connect(path=socket_path)
-            assert (await client.call("ping"))["pong"] is True
-            applied = await client.call("apply", program=RAISE_PHIL, tag="raise")
+        with _served(socket_path):
+            client = LineClient.connect(path=socket_path)
+            assert client.call("ping")["pong"] is True
+            applied = client.call("apply", {"program": RAISE_PHIL, "tag": "raise"})
             assert applied["revision"] == 1
-            answers = (await client.call("query", body="phil.sal -> S"))["answers"]
-            await client.close()
-            await server.close()
-            return answers
+            answers = client.call("query", {"body": "phil.sal -> S"})["answers"]
+            client.close()
 
-        assert run(scenario()) == [{"S": 4100}]
+        assert answers == [{"S": 4100}]
 
     def test_subscription_push_crosses_connections(self, socket_path):
-        async def scenario():
-            service = StoreService(VersionedStore(paper_example_base()))
-            server = await ReproServer(service, path=socket_path).start()
-            watcher = await AsyncClient.connect(path=socket_path)
-            writer = await AsyncClient.connect(path=socket_path)
-            subscribed = await watcher.call("subscribe", body=SALARIES)
-            await writer.call("apply", program=RAISE_PHIL, tag="raise")
-            push = await watcher.next_push(timeout=5.0)
-            await watcher.close()
-            await writer.close()
-            await server.close()
-            return subscribed, push
+        with _served(socket_path):
+            watcher = LineClient.connect(path=socket_path)
+            writer = LineClient.connect(path=socket_path)
+            subscribed = watcher.call("subscribe", {"body": SALARIES})
+            writer.call("apply", {"program": RAISE_PHIL, "tag": "raise"})
+            push = watcher.next_push(timeout=5.0)
+            watcher.close()
+            writer.close()
 
-        subscribed, push = run(scenario())
         assert subscribed["answers"] == [
             {"E": "bob", "S": 4200}, {"E": "phil", "S": 4000},
         ]
@@ -87,24 +89,21 @@ class TestWireBasics:
         assert "malformed" in response["error"]
 
     def test_disconnect_cleans_up_sessions_and_subscriptions(self, socket_path):
-        async def scenario():
-            service = StoreService(VersionedStore(paper_example_base()))
-            server = await ReproServer(service, path=socket_path).start()
-            client = await AsyncClient.connect(path=socket_path)
-            await client.call("subscribe", body=SALARIES)
-            await client.call("tx-begin")
+        with _served(socket_path) as server:
+            service = server.service
+            client = LineClient.connect(path=socket_path)
+            client.call("subscribe", {"body": SALARIES})
+            client.call("tx-begin")
             assert len(service.subscriptions) == 1
-            await client.close()
+            client.close()
             # give the server loop a tick to observe EOF and tear down
             for _ in range(50):
                 if len(service.subscriptions) == 0:
                     break
-                await asyncio.sleep(0.01)
+                time.sleep(0.01)
             count = len(service.subscriptions)
-            await server.close()
-            return count
 
-        assert run(scenario()) == 0
+        assert count == 0
 
 
 class TestSerializedConcurrentCommits:
@@ -128,45 +127,39 @@ class TestSerializedConcurrentCommits:
                 f"phil.sal -> S, S2 = S + {client_index + 1}."
             )
 
-        async def scenario():
-            service = StoreService.create(
-                paper_example_base(), served_dir, tag="initial"
-            )
-            server = await ReproServer(service, path=socket_path).start()
+        def run_client(client_index: int):
+            client = LineClient.connect(path=socket_path)
+            for step in range(self.COMMITS_PER_CLIENT):
+                program = client_program(client_index, step)
+                tag = f"c{client_index}-{step}"
+                for _attempt in range(50):
+                    session = client.call("tx-begin")["session"]
+                    client.call(
+                        "tx-query", {"session": session, "body": "phil.sal -> S"}
+                    )
+                    client.call(
+                        "tx-stage", {"session": session, "program": program}
+                    )
+                    try:
+                        client.call("tx-commit", {"session": session, "tag": tag})
+                        break
+                    except ConflictError:
+                        time.sleep(0)  # yield, then retry
+                else:  # pragma: no cover - fails the test
+                    raise AssertionError("commit never succeeded")
+            client.close()
 
-            async def run_client(client_index: int):
-                client = await AsyncClient.connect(path=socket_path)
-                for step in range(self.COMMITS_PER_CLIENT):
-                    program = client_program(client_index, step)
-                    tag = f"c{client_index}-{step}"
-                    for _attempt in range(50):
-                        begun = await client.call("tx-begin")
-                        session = begun["session"]
-                        await client.call(
-                            "tx-query", session=session, body="phil.sal -> S"
-                        )
-                        await client.call(
-                            "tx-stage", session=session, program=program
-                        )
-                        try:
-                            await client.call(
-                                "tx-commit", session=session, tag=tag
-                            )
-                            break
-                        except ConflictError:
-                            await asyncio.sleep(0)  # yield, then retry
-                    else:  # pragma: no cover - fails the test
-                        raise AssertionError("commit never succeeded")
-                await client.close()
-
-            await asyncio.gather(
-                *(run_client(index) for index in range(self.N_CLIENTS))
-            )
-            log = (await _one_shot(socket_path, "log"))["revisions"]
-            await server.close()
-            return log
-
-        log = run(scenario())
+        service = StoreService.create(
+            paper_example_base(), served_dir, tag="initial"
+        )
+        with _served(socket_path, service):
+            with ThreadPoolExecutor(max_workers=self.N_CLIENTS) as pool:
+                for done in [
+                    pool.submit(run_client, index)
+                    for index in range(self.N_CLIENTS)
+                ]:
+                    done.result()
+            log = _one_shot(socket_path, "log")["revisions"]
         committed = log[1:]  # skip the initial revision
         assert len(committed) == self.N_CLIENTS * self.COMMITS_PER_CLIENT
 
@@ -197,24 +190,19 @@ class TestSerializedConcurrentCommits:
     def test_wire_subscription_stream_folds_to_fresh_queries(self, tmp_path):
         socket_path = str(tmp_path / "repro.sock")
 
-        async def scenario():
-            service = StoreService(VersionedStore(paper_example_base()))
-            server = await ReproServer(service, path=socket_path).start()
-            watcher = await AsyncClient.connect(path=socket_path)
-            writer = await AsyncClient.connect(path=socket_path)
-            subscribed = await watcher.call("subscribe", body=SALARIES)
+        with _served(socket_path) as server:
+            watcher = LineClient.connect(path=socket_path)
+            writer = LineClient.connect(path=socket_path)
+            subscribed = watcher.call("subscribe", {"body": SALARIES})
             pushes = []
             for step in range(4):
-                await writer.call(
-                    "apply", program=RAISE_PHIL, tag=f"raise-{step}"
+                writer.call(
+                    "apply", {"program": RAISE_PHIL, "tag": f"raise-{step}"}
                 )
-                pushes.append(await watcher.next_push(timeout=5.0))
-            await watcher.close()
-            await writer.close()
-            await server.close()
-            return service.store, subscribed["answers"], pushes
-
-        store, state, pushes = run(scenario())
+                pushes.append(watcher.next_push(timeout=5.0))
+            watcher.close()
+            writer.close()
+        store, state = server.service.store, subscribed["answers"]
         prepared = prepare_query(SALARIES)
         for push in pushes:
             state = fold_answers(state, push["added"], push["removed"])
@@ -222,9 +210,9 @@ class TestSerializedConcurrentCommits:
         assert state == prepared.run(store.current)
 
 
-async def _one_shot(socket_path: str, cmd: str, **payload) -> dict:
-    client = await AsyncClient.connect(path=socket_path)
+def _one_shot(socket_path: str, cmd: str, payload=None) -> dict:
+    client = LineClient.connect(path=socket_path)
     try:
-        return await client.call(cmd, **payload)
+        return client.call(cmd, payload)
     finally:
-        await client.close()
+        client.close()
