@@ -9,9 +9,8 @@ per rule under ``codegen.rule``, one compiled bare body per body under
 :mod:`repro.lang.shapes` — program shape → parsed and compiled program
 (``program.shapes``) and body shape → parsed and compiled query
 (``query.prepared``) — and the OID intern table; :func:`cache_stats`
-snapshots their counters.  Per-instance state is bounded and observable at
-its owner instead: the engine's compiled-program LRU for programs built as
-ASTs (``repro.core.engine.COMPILE_CACHE_SIZE`` entries).
+snapshots their counters.  A program's own compiled artifact is no cache:
+it travels with the program (``program.compiled``) and goes with it.
 
 Each cache registers a zero-argument stats callable under a dotted name;
 :func:`cache_stats` snapshots them all into one JSON-ready dict.  The

@@ -15,7 +15,6 @@ check, new-base construction — behind one call::
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from copy import copy
 from dataclasses import dataclass, replace
 
@@ -34,9 +33,6 @@ from repro.core.stratification import Stratification
 from repro.core.trace import EvaluationTrace
 
 __all__ = ["UpdateEngine", "UpdateResult", "CompiledProgram", "update_result"]
-
-#: How many :class:`CompiledProgram` artifacts one engine keeps.
-COMPILE_CACHE_SIZE = 64
 
 
 @dataclass
@@ -147,50 +143,36 @@ class UpdateEngine:
     """Configurable runner for update-programs.
 
     Keyword arguments mirror :class:`~repro.core.evaluation.EvaluationOptions`
-    (trace collection, linearity checking, iteration caps, object creation).
-    The program-independent behaviour is stateless.  A parsed program
-    carries its :class:`CompiledProgram` (``program.compiled``, made once
-    per program shape by :mod:`repro.lang.shapes`), and the engine uses it;
-    for a program built as an AST the engine keeps an LRU cache of
-    artifacts keyed by program identity (its rule tuple — structurally
-    equal programs share an entry), bounded by :data:`COMPILE_CACHE_SIZE`.
-    Repeated ``apply``/``evaluate`` of the same program therefore pays the
-    safety check, the stratification and the join plans exactly once.
+    (trace collection, linearity checking, iteration caps, object creation);
+    the options are the engine's only state.  A program carries its
+    :class:`CompiledProgram` (``program.compiled``): a parsed one from
+    :mod:`repro.lang.shapes`, one built as an AST from its first
+    compilation (:func:`~repro.core.evaluation.compile_program`).  Repeated
+    ``apply``/``evaluate`` of the same program object therefore pays the
+    safety check, the stratification and the join plans exactly once, on
+    any engine.
     """
 
     def __init__(self, **option_overrides) -> None:
         self.options = EvaluationOptions(**option_overrides)
-        self._compiled: OrderedDict[tuple, CompiledProgram] = OrderedDict()
 
     def with_options(self, **option_overrides) -> "UpdateEngine":
         """A copy of this engine — of its class, with its other attributes —
-        with some options changed (fresh cache)."""
+        with some options changed."""
         engine = copy(self)
         engine.options = replace(self.options, **option_overrides)
-        engine._compiled = OrderedDict()
         return engine
 
     def compile(self, program: UpdateProgram) -> CompiledProgram:
-        """The static artifact for ``program``: the one it carries, else
-        the cached one (compiling on a miss)."""
-        if program.compiled is not None:
-            return program.compiled
-        key = program.rules
-        compiled = self._compiled.get(key)
-        if compiled is not None:
-            self._compiled.move_to_end(key)
-            return compiled
-        compiled = compile_program(program)
-        self._compiled[key] = compiled
-        while len(self._compiled) > COMPILE_CACHE_SIZE:
-            self._compiled.popitem(last=False)
-        return compiled
+        """The static artifact for ``program``
+        (:func:`~repro.core.evaluation.compile_program`)."""
+        return compile_program(program)
 
     def evaluate(
         self, program: UpdateProgram, base: ObjectBase
     ) -> EvaluationOutcome:
         """Compute ``result(P)`` only (no new-base construction)."""
-        return evaluate(program, base, self.options, compiled=self.compile(program))
+        return evaluate(program, base, self.options)
 
     def apply(self, program: UpdateProgram, base: ObjectBase) -> UpdateResult:
         """Run the full update-process: ``ob`` → ``result(P)`` → ``ob'``."""

@@ -155,25 +155,30 @@ class CompiledProgram:
 
 
 def compile_program(program: UpdateProgram) -> CompiledProgram:
-    """Run the static pipeline of :func:`evaluate` and package the result.
+    """The static artifact of ``program``: the one it carries
+    (``program.compiled``), else the static pipeline of :func:`evaluate`
+    run once, stored on the program and returned.
 
     Raises the same :class:`~repro.core.errors.ProgramError` family a direct
-    ``evaluate`` call would, so an invalid program fails at compile time —
-    before any base is touched.  The artifact depends on the program
-    alone, never on evaluation options.
+    ``evaluate`` call would, and stores nothing, so an invalid program fails
+    at compile time — before any base is touched.  The artifact depends on
+    the program alone, never on evaluation options.
     """
+    if program.compiled is not None:
+        return program.compiled
     _reject_version_vars_in_heads(program)
     check_program_safety(program)
     stratification = stratify(program)
     # code generation and its errors happen here, in program order
     compiled = {rule.name: compiled_rule(rule) for rule in program}
-    return CompiledProgram(
+    program.compiled = CompiledProgram(
         stratification,
         tuple(
             tuple(compiled[rule.name] for rule in stratum)
             for stratum in stratification
         ),
     )
+    return program.compiled
 
 
 def evaluate(
@@ -181,7 +186,6 @@ def evaluate(
     base: ObjectBase,
     options: EvaluationOptions | None = None,
     *,
-    compiled: CompiledProgram | None = None,
     overlay: Callable[[ObjectBase], ObjectBase] | None = None,
 ) -> EvaluationOutcome:
     """Compute ``result(P)`` for ``program`` on a fork of ``base``.
@@ -195,10 +199,8 @@ def evaluate(
     :class:`~repro.core.errors.VersionLinearityError` or
     :class:`~repro.core.errors.EvaluationLimitError` as applicable.
 
-    ``compiled`` short-circuits the static pipeline with a previously
-    computed :class:`CompiledProgram` (it must stem from this ``program``
-    under equivalent options; :meth:`repro.core.engine.UpdateEngine.compile`
-    guarantees that).
+    The static pipeline runs only when ``program`` does not carry its
+    :class:`CompiledProgram` yet (:func:`compile_program`).
 
     ``overlay`` — when given, every step matches rule bodies against
     ``overlay(working)`` rather than the working base itself (``tp_step``'s
@@ -207,8 +209,7 @@ def evaluate(
     (:class:`repro.ext.derived.DerivedUpdateEngine`).
     """
     options = options or EvaluationOptions()
-    if compiled is None:
-        compiled = compile_program(program)
+    compiled = compile_program(program)
     stratification = compiled.stratification
 
     # On a plain input there is no ``exists`` fact to add and no version to

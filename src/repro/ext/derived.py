@@ -222,8 +222,9 @@ class DerivedUpdateEngine(UpdateEngine):
     application the views are recomputed over the current version states,
     passed to step 1 as the *match base*, and discarded — steps 2/3 copy
     from the pure base, so view facts are never stored or copied into
-    versions (and a ``del[v].*`` cannot delete them).  Options, the compile
-    cache, :meth:`apply` and :meth:`with_options` are the base engine's.
+    versions (and a ``del[v].*`` cannot delete them).  Options,
+    :meth:`compile`, :meth:`apply` and :meth:`with_options` are the base
+    engine's.
     """
 
     def __init__(self, views: DerivedProgram, **option_overrides):
@@ -235,11 +236,9 @@ class DerivedUpdateEngine(UpdateEngine):
     ) -> EvaluationOutcome:
         """Compute ``result(P)`` with rule bodies reading the views."""
         self.views.check_not_updated(program)
-        compiled = self.compile(program)
+        self.compile(program)  # an invalid program fails before the base is read
         self.views.check_disjoint(base)
-        return evaluate(
-            program, base, self.options, compiled=compiled, overlay=self.view
-        )
+        return evaluate(program, base, self.options, overlay=self.view)
 
     def view(self, base: ObjectBase) -> ObjectBase:
         """Materialise the views over any base (e.g. an ``ob'``)."""

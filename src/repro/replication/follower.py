@@ -47,6 +47,7 @@ from repro.server.service import StoreService
 from repro.storage.serialize import (
     JOURNAL_FILE,
     DurabilityOptions,
+    TornJournalError,
     apply_journal_record,
     load_store,
     parse_journal_record,
@@ -58,9 +59,6 @@ __all__ = ["Follower"]
 
 #: A catch-up batch may move a whole snapshot; give it a generous bound.
 _CATCH_UP_TIMEOUT = 60.0
-#: What the journal writer says when the journal's last line is a fragment
-#: (``storage.serialize``): the one refusal a follower repairs itself.
-_TORN_TAIL = "ends in a torn line"
 
 
 class Follower:
@@ -79,8 +77,6 @@ class Follower:
         primary: str,
         *,
         durability: DurabilityOptions | None = None,
-        engine=None,
-        options=None,
         retry: RetryPolicy | None = None,
         heartbeat_interval: float = 1.0,
         heartbeat_misses: int = 3,
@@ -95,8 +91,6 @@ class Follower:
         #: Called with the takeover socket path after a promotion that
         #: requested one (the CLI installs a binder for the old endpoint).
         self.on_takeover = None
-        self._engine = engine
-        self._options = options
         self._endpoint = dial_endpoint(self.primary)
         self.service: StoreService | None = None
         #: The local store: ``None`` until revision 0 arrives on a fresh
@@ -164,10 +158,7 @@ class Follower:
         if not (self.directory / JOURNAL_FILE).exists():
             return None
         try:
-            return load_store(
-                self.directory, engine=self._engine, options=self._options,
-                repair=True,
-            )
+            return load_store(self.directory, repair=True)
         except ReproError:
             # Nothing recoverable (died before the first replicated line
             # became durable, or damage beyond tail repair).  A replica's
@@ -229,9 +220,7 @@ class Follower:
 
             if store is None:  # revision 0, snapshot and all, starts the store
                 write_ahead()
-                self._store = load_store(
-                    self.directory, engine=self._engine, options=self._options
-                )
+                self._store = load_store(self.directory)
             else:
                 apply_journal_record(store, record, journal=write_ahead)
             self.primary_head = max(self.primary_head, record["index"])
@@ -256,7 +245,7 @@ class Follower:
             except Exception as error:
                 if self._done():
                     break
-                if _TORN_TAIL in str(error):
+                if isinstance(error, TornJournalError):
                     self._repair_journal()
                 attempt = min(attempt + 1, self.retry.attempts - 1)
                 self.stream_resyncs += 1
@@ -271,10 +260,7 @@ class Follower:
         journal is derived data and the store in memory is unchanged, so
         the next attach continues from its end."""
         with self._lock:
-            load_store(
-                self.directory, engine=self._engine, options=self._options,
-                repair=True,
-            )
+            load_store(self.directory, repair=True)
 
     def _follow(self, client: LineClient) -> None:
         """Ingest ``repl-line`` pushes, read off the link by this thread,

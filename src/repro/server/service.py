@@ -56,7 +56,12 @@ from repro.server.errors import (
     SessionError,
     StaleEpochError,
 )
-from repro.storage.history import StoreRevision, VersionedStore
+from repro.storage.history import (
+    DEFAULT_ENGINE,
+    StoreOptions,
+    StoreRevision,
+    VersionedStore,
+)
 from repro.storage.serialize import (
     DurabilityOptions,
     bind_snapshots,
@@ -326,8 +331,7 @@ class StoreService:
         cls,
         directory,
         *,
-        engine=None,
-        options=None,
+        options: StoreOptions | None = None,
         durability: DurabilityOptions | None = None,
         shard_id: int | None = None,
         shard_count: int | None = None,
@@ -336,7 +340,7 @@ class StoreService:
         into a store (restart recovery — the service is the journal's
         writer, so torn/duplicated tail lines are repaired on disk here)
         and every future commit appends under ``durability``."""
-        store = load_store(directory, engine=engine, options=options, repair=True)
+        store = load_store(directory, options=options, repair=True)
         return cls(
             store,
             journal_dir=directory,
@@ -352,13 +356,13 @@ class StoreService:
         directory,
         *,
         tag: str = "initial",
+        options: StoreOptions | None = None,
         durability: DurabilityOptions | None = None,
         shard_id: int | None = None,
         shard_count: int | None = None,
-        **store_kwargs,
     ) -> "StoreService":
         """Initialize a fresh journal directory from ``base`` and serve it."""
-        store = VersionedStore(base, tag=tag, **store_kwargs)
+        store = VersionedStore(base, tag=tag, options=options)
         save_store(store, directory, durability=durability)
         bind_snapshots(store, directory)
         return cls(
@@ -578,14 +582,13 @@ class StoreService:
                 required_epoch=self._fenced_epoch,
             )
         store = self.store
-        engine = store.engine
         base = store.current
         commit_start = time.perf_counter()
         # (new_base, added, removed, tag, name) per program — not the whole
         # result, whose result(P) would pin one more set of index spines each
         updates: list[tuple] = []
         for position, program in enumerate(programs):
-            result = engine.apply(program, base)
+            result = DEFAULT_ENGINE.apply(program, base)
             base = result.new_base.freeze()
             revision_tag = tag if len(programs) == 1 else (tag and f"{tag}.{position}")
             updates.append(

@@ -23,8 +23,9 @@ deltas, not a pile of copies:
   store that exact ``(added, removed)`` pair, which is committed as given
   (:meth:`VersionedStore.commit_update`) instead of being rediscovered by
   comparing two bases;
-* the engine's :class:`~repro.core.engine.CompiledProgram` cache makes a
-  chain of ``apply`` calls of the same program pay the static analysis once;
+* a program carries its :class:`~repro.core.engine.CompiledProgram`, so a
+  chain of ``apply`` calls of the same program pays the static analysis
+  once;
 * a query is an inspection of one state: :meth:`VersionedStore.query`
   evaluates the compiled body against the head on demand and keeps no
   answers across updates.
@@ -51,11 +52,16 @@ from repro.core.rules import UpdateProgram
 from repro.lang.parser import prepare_query
 
 __all__ = [
+    "DEFAULT_ENGINE",
     "StoreOptions",
     "StoreRevision",
     "VersionedStore",
     "resolve_revision_ref",
 ]
+
+#: What every store commit evaluates through.  An engine's only state is
+#: its options, and a commit runs with the defaults.
+DEFAULT_ENGINE = UpdateEngine()
 
 
 def resolve_revision_ref(ref: str | int) -> str | int:
@@ -170,10 +176,8 @@ class VersionedStore:
         base: ObjectBase,
         *,
         tag: str = "initial",
-        engine: UpdateEngine | None = None,
         options: StoreOptions | None = None,
     ):
-        self._engine = engine or UpdateEngine()
         self.options = options or StoreOptions()
         snapshot = base.copy()
         snapshot.ensure_exists()
@@ -196,7 +200,6 @@ class VersionedStore:
         cls,
         revisions: list[StoreRevision],
         *,
-        engine: UpdateEngine | None = None,
         options: StoreOptions | None = None,
         snapshot_sources: "dict[int, SnapshotSource] | None" = None,
     ) -> "VersionedStore":
@@ -217,7 +220,6 @@ class VersionedStore:
         if revisions[0].snapshot is None and 0 not in snapshot_sources:
             raise ReproError("revision 0 must carry a full snapshot")
         store = cls.__new__(cls)
-        store._engine = engine or UpdateEngine()
         store.options = options or StoreOptions()
         store._materialized = {}
         store._snapshot_sources = snapshot_sources
@@ -241,10 +243,6 @@ class VersionedStore:
         return store
 
     # -- reading ---------------------------------------------------------
-    @property
-    def engine(self) -> UpdateEngine:
-        return self._engine
-
     @property
     def current(self) -> ObjectBase:
         """The newest revision's base — the frozen shared view, no copy.
@@ -441,12 +439,12 @@ class VersionedStore:
 
         On success a new revision is appended; on any evaluation error the
         store is untouched (atomicity comes free: evaluation forks).  The
-        engine's compiled-program cache makes repeated applies of the same
-        program skip the static analysis; the produced ``new_base`` is
-        frozen and committed directly, with the engine's own delta — no
-        defensive copy, no comparison of bases.
+        program's own compiled artifact makes repeated applies of it skip
+        the static analysis; the produced ``new_base`` is frozen and
+        committed directly, with the engine's own delta — no defensive
+        copy, no comparison of bases.
         """
-        result = self._engine.apply(program, self.current)
+        result = DEFAULT_ENGINE.apply(program, self.current)
         self.commit_update(
             result.new_base,
             tag=tag,

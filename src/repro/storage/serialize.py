@@ -76,6 +76,7 @@ __all__ = [
     "JOURNAL_FILE",
     "DurabilityOptions",
     "JournalCorruptError",
+    "TornJournalError",
     "save_store",
     "load_store",
     "append_revision",
@@ -623,10 +624,15 @@ def _last_journal_index(journal: Path) -> int:
             return json.loads(tail[cut:])["index"]
         except (ValueError, KeyError, TypeError) as parse_error:
             error = parse_error
-    raise ReproError(
+    raise TornJournalError(
         f"journal {journal} ends in a torn line ({error}); load the "
         f"store first to recover it, then retry the append"
     )
+
+
+class TornJournalError(ReproError):
+    """The journal's last line is a fragment a failed append left behind:
+    nothing can be appended until ``load_store(repair=True)`` cuts it."""
 
 
 def _journal_lines(directory) -> tuple[Path, list[tuple[int, int, str]]]:
@@ -769,7 +775,6 @@ def journal_history(
 def load_store(
     directory: str | Path,
     *,
-    engine=None,
     options: StoreOptions | None = None,
     repair: bool = False,
 ) -> VersionedStore:
@@ -846,10 +851,7 @@ def load_store(
         lines = [header_line] + [line for _n, _o, line, _r in history]
         _fs.write_text(journal, "\n".join(lines) + "\n")
     return VersionedStore.from_revisions(
-        revisions,
-        engine=engine,
-        options=options,
-        snapshot_sources=snapshot_sources,
+        revisions, options=options, snapshot_sources=snapshot_sources
     )
 
 
@@ -972,9 +974,7 @@ def compact_journal(
                 revision.epoch,
             )
         )
-    compacted = VersionedStore.from_revisions(
-        revisions, engine=store.engine, options=new_options
-    )
+    compacted = VersionedStore.from_revisions(revisions, options=new_options)
     save_store(compacted, directory, durability=durability)
     _obs.observe(
         "journal_compaction_seconds", time.perf_counter() - compact_start

@@ -11,10 +11,27 @@ from repro import (
     query,
     result_value,
 )
-from repro.core import engine as engine_module
+from repro.core import evaluation
+from repro.core.evaluation import evaluate
 from repro.core.terms import Oid, UpdateKind, wrap
 
 O = Oid
+
+RAISE = "raise: mod[E].sal -> (S, S2) <= E.isa -> empl, E.sal -> S, S2 = S * 1.1."
+
+
+def _count_stratify(monkeypatch) -> list:
+    """The programs :func:`~repro.core.stratification.stratify` is called
+    on from here on — once per compilation."""
+    calls = []
+    stratify = evaluation.stratify
+
+    def counting(program):
+        calls.append(program)
+        return stratify(program)
+
+    monkeypatch.setattr(evaluation, "stratify", counting)
+    return calls
 
 
 class TestEngineFacade:
@@ -72,21 +89,6 @@ class TestCompiledPrograms:
         # re-wrapping under a name keeps it
         assert engine.compile(UpdateProgram(program, "named")) is program.compiled
 
-    def test_lru_eviction(self, monkeypatch):
-        # the engine's cache serves programs built as ASTs, which carry no
-        # artifact: rebuild the parsed rules into a fresh program
-        monkeypatch.setattr(engine_module, "COMPILE_CACHE_SIZE", 1)
-        engine = UpdateEngine()
-        first_program = UpdateProgram(
-            parse_program("r: ins[a].m -> b <= a.t -> yes.").rules
-        )
-        second_program = UpdateProgram(
-            parse_program("r: ins[a].n -> b <= a.t -> yes.").rules
-        )
-        first = engine.compile(first_program)
-        engine.compile(second_program)  # evicts first
-        assert engine.compile(first_program) is not first
-
     def test_compile_rejects_invalid_programs_eagerly(self, engine):
         from repro.core.errors import SafetyError
 
@@ -94,11 +96,26 @@ class TestCompiledPrograms:
         with pytest.raises(SafetyError):
             engine.compile(unsafe)
 
-    def test_with_options_gets_a_fresh_cache(self, engine, paper_program):
+    def test_with_options_returns_the_same_artifact(self, engine, paper_program):
         paper_program = UpdateProgram(paper_program.rules)  # no artifact
         compiled = engine.compile(paper_program)
         derived = engine.with_options(check_linearity=False)
-        assert derived.compile(paper_program) is not compiled
+        assert derived.compile(paper_program) is compiled
+
+    def test_direct_evaluate_reads_the_parsed_artifact(self, monkeypatch, paper_base):
+        program = parse_program(RAISE)
+        calls = _count_stratify(monkeypatch)
+        evaluate(program, paper_base)
+        assert calls == []
+
+    def test_ast_program_compiles_once_across_engines(self, monkeypatch, paper_base):
+        # the batch's per-round pattern: a fresh engine per application
+        program = UpdateProgram(parse_program(RAISE).rules)
+        calls = _count_stratify(monkeypatch)
+        for _ in range(3):
+            UpdateEngine().apply(program, paper_base)
+        assert len(calls) == 1
+        assert program.compiled is not None
 
 
 class TestQueryApi:

@@ -192,7 +192,7 @@ def test_journal_through_handed_over_deltas_is_byte_identical(batch, base_seed, 
                 service.apply(program, tag=tag)
             except VersionLinearityError:
                 continue
-            new_base = store.engine.apply(program, store.current).new_base
+            new_base = UpdateEngine().apply(program, store.current).new_base
             store.commit_update(new_base, tag=tag, program_name=program.name)
             append_revision(store, diffed)
             assert service.store.current == store.current

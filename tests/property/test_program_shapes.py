@@ -76,9 +76,9 @@ def _fired_sets(trace):
     ]
 
 
-def _run(evaluator, program, base, **kwargs):
+def _run(evaluator, program, base):
     try:
-        return evaluator(program, base, TRACED, **kwargs), None
+        return evaluator(program, base, TRACED), None
     except ReproError as error:
         return None, type(error)
 
@@ -99,7 +99,7 @@ def test_a_renamed_program_binds_its_shape_and_matches_the_reference(seed):
     assert caches.cache_stats()["program.shapes"]["hits"] == before + 1
     assert sibling.rules == _Parser(text).parse_program("program").rules
 
-    fast, fast_error = _run(evaluate, sibling, base, compiled=sibling.compiled)
+    fast, fast_error = _run(evaluate, sibling, base)
     naive, naive_error = _run(evaluate_reference, sibling, base)
     assert fast_error == naive_error
     if fast is None:

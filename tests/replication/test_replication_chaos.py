@@ -18,8 +18,6 @@ invariants that must hold through all of it:
 
 from __future__ import annotations
 
-import asyncio
-import threading
 import time
 
 import pytest
@@ -27,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.api import BackgroundServer
+from repro.api.hosting import _EventLoopThread
 from repro.core.query import fold_answers
 from repro.lang.parser import parse_object_base
 from repro.replication import Follower
@@ -65,32 +64,19 @@ class _ProxyThread:
     """A ChaosProxy on its own event loop, driveable from test code."""
 
     def __init__(self, target_path: str, listen_path: str) -> None:
+        self._runner = _EventLoopThread("chaos-proxy")
+        self.loop = self._runner.loop
         self.proxy = ChaosProxy(target_path, listen_path)
-        self.loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._started = threading.Event()
-        self._thread.start()
-        self._started.wait(5)
-
-    def _run(self) -> None:
-        asyncio.set_event_loop(self.loop)
-        self.loop.run_until_complete(self.proxy.start())
-        self._started.set()
-        self.loop.run_forever()
+        self._runner.run(self.proxy.start(), timeout=5)
 
     def drop_connections(self) -> int:
-        future = asyncio.run_coroutine_threadsafe(
-            self.proxy.drop_connections(), self.loop
-        )
-        return future.result(5)
+        return self._runner.run(self.proxy.drop_connections(), timeout=5)
 
     def close(self) -> None:
-        future = asyncio.run_coroutine_threadsafe(self.proxy.close(), self.loop)
         try:
-            future.result(5)
+            self._runner.run(self.proxy.close(), timeout=5)
         finally:
-            self.loop.call_soon_threadsafe(self.loop.stop)
-            self._thread.join(timeout=5)
+            self._runner.stop()
 
 
 @settings(max_examples=5, deadline=None)

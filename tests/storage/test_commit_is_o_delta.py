@@ -157,7 +157,7 @@ def test_commit_update_without_a_delta_still_finds_it():
     program = targeted_raise_program(_plain_employee(base))
     handed.apply(program)
     compared.commit_update(
-        compared.engine.apply(program, compared.current).new_base,
+        repro.UpdateEngine().apply(program, compared.current).new_base,
         program_name=program.name,
     )
     assert handed.head == compared.head

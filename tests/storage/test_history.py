@@ -265,6 +265,21 @@ class TestJournalCompactionInterleaving:
         with pytest.raises(ReproError, match="torn line"):
             append_revision(store, tmp_path)
 
+    def test_write_onto_a_torn_tail_raises_the_typed_refusal(self, tmp_path):
+        from repro.storage.serialize import (
+            JOURNAL_FILE,
+            TornJournalError,
+            write_journal_entries,
+        )
+
+        self._journal_store(tmp_path, revisions=2)
+        journal = tmp_path / JOURNAL_FILE
+        journal.write_bytes(journal.read_bytes() + b'{"index": 3, "ta')
+        torn = journal.read_bytes()
+        with pytest.raises(TornJournalError, match="ends in a torn line"):
+            write_journal_entries(tmp_path, [{"index": 3, "line": "{}"}])
+        assert journal.read_bytes() == torn
+
     def test_missing_snapshot_file_is_a_clean_error(self, tmp_path):
         from repro.storage import load_store
 
