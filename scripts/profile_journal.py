@@ -21,12 +21,18 @@ the head of the result.  It also counts what parsing and compiling the
 raises cost: the tokenizations, the ``stratify`` calls (both wrapped here
 too) and the bodies code generation compiled.  Reads
 ``benchmarks.e2e.served``; changes nothing outside a temporary directory.
+
+A key's chunk of an index map is picked by its hash, and string hashes
+change from run to run unless ``PYTHONHASHSEED`` is set, so the bucket
+count would too: without the variable the script runs itself again under
+``PYTHONHASHSEED=0``, and it prints the seed it ran under.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import statistics
 import sys
 import tempfile
@@ -138,6 +144,9 @@ def count_calls(module, name: str, calls: list[int]):
 
 
 def main() -> None:
+    if "PYTHONHASHSEED" not in os.environ:
+        os.environ["PYTHONHASHSEED"] = "0"
+        os.execv(sys.executable, [sys.executable, *sys.orig_argv[1:]])
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1992)
     parser.add_argument("--raises", type=int, default=256)
@@ -181,7 +190,8 @@ def main() -> None:
 
     commits_s = plain_s + snapshot_s
     print(f"{args.raises} fsync'd raises at {args.employees} employees, "
-          f"{len(service.store.current)} facts")
+          f"{len(service.store.current)} facts, "
+          f"PYTHONHASHSEED={os.environ['PYTHONHASHSEED']}")
     print(f"snapshot files written: {files1 - files0}")
     print(f"bytes written per commit: {(bytes1 - bytes0) / args.raises:.0f}")
     print(f"commit p50 {statistics.median(commits_s) * 1e3:.2f} ms, "

@@ -12,7 +12,7 @@ Python function per plan instead:
   (variable → slot index) is fixed at compile time; extending a match is
   tuple concatenation, never a dict copy;
 * **inlined constants and hoisted probes** — the atom's method names, bound
-  OIDs and VID kinds become closure globals, and the base's index accessors
+  OIDs and VID kinds become function globals, and the base's index accessors
   (``iter_facts_by_host_method`` / ``iter_facts_by_arg`` /
   ``iter_facts_by_method``) are bound to locals once per call;
 * **set-at-a-time execution** — the generated function maps a whole *list*
@@ -43,10 +43,11 @@ Python function per plan instead:
   (:func:`repro.core.grounding.match_rule`);
 * **one ``compile()`` per generated text** — constants sit in the function's
   namespace, so rules differing only in constants share a code object;
-  every namespace entry derived from the AST's constants is recorded with
-  its recipe, so a parsed text of a known shape gets the shape's
-  functions over its own constants (:meth:`CompiledBody.bind`) without
-  emitting anything.
+  every namespace entry that holds an AST node mentioning an OID is
+  recorded with that node, so a parsed text of a known shape gets the
+  shape's functions over its own constants — each such entry the node
+  mapped by :func:`~repro.core.rules.map_constants`
+  (:meth:`CompiledBody.bind`) — without emitting or building anything.
 
 Each rule has one compiled artifact, its :class:`CompiledRule` (cached per
 rule by :func:`compiled_rule`): its dependency signature, its full-body
@@ -66,13 +67,13 @@ against:
 * version-term generators are *exact* (``PlanStep.verify`` is False) and are
   compiled to direct index loops;
 * update-term generators and filters keep the authoritative re-verification:
-  they bridge into :func:`repro.core.grounding._generate` /
-  ``_check_ground`` through a thin dict adapter, so definition 3 of
-  Section 3 has exactly one implementation;
-* built-in filters and binders compile the expression tree to nested
-  closures that reproduce :func:`repro.core.exprs.evaluate_expr` —
-  including exact integer division and ``BuiltinError`` → candidate-fails
-  (never raises) behaviour.
+  they are emitted as calls of :func:`repro.core.grounding._generate` /
+  ``_check_ground`` on the literal and a dict display of its bound slots,
+  so definition 3 of Section 3 has exactly one implementation;
+* built-in filters and binders are emitted as inline expressions over the
+  row slots that reproduce :func:`repro.core.exprs.evaluate_expr` —
+  including exact integer division (:func:`_divide`) and ``BuiltinError``
+  → candidate-fails (never raises) behaviour.
 
 Compilation failures are deliberately *not* swallowed: the emitter covers
 every shape :func:`repro.core.plans.compile_plan` can produce, and the test
@@ -89,12 +90,12 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import itemgetter
 from types import FunctionType
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.core.atoms import BuiltinAtom, Literal, UpdateAtom, VersionAtom
 from repro.core.caches import register_cache, register_lru_cache
 from repro.core.errors import BuiltinError, EvaluationError, TermError
-from repro.core.exprs import BinOp, Neg, _numeric, expr_variables
+from repro.core.exprs import Neg, _numeric, expr_variables
 from repro.core.facts import EXISTS, Fact
 from repro.core.grounding import _check_ground, _generate
 from repro.core.plans import (
@@ -138,163 +139,34 @@ _STATS = {
 
 
 # ----------------------------------------------------------------------
-# expression compilation (built-in filters and binders)
+# helpers the generated code calls
 # ----------------------------------------------------------------------
 
 
-def _compile_var_load(var: Var, slot: int, strict: bool) -> Callable[[Row], Oid]:
-    """Load a variable's value from its row slot.
-
-    Plain variables always hold OIDs (the matcher's sort discipline), so
-    they load unchecked.  Version variables may hold VIDs; in a *binder*
-    context that is a ``BuiltinError`` (candidate fails), in a ground
-    *filter* context the interpreter's substitute-then-evaluate pipeline
-    raises ``TermError`` — ``strict`` selects which to mirror.
-    """
-    if type(var) is Var:
-        return lambda row: row[slot]
-
-    def load(row: Row) -> Oid:
-        value = row[slot]
-        if isinstance(value, Oid):
-            return value
-        if strict:
-            raise TermError(f"not an expression: {value!r}")
-        raise BuiltinError(f"variable {var} bound to a version identity")
-
-    return load
+def _divide(a: int | float, b: int | float) -> Oid:
+    """``a / b`` as :func:`repro.core.exprs.evaluate_expr` divides: integers
+    that divide evenly stay exact (``6 / 2`` is the OID 3, not 3.0)."""
+    if b == 0:
+        raise BuiltinError("division by zero in a built-in atom")
+    if isinstance(a, int) and isinstance(b, int) and a % b == 0:
+        return Oid(a // b)
+    return Oid(a / b)
 
 
-def _compile_expr(
-    expr, slot_of: dict[Var, int], *, strict: bool = False
-) -> Callable[[Row], Oid]:
-    """Compile an arithmetic expression to a row closure.
-
-    Mirrors :func:`repro.core.exprs.evaluate_expr` exactly, including the
-    integer-exact division rule and every ``BuiltinError`` site.
-    """
-    if isinstance(expr, Oid):
-        return lambda row, _c=expr: _c
-    if isinstance(expr, Var):
-        return _compile_var_load(expr, slot_of[expr], strict)
-    if isinstance(expr, Neg):
-        inner = _compile_expr(expr.operand, slot_of, strict=strict)
-        return lambda row: Oid(-_numeric(inner(row), "negation"))
-    if isinstance(expr, BinOp):
-        left = _compile_expr(expr.left, slot_of, strict=strict)
-        right = _compile_expr(expr.right, slot_of, strict=strict)
-        op = expr.op
-        context = f"operand of {op}"
-        if op == "+":
-            return lambda row: Oid(
-                _numeric(left(row), context) + _numeric(right(row), context)
-            )
-        if op == "-":
-            return lambda row: Oid(
-                _numeric(left(row), context) - _numeric(right(row), context)
-            )
-        if op == "*":
-            return lambda row: Oid(
-                _numeric(left(row), context) * _numeric(right(row), context)
-            )
-
-        def divide(row: Row) -> Oid:
-            a = _numeric(left(row), context)
-            b = _numeric(right(row), context)
-            if b == 0:
-                raise BuiltinError("division by zero in a built-in atom")
-            if isinstance(a, int) and isinstance(b, int) and a % b == 0:
-                return Oid(a // b)
-            return Oid(a / b)
-
-        return divide
-    raise TermError(f"not an expression: {expr!r}")  # pragma: no cover
+def _version_operand(value, var: str, strict: bool) -> Oid:
+    """A version variable's value as an operand.  It may hold a VID: in a
+    *binder* that is a ``BuiltinError`` (the candidate fails); in a ground
+    *filter* the interpreter's substitute-then-evaluate pipeline raises
+    ``TermError`` — ``strict`` selects which to mirror."""
+    if isinstance(value, Oid):
+        return value
+    if strict:
+        raise TermError(f"not an expression: {value!r}")
+    raise BuiltinError(f"variable {var} bound to a version identity")
 
 
-def _builtin_filter(
-    atom: BuiltinAtom, positive: bool, slot_of: dict[Var, int]
-) -> Callable[[Row], bool]:
-    """A row predicate mirroring ``literal_true`` on a ground built-in,
-    with ``BuiltinError`` failing the candidate regardless of polarity
-    (the ``_check_ground`` contract, docs/DESIGN.md D6)."""
-    left = _compile_expr(atom.left, slot_of, strict=True)
-    right = _compile_expr(atom.right, slot_of, strict=True)
-    op = atom.op
-
-    if op in ("=", "!="):
-        want_equal = op == "="
-
-        def predicate(row: Row) -> bool:
-            try:
-                equal = left(row).value == right(row).value
-            except BuiltinError:
-                return False
-            value = equal if want_equal else not equal
-            return value if positive else not value
-
-        return predicate
-
-    def compare(row: Row) -> bool:
-        try:
-            a = left(row)
-            b = right(row)
-            if not (a.is_numeric and b.is_numeric):
-                return False  # BuiltinError in the interpreter: candidate dies
-            av, bv = a.value, b.value
-            if op == "<":
-                value = av < bv
-            elif op == "<=":
-                value = av <= bv
-            elif op == ">":
-                value = av > bv
-            else:  # >=
-                value = av >= bv
-        except BuiltinError:
-            return False
-        return value if positive else not value
-
-    return compare
-
-
-# ----------------------------------------------------------------------
-# bridges into the authoritative update-term semantics
-# ----------------------------------------------------------------------
-
-
-def _update_filter(
-    literal: Literal, in_slots: tuple[tuple[Var, int], ...]
-) -> Callable[["ObjectBase", Row], bool]:
-    """A ground update-term filter: rebuild the dict binding and delegate to
-    ``_check_ground`` so definition 3 has exactly one implementation."""
-
-    def predicate(base: "ObjectBase", row: Row) -> bool:
-        binding = {var: row[slot] for var, slot in in_slots}
-        return _check_ground(literal, binding, base)
-
-    return predicate
-
-
-def _update_generator(
-    literal: Literal,
-    index_cols: tuple[int, ...],
-    in_slots: tuple[tuple[Var, int], ...],
-    out_vars: tuple[Var, ...],
-) -> Callable[["ObjectBase", list[Row]], list[Row]]:
-    """A batch update-term generator bridging into the interpreted
-    ``_generate`` + re-verify pipeline (``PlanStep.verify`` is always True
-    for update-term generators)."""
-
-    def generate(base: "ObjectBase", rows: list[Row]) -> list[Row]:
-        out: list[Row] = []
-        append = out.append
-        for row in rows:
-            binding = {var: row[slot] for var, slot in in_slots}
-            for extension in _generate(literal, binding, base, index_cols):
-                if _check_ground(literal, extension, base):
-                    append(row + tuple(extension[v] for v in out_vars))
-        return out
-
-    return generate
+def _unsafe_head(rule_name: str, head) -> str:
+    return f"rule {rule_name!r} produced a non-ground head {head}; the rule is unsafe"
 
 
 def _pick_bucket(base: "ObjectBase", method: str, arity: int, cols_vals):
@@ -319,23 +191,30 @@ def _pick_bucket(base: "ObjectBase", method: str, arity: int, cols_vals):
 
 
 class _Emitter:
-    """Accumulates generated source plus the closure globals it references.
+    """Accumulates generated source plus the globals it references.
 
-    ``rebinds`` lists the globals derived from the AST's constants as
-    ``(label, node, make)``: for other constants the global is
-    ``map_constants(node, constants)``, passed through ``make`` when that
-    is given (:meth:`CompiledBody.bind`)."""
+    ``rebinds`` lists the globals that hold AST nodes mentioning an OID —
+    ground terms, update-term literals, a head — as ``(label, node)`` pairs:
+    for other constants the global is ``map_constants(node, constants)``
+    (:meth:`CompiledBody.bind`).  Every other global is the same for every
+    instance of the shape."""
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.lines: list[str] = []
         self.namespace: dict[str, object] = {
             "Fact": Fact,
+            "Oid": Oid,
             "VersionId": VersionId,
             "BuiltinError": BuiltinError,
             "_pick_bucket": _pick_bucket,
+            "_num": _numeric,
+            "_divide": _divide,
+            "_version_operand": _version_operand,
+            "_check_ground": _check_ground,
+            "_generate": _generate,
         }
-        self.rebinds: list[tuple[str, object, Callable | None]] = []
+        self.rebinds: list[tuple[str, object]] = []
         self._counter = 0
 
     def const(self, value, prefix: str = "_C") -> str:
@@ -344,18 +223,12 @@ class _Emitter:
         self.namespace[label] = value
         return label
 
-    def term(self, term) -> str:
-        """A global holding a ground term of the AST."""
-        label = self.const(term)
-        self.rebinds.append((label, term, None))
-        return label
-
-    def derived(self, node, make: Callable, prefix: str) -> str:
-        """A global holding ``make(node)`` for an AST ``node`` — a closure
-        over its constants, made as ``make(node')`` for an instance."""
-        label = self.const(make(node), prefix)
+    def term(self, node, prefix: str = "_C") -> str:
+        """A global holding ``node`` of the AST, rebound for an instance
+        when it mentions an OID."""
+        label = self.const(node, prefix)
         if _has_constants(node):
-            self.rebinds.append((label, node, make))
+            self.rebinds.append((label, node))
         return label
 
     def fresh(self, prefix: str) -> str:
@@ -400,14 +273,13 @@ def _has_constants(node) -> bool:
 
 
 def _bound(fn, rebinds: tuple, constants: "Constants"):
-    """``fn`` over a copy of its globals with every constant-derived entry
-    rebuilt for ``constants``: the same code object, no ``compile()``."""
+    """``fn`` over a copy of its globals with every AST node mapped through
+    ``constants``: the same code object, no ``compile()``."""
     if not rebinds:
         return fn
     namespace = dict(fn.__globals__)
-    for label, node, make in rebinds:
-        value = map_constants(node, constants)
-        namespace[label] = value if make is None else make(value)
+    for label, node in rebinds:
+        namespace[label] = map_constants(node, constants)
     return FunctionType(fn.__code__, namespace, fn.__name__, fn.__defaults__)
 
 
@@ -446,17 +318,77 @@ def _emit_filter(
         condition = f"has({fact})" if literal.positive else f"not has({fact})"
         em.emit(1, f"rows = [r for r in rows if {condition}]")
     elif isinstance(atom, BuiltinAtom):
-        positive, layout = literal.positive, dict(slot_of)
-        label = em.derived(
-            atom, lambda a: _builtin_filter(a, positive, layout), "_B"
-        )
-        em.emit(1, f"rows = [r for r in rows if {label}(r)]")
+        _emit_comparison(em, atom, literal.positive, slot_of)
     else:  # UpdateAtom — delegate to the authoritative semantics
-        in_slots = tuple(slot_of.items())
-        label = em.derived(
-            literal, lambda lit: _update_filter(lit, in_slots), "_U"
-        )
-        em.emit(1, f"rows = [r for r in rows if {label}(base, r)]")
+        label = em.term(literal, "_U")
+        binding = _binding_src(em, literal, slot_of)
+        em.emit(1, f"rows = [r for r in rows if _check_ground({label}, {binding}, base)]")
+
+
+def _binding_src(em: _Emitter, literal: Literal, slot_of: dict[Var, int]) -> str:
+    """Source for the dict binding of ``literal``'s bound variables, read
+    from the row: what the definition-3 bridge substitutes."""
+    bound = sorted((v for v in literal.variables if v in slot_of), key=var_sort_key)
+    entries = [f"{em.const(var, '_V')}: r[{slot_of[var]}]" for var in bound]
+    return "{" + ", ".join(entries) + "}"
+
+
+def _expr_src(em: _Emitter, expr, slot_of: dict[Var, int], strict: bool) -> str:
+    """Source for an arithmetic expression over the row ``r``, mirroring
+    :func:`repro.core.exprs.evaluate_expr` — the integer-exact division
+    rule and every ``BuiltinError`` site included.
+
+    Plain variables always hold OIDs (the matcher's sort discipline), so
+    they load unchecked; a version variable goes through
+    :func:`_version_operand`."""
+    if isinstance(expr, Oid):
+        return em.term(expr)
+    if type(expr) is Var:
+        return f"r[{slot_of[expr]}]"
+    if isinstance(expr, Var):
+        return f"_version_operand(r[{slot_of[expr]}], {str(expr)!r}, {strict})"
+    if isinstance(expr, Neg):
+        return f"Oid(-_num({_expr_src(em, expr.operand, slot_of, strict)}, 'negation'))"
+    context = f"'operand of {expr.op}'"
+    left = f"_num({_expr_src(em, expr.left, slot_of, strict)}, {context})"
+    right = f"_num({_expr_src(em, expr.right, slot_of, strict)}, {context})"
+    if expr.op == "/":
+        return f"_divide({left}, {right})"
+    return f"Oid({left} {expr.op} {right})"
+
+
+def _emit_comparison(
+    em: _Emitter, atom: BuiltinAtom, positive: bool, slot_of: dict[Var, int]
+) -> None:
+    """A ground built-in decided as ``literal_true`` decides it, with a
+    ``BuiltinError`` — a non-numeric operand of an order comparison
+    included — failing the candidate regardless of polarity (the
+    ``_check_ground`` contract, docs/DESIGN.md D6)."""
+    left = _expr_src(em, atom.left, slot_of, True)
+    right = _expr_src(em, atom.right, slot_of, True)
+    op = atom.op
+
+    def test(a: str, b: str) -> str:
+        if op in ("=", "!="):
+            return f"{a}.value {'==' if (op == '=') == positive else '!='} {b}.value"
+        compare = f"{a}.value {op} {b}.value"
+        return f"{a}.is_numeric and {b}.is_numeric and {'' if positive else 'not '}{compare}"
+
+    if all(isinstance(e, Oid) or type(e) is Var for e in (atom.left, atom.right)):
+        # Bare operands cannot raise: one comprehension.
+        em.emit(1, f"rows = [r for r in rows if {test(left, right)}]")
+        return
+    em.emit(1, "out = []")
+    em.emit(1, "app = out.append")
+    em.emit(1, "for r in rows:")
+    em.emit(2, "try:")
+    em.emit(3, f"a = {left}")
+    em.emit(3, f"b = {right}")
+    em.emit(2, "except BuiltinError:")
+    em.emit(3, "continue")
+    em.emit(2, f"if {test('a', 'b')}:")
+    em.emit(3, "app(r)")
+    em.emit(1, "rows = out")
 
 
 def _emit_binder(
@@ -476,13 +408,11 @@ def _emit_binder(
             target, source = candidate, other
             break
     assert target is not None, "binder step with no bindable side"
-    layout = dict(slot_of)
-    label = em.derived(source, lambda e: _compile_expr(e, layout), "_E")
     em.emit(1, "out = []")
     em.emit(1, "app = out.append")
     em.emit(1, "for r in rows:")
     em.emit(2, "try:")
-    em.emit(3, f"v = {label}(r)")
+    em.emit(3, f"v = {_expr_src(em, source, slot_of, False)}")
     em.emit(2, "except BuiltinError:")
     em.emit(3, "continue")
     em.emit(2, "app(r + (v,))")
@@ -716,7 +646,7 @@ def _emit_batch_or_loop_generator(
     return new_locals
 
 
-def _emit_update_generator(
+def _emit_update_term_generator(
     em: _Emitter, step: PlanStep, slot_of: dict[Var, int]
 ) -> None:
     out_vars = tuple(
@@ -725,13 +655,18 @@ def _emit_update_generator(
             key=var_sort_key,
         )
     )
-    index_cols, in_slots = step.index_cols, tuple(slot_of.items())
-    label = em.derived(
-        step.literal,
-        lambda lit: _update_generator(lit, index_cols, in_slots, out_vars),
-        "_G",
-    )
-    em.emit(1, f"rows = {label}(base, rows)")
+    literal = step.literal
+    label = em.term(literal, "_U")
+    binding = _binding_src(em, literal, slot_of)
+    cols = _tuple_src([str(column) for column in step.index_cols])
+    extension = _tuple_src([f"x[{em.const(var, '_V')}]" for var in out_vars])
+    em.emit(1, "out = []")
+    em.emit(1, "app = out.append")
+    em.emit(1, "for r in rows:")
+    em.emit(2, f"for x in _generate({label}, {binding}, base, {cols}):")
+    em.emit(3, f"if _check_ground({label}, x, base):")
+    em.emit(4, f"app(r + {extension})")
+    em.emit(1, "rows = out")
     em.emit(1, "if not rows:")
     em.emit(2, "return rows")
     for var in out_vars:
@@ -807,15 +742,11 @@ def _emit_head(
         em.emit(4, "app(r)")
         em.emit(2, "rows = out")
     if not all(var in slot_of for var in head.variables):
-        def message(head) -> str:
-            return (
-                f"rule {rule.name!r} produced a non-ground head {head}; "
-                f"the rule is unsafe"
-            )
-
         em.namespace["EvaluationError"] = EvaluationError
+        em.namespace["_unsafe_head"] = _unsafe_head
+        message = f"_unsafe_head({em.const(rule.name, '_R')}, {em.term(head)})"
         em.emit(1, "if rows:")
-        em.emit(2, f"raise EvaluationError({em.derived(head, message, '_C')})")
+        em.emit(2, f"raise EvaluationError({message})")
         em.emit(1, "return 0, 0")
         return
 
@@ -911,8 +842,9 @@ class CompiledBody:
     ``slots`` is the variable layout (slot index → variable); ``key_getter``
     projects a row onto the plan's ``key_vars`` order for deduplication.
     ``source`` keeps the generated text for introspection and tests;
-    ``rebinds`` its constant-derived globals (``_Emitter.rebinds``), which
-    :meth:`bind` remakes.
+    ``rebinds`` the ``(label, node)`` pairs of its globals that hold AST
+    nodes mentioning an OID (``_Emitter.rebinds``), which :meth:`bind`
+    maps through the instance's constants.
     """
 
     __slots__ = (
@@ -951,7 +883,7 @@ class CompiledBody:
     def bind(self, constants: "Constants") -> "CompiledBody":
         """This executor for the same body with its OIDs mapped through
         ``constants`` (:func:`~repro.core.rules.map_constants`): the same
-        code, slots and source over rebuilt globals."""
+        code, slots and source over globals whose AST nodes are mapped."""
         if not self.rebinds:
             return self
         bound = object.__new__(CompiledBody)
@@ -993,7 +925,6 @@ def _compile_body(
     (:func:`_emit_head`).
     """
     em = _Emitter(name)
-    em.namespace["Oid"] = Oid
     slot_of: dict[Var, int] = {var: i for i, var in enumerate(seed_vars)}
     em.emit(0, f"def _run({'base, rows' if rule is None else _RULE_PARAMS}):")
     em.emit(1, "if not rows:")
@@ -1010,7 +941,7 @@ def _compile_body(
         elif isinstance(step.literal.atom, VersionAtom):
             _emit_version_generator(em, step, slot_of)
         else:
-            _emit_update_generator(em, step, slot_of)
+            _emit_update_term_generator(em, step, slot_of)
     if rule is None:
         em.emit(1, "return rows")
     else:
@@ -1033,7 +964,6 @@ def _compile_seed_matcher(
     row laid out in ``seed_vars`` order (the seed plan's leading slots).
     """
     em = _Emitter(name)
-    em.namespace["Oid"] = Oid
     em.emit(0, "def _seed(facts):")
     em.emit(1, "out = []")
     em.emit(1, "app = out.append")

@@ -15,7 +15,7 @@ rules that cannot read anything that changed are skipped, rules whose only
 exposure is a positive version-term are re-matched starting from the new
 facts, and everything else is re-matched in full.  The per-iteration cost is
 thus proportional to the size of the change, not of the base.  Rule bodies
-run as plan-compiled closures (:mod:`repro.core.codegen`).  This is the one
+run as generated plan functions (:mod:`repro.core.codegen`).  This is the one
 execution path; the naive fixpoint that recomputes ``T¹`` from scratch each
 iteration is the differential oracle in :mod:`repro.testing.reference`.
 

@@ -6,7 +6,7 @@ acts as a *binder*, a positive version-term or update-term acts as a
 *generator* drawing candidate facts from the object base indexes, and
 negated literals and comparisons wait until they are ground.  The order is
 fixed once per body as a :class:`~repro.core.plans.JoinPlan` and compiled to
-a set-at-a-time closure by :mod:`repro.core.codegen`; :func:`match_rule` and
+a set-at-a-time function by :mod:`repro.core.codegen`; :func:`match_rule` and
 :func:`match_body` run that executor.
 
 What lives here is what the paper defines exactly once and every executor

@@ -12,7 +12,7 @@ It takes literals only; text is the parser's business, one layer up::
 
 :class:`PreparedQuery` is the compile-once form: the join plan (literal
 ordering *and* secondary-index column selection) is built and compiled a
-single time and every execution runs that closure against whatever base it
+single time and every execution runs that function against whatever base it
 is given — answers are never kept across updates.
 :func:`repro.lang.parser.prepare_query` builds one from text and keeps the
 one cache of the read path, *body shape → compiled query*: a text that
@@ -175,16 +175,10 @@ def decode_answers(rows) -> list[Answer]:
     return answers
 
 
-def sorted_answers(
-    bindings: Iterable[dict[Var, object]], *, dedupe: bool = False
-) -> list[Answer]:
+def sorted_answers(bindings: Iterable[dict[Var, object]]) -> list[Answer]:
     """Format raw matcher bindings and sort them into the deterministic
     answer order (shared by the update-language and Datalog query layers)."""
     answers = [_format_binding(binding) for binding in bindings]
-    if dedupe:
-        answers = list(
-            {_answer_sort_key(answer): answer for answer in answers}.values()
-        )
     answers.sort(key=_answer_sort_key)
     return answers
 

@@ -7,18 +7,24 @@ the deterministic contracts — slot layout and dedup keys against
 and the cache-registry surface.
 """
 
+import pytest
+
 from repro.core import caches
+from repro.core.atoms import BuiltinAtom, Literal, UpdateAtom, VersionAtom
 from repro.core.caches import cache_stats
 from repro.core.codegen import _STATS, compiled_body, compiled_rule
 from repro.core.engine import UpdateEngine
+from repro.core.errors import ReproError, TermError
 from repro.core.evaluation import EvaluationOptions, evaluate
+from repro.core.exprs import BinOp
 from repro.core.facts import Fact
 from repro.core.grounding import match_rule
 from repro.core.objectbase import Delta, ObjectBase
 from repro.core.plans import compile_plan, var_sort_key
 from repro.core.query import PreparedQuery
-from repro.core.terms import Oid, intern_oid
-from repro.lang.parser import parse_body, parse_program, prepare_query
+from repro.core.rules import UpdateProgram, UpdateRule, map_constants
+from repro.core.terms import Oid, UpdateKind, Var, VersionVar, intern_oid
+from repro.lang.parser import parse_body, parse_object_base, parse_program, prepare_query
 from repro.lang.pretty import format_program
 from repro.testing.reference import (
     evaluate_reference,
@@ -150,6 +156,99 @@ def test_match_body_prefers_compiled_and_agrees():
 
 
 # ----------------------------------------------------------------------
+# built-in semantics on the compiled path
+# ----------------------------------------------------------------------
+
+_NUMBERS = parse_object_base(
+    "six.n -> 6.  seven.n -> 7.  sym.n -> phil.  one.n -> 1.  onef.n -> 1.0."
+)
+_W, _X = VersionVar("W"), Var("X")
+_VERSIONS = parse_object_base("six.n -> 6.  mod(six).n -> 7.")
+_SCANNED = Literal(VersionAtom(_W, "n", (), Var("N")))
+
+#: ``(body, base, expected)``: a body is query text or a literal tuple
+#: (version variables have no concrete syntax in built-ins); ``expected`` is
+#: the typed answer rows (``repr`` keeps ``3`` apart from ``3.0``) or the
+#: error type both paths raise.
+_BUILTIN_CASES = [
+    ("six.n -> N, X = N / 2", _NUMBERS, [[("N", "6"), ("X", "3")]]),
+    ("seven.n -> N, X = N / 2", _NUMBERS, [[("N", "7"), ("X", "3.5")]]),
+    ("six.n -> N, X = N / 0", _NUMBERS, []),
+    ("six.n -> N, N / 0 > 1", _NUMBERS, []),
+    ("six.n -> N, not N / 0 > 1", _NUMBERS, []),
+    ("sym.n -> N, X = N + 1", _NUMBERS, []),
+    ("sym.n -> N, N + 1 > 0", _NUMBERS, []),
+    ("sym.n -> N, not N + 1 > 0", _NUMBERS, []),
+    ("sym.n -> N, N < 5", _NUMBERS, []),
+    ("sym.n -> N, not N < 5", _NUMBERS, []),
+    # a binder: N takes 1.0, and one.n -> 1.0 holds because 1 = 1.0
+    ("one.n -> N, N = 1.0", _NUMBERS, [[("N", "1.0")]]),
+    ("one.n -> N, onef.n -> M, N + 0 = M + 0", _NUMBERS, [[("M", "1.0"), ("N", "1")]]),
+    ("one.n -> N, onef.n -> M, N + 0 != M + 0", _NUMBERS, []),
+    ("one.n -> N, not N = 1.0", _NUMBERS, []),
+    ("onef.n -> N, N != 1", _NUMBERS, []),
+    ("onef.n -> N, not N != 1", _NUMBERS, [[("N", "1.0")]]),
+    ("six.n -> N, X = -N", _NUMBERS, [[("N", "6"), ("X", "-6")]]),
+    ("six.n -> N, -N < 0 - 5", _NUMBERS, [[("N", "6")]]),
+    # ?W ranges over six and mod(six): a VID operand fails a binder's
+    # candidate and is a TermError in a ground filter
+    ((_SCANNED, Literal(BuiltinAtom("=", _X, BinOp("+", _W, Oid(1))))), _VERSIONS, []),
+    (
+        (_SCANNED, Literal(BuiltinAtom("=", _X, _W))),
+        _VERSIONS,
+        [[("N", "6"), ("W", "'six'"), ("X", "'six'")]],
+    ),
+    ((_SCANNED, Literal(BuiltinAtom("!=", _W, intern_oid("bob")))), _VERSIONS, TermError),
+]
+
+
+def _typed_answers(answers):
+    return [sorted((name, repr(value)) for name, value in a.items()) for a in answers]
+
+
+def _outcome(run):
+    try:
+        return run()
+    except ReproError as error:
+        return type(error)
+
+
+@pytest.mark.parametrize("body, base, expected", _BUILTIN_CASES)
+def test_builtin_semantics_agree_with_the_reference(body, base, expected):
+    """Exact division, division by zero, symbolic operands under both
+    polarities, ``1`` against ``1.0``, unary minus and version-variable
+    operands give the reference's answers — with the same numeric types —
+    in a query body and in a rule body."""
+    query = prepare_query(body) if isinstance(body, str) else PreparedQuery(body)
+    literals = query.body
+    compiled = _outcome(lambda: _typed_answers(query.run(base)))
+    reference = _outcome(lambda: _typed_answers(query_reference(literals, base)))
+    assert compiled == reference == expected
+
+    # the head records the alphabetically last plain variable of the body
+    last = max(v.name for lit in literals for v in lit.variables if type(v) is Var)
+    head = UpdateAtom(UpdateKind.INSERT, intern_oid("hit"), "got", (), Var(last))
+    program = UpdateProgram([UpdateRule(head, literals, "case")])
+
+    def result(evaluator):
+        return sorted(repr(fact) for fact in evaluator(program, base).result_base)
+
+    assert _outcome(lambda: result(evaluate)) == _outcome(
+        lambda: result(evaluate_reference)
+    )
+    if isinstance(expected, list):
+        got = sorted(fact for fact in result(evaluate) if "'got'" in fact)
+        assert got == sorted(
+            {
+                f"Fact(VersionId(ins, Oid('hit')), 'got', (), Oid({value}))"
+                for row in expected
+                for name, value in row
+                if name == last
+            }
+        )
+
+
+# ----------------------------------------------------------------------
 # the cache-registry surface
 # ----------------------------------------------------------------------
 
@@ -220,6 +319,54 @@ def test_each_body_and_seeded_variant_compiles_once_per_process():
     ]
     for counter in ("bodies_compiled", "seed_matchers_compiled"):
         assert _STATS[counter] == warm[counter], counter
+
+
+class _Fresh(dict):
+    """Maps every OID it meets to a fresh one of the same kind."""
+
+    def __missing__(self, oid: Oid) -> Oid:
+        value = oid.value
+        fresh = self[oid] = intern_oid(
+            value + 1 if isinstance(value, (int, float)) else f"{value}_fresh"
+        )
+        return fresh
+
+
+_RAISE = "raise: mod[emp7].sal -> (S, S2) <= emp7.sal -> S, S2 = S + 1."
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [*parse_program(_RAISE), *enterprise_update_program(hpe_threshold=4500)],
+    ids=lambda rule: rule.name,
+)
+def test_binding_a_shape_maps_its_nodes_and_rebuilds_nothing_else(rule):
+    """Binding a rule to other constants swaps in ``map_constants`` of the
+    AST nodes its functions hold — the built-ins' operands, rule4's
+    update-term, ground terms — and leaves every other global as it is:
+    no step is rebuilt per bind."""
+    constants = _Fresh()
+    instance = map_constants(rule, constants)
+    template = compiled_rule(rule)
+    bound = template.bind(instance, constants)
+    seeds = [
+        position
+        for position, literal in enumerate(rule.body)
+        if literal.positive and isinstance(literal.atom, VersionAtom)
+    ]
+    assert template.full.rebinds
+    pairs = [(template.full, bound.full)]
+    for position in seeds:
+        pairs += zip(template.seeded(position), bound.seeded(position))
+    for shape, instance_body in pairs:
+        rebinds = dict(shape.rebinds)
+        before, after = shape.fn.__globals__, instance_body.fn.__globals__
+        assert before.keys() == after.keys()
+        changed = {label for label in before if after[label] is not before[label]}
+        assert changed <= rebinds.keys()
+        for label, node in rebinds.items():
+            assert after[label] == map_constants(node, constants)
+            assert node == before[label]
 
 
 def test_generated_source_is_inspectable():

@@ -5,12 +5,7 @@ import pytest
 
 from repro import parse_body, parse_object_base
 from repro.core.plans import GENERATE, compile_plan
-from repro.core.query import (
-    PreparedQuery,
-    query_literals,
-    sorted_answers,
-)
-from repro.core.terms import Var
+from repro.core.query import PreparedQuery, query_literals
 from repro.lang.parser import prepare_query
 from repro.testing.reference import query_reference
 
@@ -57,15 +52,6 @@ def test_numeric_answers_sort_numerically_not_lexicographically():
     base = parse_object_base("e.n -> 900.  e.n -> 10000.  e.n -> 2000.")
     answers = query_literals(base, parse_body("e.n -> S"))
     assert [a["S"] for a in answers] == [900, 2000, 10000]
-
-
-def test_sorted_answers_dedupe():
-    left, right = Var("X"), Var("Y")
-    from repro.core.terms import Oid
-
-    rows = [{left: Oid(1), right: Oid("a")}, {left: Oid(1), right: Oid("a")}]
-    assert len(sorted_answers(rows, dedupe=True)) == 1
-    assert len(sorted_answers(rows)) == 2
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ versions) and the delta indexes take a host shape once per changed version.
 
 import pytest
 
-from repro.core import codegen, objectbase
+from repro.core import codegen, grounding, objectbase
 from repro.core.atoms import UpdateAtom
 from repro.core.evaluation import evaluate
 from repro.core.objectbase import Delta, ObjectBase
@@ -44,7 +44,7 @@ class Counts:
         self.hosted_records = 0
 
         post_init = UpdateAtom.__post_init__
-        check_ground = codegen._check_ground
+        literal_true = grounding.literal_true
         add, add_state = ObjectBase.add, ObjectBase.add_state
         record, kind_chain = Delta.record, objectbase.kind_chain
 
@@ -52,9 +52,9 @@ class Counts:
             self.update_atoms += 1
             post_init(atom)
 
-        def counted_check_ground(*args):
+        def counted_literal_true(*args):
             self.bridge_calls += 1
-            return check_ground(*args)
+            return literal_true(*args)
 
         def counted_wrapper(*_args):
             self.wrappers += 1
@@ -80,7 +80,9 @@ class Counts:
             return kind_chain(term)
 
         monkeypatch.setattr(UpdateAtom, "__post_init__", counted_post_init)
-        monkeypatch.setattr(codegen, "_check_ground", counted_check_ground)
+        # generated code binds the bridge ``_check_ground`` when it is
+        # compiled; the bridge looks ``literal_true`` up per call
+        monkeypatch.setattr(grounding, "literal_true", counted_literal_true)
         monkeypatch.setattr(codegen.CompiledBody, "bindings", counted_wrapper)
         monkeypatch.setattr(ObjectBase, "add", counted_add)
         monkeypatch.setattr(ObjectBase, "add_state", counted_add_state)
