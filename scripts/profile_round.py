@@ -9,11 +9,18 @@ timed part of each round, and the rounds' fixpoint counts — ``T_P``
 iterations per program and ``result(P)`` facts in all, e.g.
 ``iterations per program [6, 2, 10] = 18, result facts 86555`` at seed
 1992.  Reads ``benchmarks.e2e.batch``; changes nothing.
+
+After each un-profiled round, outside its timed part and the probe's
+window, the batch's embedded reads run once more and one line counts
+what they compiled: ``embedded reads: 100, bodies compiled: 0,
+compile() calls: 0`` past the first round, since a read of a known body
+shape binds its compiled executor.
 """
 
 from __future__ import annotations
 
 import argparse
+import builtins
 import cProfile
 import gc
 import pstats
@@ -26,6 +33,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from benchmarks.e2e.batch import Batch, BatchSpec  # noqa: E402
+from repro.core.codegen import _STATS  # noqa: E402
 
 #: ``(file, function)`` pairs whose call counts the issue pinned.
 COUNTED = {
@@ -35,6 +43,30 @@ COUNTED = {
     ("objectbase.py", "add_state"), ("objectbase.py", "replace_state_diff"),
     ("grounding.py", "_check_ground"), ("facts.py", "__init__"),
 }
+
+
+def compiled_by_reads(batch: Batch, results) -> str:
+    """Run the batch's embedded reads of ``results`` and count the bodies
+    and the ``compile()`` calls they cost."""
+    calls = 0
+    builtin = builtins.compile
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return builtin(*args, **kwargs)
+
+    bodies = _STATS["bodies_compiled"]
+    reads: list[float] = []
+    builtins.compile = counting
+    try:
+        batch.reads(results, reads)
+    finally:
+        builtins.compile = builtin
+    return (
+        f"  embedded reads: {len(reads)}, bodies compiled: "
+        f"{_STATS['bodies_compiled'] - bodies}, compile() calls: {calls}"
+    )
 
 
 def main() -> None:
@@ -85,6 +117,7 @@ def main() -> None:
             for g in (0, 1, 2)
         )
         print(f"  round {index}: {sum(seconds):.3f} s  ({per_generation})")
+        print(compiled_by_reads(batch, results))
     print(f"full collections per round, median: {statistics.median(full)}")
     for iterations, facts in sorted(counts):  # one line unless rounds differ
         print(

@@ -41,18 +41,19 @@ Python function per plan instead:
   ``pending`` the same function is the bare body executor, which
   :meth:`CompiledBody.bindings` wraps into binding dicts
   (:func:`repro.core.grounding.match_rule`);
-* **one ``compile()`` per generated text** — constants sit in the function's
-  namespace, so rules differing only in constants share a code object;
-  every namespace entry that holds an AST node mentioning an OID is
-  recorded with that node, so a parsed text of a known shape gets the
-  shape's functions over its own constants — each such entry the node
-  mapped by :func:`~repro.core.rules.map_constants`
-  (:meth:`CompiledBody.bind`) — without emitting or building anything.
+* **one ``compile()`` per shape** — constants sit in the function's
+  namespace, recorded with the AST nodes they come from, so a rule or
+  body that differs from a compiled one only in its constants gets its
+  functions over its own constants (:meth:`CompiledBody.bind`) without
+  emitting or building anything.
 
-Each rule has one compiled artifact, its :class:`CompiledRule` (cached per
-rule by :func:`compiled_rule`): its dependency signature, its full-body
+Each rule has one compiled artifact, its :class:`CompiledRule`
+(:func:`compiled_rule`): its dependency signature, its full-body
 executor and its seeded variants; a bare body has one, its
-:class:`CompiledBody` (:func:`compiled_body`).  :func:`compile_seeded`
+:class:`CompiledBody` (:func:`compiled_body`).  Both come from one cache
+keyed by the AST with its constants abstracted
+(:func:`~repro.core.rules.abstract_constants`, ``codegen.shapes``); a
+parsed text binds its shape's without coming here.  :func:`compile_seeded`
 builds one seeded variant — bulk seed matcher plus the rest of the body —
 for a rule (ending in its firing loop, kept by :meth:`CompiledRule.seeded`)
 and, without a rule, for a live query's delta evaluation (kept by
@@ -81,19 +82,17 @@ suite proves it.  A body the planner itself cannot order is unsafe and
 fails where its plan is built, with a typed
 :class:`~repro.core.errors.EvaluationError`.
 
-The compile caches are registered with :mod:`repro.core.caches` as
-``codegen.rule`` / ``codegen.body`` / ``codegen.code`` / ``codegen.backend``.
+The backend counters are registered as ``codegen.backend``.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from operator import itemgetter
 from types import FunctionType
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.core.atoms import BuiltinAtom, Literal, UpdateAtom, VersionAtom
-from repro.core.caches import register_cache, register_lru_cache
+from repro.core.caches import Template, TemplateCache, register_cache
 from repro.core.errors import BuiltinError, EvaluationError, TermError
 from repro.core.exprs import Neg, _numeric, expr_variables
 from repro.core.facts import EXISTS, Fact
@@ -109,7 +108,7 @@ from repro.core.plans import (
     seed_facts,
     var_sort_key,
 )
-from repro.core.rules import map_constants
+from repro.core.rules import abstract_constants, map_constants
 from repro.core.terms import Oid, UpdateKind, Var, VersionId, is_ground, wrap
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -193,9 +192,9 @@ def _pick_bucket(base: "ObjectBase", method: str, arity: int, cols_vals):
 class _Emitter:
     """Accumulates generated source plus the globals it references.
 
-    ``rebinds`` lists the globals that hold AST nodes mentioning an OID —
-    ground terms, update-term literals, a head — as ``(label, node)`` pairs:
-    for other constants the global is ``map_constants(node, constants)``
+    ``rebinds`` lists the globals that hold AST nodes — ground terms,
+    update-term literals, a head — as ``(label, node)`` pairs: for other
+    constants the global is ``map_constants(node, constants)``
     (:meth:`CompiledBody.bind`).  Every other global is the same for every
     instance of the shape."""
 
@@ -224,11 +223,9 @@ class _Emitter:
         return label
 
     def term(self, node, prefix: str = "_C") -> str:
-        """A global holding ``node`` of the AST, rebound for an instance
-        when it mentions an OID."""
+        """A global holding ``node`` of the AST, rebound for an instance."""
         label = self.const(node, prefix)
-        if _has_constants(node):
-            self.rebinds.append((label, node))
+        self.rebinds.append((label, node))
         return label
 
     def fresh(self, prefix: str) -> str:
@@ -240,47 +237,8 @@ class _Emitter:
 
     def build(self, fn_name: str):
         source = "\n".join(self.lines) + "\n"
-        exec(_code(source, f"<codegen:{self.name}>"), self.namespace)
+        exec(compile(source, f"<codegen:{self.name}>", "exec"), self.namespace)
         return self.namespace[fn_name], source
-
-
-@lru_cache(maxsize=1024)
-def _code(source: str, filename: str):
-    """``compile()``, once per generated text.  Constants live in the
-    function's namespace, not in its source, so rules built as ASTs that
-    differ only in their constants share one code object and pay for
-    emission alone; a parsed text whose shape is known skips emission too,
-    binding its constants into the shape's functions
-    (:meth:`CompiledBody.bind`)."""
-    return compile(source, filename, "exec")
-
-
-class _Probe(dict):
-    """Maps every OID to itself, noting that it met one."""
-
-    met = False
-
-    def __missing__(self, oid: Oid) -> Oid:
-        self.met = True
-        return oid
-
-
-def _has_constants(node) -> bool:
-    """True when an AST node mentions an OID."""
-    probe = _Probe()
-    map_constants(node, probe)
-    return probe.met
-
-
-def _bound(fn, rebinds: tuple, constants: "Constants"):
-    """``fn`` over a copy of its globals with every AST node mapped through
-    ``constants``: the same code object, no ``compile()``."""
-    if not rebinds:
-        return fn
-    namespace = dict(fn.__globals__)
-    for label, node in rebinds:
-        namespace[label] = map_constants(node, constants)
-    return FunctionType(fn.__code__, namespace, fn.__name__, fn.__defaults__)
 
 
 def _tuple_src(parts: Sequence[str]) -> str:
@@ -843,8 +801,8 @@ class CompiledBody:
     projects a row onto the plan's ``key_vars`` order for deduplication.
     ``source`` keeps the generated text for introspection and tests;
     ``rebinds`` the ``(label, node)`` pairs of its globals that hold AST
-    nodes mentioning an OID (``_Emitter.rebinds``), which :meth:`bind`
-    maps through the instance's constants.
+    nodes (``_Emitter.rebinds``; a bound body's are its own mapped nodes),
+    which :meth:`bind` maps through the instance's constants.
     """
 
     __slots__ = (
@@ -883,13 +841,19 @@ class CompiledBody:
     def bind(self, constants: "Constants") -> "CompiledBody":
         """This executor for the same body with its OIDs mapped through
         ``constants`` (:func:`~repro.core.rules.map_constants`): the same
-        code, slots and source over globals whose AST nodes are mapped."""
+        code, slots and source over globals whose AST nodes are mapped —
+        no ``compile()``."""
         if not self.rebinds:
             return self
         bound = object.__new__(CompiledBody)
         for name in CompiledBody.__slots__:
             setattr(bound, name, getattr(self, name))
-        bound.fn = _bound(self.fn, self.rebinds, constants)
+        bound.rebinds = tuple(
+            [(label, map_constants(node, constants)) for label, node in self.rebinds]
+        )
+        fn = self.fn
+        namespace = {**fn.__globals__, **dict(bound.rebinds)}
+        bound.fn = FunctionType(fn.__code__, namespace, fn.__name__, fn.__defaults__)
         return bound
 
     def bindings(self, base: "ObjectBase") -> list[Binding]:
@@ -1024,7 +988,7 @@ class CompiledRule:
         through ``constants`` — without planning or compiling anything:
         the signature and plans do not depend on the constants, and the
         executors are rebound (:meth:`CompiledBody.bind`).  ``constants``
-        maps *this* rule's OIDs, so bind a compiled rule, not a bound one."""
+        maps *this* rule's OIDs."""
         bound = object.__new__(CompiledRule)
         bound.rule = rule
         bound.signature = self.signature
@@ -1109,35 +1073,52 @@ class CompiledRule:
 
 
 # ----------------------------------------------------------------------
-# cached entry points
+# the compile cache
 # ----------------------------------------------------------------------
 
+#: The compile cache (``codegen.shapes``) and its bound.
+_shapes = TemplateCache(4096)
 
-@lru_cache(maxsize=4096)
+
+def _shaped(node, compile_node, bind):
+    """``compile_node()`` once per shape of ``node``, later nodes of it
+    ``bind(artifact, constants)`` — or the artifact, for its own constants.
+    A failed compile keeps nothing, nor does a node with ``1`` and ``1.0``."""
+    key, values = abstract_constants(node)
+    shaped = len(set(values)) == len(values)
+    template = _shapes.get(key) if shaped else None
+    _shapes.count(template is not None)
+    if template is None:
+        artifact = compile_node()
+        if shaped:
+            _shapes.put(key, Template(values, node, artifact))
+        return artifact
+    if values == template.values:  # equal under one key is equal in type too
+        return template.artifact
+    return bind(template.artifact, dict(zip(template.values, values)))
+
+
 def compiled_rule(rule: "UpdateRule") -> CompiledRule:
-    return CompiledRule(rule)
-
-
-@lru_cache(maxsize=4096)
-def _compiled_body(body: tuple[Literal, ...]) -> CompiledBody:
-    return _compile_body(compile_plan(body), (), "<body>")
+    """The compiled artifact of ``rule``, bound from its shape's."""
+    return _shaped(
+        rule,
+        lambda: CompiledRule(rule),
+        lambda compiled, constants: compiled.bind(rule, constants),
+    )
 
 
 def compiled_body(
     body: tuple[Literal, ...], name: str = "<body>"
 ) -> CompiledBody:
-    """The compiled executor for a bare body (queries, view rules), cached
-    per body.  An unsafe body raises
+    """The compiled executor for a bare body (queries, view rules), bound
+    from its shape's.  An unsafe body raises
     :class:`~repro.core.errors.EvaluationError` naming ``name``."""
-    try:
-        return _compiled_body(body)
-    except EvaluationError:
-        compile_plan(body, name=name)  # the same failure, under the caller's name
-        raise
+    return _shaped(
+        body,
+        lambda: _compile_body(compile_plan(body, name=name), (), "<body>"),
+        CompiledBody.bind,
+    )
 
 
-register_lru_cache("codegen.rule", compiled_rule)
-register_lru_cache("codegen.body", _compiled_body)
-register_lru_cache("codegen.code", _code)
+register_cache("codegen.shapes", _shapes.stats, _shapes.clear)
 register_cache("codegen.backend", lambda: dict(_STATS))
-

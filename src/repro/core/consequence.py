@@ -170,7 +170,7 @@ def tp_step(
     happen when the result is handed to :func:`apply_tp`.  A rule may come
     as its :class:`~repro.core.codegen.CompiledRule` (what
     :func:`~repro.core.evaluation.evaluate` passes, from the program's
-    artifact) or as itself, compiled through the ``codegen.rule`` cache.
+    artifact) or as itself, compiled once per shape (``compiled_rule``).
 
     ``create_missing_objects`` controls the edge the paper leaves open: an
     insert whose target has no existing subterm (``v* = None``) creates a

@@ -33,6 +33,7 @@ from repro.core.codegen import Constants, compile_seeded, compiled_body
 from repro.core.grounding import match_body
 from repro.core.objectbase import ObjectBase
 from repro.core.plans import body_signature, seed_facts
+from repro.core.rules import abstract_constants
 from repro.core.terms import Oid, Var
 
 __all__ = [
@@ -197,13 +198,13 @@ class PreparedQuery:
     rule's are).
 
     Instances are safe to share across stores and threads.  Equality and
-    hash are by body, so queries that differ only in ``name`` share one
-    evaluation wherever they key a dict.
+    hash are by body (constants by type too), so queries that differ only
+    in ``name`` share one evaluation wherever they key a dict.
     """
 
     __slots__ = (
         "body", "compiled", "signature", "name",
-        "_hash", "_columns", "_seeded", "_shape", "_constants",
+        "_hash", "_columns", "_seeded", "_shape", "_constants", "_abstract",
     )
 
     def __init__(
@@ -222,6 +223,7 @@ class PreparedQuery:
         self._seeded: dict[int, tuple] = {}
         self._shape: PreparedQuery | None = None
         self._constants: Constants | None = None
+        self._abstract: tuple | None = None
 
     def bind(
         self, literals: Sequence[Literal], constants: Constants, *, name: str
@@ -241,15 +243,24 @@ class PreparedQuery:
         bound._seeded = {}
         bound._shape = self
         bound._constants = constants
+        bound._abstract = None
         return bound
 
     def __hash__(self) -> int:
         return self._hash
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, PreparedQuery):
             return NotImplemented
-        return self.body == other.body
+        # Bodies equal with ``1`` against ``1.0`` differ once abstracted (the
+        # placeholders carry the type); a query abstracts its body once.
+        if self._abstract is None:
+            self._abstract = abstract_constants(self.body)
+        if other._abstract is None:
+            other._abstract = abstract_constants(other.body)
+        return self._abstract == other._abstract
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PreparedQuery({self.name!r}, {len(self.body)} literals)"
@@ -305,8 +316,7 @@ class PreparedQuery:
 
     def _seeded_at(self, position: int) -> tuple:
         """``(seed_matcher, compiled_body, columns)`` of the variant seeded
-        at ``position``; one ``compile()`` per generated text is shared by
-        every body of the same shape."""
+        at ``position``; a query bound from a text shape binds the shape's."""
         try:
             return self._seeded[position]
         except KeyError:

@@ -15,9 +15,9 @@ from typing import Iterable, Iterator, Mapping
 from repro.core.atoms import BuiltinAtom, Literal, UpdateAtom, VersionAtom
 from repro.core.errors import ProgramError
 from repro.core.exprs import BinOp, Neg
-from repro.core.terms import Oid, Term, Var, VersionId, VersionVar
+from repro.core.terms import Oid, Term, Var, VersionId, VersionVar, intern_oid
 
-__all__ = ["UpdateRule", "UpdateProgram", "map_constants"]
+__all__ = ["UpdateRule", "UpdateProgram", "abstract_constants", "map_constants"]
 
 
 @dataclass(frozen=True)
@@ -132,14 +132,39 @@ class UpdateProgram:
 
 
 def map_constants(node, constants: Mapping[Oid, Oid]):
-    """``node`` — a term, expression, atom, literal or rule — with every OID
-    replaced by its image in ``constants``, which must hold them all.
+    """``node`` — a term, expression, atom, literal or rule, or a tuple of
+    them (a body) — with every OID replaced by its image in ``constants``,
+    which must hold them all.
 
-    Subtrees without an OID come back as the same objects.  This is how one
-    parsed and compiled program shape is instantiated for a text that
-    differs from it only in its constants (:mod:`repro.lang.shapes`).
+    Subtrees without an OID come back as the same objects.  This is how
+    one compiled shape is instantiated for a text or an AST that differs
+    from it only in its constants (:mod:`repro.lang.shapes`,
+    :func:`abstract_constants`).
     """
     return _MAP[node.__class__](node, constants)
+
+
+def abstract_constants(node) -> tuple:
+    """``(key, values)``: ``node`` with each constant replaced by a
+    placeholder numbered in order of first occurrence and typed by its
+    value (str / int / float), and the interned constants in that order.
+    ``map_constants`` over ``dict(zip(values, other_values))`` turns a node
+    into another of its key — unless two of its constants compare equal
+    (``1`` and ``1.0``), which no OID mapping tells apart."""
+    numbering = _Numbering()
+    key = map_constants(node, numbering)
+    return key, tuple([intern_oid(value) for _type, value in numbering])
+
+
+class _Numbering(dict):
+    """Each constant, by type and value, to its placeholder."""
+
+    def __getitem__(self, oid: Oid) -> Oid:
+        exact = (oid.value.__class__, oid.value)
+        placeholder = self.get(exact)
+        if placeholder is None:
+            placeholder = self[exact] = Oid(f"#{len(self)}:{exact[0].__name__}")
+        return placeholder
 
 
 def _map_version_id(term: VersionId, constants) -> VersionId:
@@ -231,4 +256,6 @@ _MAP = {
     BuiltinAtom: _map_builtin,
     Literal: _map_literal,
     UpdateRule: _map_rule,
+    tuple: _map_all,
+    str: _same,  # a method name or text among the parts of a node
 }

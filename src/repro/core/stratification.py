@@ -79,10 +79,7 @@ class PrecedenceEdge:
             self.upper,
             self.strict,
             self.condition,
-            *(
-                part if part.__class__ is str else map_constants(part, constants)
-                for part in self.parts
-            ),
+            *map_constants(self.parts, constants),
         )
 
     def __str__(self) -> str:

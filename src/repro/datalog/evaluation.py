@@ -30,7 +30,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from repro.core.atoms import BuiltinAtom
-from repro.core.caches import register_lru_cache
+from repro.core.caches import register_cache
 from repro.core.errors import BuiltinError, EvaluationError, EvaluationLimitError
 from repro.core.exprs import evaluate_expr, expr_variables
 from repro.core.terms import Oid, Var
@@ -103,7 +103,11 @@ def _compile_plan(body: tuple[DatalogLiteral, ...]) -> tuple[_PlanStep, ...] | N
     return tuple(steps)
 
 
-register_lru_cache("datalog.compile_plan", _compile_plan)
+register_cache(
+    "datalog.compile_plan",
+    lambda: dict(zip(("hits", "misses", "maxsize", "size"), _compile_plan.cache_info())),
+    _compile_plan.cache_clear,
+)
 
 
 def _equality_target(atom: BuiltinAtom, bound: set[Var]) -> Var | None:

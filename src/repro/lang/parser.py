@@ -13,7 +13,7 @@ notations handled here:
 from __future__ import annotations
 
 from repro.core.atoms import BuiltinAtom, Literal, UpdateAtom, VersionAtom
-from repro.core.caches import register_cache
+from repro.core.caches import Template, register_cache
 from repro.core.errors import ProgramError, ReproError, TermError
 from repro.core.evaluation import compile_program
 from repro.core.exprs import BinOp, Expr, Neg
@@ -23,7 +23,7 @@ from repro.core.rules import UpdateProgram, UpdateRule, map_constants
 from repro.core.terms import Term, UpdateKind, Var, VersionId, VersionVar, intern_oid
 from repro.lang.errors import ParseError
 from repro.lang.lexer import Token, tokenize
-from repro.lang.shapes import ShapeCache, Template
+from repro.lang.shapes import ShapeCache
 
 __all__ = [
     "parse_program",
@@ -416,9 +416,7 @@ def parse_program(text: str, name: str = "program") -> UpdateProgram:
             program = UpdateProgram(template.ast, name)
             program.compiled = template.artifact
         else:
-            program = UpdateProgram(
-                [map_constants(rule, constants) for rule in template.ast], name
-            )
+            program = UpdateProgram(map_constants(template.ast, constants), name)
             program.compiled = template.artifact.bind(program, constants)
         return program
     parser = _Parser(text)
@@ -471,11 +469,7 @@ def parse_body(text: str) -> tuple[Literal, ...]:
     template, constants = _body(text)
     if constants is None:
         return template.ast
-    return _map_literals(template.ast, constants)
-
-
-def _map_literals(literals, constants) -> tuple[Literal, ...]:
-    return tuple([map_constants(literal, constants) for literal in literals])
+    return map_constants(template.ast, constants)
 
 
 def prepare_query(query, *, name: str | None = None) -> PreparedQuery:
@@ -495,7 +489,7 @@ def prepare_query(query, *, name: str | None = None) -> PreparedQuery:
             prepared = template.artifact = PreparedQuery(template.ast, name=name)
         if constants is not None:
             return prepared.bind(
-                _map_literals(template.ast, constants), constants, name=name
+                map_constants(template.ast, constants), constants, name=name
             )
         if prepared.name != name:
             return PreparedQuery(prepared.body, name=name)

@@ -33,20 +33,20 @@ parse and compile of the text would give.
 A text that fails to parse, or a program that fails to compile, creates
 no shape; neither does one in which an integer and a decimal parameter
 are equal (``1`` and ``1.0``), because mapping OIDs by equality could not
-tell them apart.  Programs built as ASTs never come here.
+tell them apart.  Rules and bodies built as ASTs bind by their own shape
+key in :mod:`repro.core.codegen` (:func:`~repro.core.rules.abstract_constants`).
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from operator import is_
+from collections import namedtuple
 from typing import Callable
 
+from repro.core.caches import Template, TemplateCache
 from repro.core.terms import Oid, intern_oid
 from repro.lang.lexer import LITERAL_PATTERN, Token
 
-__all__ = ["ShapeCache", "Template"]
+__all__ = ["ShapeCache"]
 
 _KEYWORDS = frozenset(("ins", "del", "mod", "not"))
 
@@ -92,76 +92,30 @@ def _key(shape: tuple, slots: list[str], fixed: tuple[int, ...], values: list[Oi
     return (shape, tuple([slots[index] for index in fixed]), _pattern(values))
 
 
-class Template:
-    """One shape's first instance: its parameters' OIDs (``values``),
-    its AST, and the artifact compiled from it (None until built)."""
-
-    __slots__ = ("values", "ast", "artifact")
-
-    def __init__(self, values: tuple[Oid, ...], ast, artifact) -> None:
-        self.values = values
-        self.ast = ast
-        self.artifact = artifact
-
-    def constants(self, values: list[Oid]) -> dict[Oid, Oid] | None:
-        """The template's OIDs mapped to an instance's — consistent,
-        because the instance's parameters are equal where these are — or
-        None when they are the template's own."""
-        if all(map(is_, self.values, values)):
-            return None
-        return dict(zip(self.values, values))
+#: A text split for lookup, with its parameters when its layout is known.
+Probe = namedtuple("Probe", "shape slots values")
 
 
-class Probe:
-    """A text split for lookup: what a miss needs to remember its shape."""
-
-    __slots__ = ("shape", "slots", "values")
-
-    def __init__(self, shape: tuple, slots: list[str]) -> None:
-        self.shape = shape
-        self.slots = slots
-        self.values: list[Oid] | None = None
-
-
-class ShapeCache:
-    """Templates by full key, least recently used evicted beyond
-    ``maxsize``, and each ``(skeleton, classes)`` pair's parameter slots
-    (its layout).  Safe to share across threads."""
+class ShapeCache(TemplateCache):
+    """Templates by full key, and each ``(skeleton, classes)`` pair's
+    parameter slots (its layout)."""
 
     def __init__(self, maxsize: int) -> None:
-        self.maxsize = maxsize
-        self.hits = 0
-        self.misses = 0
+        super().__init__(maxsize)
         self._layouts: dict[tuple, tuple] = {}
-        self._templates: OrderedDict[tuple, Template] = OrderedDict()
-        self._lock = threading.Lock()
 
     def lookup(self, text: str) -> tuple[Template | None, Probe]:
         """The template of ``text``'s shape, if one is known, and the probe
         that locates it; ``probe.values`` holds the text's parameters."""
         parts = LITERAL_PATTERN.split(text)
         slots = parts[1::2]
-        probe = Probe((tuple(parts[0::2]), tuple(map(_slot_class, slots))), slots)
-        layout = self._layouts.get(probe.shape)
+        shape = (tuple(parts[0::2]), tuple(map(_slot_class, slots)))
+        layout = self._layouts.get(shape)
         if layout is None:
-            return None, probe
+            return None, Probe(shape, slots, None)
         params, fixed = layout
-        probe.values = values = [convert(slots[index]) for index, convert in params]
-        key = _key(probe.shape, slots, fixed, values)
-        template = self._templates.get(key)
-        if template is not None:
-            with self._lock:
-                if key in self._templates:
-                    self._templates.move_to_end(key)
-        return template, probe
-
-    def count(self, hit: bool) -> None:
-        """Count one lookup of the caller's artifact as a hit or a miss."""
-        with self._lock:
-            if hit:
-                self.hits += 1
-            else:
-                self.misses += 1
+        values = [convert(slots[index]) for index, convert in params]
+        return self.get(_key(shape, slots, fixed, values)), Probe(shape, slots, values)
 
     def remember(
         self,
@@ -204,30 +158,15 @@ class ShapeCache:
             for value, first in zip(values, _pattern(values))
         ):
             return None  # an integer equals a decimal: see the module doc
-        key = _key(probe.shape, probe.slots, fixed, values)
         template = Template(tuple(values), ast, artifact)
         with self._lock:
             self._layouts[probe.shape] = (tuple(params), fixed)
             while len(self._layouts) > self.maxsize:
                 del self._layouts[next(iter(self._layouts))]
-            self._templates[key] = template
-            self._templates.move_to_end(key)
-            while len(self._templates) > self.maxsize:
-                self._templates.popitem(last=False)
+        self.put(_key(probe.shape, probe.slots, fixed, values), template)
         return template
 
-    def stats(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "size": len(self._templates),
-            "maxsize": self.maxsize,
-        }
-
     def clear(self) -> None:
-        """Forget every shape and reset the counters (as ``cache_clear``
-        does for an ``lru_cache``)."""
         with self._lock:
             self._layouts.clear()
-            self._templates.clear()
-            self.hits = self.misses = 0
+        super().clear()

@@ -69,8 +69,8 @@ def _raise_for(response: dict) -> dict:
 
 
 class NotSent(ConnectionClosed):
-    """The link was found dead before the request was written: nothing
-    reached the server, so any command may wait out a reconnect."""
+    """The link died before any byte of the request left: nothing reached
+    the server, so any command may wait out a reconnect."""
 
 
 class CallTimeout(ServerError):
@@ -164,9 +164,9 @@ class LineClient:
         """Send one command and return its raw response dict.
 
         ``timeout`` bounds the wait for the link and for the answer; past
-        it :class:`CallTimeout` is raised.  A link found dead before the
-        write raises :class:`NotSent`, one that dies after it (or that
-        takes no bytes until the deadline) :class:`ConnectionClosed`."""
+        it :class:`CallTimeout` is raised.  A link that dies before a byte
+        of the request left raises :class:`NotSent`, after it
+        :class:`ConnectionClosed`."""
         message = {"id": 0, "cmd": cmd}
         message.update(
             (key, value) for key, value in (payload or {}).items()
@@ -301,7 +301,7 @@ class LineClient:
     def _send(self, data: bytes, deadline) -> None:
         """Write ``data`` whole, waiting for room until ``deadline`` at
         most; a line cut short cannot be resumed, so past it the link
-        dies."""
+        dies (:class:`NotSent` while no byte of it has left)."""
         view = memoryview(data)
         try:
             while view:
@@ -315,7 +315,8 @@ class LineClient:
                         raise OSError("the server took no bytes in time") from None
         except OSError as error:
             self._die(f"connection failed: {error}")
-            raise ConnectionClosed(self._dead) from None
+            lost = NotSent if len(view) == len(data) else ConnectionClosed
+            raise lost(self._dead) from None
 
     def _read_forever(self) -> None:
         """The reader thread, once the link carries a subscription."""

@@ -472,3 +472,78 @@ class TestStreamFolding:
             assert stream.revision == conn.head.index
         finally:
             conn.close()
+
+
+class _SendFails:
+    """A socket whose first ``send`` fails with ``BrokenPipeError`` after
+    passing ``keep`` bytes of its data on (none: before any byte left)."""
+
+    def __init__(self, sock, keep: int = 0) -> None:
+        self._sock = sock
+        self.keep = keep
+        self.failed = False
+
+    def send(self, data, flags=0):
+        if self.failed:
+            raise BrokenPipeError(32, "Broken pipe")
+        if self.keep:
+            sent = self._sock.send(data[: self.keep], flags)
+            self.keep -= sent
+            return sent
+        self.failed = True
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+class TestSendFailures:
+    def test_a_send_failing_before_any_byte_is_not_sent(
+        self, journal_dir, socket_path
+    ):
+        server = BackgroundServer(journal_dir, path=socket_path)
+        client = wire.LineClient.connect(path=socket_path)
+        try:
+            client._sock = _SendFails(client._sock)
+            with pytest.raises(wire.NotSent):
+                client.request("ping", timeout=5.0)
+        finally:
+            client.close()
+            server.close()
+
+    def test_a_mutation_that_left_no_byte_is_reissued_once(
+        self, journal_dir, socket_path
+    ):
+        """Nothing reached the server, so the ``apply`` waits out a
+        redial and commits exactly once."""
+        server = BackgroundServer(journal_dir, path=socket_path)
+        conn = repro.connect(server.target, retry=POLICY)
+        try:
+            conn._client._sock = _SendFails(conn._client._sock)
+            conn.apply(RAISE_HENRY, tag="once")
+            assert conn.reconnects == 1
+            assert conn.query("henry.sal -> S") == [{"S": 300}]
+            assert [revision.tag for revision in conn.log()][1:] == ["once"]
+        finally:
+            conn.close()
+            server.close()
+
+    def test_a_mutation_cut_after_a_partial_write_may_have_landed(
+        self, journal_dir, socket_path
+    ):
+        """Part of the line left: the ``apply`` surfaces the retryable
+        :class:`ConnectionClosed` — not :class:`NotSent` — and is not
+        re-issued (the server drops the unfinished line)."""
+        server = BackgroundServer(journal_dir, path=socket_path)
+        conn = repro.connect(server.target, retry=POLICY)
+        try:
+            conn._client._sock = _SendFails(conn._client._sock, keep=10)
+            with pytest.raises(ConnectionClosed) as lost:
+                conn.apply(RAISE_HENRY, tag="maybe")
+            assert not isinstance(lost.value, wire.NotSent)
+            assert "may have already applied" in str(lost.value)
+            assert conn.query("henry.sal -> S") == [{"S": 250}]
+            assert [revision.tag for revision in conn.log()][1:] == []
+        finally:
+            conn.close()
+            server.close()

@@ -7,12 +7,12 @@ from repro.core.terms import Oid, intern_oid
 
 
 def test_known_caches_are_registered_with_bounds():
-    # Importing the engine modules registers their lru_caches.
+    # Importing the engine modules registers their compile caches.
     import repro.core.codegen  # noqa: F401
     import repro.datalog.evaluation  # noqa: F401
 
     stats = caches.cache_stats()
-    for name in ("codegen.rule", "codegen.body", "datalog.compile_plan"):
+    for name in ("codegen.shapes", "datalog.compile_plan"):
         assert name in stats, name
         assert stats[name]["maxsize"] == 4096  # bounded, not lru_cache(None)
         assert set(stats[name]) >= {"hits", "misses", "size", "maxsize"}
@@ -25,11 +25,11 @@ def test_cache_stats_move_after_use():
     from repro import parse_body
     from repro.core.codegen import compiled_body
 
-    before = caches.cache_stats()["codegen.body"]
+    before = caches.cache_stats()["codegen.shapes"]
     body = parse_body("Zz.cache_probe -> R")
     compiled_body(tuple(body))
     compiled_body(tuple(body))
-    after = caches.cache_stats()["codegen.body"]
+    after = caches.cache_stats()["codegen.shapes"]
     assert after["misses"] >= before["misses"] + 1
     assert after["hits"] >= before["hits"] + 1
 

@@ -19,9 +19,10 @@ from repro.core.evaluation import EvaluationOptions, evaluate
 from repro.core.exprs import BinOp
 from repro.core.facts import Fact
 from repro.core.grounding import match_rule
+from repro.core.newbase import build_new_base
 from repro.core.objectbase import Delta, ObjectBase
 from repro.core.plans import compile_plan, var_sort_key
-from repro.core.query import PreparedQuery
+from repro.core.query import PreparedQuery, query_literals
 from repro.core.rules import UpdateProgram, UpdateRule, map_constants
 from repro.core.terms import Oid, UpdateKind, Var, VersionVar, intern_oid
 from repro.lang.parser import parse_body, parse_object_base, parse_program, prepare_query
@@ -256,9 +257,10 @@ def test_builtin_semantics_agree_with_the_reference(body, base, expected):
 def test_codegen_caches_registered():
     compiled_rule(paper_example_program().rules[0])  # ensure at least one entry
     stats = cache_stats()
-    for name in ("codegen.rule", "codegen.body", "codegen.backend"):
+    for name in ("codegen.shapes", "codegen.backend"):
         assert name in stats, f"{name} missing from cache_stats()"
-    assert stats["codegen.rule"]["size"] >= 1
+    assert stats["codegen.shapes"]["size"] >= 1
+    assert stats["codegen.shapes"]["maxsize"] == 4096
     backend = stats["codegen.backend"]
     assert backend["bodies_compiled"] >= 1
     assert {"seed_matchers_compiled", "batch_steps", "loop_steps"} <= set(backend)
@@ -372,3 +374,97 @@ def test_binding_a_shape_maps_its_nodes_and_rebuilds_nothing_else(rule):
 def test_generated_source_is_inspectable():
     body = compiled_body(parse_body("E.isa -> empl, E.sal -> S"))
     assert "def _run(base, rows):" in body.source
+
+
+# ----------------------------------------------------------------------
+# the compile cache: one artifact per shape
+# ----------------------------------------------------------------------
+
+
+def _mark(constant: str) -> str:
+    return f"r: ins[a].m -> {constant} <= a.isa -> x."
+
+
+@pytest.mark.parametrize("order", [("1", "1.0"), ("1.0", "1")])
+def test_an_integer_and_a_decimal_constant_keep_their_own_artifacts(order):
+    """``Oid(1) == Oid(1.0)``, so a cache keyed by AST equality hands a
+    program or a query the artifact of its ``1`` / ``1.0`` sibling.  The
+    shape key carries each constant's type: every result here is the
+    reference's, down to the type of the number (``repr``)."""
+    from repro.lang.parser import parse_rule
+
+    base = parse_object_base("a.isa -> x.  a.v -> 2.")
+    caches.clear_caches()
+    for constant in order:
+        for program in (
+            parse_program(_mark(constant)),
+            UpdateProgram([parse_rule(_mark(constant))]),
+        ):
+            reference = evaluate_reference(program, base)
+            want = build_new_base(reference.result_base, reference.final_versions)
+            got = UpdateEngine().apply(program, base).new_base
+            assert repr(sorted(got, key=repr)) == repr(sorted(want, key=repr))
+        body = parse_body(f"a.v -> X, Y = X + {constant}")
+        assert repr(query_literals(base, body)) == repr(query_reference(body, base))
+
+
+def _staff(base) -> list[str]:
+    staff = sorted({str(f.host) for f in base if f.method == "boss"})[:50]
+    assert len(staff) == 50
+    return staff
+
+
+def test_ast_built_queries_compile_once_per_shape():
+    """Bodies built as ASTs that differ only in their constants share one
+    compile: 50 point reads over distinct employees."""
+    base = enterprise_base(n_employees=60, overpaid_ratio=0.1, seed=5)
+    before = _STATS["bodies_compiled"]
+    for employee in _staff(base):
+        body = parse_body(f"{employee}.sal -> S, {employee}.boss -> B")
+        assert query_literals(base, body) == query_reference(body, base)
+    assert _STATS["bodies_compiled"] - before <= 1
+
+
+def test_ast_built_rules_compile_once_per_shape():
+    """Rules built as ASTs that differ only in their constants share one
+    compile: 50 raise programs, each for another employee."""
+    base = enterprise_base(n_employees=60, overpaid_ratio=0.1, seed=5)
+    S, S2 = Var("S"), Var("S2")
+    before = _STATS["bodies_compiled"]
+    for employee in _staff(base):
+        e = Oid(employee)
+        rule = UpdateRule(
+            UpdateAtom(UpdateKind.MODIFY, e, "sal", (), S, S2),
+            (
+                Literal(VersionAtom(e, "sal", (), S)),
+                Literal(BuiltinAtom("=", S2, BinOp("+", S, Oid(1)))),
+            ),
+            "raise",
+        )
+        program = UpdateProgram([rule])
+        reference = evaluate_reference(program, base)
+        assert UpdateEngine().apply(program, base).new_base == build_new_base(
+            reference.result_base, reference.final_versions
+        )
+    assert _STATS["bodies_compiled"] - before <= 1
+
+
+@pytest.mark.parametrize("order", [(("1", "1.0"), ("2", "3.0")), (("2", "3.0"), ("1", "1.0"))])
+def test_a_body_whose_distinct_constants_compare_equal_is_no_template(order):
+    """``1`` and ``1.0`` in one body are two constants an OID mapping
+    cannot tell apart: such a body is compiled, never kept as the shape's
+    template, and never bound from another's."""
+    base = parse_object_base("a.v -> 2.")
+    caches.clear_caches()
+    for left, right in order:
+        body = parse_body(f"a.v -> X, Y = X + {left}, Z = X + {right}")
+        assert repr(query_literals(base, body)) == repr(query_reference(body, base))
+
+
+def test_a_failed_compile_is_not_kept_and_names_each_caller():
+    from repro.core.errors import EvaluationError
+
+    body = parse_body("E.sal -> S, T > S")  # T is never bound: unsafe
+    for name in ("first", "second"):
+        with pytest.raises(EvaluationError, match=f"rule '{name}'"):
+            compiled_body(body, name)

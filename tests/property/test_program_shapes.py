@@ -10,6 +10,11 @@ uncached parse, and evaluate exactly as the reference evaluator
 (:mod:`repro.testing.reference`) says: ``result(P)``, final versions,
 iterations, fired instances and the stratification.  Each rule body, as a
 query, gets the same check against ``query_reference``.
+
+Programs and bodies built as ASTs get the same checks through the compile
+cache of :mod:`repro.core.codegen`: a sibling renamed as an AST binds its
+shape's artifact, which must equal an uncached compile of the sibling and
+agree with the reference.
 """
 
 import random
@@ -17,9 +22,12 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.core import caches
+from repro.core.codegen import CompiledRule, _compile_body, compiled_body
 from repro.core.errors import ReproError
-from repro.core.evaluation import EvaluationOptions, evaluate
-from repro.core.rules import map_constants
+from repro.core.evaluation import EvaluationOptions, compile_program, evaluate
+from repro.core.plans import compile_plan
+from repro.core.query import query_literals
+from repro.core.rules import UpdateProgram, abstract_constants, map_constants
 from repro.core.terms import Oid, intern_oid
 from repro.lang.parser import _parse_literals, _Parser, parse_program, prepare_query
 from repro.lang.pretty import format_literal, format_program
@@ -150,3 +158,76 @@ def test_renaming_keeps_classes_apart():
     }
     assert len(set(renaming.values())) == len(renaming)
     assert Oid(3) in renaming
+
+
+def _shaped(nodes) -> int:
+    """How many of ``nodes`` a shape can key (no ``1`` / ``1.0`` pair)."""
+    count = 0
+    for node in nodes:
+        _key, values = abstract_constants(node)
+        count += len(set(values)) == len(values)
+    return count
+
+
+def _same_executor(bound, fresh, base) -> None:
+    """A bound executor is an uncached compile: the same generated text
+    and slots, globals holding equal AST nodes, and the same rows."""
+    assert bound.source == fresh.source
+    assert bound.slots == fresh.slots
+    assert dict(bound.rebinds) == dict(fresh.rebinds)
+    assert sorted(map(repr, bound.fn(base, [()]))) == sorted(
+        map(repr, fresh.fn(base, [()]))
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(seeds)
+def test_an_ast_built_sibling_program_binds_its_shape_and_matches_the_reference(seed):
+    base = _base_for(seed)
+    program = random_update_program(seed=seed, allow_nonlinear=True)
+    try:
+        compile_program(program)
+    except ReproError:
+        return
+    renaming = _renaming(program.rules, base, random.Random(seed))
+    sibling = UpdateProgram([map_constants(rule, renaming) for rule in program])
+    before = caches.cache_stats()["codegen.shapes"]["hits"]
+    fast, fast_error = _run(evaluate, sibling, base)
+    naive, naive_error = _run(evaluate_reference, sibling, base)
+    assert fast_error == naive_error
+    if fast is None:
+        return
+    hits = caches.cache_stats()["codegen.shapes"]["hits"] - before
+    assert hits == _shaped(sibling.rules)
+    assert fast.result_base == naive.result_base
+    assert fast.final_versions == naive.final_versions
+    assert fast.iterations == naive.iterations
+    assert _fired_sets(fast.trace) == _fired_sets(naive.trace)
+    assert fast.stratification == naive.stratification
+    for stratum in sibling.compiled.strata:
+        for bound in stratum:
+            fresh = CompiledRule(bound.rule)
+            assert bound.signature == fresh.signature
+            _same_executor(bound.full, fresh.full, base)
+
+
+@settings(max_examples=120, deadline=None)
+@given(seeds)
+def test_an_ast_built_sibling_body_binds_its_shape_and_matches_the_reference(seed):
+    base = _base_for(seed)
+    program = random_update_program(seed=seed)
+    rng = random.Random(seed)
+    for rule in program:
+        if not rule.body:
+            continue
+        try:
+            compiled_body(rule.body)
+        except ReproError:
+            continue  # a body only its head makes safe
+        sibling = map_constants(rule.body, _renaming(rule.body, base, rng))
+        before = caches.cache_stats()["codegen.shapes"]["hits"]
+        assert query_literals(base, sibling) == query_reference(sibling, base)
+        hits = caches.cache_stats()["codegen.shapes"]["hits"] - before
+        assert hits == _shaped([sibling])
+        fresh = _compile_body(compile_plan(sibling), (), "<body>")
+        _same_executor(compiled_body(sibling), fresh, base)

@@ -327,3 +327,37 @@ class TestDurability:
         assert stats["conflicts"] == 0
         assert stats["journal"] is None
         assert "subscriptions" in stats and "prepared" in stats
+
+
+def test_the_text_path_binds_without_abstracting_an_ast(monkeypatch):
+    """A served raise or read of a known text shape binds its artifact
+    directly: it never pays for the AST shape key as well."""
+    from repro.core import codegen, query, rules
+    from repro.lang.parser import prepare_query
+    from repro.workloads import enterprise_base
+
+    base = enterprise_base(n_employees=60, overpaid_ratio=0.1, seed=5)
+    staff = sorted({str(f.host) for f in base if f.method == "boss"})[:51]
+    service = StoreService(VersionedStore(base, tag="initial"))
+    calls = []
+    abstract = rules.abstract_constants
+
+    def counted(node):
+        calls.append(node)
+        return abstract(node)
+
+    for module in (codegen, query, rules):
+        monkeypatch.setattr(module, "abstract_constants", counted)
+    raise_ = "raise: mod[{0}].sal -> (S, S2) <= {0}.sal -> S, S2 = S + 1."
+    read = "{0}.sal -> S, {0}.boss -> B"
+    warm, *rest = staff
+    service.apply(raise_.format(warm))  # warm-up: one of each shape
+    prepare_query(read.format(warm)).run(service.store.current)
+    calls.clear()
+    for employee in rest:
+        service.apply(raise_.format(employee), tag=employee)
+        answers = prepare_query(read.format(employee)).run(service.store.current)
+        assert answers == query_reference(
+            parse_body(read.format(employee)), service.store.current
+        )
+    assert calls == []

@@ -259,3 +259,25 @@ class TestFoldDifferential:
             state = fold_answers(state, push["added"], push["removed"])
             historic = prepared.run(service.store.base_at(push["revision"]))
             assert state == historic
+
+
+def test_bodies_equal_but_for_a_constant_type_keep_their_own_deltas():
+    """``Y = X + 1`` and ``Y = X + 1.0`` are equal bodies by OID value
+    (``1 == 1.0``) but two queries: the commit's one evaluation per body
+    must not serve one stream the other's rows.  Each stream's delta is
+    its own re-query diff, down to the type of the number (``repr``)."""
+    import repro
+    from repro.core import caches
+
+    bodies = ("a.v -> X, Y = X + 1", "a.v -> X, Y = X + 1.0")
+    with repro.connect("memory:", base="a.v -> 2.") as conn:
+        streams = []
+        for body in bodies:
+            caches.clear_caches()
+            streams.append(conn.subscribe(body))
+        before = [conn.query(body) for body in bodies]
+        conn.apply("bump: mod[a].v -> (S, S2) <= a.v -> S, S2 = S + 1.")
+        for body, stream, old in zip(bodies, streams, before):
+            delta = stream.next(timeout=5.0)
+            want = diff_answers(old, conn.query(body))
+            assert repr((list(delta.added), list(delta.removed))) == repr(want)
