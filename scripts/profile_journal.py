@@ -19,7 +19,9 @@ chunk and bucket under a fork's spines that is not the parent's own
 object counts its ``len()``), and how long ``load_store`` takes to reach
 the head of the result.  It also counts what parsing and compiling the
 raises cost: the tokenizations, the ``stratify`` calls (both wrapped here
-too) and the bodies code generation compiled.  Reads
+too) and the bodies code generation compiled.  Last, outside everything
+timed, it applies 16 more raises with ``pathlib.Path.open`` wrapped and
+prints how many times a commit opens ``journal.jsonl``.  Reads
 ``benchmarks.e2e.served``; changes nothing outside a temporary directory.
 
 A key's chunk of an index map is picked by its hash, and string hashes
@@ -48,6 +50,10 @@ from repro.core.objectbase import ObjectBase  # noqa: E402
 from repro.lang import parser as lang_parser  # noqa: E402
 from repro.server import StoreService  # noqa: E402
 from repro.storage import DurabilityOptions, load_store  # noqa: E402
+from repro.storage.serialize import JOURNAL_FILE  # noqa: E402
+
+#: The raises of the journal-open count, applied after the timed ones.
+OPEN_RAISES = 16
 
 
 def disk(directory: Path) -> tuple[int, int]:
@@ -143,6 +149,20 @@ def count_calls(module, name: str, calls: list[int]):
     return original
 
 
+def count_opens(name: str, opens: list[int]):
+    """Wrap ``Path.open`` so each open of a file called ``name`` appends 1
+    to ``opens``; returns the original."""
+    original = Path.open
+
+    def counted(self, *args, **kwargs):
+        if self.name == name:
+            opens.append(1)
+        return original(self, *args, **kwargs)
+
+    Path.open = counted
+    return original
+
+
 def main() -> None:
     if "PYTHONHASHSEED" not in os.environ:
         os.environ["PYTHONHASHSEED"] = "0"
@@ -187,6 +207,11 @@ def main() -> None:
         started = time.perf_counter()
         len(load_store(directory).current)  # snapshots load lazily: touch the head
         load_s = time.perf_counter() - started
+        opens: list[int] = []
+        path_open = count_opens(JOURNAL_FILE, opens)
+        for emp in itertools.islice(ent.writer_ops(), OPEN_RAISES):
+            service.apply(raise_text(emp))
+        Path.open = path_open
 
     commits_s = plain_s + snapshot_s
     print(f"{args.raises} fsync'd raises at {args.employees} employees, "
@@ -204,6 +229,7 @@ def main() -> None:
     print(f"share of commit time in snapshot commits: "
           f"{sum(snapshot_s) / sum(commits_s):.1%} ({len(snapshot_s)} commits)")
     print(f"load_store to head: {load_s * 1e3:.0f} ms")
+    print(f"journal opens per commit: {len(opens) / OPEN_RAISES:g}")
 
 
 if __name__ == "__main__":

@@ -55,8 +55,10 @@ Binding = dict[Var, Oid]
 #: Plan step actions (mirrors repro.core.plans).
 _FILTER, _BINDER, _GENERATE = 0, 1, 2
 
-#: A plan step: (original body position, literal, action).
-_PlanStep = tuple[int, DatalogLiteral, int]
+#: A plan step: (original body position, action).  The literal is read
+#: from the caller's body, never kept: bodies equal but for ``1`` / ``1.0``
+#: share one cache entry, and each must run its own constants.
+_PlanStep = tuple[int, int]
 
 
 @lru_cache(maxsize=4096)
@@ -95,7 +97,7 @@ def _compile_plan(body: tuple[DatalogLiteral, ...]) -> tuple[_PlanStep, ...] | N
             return None
         position, action = chosen
         original_index, literal = remaining.pop(position)
-        steps.append((original_index, literal, action))
+        steps.append((original_index, action))
         if action == _BINDER:
             bound.add(_equality_target(literal.atom, bound))
         else:
@@ -141,11 +143,14 @@ def match_datalog_rule(
             f"the current binding — the rule is unsafe (this should have "
             f"been caught by the safety check)"
         )
-    yield from _search_planned(plan, 0, {}, database, delta, delta_literal)
+    yield from _search_planned(
+        plan, rule.body, 0, {}, database, delta, delta_literal
+    )
 
 
 def _search_planned(
     steps: tuple[_PlanStep, ...],
+    body: tuple[DatalogLiteral, ...],
     index: int,
     binding: Binding,
     database: Database,
@@ -154,7 +159,8 @@ def _search_planned(
 ) -> Iterator[Binding]:
     n = len(steps)
     while index < n:
-        original_index, literal, action = steps[index]
+        original_index, action = steps[index]
+        literal = body[original_index]
         if action == _FILTER:
             if not _check(literal, binding, database):
                 return
@@ -174,7 +180,8 @@ def _search_planned(
             index += 1
             for extension in _generate(literal.atom, binding, source):
                 yield from _search_planned(
-                    steps, index, extension, database, delta, delta_literal
+                    steps, body, index, extension, database, delta,
+                    delta_literal,
                 )
             return
     yield binding

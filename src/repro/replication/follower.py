@@ -9,10 +9,12 @@ A :class:`Follower` owns a journal directory and keeps it a
   the ``repl-line`` pushes after it carry each later commit.  Every line,
   batch or push, takes one path (:meth:`Follower._ingest`): validate
   (CRC, chain order, epoch monotonicity), write ahead verbatim, publish —
-  so local subscriptions fire exactly as if the commit were local.  A
-  local journal that exists is *continued*: torn-tail recovery
-  (``load_store(repair=True)``) runs first, so a follower SIGKILLed
-  mid-catch-up resumes without re-downloading the snapshot.  A dropped
+  so local subscriptions fire exactly as if the commit were local.  The
+  follower writes its journal through one
+  :class:`~repro.storage.serialize.JournalWriter`, and a local journal
+  that exists is *continued*: the writer opens it first, cutting a torn
+  tail, so a follower SIGKILLed mid-catch-up resumes without
+  re-downloading the snapshot.  A dropped
   link redials with backoff and attaches again from the journal's own
   end — the stream is always resumable because its cursor *is* the
   journal, and a backlog of any length arrives as one response.
@@ -24,7 +26,7 @@ A :class:`Follower` owns a journal directory and keeps it a
   writable at the same epoch.
 * **Promotion**: :meth:`promote` stops replication, bumps the fencing
   epoch past everything this node has seen
-  (:meth:`StoreService.promote`), binds the local journal for writing,
+  (:meth:`StoreService.promote`), hands the service its journal writer,
   and best-effort fences the old primary so its zombie writes are
   rejected.  With a ``takeover`` socket path the ``on_takeover`` hook
   (installed by the CLI) additionally binds the dead primary's endpoint,
@@ -47,12 +49,11 @@ from repro.server.service import StoreService
 from repro.storage.serialize import (
     JOURNAL_FILE,
     DurabilityOptions,
+    JournalWriter,
     TornJournalError,
     apply_journal_record,
     load_store,
     parse_journal_record,
-    write_journal_entries,
-    write_journal_file,
 )
 
 __all__ = ["Follower"]
@@ -83,7 +84,9 @@ class Follower:
     ) -> None:
         self.directory = Path(directory)
         self.primary = str(primary)
-        self.durability = durability
+        #: The one writer of the local journal; the service gets it on
+        #: promotion.
+        self.journal = JournalWriter(self.directory, durability)
         self.retry = retry or RetryPolicy(attempts=8, base_delay=0.05,
                                           max_delay=1.0)
         self.heartbeat_interval = heartbeat_interval
@@ -158,7 +161,7 @@ class Follower:
         if not (self.directory / JOURNAL_FILE).exists():
             return None
         try:
-            return load_store(self.directory, repair=True)
+            return self.journal.open()
         except ReproError:
             # Nothing recoverable (died before the first replicated line
             # became durable, or damage beyond tail repair).  A replica's
@@ -182,11 +185,7 @@ class Follower:
                 timeout=_CATCH_UP_TIMEOUT,
             )
             if self._store is None:
-                self.directory.mkdir(parents=True, exist_ok=True)
-                write_journal_file(
-                    self.directory, JOURNAL_FILE, batch["header"] + "\n",
-                    durability=self.durability,
-                )
+                self.journal.start(batch["header"])
             self.bootstrap_snapshots = sum(
                 1 for entry in batch["entries"] if entry.get("snapshot")
             )
@@ -214,9 +213,7 @@ class Follower:
             )
 
             def write_ahead(_revisions=()):
-                return write_journal_entries(
-                    self.directory, [entry], durability=self.durability
-                )
+                return self.journal.append([entry])
 
             if store is None:  # revision 0, snapshot and all, starts the store
                 write_ahead()
@@ -255,12 +252,12 @@ class Follower:
 
     def _repair_journal(self) -> None:
         """Cut a fragment a failed append left at the end of this
-        replica's journal back to its last good line — the rule
-        ``load_store(repair=True)`` applies when a follower starts.  The
+        replica's journal back to its last good line — the writer's
+        :meth:`~JournalWriter.open`, as when a follower starts.  The
         journal is derived data and the store in memory is unchanged, so
         the next attach continues from its end."""
         with self._lock:
-            load_store(self.directory, repair=True)
+            self.journal.open()
 
     def _follow(self, client: LineClient) -> None:
         """Ingest ``repl-line`` pushes, read off the link by this thread,
@@ -315,8 +312,7 @@ class Follower:
                 new_epoch = self.service.epoch
             else:
                 new_epoch = self.service.promote(
-                    epoch=epoch, journal_dir=self.directory,
-                    durability=self.durability,
+                    epoch=epoch, journal=self.journal
                 )
         if not already:
             self._kick_link()

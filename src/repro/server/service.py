@@ -62,13 +62,7 @@ from repro.storage.history import (
     StoreRevision,
     VersionedStore,
 )
-from repro.storage.serialize import (
-    DurabilityOptions,
-    bind_snapshots,
-    journal_revisions,
-    load_store,
-    save_store,
-)
+from repro.storage.serialize import DurabilityOptions, JournalWriter
 
 __all__ = ["Session", "CommitOutcome", "StoreService"]
 
@@ -271,7 +265,8 @@ class StoreService:
 
     One instance mediates every reader and writer of a store (the asyncio
     server holds exactly one); it owns the FIFO writer queue, the optional
-    journal binding, and the push-subscription manager
+    journal writer (``journal``, ``None`` for a memory-only store), and the
+    push-subscription manager
     (:class:`~repro.server.subscriptions.SubscriptionManager`).
 
     >>> service = StoreService(VersionedStore(base))        # doctest: +SKIP
@@ -284,8 +279,7 @@ class StoreService:
         self,
         store: VersionedStore,
         *,
-        journal_dir=None,
-        durability: DurabilityOptions | None = None,
+        journal: JournalWriter | None = None,
         role: str = "primary",
         shard_id: int | None = None,
         shard_count: int | None = None,
@@ -293,8 +287,7 @@ class StoreService:
         from repro.server.subscriptions import SubscriptionManager
 
         self.store = store
-        self.journal_dir = journal_dir
-        self.durability = durability
+        self.journal = journal
         #: Position in a hash-partitioned cluster (``repro cluster``), or
         #: ``None`` for a standalone/replica-set node.  Routers verify the
         #: declared identity at connect time so a misordered member list
@@ -340,11 +333,10 @@ class StoreService:
         into a store (restart recovery — the service is the journal's
         writer, so torn/duplicated tail lines are repaired on disk here)
         and every future commit appends under ``durability``."""
-        store = load_store(directory, options=options, repair=True)
+        journal = JournalWriter(directory, durability)
         return cls(
-            store,
-            journal_dir=directory,
-            durability=durability,
+            journal.open(options=options),
+            journal=journal,
             shard_id=shard_id,
             shard_count=shard_count,
         )
@@ -363,12 +355,11 @@ class StoreService:
     ) -> "StoreService":
         """Initialize a fresh journal directory from ``base`` and serve it."""
         store = VersionedStore(base, tag=tag, options=options)
-        save_store(store, directory, durability=durability)
-        bind_snapshots(store, directory)
+        journal = JournalWriter(directory, durability)
+        journal.create(store)
         return cls(
             store,
-            journal_dir=directory,
-            durability=durability,
+            journal=journal,
             shard_id=shard_id,
             shard_count=shard_count,
         )
@@ -485,8 +476,7 @@ class StoreService:
         self,
         *,
         epoch: int | None = None,
-        journal_dir=None,
-        durability: DurabilityOptions | None = None,
+        journal: JournalWriter | None = None,
     ) -> int:
         """Make this node the writable primary under a new, higher epoch.
 
@@ -494,8 +484,8 @@ class StoreService:
         chain, any fence, an explicit ``epoch`` floor from a supervisor) so
         the first post-promotion commit stamps a strictly newer epoch into
         the journal and the old primary's unreplicated tail can never be
-        confused with the new history.  A follower binds its journal
-        directory here (``journal_dir``) so commits start appending.
+        confused with the new history.  A follower hands over its journal
+        writer here (``journal``) so commits start appending.
         """
         with self._writer():
             new_epoch = max(
@@ -503,10 +493,8 @@ class StoreService:
             )
             self.store.epoch = new_epoch
             self.role = "primary"
-            if journal_dir is not None:
-                self.journal_dir = journal_dir
-                if durability is not None:
-                    self.durability = durability
+            if journal is not None:
+                self.journal = journal
             return new_epoch
 
     def add_replication_listener(
@@ -515,9 +503,9 @@ class StoreService:
         """Register ``listener(entry)`` to run for each commit once its
         journal line is durable and the revision published — never for a
         write that failed, so a follower can never hold a line its primary
-        lost.  ``entry`` is what ``journal_revisions`` wrote, shared by every
-        listener.  The caller must serialize registration against in-flight
-        commits (register under :meth:`_writer`, as
+        lost.  ``entry`` is what the journal writer's ``commit`` wrote,
+        shared by every listener.  The caller must serialize registration
+        against in-flight commits (register under :meth:`_writer`, as
         :func:`repro.server.stream.attach` does)."""
         self._repl_listeners.append(listener)
         return listener
@@ -605,9 +593,7 @@ class StoreService:
             """The journal step: the batch's lines are durable before the
             store publishes any of it."""
             try:
-                written, sources = journal_revisions(
-                    revisions, self.journal_dir, durability=self.durability
-                )
+                written, sources = self.journal.commit(revisions)
             except Exception as error:
                 named = ", ".join(f"{r.index} [{r.tag}]" for r in revisions)
                 raise SessionError(
@@ -618,7 +604,7 @@ class StoreService:
             return sources
 
         revisions = store.commit_updates(
-            updates, journal=write_ahead if self.journal_dir is not None else None
+            updates, journal=write_ahead if self.journal is not None else None
         )
         # A follower only ever streams lines that are durable here, keeping
         # its journal a prefix of this one through a crash.
@@ -672,12 +658,8 @@ class StoreService:
             "commits": self._commits,
             "conflicts": self._conflicts,
             "sessions_begun": self._session_counter,
-            "journal": str(self.journal_dir) if self.journal_dir else None,
-            "durability": (
-                (self.durability or DurabilityOptions()).mode
-                if self.journal_dir
-                else None
-            ),
+            "journal": str(self.journal.directory) if self.journal else None,
+            "durability": self.journal.durability.mode if self.journal else None,
             "subscriptions": _deep_snapshot(self.subscriptions.stats()),
             # Always empty since the answer memo went; the frozen benchmark
             # still iterates the key (ROADMAP item 3 retires both).

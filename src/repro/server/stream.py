@@ -9,8 +9,9 @@ module never re-serializes history to uphold it:
   :func:`~repro.storage.serialize.journal_history` counts as history, the
   ones ``load_store`` would load — carrying referenced snapshot files
   inline;
-* live pushes carry the entry :func:`~repro.storage.serialize.journal_revisions`
-  wrote ahead of the commit, so nothing is rendered or read back per follower.
+* live pushes carry the entry the service's
+  :class:`~repro.storage.serialize.JournalWriter` wrote ahead of the
+  commit, so nothing is rendered or read back per follower.
 
 :func:`attach` glues both to a :class:`StoreService` for the
 ``repl-stream`` handler: under the service's writer queue it reads the
@@ -66,16 +67,6 @@ def read_journal_entries(
     return header, entries
 
 
-def _journal_dir(service) -> Path:
-    directory = service.journal_dir
-    if directory is None:
-        raise ReproError(
-            "replication needs a journal-backed primary; serve a journal "
-            "directory (repro serve DIR) instead of an in-memory store"
-        )
-    return Path(directory)
-
-
 def attach(
     service, deliver: Callable[[dict], None], from_index: int
 ) -> tuple[Callable[[], None], dict]:
@@ -88,9 +79,15 @@ def attach(
     ``{header, entries, from_index, head, epoch}``; the connection teardown
     must call ``detach``.
     """
-    directory = _journal_dir(service)
+    if service.journal is None:
+        raise ReproError(
+            "replication needs a journal-backed primary; serve a journal "
+            "directory (repro serve DIR) instead of an in-memory store"
+        )
     with service._writer():
-        header, entries = read_journal_entries(directory, from_index)
+        header, entries = read_journal_entries(
+            service.journal.directory, from_index
+        )
         listener = service.add_replication_listener(
             lambda entry: deliver(dict(entry, push="repl-line"))
         )

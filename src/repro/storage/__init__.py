@@ -10,8 +10,10 @@ object versioning as in [Kim91].  This subpackage provides that usual sense:
   sharing between revisions, as-of queries and delta-composed diffs;
 * :mod:`~repro.storage.serialize` — text and JSON round-trips for object
   bases, plus the durable JSONL journal format that persists a whole
-  revision chain (``save_store`` / ``load_store`` / ``append_revision`` /
-  ``compact_journal``), writing snapshot files by journal weight.
+  revision chain (``save_store`` / ``load_store`` / ``compact_journal``,
+  which only read or rewrite it whole); a process that owns a journal
+  appends to it through one :class:`~repro.storage.serialize.JournalWriter`,
+  which writes snapshot files by journal weight.
 """
 
 from repro.storage.history import (
@@ -23,7 +25,7 @@ from repro.storage.history import (
 from repro.storage.serialize import (
     DurabilityOptions,
     JournalCorruptError,
-    append_revision,
+    JournalWriter,
     compact_journal,
     dump_base_json,
     dump_base_text,
@@ -41,13 +43,13 @@ __all__ = [
     "resolve_revision_ref",
     "DurabilityOptions",
     "JournalCorruptError",
+    "JournalWriter",
     "dump_base_text",
     "load_base_text",
     "dump_base_json",
     "load_base_json",
     "save_store",
     "load_store",
-    "append_revision",
     "compact_journal",
     "verify_journal",
 ]

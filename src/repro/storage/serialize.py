@@ -16,13 +16,14 @@ The **journal** is the durable form of a
   :func:`dump_base_json` format), each only a cache of the base its
   revision reconstructs to.
 
-``save_store`` / ``load_store`` round-trip a whole revision chain;
-``journal_revisions``, a commit's write-ahead step, writes a batch of
-revisions in O(|delta|) through ``write_journal_entries`` (the writer
-primary and follower share), reading only the journal's last line; it
-writes a ``snapshot_interval`` candidate's O(|base|) file only once the
-lines since the last file weigh (``1 + |added| + |removed|`` each) at
-least the base, so a commit costs its delta, amortized.
+``save_store`` / ``load_store`` round-trip a whole revision chain, and
+``load_store`` never writes.  A process that owns a journal — a service,
+a follower — adds bytes to it through one :class:`JournalWriter`: it
+creates the directory, opens it for writing (cutting crash residue), and
+makes each commit durable in O(|delta|), reading only the journal's last
+line.  It writes a ``snapshot_interval`` candidate's O(|base|) file only
+once the lines since the last file weigh (``1 + |added| + |removed|``
+each) at least the base, so a commit costs its delta, amortized.
 ``compact_journal`` rewrites a journal under a fresh snapshot interval;
 ``verify_journal`` audits a journal's checksums without replaying it.
 
@@ -77,18 +78,13 @@ __all__ = [
     "DurabilityOptions",
     "JournalCorruptError",
     "TornJournalError",
+    "JournalWriter",
     "save_store",
     "load_store",
-    "append_revision",
-    "journal_revisions",
-    "write_journal_entries",
-    "bind_snapshots",
     "compact_journal",
     "verify_journal",
     "journal_history",
     "parse_journal_record",
-    "append_journal_line",
-    "write_journal_file",
     "apply_journal_record",
 ]
 
@@ -395,119 +391,132 @@ def save_store(
         if has_snapshot:
             name = _snapshot_name(revision.index)
             kept.add(name)
-            write_journal_file(
-                directory, name, dump_base_json(store.snapshot_at(revision.index)),
-                durability=durability,
+            _fs.write_text(
+                directory / name,
+                dump_base_json(store.snapshot_at(revision.index)),
+                fsync=durability.fsync,
             )
-    journal = write_journal_file(
-        directory, JOURNAL_FILE, "\n".join(lines) + "\n", durability=durability
-    )
+    journal = directory / JOURNAL_FILE
+    _fs.write_text(journal, "\n".join(lines) + "\n", fsync=durability.fsync)
     for stale in directory.glob("snap-*.json"):
         if stale.name not in kept:
             _fs.unlink(stale)
     return journal
 
 
-def journal_revisions(
-    revisions: list[StoreRevision],
-    directory: str | Path,
-    *,
-    durability: DurabilityOptions | None = None,
-) -> tuple[list[dict], list[SnapshotSource | None]]:
-    """The write-ahead step (``commit_updates(journal=...)``): form the
-    entries of the unpublished ``revisions`` and make them durable together
-    through :func:`write_journal_entries`.  Returns the entries, each
-    ``{"index", "epoch", "line", "snapshot": {"name", "content"} | None}``
-    (the replication stream's shape), and their snapshots' reload sources.
-    A candidate gets its file by the module doc's weight rule, the batch's
-    earlier lines counting."""
-    start = time.perf_counter()
-    directory = Path(directory)
-    weight = revisions[0]._store.journal_weight(revisions[0].index - 1)
-    entries = []
-    for revision in revisions:
-        weight += revision.weight
-        snapshot = None
-        if revision.snapshot is not None and weight >= len(revision.snapshot):
-            weight = 0
-            snapshot = {
-                "name": _snapshot_name(revision.index),
-                "content": dump_base_json(revision.snapshot),
-            }
-        entries.append({
-            "index": revision.index,
-            "epoch": revision.epoch,
-            "line": _revision_line(revision, snapshot is not None),
-            "snapshot": snapshot,
-        })
-    sources = write_journal_entries(directory, entries, durability=durability)
-    _obs.observe("commit_phase_seconds", time.perf_counter() - start, phase="append")
-    return entries, sources
+class JournalWriter:
+    """The one object through which a process adds bytes to a journal
+    directory it owns — a service, a follower — under one durability.  It
+    holds the directory and the resolved durability, nothing else: every
+    call reads what it needs from the file and opens it anew."""
 
+    __slots__ = ("directory", "durability")
 
-def append_revision(
-    store: VersionedStore,
-    directory: str | Path,
-    *,
-    durability: DurabilityOptions | None = None,
-) -> dict:
-    """Journal ``store``'s head, already published, through
-    :func:`journal_revisions`; returns the entry written."""
-    revision = store.head
-    (entry,), (source,) = journal_revisions(
-        [revision], directory, durability=durability
-    )
-    store.snapshot_persisted(revision.index, source)
-    return entry
+    def __init__(
+        self, directory: str | Path, durability: DurabilityOptions | None = None
+    ) -> None:
+        self.directory = Path(directory)
+        self.durability = durability or DEFAULT_DURABILITY
 
+    def create(self, store: VersionedStore) -> None:
+        """Write ``store``'s whole chain as this directory's journal
+        (``save_store``), and make the snapshot files the reload sources of
+        its resident snapshots, as :meth:`open` and :meth:`commit` do for
+        theirs.  (``save_store`` alone does not: it also exports stores to
+        directories that may not last.)"""
+        save_store(store, self.directory, durability=self.durability)
+        for revision in store.revisions():
+            if revision.snapshot is not None:
+                store.snapshot_persisted(
+                    revision.index,
+                    partial(
+                        _load_snapshot,
+                        self.directory / _snapshot_name(revision.index),
+                    ),
+                )
 
-def bind_snapshots(store: VersionedStore, directory: str | Path) -> None:
-    """Make the snapshot files ``save_store`` wrote to ``directory`` the
-    reload sources of ``store``'s resident snapshots, as ``load_store`` and
-    ``append_revision`` do for theirs — for the process that keeps serving
-    ``store`` with ``directory`` as its journal.  (``save_store`` itself
-    does not: it also exports stores to directories that may not last.)"""
-    directory = Path(directory)
-    for revision in store.revisions():
-        if revision.snapshot is not None:
-            store.snapshot_persisted(
-                revision.index,
-                partial(_load_snapshot, directory / _snapshot_name(revision.index)),
-            )
+    def open(self, *, options: StoreOptions | None = None) -> VersionedStore:
+        """The store this journal holds, as :func:`load_store` reads it,
+        with crash residue (retried echoes, a torn final line) cut from the
+        file so the next append lines up.  The cut is a temp file and a
+        rename under this writer's durability, so a crash mid-repair cannot
+        destroy the durable history it protects."""
+        store, repaired = _read_journal(self.directory, options)
+        if repaired is not None:
+            self._write(JOURNAL_FILE, repaired)
+        return store
 
+    def start(self, header: str) -> None:
+        """Begin a journal of no revisions (a fresh follower's first step):
+        ``header`` is its first line."""
+        self.directory.mkdir(parents=True, exist_ok=True)
+        self._write(JOURNAL_FILE, header + "\n")
 
-def write_journal_entries(
-    directory: str | Path,
-    entries: list[dict],
-    *,
-    durability: DurabilityOptions | None = None,
-) -> list[SnapshotSource | None]:
-    """Make entries durable, for primary and follower alike: every snapshot
-    file first, then the verbatim lines in one append — a crash between
-    leaves dangling snapshots (cleaned by compaction), never a line pointing
-    at nothing, and a write that fails without leaving bytes leaves none of
-    the entries.  Nothing is written unless the journal's last line is the
-    revision before the first entry's (:func:`_check_journal_end`).
-    Returns each entry's snapshot reload source."""
-    _check_journal_end(Path(directory) / JOURNAL_FILE, entries[0]["index"])
-    sources = []
-    for entry in entries:
-        snapshot = entry.get("snapshot")
-        source = None
-        if snapshot:
-            start = time.perf_counter()
-            path = write_journal_file(
-                directory, snapshot["name"], snapshot["content"],
-                durability=durability,
-            )
-            _obs.observe("journal_snapshot_seconds", time.perf_counter() - start)
-            source = partial(_load_snapshot, path)
-        sources.append(source)
-    append_journal_line(
-        directory, "\n".join(entry["line"] for entry in entries),
-        durability=durability,
-    )
-    return sources
+    def commit(
+        self, revisions: list[StoreRevision]
+    ) -> tuple[list[dict], list[SnapshotSource | None]]:
+        """The write-ahead step (``commit_updates(journal=...)``): form the
+        entries of the unpublished ``revisions`` and make them durable
+        together through :meth:`append`.  Returns the entries, each
+        ``{"index", "epoch", "line", "snapshot": {"name", "content"} |
+        None}`` (the replication stream's shape), and their snapshots'
+        reload sources.  A candidate gets its file by the module doc's
+        weight rule, the batch's earlier lines counting."""
+        start = time.perf_counter()
+        weight = revisions[0]._store.journal_weight(revisions[0].index - 1)
+        entries = []
+        for revision in revisions:
+            weight += revision.weight
+            snapshot = None
+            if revision.snapshot is not None and weight >= len(revision.snapshot):
+                weight = 0
+                snapshot = {
+                    "name": _snapshot_name(revision.index),
+                    "content": dump_base_json(revision.snapshot),
+                }
+            entries.append({
+                "index": revision.index,
+                "epoch": revision.epoch,
+                "line": _revision_line(revision, snapshot is not None),
+                "snapshot": snapshot,
+            })
+        sources = self.append(entries)
+        _obs.observe("commit_phase_seconds", time.perf_counter() - start, phase="append")
+        return entries, sources
+
+    def append(self, entries: list[dict]) -> list[SnapshotSource | None]:
+        """Make entries durable, for primary and follower alike: every
+        snapshot file first, then the lines **verbatim** in one append — so
+        follower journals stay byte-identical prefixes of the primary's.  A
+        crash between leaves dangling snapshots (cleaned by compaction),
+        never a line pointing at nothing, and a write that fails without
+        leaving bytes leaves none of the entries.  Nothing is written
+        unless the journal's last line is the revision before the first
+        entry's (:func:`_check_journal_end`).  Returns each entry's
+        snapshot reload source."""
+        journal = self.directory / JOURNAL_FILE
+        _check_journal_end(journal, entries[0]["index"])
+        sources = []
+        for entry in entries:
+            snapshot = entry.get("snapshot")
+            source = None
+            if snapshot:
+                start = time.perf_counter()
+                path = self._write(snapshot["name"], snapshot["content"])
+                _obs.observe("journal_snapshot_seconds", time.perf_counter() - start)
+                source = partial(_load_snapshot, path)
+            sources.append(source)
+        text = "\n".join(entry["line"] for entry in entries) + "\n"
+        _obs.inc("journal_bytes", len(text.encode("utf-8")))
+        _fs.append_text(journal, text, fsync=self.durability.fsync)
+        return sources
+
+    def _write(self, name: str, text: str) -> Path:
+        """Atomically write one file of the directory (header, snapshot,
+        repaired journal) under this writer's durability."""
+        path = self.directory / name
+        _fs.write_text(path, text, fsync=self.durability.fsync)
+        return path
 
 
 def parse_journal_record(line: str, *, expected: int, epoch: int) -> dict:
@@ -522,36 +531,6 @@ def parse_journal_record(line: str, *, expected: int, epoch: int) -> dict:
     if problem is not None:
         raise ReproError(f"journal line rejected: {problem}")
     return record
-
-
-def append_journal_line(
-    directory: str | Path,
-    line: str,
-    *,
-    durability: DurabilityOptions | None = None,
-) -> None:
-    """Append raw journal lines (newline-joined) **verbatim**, for
-    :func:`write_journal_entries`, so follower journals stay byte-identical
-    prefixes of the primary's."""
-    durability = durability or DEFAULT_DURABILITY
-    journal = Path(directory) / JOURNAL_FILE
-    _obs.inc("journal_bytes", len(line.encode("utf-8")) + 1)
-    _fs.append_text(journal, line + "\n", fsync=durability.fsync)
-
-
-def write_journal_file(
-    directory: str | Path,
-    name: str,
-    text: str,
-    *,
-    durability: DurabilityOptions | None = None,
-) -> Path:
-    """Atomically write one journal-directory file (header, snapshot)
-    with the snapshot durability discipline."""
-    durability = durability or DEFAULT_DURABILITY
-    path = Path(directory) / name
-    _fs.write_text(path, text, fsync=durability.fsync)
-    return path
 
 
 def apply_journal_record(
@@ -625,14 +604,15 @@ def _last_journal_index(journal: Path) -> int:
         except (ValueError, KeyError, TypeError) as parse_error:
             error = parse_error
     raise TornJournalError(
-        f"journal {journal} ends in a torn line ({error}); load the "
-        f"store first to recover it, then retry the append"
+        f"journal {journal} ends in a torn line ({error}); reopen it for "
+        f"writing to recover it, then retry the append"
     )
 
 
 class TornJournalError(ReproError):
     """The journal's last line is a fragment a failed append left behind:
-    nothing can be appended until ``load_store(repair=True)`` cuts it."""
+    nothing can be appended until its writer cuts it
+    (:meth:`JournalWriter.open`)."""
 
 
 def _journal_lines(directory) -> tuple[Path, list[tuple[int, int, str]]]:
@@ -776,7 +756,6 @@ def load_store(
     directory: str | Path,
     *,
     options: StoreOptions | None = None,
-    repair: bool = False,
 ) -> VersionedStore:
     """Reconstruct a :class:`VersionedStore` from a journal directory.
 
@@ -790,14 +769,19 @@ def load_store(
     crash residue — retried echoes, a damaged final line — is recovered
     **in memory**, loading the store at the last durable revision, and
     corruption before the final line raises :class:`JournalCorruptError`
-    carrying the line number and byte offset.
-
-    With ``repair=True`` the journal file is additionally rewritten back
-    to its last-good content (via a temp file + atomic rename) so future
-    appends line up again; writers (``StoreService.open``, a follower's
-    restart) pass it, readers (a ``readonly`` directory connection) must
-    not, since rewriting the file from a reader could race a live appender.
+    carrying the line number and byte offset.  The file is never written:
+    a reader could race a live appender.  Cutting the residue on disk is
+    the journal writer's (:meth:`JournalWriter.open`).
     """
+    return _read_journal(directory, options)[0]
+
+
+def _read_journal(
+    directory: str | Path, options: StoreOptions | None
+) -> tuple[VersionedStore, str | None]:
+    """The one journal loader: the store :func:`load_store` returns, and
+    the text to cut the file back to when it holds crash residue
+    (``None`` when it holds none)."""
     directory = Path(directory)
     journal = directory / JOURNAL_FILE
     header_line, history, residue = journal_history(directory)
@@ -845,14 +829,14 @@ def load_store(
                 record.get("epoch", 0),
             )
         )
-    if residue and repair:
-        # Rewrite via a temp file + atomic rename, so a crash mid-repair
-        # cannot destroy the durable history the repair is protecting.
+    repaired = None
+    if residue:
         lines = [header_line] + [line for _n, _o, line, _r in history]
-        _fs.write_text(journal, "\n".join(lines) + "\n")
-    return VersionedStore.from_revisions(
+        repaired = "\n".join(lines) + "\n"
+    store = VersionedStore.from_revisions(
         revisions, options=options, snapshot_sources=snapshot_sources
     )
+    return store, repaired
 
 
 def _load_snapshot(path: Path) -> ObjectBase:
@@ -950,7 +934,7 @@ def compact_journal(
     its snapshots or the new journal with all of its.
     """
     compact_start = time.perf_counter()
-    store = load_store(directory, repair=True)  # compaction rewrites anyway
+    store = load_store(directory)  # save_store below cuts any residue
     interval = snapshot_interval or store.options.snapshot_interval
     new_options = StoreOptions(
         snapshot_interval=interval,

@@ -204,8 +204,8 @@ class inject_faults:
     journal I/O seam::
 
         with inject_faults(FaultSpec("append", "torn", keep_bytes=7)) as fs:
-            with pytest.raises(InjectedCrash):
-                append_revision(store, journal_dir)
+            with pytest.raises(SessionError):  # the crash, as a commit sees it
+                service.apply(program)
         # the seam is restored even if the block raises
     """
 

@@ -3,10 +3,13 @@
 import pytest
 
 from repro.core.atoms import BuiltinAtom
+from repro.core.caches import clear_caches
 from repro.core.errors import ProgramError, SafetyError, StratificationError
 from repro.core.exprs import BinOp
 from repro.core.terms import Oid, Var
-from repro.datalog import Database, DatalogEngine, DatalogProgram, stratify_datalog
+from repro.datalog import (
+    Database, DatalogEngine, DatalogProgram, parse_datalog, stratify_datalog,
+)
 from repro.datalog.ast import DatalogLiteral as L
 from repro.datalog.ast import DatalogRule, PredicateAtom
 
@@ -100,6 +103,26 @@ class TestBuiltins:
         edb = Database.from_tuples([("num", 2), ("num", 5)])
         result = DatalogEngine().run(program, edb)
         assert DatalogEngine.query(result, "big", (None,)) == [(5,)]
+
+    @pytest.mark.parametrize("first, second", [("1", "1.0"), ("1.0", "1")])
+    def test_an_integer_and_a_decimal_constant_keep_their_own_plans(
+        self, first, second
+    ):
+        # ``Oid(1) == Oid(1.0)``, so both bodies share one plan-cache entry;
+        # each must still compute with its own literal.
+        def derived(constant):
+            program, edb = parse_datalog(
+                f"v(a, 2).\nw(X, Y) :- v(X, Z), Y = Z + {constant}."
+            )
+            result = DatalogEngine().run(program, edb)
+            return repr(sorted(result.rows("w", 2)))
+
+        clear_caches()
+        answers = {constant: derived(constant) for constant in (first, second)}
+        assert answers == {
+            "1": "[(Oid('a'), Oid(3))]",
+            "1.0": "[(Oid('a'), Oid(3.0))]",
+        }
 
 
 class TestStratification:

@@ -32,8 +32,8 @@ from repro.core.rules import UpdateProgram
 from repro.core.terms import Oid, UpdateKind, wrap
 from repro.lang.parser import parse_program
 from repro.server.service import StoreService
-from repro.storage import StoreOptions, VersionedStore
-from repro.storage.serialize import append_revision, save_store
+from repro.storage import JournalWriter, StoreOptions, VersionedStore
+from repro.storage.serialize import save_store
 from repro.workloads.synthetic import random_object_base, random_update_program
 
 from .test_index_maintenance import (
@@ -193,8 +193,10 @@ def test_journal_through_handed_over_deltas_is_byte_identical(batch, base_seed, 
             except VersionLinearityError:
                 continue
             new_base = UpdateEngine().apply(program, store.current).new_base
-            store.commit_update(new_base, tag=tag, program_name=program.name)
-            append_revision(store, diffed)
+            store.commit_update(
+                new_base, tag=tag, program_name=program.name,
+                journal=lambda revisions: JournalWriter(diffed).commit(revisions)[1],
+            )
             assert service.store.current == store.current
             assert service.store.current.is_plain()
         written = sorted(path.name for path in handed.iterdir())

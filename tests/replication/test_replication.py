@@ -39,9 +39,11 @@ from repro.server.errors import (
 )
 from repro.server.service import StoreService
 from repro.server.stream import attach
+from repro.storage import serialize
 from repro.storage.history import StoreOptions, VersionedStore
 from repro.storage.serialize import (
     JOURNAL_FILE,
+    DurabilityOptions,
     compact_journal,
     load_store,
     verify_journal,
@@ -89,7 +91,7 @@ class TestEpochInJournal:
         service = StoreService.create(
             parse_object_base(BASE), tmp_path / "j", tag="seed"
         )
-        service.promote(epoch=7, journal_dir=tmp_path / "j")
+        service.promote(epoch=7)
         service.apply(RAISE, tag="promoted-write")
         assert '"epoch": 7' in journal_text(tmp_path / "j")
         reloaded = load_store(tmp_path / "j")
@@ -101,7 +103,7 @@ class TestEpochInJournal:
             parse_object_base(BASE), tmp_path / "j", tag="seed"
         )
         service.apply(RAISE, tag="r1")
-        service.promote(epoch=3, journal_dir=tmp_path / "j")
+        service.promote(epoch=3)
         service.apply(RAISE, tag="r2")
         compacted = compact_journal(tmp_path / "j", snapshot_interval=1)
         assert compacted.epoch == 3
@@ -113,7 +115,7 @@ class TestEpochInJournal:
         service = StoreService.create(
             parse_object_base(BASE), tmp_path / "j", tag="seed"
         )
-        service.promote(epoch=5, journal_dir=tmp_path / "j")
+        service.promote(epoch=5)
         service.apply(RAISE, tag="fenced-write")
         service.apply(RAISE, tag="fenced-write-2")
         # forge a continuation stamped with an older epoch: rewrite the
@@ -154,6 +156,32 @@ class TestFollower:
                 tmp_path / "primary"
             )
         conn.close()
+
+    def test_a_restart_repairs_the_tail_under_the_followers_durability(
+        self, primary, monkeypatch
+    ):
+        service, server, tmp_path = primary
+        service.apply(RAISE, tag="r1")
+        fsync = DurabilityOptions("fsync")
+        with Follower(tmp_path / "f", server.address, durability=fsync,
+                      **FAST) as fol:
+            fol.start()
+        journal = tmp_path / "f" / JOURNAL_FILE
+        journal.write_bytes(journal.read_bytes() + b'{"index": 2, "ta')
+        writes = []
+        write_text = serialize._fs.write_text
+
+        def recording(path, text, *, fsync=False):
+            writes.append((path, fsync))
+            write_text(path, text, fsync=fsync)
+
+        monkeypatch.setattr(serialize._fs, "write_text", recording)
+        with Follower(tmp_path / "f", server.address, durability=fsync,
+                      **FAST) as fol:
+            fol.start()
+            assert fol.last_sync_from == 2  # continued, not rebuilt
+        assert [flag for path, flag in writes if path == journal] == [True]
+        assert journal_text(tmp_path / "f") == journal_text(tmp_path / "primary")
 
     def test_follower_serves_reads_and_rejects_writes(self, primary):
         service, server, tmp_path = primary
@@ -463,7 +491,7 @@ class TestPromotionAndFencing:
 
     def test_epoch_stamped_commits_carry_epoch_on_the_wire(self, primary):
         service, server, tmp_path = primary
-        service.promote(epoch=4, journal_dir=tmp_path / "primary")
+        service.promote(epoch=4)
         with repro.connect(server.address) as conn:
             assert conn.call("ping")["epoch"] == 4
             response = conn.call("apply", program=RAISE, tag="stamped")

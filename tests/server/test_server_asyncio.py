@@ -18,7 +18,7 @@ from repro.core.query import fold_answers
 from repro.lang.parser import parse_program, prepare_query
 from repro.server import ConflictError, LineClient, ReproServer, StoreService
 from repro.storage import VersionedStore, load_store
-from repro.storage.serialize import JOURNAL_FILE, append_revision, save_store
+from repro.storage.serialize import JOURNAL_FILE
 from repro.workloads import paper_example_base
 
 SALARIES = "E.isa -> empl, E.sal -> S"
@@ -164,16 +164,16 @@ class TestSerializedConcurrentCommits:
         assert len(committed) == self.N_CLIENTS * self.COMMITS_PER_CLIENT
 
         # Sequential replay: the same programs, applied in the server's
-        # commit order to a plain single-writer store with journal appends.
-        store = VersionedStore(paper_example_base(), tag="initial")
-        save_store(store, sequential_dir)
+        # commit order by one in-process writer.
+        sequential = StoreService.create(
+            paper_example_base(), sequential_dir, tag="initial"
+        )
         for entry in committed:
             client_index, step = (
                 int(part) for part in entry["tag"][1:].split("-")
             )
             program = parse_program(client_program(client_index, step))
-            store.apply(program, tag=entry["tag"])
-            append_revision(store, sequential_dir)
+            sequential.apply(program, tag=entry["tag"])
 
         served_journal = (served_dir / JOURNAL_FILE).read_bytes()
         sequential_journal = (sequential_dir / JOURNAL_FILE).read_bytes()

@@ -304,13 +304,20 @@ class TestDurability:
         service.apply(RAISE_PHIL, tag="t1")
         service.apply(RAISE_BOB, tag="t2")
 
-        from repro.storage.serialize import append_revision, save_store
+        from repro.core.engine import UpdateEngine
+        from repro.storage import JournalWriter
 
         plain = VersionedStore(paper_example_base(), tag="initial")
-        save_store(plain, plain_dir)
+        journal = JournalWriter(plain_dir)
+        journal.create(plain)
         for text, tag in ((RAISE_PHIL, "t1"), (RAISE_BOB, "t2")):
-            plain.apply(parse_program(text), tag=tag)
-            append_revision(plain, plain_dir)
+            program = parse_program(text)
+            result = UpdateEngine().apply(program, plain.current)
+            plain.commit_update(
+                result.new_base, tag=tag, program_name=program.name,
+                added=result.added, removed=result.removed,
+                journal=lambda revisions: journal.commit(revisions)[1],
+            )
 
         served_bytes = (served_dir / JOURNAL_FILE).read_bytes()
         plain_bytes = (plain_dir / JOURNAL_FILE).read_bytes()

@@ -4,8 +4,8 @@ For every injected crash point in a randomized commit history — on the
 append path, the snapshot path, and all through a compaction rewrite —
 reloading the journal yields exactly the acknowledged prefix:
 
-* **no lost acknowledged commit** — every ``append_revision`` that
-  returned is present after reload;
+* **no lost acknowledged commit** — every commit that returned is present
+  after reload;
 * **no resurrected garbage** — the reloaded chain is always a clean
   prefix of the submitted history (tag-for-tag, fact-for-fact); a torn,
   garbled or never-written record never surfaces as a revision.
@@ -16,11 +16,13 @@ is the classic in-doubt commit: it *may* legitimately survive — the suite
 pins down that it is the only kind of unacknowledged commit that can,
 and that it is byte-clean when it does.
 
-All of it runs under all three durability modes, and the append and
-snapshot sweeps run twice: once through ``store.apply`` + ``append_revision``
-and once through a journal-backed ``StoreService.apply``, the commit path a
-server runs.  That one writes ahead, so after every fault that leaves the
-journal at the acknowledged prefix its in-memory head is that prefix too.
+All of it runs under both durability modes, and the append and snapshot
+sweeps run twice: once through a bare store committing with a
+:class:`~repro.storage.serialize.JournalWriter` as its ``journal=`` step
+(the path a follower's commits take) and once through a journal-backed
+``StoreService.apply``, the commit path a server runs.  Both write ahead,
+so after every fault that leaves the journal at the acknowledged prefix
+the writer's in-memory head is that prefix too.
 """
 
 import random
@@ -28,12 +30,14 @@ import shutil
 
 import pytest
 
+from repro.core.engine import UpdateEngine
 from repro.core.errors import ReproError
 from repro.lang.parser import parse_program
 from repro.server.errors import SessionError
 from repro.server.service import StoreService
 from repro.storage import (
     DurabilityOptions,
+    JournalWriter,
     StoreOptions,
     VersionedStore,
     compact_journal,
@@ -41,7 +45,6 @@ from repro.storage import (
     save_store,
     verify_journal,
 )
-from repro.storage.serialize import append_revision
 from repro.testing import FaultSpec, FaultyFilesystem, InjectedCrash, inject_faults
 from repro.workloads import paper_example_base
 
@@ -51,7 +54,7 @@ LOSSY = ["crash_before", "torn", "corrupt", "enospc"]
 #: actions where the commit's bytes are durable but the ack was lost
 IN_DOUBT = ["crash_after", "duplicate"]
 
-#: who commits: a plain store + ``append_revision``, or a ``StoreService``
+#: who commits: a bare store with a journal writer step, or a ``StoreService``
 DRIVERS = ["store", "service"]
 
 N_COMMITS = 9
@@ -78,6 +81,17 @@ def _history(seed: int, commits: int = N_COMMITS) -> list[str]:
     return [_program(step, rng) for step in range(commits)]
 
 
+def _commit(store, journal, text, tag):
+    """Commit ``text`` on a bare store, written ahead by ``journal``."""
+    program = parse_program(text)
+    result = UpdateEngine().apply(program, store.current)
+    store.commit_update(
+        result.new_base, tag=tag, program_name=program.name,
+        added=result.added, removed=result.removed,
+        journal=lambda revisions: journal.commit(revisions)[1],
+    )
+
+
 def _grow(directory, programs, durability, specs, driver="store"):
     """Run the history against a journal until a fault kills the writer.
 
@@ -98,11 +112,11 @@ def _grow(directory, programs, durability, specs, driver="store"):
             service.apply(text, tag=tag)
     else:
         store = VersionedStore(paper_example_base(), tag="initial", options=_options())
-        save_store(store, directory, durability=durability)
+        journal = JournalWriter(directory, durability)
+        journal.create(store)
 
         def commit(text, tag):
-            store.apply(parse_program(text), tag=tag)
-            append_revision(store, directory, durability=durability)
+            _commit(store, journal, text, tag)
     acked = submitted = 0
     with inject_faults(*specs) as filesystem:
         for step, text in enumerate(programs):
@@ -131,7 +145,8 @@ def _replay(programs, upto):
 
 
 def _assert_clean_prefix(directory, programs, acked, submitted):
-    loaded = load_store(directory, repair=True)
+    journal = JournalWriter(directory)
+    loaded = journal.open()
     head = len(loaded) - 1
     # 1. nothing acknowledged was lost
     assert head >= acked, f"acknowledged revision {acked} lost (head {head})"
@@ -146,8 +161,10 @@ def _assert_clean_prefix(directory, programs, acked, submitted):
         assert set(loaded.base_at(index)) == set(replay.base_at(index))
     # 4. the repaired journal audits clean and accepts appends again
     assert verify_journal(directory)["ok"] is True
-    loaded.apply(parse_program("z: mod[phil].sal -> (S, S2) <= phil.sal -> S, S2 = S + 1."), tag="after")
-    append_revision(loaded, directory)
+    _commit(
+        loaded, journal,
+        "z: mod[phil].sal -> (S, S2) <= phil.sal -> S, S2 = S + 1.", "after",
+    )
     assert len(load_store(directory)) == head + 2
     return head
 
@@ -168,7 +185,7 @@ def test_every_append_crash_point(tmp_path, mode, action, driver):
                 directory, programs, durability, [spec], driver
             )
             assert acked == at  # the fault hit exactly the at-th append
-            if driver == "service" and action in LOSSY:
+            if action in LOSSY:
                 _assert_head_is_durable(store, directory, acked)
             head = _assert_clean_prefix(directory, programs, acked, submitted)
             if action in LOSSY:
@@ -194,8 +211,8 @@ def test_snapshot_write_crash_points(tmp_path, mode, driver):
             acked, submitted, store = _grow(
                 directory, programs, durability, [spec], driver
             )
-            if driver == "service":  # the journal line was never written
-                _assert_head_is_durable(store, directory, acked)
+            # the journal line was never written
+            _assert_head_is_durable(store, directory, acked)
             head = _assert_clean_prefix(directory, programs, acked, submitted)
             if action != "crash_after":
                 assert head == acked
@@ -234,7 +251,7 @@ def test_every_compaction_crash_point(tmp_path, mode):
             assert fs.fired, f"spec {op}@{seen_before} never fired"
             # However the compaction died, the journal still replays the
             # full acknowledged history, fact-for-fact.
-            loaded = load_store(directory, repair=True)
+            loaded = JournalWriter(directory).open()
             assert len(loaded) == len(truth)
             for index in range(len(truth)):
                 assert set(loaded.base_at(index)) == set(truth.base_at(index))
@@ -255,7 +272,7 @@ def test_corrupt_mid_journal_is_reported_with_offset_and_line(tmp_path):
     from repro.storage import JournalCorruptError
 
     with pytest.raises(JournalCorruptError) as caught:
-        load_store(tmp_path, repair=True)
+        JournalWriter(tmp_path).open()
     assert caught.value.line == victim
     assert caught.value.offset == offset
     assert f"line {victim}" in str(caught.value)

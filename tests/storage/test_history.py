@@ -171,7 +171,7 @@ class TestConcurrentReads:
 
 
 class TestJournalCompactionInterleaving:
-    """Satellite: compaction interleaved with ``append_revision`` must
+    """Satellite: compaction interleaved with journalled commits must
     round-trip (compact → append → reload), and a torn tail line is
     recovered on load."""
 
@@ -190,13 +190,15 @@ class TestJournalCompactionInterleaving:
         return store
 
     def test_compact_then_append_then_reload(self, tmp_path):
-        from repro.storage import append_revision, compact_journal, load_store
+        from repro.server.service import StoreService
+        from repro.storage import JournalWriter, compact_journal, load_store
 
         self._journal_store(tmp_path, revisions=5, interval=2)
         compacted = compact_journal(tmp_path, snapshot_interval=4)
         # append onto the *compacted* store/journal, then reload
-        compacted.apply(salary_raise_program(), tag="after-compact")
-        append_revision(compacted, tmp_path)
+        StoreService(compacted, journal=JournalWriter(tmp_path)).apply(
+            salary_raise_program(), tag="after-compact"
+        )
         reloaded = load_store(tmp_path)
         assert len(reloaded) == 7
         assert reloaded.head.tag == "after-compact"
@@ -205,12 +207,14 @@ class TestJournalCompactionInterleaving:
             assert set(reloaded.base_at(index)) == set(compacted.base_at(index))
         # a second compact+append cycle keeps working
         twice = compact_journal(tmp_path, snapshot_interval=3)
-        twice.apply(salary_raise_program(), tag="again")
-        append_revision(twice, tmp_path)
+        StoreService(twice, journal=JournalWriter(tmp_path)).apply(
+            salary_raise_program(), tag="again"
+        )
         assert load_store(tmp_path).head.tag == "again"
 
     def test_truncated_tail_line_is_recovered_on_load(self, tmp_path):
-        from repro.storage import append_revision, load_store
+        from repro.server.service import StoreService
+        from repro.storage import JournalWriter, load_store
         from repro.storage.serialize import JOURNAL_FILE
 
         store = self._journal_store(tmp_path, revisions=3)
@@ -228,13 +232,15 @@ class TestJournalCompactionInterleaving:
         assert readonly.head.tag == "r1"
         # a read-only load recovers in memory but must not touch the file
         assert journal.read_bytes() == torn_bytes
-        # a writer load (repair=True) truncates, so appending lines up again
-        recovered = load_store(tmp_path, repair=True)
+        # the journal's writer truncates, so appending lines up again
+        writer = JournalWriter(tmp_path)
+        recovered = writer.open()
         assert journal.read_bytes() != torn_bytes
         for index in range(len(recovered)):
             assert set(recovered.base_at(index)) == set(store.base_at(index))
-        recovered.apply(salary_raise_program(), tag="recovered")
-        append_revision(recovered, tmp_path)
+        StoreService(recovered, journal=writer).apply(
+            salary_raise_program(), tag="recovered"
+        )
         reloaded = load_store(tmp_path)
         assert [r.tag for r in reloaded.revisions()] == [
             "initial", "r0", "r1", "recovered",
@@ -253,7 +259,8 @@ class TestJournalCompactionInterleaving:
             load_store(tmp_path)
 
     def test_append_on_torn_journal_is_a_clean_error(self, tmp_path):
-        from repro.storage import append_revision
+        from repro.server.service import StoreService
+        from repro.storage import JournalWriter
         from repro.storage.serialize import JOURNAL_FILE
 
         store = self._journal_store(tmp_path, revisions=2)
@@ -261,15 +268,15 @@ class TestJournalCompactionInterleaving:
         journal.write_text(
             journal.read_text(encoding="utf-8")[:-20], encoding="utf-8"
         )
-        store.apply(salary_raise_program(), tag="next")
+        service = StoreService(store, journal=JournalWriter(tmp_path))
         with pytest.raises(ReproError, match="torn line"):
-            append_revision(store, tmp_path)
+            service.apply(salary_raise_program(), tag="next")
 
     def test_write_onto_a_torn_tail_raises_the_typed_refusal(self, tmp_path):
         from repro.storage.serialize import (
             JOURNAL_FILE,
+            JournalWriter,
             TornJournalError,
-            write_journal_entries,
         )
 
         self._journal_store(tmp_path, revisions=2)
@@ -277,7 +284,7 @@ class TestJournalCompactionInterleaving:
         journal.write_bytes(journal.read_bytes() + b'{"index": 3, "ta')
         torn = journal.read_bytes()
         with pytest.raises(TornJournalError, match="ends in a torn line"):
-            write_journal_entries(tmp_path, [{"index": 3, "line": "{}"}])
+            JournalWriter(tmp_path).append([{"index": 3, "line": "{}"}])
         assert journal.read_bytes() == torn
 
     def test_missing_snapshot_file_is_a_clean_error(self, tmp_path):

@@ -16,15 +16,18 @@ from hypothesis import given, settings, strategies as st
 from repro.core.errors import ReproError
 from repro.core.query import result_value
 from repro.lang.parser import parse_program
+from repro.server.service import StoreService
 from repro.storage import (
+    DurabilityOptions,
+    JournalWriter,
     StoreOptions,
     VersionedStore,
-    append_revision,
     compact_journal,
     load_store,
     save_store,
     verify_journal,
 )
+from repro.storage import serialize
 from repro.storage.serialize import JOURNAL_FILE
 from repro.workloads import (
     paper_example_base,
@@ -62,15 +65,13 @@ class TestJournalRoundTrip:
         store.apply(salary_raise_program(), tag="again")
         assert set(loaded.current) == set(store.current)
 
-    def test_append_revision_is_incremental(self, tmp_path):
-        store = VersionedStore(paper_example_base(), tag="initial")
-        save_store(store, tmp_path)
+    def test_a_commit_appends_incrementally(self, tmp_path):
+        service = StoreService.create(paper_example_base(), tmp_path)
         before = (tmp_path / JOURNAL_FILE).read_text(encoding="utf-8")
-        store.apply(salary_raise_program(), tag="raise")
-        append_revision(store, tmp_path)
+        service.apply(salary_raise_program(), tag="raise")
         after = (tmp_path / JOURNAL_FILE).read_text(encoding="utf-8")
         assert after.startswith(before)  # history was not rewritten
-        assert_same_chain(store, load_store(tmp_path))
+        assert_same_chain(service.store, load_store(tmp_path))
 
     def test_options_round_trip(self, tmp_path):
         store = VersionedStore(
@@ -89,26 +90,50 @@ class TestJournalRoundTrip:
         )
         with pytest.raises(ReproError):
             load_store(tmp_path)
-        with pytest.raises(ReproError):
-            append_revision(
-                VersionedStore(paper_example_base()), tmp_path / "missing"
-            )
+        service = StoreService(
+            VersionedStore(paper_example_base()),
+            journal=JournalWriter(tmp_path / "missing"),
+        )
+        with pytest.raises(ReproError, match="no journal"):
+            service.apply(salary_raise_program())
 
 
 class TestJournalSafety:
     def test_append_detects_concurrent_writer(self, tmp_path):
-        first = VersionedStore(paper_example_base(), tag="initial")
-        save_store(first, tmp_path)
-        second = load_store(tmp_path)
+        first = StoreService.create(paper_example_base(), tmp_path)
+        second = StoreService.open(tmp_path)
         first.apply(salary_raise_program(), tag="mine")
-        append_revision(first, tmp_path)
-        second.apply(salary_raise_program(), tag="theirs")
         with pytest.raises(ReproError, match="concurrent"):
-            append_revision(second, tmp_path)  # would fork the chain
+            second.apply(salary_raise_program(), tag="theirs")  # would fork
         # the journal stayed readable and holds the first writer's chain
         assert [r.tag for r in load_store(tmp_path).revisions()] == [
             "initial", "mine",
         ]
+
+    @pytest.mark.parametrize("mode", ["flush", "fsync"])
+    def test_a_tail_repair_is_written_under_the_writers_durability(
+        self, tmp_path, monkeypatch, mode
+    ):
+        service = StoreService.create(paper_example_base(), tmp_path)
+        service.apply(salary_raise_program(), tag="raise")
+        journal = tmp_path / JOURNAL_FILE
+        journal.write_bytes(journal.read_bytes() + b'{"index": 2, "ta')
+        writes = []
+        write_text = serialize._fs.write_text
+
+        def recording(path, text, *, fsync=False):
+            writes.append((path.name, fsync))
+            write_text(path, text, fsync=fsync)
+
+        monkeypatch.setattr(serialize._fs, "write_text", recording)
+        durability = DurabilityOptions(mode)
+        reopened = StoreService.open(tmp_path, durability=durability)
+        assert writes == [(JOURNAL_FILE, mode == "fsync")]
+        assert reopened.store.head.tag == "raise"
+        assert load_store(tmp_path).head.tag == "raise"  # the cut is on disk
+        writes.clear()
+        load_store(tmp_path)
+        assert writes == []  # a reader never writes
 
     def test_all_digit_tags_are_rejected(self):
         store = VersionedStore(paper_example_base(), tag="initial")
@@ -196,15 +221,14 @@ class TestWritePath:
             store.apply(program, tag=f"r{index}")
         save_store(store, tmp_path)
         assert (tmp_path / JOURNAL_FILE).stat().st_size > 400_000
-        store.apply(program, tag="next")
+        service = StoreService(store, journal=JournalWriter(tmp_path))
         reads.clear()
-        append_revision(store, tmp_path)
+        service.apply(program, tag="next")
         assert 0 < sum(reads[JOURNAL_FILE]) <= 16 * 1024
         assert load_store(tmp_path).head.tag == "next"
 
     def test_followers_receive_the_appended_entry(self, tmp_path, reads):
         from repro.server.stream import attach
-        from repro.server.service import StoreService
 
         directory = tmp_path / "primary"
         service = StoreService.create(

@@ -4,10 +4,13 @@ import errno
 
 import pytest
 
+from repro.core.engine import UpdateEngine
 from repro.lang.parser import parse_program
-from repro.storage import DurabilityOptions, VersionedStore, load_store, save_store
+from repro.storage import (
+    DurabilityOptions, JournalWriter, VersionedStore, load_store, save_store,
+)
 from repro.storage import serialize
-from repro.storage.serialize import JOURNAL_FILE, append_revision
+from repro.storage.serialize import JOURNAL_FILE
 from repro.testing import FaultSpec, InjectedCrash, inject_faults
 from repro.workloads import paper_example_base
 
@@ -19,6 +22,18 @@ def _store():
 def _raise(step: int) -> str:
     return (
         f"s{step}: mod[phil].sal -> (S, S2) <= phil.sal -> S, S2 = S + 1."
+    )
+
+
+def _commit(store, writer, step: int) -> None:
+    """Commit raise ``step`` write-ahead: ``writer`` makes it durable before
+    ``store`` publishes it, and a failed write publishes nothing."""
+    program = parse_program(_raise(step))
+    result = UpdateEngine().apply(program, store.current)
+    store.commit_update(
+        result.new_base, tag=f"t{step}", program_name=program.name,
+        added=result.added, removed=result.removed,
+        journal=lambda revisions: writer.commit(revisions)[1],
     )
 
 
@@ -39,13 +54,13 @@ def test_seam_is_restored_even_when_the_block_raises(tmp_path):
 
 def test_torn_append_leaves_exactly_keep_bytes(tmp_path):
     store = _store()
-    save_store(store, tmp_path)
+    writer = JournalWriter(tmp_path)
+    writer.create(store)
     journal = tmp_path / JOURNAL_FILE
     before = journal.read_bytes()
-    store.apply(parse_program(_raise(0)), tag="t0")
     with inject_faults(FaultSpec("append", "torn", keep_bytes=7)):
         with pytest.raises(InjectedCrash):
-            append_revision(store, tmp_path)
+            _commit(store, writer, 0)
     after = journal.read_bytes()
     assert after[: len(before)] == before
     assert len(after) == len(before) + 7
@@ -64,32 +79,31 @@ def test_crash_before_write_leaves_target_untouched(tmp_path):
 
 def test_enospc_is_an_oserror_not_a_crash(tmp_path):
     store = _store()
-    save_store(store, tmp_path)
-    store.apply(parse_program(_raise(0)), tag="t0")
+    writer = JournalWriter(tmp_path)
+    writer.create(store)
     with inject_faults(FaultSpec("append", "enospc")) as fs:
         with pytest.raises(OSError) as caught:
-            append_revision(store, tmp_path)
+            _commit(store, writer, 0)
     assert caught.value.errno == errno.ENOSPC
     assert fs.fired
 
 
 def test_duplicate_append_is_recovered_and_repaired(tmp_path):
     store = _store()
-    save_store(store, tmp_path)
-    store.apply(parse_program(_raise(0)), tag="t0")
+    writer = JournalWriter(tmp_path)
+    writer.create(store)
     with inject_faults(FaultSpec("append", "duplicate")):
         with pytest.raises(InjectedCrash):
-            append_revision(store, tmp_path)
+            _commit(store, writer, 0)
     journal = tmp_path / JOURNAL_FILE
     lines = journal.read_text(encoding="utf-8").splitlines()
     assert lines[-1] == lines[-2]  # the echo is on disk
-    loaded = load_store(tmp_path, repair=True)
+    loaded = writer.open()
     assert [r.tag for r in loaded.revisions()] == ["initial", "t0"]
     repaired = journal.read_text(encoding="utf-8").splitlines()
     assert len(repaired) == len(lines) - 1
     # and the journal accepts appends again
-    loaded.apply(parse_program(_raise(1)), tag="t1")
-    append_revision(loaded, tmp_path)
+    _commit(loaded, writer, 1)
     assert [r.tag for r in load_store(tmp_path).revisions()] == [
         "initial", "t0", "t1",
     ]
@@ -97,14 +111,13 @@ def test_duplicate_append_is_recovered_and_repaired(tmp_path):
 
 def test_specs_fire_once_at_the_requested_call(tmp_path):
     store = _store()
-    save_store(store, tmp_path)
+    writer = JournalWriter(tmp_path)
+    writer.create(store)
     spec = FaultSpec("append", "crash_before", at=1)
     with inject_faults(spec) as fs:
-        store.apply(parse_program(_raise(0)), tag="t0")
-        append_revision(store, tmp_path)  # at=0: passes through
-        store.apply(parse_program(_raise(1)), tag="t1")
+        _commit(store, writer, 0)  # at=0: passes through
         with pytest.raises(InjectedCrash):
-            append_revision(store, tmp_path)  # at=1: fires
+            _commit(store, writer, 1)  # at=1: fires
     assert fs.fired == [spec]
     assert [op for op, _ in fs.ops if op == "append"] == ["append", "append"]
     assert [r.tag for r in load_store(tmp_path).revisions()] == ["initial", "t0"]
@@ -112,8 +125,7 @@ def test_specs_fire_once_at_the_requested_call(tmp_path):
 
 def test_fsync_durability_mode_is_exercised_through_the_seam(tmp_path):
     store = _store()
-    durability = DurabilityOptions(mode="fsync")
-    save_store(store, tmp_path, durability=durability)
-    store.apply(parse_program(_raise(0)), tag="t0")
-    append_revision(store, tmp_path, durability=durability)
+    writer = JournalWriter(tmp_path, DurabilityOptions(mode="fsync"))
+    writer.create(store)
+    _commit(store, writer, 0)
     assert [r.tag for r in load_store(tmp_path).revisions()] == ["initial", "t0"]
