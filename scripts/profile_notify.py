@@ -9,7 +9,10 @@ raises through ``StoreService.apply``.  Prints the subscription manager's
 time per commit (p50 and mean), the skipped / seeded / refreshed / pushed
 totals with a sha256 of every push message, then the same raises again
 under ``cProfile`` with the call counts of whole-body runs, answer diffs,
-answer keys and folds.  Reads ``benchmarks.e2e.served``; changes nothing.
+answer keys and folds, and the seeded evaluations (``delta_answers``
+calls) per raise.  Outside the timed part it checks that every
+subscription holds ``query.run`` of the head, and exits 1 if one does
+not.  Reads ``benchmarks.e2e.served``; changes nothing.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from benchmarks.e2e.served import Enterprise, raise_text  # noqa: E402
+from repro.core.query import PreparedQuery  # noqa: E402
 from repro.server import StoreService  # noqa: E402
 from repro.storage import VersionedStore  # noqa: E402
 
@@ -54,6 +58,27 @@ def fan_out(seed: int):
 def apply_raises(service: StoreService, programs, raises: int) -> None:
     for program in itertools.islice(programs, raises):
         service.apply(program)
+
+
+def counted_raises(service: StoreService, programs, raises: int) -> list[int]:
+    """Apply ``raises`` raises; returns the ``delta_answers`` calls of each."""
+    calls = [0]
+    original = PreparedQuery.delta_answers
+
+    def counted(query, *args):
+        calls[0] += 1
+        return original(query, *args)
+
+    PreparedQuery.delta_answers = counted
+    try:
+        per_raise = []
+        for program in itertools.islice(programs, raises):
+            before = calls[0]
+            service.apply(program)
+            per_raise.append(calls[0] - before)
+        return per_raise
+    finally:
+        PreparedQuery.delta_answers = original
 
 
 def main() -> None:
@@ -83,15 +108,26 @@ def main() -> None:
     print("  ".join(f"{key} {value}" for key, value in totals.items()))
     digest = hashlib.sha256(json.dumps(messages).encode()).hexdigest()
     print(f"{len(messages)} push messages, sha256 {digest}")
+    head = service.store.current
+    stale = [
+        sub.id for sub in manager._subscriptions.values()
+        if sub.answers != sub.query.run(head)
+    ]
+    print(f"answers == query.run(head): {len(manager) - len(stale)} of "
+          f"{len(manager)} subscriptions" + (f"; stale: {stale}" if stale else ""))
 
     service, programs, _messages = fan_out(args.seed)
     profile = cProfile.Profile()
-    profile.runcall(apply_raises, service, programs, args.raises)
+    per_raise = profile.runcall(counted_raises, service, programs, args.raises)
     stats = pstats.Stats(profile)
     print(f"call counts of {args.raises} raises under cProfile:")
     for (path, _line, name), (_cc, calls, *_rest) in sorted(stats.stats.items()):
         if (Path(path).name, name) in COUNTED:
             print(f"  {calls:>8}  {Path(path).name}:{name}")
+    print(f"delta_answers per raise: p50 {statistics.median(per_raise):g}, "
+          f"max {max(per_raise)}")
+    if stale:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

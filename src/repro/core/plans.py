@@ -39,6 +39,12 @@ through which added or removed facts can newly enable the rule:
 :func:`classify` folds a signature against a :class:`~repro.core.objectbase.Delta`
 into one of three modes — skip the rule, re-match it only from the delta
 facts matching its seed literals, or re-match it in full.
+
+**Dispatch keys.**  Signatures drop every constant, so they are shared by
+all bodies of one shape.  :func:`dispatch_keys` keeps the constants a query
+body pins — a ground host, a ground result, a host pinned by a sibling
+literal — for the subscription manager's inverted index
+(:mod:`repro.server.subscriptions`).
 """
 
 from __future__ import annotations
@@ -74,8 +80,10 @@ __all__ = [
     "RuleSignature",
     "QuerySignature",
     "body_signature",
+    "dispatch_keys",
     "program_signature",
     "classify",
+    "trigger_fires",
     "SKIP",
     "SEED",
     "FULL",
@@ -478,6 +486,70 @@ def body_signature(body: tuple[Literal, ...]) -> QuerySignature:
     return QuerySignature(tuple(dict.fromkeys(triggers)), tuple(seeds))
 
 
+#: Dispatch-key kinds (the first element of every key of :func:`dispatch_keys`).
+HOST, RESULT, PINNED, TRIGGER = "host", "result", "pinned", "trigger"
+
+#: ``(HOST, key, oid)``, ``(RESULT, key, oid)``,
+#: ``(PINNED, key, pin key, pin args, value)`` or ``(TRIGGER, trigger)``.
+DispatchKey = tuple
+
+
+def dispatch_keys(body: tuple[Literal, ...]) -> tuple[DispatchKey, ...]:
+    """The constants through which a changed fact can reach ``body``: one
+    key per version-term literal, the first that applies of
+
+    * ``(HOST, key, oid)`` — the host is a ground OID (``m.sal -> SB``):
+      only a fact of ``key`` on ``oid`` reaches the literal;
+    * ``(RESULT, key, oid)`` — the host is a plain variable and the result
+      a ground OID (``E.boss -> m``): only a fact of ``key`` with that
+      result does;
+    * ``(PINNED, key, pin key, pin args, value)`` — the host is a plain
+      variable ``X`` that another positive literal ``X.p@args -> value``
+      with ground arguments and result pins (``E.sal -> S`` under
+      ``E.boss -> m``): a fact of ``key`` on ``h`` reaches the literal only
+      if ``h.p@args -> value`` holds on the new base or the previous one;
+    * ``(TRIGGER, trigger)`` — otherwise, the literal's method-level
+      triggers of :func:`body_signature` (also every trigger of an
+      update-term).
+
+    Every key over-approximates which facts can change what its literal
+    matches, so a delta that reaches none of a body's keys leaves its
+    answers untouched.  The keys hold the body's constants, so unlike a
+    :class:`QuerySignature` they are not shared across the constant
+    bindings of one text shape.
+    """
+    pins: dict[Var, tuple[MethodKey, tuple[Oid, ...], Oid]] = {}
+    for literal in body:
+        atom = literal.atom
+        if (
+            literal.positive
+            and isinstance(atom, VersionAtom)
+            and type(atom.host) is Var
+            and isinstance(atom.result, Oid)
+            and all(isinstance(arg, Oid) for arg in atom.args)
+        ):
+            pins.setdefault(
+                atom.host, ((atom.method, len(atom.args)), atom.args, atom.result)
+            )
+    keys: list[DispatchKey] = []
+    for literal in body:
+        atom = literal.atom
+        if isinstance(atom, VersionAtom):
+            key = (atom.method, len(atom.args))
+            host = atom.host
+            if isinstance(host, Oid):
+                keys.append((HOST, key, host))
+                continue
+            if type(host) is Var and isinstance(atom.result, Oid):
+                keys.append((RESULT, key, atom.result))
+                continue
+            if host in pins:  # only plain variables are pinned
+                keys.append((PINNED, key, *pins[host]))
+                continue
+        keys.extend((TRIGGER, t) for t in body_signature((literal,)).triggers)
+    return tuple(keys)
+
+
 def compile_seed_plan(
     body: tuple[Literal, ...], position: int, name: str = "<body>"
 ) -> JoinPlan:
@@ -509,6 +581,13 @@ def _trigger_fires(trigger: Trigger, index, all_shapes) -> bool:
     if not shapes:
         return False
     return _shapes_match(shapes, prefix, exact)
+
+
+def trigger_fires(trigger: Trigger, delta: "Delta") -> bool:
+    """True when a fact of either side of ``delta`` matches ``trigger``."""
+    return _trigger_fires(
+        trigger, delta.added_index(), delta.added_shapes()
+    ) or _trigger_fires(trigger, delta.removed_index(), delta.removed_shapes())
 
 
 def classify(

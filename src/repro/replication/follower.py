@@ -167,7 +167,7 @@ class Follower:
             # became durable, or damage beyond tail repair).  A replica's
             # journal is derived state: rebuild it from the primary rather
             # than refuse to start.
-            (self.directory / JOURNAL_FILE).unlink()
+            self.journal.discard()
             self.bootstrap_rebuilds += 1
             return None
 

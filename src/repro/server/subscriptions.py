@@ -6,21 +6,32 @@ registers a prepared conjunctive body; every store commit hands the manager
 its exact ``(added, removed)`` fact delta, and each subscription is brought
 to the new revision from that delta alone:
 
-* **SKIP** — no trigger of the query's
-  :class:`~repro.core.plans.QuerySignature` fires: the delta provably cannot
-  change the answers; the subscription advances its revision silently, with
-  no evaluation and no message;
-* **SEED** — a trigger fires: the answer diff is evaluated from the delta
+* **SKIP** — the delta reaches none of the body's *dispatch keys*
+  (:func:`~repro.core.plans.dispatch_keys`, one per version-term literal):
+  a fact on the literal's ground host (``m.sal -> SB``), a fact with its
+  ground result (``E.boss -> m``), a fact on a host that another literal
+  pins to a constant (``E.sal -> S`` under ``E.boss -> m``: the host's
+  ``boss`` is ``m`` on the new base or the previous one), or else a fact of
+  the literal's method key and host shape.  The delta provably cannot
+  change the answers; the manager never visits the subscription, whose
+  revision follows the manager's;
+* **SEED** — a key is reached: the answer diff is evaluated from the delta
   (:meth:`~repro.core.query.PreparedQuery.delta_answers`).  Added rows are
   the body seeded at its positive version-terms with the added facts and at
   its negated ones with the removed facts, on the new base; removed rows
   are the same with the two sides swapped, on the previous base.  Both are
   exact, since an answer row grounds to one set of facts.
 
+The manager keeps an inverted index from dispatch key to subscriptions (the
+alpha network of Rete: constant tests are indexed once, join tests run only
+for what passes them), so a commit costs the subscriptions its delta facts
+reach, not the subscriptions registered.  A key may reach too many bodies,
+never too few.
+
 :meth:`SubscriptionManager.subscribe` refuses a body with an update-term:
 a committed base is plain (every host an OID), so the term cannot change
 there.  N subscriptions sharing a body share one evaluation, only the
-**answer diff** travels to the client, and an empty diff (the delta touched
+**answer diff** travels to the client, and an empty diff (the delta reached
 the query's keys but not its answers) sends nothing.  Folding a
 subscription's diff stream over its initial answer set reproduces the full
 answer set at every revision — the differential guarantee the server and
@@ -34,11 +45,23 @@ process — feeds subscriptions.
 from __future__ import annotations
 
 import threading
+from operator import attrgetter
 from typing import Callable
 
 from repro.core.atoms import UpdateAtom
 from repro.core.errors import ReproError
+from repro.core.facts import Fact
 from repro.core.objectbase import Delta, ObjectBase
+from repro.core.plans import (
+    HOST,
+    PINNED,
+    RESULT,
+    TRIGGER,
+    DispatchKey,
+    MethodKey,
+    dispatch_keys,
+    trigger_fires,
+)
 from repro.core.query import Answer, PreparedQuery, fold_answers
 from repro.lang.parser import prepare_query
 from repro.storage.history import StoreRevision, VersionedStore
@@ -57,26 +80,40 @@ class Subscription:
 
     ``answers``/``revision`` always describe the last state the client was
     brought to (initial set plus every delivered diff); the list is
-    replaced on change, never mutated.  ``skipped`` counts commits proven
-    irrelevant by the signature, ``seeded`` the commits answered from the
-    seeded body, and ``pushed`` the non-empty diffs actually delivered
-    (``stats()`` keeps a ``refreshed`` key, always 0).
+    replaced on change, never mutated.  ``revision`` is the greater of the
+    one it was registered at and the last commit its manager processed: a
+    commit that reaches none of its ``keys`` (the body's
+    :func:`~repro.core.plans.dispatch_keys`) moves it without a visit.
+    ``seeded`` counts the commits answered from the seeded body,
+    ``skipped`` the others since registration, and ``pushed`` the
+    non-empty diffs actually delivered (``stats()`` keeps a ``refreshed``
+    key, always 0).
     """
 
     __slots__ = (
-        "id", "query", "deliver", "answers", "revision",
-        "skipped", "seeded", "pushed",
+        "id", "number", "query", "deliver", "answers", "registered", "keys",
+        "seeded", "pushed", "_manager",
     )
 
-    def __init__(self, sid, query, deliver, answers, revision):
-        self.id = sid
+    def __init__(self, manager, number, query, keys, deliver, answers, revision):
+        self.id = f"q{number}"
+        self.number = number
         self.query = query
+        self.keys = keys
         self.deliver = deliver
         self.answers: list[Answer] = answers
-        self.revision: int = revision
-        self.skipped = 0
+        self.registered: int = revision
         self.seeded = 0
         self.pushed = 0
+        self._manager = manager
+
+    @property
+    def revision(self) -> int:
+        return max(self.registered, self._manager._processed)
+
+    @property
+    def skipped(self) -> int:
+        return self.revision - self.registered - self.seeded
 
     def stats(self) -> dict:
         return {
@@ -102,6 +139,12 @@ class SubscriptionManager:
     While any subscription exists the manager holds ``(index, base)`` of
     the newest revision it has seen — the store's own head in steady
     state — as the previous base a seeded commit evaluates removals on.
+
+    The dispatch index: ``_buckets`` maps each host, result and pinned
+    key to the subscriptions holding it, ``_triggers`` each fallback key;
+    ``_pins`` maps a method key to the ``(pin key, pin args)`` its pinned
+    keys probe, each with the number of its pinned buckets.  A key leaves
+    with its last subscription.
     """
 
     def __init__(
@@ -116,6 +159,10 @@ class SubscriptionManager:
         self._lock = threading.RLock()
         self._delta_source = delta_source or _build_delta
         self._head: tuple[int, ObjectBase] | None = None
+        self._processed = -1
+        self._buckets: dict[DispatchKey, dict[Subscription, None]] = {}
+        self._triggers: dict[DispatchKey, dict[Subscription, None]] = {}
+        self._pins: dict[MethodKey, dict[tuple, int]] = {}
         store.add_commit_listener(self._on_commit)
 
     def __len__(self) -> int:
@@ -136,23 +183,48 @@ class SubscriptionManager:
                     f"query {prepared.name!r}: a live query cannot read the "
                     f"update-term '{literal}' (ask it with query())"
                 )
+        keys = tuple(dict.fromkeys(dispatch_keys(prepared.body)))
         with self._lock:
             revision = len(self._store) - 1
             base = self._store.base_at(revision)
             self._head = (revision, base)
             self._counter += 1
             subscription = Subscription(
-                f"q{self._counter}", prepared, deliver, prepared.run(base), revision
+                self, self._counter, prepared, keys, deliver,
+                prepared.run(base), revision,
             )
             self._subscriptions[subscription.id] = subscription
+            for key in keys:
+                index = self._triggers if key[0] == TRIGGER else self._buckets
+                bucket = index.setdefault(key, {})
+                if not bucket and key[0] == PINNED:
+                    pins = self._pins.setdefault(key[1], {})
+                    pins[key[2:4]] = pins.get(key[2:4], 0) + 1
+                bucket[subscription] = None
             return subscription
 
     def unsubscribe(self, sid: str) -> bool:
         with self._lock:
-            found = self._subscriptions.pop(sid, None) is not None
+            subscription = self._subscriptions.pop(sid, None)
             if not self._subscriptions:
                 self._head = None
-            return found
+            if subscription is None:
+                return False
+            for key in subscription.keys:
+                index = self._triggers if key[0] == TRIGGER else self._buckets
+                bucket = index[key]
+                del bucket[subscription]
+                if bucket:
+                    continue
+                del index[key]
+                if key[0] == PINNED:
+                    pins = self._pins[key[1]]
+                    pins[key[2:4]] -= 1
+                    if not pins[key[2:4]]:
+                        del pins[key[2:4]]
+                        if not pins:
+                            del self._pins[key[1]]
+            return True
 
     def get(self, sid: str) -> Subscription | None:
         return self._subscriptions.get(sid)
@@ -195,7 +267,8 @@ class SubscriptionManager:
         delta = self._delta_source(revision)
         base = self._store.base_at(index)
         held, self._head = self._head, (index, base)
-        # The previous base is read only when a trigger fires; a
+        self._processed = index
+        # The previous base is read only when a key is reached; a
         # subscription registered during this commit moved the held base
         # ahead, so fall back to the store.
         previous = held[1] if held is not None and held[0] == index - 1 else None
@@ -203,14 +276,10 @@ class SubscriptionManager:
         # body) at one revision hold equal answers, so one evaluation per
         # body gives every one of them the same diff and the same new list.
         results: dict[PreparedQuery, tuple] = {}
-        for subscription in list(self._subscriptions.values()):
-            if subscription.revision >= index:
+        for subscription in self._reached(delta, base):
+            if subscription.registered >= index:
                 continue  # registered after this revision was appended
             query = subscription.query
-            if not query.signature.affected_by(delta):
-                subscription.revision = index
-                subscription.skipped += 1
-                continue
             result = results.get(query)
             if result is None:
                 if previous is None:
@@ -224,7 +293,6 @@ class SubscriptionManager:
                 result = results[query] = (added, removed, answers)
             added, removed, subscription.answers = result
             subscription.seeded += 1
-            subscription.revision = index
             if not added and not removed:
                 continue
             subscription.pushed += 1
@@ -240,6 +308,37 @@ class SubscriptionManager:
                 }
             )
 
+    def _reached(self, delta: Delta, base: ObjectBase) -> list[Subscription]:
+        """The subscriptions holding a dispatch key that a fact of
+        ``delta`` reaches, in registration order.  ``base`` is the new
+        base; a pin on the previous one is a pin on the new base or a
+        removed fact (previous = new - added + removed)."""
+        buckets = self._buckets
+        reached: dict[Subscription, None] = {}
+        removed_pins = _removed_pins(delta) if self._pins else {}
+        for facts in (delta.added, delta.removed):
+            for fact in facts:
+                key = (fact.method, len(fact.args))
+                host = fact.host
+                probes = [(HOST, key, host), (RESULT, key, fact.result)]
+                for pin_key, pin_args in self._pins.get(key, ()):
+                    method, arity = pin_key
+                    found = [
+                        *base.iter_facts_by_host_method(host, method, arity),
+                        *removed_pins.get((host, pin_key), ()),
+                    ]
+                    for pin in found:
+                        if pin.args == pin_args:
+                            probes.append((PINNED, key, pin_key, pin_args, pin.result))
+                for probe in probes:
+                    bucket = buckets.get(probe)
+                    if bucket:
+                        reached.update(bucket)
+        for key, bucket in self._triggers.items():
+            if trigger_fires(key[1], delta):
+                reached.update(bucket)
+        return sorted(reached, key=attrgetter("number"))
+
     def stats(self) -> dict:
         return {
             "active": len(self._subscriptions),
@@ -253,7 +352,18 @@ class SubscriptionManager:
         self._store.remove_commit_listener(self._on_commit)
         with self._lock:
             self._subscriptions.clear()
+            self._buckets.clear()
+            self._triggers.clear()
+            self._pins.clear()
             self._head = None
+
+
+def _removed_pins(delta: Delta) -> dict[tuple, list[Fact]]:
+    """``delta``'s removed facts grouped by ``(host, method key)``."""
+    grouped: dict[tuple, list[Fact]] = {}
+    for fact in delta.removed:
+        grouped.setdefault((fact.host, (fact.method, len(fact.args))), []).append(fact)
+    return grouped
 
 
 def _build_delta(revision: StoreRevision) -> Delta:

@@ -511,6 +511,14 @@ class JournalWriter:
         _fs.append_text(journal, text, fsync=self.durability.fsync)
         return sources
 
+    def discard(self) -> None:
+        """Delete this directory's journal, then its snapshot files — the
+        journal of a follower that holds nothing recoverable, before it is
+        rebuilt from the primary."""
+        _fs.unlink(self.directory / JOURNAL_FILE)
+        for stale in sorted(self.directory.glob("snap-*.json")):
+            _fs.unlink(stale)
+
     def _write(self, name: str, text: str) -> Path:
         """Atomically write one file of the directory (header, snapshot,
         repaired journal) under this writer's durability."""

@@ -75,8 +75,8 @@ class FaultSpec:
     ``op`` is one of the filesystem seam's operations: ``"append"``
     (journal line append), ``"write"`` (atomic whole-file write: snapshots,
     save/compaction, tail repair), ``"replace"`` (the rename half of an
-    atomic write), ``"unlink"`` (stale-snapshot cleanup).  ``keep_bytes``
-    only applies to ``torn``.
+    atomic write), ``"unlink"`` (stale-snapshot cleanup, a follower's
+    journal discard).  ``keep_bytes`` only applies to ``torn``.
     """
 
     op: str

@@ -11,10 +11,15 @@ from repro.core.objectbase import Delta, ObjectBase
 from repro.core.plans import (
     FULL,
     GENERATE,
+    HOST,
+    PINNED,
+    RESULT,
     SEED,
     SKIP,
+    TRIGGER,
     classify,
     compile_plan,
+    dispatch_keys,
     rule_signature,
 )
 from repro.core.facts import Fact
@@ -181,6 +186,44 @@ class TestClassification:
         assert len(seeded) == 1
         full = bindings_set(match_rule(rule, base))
         assert seeded < full and len(full) == 4
+
+
+class TestDispatchKeys:
+    def test_each_literal_takes_the_first_key_that_applies(self):
+        keys = dispatch_keys(
+            parse_body(
+                "E.boss -> m, m.sal -> SB, E.sal -> S, S > SB, "
+                "not E.pos -> mgr, F.sal -> T, ?W.sal -> T"
+            )
+        )
+        m = Oid("m")
+        assert keys == (
+            (RESULT, ("boss", 0), m),
+            (HOST, ("sal", 0), m),
+            (PINNED, ("sal", 0), ("boss", 0), (), m),
+            (RESULT, ("pos", 0), Oid("mgr")),
+            (TRIGGER, (("sal", 0), (), True)),
+            (TRIGGER, (("sal", 0), (), False)),
+        )
+
+    def test_only_a_positive_ground_literal_pins_its_host(self):
+        # No literal pins X or Y: ``X.link@o1 -> Y`` has a variable result,
+        # ``not X.color -> o0`` is negated, ``Y.link@Z -> o2`` a variable
+        # argument.  Each of those takes its own key; the rest fall back.
+        keys = dispatch_keys(
+            parse_body(
+                "X.link@o1 -> Y, not X.color -> o0, X.size -> S, "
+                "Y.link@Z -> o2, Y.size -> T"
+            )
+        )
+        size = (TRIGGER, (("size", 0), (), True))
+        assert keys == (
+            (TRIGGER, (("link", 1), (), True)),
+            (RESULT, ("color", 0), Oid("o0")),
+            size,
+            (RESULT, ("link", 1), Oid("o2")),
+            size,
+        )
 
 
 class TestLazyCopies:

@@ -29,7 +29,9 @@ from .test_delta_commit import _draw_program, _input_base, seeds, shapes
 
 #: Rule bodies of the random program families without an update-term, plus
 #: joins over plain hosts, ground hosts, a version variable and the
-#: ``exists`` map, and bodies whose negated literals a commit can flip.
+#: ``exists`` map, bodies whose negated literals a commit can flip, and
+#: bodies whose hosts a sibling literal pins to a constant that the random
+#: applies and rollbacks flip (each kind of dispatch key).
 BODIES = tuple(
     dict.fromkeys(
         [
@@ -56,6 +58,12 @@ BODIES = tuple(
                 "X.link -> Y, Y.size -> S, not Y.link -> X, not X.size -> S",
                 "X.size -> S, not mod(X).size -> S",
                 "X.exists -> X, X.link -> Y, not Y.exists -> Y",
+                # dispatch keys: pinned hosts, a ground host, a literal
+                # pinned by a sibling of its own method
+                "X.link -> o1, X.size -> S",
+                "X.color -> o0, X.size -> S, not X.link -> o2",
+                "o1.link -> Y, Y.size -> S",
+                "X.link -> o1, X.link -> Y, Y.color -> C",
             )
         ]
     )

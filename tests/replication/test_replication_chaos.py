@@ -198,6 +198,39 @@ class TestCrashResumableBootstrap:
             finally:
                 fol.close()
 
+    def test_unrecoverable_journal_is_discarded_through_the_seam(self, tmp_path):
+        """The discard of a journal that holds nothing recoverable goes
+        through the storage seam (so a crash can land there) and takes the
+        old snapshot files with it."""
+        service = StoreService.create(
+            parse_object_base(BASE), tmp_path / "primary", tag="seed"
+        )
+        service.apply(RAISE, tag="r1")
+        replica = tmp_path / "f"
+        replica.mkdir()
+        (replica / JOURNAL_FILE).write_text("not a journal\n")
+        (replica / "snap-000007.json").write_text("{}")
+        psock = str(tmp_path / "p.sock")
+        with BackgroundServer(service, path=psock):
+            with inject_faults(FaultSpec("unlink", "crash_before")):
+                with pytest.raises(InjectedCrash):
+                    Follower(replica, f"unix:{psock}").start()
+            assert (replica / JOURNAL_FILE).read_text() == "not a journal\n"
+            fol = Follower(replica, f"unix:{psock}").start()
+            try:
+                assert fol.bootstrap_rebuilds == 1
+                wait_for(
+                    lambda: len(fol.service.store) == len(service.store)
+                )
+                written = {
+                    path.name for path in (tmp_path / "primary").glob("snap-*.json")
+                }
+                left = {path.name for path in replica.glob("snap-*.json")}
+                assert "snap-000007.json" not in left and left <= written
+                assert journal_text(replica) == journal_text(tmp_path / "primary")
+            finally:
+                fol.close()
+
     @settings(max_examples=8, deadline=None)
     @given(st.integers(1, 3), st.integers(1, 60))
     def test_any_torn_point_resumes_cleanly(

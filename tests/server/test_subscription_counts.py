@@ -2,9 +2,9 @@
 
 The 64 live queries of the ``serve_fanout_1k`` workload over its
 1 000-employee base, in process.  A raise changes one employee's salary; the
-commit is answered from its delta — no whole-body run, no answer-list diff —
-and the push stream is the one the whole-body re-run-and-diff maintenance
-produced.
+commit reaches only the bodies whose dispatch keys its two facts hit, is
+answered from its delta — no whole-body run, no answer-list diff — and the
+push stream is the one the whole-body re-run-and-diff maintenance produced.
 """
 
 import hashlib
@@ -69,13 +69,31 @@ def test_one_raise_runs_no_body_and_diffs_no_answer_list(monkeypatch):
     assert max(evaluated.values()) <= 2
 
 
-def test_six_hundred_raises_push_what_re_running_pushed():
+def test_six_hundred_raises_push_what_re_running_pushed(monkeypatch):
+    """A raise reaches only the bodies naming the raised employee's team
+    or the employee: at most 6 seeded evaluations per raise (two per body
+    reached), 1 200 over the run — every matching body, evaluated on both
+    sides, cost 72 per raise and 43 200 in all."""
     service, programs, messages = _fan_out()
+    calls = [0]
+    seeded = PreparedQuery.delta_answers
+
+    def counted_seeded(query, gained, lost, base):
+        calls[0] += 1
+        return seeded(query, gained, lost, base)
+
+    monkeypatch.setattr(PreparedQuery, "delta_answers", counted_seeded)
+    per_raise = []
     for program in itertools.islice(programs, 600):
+        before = calls[0]
         service.apply(program)
+        per_raise.append(calls[0] - before)
+    assert sum(per_raise) <= 1_200
+    assert max(per_raise) <= 6
     assert len(messages) == PUSHES
     digest = hashlib.sha256(json.dumps(messages).encode()).hexdigest()
     assert digest == PUSH_DIGEST
     stats = service.subscriptions.stats()["by_id"].values()
     assert sum(s["refreshed"] for s in stats) == 0
     assert sum(s["pushed"] for s in stats) == PUSHES
+    assert sum(s["seeded"] + s["skipped"] for s in stats) == 64 * 600

@@ -12,7 +12,7 @@ from repro.core.query import (
     diff_answers,
     fold_answers,
 )
-from repro.lang.parser import prepare_query
+from repro.lang.parser import parse_object_base, prepare_query
 from repro.server import StoreService
 from repro.storage import VersionedStore
 from repro.workloads import paper_example_base
@@ -80,12 +80,12 @@ class TestSubscriptions:
         assert subscription.revision == 1  # still advanced to the head
 
     def test_affected_but_unchanged_sends_nothing(self, service):
-        # ``bob.sal -> S`` shares the sal key with a phil-only raise: the
-        # trigger fires (a seeded evaluation), but the answers are
+        # The raise reaches ``phil.sal`` (its host key), so the body is
+        # seeded, but phil stays below the bound: the answers are
         # identical, so no diff is pushed.
         received = []
         subscription = service.subscriptions.subscribe(
-            "bob.sal -> S", received.append
+            "phil.sal -> S, S > 1000000", received.append
         )
         answers = subscription.answers
         service.apply(RAISE_PHIL)
@@ -93,6 +93,20 @@ class TestSubscriptions:
         assert subscription.seeded == 1
         assert subscription.pushed == 0
         assert subscription.answers is answers  # nothing to fold
+
+    def test_another_hosts_key_is_skipped(self, service, monkeypatch):
+        # ``bob.sal -> S`` shares the sal key with a phil-only raise, but
+        # its dispatch key is the host ``bob``: the raise never reaches it.
+        received = []
+        subscription = service.subscriptions.subscribe(
+            "bob.sal -> S", received.append
+        )
+        evaluations = _count_evaluations(monkeypatch)
+        service.apply(RAISE_PHIL)
+        assert evaluations == {"run": 0, "delta_answers": 0}
+        assert received == []
+        assert (subscription.seeded, subscription.skipped) == (0, 1)
+        assert subscription.revision == 1
 
     def test_negated_body_is_seeded_from_the_delta(self, service):
         body = "E.isa -> empl, E.sal -> S, not E.pos -> mgr"
@@ -193,6 +207,98 @@ class TestSeededFoldRaces:
         manager.unsubscribe(subscription.id)
         service.apply(RAISE_PHIL)
         assert manager._head is None
+
+
+class TestDispatchIndex:
+    TEAMS = """
+        m1.isa -> mgr.  m2.isa -> mgr.
+        a.boss -> m1.   a.sal -> 10.
+        b.boss -> m2.   b.sal -> 20.
+    """
+
+    def test_a_move_and_a_raise_in_one_commit_reach_both_teams(self):
+        """``a`` leaves m1 for m2 and is raised in the same commit: the m1
+        body drops ``a``'s old row (its pin held on the previous base only)
+        and the m2 body gains the new one (on the new base only)."""
+        service = StoreService(VersionedStore(parse_object_base(self.TEAMS)))
+        pushes = {team: [] for team in ("m1", "m2")}
+        subs = {
+            team: service.subscriptions.subscribe(
+                f"E.boss -> {team}, E.sal -> S", pushes[team].append
+            )
+            for team in pushes
+        }
+        service.apply(
+            "move: mod[a].boss -> (m1, m2) <= a.boss -> m1.\n"
+            "raise: mod[a].sal -> (S, S2) <= a.sal -> S, S2 = S + 1."
+        )
+        assert [(p["added"], p["removed"]) for p in pushes["m1"]] == [
+            ([], [{"E": "a", "S": 10}])
+        ]
+        assert [(p["added"], p["removed"]) for p in pushes["m2"]] == [
+            ([{"E": "a", "S": 11}], [])
+        ]
+        for team, subscription in subs.items():
+            assert subscription.answers == service.store.query(
+                f"E.boss -> {team}, E.sal -> S"
+            )
+
+    def test_a_raise_reaches_only_its_own_team(self, monkeypatch):
+        service = StoreService(VersionedStore(parse_object_base(self.TEAMS)))
+        m1 = service.subscriptions.subscribe("E.boss -> m1, E.sal -> S", _ignore)
+        m2 = service.subscriptions.subscribe("E.boss -> m2, E.sal -> S", _ignore)
+        evaluations = _count_evaluations(monkeypatch)
+        service.apply("r: mod[b].sal -> (S, S2) <= b.sal -> S, S2 = S + 1.")
+        assert evaluations == {"run": 0, "delta_answers": 2}
+        assert (m1.seeded, m1.skipped) == (0, 1)
+        assert (m2.seeded, m2.skipped) == (1, 0)
+
+    def test_unsubscribe_leaves_no_index_entry(self, service):
+        manager = service.subscriptions
+        bodies = (
+            SALARIES, ORG, "bob.sal -> S", "E.boss -> phil, E.sal -> S",
+            "E.boss -> phil, E.sal -> S", "?W.sal -> S",
+        )
+        subscriptions = [manager.subscribe(body, _ignore) for body in bodies]
+        assert manager._buckets and manager._pins and manager._triggers
+        shared = subscriptions[3]
+        assert manager.unsubscribe(shared.id)
+        # the twin body keeps its keys
+        assert all(
+            subscriptions[4] in manager._buckets[key] for key in subscriptions[4].keys
+        )
+        # SALARIES pins ``E.sal`` by ``E.isa -> empl``, the twin by boss
+        assert manager._pins == {
+            ("sal", 0): {(("isa", 0), ()): 1, (("boss", 0), ()): 1}
+        }
+        for subscription in subscriptions:
+            manager.unsubscribe(subscription.id)
+        assert (manager._buckets, manager._pins, manager._triggers) == ({}, {}, {})
+
+    def test_subscription_registered_between_two_commits(self, service):
+        manager = service.subscriptions
+        early_pushes, late_pushes = [], []
+        early = manager.subscribe(SALARIES, early_pushes.append)
+        service.apply(RAISE_PHIL)
+        late = manager.subscribe(SALARIES, late_pushes.append)
+        quiet = manager.subscribe(ORG, _ignore)
+        assert (late.revision, quiet.revision) == (1, 1)
+        assert late.answers == service.store.query(SALARIES)
+        service.apply(RAISE_BOB)
+        service.apply(RAISE_BOB)
+        assert [p["revision"] for p in early_pushes] == [1, 2, 3]
+        assert [p["revision"] for p in late_pushes] == [2, 3]
+        assert late_pushes == [
+            dict(p, sid=late.id) for p in early_pushes[1:]
+        ]
+        assert (early.seeded, early.skipped, early.revision) == (3, 0, 3)
+        assert (late.seeded, late.skipped, late.revision) == (2, 0, 3)
+        assert (quiet.seeded, quiet.skipped, quiet.revision) == (0, 2, 3)
+        assert late.answers == service.store.query(SALARIES)
+
+
+def _ignore(push: dict) -> None:
+    pass
 
 
 def _count_evaluations(monkeypatch) -> dict:
