@@ -5,14 +5,18 @@ under condition (a) alone and {r1,r2},{r3},{r4} under (a)-(d); the
 hypothetical program as four singletons (footnote 3).
 Measured: stratification cost versus rule count.  A depth-k chain program
 has k strata and a quadratic number of precedence edges (80 / 366 / 1 517
-at k = 8 / 16 / 32, asserted below).  Finding them takes a cubic number of
-pairwise unifications (710 / 5 579 / 43 260 ``_unifies_renamed`` calls), so
-``stratify`` time grows faster than the edge count.
+at k = 8 / 16 / 32, asserted below).  Finding them takes a cubic
+number of pairwise ``unifiable`` calls (710 / 5 579 / 43 260), so
+``stratify`` time grows faster than the edge count.  The terms those calls
+compare are renamed apart once per call, not once per pair, so the
+``VersionId``s one ``stratify`` builds grow only quadratically (asserted
+below).
 """
 
 import pytest
 
 from repro import stratify
+from repro.core.terms import VersionId
 from repro.workloads import hypothetical_program, paper_example_program
 from repro.workloads.synthetic import version_chain_program
 
@@ -45,3 +49,24 @@ def test_e5_cost_vs_rule_count(k):
     strata = stratify(program)
     assert len(strata) == k  # one stratum per update group
     assert len(strata.edges) == CHAIN_EDGES[k]  # precedence_edges(program)
+
+
+#: Upper bounds on the ``VersionId``s one ``stratify(version_chain_program(k))``
+#: builds, the renamed heads and body terms: 111 / 445 / 1 763, quadratic in k.
+CHAIN_VERSION_IDS = {8: 150, 16: 620, 32: 3000}
+
+
+@pytest.mark.parametrize("k", [8, 16, 32])
+def test_e5_renames_each_term_once(k, monkeypatch):
+    program = version_chain_program(k)
+    built = 0
+    init = VersionId.__init__
+
+    def counting_init(self, *args):
+        nonlocal built
+        built += 1
+        init(self, *args)
+
+    monkeypatch.setattr(VersionId, "__init__", counting_init)
+    stratify(program)
+    assert built <= CHAIN_VERSION_IDS[k]

@@ -41,8 +41,7 @@ from repro.core.terms import (
     depth,
     subterms,
 )
-from repro.core.stratification import _rename_apart  # shared renaming helper
-from repro.core.unification import unifiable
+from repro.core.unification import rename_apart, unifiable
 
 __all__ = ["Severity", "Finding", "lint_program"]
 
@@ -69,7 +68,7 @@ class Finding:
 
 
 def _unifies(left: Term, right: Term) -> bool:
-    return unifiable(_rename_apart(left, "L"), _rename_apart(right, "R"))
+    return unifiable(rename_apart(left, "L"), rename_apart(right, "R"))
 
 
 def lint_program(program: UpdateProgram) -> list[Finding]:

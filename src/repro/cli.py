@@ -108,7 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     stratify_cmd.add_argument(
         "--conditions",
         default="abcd",
-        help="subset of 'abcd' to apply (default: all, as in Section 4)",
+        help="non-empty subset of 'abcd' to apply (default: all, as in "
+        "Section 4); any other letter is an error",
     )
 
     check_cmd = commands.add_parser(

@@ -26,6 +26,7 @@ delta did to its answers without re-running the body.
 
 from __future__ import annotations
 
+from copy import copy
 from typing import Iterable, Sequence
 
 from repro.core.atoms import Literal
@@ -245,6 +246,13 @@ class PreparedQuery:
         bound._constants = constants
         bound._abstract = None
         return bound
+
+    def named(self, name: str) -> "PreparedQuery":
+        """This query under ``name``, sharing its executor and its seeded
+        variants."""
+        view = copy(self)
+        view.name = name
+        return view
 
     def __hash__(self) -> int:
         return self._hash

@@ -22,8 +22,13 @@ The conditions, as precedence constraints between rules (``r' < r`` strict,
     could be used to infer updates on other objects and be deleted
     afterwards.
 
-Unification is sorted (variables range over OIDs, docs/DESIGN.md D2); the two
-rules' variables are renamed apart before each check.
+Unification is sorted (variables range over OIDs, docs/DESIGN.md D2), with
+the two rules' variables renamed apart: :func:`precedence_edges` renames
+every head once per call (tag ``L``) and every term heads are tested
+against once (tag ``R``), and reads the subterms off the renamed term.
+An edge keeps its justification as text and terms and renders it when
+read, so binding a cached stratification to new constants maps terms
+and joins no text.
 
 A stratification exists iff the precedence graph has no cycle through a
 strict edge.  Strata are computed by condensing strongly connected
@@ -37,20 +42,13 @@ views of Section 6.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, TypeVar
 
-from repro.core.errors import StratificationError
+from repro.core.errors import ReproError, StratificationError
 from repro.core.rules import UpdateProgram, UpdateRule, map_constants
-from repro.core.terms import (
-    Term,
-    UpdateKind,
-    Var,
-    VersionId,
-    VersionVar,
-    subterms,
-)
-from repro.core.unification import unifiable
+from repro.core.terms import UpdateKind, VersionId, VersionVar, subterms
+from repro.core.unification import rename_apart, unifiable
 
 __all__ = ["Stratification", "PrecedenceEdge", "stratify", "precedence_edges"]
 
@@ -61,26 +59,24 @@ N = TypeVar("N", bound=Hashable)
 class PrecedenceEdge:
     """One derived constraint ``lower (< | ≤) upper`` with its justification.
 
-    ``detail`` is its ``parts`` — text and terms — joined, so an edge of a
-    program that differs from this one only in its constants is this edge
-    with its terms mapped (:meth:`bind`)."""
+    ``parts`` is the justification as text and terms; ``detail`` is them
+    joined, rendered when read.  So an edge of a program that differs from
+    this one only in its constants is this edge with the OIDs of its terms
+    mapped (:meth:`bind`), and edges compare by their fields alone."""
 
     lower: str
     upper: str
     strict: bool
     condition: str  # "a" | "b" | "c" | "d"
-    detail: str
-    parts: tuple = field(default=(), compare=False, repr=False)
+    parts: tuple
+
+    @property
+    def detail(self) -> str:
+        return "".join(map(str, self.parts))
 
     def bind(self, constants: Mapping) -> "PrecedenceEdge":
         """This edge with the OIDs of its terms mapped through ``constants``."""
-        return _edge(
-            self.lower,
-            self.upper,
-            self.strict,
-            self.condition,
-            *map_constants(self.parts, constants),
-        )
+        return replace(self, parts=map_constants(self.parts, constants))
 
     def __str__(self) -> str:
         op = "<" if self.strict else "<="
@@ -134,26 +130,7 @@ class Stratification:
         return "\n".join(lines)
 
 
-def _edge(lower: str, upper: str, strict: bool, condition: str, *parts) -> PrecedenceEdge:
-    return PrecedenceEdge(
-        lower, upper, strict, condition, "".join(map(str, parts)), parts
-    )
-
-
-def _rename_apart(term: Term, tag: str) -> Term:
-    """Rename every variable in ``term`` so two rules never share variables.
-
-    Preserves the variable class: a renamed :class:`VersionVar` must keep
-    its any-VID unification behaviour."""
-    if isinstance(term, VersionId):
-        return VersionId(term.kind, _rename_apart(term.base, tag))
-    if isinstance(term, Var):
-        return type(term)(f"{term.name}${tag}")
-    return term
-
-
-def _unifies_renamed(left: Term, right: Term) -> bool:
-    return unifiable(_rename_apart(left, "L"), _rename_apart(right, "R"))
+_DESTRUCTIVE = (UpdateKind.DELETE, UpdateKind.MODIFY)
 
 
 def precedence_edges(
@@ -161,123 +138,77 @@ def precedence_edges(
 ) -> list[PrecedenceEdge]:
     """Derive the precedence constraints of the requested conditions.
 
-    ``conditions`` is a subset of ``"abcd"`` — the paper first illustrates a
-    stratification satisfying (a) alone, then refines with (b)-(d); exposing
-    the subset makes that experiment (E5) reproducible.
+    ``conditions`` is a non-empty subset of ``"abcd"``, in either case — the
+    paper first illustrates a stratification satisfying (a) alone, then
+    refines with (b)-(d); exposing the subset makes that experiment (E5)
+    reproducible.  Anything else is a :class:`ReproError`: dropping a
+    condition silently would present what is left as a stratification.
     """
-    conditions = conditions.lower()
+    letters = conditions.lower()
+    unknown = sorted(set(letters) - set("abcd"))
+    if unknown:
+        raise ReproError(
+            f"unknown stratification condition(s) {', '.join(unknown)} in "
+            f"{conditions!r}: choose from a, b, c, d"
+        )
+    if not letters:
+        raise ReproError("no stratification condition given: choose from a, b, c, d")
     edges: list[PrecedenceEdge] = []
-    rules = list(program)
+    # Every head is renamed apart once ("L") and every term heads are tested
+    # against once ("R"); a renamed term's subterms are its subterms renamed.
+    heads = []
+    for rule in program:
+        head = rule.head_version_id_term()
+        heads.append((rule.name, head, rename_apart(head, "L")))
 
-    heads = [(rule, rule.head_version_id_term()) for rule in rules]
-
-    for rule in rules:
-        head_new = rule.head_version_id_term()
-        head_target = rule.head.target
-
-        if "a" in conditions:
-            # (a): finalise the copy source before the copy.
-            for sub in subterms(head_target):
-                for other, other_head in heads:
-                    if _unifies_renamed(other_head, sub):
-                        edges.append(
-                            _edge(
-                                other.name,
-                                rule.name,
-                                True,
-                                "a",
-                                "head ",
-                                other_head,
-                                f" of {other.name} unifies with subterm ",
-                                sub,
-                                f" of the head target of {rule.name}",
-                            )
-                        )
-
-        for body_term, positive in rule.body_version_id_terms():
-            if positive and "b" in conditions:
-                for sub in subterms(body_term):
-                    for other, other_head in heads:
-                        if _unifies_renamed(other_head, sub):
-                            edges.append(
-                                _edge(
-                                    other.name,
-                                    rule.name,
-                                    False,
-                                    "b",
-                                    "head ",
-                                    other_head,
-                                    f" of {other.name} unifies with subterm ",
-                                    sub,
-                                    f" of positive body term of {rule.name}",
-                                )
-                            )
-            if not positive and "c" in conditions:
-                for sub in subterms(body_term):
-                    for other, other_head in heads:
-                        if _unifies_renamed(other_head, sub):
-                            edges.append(
-                                _edge(
-                                    other.name,
-                                    rule.name,
-                                    True,
-                                    "c",
-                                    "head ",
-                                    other_head,
-                                    f" of {other.name} unifies with subterm ",
-                                    sub,
-                                    f" of negated body term of {rule.name}",
-                                )
-                            )
-            if "d" in conditions:
-                # (d): destructive updates happen strictly before reads of
-                # the destructed version.  A version variable may denote a
-                # del/mod version, so it conservatively triggers (d) against
-                # every destructive head (Section 6 extension; see
-                # repro.ext.vidvars).
-                for sub in subterms(body_term):
-                    if isinstance(sub, VersionVar):
-                        for other, other_head in heads:
-                            if isinstance(other_head, VersionId) and other_head.kind in (
-                                UpdateKind.DELETE,
-                                UpdateKind.MODIFY,
-                            ):
-                                edges.append(
-                                    _edge(
-                                        other.name,
-                                        rule.name,
-                                        True,
-                                        "d",
-                                        f"{other.name} performs a destructive "
-                                        f"update that the version variable "
-                                        f"{sub} in {rule.name} may read",
-                                    )
-                                )
-                        continue
-                    if not isinstance(sub, VersionId):
-                        continue
-                    if sub.kind not in (UpdateKind.DELETE, UpdateKind.MODIFY):
-                        continue
-                    for other, other_head in heads:
-                        if (
-                            isinstance(other_head, VersionId)
-                            and other_head.kind is sub.kind
-                            and _unifies_renamed(other_head.base, sub.base)
-                        ):
-                            edges.append(
-                                _edge(
-                                    other.name,
-                                    rule.name,
-                                    True,
-                                    "d",
-                                    f"{other.name} performs a "
-                                    f"{sub.kind.value}-update on ",
-                                    other_head.base,
-                                    " read as ",
-                                    sub,
-                                    f" in the body of {rule.name}",
-                                )
-                            )
+    for rule in program:
+        # (a) finalises the copy source before the copy; (b) and (c) are
+        # the positive and the negative body dependency.
+        tested = [(rule.head.target, True, "a", "the head target")]
+        for term, positive in rule.body_version_id_terms():
+            if positive:
+                tested.append((term, False, "b", "positive body term"))
+            else:
+                tested.append((term, True, "c", "negated body term"))
+        for term, strict, condition, wording in tested:
+            subs = list(zip(subterms(term), subterms(rename_apart(term, "R"))))
+            if condition in letters:
+                edges.extend(
+                    PrecedenceEdge(other, rule.name, strict, condition, (
+                        "head ", head, f" of {other} unifies with subterm ", sub,
+                        f" of {wording} of {rule.name}",
+                    ))
+                    for sub, renamed in subs
+                    for other, head, head_renamed in heads
+                    if unifiable(head_renamed, renamed)
+                )
+            if condition == "a" or "d" not in letters:
+                continue
+            # (d): destructive updates happen strictly before reads of the
+            # destructed version.  A version variable may denote a del/mod
+            # version, so it conservatively triggers (d) against every
+            # destructive head (Section 6 extension; see repro.ext.vidvars).
+            for sub, renamed in subs:
+                if isinstance(sub, VersionVar):
+                    edges.extend(
+                        PrecedenceEdge(other, rule.name, True, "d", (
+                            f"{other} performs a destructive update that the "
+                            f"version variable {sub} in {rule.name} may read",
+                        ))
+                        for other, head, _ in heads
+                        if isinstance(head, VersionId) and head.kind in _DESTRUCTIVE
+                    )
+                elif isinstance(sub, VersionId) and sub.kind in _DESTRUCTIVE:
+                    edges.extend(
+                        PrecedenceEdge(other, rule.name, True, "d", (
+                            f"{other} performs a {sub.kind.value}-update on ",
+                            head.base, " read as ", sub, f" in the body of {rule.name}",
+                        ))
+                        for other, head, head_renamed in heads
+                        if isinstance(head, VersionId)
+                        and head.kind is sub.kind
+                        and unifiable(head_renamed.base, renamed.base)
+                    )
     return edges
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from repro.core.substitution import Substitution, resolve
 from repro.core.terms import Oid, Term, Var, VersionId, VersionVar, subterms
 
-__all__ = ["unify_terms", "unify", "unifiable", "match_term"]
+__all__ = ["unify_terms", "unify", "unifiable", "rename_apart", "match_term"]
 
 
 def unify_terms(
@@ -82,10 +82,24 @@ def unify(left: Term, right: Term) -> Substitution | None:
 def unifiable(left: Term, right: Term) -> bool:
     """True when the two terms have a (sorted) unifier.
 
-    Rule-level checks must treat the two rules' variables as disjoint; the
-    stratification module renames variables apart before calling this.
+    Rule-level checks must treat the two rules' variables as disjoint:
+    rename each side apart (:func:`rename_apart`) before calling this.
     """
     return unify_terms(left, right) is not None
+
+
+def rename_apart(term: Term, tag: str) -> Term:
+    """``term`` with every variable renamed by ``tag``, so terms of two
+    rules renamed with different tags share no variable.
+
+    Preserves the variable class: a renamed :class:`VersionVar` must keep
+    its any-VID unification behaviour.  A renamed term's subterms are its
+    subterms renamed, in the same order."""
+    if isinstance(term, VersionId):
+        return VersionId(term.kind, rename_apart(term.base, tag))
+    if isinstance(term, Var):
+        return type(term)(f"{term.name}${tag}")
+    return term
 
 
 def match_term(

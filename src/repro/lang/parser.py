@@ -477,7 +477,9 @@ def prepare_query(query, *, name: str | None = None) -> PreparedQuery:
     literal sequence, or concrete-syntax text — into a prepared query.
     Text goes through the bounded process-wide body-shape cache
     ``query.prepared``, so a text of a known shape skips the parser and the
-    compile: the shape's prepared query is bound to its constants."""
+    compile: the shape's prepared query is bound to its constants.  The
+    shape's own is named by the text that built it, and a call under
+    another name gets a view of it (:meth:`PreparedQuery.named`)."""
     if isinstance(query, PreparedQuery):
         return query
     if isinstance(query, str):
@@ -486,13 +488,16 @@ def prepare_query(query, *, name: str | None = None) -> PreparedQuery:
         prepared = template.artifact
         _bodies.count(prepared is not None)
         if prepared is None:
-            prepared = template.artifact = PreparedQuery(template.ast, name=name)
+            # Compiled under the caller's name, which an unsafe body's
+            # error names, and kept under the text's own.
+            prepared = PreparedQuery(template.ast, name=name)
+            template.artifact = prepared if name == query else prepared.named(query)
         if constants is not None:
             return prepared.bind(
                 map_constants(template.ast, constants), constants, name=name
             )
         if prepared.name != name:
-            return PreparedQuery(prepared.body, name=name)
+            return prepared.named(name)
         return prepared
     literals = tuple(query)
     # Default programmatic names render the body, so distinct unnamed

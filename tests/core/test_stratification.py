@@ -11,7 +11,7 @@ import pytest
 
 from repro import UpdateEngine, parse_program
 from repro.core import caches
-from repro.core.errors import StratificationError
+from repro.core.errors import ReproError, StratificationError
 from repro.core.stratification import precedence_edges, stratify
 from repro.workloads import (
     ancestors_program,
@@ -143,6 +143,22 @@ class TestEdgesAndExplain:
         assert "stratum 0: {rule1, rule2}" in text
         assert "stratum 2: {rule4}" in text
         assert "condition (a)" in text
+
+    def test_conditions_match_case_insensitively(self):
+        assert stratify(paper_example_program(), conditions="A").names() == [
+            ["rule1", "rule2"],
+            ["rule3", "rule4"],
+        ]
+
+    @pytest.mark.parametrize("conditions, named", [("xyz", "x, y, z"), ("abq", "q")])
+    def test_unknown_condition_is_refused(self, conditions, named):
+        # dropping every constraint must not pass for a stratification
+        with pytest.raises(ReproError, match=rf"condition\(s\) {named} in"):
+            stratify(paper_example_program(), conditions=conditions)
+
+    def test_empty_conditions_are_refused(self):
+        with pytest.raises(ReproError, match="no stratification condition"):
+            precedence_edges(paper_example_program(), conditions="")
 
     def test_facts_only_program(self):
         program = parse_program("f: ins[o].m -> 1.")

@@ -102,6 +102,13 @@ class TestStratify:
         out = capsys.readouterr().out
         assert "stratum 1: {rule3, rule4}" in out
 
+    def test_unknown_condition_is_an_error(self, files, capsys):
+        program, _ = files
+        assert main(["stratify", "--program", str(program), "--conditions", "xyz"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unknown stratification condition(s) x, y, z")
+
 
 class TestCheck:
     def test_safe_program(self, files, capsys):

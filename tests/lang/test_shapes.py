@@ -13,6 +13,7 @@ from repro.core import caches
 from repro.core import evaluation as evaluation_module
 from repro.core.codegen import _STATS
 from repro.core.errors import EvaluationError
+from repro.core.query import PreparedQuery
 from repro.core.rules import UpdateProgram
 from repro.core.terms import Oid
 from repro.lang.errors import ParseError
@@ -179,6 +180,26 @@ def test_query_names_stay_the_text(cold):
         "emp1.sal -> S", "emp2.sal -> S", "mine"
     )
     assert prepare_query("emp1.sal -> S") is first
+
+
+def test_a_named_first_call_keeps_the_shape_named_by_its_text(cold, monkeypatch):
+    """The shape's prepared query is named by its text, whoever prepared it
+    first; another name gets a view that shares the compiled executor and
+    the seeded variants, and nothing is planned or compiled again."""
+    text = "E.sal -> S"
+    named = prepare_query(text, name="salaries")
+    built = []
+    init = PreparedQuery.__init__
+    monkeypatch.setattr(
+        PreparedQuery, "__init__", lambda self, *a, **k: built.append(1) or init(self, *a, **k)
+    )
+    first = prepare_query(text)
+    assert prepare_query(text) is first
+    again = prepare_query(text, name="salaries")
+    assert (named.name, first.name, again.name) == ("salaries", text, "salaries")
+    assert named.compiled is first.compiled is again.compiled
+    assert named._seeded_at(0) is first._seeded_at(0) is again._seeded_at(0)
+    assert built == []
 
 
 def test_parse_body_binds_the_shape(cold):
