@@ -10,15 +10,18 @@ time per commit (p50 and mean), the skipped / seeded / refreshed / pushed
 totals with a sha256 of every push message, then the same raises again
 under ``cProfile`` with the call counts of whole-body runs, answer diffs,
 answer keys and folds, and the seeded evaluations (``delta_answers``
-calls) per raise.  Outside the timed part it checks that every
-subscription holds ``query.run`` of the head, and exits 1 if one does
-not.  Reads ``benchmarks.e2e.served``; changes nothing.
+calls) per raise.  Outside the timed part it counts the commit deltas
+(``Delta`` objects) still alive after the raises, which the serving layer
+does not keep, and checks that every subscription holds ``query.run`` of
+the head; it exits 1 if a delta is alive or a subscription is stale.
+Reads ``benchmarks.e2e.served``; changes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import hashlib
 import itertools
 import json
@@ -32,6 +35,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from benchmarks.e2e.served import Enterprise, raise_text  # noqa: E402
+from repro.core.objectbase import Delta  # noqa: E402
 from repro.core.query import PreparedQuery  # noqa: E402
 from repro.server import StoreService  # noqa: E402
 from repro.storage import VersionedStore  # noqa: E402
@@ -91,18 +95,20 @@ def main() -> None:
     manager = service.subscriptions
     process, notify_s = manager._process_commit, []
 
-    def timed(revision) -> None:
+    def timed(*args) -> None:
         started = time.perf_counter()
-        process(revision)
+        process(*args)
         notify_s.append(time.perf_counter() - started)
 
     manager._process_commit = timed
     apply_raises(service, programs, args.raises)
+    alive = sum(isinstance(value, Delta) for value in gc.get_objects())
     totals = dict.fromkeys(("skipped", "seeded", "refreshed", "pushed"), 0)
     for sub in service.subscriptions.stats()["by_id"].values():
         for key in totals:
             totals[key] += sub.get(key, 0)
     print(f"{args.raises} raises, {len(service.subscriptions)} subscriptions")
+    print(f"commit deltas alive after {args.raises} raises: {alive}")
     print(f"notify p50 {statistics.median(notify_s) * 1e3:.3f} ms, "
           f"mean {statistics.fmean(notify_s) * 1e3:.3f} ms")
     print("  ".join(f"{key} {value}" for key, value in totals.items()))
@@ -126,7 +132,7 @@ def main() -> None:
             print(f"  {calls:>8}  {Path(path).name}:{name}")
     print(f"delta_answers per raise: p50 {statistics.median(per_raise):g}, "
           f"max {max(per_raise)}")
-    if stale:
+    if stale or alive:
         sys.exit(1)
 
 

@@ -13,7 +13,7 @@ notations handled here:
 from __future__ import annotations
 
 from repro.core.atoms import BuiltinAtom, Literal, UpdateAtom, VersionAtom
-from repro.core.caches import Template, register_cache
+from repro.core.caches import register_cache
 from repro.core.errors import ProgramError, ReproError, TermError
 from repro.core.evaluation import compile_program
 from repro.core.exprs import BinOp, Expr, Neg
@@ -23,7 +23,7 @@ from repro.core.rules import UpdateProgram, UpdateRule, map_constants
 from repro.core.terms import Term, UpdateKind, Var, VersionId, VersionVar, intern_oid
 from repro.lang.errors import ParseError
 from repro.lang.lexer import Token, tokenize
-from repro.lang.shapes import ShapeCache
+from repro.lang.shapes import ShapeCache, TextTemplate
 
 __all__ = [
     "parse_program",
@@ -450,7 +450,7 @@ def _parse_literals(parser: _Parser) -> tuple[Literal, ...]:
     return tuple(literals)
 
 
-def _body(text: str) -> tuple[Template, dict | None]:
+def _body(text: str) -> tuple[TextTemplate, dict | None]:
     """The template of ``text``'s body shape and the constants that map it
     to ``text`` — None when the template's OIDs are ``text``'s own.  A
     body whose shape cannot be templated comes in a template of its own."""
@@ -460,7 +460,7 @@ def _body(text: str) -> tuple[Template, dict | None]:
     parser = _Parser(text)
     literals = _parse_literals(parser)
     template = _bodies.remember(probe, parser.tokens, parser.consumed, literals, None)
-    return template or Template((), literals, None), None
+    return template or TextTemplate(text, (), literals, None), None
 
 
 def parse_body(text: str) -> tuple[Literal, ...]:
@@ -489,9 +489,10 @@ def prepare_query(query, *, name: str | None = None) -> PreparedQuery:
         _bodies.count(prepared is not None)
         if prepared is None:
             # Compiled under the caller's name, which an unsafe body's
-            # error names, and kept under the text's own.
+            # error names, and kept under the name of the template's text.
             prepared = PreparedQuery(template.ast, name=name)
-            template.artifact = prepared if name == query else prepared.named(query)
+            own = template.text
+            template.artifact = prepared if name == own else prepared.named(own)
         if constants is not None:
             return prepared.bind(
                 map_constants(template.ast, constants), constants, name=name

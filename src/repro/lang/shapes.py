@@ -46,7 +46,7 @@ from repro.core.caches import Template, TemplateCache
 from repro.core.terms import Oid, intern_oid
 from repro.lang.lexer import LITERAL_PATTERN, Token
 
-__all__ = ["ShapeCache"]
+__all__ = ["ShapeCache", "TextTemplate"]
 
 _KEYWORDS = frozenset(("ins", "del", "mod", "not"))
 
@@ -93,7 +93,18 @@ def _key(shape: tuple, slots: list[str], fixed: tuple[int, ...], values: list[Oi
 
 
 #: A text split for lookup, with its parameters when its layout is known.
-Probe = namedtuple("Probe", "shape slots values")
+Probe = namedtuple("Probe", "text shape slots values")
+
+
+class TextTemplate(Template):
+    """A shape's template with the text it was built from, which names
+    the artifact."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str, values: tuple, ast, artifact) -> None:
+        super().__init__(values, ast, artifact)
+        self.text = text
 
 
 class ShapeCache(TemplateCache):
@@ -112,10 +123,10 @@ class ShapeCache(TemplateCache):
         shape = (tuple(parts[0::2]), tuple(map(_slot_class, slots)))
         layout = self._layouts.get(shape)
         if layout is None:
-            return None, Probe(shape, slots, None)
+            return None, Probe(text, shape, slots, None)
         params, fixed = layout
         values = [convert(slots[index]) for index, convert in params]
-        return self.get(_key(shape, slots, fixed, values)), Probe(shape, slots, values)
+        return self.get(_key(shape, slots, fixed, values)), Probe(text, shape, slots, values)
 
     def remember(
         self,
@@ -124,7 +135,7 @@ class ShapeCache(TemplateCache):
         consumed: list[tuple[int, bool]],
         ast,
         artifact,
-    ) -> Template | None:
+    ) -> TextTemplate | None:
         """Keep ``ast`` (and ``artifact``) as the template of ``probe``'s
         shape, after a parse of the probed text that ``consumed`` the
         tokens at these indexes as object-id terms (``True``: after a
@@ -158,7 +169,7 @@ class ShapeCache(TemplateCache):
             for value, first in zip(values, _pattern(values))
         ):
             return None  # an integer equals a decimal: see the module doc
-        template = Template(tuple(values), ast, artifact)
+        template = TextTemplate(probe.text, tuple(values), ast, artifact)
         with self._lock:
             self._layouts[probe.shape] = (tuple(params), fixed)
             while len(self._layouts) > self.maxsize:

@@ -12,11 +12,14 @@ changes by *push*, so clients need not re-ask.
   structural sharing), optimistic commits validated by intersecting the
   session's read/write footprint (query and program
   :class:`~repro.core.plans.QuerySignature` triggers) against the deltas
-  committed since the pin, a strict FIFO writer queue, and journal-backed
+  committed since the pin, which the session builds from those revisions
+  when it commits, a strict FIFO writer queue, and journal-backed
   durability (commits append; restart replays).
-* :mod:`~repro.server.subscriptions` — live queries: on each commit the
-  exact delta is folded through each subscription's signature; only
-  *answer diffs* travel, and provably unaffected queries cost nothing.
+* :mod:`~repro.server.subscriptions` — live queries: the store hands each
+  commit to the manager with its parent base, and the exact delta is
+  folded through each subscription's dispatch keys; only *answer diffs*
+  travel, and provably unaffected queries cost nothing.  Neither module
+  keeps per-revision state between commits.
 * :mod:`~repro.server.protocol` / :mod:`~repro.server.server` /
   :mod:`~repro.server.client` — the JSON-lines wire protocol, its asyncio
   transport (``repro serve``), and the blocking wire client

@@ -337,10 +337,13 @@ class Dispatcher:
         return {"aborted": True}
 
     def _cmd_log(self, request, state) -> dict:
-        revisions = self.service.store.revisions()
+        store = self.service.store
         last = request.get("last")
         if isinstance(last, int) and not isinstance(last, bool) and last > 0:
-            revisions = revisions[-last:]
+            # a commit landing between the two reads adds one to the copy
+            revisions = store.revisions(max(0, len(store) - last))[-last:]
+        else:
+            revisions = store.revisions()
         return {
             "revisions": [
                 self._revision_payload(revision) for revision in revisions

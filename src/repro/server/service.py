@@ -67,30 +67,6 @@ from repro.storage.serialize import DurabilityOptions, JournalWriter
 __all__ = ["Session", "CommitOutcome", "StoreService"]
 
 
-def _deep_snapshot(value, _retries: int = 4):
-    """Recursively copy a stats structure into fresh dicts/lists.
-
-    Stats sub-structures (cache registries, subscription counters) are
-    mutated by concurrent commits without a lock; iterating one mid-commit
-    can raise ``RuntimeError: dictionary changed size during iteration``.
-    Copying shrinks the window to a single dict iteration and retries it
-    on a race, so callers get a stable structure that is safe to serialize
-    at leisure.
-    """
-    if isinstance(value, dict):
-        for attempt in range(_retries):
-            try:
-                items = list(value.items())
-                break
-            except RuntimeError:  # pragma: no cover - needs an exact race
-                if attempt == _retries - 1:
-                    raise
-        return {key: _deep_snapshot(inner) for key, inner in items}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return [_deep_snapshot(inner) for inner in value]
-    return value
-
-
 class _FIFOLock:
     """A strict first-come-first-served mutual-exclusion lock.
 
@@ -246,7 +222,8 @@ class Session:
         """First-committer-wins check: no interim delta may fire any
         signature of this session's footprint."""
         for revision in interim:
-            delta = self.service._revision_delta(revision)
+            delta = Delta()
+            delta.record(revision.added, revision.removed)
             for signature in self._signatures:
                 if signature.affected_by(delta):
                     raise ConflictError(
@@ -313,10 +290,7 @@ class StoreService:
         self._session_counter = 0
         self._commits = 0
         self._conflicts = 0
-        self._deltas: dict[int, Delta] = {}
-        self.subscriptions = SubscriptionManager(
-            store, delta_source=self._revision_delta
-        )
+        self.subscriptions = SubscriptionManager(store)
 
     # -- construction ------------------------------------------------------
     @classmethod
@@ -522,7 +496,7 @@ class StoreService:
 
     def _commit_session(self, session: Session, tag: str) -> CommitOutcome:
         with self._writer():
-            interim = self.store.revisions()[session.pinned + 1:]
+            interim = self.store.revisions(session.pinned + 1)
             validate_start = time.perf_counter()
             try:
                 session._validate(interim)
@@ -625,31 +599,13 @@ class StoreService:
         )
         return CommitOutcome(revisions)
 
-    # -- shared per-revision deltas ----------------------------------------
-    def _revision_delta(self, revision: StoreRevision) -> Delta:
-        """The trigger-indexed :class:`Delta` of a committed revision,
-        built once and shared by every session validator and (via the
-        subscription manager's ``delta_source``) every subscription check
-        (revisions are immutable, so the cache never invalidates)."""
-        delta = self._deltas.get(revision.index)
-        if delta is None:
-            delta = Delta()
-            delta.record(revision.added, revision.removed)
-            self._deltas[revision.index] = delta
-            while len(self._deltas) > 1024:
-                self._deltas.pop(next(iter(self._deltas)))
-        return delta
-
     # -- accounting --------------------------------------------------------
     def stats(self) -> dict:
         """A point-in-time, JSON-ready report on the service.
 
-        Every mutable sub-structure (subscription counters, the cache
-        registry, replication info) is deep-snapshotted
-        before the dict is returned: a concurrent commit can bump counters
-        and grow cache dicts at any moment, and handing live dicts to
-        ``json.dumps`` intermittently raised ``RuntimeError: dictionary
-        changed size during iteration`` on a busy server.
+        Every section is a fresh structure its owner builds on the call
+        (the subscription manager under its lock), so a concurrent commit
+        or subscribe cannot change it while ``json.dumps`` walks it.
         """
         self.record_gauges()
         return {
@@ -660,15 +616,15 @@ class StoreService:
             "sessions_begun": self._session_counter,
             "journal": str(self.journal.directory) if self.journal else None,
             "durability": self.journal.durability.mode if self.journal else None,
-            "subscriptions": _deep_snapshot(self.subscriptions.stats()),
+            "subscriptions": self.subscriptions.stats(),
             # Always empty since the answer memo went; the frozen benchmark
             # still iterates the key (ROADMAP item 3 retires both).
             "prepared": {},
             # The process-wide cache registry (join-plan compilers, the
             # codegen backend counters, the OID intern table, ...) — what
             # ``repro client stats`` shows an operator.
-            "caches": _deep_snapshot(cache_stats()),
-            "replication": _deep_snapshot(self._replication_stats()),
+            "caches": cache_stats(),
+            "replication": self._replication_stats(),
             # The observability layer: the metrics-registry snapshot (empty
             # with REPRO_OBS unset) and the always-on slow-operation ring.
             "metrics": _obs.snapshot(),

@@ -3,8 +3,9 @@
 A read is *pull*: a client has to re-ask to learn that nothing changed.
 Subscriptions are the mechanism that avoids re-asking.  A subscription
 registers a prepared conjunctive body; every store commit hands the manager
-its exact ``(added, removed)`` fact delta, and each subscription is brought
-to the new revision from that delta alone:
+the new revision, with its exact ``(added, removed)`` fact delta, and the
+parent base it was committed over, and each subscription is brought to the
+new revision from that delta alone:
 
 * **SKIP** — the delta reaches none of the body's *dispatch keys*
   (:func:`~repro.core.plans.dispatch_keys`, one per version-term literal):
@@ -19,8 +20,9 @@ to the new revision from that delta alone:
   (:meth:`~repro.core.query.PreparedQuery.delta_answers`).  Added rows are
   the body seeded at its positive version-terms with the added facts and at
   its negated ones with the removed facts, on the new base; removed rows
-  are the same with the two sides swapped, on the previous base.  Both are
-  exact, since an answer row grounds to one set of facts.
+  are the same with the two sides swapped, on the parent.  Both are exact,
+  since an answer row grounds to one set of facts.  The manager keeps no
+  base of its own between commits.
 
 The manager keeps an inverted index from dispatch key to subscriptions (the
 alpha network of Rete: constant tests are indexed once, join tests run only
@@ -70,9 +72,6 @@ __all__ = ["Subscription", "SubscriptionManager"]
 
 #: A delivery sink: called with one JSON-ready push message per answer diff.
 Deliver = Callable[[dict], None]
-
-#: A per-revision Delta provider (the service shares its cached one).
-DeltaSource = Callable[[StoreRevision], Delta]
 
 
 class Subscription:
@@ -136,10 +135,6 @@ class SubscriptionManager:
     another thread can never leave a subscriber one revision stale with
     its first diff silently dropped.
 
-    While any subscription exists the manager holds ``(index, base)`` of
-    the newest revision it has seen — the store's own head in steady
-    state — as the previous base a seeded commit evaluates removals on.
-
     The dispatch index: ``_buckets`` maps each host, result and pinned
     key to the subscriptions holding it, ``_triggers`` each fallback key;
     ``_pins`` maps a method key to the ``(pin key, pin args)`` its pinned
@@ -147,18 +142,11 @@ class SubscriptionManager:
     with its last subscription.
     """
 
-    def __init__(
-        self,
-        store: VersionedStore,
-        *,
-        delta_source: DeltaSource | None = None,
-    ) -> None:
+    def __init__(self, store: VersionedStore) -> None:
         self._store = store
         self._subscriptions: dict[str, Subscription] = {}
         self._counter = 0
         self._lock = threading.RLock()
-        self._delta_source = delta_source or _build_delta
-        self._head: tuple[int, ObjectBase] | None = None
         self._processed = -1
         self._buckets: dict[DispatchKey, dict[Subscription, None]] = {}
         self._triggers: dict[DispatchKey, dict[Subscription, None]] = {}
@@ -187,7 +175,6 @@ class SubscriptionManager:
         with self._lock:
             revision = len(self._store) - 1
             base = self._store.base_at(revision)
-            self._head = (revision, base)
             self._counter += 1
             subscription = Subscription(
                 self, self._counter, prepared, keys, deliver,
@@ -206,8 +193,6 @@ class SubscriptionManager:
     def unsubscribe(self, sid: str) -> bool:
         with self._lock:
             subscription = self._subscriptions.pop(sid, None)
-            if not self._subscriptions:
-                self._head = None
             if subscription is None:
                 return False
             for key in subscription.keys:
@@ -255,23 +240,18 @@ class SubscriptionManager:
                 "answers": list(subscription.answers),
             }
 
-    def _on_commit(self, revision: StoreRevision) -> None:
+    def _on_commit(self, revision: StoreRevision, parent: ObjectBase) -> None:
         with self._lock:
-            self._process_commit(revision)
+            self._process_commit(revision, parent)
 
-    def _process_commit(self, revision: StoreRevision) -> None:
+    def _process_commit(self, revision: StoreRevision, parent: ObjectBase) -> None:
         if not self._subscriptions:
-            self._head = None
             return
         index = revision.index
-        delta = self._delta_source(revision)
+        delta = Delta()
+        delta.record(revision.added, revision.removed)
         base = self._store.base_at(index)
-        held, self._head = self._head, (index, base)
         self._processed = index
-        # The previous base is read only when a key is reached; a
-        # subscription registered during this commit moved the held base
-        # ahead, so fall back to the store.
-        previous = held[1] if held is not None and held[0] == index - 1 else None
         # Subscriptions sharing a query body (queries hash and compare by
         # body) at one revision hold equal answers, so one evaluation per
         # body gives every one of them the same diff and the same new list.
@@ -282,11 +262,9 @@ class SubscriptionManager:
             query = subscription.query
             result = results.get(query)
             if result is None:
-                if previous is None:
-                    previous = self._store.base_at(index - 1)
                 gained, lost = delta.added_index(), delta.removed_index()
                 added = query.delta_answers(gained, lost, base)
-                removed = query.delta_answers(lost, gained, previous)
+                removed = query.delta_answers(lost, gained, parent)
                 answers = subscription.answers
                 if added or removed:
                     answers = fold_answers(answers, added, removed)
@@ -340,12 +318,13 @@ class SubscriptionManager:
         return sorted(reached, key=attrgetter("number"))
 
     def stats(self) -> dict:
-        return {
-            "active": len(self._subscriptions),
-            "by_id": {
-                sid: sub.stats() for sid, sub in self._subscriptions.items()
-            },
-        }
+        with self._lock:
+            return {
+                "active": len(self._subscriptions),
+                "by_id": {
+                    sid: sub.stats() for sid, sub in self._subscriptions.items()
+                },
+            }
 
     def close(self) -> None:
         """Detach from the store (idempotent)."""
@@ -355,7 +334,6 @@ class SubscriptionManager:
             self._buckets.clear()
             self._triggers.clear()
             self._pins.clear()
-            self._head = None
 
 
 def _removed_pins(delta: Delta) -> dict[tuple, list[Fact]]:
@@ -364,10 +342,3 @@ def _removed_pins(delta: Delta) -> dict[tuple, list[Fact]]:
     for fact in delta.removed:
         grouped.setdefault((fact.host, (fact.method, len(fact.args))), []).append(fact)
     return grouped
-
-
-def _build_delta(revision: StoreRevision) -> Delta:
-    """The standalone fallback when no service shares its cached delta."""
-    delta = Delta()
-    delta.record(revision.added, revision.removed)
-    return delta

@@ -90,6 +90,8 @@ SnapshotSource = Callable[[], ObjectBase]
 #: A commit's write-ahead step: makes a batch of formed revisions durable,
 #: returns each one's snapshot source.
 JournalStep = Callable[[list["StoreRevision"]], "list[SnapshotSource | None]"]
+#: Called with each published revision and the base it was committed over.
+CommitListener = Callable[["StoreRevision", ObjectBase], None]
 
 
 @dataclass(frozen=True)
@@ -189,7 +191,7 @@ class VersionedStore:
         #: Guards both caches' eviction: ``_materialized`` and ``_resident``.
         self._resident_lock = threading.Lock()
         self._weight_memo: "tuple[int, int] | None" = None
-        self._commit_listeners: list[Callable[[StoreRevision], None]] = []
+        self._commit_listeners: list[CommitListener] = []
         self.epoch = 0
         self._revisions: list[StoreRevision] = [
             StoreRevision(0, _check_tag(tag), None, frozenset(), frozenset(), snapshot, self)
@@ -271,8 +273,10 @@ class VersionedStore:
     def __len__(self) -> int:
         return len(self._revisions)
 
-    def revisions(self) -> tuple[StoreRevision, ...]:
-        return tuple(self._revisions)
+    def revisions(self, start: int = 0) -> tuple[StoreRevision, ...]:
+        """The revisions from index ``start`` on (all by default); the
+        copy costs the suffix, not the chain."""
+        return tuple(self._revisions[start:])
 
     def as_of(self, tag_or_index: str | int) -> ObjectBase:
         """The base as of a revision, by tag or index (frozen shared view)."""
@@ -408,25 +412,24 @@ class VersionedStore:
         return prepare_query(query).run(self.current)
 
     # -- commit listeners --------------------------------------------------
-    def add_commit_listener(
-        self, listener: Callable[[StoreRevision], None]
-    ) -> Callable[[StoreRevision], None]:
-        """Register ``listener`` to be called with every newly committed
-        :class:`StoreRevision` (the head already is the new revision when
-        a listener runs).
+    def add_commit_listener(self, listener: CommitListener) -> CommitListener:
+        """Register ``listener`` to be called as ``listener(revision,
+        parent)`` with every newly committed :class:`StoreRevision` and the
+        frozen base it was committed over (the head already is the new
+        revision when a listener runs).
 
-        This is the seam the serving subsystem's subscription manager (and,
-        later, replication) plugs into: a listener receives the revision's
-        exact ``(added, removed)`` delta and can fold it through trigger
-        machinery instead of diffing bases.  Returns the listener so the
-        call can be used inline; remove with :meth:`remove_commit_listener`.
+        This is the seam the serving subsystem's subscription manager plugs
+        into: a listener receives the whole ``ob -> ob'`` step — the
+        parent, the revision's base (``base_at(revision.index)``) and its
+        exact ``(added, removed)`` delta — and can fold the delta through
+        trigger machinery instead of diffing bases.  Returns the listener
+        so the call can be used inline; remove with
+        :meth:`remove_commit_listener`.
         """
         self._commit_listeners.append(listener)
         return listener
 
-    def remove_commit_listener(
-        self, listener: Callable[[StoreRevision], None]
-    ) -> None:
+    def remove_commit_listener(self, listener: CommitListener) -> None:
         """Unregister a commit listener (no-op when not registered)."""
         try:
             self._commit_listeners.remove(listener)
@@ -544,7 +547,8 @@ class VersionedStore:
         """The one place revisions become visible: the batch is formed, made
         durable by ``journal`` (which, raising, leaves the store as it was),
         then published one revision at a time, minus any snapshot that got
-        no file."""
+        no file.  Each listener gets the revision with its parent: the head
+        before the batch, then each earlier revision's base."""
         revisions = []
         for index, (new_base, added, removed, tag, program_name) in enumerate(
             commits, len(self._revisions)
@@ -566,11 +570,13 @@ class VersionedStore:
         for revision, source in zip(revisions, sources):
             if source is None:
                 object.__setattr__(revision, "snapshot", None)
+        parent = self.current
         for revision, (new_base, *_rest) in zip(revisions, commits):
             self._revisions.append(revision)
             self._head_cache = (revision.index, new_base)
             for listener in tuple(self._commit_listeners):
-                listener(revision)
+                listener(revision, parent)
+            parent = new_base
         for revision, source in zip(revisions, sources):
             if source is not None:
                 self.snapshot_persisted(revision.index, source)

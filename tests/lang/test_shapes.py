@@ -202,6 +202,16 @@ def test_a_named_first_call_keeps_the_shape_named_by_its_text(cold, monkeypatch)
     assert built == []
 
 
+def test_a_shape_prepared_from_another_text_is_named_by_its_own(cold):
+    """The template of a shape built by ``parse_body`` names its prepared
+    query, even when another text of the shape prepares it first."""
+    parse_body("emp1.sal -> S")
+    other = prepare_query("emp2.sal -> S")
+    first = prepare_query("emp1.sal -> S")
+    assert prepare_query("emp1.sal -> S") is first
+    assert (first.name, other.name) == ("emp1.sal -> S", "emp2.sal -> S")
+
+
 def test_parse_body_binds_the_shape(cold):
     first = parse_body("E.sal -> S, S > 4000, E.boss -> joe")
     text = "E.sal -> S, S > 4100, E.boss -> ann"

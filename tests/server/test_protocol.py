@@ -201,6 +201,43 @@ class TestPushesAndTeardown:
             client.call("ping")
 
 
+class TestHistoryReads:
+    """``tx-commit`` and ``log last=N`` copy the revisions they read, not
+    the whole chain."""
+
+    @staticmethod
+    def _spy(service) -> list:
+        starts, revisions = [], service.store.revisions
+
+        def spy(start=0):
+            starts.append(start)
+            return revisions(start)
+
+        service.store.revisions = spy
+        return starts
+
+    def test_tx_commit_reads_the_revisions_since_its_pin(self, service, client):
+        for tag in ("a", "b"):
+            client.call("apply", program=ADD_BOSS, tag=tag)
+        session = client.call("tx-begin")["session"]
+        client.call("apply", program=ADD_BOSS, tag="interim")
+        client.call("tx-stage", session=session, program=RAISE_PHIL)
+        starts = self._spy(service)
+        assert client.call("tx-commit", session=session)["revision"] == 4
+        assert starts == [3]
+
+    def test_log_last_reads_only_the_tail(self, service, client):
+        for tag in ("a", "b", "c"):
+            client.call("apply", program=ADD_BOSS, tag=tag)
+        starts = self._spy(service)
+        [head] = client.call("log", last=1)["revisions"]
+        assert head["tag"] == "c"
+        assert [r["tag"] for r in client.call("log", last=9)["revisions"]] == [
+            "initial", "a", "b", "c",
+        ]
+        assert starts == [len(service.store) - 1, 0]
+
+
 class TestDispatcherDirect:
     def test_error_payloads_do_not_leak_exceptions(self, service):
         dispatcher = Dispatcher(service)

@@ -5,8 +5,13 @@ over its initial answer set reproduces ``VersionedStore.query`` at every
 revision.
 """
 
+import gc
+import json
+import threading
+
 import pytest
 
+from repro.core.objectbase import Delta, ObjectBase
 from repro.core.query import (
     PreparedQuery,
     diff_answers,
@@ -181,7 +186,7 @@ class TestSeededFoldRaces:
         store = VersionedStore(paper_example_base(), tag="initial")
         inside, late_pushes, pushes = [], [], []
 
-        def subscribe_once(revision):
+        def subscribe_once(revision, parent):
             if not inside:
                 inside.append(service.subscriptions.subscribe(body, late_pushes.append))
 
@@ -199,14 +204,101 @@ class TestSeededFoldRaces:
         assert (late.seeded, late.skipped) == (1, 0)
         assert [push["revision"] for push in late_pushes] == [2]
 
-    def test_last_unsubscribe_drops_the_held_base(self, service):
+    def test_the_manager_holds_no_base_between_commits(self, service):
+        """The store hands each commit its parent base; the manager keeps
+        none of its own, with or without subscriptions."""
         manager = service.subscriptions
         subscription = manager.subscribe(SALARIES, lambda push: None)
         service.apply(RAISE_PHIL)
-        assert manager._head is not None
+        assert not _held_bases(manager)
         manager.unsubscribe(subscription.id)
         service.apply(RAISE_PHIL)
-        assert manager._head is None
+        assert not _held_bases(manager)
+
+    def test_a_batch_hands_each_revision_its_parent(self):
+        """Two programs committed as one batch: the second revision's
+        removed rows join a fact that only the first revision's base
+        holds, so they are right only on the parent the store hands over."""
+        body = "E.sal -> S, F.sal -> T, S < T"
+        query = prepare_query(body)
+        store = VersionedStore(paper_example_base(), tag="initial")
+        parents = {}
+        store.add_commit_listener(
+            lambda revision, parent: parents.setdefault(revision.index, parent)
+        )
+        service = StoreService(store)
+        pushes = []
+        subscription = service.subscriptions.subscribe(body, pushes.append)
+        session = service.begin()
+        session.stage(RAISE_PHIL).stage(RAISE_PHIL)
+        outcome = session.commit(tag="twice")
+        indexes = [revision.index for revision in outcome.revisions]
+        assert indexes == [1, 2]
+        assert [push["revision"] for push in pushes] == indexes
+        for push in pushes:
+            k = push["revision"]
+            fresh = [query.run(store.base_at(k - 1)), query.run(store.base_at(k))]
+            assert (push["added"], push["removed"]) == diff_answers(*fresh)
+        assert set(parents[2]) == set(store.base_at(1))
+        assert set(parents[2]) != set(store.base_at(0))
+        assert subscription.answers == query.run(store.current)
+
+
+class TestCommitState:
+    def test_a_served_commit_keeps_no_delta_alive(self, service):
+        """Fifty raises under a live subscription leave no ``Delta`` behind:
+        each commit's delta lives only while its listeners run."""
+        pushes = []
+        service.subscriptions.subscribe(SALARIES, pushes.append)
+        gc.collect()
+        before = _live_deltas()
+        for _ in range(50):
+            service.apply(RAISE_PHIL)
+        assert len(pushes) == 50
+        assert _live_deltas() - before == 0
+
+    def test_stats_encode_while_another_thread_subscribes(self, service):
+        stop = threading.Event()
+        errors: list[BaseException] = []
+
+        def churn() -> None:
+            manager = service.subscriptions
+            while not stop.is_set():
+                try:
+                    manager.unsubscribe(manager.subscribe(ORG, _ignore).id)
+                except BaseException as error:  # pragma: no cover
+                    errors.append(error)
+                    return
+
+        thread = threading.Thread(target=churn)
+        thread.start()
+        try:
+            for _ in range(200):
+                json.dumps(service.stats())
+        finally:
+            stop.set()
+            thread.join()
+        assert not errors
+
+
+def _held_bases(manager) -> list[ObjectBase]:
+    """The object bases among the manager's attributes, containers
+    included (the store it listens to is not walked)."""
+    found, pending = [], [v for k, v in vars(manager).items() if k != "_store"]
+    while pending:
+        value = pending.pop()
+        if isinstance(value, ObjectBase):
+            found.append(value)
+        elif isinstance(value, dict):
+            pending.extend(value.keys())
+            pending.extend(value.values())
+        elif isinstance(value, (list, tuple, set, frozenset)):
+            pending.extend(value)
+    return found
+
+
+def _live_deltas() -> int:
+    return sum(isinstance(value, Delta) for value in gc.get_objects())
 
 
 class TestDispatchIndex:

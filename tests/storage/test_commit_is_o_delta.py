@@ -244,7 +244,7 @@ def test_snapshot_files_land_where_the_rule_predicts(tmp_path):
     )
     published = []  # what a listener sees: the snapshot is settled by then
     service.store.add_commit_listener(
-        lambda r: published.append(service.store.has_snapshot(r.index))
+        lambda r, _parent: published.append(service.store.has_snapshot(r.index))
     )
     for program in _mixed_history(base, 90):
         service.apply(program)

@@ -8,6 +8,7 @@ import pytest
 from repro import query
 from repro.core.errors import FrozenBaseError, ReproError
 from repro.storage import StoreOptions, VersionedStore
+from repro.storage.history import DEFAULT_ENGINE
 from repro.workloads import paper_example_base, paper_example_program, salary_raise_program
 
 
@@ -17,6 +18,12 @@ def store():
 
 
 class TestRevisions:
+    def test_revisions_from_an_index_are_the_chain_suffix(self, store):
+        for tag in ("one", "two", "three"):
+            store.apply(salary_raise_program(), tag=tag)
+        for start in range(len(store) + 2):
+            assert store.revisions(start) == store.revisions()[start:]
+
     def test_initial_revision(self, store):
         assert len(store) == 1
         assert store.head.tag == "initial"
@@ -115,17 +122,36 @@ class TestNegativeIndexes:
 class TestCommitListeners:
     def test_listener_sees_every_commit_with_exact_delta(self, store):
         seen = []
-        store.add_commit_listener(seen.append)
+        store.add_commit_listener(lambda revision, parent: seen.append(revision))
         store.apply(salary_raise_program(), tag="raise")
         assert [r.tag for r in seen] == ["raise"]
         assert seen[0].index == 1
         assert {str(f) for f in seen[0].removed} >= {"phil.sal -> 4000"}
-        store.remove_commit_listener(seen.append)  # different bound object: no-op
+        store.remove_commit_listener(seen.append)  # never registered: no-op
         store.remove_commit_listener(seen[0])  # unknown listener: no-op
+
+    def test_every_call_carries_the_parent_base(self, store):
+        """Each listener call is ``(revision, parent)``, the parent being
+        the base the revision was committed over — inside a batch too."""
+        calls = []
+        store.add_commit_listener(lambda *args: calls.append(args))
+        store.apply(salary_raise_program(), tag="raise")
+        batch, base = [], store.current
+        for tag in ("b0", "b1"):
+            base = DEFAULT_ENGINE.apply(salary_raise_program(), base).new_base
+            batch.append((base, None, None, tag, None))
+        store.commit_updates(batch)
+        store.commit_base(paper_example_base(), tag="reset")
+        store.rollback_to("raise")
+        assert [args[0].tag for args in calls] == [
+            "raise", "b0", "b1", "reset", "rollback-to-raise",
+        ]
+        for revision, parent in calls:
+            assert set(parent) == set(store.base_at(revision.index - 1))
 
     def test_removed_listener_stops_firing(self, store):
         seen = []
-        listener = store.add_commit_listener(seen.append)
+        listener = store.add_commit_listener(lambda revision, parent: seen.append(revision))
         store.apply(salary_raise_program(), tag="one")
         store.remove_commit_listener(listener)
         store.apply(salary_raise_program(), tag="two")
